@@ -23,7 +23,7 @@ from .spectral import (
     InverseProblem,
     DataSample,
     ReflectionCoupling,
-    _as_vector,
+    as_vector,
     forward_apply,
 )
 
@@ -161,25 +161,16 @@ class PlugInEstimate:
 # The g quantities
 # ---------------------------------------------------------------------------
 
-def _whitened_adjoint_columns(problem: InverseProblem, k: int, r: int) -> np.ndarray:
-    """Columns ``zeta^(1/2) P_r diag(1/rho) T[:, :k]`` (N x k)."""
-    cols = problem.coupling.t_matrix[:, :k].copy()
-    if r < problem.n_dim:
-        cols[r:, :] = 0.0
-    cols = cols / problem.operator.rho[:, None]
-    return problem.noise_color(cols)
-
-
 def compute_g_kr(problem: InverseProblem, k: int, r: int) -> float:
     """Largest squared whitened norm of the projected inverse adjoint over
     unit vectors in the span of the first k prior-basis directions.
 
     Computed exactly as the top eigenvalue of the k x k Gram matrix of the
-    restricted columns.
+    restricted columns ``zeta^(1/2) P_r diag(1/rho) T[:, :k]``.
     """
     if not (1 <= k <= problem.n_dim) or not (1 <= r <= problem.n_dim):
         raise ParameterError("k and r must lie in [1, n_dim]")
-    cols = _whitened_adjoint_columns(problem, k, r)
+    cols = problem.noise_color(_plug_in_columns(problem, k, r))
     gram = cols.T @ cols
     return float(np.linalg.eigvalsh(gram)[-1])
 
@@ -214,7 +205,7 @@ def small_ball_log_prob(problem: InverseProblem, u0: np.ndarray, eps: float,
         raise ParameterError("mc must be >= 1000")
     if eps <= 0:
         raise ParameterError("eps must be positive")
-    u0 = _as_vector(u0, problem.n_dim, "u0")
+    u0 = as_vector(u0, problem.n_dim, "u0")
     rng = substream(seed, "small-ball")
     draws = rng.standard_normal((mc, problem.n_dim)) * np.sqrt(problem.prior.variances)[None, :]
     images = problem.whitened_forward @ draws.T
@@ -266,9 +257,15 @@ def _residual_operator(problem: InverseProblem, k: int, r: int | None) -> np.nda
     return tk @ (tk.T @ proj) - scaled
 
 
-def _chernoff_log_tail(q: np.ndarray, threshold: float) -> float:
-    """Log Chernoff bound for a positive Gaussian quadratic form exceeding
-    ``threshold**2``."""
+def _chernoff_log_tail(problem: InverseProblem, k: int, r: int | None,
+                       threshold: float) -> float:
+    """Log Chernoff bound for the prior probability that the double
+    projection misses by more than ``threshold``; ``-inf`` when the double
+    projection is the identity."""
+    if k == problem.n_dim and (r is None or r == problem.n_dim):
+        return -math.inf  # full projection is the identity for an orthogonal coupling
+    a = _residual_operator(problem, k, r)
+    q = np.linalg.eigvalsh(a.T @ a)
     q = q[q > 0]
     if q.size == 0:
         return -math.inf
@@ -298,12 +295,8 @@ def projection_tail_prob(problem: InverseProblem, k: int, r: int | None,
         raise ParameterError("k must lie in [1, n_dim]")
     if r is not None and not (1 <= r <= problem.n_dim):
         raise ParameterError("r must lie in [1, n_dim] or be None")
-    if k == problem.n_dim and (r is None or r == problem.n_dim):
-        return 0.0  # full projection is the identity for an orthogonal coupling
-    a = _residual_operator(problem, k, r)
     if mode == "chernoff":
-        q = np.clip(np.linalg.eigvalsh(a.T @ a), 0.0, None)
-        return float(math.exp(_chernoff_log_tail(q, threshold)))
+        return float(math.exp(_chernoff_log_tail(problem, k, r, threshold)))
     if mode != "mc":
         raise ParameterError("mode must be 'mc' or 'chernoff'")
     return projection_tail_grid(problem, k, r, [threshold], mc, seed)[0]
@@ -487,7 +480,7 @@ def plug_in_test(problem: InverseProblem, data: DataSample, u0: np.ndarray,
     if m0 < 0 or xi < 0:
         raise ParameterError("m0 and xi must be nonnegative")
     est = plug_in_estimate(problem, data, k, r)
-    return bool(np.linalg.norm(est.u_hat - _as_vector(u0, problem.n_dim, "u0")) >= m0 * xi)
+    return bool(np.linalg.norm(est.u_hat - as_vector(u0, problem.n_dim, "u0")) >= m0 * xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,7 +507,7 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
         raise ParameterError("mc must be >= 1000")
     if n_level <= 0:
         raise ParameterError("n_level must be positive")
-    u0 = _as_vector(u0, problem.n_dim, "u0")
+    u0 = as_vector(u0, problem.n_dim, "u0")
     x_grid = np.asarray(x_grid, dtype=float)
     rng = substream(seed, "concentration")
 
@@ -557,7 +550,7 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan, u0: np.ndarray,
     levels sit far below Monte Carlo resolution; with a finite ``r_n`` the
     outcome is recorded as numerical evidence only.
     """
-    u0 = _as_vector(u0, problem.n_dim, "u0")
+    u0 = as_vector(u0, problem.n_dim, "u0")
     if plan.k_n > problem.n_dim:
         raise ParameterError("plan.k_n exceeds the truncation dimension")
     if plan.r_n is not None and plan.r_n > problem.n_dim:
@@ -571,12 +564,7 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan, u0: np.ndarray,
                              measured=sb.log_prob, bound=sb_bound)
 
     tail_bound = -(cst.c + 4.0) * n * eps**2
-    if plan.k_n == problem.n_dim and (plan.r_n is None or plan.r_n == problem.n_dim):
-        tail_log = -math.inf
-    else:
-        a = _residual_operator(problem, plan.k_n, plan.r_n)
-        q = np.clip(np.linalg.eigvalsh(a.T @ a), 0.0, None)
-        tail_log = _chernoff_log_tail(q, cst.c2 * xi)
+    tail_log = _chernoff_log_tail(problem, plan.k_n, plan.r_n, cst.c2 * xi)
     tail = CheckResult(ok=bool(tail_log <= tail_bound), measured=tail_log, bound=tail_bound)
 
     r_eff = plan.r_n if plan.r_n is not None else problem.n_dim

@@ -18,7 +18,7 @@ from scipy.linalg import cho_solve
 
 from .errors import NumericalError, ParameterError
 from .rng import substream
-from .spectral import InverseProblem, DataSample, forward_apply, _as_vector
+from .spectral import InverseProblem, DataSample, as_vector, forward_apply
 
 
 def cholesky_with_jitter(mat: np.ndarray, max_doublings: int = 3) -> np.ndarray:
@@ -63,17 +63,25 @@ class PosteriorGaussian:
     def covariance(self) -> np.ndarray:
         return self.cov_factor @ self.cov_factor.T
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Posterior draws as columns of an (n_dim, count) array."""
-        z = rng.standard_normal((self.n_dim, count))
-        return self.mean[:, None] + self.cov_factor @ z
+    def distances(self, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Distances from u0 of the posterior draws ``mean + factor @ z``,
+        one per column of the standard-normal array ``z``.
+
+        Bit-identical to ``np.linalg.norm(dev, axis=0)`` but squared in place:
+        the caller still holds ``z``, so a further (N, count) temporary would
+        raise peak memory.
+        """
+        dev = self.cov_factor @ z
+        dev += (self.mean - u0)[:, None]
+        dev *= dev
+        return np.sqrt(np.add.reduce(dev, axis=0))
 
 
 def potential_phi(problem: InverseProblem, y: np.ndarray, u: np.ndarray, n_level: float) -> float:
     """Data-misfit potential ``(n/2) <Gu, Gu>_zeta - n <y, Gu>_zeta``."""
     if n_level <= 0:
         raise ParameterError("n_level must be positive")
-    y = _as_vector(y, problem.n_dim, "y")
+    y = as_vector(y, problem.n_dim, "y")
     gu = problem.noise_whiten(forward_apply(problem, u, "phi"))
     wy = problem.noise_whiten(y)
     value = 0.5 * n_level * float(gu @ gu) - n_level * float(wy @ gu)
@@ -96,26 +104,37 @@ def posterior_precision(problem: InverseProblem, n_level: float) -> np.ndarray:
     return np.diag(1.0 / problem.prior.variances) + n_level * problem.whitened_gram
 
 
-def _covariance_factor(problem: InverseProblem, n_level: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Cholesky of precision, Cholesky of covariance) for the given n."""
+@dataclass(frozen=True, eq=False)
+class PosteriorFactor:
+    """The data-independent part of the conjugate posterior at one noise
+    level: factor once per n, then condition on any number of data draws.
+    The factorization itself is private to this module."""
+
+    problem: InverseProblem
+    n_level: float
+    _precision_chol: np.ndarray
+    _cov_factor: np.ndarray
+
+    def condition(self, y: np.ndarray) -> PosteriorGaussian:
+        """Posterior given data ``y`` (e-coordinates)."""
+        y = as_vector(y, self.problem.n_dim, "y")
+        rhs = self.n_level * (self.problem.whitened_forward.T @ self.problem.noise_whiten(y))
+        mean = cho_solve((self._precision_chol, True), rhs)
+        return PosteriorGaussian(mean=mean, cov_factor=self._cov_factor, n_level=self.n_level)
+
+
+def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
+    """Factor the conjugate posterior at noise level ``n_level`` once; the
+    result conditions on any number of data draws."""
     p_chol = cholesky_with_jitter(posterior_precision(problem, n_level))
     cov = cho_solve((p_chol, True), np.eye(problem.n_dim))
     cov = 0.5 * (cov + cov.T)
-    return p_chol, cholesky_with_jitter(cov)
-
-
-def _posterior_mean(problem: InverseProblem, p_chol: np.ndarray, y: np.ndarray,
-                    n_level: float) -> np.ndarray:
-    rhs = n_level * (problem.whitened_forward.T @ problem.noise_whiten(y))
-    return cho_solve((p_chol, True), rhs)
+    return PosteriorFactor(problem, n_level, p_chol, cholesky_with_jitter(cov))
 
 
 def conjugate_posterior(problem: InverseProblem, data: DataSample) -> PosteriorGaussian:
     """Closed-form Gaussian posterior for the problem's Gaussian prior."""
-    y = _as_vector(data.y, problem.n_dim, "y")
-    p_chol, cov_chol = _covariance_factor(problem, data.n_level)
-    mean = _posterior_mean(problem, p_chol, y, data.n_level)
-    return PosteriorGaussian(mean=mean, cov_factor=cov_chol, n_level=data.n_level)
+    return factor_posterior(problem, data.n_level).condition(data.y)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +184,9 @@ def posterior_exceedance_grid(post: PosteriorGaussian, u0: np.ndarray, xis,
     """
     if mc < 100:
         raise ParameterError("mc must be >= 100")
-    u0 = _as_vector(u0, post.n_dim, "u0")
+    u0 = as_vector(u0, post.n_dim, "u0")
     rng = substream(seed, "exceedance")
-    z = rng.standard_normal((post.n_dim, mc))
-    dev = (post.mean - u0)[:, None] + post.cov_factor @ z
-    dist = np.linalg.norm(dev, axis=0)
+    dist = post.distances(u0, rng.standard_normal((post.n_dim, mc)))
     out = []
     for xi in xis:
         if xi < 0:
@@ -195,7 +212,7 @@ def weighted_posterior_exceedance(problem: InverseProblem, data: DataSample,
         raise ParameterError("mc must be >= 1000 for the weighted estimator")
     if xi < 0:
         raise ParameterError("radius must be nonnegative")
-    u0 = _as_vector(u0, problem.n_dim, "u0")
+    u0 = as_vector(u0, problem.n_dim, "u0")
     rng = substream(seed, "weighted-exceedance")
     if prior_sampler is None:
         draws = rng.standard_normal((mc, problem.n_dim)) * np.sqrt(problem.prior.variances)[None, :]
@@ -206,19 +223,28 @@ def weighted_posterior_exceedance(problem: InverseProblem, data: DataSample,
 
     w_y = problem.noise_whiten(data.y)
     log_w = -_potential_batch(problem, w_y, draws, data.n_level)
+    return snis_exceedance(log_w, np.linalg.norm(draws - u0[None, :], axis=1), xi)
+
+
+def snis_exceedance(log_w: np.ndarray, dist: np.ndarray, xi: float) -> ExceedanceEstimate:
+    """Self-normalized importance estimate of the mass with ``dist > xi``.
+
+    ``log_w`` holds the unnormalized log-weights of the draws and ``dist``
+    their distances from the ball's center. Non-finite log-weights and a
+    non-finite normalizer raise; an effective sample size below 10 marks the
+    result as degenerate.
+    """
     if not np.all(np.isfinite(log_w)):
         raise NumericalError("non-finite importance log-weights")
     shift = log_w.max()
     w = np.exp(log_w - shift)
     total = float(w.sum())
-    log_normalizer = shift + math.log(total / mc)
+    log_normalizer = shift + math.log(total / log_w.size)
     if not np.isfinite(log_normalizer):
         raise NumericalError("importance-sampling normalizer is not finite")
 
-    indic = np.linalg.norm(draws - u0[None, :], axis=1) > xi
-    value = float(w[indic].sum() / total)
-    value = min(max(value, 0.0), 1.0)
+    value = min(max(float(w[dist > xi].sum() / total), 0.0), 1.0)
     ess = total**2 / float(w @ w)
     return ExceedanceEstimate(value=value, std_error=_binomial_se(value, ess),
-                              mc_count=mc, xi=float(xi), ess=ess,
+                              mc_count=log_w.size, xi=float(xi), ess=ess,
                               log_normalizer=log_normalizer, degenerate=ess < 10.0)

@@ -21,13 +21,8 @@ from scipy.stats import t as _student_t
 
 from .errors import ParameterError
 from .rng import derive_seed, substream
-from .spectral import InverseProblem, SevereFamily, _as_vector, forward_apply
-from .posterior import (
-    ExceedanceEstimate,
-    _binomial_se,
-    _covariance_factor,
-    _posterior_mean,
-)
+from .spectral import InverseProblem, SevereFamily, as_vector, forward_apply
+from .posterior import ExceedanceEstimate, PosteriorFactor, factor_posterior, snis_exceedance
 from .assumptions import RateConstants, RatePlan
 
 
@@ -132,15 +127,13 @@ class RateFit:
             raise ParameterError("xi_hat and n_grid must have equal length")
 
 
-def _replicate_distances(problem: InverseProblem, u0: np.ndarray, n_level: float,
-                         p_chol: np.ndarray, cov_chol: np.ndarray, mc: int,
+def _replicate_distances(factor: PosteriorFactor, u0: np.ndarray, mc: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Sorted posterior-sample distances from u0 for one fresh data draw."""
+    problem, n_level = factor.problem, factor.n_level
     z = rng.standard_normal(problem.n_dim)
     y = forward_apply(problem, u0, "phi") + problem.noise_color(z) / math.sqrt(n_level)
-    mean = _posterior_mean(problem, p_chol, y, n_level)
-    draws = (mean - u0)[:, None] + cov_chol @ rng.standard_normal((problem.n_dim, mc))
-    dist = np.linalg.norm(draws, axis=0)
+    dist = factor.condition(y).distances(u0, rng.standard_normal((problem.n_dim, mc)))
     dist.sort()
     return dist
 
@@ -164,16 +157,15 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
         raise ParameterError("delta_level must lie in (0, 0.5)")
     if y_replicates < 1 or mc < 100:
         raise ParameterError("y_replicates >= 1 and mc >= 100 required")
-    u0 = _as_vector(u0, problem.n_dim, "u0")
+    u0 = as_vector(u0, problem.n_dim, "u0")
 
     xi_hat, exceed_frac, failures = [], [], []
     kept_n = []
     for i, n in enumerate(n_grid):
-        p_chol, cov_chol = _covariance_factor(problem, n)
+        factor = factor_posterior(problem, n)
 
-        def one(rep: int, n=n, p_chol=p_chol, cov_chol=cov_chol) -> np.ndarray:
-            rng = substream(seed, "rate-fit", i, rep)
-            return _replicate_distances(problem, u0, n, p_chol, cov_chol, mc, rng)
+        def one(rep: int) -> np.ndarray:
+            return _replicate_distances(factor, u0, mc, substream(seed, "rate-fit", i, rep))
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -334,16 +326,7 @@ def finite_dim_exceedance_given_y(exp: FiniteDimExperiment, y: np.ndarray,
     draws = exp.prior.sample(rng, mc)
     resid = mw @ (draws - u_proj[None, :]).T
     log_w = -0.5 * n_level * np.einsum("ij,ij->j", resid, resid)
-    shift = log_w.max()
-    wts = np.exp(log_w - shift)
-    total = float(wts.sum())
-    log_normalizer = shift + math.log(total / mc)
-    indic = np.linalg.norm(draws - np.asarray(u0)[None, :], axis=1) > xi
-    value = min(max(float(wts[indic].sum() / total), 0.0), 1.0)
-    ess = total**2 / float(wts @ wts)
-    return ExceedanceEstimate(value=value, std_error=_binomial_se(value, ess),
-                              mc_count=mc, xi=float(xi), ess=ess,
-                              log_normalizer=log_normalizer, degenerate=ess < 10.0)
+    return snis_exceedance(log_w, np.linalg.norm(draws - np.asarray(u0)[None, :], axis=1), xi)
 
 
 def simulate_finite_dim(exp: FiniteDimExperiment, u0: np.ndarray, n_level: float,

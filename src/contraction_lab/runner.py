@@ -23,7 +23,6 @@ from .config import ExperimentConfig, build_findim, build_plan, build_problem, b
 from .errors import ConfigInvariantError
 from .rng import derive_seed
 from .spectral import (
-    BandedCoupling,
     ExpSkewCoupling,
     InverseProblem,
     ReflectionCoupling,
@@ -73,6 +72,19 @@ def _map_cells(fn, items, workers: int) -> list:
     return [fn(item) for item in items]
 
 
+def _cell_rows(fn, items, workers: int) -> list:
+    """Rows of every cell's block, in cell order."""
+    return [row for block in _map_cells(fn, items, workers) for row in block]
+
+
+def _table(config: ExperimentConfig, name: str, columns, rows, operation: str,
+           label: str = "", **provenance) -> Table:
+    """Table whose provenance names the operation, master seed and any extras."""
+    return Table(name, columns, rows,
+                 {"operation": operation, "seed": config.run["master_seed"], **provenance},
+                 config.digest, label=label)
+
+
 def _f(x) -> float:
     return float(x)
 
@@ -97,15 +109,8 @@ def _pipe_simulate(config: ExperimentConfig, problem: InverseProblem, workers: i
         data = simulate_data(problem, u0, n, derive_seed(seed, "simulate", i))
         return [(_n(n), k + 1, _f(data.y[k])) for k in range(problem.n_dim)]
 
-    rows = [r for block in _map_cells(cell, list(enumerate(run["n_grid"])), workers) for r in block]
-    return [Table("simulate", ("n_level", "coord", "y"), rows,
-                  {"operation": "simulate_data", "seed": seed}, config.digest)]
-
-
-def _default_xi_grid(problem: InverseProblem, n_level: float) -> list[float]:
-    _, cov_chol = posterior._covariance_factor(problem, n_level)
-    scale = math.sqrt(float(np.sum(cov_chol**2)))
-    return [scale * m for m in (0.5, 1.0, 2.0, 4.0)]
+    rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
+    return [_table(config, "simulate", ("n_level", "coord", "y"), rows, "simulate_data")]
 
 
 def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -118,14 +123,15 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
         i, n = item
         data = simulate_data(problem, u0, n, derive_seed(seed, "posterior", i, "data"))
         post = posterior.conjugate_posterior(problem, data)
-        xis = run.get("xi_grid") or _default_xi_grid(problem, n)
+        scale = math.sqrt(float(np.sum(post.cov_factor**2)))
+        xis = run.get("xi_grid") or [scale * m for m in (0.5, 1.0, 2.0, 4.0)]
         ests = posterior.posterior_exceedance_grid(post, u0, xis, mc,
                                                    derive_seed(seed, "posterior", i, "mc"))
         return [(_n(n), _f(e.xi), _f(e.value), _f(e.std_error)) for e in ests]
 
-    rows = [r for block in _map_cells(cell, list(enumerate(run["n_grid"])), workers) for r in block]
-    return [Table("posterior_exceedance", ("n_level", "xi", "estimate", "std_error"), rows,
-                  {"operation": "posterior_exceedance", "seed": seed}, config.digest)]
+    rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
+    return [_table(config, "posterior_exceedance", ("n_level", "xi", "estimate", "std_error"),
+                   rows, "posterior_exceedance")]
 
 
 def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -137,10 +143,10 @@ def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: i
                                      workers=workers)
     rows = [(_n(n), _f(x), _f(frac), _f(fit.slope), _f(fit.slope_ci[0]), _f(fit.slope_ci[1]))
             for n, x, frac in zip(fit.n_grid, fit.xi_hat, fit.exceedance_frac)]
-    label = EXPLORATORY_LABEL if fit.exploratory else ""
-    return [Table("rate_fit", ("n", "xi_hat", "exceedance_frac", "slope", "slope_lo", "slope_hi"),
-                  rows, {"operation": "fit_contraction_rate", "seed": run["master_seed"],
-                         "failures": list(fit.failures)}, config.digest, label=label)]
+    return [_table(config, "rate_fit",
+                   ("n", "xi_hat", "exceedance_frac", "slope", "slope_lo", "slope_hi"), rows,
+                   "fit_contraction_rate", label=EXPLORATORY_LABEL if fit.exploratory else "",
+                   failures=list(fit.failures))]
 
 
 def _pipe_check(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -156,13 +162,12 @@ def _pipe_check(config: ExperimentConfig, problem: InverseProblem, workers: int)
         ("k_n", _f(report.kn.measured), _f(report.kn.bound), report.kn.ok),
         ("truth_ratio", _f(report.truth_ratio), None, True),
     ]
-    label = "finite-r evidence only" if report.finite_r_evidence else ""
-    return [Table("assumption_checks", ("check", "measured", "bound", "ok"), rows,
-                  {"operation": "verify_assumptions", "seed": run["master_seed"],
-                   "plan": {"eps_n": plan.eps_n, "xi_n": plan.xi_n, "k_n": plan.k_n,
-                            "r_n": plan.r_n if plan.r_n is not None else "inf",
-                            "n_level": plan.n_level}},
-                  config.digest, label=label)]
+    return [_table(config, "assumption_checks", ("check", "measured", "bound", "ok"), rows,
+                   "verify_assumptions",
+                   label="finite-r evidence only" if report.finite_r_evidence else "",
+                   plan={"eps_n": plan.eps_n, "xi_n": plan.xi_n, "k_n": plan.k_n,
+                         "r_n": plan.r_n if plan.r_n is not None else "inf",
+                         "n_level": plan.n_level})]
 
 
 def _pipe_gn(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -179,9 +184,8 @@ def _pipe_gn(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
             out.append((k, "inf" if r == "inf" else int(r), _f(g)))
         return out
 
-    rows = [r for block in _map_cells(cell, k_values, workers) for r in block]
-    return [Table("g_table", ("k", "r", "g"), rows,
-                  {"operation": "compute_g_kr", "seed": run["master_seed"]}, config.digest)]
+    return [_table(config, "g_table", ("k", "r", "g"), _cell_rows(cell, k_values, workers),
+                   "compute_g_kr")]
 
 
 def _pipe_smallball(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -203,9 +207,9 @@ def _pipe_smallball(config: ExperimentConfig, problem: InverseProblem, workers: 
                 _f(rep.shift_cost), rep.upper_bound_only)
 
     rows = _map_cells(cell, list(enumerate(eps_grid)), workers)
-    return [Table("small_ball", ("eps", "log_prob", "ci_halfwidth", "centered_log_prob",
-                                 "shift_cost", "upper_bound_only"), rows,
-                  {"operation": "small_ball_log_prob", "seed": seed}, config.digest)]
+    return [_table(config, "small_ball", ("eps", "log_prob", "ci_halfwidth", "centered_log_prob",
+                                          "shift_cost", "upper_bound_only"), rows,
+                   "small_ball_log_prob")]
 
 
 def _pipe_minmax(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -216,10 +220,8 @@ def _pipe_minmax(config: ExperimentConfig, problem: InverseProblem, workers: int
                                        j_max)
     rows = [(j + 1, _f(a), _f(b), _f(r))
             for j, (a, b, r) in enumerate(zip(table.alphas, table.betas, table.ratios))]
-    return [Table("minmax_ratios", ("j", "alpha", "beta", "ratio"), rows,
-                  {"operation": "minmax_compare", "seed": run["master_seed"],
-                   "min_ratio": table.min_ratio, "max_ratio": table.max_ratio},
-                  config.digest)]
+    return [_table(config, "minmax_ratios", ("j", "alpha", "beta", "ratio"), rows,
+                   "minmax_compare", min_ratio=table.min_ratio, max_ratio=table.max_ratio)]
 
 
 def _pipe_hs(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -235,10 +237,9 @@ def _pipe_hs(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
     report = assumptions.hs_diagnostic(problem, target)
     rows = [(report.target, int(m), _f(v), report.verdict)
             for m, v in zip(report.truncations, report.values)]
-    return [Table("hs_diagnostic", ("target", "truncation", "value", "verdict"), rows,
-                  {"operation": "hs_diagnostic", "seed": run["master_seed"],
-                   "details": {k: v for k, v in report.details.items() if k != "small_ball_report"}},
-                  config.digest)]
+    return [_table(config, "hs_diagnostic", ("target", "truncation", "value", "verdict"), rows,
+                   "hs_diagnostic",
+                   details={k: v for k, v in report.details.items() if k != "small_ball_report"})]
 
 
 def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -255,12 +256,11 @@ def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, worke
     ok = rep.empirical <= rep.bound + 4.0 * rep.std_error
     rows = [(_f(x), _f(e), _f(b), _f(s), bool(o))
             for x, e, b, s, o in zip(rep.x_grid, rep.empirical, rep.bound, rep.std_error, ok)]
-    return [Table("concentration", ("x", "empirical", "bound", "std_error", "ok"), rows,
-                  {"operation": "concentration_check", "seed": run["master_seed"],
-                   "sigma0_sq": rep.sigma0_sq, "mean_deviation": rep.mean_deviation,
-                   "mean_deviation_bound": rep.mean_deviation_bound,
-                   "mean_dev_ok": rep.mean_dev_ok, "k": k, "r": r},
-                  config.digest)]
+    return [_table(config, "concentration", ("x", "empirical", "bound", "std_error", "ok"), rows,
+                   "concentration_check", sigma0_sq=rep.sigma0_sq,
+                   mean_deviation=rep.mean_deviation,
+                   mean_deviation_bound=rep.mean_deviation_bound,
+                   mean_dev_ok=rep.mean_dev_ok, k=k, r=r)]
 
 
 def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -276,9 +276,8 @@ def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int
     rows = [(_n(n), _f(m), None if math.isnan(r) else _f(r), int(c))
             for n, m, r, c in zip(table.n_grid, table.mean_exceedance,
                                   table.max_ratio, table.diagnostic_counts)]
-    return [Table("findim_rate", ("n", "mean_exceedance", "max_ratio", "diagnostic_count"),
-                  rows, {"operation": "finite_dim_rate_run", "seed": run["master_seed"],
-                         "method": table.method}, config.digest)]
+    return [_table(config, "findim_rate", ("n", "mean_exceedance", "max_ratio", "diagnostic_count"),
+                   rows, "finite_dim_rate_run", method=table.method)]
 
 
 PIPELINE_FUNCS = {

@@ -24,10 +24,18 @@ from .rng import substream
 ORTHOGONALITY_TOL = 1e-10
 
 
-def _as_vector(x, n_dim: int, name: str) -> np.ndarray:
+def as_vector(x, n_dim: int, name: str) -> np.ndarray:
+    """``x`` as a float array of shape ``(n_dim,)``; no copy when it already is one."""
     v = np.asarray(x, dtype=float)
     if v.shape != (n_dim,):
         raise ParameterError(f"{name} must be a length-{n_dim} vector, got shape {v.shape}")
+    return v
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """Read-only float copy, so freezing never touches the caller's array."""
+    v = np.array(x, dtype=float)
+    v.flags.writeable = False
     return v
 
 
@@ -78,7 +86,7 @@ class OperatorSpectrum:
     def __post_init__(self):
         if self.n_dim < 1:
             raise ParameterError("n_dim must be >= 1")
-        rho = _as_vector(self.rho, self.n_dim, "rho")
+        rho = _frozen(as_vector(self.rho, self.n_dim, "rho"))
         object.__setattr__(self, "rho", rho)
         if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
             raise ParameterError("all singular values must be positive and finite")
@@ -171,7 +179,7 @@ class OrthogonalCoupling:
     kind: CouplingKind
 
     def __post_init__(self):
-        t = np.asarray(self.t_matrix, dtype=float)
+        t = _frozen(self.t_matrix)
         if t.shape != (self.n_dim, self.n_dim):
             raise ParameterError("t_matrix must be square of size n_dim")
         object.__setattr__(self, "t_matrix", t)
@@ -238,7 +246,7 @@ def make_coupling(kind: CouplingKind, n_dim: int, seed: int = 0) -> OrthogonalCo
             t[a - 1:b, a - 1:b] = _haar_orthogonal(b - a + 1, rng)
         return OrthogonalCoupling(n_dim, t, kind)
     if isinstance(kind, ReflectionCoupling):
-        v = _as_vector(kind.v, n_dim, "v")
+        v = as_vector(kind.v, n_dim, "v")
         norm = np.linalg.norm(v)
         if norm == 0:
             raise ParameterError("reflection vector must be nonzero")
@@ -264,22 +272,6 @@ def make_coupling(kind: CouplingKind, n_dim: int, seed: int = 0) -> OrthogonalCo
 # Gaussian sequence measures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PriorFamily:
-    delta: float
-
-
-@dataclass(frozen=True)
-class ColoredNoise:
-    r: float
-
-
-@dataclass(frozen=True)
-class HilbertScalePrior:
-    t: float
-    l: float
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianSequenceMeasure:
     """Centered Gaussian measure with the given coordinate variances.
@@ -287,23 +279,23 @@ class GaussianSequenceMeasure:
     ``basis`` names the axes the measure is diagonal on ("phi" for priors,
     "e" for noise). A dense SPD covariance (e-coordinates) may back the
     measure instead, in which case ``variances`` holds its eigenvalues.
+    Both arrays are stored as read-only copies.
     """
 
     n_dim: int
     variances: np.ndarray
     basis: str
-    tag: object = None
     dense: np.ndarray | None = None
 
     def __post_init__(self):
         if self.basis not in ("e", "phi"):
             raise ParameterError("basis must be 'e' or 'phi'")
-        v = _as_vector(self.variances, self.n_dim, "variances")
+        v = _frozen(as_vector(self.variances, self.n_dim, "variances"))
         object.__setattr__(self, "variances", v)
         if not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise ParameterError("all variances must be positive and finite")
         if self.dense is not None:
-            d = np.asarray(self.dense, dtype=float)
+            d = _frozen(self.dense)
             if d.shape != (self.n_dim, self.n_dim):
                 raise ParameterError("dense covariance must be square of size n_dim")
             if np.abs(d - d.T).max() > 1e-12 * max(1.0, np.abs(d).max()):
@@ -320,7 +312,7 @@ def power_law_prior(delta: float, n_dim: int) -> GaussianSequenceMeasure:
     if delta <= 0:
         raise ParameterError("prior smoothness delta must be positive")
     k = np.arange(1, n_dim + 1, dtype=float)
-    return GaussianSequenceMeasure(n_dim, (1.0 + k**2) ** (-0.5 - delta), "phi", PriorFamily(delta))
+    return GaussianSequenceMeasure(n_dim, (1.0 + k**2) ** (-0.5 - delta), "phi")
 
 
 def explicit_prior(variances, n_dim: int) -> GaussianSequenceMeasure:
@@ -335,13 +327,13 @@ def diagonal_noise(variances, n_dim: int) -> GaussianSequenceMeasure:
     return GaussianSequenceMeasure(n_dim, np.asarray(variances, dtype=float), "e")
 
 
-def dense_noise(covariance: np.ndarray, tag: object = None) -> GaussianSequenceMeasure:
+def dense_noise(covariance: np.ndarray) -> GaussianSequenceMeasure:
     """Wrap a dense SPD covariance (e-coordinates) as a noise measure."""
     cov = np.asarray(covariance, dtype=float)
     vals = np.linalg.eigvalsh(cov)
     if vals.min() <= 0:
         raise ParameterError(f"noise covariance is not SPD: min eigenvalue {vals.min():.3e}")
-    return GaussianSequenceMeasure(cov.shape[0], vals[::-1].copy(), "e", tag, dense=cov)
+    return GaussianSequenceMeasure(cov.shape[0], vals[::-1], "e", dense=cov)
 
 
 def colored_noise(spectrum: OperatorSpectrum, r: float, k1: np.ndarray) -> GaussianSequenceMeasure:
@@ -357,7 +349,7 @@ def colored_noise(spectrum: OperatorSpectrum, r: float, k1: np.ndarray) -> Gauss
         raise ParameterError("G^(-r) + K1 is not positive definite; K1 must be a positive operator")
     cov = (vecs * vals**-2.0) @ vecs.T
     cov = 0.5 * (cov + cov.T)
-    return dense_noise(cov, ColoredNoise(r))
+    return dense_noise(cov)
 
 
 def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
@@ -376,7 +368,7 @@ def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
     if vals.min() <= 0:
         raise ParameterError("G^(-t) + K2 is not positive definite; K2 must be a positive operator")
     coupling = OrthogonalCoupling(spectrum.n_dim, vecs, ExplicitCoupling(vecs))
-    prior = GaussianSequenceMeasure(spectrum.n_dim, vals**-l, "phi", HilbertScalePrior(t, l))
+    prior = GaussianSequenceMeasure(spectrum.n_dim, vals**-l, "phi")
     return coupling, prior
 
 
@@ -494,7 +486,7 @@ class DataSample:
 
 def forward_apply(problem: InverseProblem, u: np.ndarray, basis: str = "phi") -> np.ndarray:
     """e-coordinates of G u for ``u`` given in the phi- or e-basis."""
-    u = _as_vector(u, problem.n_dim, "u")
+    u = as_vector(u, problem.n_dim, "u")
     if basis == "phi":
         return problem.operator.rho * (problem.coupling.t_matrix @ u)
     if basis == "e":
@@ -506,7 +498,7 @@ def simulate_data(problem: InverseProblem, u0: np.ndarray, n_level: float, seed:
     """Draw ``y = G u0 + zeta^(1/2) z / sqrt(n)`` with a seeded standard normal z."""
     if n_level <= 0:
         raise ParameterError("n_level must be positive")
-    u0 = _as_vector(u0, problem.n_dim, "u0")
+    u0 = as_vector(u0, problem.n_dim, "u0")
     rng = substream(seed, "simulate")
     z = rng.standard_normal(problem.n_dim)
     y = forward_apply(problem, u0, "phi") + problem.noise_color(z) / math.sqrt(n_level)

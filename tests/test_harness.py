@@ -12,6 +12,7 @@ from contraction_lab.errors import (
     ConfigSyntaxError,
     UnknownConfigKeyError,
 )
+from contraction_lab import posterior as posterior_module
 from contraction_lab.runner import EXPLORATORY_LABEL
 
 SMALL_CONFIG = """
@@ -134,6 +135,22 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         config = cl.parse_config(SMALL_CONFIG)
         assert cl.run_experiment(config, workers=1).tables == \
             cl.run_experiment(config, workers=8).tables
+
+    def test_posterior_pipeline_factors_once_per_n(self, monkeypatch):
+        """One factorization per n: a Cholesky of the precision and one of
+        the covariance, shared by the data conditioning and the xi grid."""
+        calls = []
+        original = posterior_module.cholesky_with_jitter
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(posterior_module, "cholesky_with_jitter", counting)
+        config = cl.parse_config(SMALL_CONFIG)
+        record = cl.run_experiment(config, pipelines=["posterior"])
+        assert not record.failures, record.failures
+        assert len(calls) == 2 * len(config.run["n_grid"])
 
 
 class TestEmit:

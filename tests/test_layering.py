@@ -1,0 +1,76 @@
+"""Module layering: no module of the package reaches into a sibling's
+private names, whether by ``from .sibling import _name`` or by
+``sibling._name`` attribute access."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = "contraction_lab"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _sibling(module: str | None, level: int) -> str | None:
+    """Sibling module an import names, or None when it names no sibling."""
+    if level == 1:
+        return module
+    if level == 0 and module and module.startswith(PACKAGE + "."):
+        return module[len(PACKAGE) + 1:]
+    return None
+
+
+def private_accesses(source: str) -> list[str]:
+    """Every sibling-private name the module source imports or touches."""
+    tree = ast.parse(source)
+    found, module_aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _sibling(node.module, node.level)
+            package_itself = sibling is None and (
+                node.level == 1 or (node.level == 0 and node.module == PACKAGE))
+            for alias in node.names:
+                if package_itself:
+                    module_aliases.add(alias.asname or alias.name)
+                if (sibling or package_itself) and _private(alias.name):
+                    found.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith(PACKAGE + ".") and alias.asname:
+                    module_aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in module_aliases):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_scan_finds_the_package():
+    assert {"posterior.py", "rates.py", "runner.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sibling_private_access(path):
+    assert private_accesses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .posterior import _covariance_factor\n",
+    "from contraction_lab.spectral import as_vector, _scale_rows\n",
+    "from . import posterior\nposterior._covariance_factor(None, 1.0)\n",
+    "import contraction_lab.posterior as post\npost._posterior_mean\n",
+])
+def test_guard_catches_private_access(source):
+    assert len(private_accesses(source)) == 1
+
+
+def test_guard_allows_public_and_own_names():
+    source = ("from . import posterior\nfrom .spectral import as_vector\n"
+              "def _own():\n    return posterior.factor_posterior\n"
+              "_own()\nposterior.__name__\n")
+    assert private_accesses(source) == []

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import norm
 
 import contraction_lab as cl
-from contraction_lab.errors import ParameterError
+from contraction_lab.errors import NumericalError, ParameterError
 
 
 def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
@@ -215,3 +215,39 @@ class TestJitteredCholesky:
 
         with pytest.raises(NumericalError):
             cl.cholesky_with_jitter(np.diag([1.0, -1.0]))
+
+
+class TestPosteriorFactor:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reused_factor_matches_conjugate_posterior(self, seed):
+        prob = random_problem(seed, n_dim=4)
+        factor = cl.factor_posterior(prob, 50.0)
+        for s in range(3):
+            data = cl.simulate_data(prob, np.ones(4), 50.0, seed=s)
+            post = cl.conjugate_posterior(prob, data)
+            reused = factor.condition(data.y)
+            assert np.array_equal(reused.mean, post.mean)
+            assert np.array_equal(reused.cov_factor, post.cov_factor)
+
+    @pytest.mark.parametrize("n_dim,count", [(1, 5), (4, 300), (40, 7)])
+    def test_distances_equal_plain_norm_bit_for_bit(self, n_dim, count):
+        prob = random_problem(2, n_dim=n_dim)
+        rng = np.random.default_rng(n_dim)
+        post = cl.factor_posterior(prob, 10.0).condition(rng.standard_normal(n_dim))
+        u0 = rng.standard_normal(n_dim)
+        z = rng.standard_normal((n_dim, count))
+        reference = np.linalg.norm((post.mean - u0)[:, None] + post.cov_factor @ z, axis=0)
+        assert np.array_equal(post.distances(u0, z), reference)
+
+
+class TestSnisExceedance:
+    def test_equal_weights_give_plain_fraction(self):
+        est = cl.snis_exceedance(np.full(4, -3.0), np.array([0.1, 0.5, 2.0, 3.0]), 1.0)
+        assert est.value == 0.5
+        assert est.ess == 4.0
+        assert est.mc_count == 4
+        assert est.log_normalizer == -3.0
+
+    def test_non_finite_log_weights_rejected(self):
+        with pytest.raises(NumericalError):
+            cl.snis_exceedance(np.array([0.0, np.nan]), np.zeros(2), 1.0)

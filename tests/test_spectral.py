@@ -269,3 +269,36 @@ class TestPriorSampling:
     def test_count_validated(self):
         with pytest.raises(ParameterError):
             cl.sample_prior(identity_problem(3), 0, seed=1)
+
+
+class TestImmutability:
+    def _colored_problem(self, n=6):
+        spec = cl.make_spectrum(cl.MildFamily(1.0), n)
+        return cl.InverseProblem(spec, cl.make_coupling(cl.BandedCoupling(), n, seed=3),
+                                 cl.power_law_prior(1.0, n),
+                                 cl.colored_noise(spec, 0.5, cl.random_spd(n, seed=4, scale=0.2)), n)
+
+    def test_stored_arrays_are_read_only(self):
+        prob = self._colored_problem()
+        for arr in (prob.operator.rho, prob.coupling.t_matrix, prob.prior.variances,
+                    prob.noise.variances, prob.noise.dense):
+            with pytest.raises(ValueError):
+                arr[0] = -1.0
+        assert np.all(prob.operator.rho > 0)
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        rho = np.array([1.0, 0.5, 0.25])
+        t = np.eye(3)
+        lam = np.array([1.0, 0.5, 0.2])
+        cov = np.diag([2.0, 1.0, 0.5])
+        spec = cl.make_spectrum(rho, 3)
+        coupling = cl.make_coupling(cl.ExplicitCoupling(t), 3)
+        prior = cl.explicit_prior(lam, 3)
+        noise = cl.dense_noise(cov)
+        for arr in (rho, t, lam, cov):
+            assert arr.flags.writeable
+            arr[0] = -1.0
+        assert spec.rho[0] == 1.0
+        assert coupling.t_matrix[0, 0] == 1.0
+        assert prior.variances[0] == 1.0
+        assert noise.dense[0, 0] == 2.0
