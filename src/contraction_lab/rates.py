@@ -19,6 +19,7 @@ import numpy as np
 from scipy.stats import norm as _norm
 from scipy.stats import t as _student_t
 
+from . import quadform
 from .errors import ParameterError
 from .rng import derive_seed, substream
 from .spectral import InverseProblem, SevereFamily, as_vector, forward_apply
@@ -119,6 +120,8 @@ class RateFit:
     delta_level: float
     y_replicates: int
     exceedance_frac: np.ndarray
+    # n-grid points dropped from the fit; the exact radius search drops none
+    # (a failed solve raises NumericalError instead).
     failures: tuple[float, ...] = ()
     exploratory: bool = False
 
@@ -127,91 +130,80 @@ class RateFit:
             raise ParameterError("xi_hat and n_grid must have equal length")
 
 
-def _replicate_distances(factor: PosteriorFactor, u0: np.ndarray, mc: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Sorted posterior-sample distances from u0 for one fresh data draw."""
+def _replicate_distances(factor: PosteriorFactor, cov_eig: tuple[np.ndarray, np.ndarray],
+                         u0: np.ndarray, delta_level: float,
+                         rng: np.random.Generator) -> float:
+    """Exact (1 - delta) posterior radius around u0 for one fresh data draw.
+
+    In the eigenbasis ``cov_eig`` of the posterior covariance the squared
+    distance of a posterior draw from u0 is ``sum_i (c_i + sqrt(lam_i) Z_i)**2``
+    with ``c = V^T (mean - u0)``; its upper delta-quantile comes from the
+    saddlepoint kernel rather than from posterior samples.
+    """
     problem, n_level = factor.problem, factor.n_level
     z = rng.standard_normal(problem.n_dim)
     y = forward_apply(problem, u0, "phi") + problem.noise_color(z) / math.sqrt(n_level)
-    dist = factor.condition(y).distances(u0, rng.standard_normal((problem.n_dim, mc)))
-    dist.sort()
-    return dist
+    lam, vecs = cov_eig
+    c = vecs.T @ (factor.mean(y) - u0)
+    return math.sqrt(quadform.quantile(delta_level, lam, c * c))
 
 
 def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
-                         delta_level: float, y_replicates: int, mc: int,
+                         delta_level: float, y_replicates: int,
                          seed: int, workers: int = 1) -> RateFit:
     """Measure contraction radii over an n-grid and fit the log-log slope.
 
-    For each n the radius is the smallest value on a log grid such that at
-    least a (1 - delta) fraction of data replicates put posterior mass at
-    most delta outside the ball; all radii for one replicate reuse a single
-    posterior sample batch, which makes the search predicate monotone.
+    For each n the radius is the smallest one such that at least a
+    (1 - delta) fraction of data replicates put posterior mass at most delta
+    outside the ball: the ceil((1 - delta) R)-th smallest of the replicates'
+    exact (1 - delta) posterior radii. Only the data are sampled; each
+    replicate's radius is a saddlepoint quantile over one eigendecomposition
+    of the posterior covariance per n.
     """
-    n_grid = np.asarray(n_grid, dtype=float)
+    n_grid = np.array(n_grid, dtype=float)
     if n_grid.ndim != 1 or len(n_grid) < 4:
         raise ParameterError("n_grid needs at least 4 points")
     if np.any(np.diff(n_grid) <= 0):
         raise ParameterError("n_grid must be strictly increasing")
     if not (0 < delta_level < 0.5):
         raise ParameterError("delta_level must lie in (0, 0.5)")
-    if y_replicates < 1 or mc < 100:
-        raise ParameterError("y_replicates >= 1 and mc >= 100 required")
+    if y_replicates < 1:
+        raise ParameterError("y_replicates >= 1 required")
     u0 = as_vector(u0, problem.n_dim, "u0")
 
-    xi_hat, exceed_frac, failures = [], [], []
-    kept_n = []
+    rank = math.ceil((1 - delta_level) * y_replicates)
+    xi_hat, exceed_frac = [], []
     for i, n in enumerate(n_grid):
         factor = factor_posterior(problem, n)
+        cov_eig = factor.covariance_eigh()
 
-        def one(rep: int) -> np.ndarray:
-            return _replicate_distances(factor, u0, mc, substream(seed, "rate-fit", i, rep))
+        def one(rep: int) -> float:
+            return _replicate_distances(factor, cov_eig, u0, delta_level,
+                                        substream(seed, "rate-fit", i, rep))
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                dists = list(pool.map(one, range(y_replicates)))
+                radii = np.array(list(pool.map(one, range(y_replicates))))
         else:
-            dists = [one(rep) for rep in range(y_replicates)]
+            radii = np.array([one(rep) for rep in range(y_replicates)])
 
-        quantile_idx = min(mc - 1, int(math.ceil((1 - delta_level) * mc)) - 1)
-        lo = min(d[quantile_idx] for d in dists)
-        hi = max(d[-1] for d in dists)
-        grid = np.geomspace(max(lo, 1e-300) * 0.5, hi * (1 + 1e-9), 257)
+        radii.sort()
+        xi_hat.append(float(radii[rank - 1]))
+        exceed_frac.append(np.count_nonzero(radii <= radii[rank - 1]) / y_replicates)
 
-        def pass_fraction(radius: float) -> float:
-            passes = sum(1 for d in dists
-                         if (mc - np.searchsorted(d, radius, side="right")) / mc <= delta_level)
-            return passes / y_replicates
-
-        if pass_fraction(grid[-1]) < 1 - delta_level:
-            failures.append(float(n))
-            continue
-        left, right = 0, len(grid) - 1
-        while left < right:
-            mid = (left + right) // 2
-            if pass_fraction(grid[mid]) >= 1 - delta_level:
-                right = mid
-            else:
-                left = mid + 1
-        kept_n.append(float(n))
-        xi_hat.append(float(grid[left]))
-        exceed_frac.append(pass_fraction(grid[left]))
-
-    if len(kept_n) < 2:
-        raise ParameterError("too few usable grid points to fit a slope")
-    log_n = np.log(np.asarray(kept_n))
+    log_n = np.log(n_grid)
     log_xi = np.log(np.asarray(xi_hat))
     slope, intercept = np.polyfit(log_n, log_xi, 1)
     resid = log_xi - (slope * log_n + intercept)
-    dof = max(1, len(kept_n) - 2)
+    dof = len(n_grid) - 2
     s2 = float(resid @ resid) / dof
     sxx = float(np.sum((log_n - log_n.mean()) ** 2))
     se = math.sqrt(s2 / sxx)
     width = float(_student_t.ppf(0.975, dof)) * se
-    return RateFit(n_grid=np.asarray(kept_n), xi_hat=np.asarray(xi_hat),
+    return RateFit(n_grid=n_grid, xi_hat=np.asarray(xi_hat),
                    slope=float(slope), slope_ci=(float(slope - width), float(slope + width)),
                    delta_level=delta_level, y_replicates=y_replicates,
-                   exceedance_frac=np.asarray(exceed_frac), failures=tuple(failures),
+                   exceedance_frac=np.asarray(exceed_frac),
                    exploratory=isinstance(problem.operator.family, SevereFamily))
 
 

@@ -138,7 +138,7 @@ def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: i
     u0 = build_truth(config)
     run = config.run
     fit = rates.fit_contraction_rate(problem, u0, run["n_grid"], run["delta_level"],
-                                     run["y_replicates"], run["mc"],
+                                     run["y_replicates"],
                                      seed=derive_seed(run["master_seed"], "rate-fit"),
                                      workers=workers)
     rows = [(_n(n), _f(x), _f(frac), _f(fit.slope), _f(fit.slope_ci[0]), _f(fit.slope_ci[1]))

@@ -34,7 +34,11 @@ def as_vector(x, n_dim: int, name: str) -> np.ndarray:
 
 def _frozen(x: np.ndarray) -> np.ndarray:
     """Read-only float copy, so freezing never touches the caller's array."""
-    v = np.array(x, dtype=float)
+    return _read_only(np.array(x, dtype=float))
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    """``v`` itself, made read-only; for arrays no caller holds."""
     v.flags.writeable = False
     return v
 
@@ -448,18 +452,21 @@ class InverseProblem:
 
     @cached_property
     def forward_matrix(self) -> np.ndarray:
-        """G T: e-coordinates of the forward image of phi-coordinates."""
-        return self.operator.rho[:, None] * self.coupling.t_matrix
+        """G T: e-coordinates of the forward image of phi-coordinates
+        (read-only)."""
+        return _read_only(self.operator.rho[:, None] * self.coupling.t_matrix)
 
     @cached_property
     def whitened_forward(self) -> np.ndarray:
-        """M = zeta^(-1/2) G T, the whitened forward map on phi-coordinates."""
-        return self.noise_whiten(self.forward_matrix)
+        """M = zeta^(-1/2) G T, the whitened forward map on phi-coordinates
+        (read-only)."""
+        return _read_only(self.noise_whiten(self.forward_matrix))
 
     @cached_property
     def whitened_gram(self) -> np.ndarray:
+        """M^T M (read-only)."""
         m = self.whitened_forward
-        return m.T @ m
+        return _read_only(m.T @ m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ def test_01_rate_exponent_diagonal_mild():
     start = time.monotonic()
     prob = _benchmark_problem(512, cl.IdentityCoupling())
     fit = cl.fit_contraction_rate(prob, cl.power_law_truth(2.0, 512), RATE_GRID,
-                                  delta_level=0.1, y_replicates=50, mc=2000, seed=101)
+                                  delta_level=0.1, y_replicates=50, seed=101)
     elapsed = time.monotonic() - start
     ok = abs(fit.slope - (-0.20)) <= 0.15 and elapsed <= 600.0
     _report(1, ok, f"slope {fit.slope:+.4f} (target -0.20 +- 0.15), {elapsed:.0f}s")
@@ -44,7 +44,7 @@ def test_02_rate_exponent_banded_coupling():
     be the operator basis."""
     prob = _benchmark_problem(512, cl.BandedCoupling(), seed=202)
     fit = cl.fit_contraction_rate(prob, cl.power_law_truth(2.0, 512), RATE_GRID,
-                                  delta_level=0.1, y_replicates=50, mc=2000, seed=101)
+                                  delta_level=0.1, y_replicates=50, seed=101)
     ok = abs(fit.slope - (-0.20)) <= 0.15
     _report(2, ok, f"banded slope {fit.slope:+.4f} (target -0.20 +- 0.15)")
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import norm
 
 import contraction_lab as cl
+from contraction_lab import posterior
 from contraction_lab.errors import NumericalError, ParameterError
 
 
@@ -238,6 +239,32 @@ class TestPosteriorFactor:
         z = rng.standard_normal((n_dim, count))
         reference = np.linalg.norm((post.mean - u0)[:, None] + post.cov_factor @ z, axis=0)
         assert np.array_equal(post.distances(u0, z), reference)
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_covariance_eigh_reconstructs_covariance(self, seed):
+        prob = random_problem(seed, n_dim=6)
+        factor = cl.factor_posterior(prob, 50.0)
+        lam, vecs = factor.covariance_eigh()
+        cov = factor.condition(np.zeros(6)).covariance()
+        assert np.all(lam >= 0)
+        assert np.allclose((vecs * lam) @ vecs.T, cov, rtol=0, atol=1e-12 * lam.max())
+
+    def test_eigenvalue_rounding_of_zero_is_clipped(self, monkeypatch):
+        prob = random_problem(0, n_dim=4)
+        floor = posterior.EIGENVALUE_RTOL * 4
+        fake = (np.array([-0.5 * floor, 0.2, 0.5, 1.0]), np.eye(4))
+        monkeypatch.setattr(cl.posterior, "eigh", lambda *a, **k: fake)
+        lam, _ = cl.factor_posterior(prob, 50.0).covariance_eigh()
+        assert lam[0] == 0.0 and lam[-1] == 1.0
+
+    def test_negative_eigenvalue_beyond_rounding_raises(self, monkeypatch):
+        prob = random_problem(0, n_dim=4)
+        floor = posterior.EIGENVALUE_RTOL * 4
+        fake = (np.array([-2.0 * floor, 0.2, 0.5, 1.0]), np.eye(4))
+        monkeypatch.setattr(cl.posterior, "eigh", lambda *a, **k: fake)
+        with pytest.raises(NumericalError, match="rounding floor"):
+            cl.factor_posterior(prob, 50.0).covariance_eigh()
 
 
 class TestSnisExceedance:

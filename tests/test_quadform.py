@@ -1,0 +1,130 @@
+"""Saddlepoint tails and quantiles of Gaussian quadratic forms against
+Imhof's integral and the noncentral chi-square."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.stats import ncx2
+
+import contraction_lab as cl
+from contraction_lab import quadform
+from contraction_lab.config import build_problem, build_truth
+from contraction_lab.errors import NumericalError, ParameterError
+
+
+def imhof_tail(q, lam, c2):
+    """P(sum (c_i + sqrt(lam_i) Z_i)^2 > q) by Imhof's (1961) inversion
+    integral, with the noncentrality written through c2 = lam b^2."""
+    def integrand(u):
+        lu = lam * u
+        theta = 0.5 * np.sum(np.arctan(lu) + c2 * u / (1.0 + lu * lu)) - 0.5 * q * u
+        log_rho = np.sum(0.25 * np.log1p(lu * lu) + 0.5 * c2 * lam * u * u / (1.0 + lu * lu))
+        return math.sin(theta) * math.exp(-log_rho) / u
+
+    value, _ = quad(integrand, 0.0, np.inf, limit=1000, epsabs=1e-13, epsrel=1e-11)
+    return 0.5 + value / math.pi
+
+
+def _posterior_form(problem, u0, n_level, seed):
+    """Eigenvalues and squared offsets of the posterior distance to u0."""
+    factor = cl.factor_posterior(problem, n_level)
+    lam, vecs = factor.covariance_eigh()
+    data = cl.simulate_data(problem, u0, n_level, seed=seed)
+    c = vecs.T @ (factor.mean(data.y) - u0)
+    return lam, c * c
+
+
+class TestAgainstImhof:
+    @pytest.mark.parametrize("n_level", [1e2, 1e4, 1e6])
+    def test_posterior_radius_on_default_banded_config(self, n_level):
+        """The 90% posterior radius of the default banded problem (N = 512,
+        effective degrees of freedom 5.6 to 32 over these n) matches Imhof's
+        to 5e-3 relative; plain Lugannani-Rice is off by up to 2.5e-3 here."""
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
+                                                         "coupling": {"kind": "banded"}}}))
+        lam, c2 = _posterior_form(build_problem(config), build_truth(config), n_level, seed=3)
+        q = quadform.quantile(0.1, lam, c2)
+        q_imhof = brentq(lambda x: imhof_tail(x, lam, c2) - 0.1, 0.5 * q, 2.0 * q, xtol=1e-14)
+        assert abs(math.sqrt(q / q_imhof) - 1.0) < 5e-3
+
+    def test_skewed_weights_across_tail_levels(self):
+        rng = np.random.default_rng(0)
+        lam = rng.uniform(0.0, 1.0, 30) ** 4
+        c2 = 0.1 * rng.uniform(0.0, 1.0, 30) ** 2
+        for p in (0.3, 0.1, 0.01, 1e-5):
+            q = quadform.quantile(p, lam, c2)
+            assert abs(imhof_tail(q, lam, c2) / p - 1.0) < 0.05
+            assert quadform.tail(q, lam, c2) == pytest.approx(p, rel=1e-9)
+
+
+class TestAgainstNoncentralChiSquare:
+    @pytest.mark.parametrize("k", [1, 4, 32, 128])
+    @pytest.mark.parametrize("noncentrality", [0.0, 1.0, 10.0])
+    def test_equal_weights(self, k, noncentrality):
+        """Equal weights sigma^2 make Q / sigma^2 a noncentral chi-square;
+        the Lugannani-Rice relative error is O(1/k), here below 0.1 / k."""
+        sigma2 = 0.01
+        lam = np.full(k, sigma2)
+        c2 = np.full(k, sigma2 * noncentrality / k)
+        for p in (0.5, 0.1, 1e-4, 1e-8):
+            q = sigma2 * ncx2.isf(p, k, noncentrality)
+            exact = ncx2.sf(q / sigma2, k, noncentrality)
+            assert abs(quadform.tail(q, lam, c2) / exact - 1.0) < 0.1 / k
+
+
+forms = st.integers(min_value=1, max_value=12).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(1e-6, 1e2), min_size=k, max_size=k),
+    st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k)))
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(forms, st.floats(0.05, 10.0), st.floats(1.0 + 1e-9, 1.5))
+    def test_tail_non_increasing_in_q(self, form, scale, step):
+        lam, c2 = (np.asarray(v) for v in form)
+        q = scale * float(lam.sum() + c2.sum())
+        assert quadform.tail(q * step, lam, c2) <= quadform.tail(q, lam, c2)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(forms, st.floats(0.05, 10.0))
+    def test_quantile_inverts_tail(self, form, scale):
+        """Round trip to 1e-9 relative, except that the tail is flat within
+        1e-4 standard deviations of the mean, where the Lugannani-Rice formula
+        is replaced by its limit."""
+        lam, c2 = (np.asarray(v) for v in form)
+        q = scale * float(lam.sum() + c2.sum())
+        p = quadform.tail(q, lam, c2)
+        assume(1e-12 < p < 1.0 - 1e-12)
+        sd = math.sqrt(quadform.cgf(0.0, lam, c2)[2])
+        assert abs(quadform.quantile(p, lam, c2) - q) <= 1e-9 * q + 2e-4 * sd
+
+
+class TestNoSilentNumerics:
+    def test_failed_bracket_raises(self):
+        """A zero-variance term pins Q >= 4, so no saddlepoint reaches q = 1."""
+        with pytest.raises(NumericalError, match="bracket"):
+            quadform.tail(1.0, [1.0, 0.0], [0.0, 4.0])
+
+    def test_non_finite_cumulants_raise(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            quadform.cgf(0.0, [1.0], [1e308])
+        with pytest.raises(NumericalError):
+            quadform.quantile(0.1, [1.0, 1.0], [1e308, 1e308])
+
+    def test_inputs_validated(self):
+        with pytest.raises(ParameterError):
+            quadform.quantile(0.1, [1.0, -1e-3], [0.0, 0.0])
+        with pytest.raises(ParameterError):
+            quadform.quantile(0.1, [0.0], [1.0])
+        with pytest.raises(ParameterError):
+            quadform.quantile(1.0, [1.0], [1.0])
+        with pytest.raises(ParameterError):
+            quadform.tail(1.0, [1.0, np.nan], [0.0, 0.0])
+        with pytest.raises(ParameterError):
+            quadform.cgf(0.5, [1.0], [0.0])

@@ -8,7 +8,10 @@ import pytest
 from scipy.stats import norm
 
 import contraction_lab as cl
+from contraction_lab import rates
 from contraction_lab.errors import ParameterError
+from contraction_lab.rng import substream
+from contraction_lab.spectral import forward_apply
 
 
 class TestTheoryRates:
@@ -78,11 +81,11 @@ class TestFitContractionRate:
         prob = _small_problem(8)
         u0 = cl.power_law_truth(2.0, 8)
         with pytest.raises(ParameterError):
-            cl.fit_contraction_rate(prob, u0, [100.0], 0.1, 5, 200, seed=0)
+            cl.fit_contraction_rate(prob, u0, [100.0], 0.1, 5, seed=0)
         with pytest.raises(ParameterError):
-            cl.fit_contraction_rate(prob, u0, [100.0, 50.0, 200.0, 300.0], 0.1, 5, 200, seed=0)
+            cl.fit_contraction_rate(prob, u0, [100.0, 50.0, 200.0, 300.0], 0.1, 5, seed=0)
         with pytest.raises(ParameterError):
-            cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.7, 5, 200, seed=0)
+            cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.7, 5, seed=0)
 
     def test_smoke_fit_negative_slope_and_shrinking_radii(self):
         """Cheap pipeline run: radii shrink with n (one grid-point violation
@@ -90,7 +93,7 @@ class TestFitContractionRate:
         prob = _small_problem(24)
         u0 = cl.power_law_truth(2.0, 24)
         fit = cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.1,
-                                      y_replicates=12, mc=500, seed=21)
+                                      y_replicates=12, seed=21)
         assert len(fit.xi_hat) == 4 and not fit.failures
         violations = sum(1 for a, b in zip(fit.xi_hat, fit.xi_hat[1:]) if b > a)
         assert violations <= 1
@@ -101,12 +104,36 @@ class TestFitContractionRate:
     def test_workers_do_not_change_results(self):
         prob = _small_problem(12)
         u0 = cl.power_law_truth(2.0, 12)
-        serial = cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.1, 6, 300,
+        serial = cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.1, 6,
                                          seed=5, workers=1)
-        threaded = cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.1, 6, 300,
+        threaded = cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.1, 6,
                                            seed=5, workers=4)
         assert np.array_equal(serial.xi_hat, threaded.xi_hat)
         assert serial.slope == threaded.slope
+
+    def test_exact_radius_inside_monte_carlo_quantile_ci(self):
+        """Each replicate's exact 90% posterior radius lies inside the
+        distribution-free 99% confidence interval of the 90% quantile of
+        2e5 posterior draws given the same data."""
+        n_dim, draws, p = 24, 200_000, 0.9
+        prob = _small_problem(n_dim)
+        u0 = cl.power_law_truth(2.0, n_dim)
+        half = 2.576 * math.sqrt(draws * p * (1 - p))
+        lo_idx, hi_idx = math.floor(draws * p - half) - 1, math.ceil(draws * p + half) - 1
+        for i, n in enumerate([1e2, 1e4, 1e6]):
+            factor = cl.factor_posterior(prob, n)
+            cov_eig = factor.covariance_eigh()
+            for rep in range(3):
+                radius = rates._replicate_distances(factor, cov_eig, u0, 1 - p,
+                                                    substream(5, "rate-fit", i, rep))
+                rng = substream(5, "rate-fit", i, rep)
+                y = (forward_apply(prob, u0, "phi")
+                     + prob.noise_color(rng.standard_normal(n_dim)) / math.sqrt(n))
+                post = factor.condition(y)
+                dist = np.sort(np.concatenate([
+                    post.distances(u0, rng.standard_normal((n_dim, draws // 4)))
+                    for _ in range(4)]))
+                assert dist[lo_idx] <= radius <= dist[hi_idx], (n, rep)
 
     def test_severe_spectrum_marked_exploratory(self):
         n = 12
@@ -115,7 +142,7 @@ class TestFitContractionRate:
             cl.make_coupling(cl.IdentityCoupling(), n),
             cl.power_law_prior(1.0, n), cl.white_noise(n), n)
         fit = cl.fit_contraction_rate(prob, cl.power_law_truth(2.0, n),
-                                      [1e2, 1e3, 1e4, 1e5], 0.1, 4, 200, seed=3)
+                                      [1e2, 1e3, 1e4, 1e5], 0.1, 4, seed=3)
         assert fit.exploratory
 
 

@@ -286,6 +286,15 @@ class TestImmutability:
                 arr[0] = -1.0
         assert np.all(prob.operator.rho > 0)
 
+    def test_cached_matrices_are_read_only(self):
+        prob = self._colored_problem()
+        for arr in (prob.forward_matrix, prob.whitened_forward, prob.whitened_gram):
+            with pytest.raises(ValueError):
+                arr[0, 0] = -1.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        assert np.array_equal(prob.whitened_gram, prob.whitened_forward.T @ prob.whitened_forward)
+
     def test_caller_arrays_are_copied_not_frozen(self):
         rho = np.array([1.0, 0.5, 0.25])
         t = np.eye(3)
