@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from . import quadform
 from .errors import ParameterError
 from .rng import substream
 from .spectral import (
@@ -42,10 +42,9 @@ class RateConstants:
     c1: float = 1.0
     c2: float = 1.0
     r: float = 1.0
-    m: float = 1.0
 
     def __post_init__(self):
-        for name in ("c", "c1", "c2", "r", "m"):
+        for name in ("c", "c1", "c2", "r"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"constant {name} must be positive")
 
@@ -269,15 +268,7 @@ def _chernoff_log_tail(problem: InverseProblem, k: int, r: int | None,
     q = q[q > 0]
     if q.size == 0:
         return -math.inf
-    t2 = threshold**2
-    q_max = float(q.max())
-
-    def objective(s: float) -> float:
-        return -s * t2 - 0.5 * float(np.sum(np.log1p(-2.0 * s * q)))
-
-    res = minimize_scalar(objective, bounds=(0.0, (1.0 - 1e-9) / (2.0 * q_max)),
-                          method="bounded")
-    return min(0.0, float(res.fun))
+    return quadform.log_chernoff(threshold**2, q, np.zeros_like(q))
 
 
 def projection_tail_prob(problem: InverseProblem, k: int, r: int | None,

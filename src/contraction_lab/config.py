@@ -139,8 +139,7 @@ _SCHEMA = {
 
 _PLAN_KEYS = {
     "eps_n": _float, "xi_n": _float, "k_n": _int, "r_n": _int_or_inf,
-    "n_level": _float, "c": _float, "c1": _float, "c2": _float,
-    "r": _float, "m": _float,
+    "n_level": _float, "c": _float, "c1": _float, "c2": _float, "r": _float,
 }
 
 
@@ -267,23 +266,55 @@ def parse_config(text: str) -> ExperimentConfig:
 # Builders: config sections to model objects
 # ---------------------------------------------------------------------------
 
+# One table per problem section: kind -> (keys the kind requires, constructor).
+# Constructors look up ``spectral`` names at call time, so a rebound module
+# attribute reaches every build.
+_SPECTRA = {  # (spec, n_dim) -> spectrum
+    "mild": ((), lambda s, n: spectral.make_spectrum(
+        spectral.MildFamily(s["alpha"], s["c1"], s["c2"]), n)),
+    "severe": (("alpha1", "alpha2", "c0", "beta"), lambda s, n: spectral.make_spectrum(
+        spectral.SevereFamily(s["alpha1"], s["alpha2"], s["c0"], s["beta"]), n)),
+    "explicit": (("rho",), lambda s, n: spectral.make_spectrum(np.asarray(s["rho"]), n)),
+}
+_PRIORS = {  # (spec, n_dim, spectrum) -> prior; hilbert_scale -> (coupling, prior)
+    "power": ((), lambda s, n, op: spectral.power_law_prior(s["delta"], n)),
+    "explicit": (("variances",), lambda s, n, op: spectral.explicit_prior(s["variances"], n)),
+    "hilbert_scale": (("t", "l"), lambda s, n, op: spectral.hilbert_scale_prior(
+        op, s["t"], s["l"], spectral.random_spd(n, s["k2_seed"], s["k2_scale"]))),
+}
+_COUPLINGS = {  # spec -> coupling kind
+    "identity": ((), lambda s: spectral.IdentityCoupling()),
+    "banded": ((), lambda s: spectral.BandedCoupling(s["lo_ratio"], s["hi_ratio"])),
+    "reflection": (("v",), lambda s: spectral.ReflectionCoupling(np.asarray(s["v"]))),
+    "exp_skew": (("generator",), lambda s: spectral.ExpSkewCoupling(np.asarray(s["generator"]))),
+    "explicit": (("matrix",), lambda s: spectral.ExplicitCoupling(np.asarray(s["matrix"]))),
+}
+_NOISES = {  # (spec, n_dim, spectrum) -> noise
+    "white": ((), lambda s, n, op: spectral.white_noise(n)),
+    "diagonal": (("variances",), lambda s, n, op: spectral.diagonal_noise(s["variances"], n)),
+    "colored": (("r",), lambda s, n, op: spectral.colored_noise(
+        op, s["r"], spectral.random_spd(n, s["k1_seed"], s["k1_scale"]))),
+    "dense": (("matrix",), lambda s, n, op: spectral.dense_noise(np.asarray(s["matrix"]))),
+}
+
+
+def _require(spec: dict, section: str, kind_key: str, table: dict):
+    """The constructor of the section's kind, once the kind is known and the
+    keys it requires are present."""
+    kind = spec[kind_key]
+    if kind not in table:
+        raise ConfigInvariantError(f"{section}.{kind_key}", f"unknown {kind_key} {kind!r}")
+    required, make = table[kind]
+    for key in required:
+        if key not in spec:
+            raise ConfigInvariantError(f"{section}.{key}", f"required for {kind_key} {kind!r}")
+    return make
+
+
 def build_spectrum(config: ExperimentConfig) -> spectral.OperatorSpectrum:
     spec = config.data["problem"]["spectrum"]
-    n_dim = config.data["problem"]["n_dim"]
-    family = spec["family"]
-    if family == "mild":
-        return spectral.make_spectrum(spectral.MildFamily(spec["alpha"], spec["c1"], spec["c2"]), n_dim)
-    if family == "severe":
-        for key in ("alpha1", "alpha2", "c0", "beta"):
-            if key not in spec:
-                raise ConfigInvariantError(f"problem.spectrum.{key}", "required for the severe family")
-        return spectral.make_spectrum(
-            spectral.SevereFamily(spec["alpha1"], spec["alpha2"], spec["c0"], spec["beta"]), n_dim)
-    if family == "explicit":
-        if "rho" not in spec:
-            raise ConfigInvariantError("problem.spectrum.rho", "required for an explicit spectrum")
-        return spectral.make_spectrum(np.asarray(spec["rho"]), n_dim)
-    raise ConfigInvariantError("problem.spectrum.family", f"unknown family {family!r}")
+    make = _require(spec, "problem.spectrum", "family", _SPECTRA)
+    return make(spec, config.data["problem"]["n_dim"])
 
 
 def build_problem(config: ExperimentConfig) -> spectral.InverseProblem:
@@ -297,68 +328,19 @@ def build_problem(config: ExperimentConfig) -> spectral.InverseProblem:
     if coupling_seed is None:
         coupling_seed = derive_seed(config.run["master_seed"], "coupling")
 
+    make_prior = _require(prior_spec, "problem.prior", "family", _PRIORS)
     if prior_spec["family"] == "hilbert_scale":
-        for key in ("t", "l"):
-            if key not in prior_spec:
-                raise ConfigInvariantError(f"problem.prior.{key}", "required for a hilbert_scale prior")
         if coupling_spec["kind"] != "identity":
             raise ConfigInvariantError("problem.coupling.kind",
                                        "a hilbert_scale prior defines its own coupling")
-        k2 = spectral.random_spd(n_dim, prior_spec["k2_seed"], prior_spec["k2_scale"])
-        coupling, prior = spectral.hilbert_scale_prior(spectrum, prior_spec["t"], prior_spec["l"], k2)
+        coupling, prior = make_prior(prior_spec, n_dim, spectrum)
     else:
-        if prior_spec["family"] == "power":
-            prior = spectral.power_law_prior(prior_spec["delta"], n_dim)
-        elif prior_spec["family"] == "explicit":
-            if "variances" not in prior_spec:
-                raise ConfigInvariantError("problem.prior.variances", "required for an explicit prior")
-            prior = spectral.explicit_prior(prior_spec["variances"], n_dim)
-        else:
-            raise ConfigInvariantError("problem.prior.family",
-                                       f"unknown family {prior_spec['family']!r}")
-        kind_name = coupling_spec["kind"]
-        if kind_name == "identity":
-            kind = spectral.IdentityCoupling()
-        elif kind_name == "banded":
-            kind = spectral.BandedCoupling(coupling_spec["lo_ratio"], coupling_spec["hi_ratio"])
-        elif kind_name == "reflection":
-            if "v" not in coupling_spec:
-                raise ConfigInvariantError("problem.coupling.v", "required for a reflection coupling")
-            kind = spectral.ReflectionCoupling(np.asarray(coupling_spec["v"]))
-        elif kind_name == "exp_skew":
-            if "generator" not in coupling_spec:
-                raise ConfigInvariantError("problem.coupling.generator",
-                                           "required for an exp_skew coupling")
-            kind = spectral.ExpSkewCoupling(np.asarray(coupling_spec["generator"]))
-        elif kind_name == "explicit":
-            if "matrix" not in coupling_spec:
-                raise ConfigInvariantError("problem.coupling.matrix",
-                                           "required for an explicit coupling")
-            kind = spectral.ExplicitCoupling(np.asarray(coupling_spec["matrix"]))
-        else:
-            raise ConfigInvariantError("problem.coupling.kind", f"unknown kind {kind_name!r}")
+        prior = make_prior(prior_spec, n_dim, spectrum)
+        kind = _require(coupling_spec, "problem.coupling", "kind", _COUPLINGS)(coupling_spec)
         coupling = spectral.make_coupling(kind, n_dim, coupling_seed)
 
     noise_spec = prob["noise"]
-    kind_name = noise_spec["kind"]
-    if kind_name == "white":
-        noise = spectral.white_noise(n_dim)
-    elif kind_name == "diagonal":
-        if "variances" not in noise_spec:
-            raise ConfigInvariantError("problem.noise.variances", "required for diagonal noise")
-        noise = spectral.diagonal_noise(noise_spec["variances"], n_dim)
-    elif kind_name == "colored":
-        if "r" not in noise_spec:
-            raise ConfigInvariantError("problem.noise.r", "required for colored noise")
-        k1 = spectral.random_spd(n_dim, noise_spec["k1_seed"], noise_spec["k1_scale"])
-        noise = spectral.colored_noise(spectrum, noise_spec["r"], k1)
-    elif kind_name == "dense":
-        if "matrix" not in noise_spec:
-            raise ConfigInvariantError("problem.noise.matrix", "required for dense noise")
-        noise = spectral.dense_noise(np.asarray(noise_spec["matrix"]))
-    else:
-        raise ConfigInvariantError("problem.noise.kind", f"unknown kind {kind_name!r}")
-
+    noise = _require(noise_spec, "problem.noise", "kind", _NOISES)(noise_spec, n_dim, spectrum)
     return spectral.InverseProblem(operator=spectrum, coupling=coupling,
                                    prior=prior, noise=noise, n_dim=n_dim)
 
@@ -401,8 +383,7 @@ def build_plan(config: ExperimentConfig) -> RatePlan:
         n_level = float(config.run["n_grid"][-1])
         return plan_from_theory(params, n_level, n_dim)
     constants = RateConstants(c=raw.get("c", 1.0), c1=raw.get("c1", 1.0),
-                              c2=raw.get("c2", 1.0), r=raw.get("r", 1.0),
-                              m=raw.get("m", 1.0))
+                              c2=raw.get("c2", 1.0), r=raw.get("r", 1.0))
     r_n = raw.get("r_n")
     if r_n == "inf":
         r_n = None

@@ -11,7 +11,8 @@ Tails use the Lugannani-Rice saddlepoint formula (Lugannani & Rice, Adv.
 Appl. Prob. 12, 1980), parameterized by the saddlepoint ``s`` on its domain
 ``(-inf, 1/(2 max lam))``. Its accuracy improves with the effective number of
 degrees of freedom; Imhof's integral (Biometrika 48, 1961) is the test
-oracle.
+oracle. The Chernoff exponent ``min_{s >= 0} K(s) - s q`` is a rigorous
+upper bound on the log tail and is minimized at the same saddlepoint.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .errors import NumericalError, ParameterError
 # Below this |s sqrt(K'')| the Lugannani-Rice terms 1/u - 1/w cancel to
 # rounding noise; the formula is replaced by its s -> 0 limit there.
 _NEAR_MEAN = 1e-4
-# Steps tried when widening a bracket before giving up; the upper end stops
-# at t = 1 - 2**-49, where 1 - 2 s lam is still resolved.
+# Steps tried when widening a bracket before giving up; the last upper end
+# tried is t = 1 - 2**-48, where 1 - 2 s lam is still resolved.
 _BRACKET_STEPS = 48
+_T_TOP = 1.0 - 2.0**-_BRACKET_STEPS
 
 
 def _terms(lam, c2) -> tuple[np.ndarray, np.ndarray]:
@@ -108,13 +110,39 @@ def _solve(fn, lam: np.ndarray, what: str) -> float:
     return t / scale
 
 
+def _saddlepoint(q: float, lam: np.ndarray, c2: np.ndarray) -> float:
+    """The ``s`` solving ``K'(s) = q``."""
+    return _solve(lambda s: q - _cgf(s, lam, c2)[1], lam, f"tail at q = {q!r}")
+
+
 def tail(q: float, lam, c2) -> float:
     """Saddlepoint approximation to ``P(Q > q)``."""
     lam, c2 = _terms(lam, c2)
     if not (q > 0 and math.isfinite(q)):
         raise ParameterError("q must be positive and finite")
-    s = _solve(lambda s: q - _cgf(s, lam, c2)[1], lam, f"tail at q = {q!r}")
-    return _lugannani_rice(s, lam, c2)[1]
+    return _lugannani_rice(_saddlepoint(q, lam, c2), lam, c2)[1]
+
+
+def log_chernoff(q: float, lam, c2) -> float:
+    """Chernoff exponent ``min_{s >= 0} K(s) - s q``: ``P(Q > q)`` is at most
+    its exponential.
+
+    It is 0 for ``q <= K'(0) = E Q``. When the saddlepoint lies closer to the
+    pole ``1/(2 max lam)`` than the bracket search resolves (a deep tail),
+    the exponent is taken at the last upper end tried instead; every ``s`` in
+    ``[0, 1/(2 max lam))`` gives a valid bound.
+    """
+    lam, c2 = _terms(lam, c2)
+    if math.isnan(q):
+        raise ParameterError("q must not be NaN")
+    if q <= float(lam.sum() + c2.sum()):
+        return 0.0
+    s = _T_TOP / (2.0 * float(lam.max()))
+    k0, k1, _ = _cgf(s, lam, c2)
+    if k1 >= q:
+        s = _saddlepoint(q, lam, c2)
+        k0 = _cgf(s, lam, c2)[0]
+    return min(0.0, k0 - s * q)
 
 
 def quantile(p: float, lam, c2) -> float:

@@ -12,7 +12,6 @@ exercises the ``sqrt(log n / n)`` regime.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,7 +149,7 @@ def _replicate_distances(factor: PosteriorFactor, cov_eig: tuple[np.ndarray, np.
 
 def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
                          delta_level: float, y_replicates: int,
-                         seed: int, workers: int = 1) -> RateFit:
+                         seed: int) -> RateFit:
     """Measure contraction radii over an n-grid and fit the log-log slope.
 
     For each n the radius is the smallest one such that at least a
@@ -176,17 +175,9 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     for i, n in enumerate(n_grid):
         factor = factor_posterior(problem, n)
         cov_eig = factor.covariance_eigh()
-
-        def one(rep: int) -> float:
-            return _replicate_distances(factor, cov_eig, u0, delta_level,
-                                        substream(seed, "rate-fit", i, rep))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                radii = np.array(list(pool.map(one, range(y_replicates))))
-        else:
-            radii = np.array([one(rep) for rep in range(y_replicates)])
-
+        radii = np.array([_replicate_distances(factor, cov_eig, u0, delta_level,
+                                               substream(seed, "rate-fit", i, rep))
+                          for rep in range(y_replicates)])
         radii.sort()
         xi_hat.append(float(radii[rank - 1]))
         exceed_frac.append(np.count_nonzero(radii <= radii[rank - 1]) / y_replicates)
@@ -251,18 +242,15 @@ def two_component_mixture(p: int = 1) -> GaussianMixturePrior:
 
 @dataclass(frozen=True, eq=False)
 class FiniteDimExperiment:
-    """Injective linear model between finite-dimensional spaces.
-
-    ``noise_cov = None`` means identity noise; the prior only needs to be
-    sampleable with a positive continuous density.
-    """
+    """Injective linear model between finite-dimensional spaces with white
+    noise; the prior only needs to be sampleable with a positive continuous
+    density."""
 
     p: int
     q: int
     g_matrix: np.ndarray
     prior: GaussianMixturePrior
     m_const: float
-    noise_cov: np.ndarray | None = None
 
     def __post_init__(self):
         if not (1 <= self.p <= self.q):
@@ -275,27 +263,6 @@ class FiniteDimExperiment:
             raise ParameterError("m_const must be positive")
         if self.prior.dim != self.p:
             raise ParameterError("prior dimension must equal p")
-        if self.noise_cov is not None:
-            cov = np.asarray(self.noise_cov, dtype=float).reshape(self.q, self.q)
-            if np.linalg.eigvalsh(cov).min() <= 0:
-                raise ParameterError("noise covariance must be SPD")
-            object.__setattr__(self, "noise_cov", cov)
-
-    def whiten_matrix(self) -> np.ndarray:
-        if self.noise_cov is None:
-            return np.eye(self.q)
-        vals, vecs = np.linalg.eigh(self.noise_cov)
-        return (vecs * vals**-0.5) @ vecs.T
-
-    def color_noise(self, z: np.ndarray) -> np.ndarray:
-        if self.noise_cov is None:
-            return z
-        vals, vecs = np.linalg.eigh(self.noise_cov)
-        return (vecs * vals**0.5) @ (vecs.T @ z)
-
-
-def _whitened_model(exp: FiniteDimExperiment) -> np.ndarray:
-    return exp.whiten_matrix() @ exp.g_matrix
 
 
 def finite_dim_exceedance_given_y(exp: FiniteDimExperiment, y: np.ndarray,
@@ -304,19 +271,18 @@ def finite_dim_exceedance_given_y(exp: FiniteDimExperiment, y: np.ndarray,
     """Self-normalized prior-sampling posterior exceedance for fixed data.
 
     The data enter only through the projection of y onto the model range in
-    the noise inner product, so off-range components cancel exactly.
+    the Euclidean inner product, so off-range components cancel exactly.
     """
     if mc < 1000:
         raise ParameterError("mc must be >= 1000")
     if xi < 0 or n_level <= 0:
         raise ParameterError("xi >= 0 and n_level > 0 required")
-    mw = _whitened_model(exp)
-    w = exp.whiten_matrix() @ np.asarray(y, dtype=float)
-    u_proj = np.linalg.lstsq(mw, w, rcond=None)[0]
+    g = exp.g_matrix
+    u_proj = np.linalg.lstsq(g, np.asarray(y, dtype=float), rcond=None)[0]
 
     rng = substream(seed, "findim-mc")
     draws = exp.prior.sample(rng, mc)
-    resid = mw @ (draws - u_proj[None, :]).T
+    resid = g @ (draws - u_proj[None, :]).T
     log_w = -0.5 * n_level * np.einsum("ij,ij->j", resid, resid)
     return snis_exceedance(log_w, np.linalg.norm(draws - np.asarray(u0)[None, :], axis=1), xi)
 
@@ -325,7 +291,7 @@ def simulate_finite_dim(exp: FiniteDimExperiment, u0: np.ndarray, n_level: float
                         seed: int) -> np.ndarray:
     rng = substream(seed, "findim-data")
     z = rng.standard_normal(exp.q)
-    return exp.g_matrix @ np.asarray(u0, dtype=float) + exp.color_noise(z) / math.sqrt(n_level)
+    return exp.g_matrix @ np.asarray(u0, dtype=float) + z / math.sqrt(n_level)
 
 
 def finite_dim_posterior_exceedance(exp: FiniteDimExperiment, u0: np.ndarray,
@@ -342,7 +308,7 @@ def finite_dim_posterior_exceedance(exp: FiniteDimExperiment, u0: np.ndarray,
 def _mixture_posterior_1d(exp: FiniteDimExperiment, u_proj: float,
                           n_level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component weights, means and sds of the exact mixture posterior."""
-    mw = _whitened_model(exp)[:, 0]
+    mw = exp.g_matrix[:, 0]
     like_prec = n_level * float(mw @ mw)
     means = exp.prior.means[:, 0]
     sds = exp.prior.sds[:, 0]
@@ -360,9 +326,8 @@ def finite_dim_exceedance_exact_1d(exp: FiniteDimExperiment, y: np.ndarray,
     """Exact posterior exceedance for p = 1 via the conjugate mixture form."""
     if exp.p != 1:
         raise ParameterError("exact route requires p = 1")
-    mw = _whitened_model(exp)
-    w = exp.whiten_matrix() @ np.atleast_1d(np.asarray(y, dtype=float))
-    u_proj = float(np.linalg.lstsq(mw, w, rcond=None)[0][0])
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    u_proj = float(np.linalg.lstsq(exp.g_matrix, y, rcond=None)[0][0])
     wts, means, sds = _mixture_posterior_1d(exp, u_proj, n_level)
     upper = _norm.sf((u0 + xi - means) / sds)
     lower = _norm.cdf((u0 - xi - means) / sds)
@@ -394,8 +359,7 @@ def finite_dim_rate_run(exp: FiniteDimExperiment, u0: np.ndarray, n_grid,
     if np.any(np.diff(n_grid) <= 0) or np.any(n_grid < 3):
         raise ParameterError("n_grid must be increasing with all entries >= 3")
     u0 = np.asarray(u0, dtype=float).reshape(exp.p)
-    mw = _whitened_model(exp)
-    k1 = float(np.linalg.svd(mw, compute_uv=False).min()) / 2.0
+    k1 = float(np.linalg.svd(exp.g_matrix, compute_uv=False).min()) / 2.0
     exact = exp.p == 1
 
     mean_exc, max_ratio, counts = [], [], []
@@ -418,7 +382,7 @@ def finite_dim_rate_run(exp: FiniteDimExperiment, u0: np.ndarray, n_grid,
             else:
                 val = finite_dim_exceedance_given_y(exp, y, u0, n, xi_n, mc, cell_seed).value
             values.append(val)
-            misfit = float(np.linalg.norm(exp.whiten_matrix() @ (y - exp.g_matrix @ u0)))
+            misfit = float(np.linalg.norm(y - exp.g_matrix @ u0))
             if misfit < k1 * xi_n:
                 cell_ratios.append(val / denom if denom > 0 else math.inf)
         mean_exc.append(float(np.mean(values)))

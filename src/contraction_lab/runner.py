@@ -139,8 +139,7 @@ def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: i
     run = config.run
     fit = rates.fit_contraction_rate(problem, u0, run["n_grid"], run["delta_level"],
                                      run["y_replicates"],
-                                     seed=derive_seed(run["master_seed"], "rate-fit"),
-                                     workers=workers)
+                                     seed=derive_seed(run["master_seed"], "rate-fit"))
     rows = [(_n(n), _f(x), _f(frac), _f(fit.slope), _f(fit.slope_ci[0]), _f(fit.slope_ci[1]))
             for n, x, frac in zip(fit.n_grid, fit.xi_hat, fit.exceedance_frac)]
     return [_table(config, "rate_fit",

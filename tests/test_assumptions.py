@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import norm
 
 import contraction_lab as cl
+from contraction_lab.assumptions import _chernoff_log_tail
 from contraction_lab.errors import ParameterError
 
 
@@ -231,6 +232,18 @@ class TestProjectionTail:
         bound = cl.projection_tail_prob(prob, 3, 6, threshold, mode="chernoff")
         assert mc <= bound + 0.02
         assert bound <= 1.0
+
+    @pytest.mark.parametrize("threshold, reference", [
+        (1e3, -262023355.44759336), (1e6, -262023363858580.25),
+        (1e7, -2.6202336385858856e16), (1e9, -2.6202336385858866e20)])
+    def test_deep_chernoff_tail_stays_finite(self, threshold, reference):
+        """Far in the tail the saddlepoint lies within rounding of the pole
+        1 / (2 max lam); the bound is still finite and no weaker than the
+        bounded scalar search the check used before (``reference``)."""
+        prob = identity_problem(8)
+        log_tail = _chernoff_log_tail(prob, 7, None, threshold)
+        assert math.isfinite(log_tail)
+        assert log_tail <= reference * (1.0 - 1e-12)
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -460,7 +473,7 @@ class TestVerifyAssumptions:
             if log_tail <= -(c + 4.0) * n_level * eps**2:
                 break
             c2 *= 2.0
-        constants = cl.RateConstants(c=c, c1=c1, c2=c2, r=big_r, m=1.0)
+        constants = cl.RateConstants(c=c, c1=c1, c2=c2, r=big_r)
         return cl.RatePlan(eps_n=eps, xi_n=xi, k_n=k_n, r_n=None,
                            constants=constants, n_level=n_level)
 

@@ -7,6 +7,7 @@ import pytest
 
 import contraction_lab as cl
 from contraction_lab.cli import main as cli_main
+from contraction_lab.config import build_problem
 from contraction_lab.errors import (
     ConfigInvariantError,
     ConfigSyntaxError,
@@ -67,11 +68,82 @@ class TestParseConfig:
     def test_plan_keys_checked(self):
         with pytest.raises(UnknownConfigKeyError):
             cl.parse_config("plan: {eps: 0.1}")
+        with pytest.raises(UnknownConfigKeyError):
+            cl.parse_config("plan: {eps_n: 0.1, xi_n: 0.2, k_n: 4, m: 1.0}")
         with pytest.raises(ConfigInvariantError):
             cl.parse_config("plan: 17")
 
 
+# (problem section given on top of a valid n_dim = 4 problem, field named by the error)
+BUILD_ERRORS = [
+    ({"spectrum": {"family": "severe", "alpha2": 1.0, "c0": 1.0, "beta": 1.0}},
+     "problem.spectrum.alpha1"),
+    ({"spectrum": {"family": "severe", "alpha1": 1.0, "c0": 1.0, "beta": 1.0}},
+     "problem.spectrum.alpha2"),
+    ({"spectrum": {"family": "severe", "alpha1": 1.0, "alpha2": 1.0, "beta": 1.0}},
+     "problem.spectrum.c0"),
+    ({"spectrum": {"family": "severe", "alpha1": 1.0, "alpha2": 1.0, "c0": 1.0}},
+     "problem.spectrum.beta"),
+    ({"spectrum": {"family": "explicit"}}, "problem.spectrum.rho"),
+    ({"spectrum": {"family": "wild"}}, "problem.spectrum.family"),
+    ({"prior": {"family": "explicit"}}, "problem.prior.variances"),
+    ({"prior": {"family": "hilbert_scale", "l": 1.0}}, "problem.prior.t"),
+    ({"prior": {"family": "hilbert_scale", "t": 1.0}}, "problem.prior.l"),
+    ({"prior": {"family": "hilbert_scale", "t": 1.0, "l": 1.0},
+      "coupling": {"kind": "banded"}}, "problem.coupling.kind"),
+    ({"prior": {"family": "flat"}}, "problem.prior.family"),
+    ({"coupling": {"kind": "reflection"}}, "problem.coupling.v"),
+    ({"coupling": {"kind": "exp_skew"}}, "problem.coupling.generator"),
+    ({"coupling": {"kind": "explicit"}}, "problem.coupling.matrix"),
+    ({"coupling": {"kind": "twisted"}}, "problem.coupling.kind"),
+    ({"noise": {"kind": "diagonal"}}, "problem.noise.variances"),
+    ({"noise": {"kind": "colored"}}, "problem.noise.r"),
+    ({"noise": {"kind": "dense"}}, "problem.noise.matrix"),
+    ({"noise": {"kind": "pink"}}, "problem.noise.kind"),
+]
+
+
+class TestBuildProblem:
+    @pytest.mark.parametrize("problem, field", BUILD_ERRORS,
+                             ids=[f for _, f in BUILD_ERRORS])
+    def test_missing_or_unknown_kind_names_field(self, problem, field):
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 4, **problem}}))
+        with pytest.raises(ConfigInvariantError) as err:
+            build_problem(config)
+        assert err.value.field == field
+
+    def test_every_kind_builds(self):
+        kinds = [
+            {"spectrum": {"family": "severe", "alpha1": 1.0, "alpha2": 1.0, "c0": 1.0,
+                          "beta": -1.0}},
+            {"spectrum": {"family": "explicit", "rho": [1.0, 0.5, 0.25, 0.125]}},
+            {"prior": {"family": "explicit", "variances": [1.0, 0.5, 0.25, 0.125]}},
+            {"prior": {"family": "hilbert_scale", "t": 1.0, "l": 1.0}},
+            {"coupling": {"kind": "banded"}},
+            {"coupling": {"kind": "reflection", "v": [1.0, 0.0, 1.0, 0.0]}},
+            {"coupling": {"kind": "exp_skew", "generator": (np.triu(np.ones((4, 4)), 1)
+                                                        - np.tril(np.ones((4, 4)), -1)).tolist()}},
+            {"coupling": {"kind": "explicit", "matrix": np.eye(4)[::-1].tolist()}},
+            {"noise": {"kind": "diagonal", "variances": [1.0, 2.0, 1.0, 2.0]}},
+            {"noise": {"kind": "colored", "r": 0.5}},
+            {"noise": {"kind": "dense", "matrix": (2.0 * np.eye(4)).tolist()}},
+        ]
+        for problem in kinds:
+            config = cl.parse_config(json.dumps({"problem": {"n_dim": 4, **problem}}))
+            assert build_problem(config).n_dim == 4
+
+
 class TestDigest:
+    def test_pinned_digests(self):
+        """Digests are part of every output's provenance; they only change
+        with the normalized config document."""
+        assert cl.parse_config("").digest == (
+            "3e5c4c579293397258bb4ceb6c57705f36bcac1b5d2784a30eb9edf74ba26a5d")
+        config = cl.parse_config("problem: {coupling: {kind: banded}, noise: {kind: colored, "
+                                 "r: 0.5}}\nplan: {eps_n: 0.1, xi_n: 0.2, k_n: 4, c2: 2.0}")
+        assert config.digest == (
+            "3131657d0266dd8d85be8d7dc23df81e34fba7bc30fec5c0688bd193e4b73363")
+
     def test_whitespace_and_order_insensitive(self):
         a = cl.parse_config("run: {mc: 700, y_replicates: 3}\nproblem: {n_dim: 8}")
         b = cl.parse_config("problem:\n  n_dim:    8\nrun:\n  y_replicates: 3\n  mc: 700\n")

@@ -1,5 +1,5 @@
-"""Saddlepoint tails and quantiles of Gaussian quadratic forms against
-Imhof's integral and the noncentral chi-square."""
+"""Saddlepoint tails, quantiles and Chernoff exponents of Gaussian quadratic
+forms against Imhof's integral, the noncentral chi-square and closed forms."""
 
 import json
 import math
@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import ncx2
 
 import contraction_lab as cl
 from contraction_lab import quadform
-from contraction_lab.config import build_problem, build_truth
+from contraction_lab.assumptions import _chernoff_log_tail, _residual_operator
+from contraction_lab.config import build_plan, build_problem, build_truth
 from contraction_lab.errors import NumericalError, ParameterError
 
 
@@ -76,6 +77,71 @@ class TestAgainstNoncentralChiSquare:
             q = sigma2 * ncx2.isf(p, k, noncentrality)
             exact = ncx2.sf(q / sigma2, k, noncentrality)
             assert abs(quadform.tail(q, lam, c2) / exact - 1.0) < 0.1 / k
+
+
+def bounded_chernoff(q, lam):
+    """Chernoff exponent of a central form by a bounded scalar search over
+    ``s`` in ``[0, (1 - 1e-9) / (2 max lam)]``, the route the assumption
+    check took before ``log_chernoff``."""
+    def objective(s):
+        return -s * q - 0.5 * float(np.sum(np.log1p(-2.0 * s * lam)))
+
+    res = minimize_scalar(objective, bounds=(0.0, (1.0 - 1e-9) / (2.0 * lam.max())),
+                          method="bounded")
+    return min(0.0, float(res.fun))
+
+
+class TestLogChernoff:
+    @pytest.mark.parametrize("k", [1, 3, 16, 200])
+    @pytest.mark.parametrize("ratio", [1.01, 1.5, 4.0, 1e3, 1e8])
+    def test_scaled_chi_square_closed_form(self, k, ratio):
+        """For Q = lam chi^2_k and x = q / lam > k the minimum sits at
+        s = (1 - k / x) / (2 lam), where the exponent is
+        -(x - k - k ln(x / k)) / 2."""
+        lam = 0.37
+        x = ratio * k
+        exact = -0.5 * (x - k - k * math.log(x / k))
+        got = quadform.log_chernoff(lam * x, np.full(k, lam), np.zeros(k))
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_zero_up_to_the_mean(self):
+        lam, c2 = np.array([0.5, 2.0]), np.array([1.0, 0.0])
+        for q in (-1.0, 0.0, 1.0, 3.5):
+            assert quadform.log_chernoff(q, lam, c2) == 0.0
+        assert quadform.log_chernoff(3.5 * (1 + 1e-9), lam, c2) < 0.0
+        assert quadform.log_chernoff(math.inf, lam, c2) == -math.inf
+        with pytest.raises(ParameterError):
+            quadform.log_chernoff(math.nan, lam, c2)
+
+    @pytest.mark.parametrize("k", [1, 4, 32])
+    @pytest.mark.parametrize("noncentrality", [0.0, 1.0, 10.0])
+    def test_dominates_noncentral_chi_square(self, k, noncentrality):
+        sigma2 = 0.01
+        lam = np.full(k, sigma2)
+        c2 = np.full(k, sigma2 * noncentrality / k)
+        for p in (0.5, 0.1, 1e-4, 1e-8, 1e-30):
+            x = ncx2.isf(p, k, noncentrality)
+            bound = quadform.log_chernoff(sigma2 * x, lam, c2)
+            assert bound >= ncx2.logsf(x, k, noncentrality) - 1e-12 * abs(bound)
+
+    def test_matches_bounded_search_on_default_check_plan(self):
+        """The check pipeline's projection tail on the default banded problem
+        (N = 512, auto plan, k_n = 16): the saddlepoint exponent agrees with a
+        bounded scalar search to 1e-9 relative and is never above it."""
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
+                                                         "coupling": {"kind": "banded"}}}))
+        problem, plan = build_problem(config), build_plan(config)
+        assert plan.k_n == 16 and plan.r_n is None
+        a = _residual_operator(problem, plan.k_n, plan.r_n)
+        lam = np.linalg.eigvalsh(a.T @ a)
+        lam = lam[lam > 0]
+        for factor in (1, 2, 4, 8, 16):
+            threshold = plan.constants.c2 * plan.xi_n * factor
+            got = _chernoff_log_tail(problem, plan.k_n, plan.r_n, threshold)
+            reference = bounded_chernoff(threshold**2, lam)
+            assert got < 0.0
+            assert got == pytest.approx(reference, rel=1e-9)
+            assert got <= reference * (1.0 - 1e-15)
 
 
 forms = st.integers(min_value=1, max_value=12).flatmap(lambda k: st.tuples(

@@ -101,16 +101,6 @@ class TestFitContractionRate:
         assert fit.slope_ci[0] < fit.slope < fit.slope_ci[1]
         assert not fit.exploratory
 
-    def test_workers_do_not_change_results(self):
-        prob = _small_problem(12)
-        u0 = cl.power_law_truth(2.0, 12)
-        serial = cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.1, 6,
-                                         seed=5, workers=1)
-        threaded = cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.1, 6,
-                                           seed=5, workers=4)
-        assert np.array_equal(serial.xi_hat, threaded.xi_hat)
-        assert serial.slope == threaded.slope
-
     def test_exact_radius_inside_monte_carlo_quantile_ci(self):
         """Each replicate's exact 90% posterior radius lies inside the
         distribution-free 99% confidence interval of the 90% quantile of
