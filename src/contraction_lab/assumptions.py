@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadform
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .rng import substream
 from .spectral import (
     ExpSkewCoupling,
@@ -335,8 +335,6 @@ def minmax_compare(op_a: np.ndarray, op_b: np.ndarray, j_max: int) -> MinmaxTabl
         alphas = np.linalg.eigvalsh(a)[::-1]
         betas = np.linalg.eigvalsh(b)[::-1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        from .errors import NumericalError
-
         raise NumericalError(f"eigendecomposition failed: {exc}")
     if alphas[-1] <= 0 or betas[-1] <= 0:
         raise ParameterError("operators must be positive definite")

@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigInvariantError, ConfigSyntaxError, UnknownConfigKeyError
 from .rng import derive_seed
-from . import spectral
+from . import rates, spectral
 from .assumptions import RateConstants, RatePlan
 from .rates import Colored, TheoryParams, WhiteDiagonal, plan_from_theory
 
@@ -396,15 +396,13 @@ def build_plan(config: ExperimentConfig) -> RatePlan:
 
 
 def build_findim(config: ExperimentConfig):
-    from .rates import FiniteDimExperiment, GaussianMixturePrior, two_component_mixture
-
     fd = config.data["findim"]
     p, q = fd["p"], fd["q"]
     if {"mixture_weights", "mixture_means", "mixture_sds"} <= fd.keys():
-        prior = GaussianMixturePrior(np.asarray(fd["mixture_weights"]),
-                                     np.asarray(fd["mixture_means"]),
-                                     np.asarray(fd["mixture_sds"]))
+        prior = rates.GaussianMixturePrior(np.asarray(fd["mixture_weights"]),
+                                           np.asarray(fd["mixture_means"]),
+                                           np.asarray(fd["mixture_sds"]))
     else:
-        prior = two_component_mixture(p)
-    return FiniteDimExperiment(p=p, q=q, g_matrix=np.asarray(fd["g"]),
-                               prior=prior, m_const=fd["m_const"])
+        prior = rates.two_component_mixture(p)
+    return rates.FiniteDimExperiment(p=p, q=q, g_matrix=np.asarray(fd["g"]),
+                                     prior=prior, m_const=fd["m_const"])

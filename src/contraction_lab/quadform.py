@@ -58,11 +58,12 @@ def _cgf(s: float, lam: np.ndarray, c2: np.ndarray) -> tuple[float, float, float
     if d.min() <= 0:
         raise ParameterError("saddlepoint outside the domain s < 1/(2 max lam)")
     inv = 1.0 / d
-    c2_inv = c2 * inv
-    lam_inv = lam * inv
-    k0 = float((s * c2_inv - 0.5 * np.log1p(-a)).sum())
-    k1 = float((lam_inv + c2_inv * inv).sum())
-    k2 = float((lam_inv * (2.0 * lam_inv + 4.0 * c2_inv * inv)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        c2_inv = c2 * inv
+        lam_inv = lam * inv
+        k0 = float((s * c2_inv - 0.5 * np.log1p(-a)).sum())
+        k1 = float((lam_inv + c2_inv * inv).sum())
+        k2 = float((lam_inv * (2.0 * lam_inv + 4.0 * c2_inv * inv)).sum())
     if not (math.isfinite(k0) and math.isfinite(k1) and math.isfinite(k2)):
         raise NumericalError(f"quadratic-form cumulants not finite at s = {s!r}")
     return k0, k1, k2

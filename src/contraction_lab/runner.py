@@ -237,8 +237,7 @@ def _pipe_hs(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
     rows = [(report.target, int(m), _f(v), report.verdict)
             for m, v in zip(report.truncations, report.values)]
     return [_table(config, "hs_diagnostic", ("target", "truncation", "value", "verdict"), rows,
-                   "hs_diagnostic",
-                   details={k: v for k, v in report.details.items() if k != "small_ball_report"})]
+                   "hs_diagnostic", details=report.details)]
 
 
 def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:

@@ -43,6 +43,17 @@ def _read_only(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _orthonormal(q, n_dim: int, name: str) -> np.ndarray:
+    """Read-only copy of ``q``, checked to be orthonormal within ``ORTHOGONALITY_TOL``."""
+    q = _frozen(q)
+    if q.shape != (n_dim, n_dim):
+        raise ParameterError(f"{name} must be square of size n_dim")
+    err = np.linalg.norm(q.T @ q - np.eye(n_dim))
+    if err >= ORTHOGONALITY_TOL:
+        raise ParameterError(f"{name} is not orthonormal: ||Q'Q - I||_F = {err:.3e}")
+    return q
+
+
 def _scale_rows(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Multiply row i of ``x`` (vector or matrix) by ``s[i]``."""
     if x.ndim == 1:
@@ -183,13 +194,7 @@ class OrthogonalCoupling:
     kind: CouplingKind
 
     def __post_init__(self):
-        t = _frozen(self.t_matrix)
-        if t.shape != (self.n_dim, self.n_dim):
-            raise ParameterError("t_matrix must be square of size n_dim")
-        object.__setattr__(self, "t_matrix", t)
-        err = np.linalg.norm(t.T @ t - np.eye(self.n_dim))
-        if err >= ORTHOGONALITY_TOL:
-            raise ParameterError(f"coupling is not orthogonal: ||T'T - I||_F = {err:.3e}")
+        object.__setattr__(self, "t_matrix", _orthonormal(self.t_matrix, self.n_dim, "t_matrix"))
 
 
 def band_window(j: int, lo_ratio: float, hi_ratio: float, n_dim: int) -> tuple[int, int]:
@@ -281,15 +286,16 @@ class GaussianSequenceMeasure:
     """Centered Gaussian measure with the given coordinate variances.
 
     ``basis`` names the axes the measure is diagonal on ("phi" for priors,
-    "e" for noise). A dense SPD covariance (e-coordinates) may back the
-    measure instead, in which case ``variances`` holds its eigenvalues.
-    Both arrays are stored as read-only copies.
+    "e" for noise). A dense covariance is stored as its eigendecomposition:
+    ``variances`` holds the eigenvalues and ``vectors`` the orthonormal
+    eigenbasis in e-coordinates (None means diagonal). Both arrays are
+    stored as read-only copies.
     """
 
     n_dim: int
     variances: np.ndarray
     basis: str
-    dense: np.ndarray | None = None
+    vectors: np.ndarray | None = None
 
     def __post_init__(self):
         if self.basis not in ("e", "phi"):
@@ -298,17 +304,15 @@ class GaussianSequenceMeasure:
         object.__setattr__(self, "variances", v)
         if not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise ParameterError("all variances must be positive and finite")
-        if self.dense is not None:
-            d = _frozen(self.dense)
-            if d.shape != (self.n_dim, self.n_dim):
-                raise ParameterError("dense covariance must be square of size n_dim")
-            if np.abs(d - d.T).max() > 1e-12 * max(1.0, np.abs(d).max()):
-                raise ParameterError("dense covariance must be symmetric")
-            object.__setattr__(self, "dense", d)
+        if self.vectors is not None:
+            object.__setattr__(self, "vectors", _orthonormal(self.vectors, self.n_dim, "vectors"))
 
-    @property
-    def is_dense(self) -> bool:
-        return self.dense is not None
+    @cached_property
+    def dense(self) -> np.ndarray | None:
+        """The covariance ``V diag(variances) V'`` (read-only), or None if diagonal."""
+        if self.vectors is None:
+            return None
+        return _read_only((self.vectors * self.variances) @ self.vectors.T)
 
 
 def power_law_prior(delta: float, n_dim: int) -> GaussianSequenceMeasure:
@@ -331,29 +335,44 @@ def diagonal_noise(variances, n_dim: int) -> GaussianSequenceMeasure:
     return GaussianSequenceMeasure(n_dim, np.asarray(variances, dtype=float), "e")
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Square, and equal to its transpose to 1e-12 of its largest entry."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    return bool(np.abs(a - a.T).max() <= 1e-12 * max(1.0, np.abs(a).max()))
+
+
 def dense_noise(covariance: np.ndarray) -> GaussianSequenceMeasure:
-    """Wrap a dense SPD covariance (e-coordinates) as a noise measure."""
+    """Wrap a dense SPD covariance (e-coordinates) as a noise measure in its eigenbasis."""
     cov = np.asarray(covariance, dtype=float)
-    vals = np.linalg.eigvalsh(cov)
+    if not _is_symmetric(cov):
+        raise ParameterError("dense covariance must be symmetric")
+    vals, vecs = np.linalg.eigh(cov)
     if vals.min() <= 0:
         raise ParameterError(f"noise covariance is not SPD: min eigenvalue {vals.min():.3e}")
-    return GaussianSequenceMeasure(cov.shape[0], vals[::-1], "e", dense=cov)
+    return GaussianSequenceMeasure(cov.shape[0], vals[::-1], "e", vecs[:, ::-1])
+
+
+def _shifted_eigh(spectrum: OperatorSpectrum, a: float, k: np.ndarray,
+                  a_name: str, k_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of ``G^(-a) + K`` for a
+    symmetric K that keeps the sum positive definite."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (spectrum.n_dim, spectrum.n_dim) or not _is_symmetric(k):
+        raise ParameterError(f"{k_name} must be a symmetric matrix of size n_dim")
+    vals, vecs = np.linalg.eigh(np.diag(spectrum.rho ** (-a)) + k)
+    if vals.min() <= 0:
+        raise ParameterError(f"G^(-{a_name}) + {k_name} is not positive definite; "
+                             f"{k_name} must be a positive operator")
+    return vals, vecs
 
 
 def colored_noise(spectrum: OperatorSpectrum, r: float, k1: np.ndarray) -> GaussianSequenceMeasure:
-    """Noise covariance ``(G^(-r) + K1)^(-2)`` as a dense SPD matrix."""
+    """Noise covariance ``(G^(-r) + K1)^(-2)``, kept in the eigenbasis of ``G^(-r) + K1``."""
     if not (0 < r < 1):
         raise ParameterError("colored noise requires r in (0, 1)")
-    k1 = np.asarray(k1, dtype=float)
-    if k1.shape != (spectrum.n_dim, spectrum.n_dim) or np.abs(k1 - k1.T).max() > 1e-12 * max(1.0, np.abs(k1).max()):
-        raise ParameterError("K1 must be a symmetric matrix of size n_dim")
-    base = np.diag(spectrum.rho ** (-r)) + k1
-    vals, vecs = np.linalg.eigh(base)
-    if vals.min() <= 0:
-        raise ParameterError("G^(-r) + K1 is not positive definite; K1 must be a positive operator")
-    cov = (vecs * vals**-2.0) @ vecs.T
-    cov = 0.5 * (cov + cov.T)
-    return dense_noise(cov)
+    vals, vecs = _shifted_eigh(spectrum, r, k1, "r", "K1")
+    return GaussianSequenceMeasure(spectrum.n_dim, vals**-2.0, "e", vecs)
 
 
 def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
@@ -364,13 +383,7 @@ def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
         raise ParameterError("hilbert-scale prior requires t > 0")
     if not (0 < l <= 2):
         raise ParameterError("hilbert-scale prior requires l in (0, 2]")
-    k2 = np.asarray(k2, dtype=float)
-    if k2.shape != (spectrum.n_dim, spectrum.n_dim) or np.abs(k2 - k2.T).max() > 1e-12 * max(1.0, np.abs(k2).max()):
-        raise ParameterError("K2 must be a symmetric matrix of size n_dim")
-    base = np.diag(spectrum.rho ** (-t)) + k2
-    vals, vecs = np.linalg.eigh(base)
-    if vals.min() <= 0:
-        raise ParameterError("G^(-t) + K2 is not positive definite; K2 must be a positive operator")
+    vals, vecs = _shifted_eigh(spectrum, t, k2, "t", "K2")
     coupling = OrthogonalCoupling(spectrum.n_dim, vecs, ExplicitCoupling(vecs))
     prior = GaussianSequenceMeasure(spectrum.n_dim, vals**-l, "phi")
     return coupling, prior
@@ -381,7 +394,7 @@ def random_spd(n_dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
     rng = substream(seed, "spd")
     s = rng.standard_normal((n_dim, n_dim))
     s = 0.5 * (s + s.T)
-    norm = np.linalg.norm(s, 2) if n_dim > 1 else abs(float(s))
+    norm = np.abs(np.linalg.eigvalsh(s)).max()
     if norm > 0:
         s = s / (1.05 * norm)
     return scale * (np.eye(n_dim) + s)
@@ -395,9 +408,8 @@ def random_spd(n_dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
 class InverseProblem:
     """Bundle of operator, basis coupling, prior and noise at one truncation.
 
-    The whitened forward map and the noise eigendecomposition are computed
-    lazily and cached; all fields are immutable so instances are safe to
-    share across threads.
+    The forward and whitened forward maps are computed lazily and cached;
+    all fields are immutable so instances are safe to share across threads.
     """
 
     operator: OperatorSpectrum
@@ -411,37 +423,28 @@ class InverseProblem:
                 self.noise.n_dim, self.n_dim}
         if len(dims) != 1:
             raise ParameterError(f"all members must share n_dim, got {sorted(dims)}")
-        if self.prior.basis != "phi":
+        if self.prior.basis != "phi" or self.prior.vectors is not None:
             raise ParameterError("prior must be diagonal in the phi-basis")
         if self.noise.basis != "e":
             raise ParameterError("noise must be expressed in the e-basis")
-        # SPD check: dense eigenvalues are validated at wrap time, diagonal
-        # variances by the measure itself.
-        if self.noise.variances.min() <= 0:
-            raise ParameterError("noise covariance must have positive eigenvalues")
 
     # -- noise geometry ----------------------------------------------------
 
-    @cached_property
-    def _noise_eig(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if not self.noise.is_dense:
-            return None
-        vals, vecs = np.linalg.eigh(self.noise.dense)
-        return vals, vecs
+    def _noise_power(self, x: np.ndarray, power: float) -> np.ndarray:
+        """Apply the noise covariance raised to ``power`` through its eigenpairs."""
+        scale = self.noise.variances**power
+        vecs = self.noise.vectors
+        if vecs is None:
+            return _scale_rows(np.asarray(x, dtype=float), scale)
+        return vecs @ _scale_rows(vecs.T @ x, scale)
 
     def noise_whiten(self, x: np.ndarray) -> np.ndarray:
         """Apply the inverse square root of the noise covariance."""
-        if self._noise_eig is None:
-            return _scale_rows(np.asarray(x, dtype=float), self.noise.variances**-0.5)
-        vals, vecs = self._noise_eig
-        return vecs @ _scale_rows(vecs.T @ x, vals**-0.5)
+        return self._noise_power(x, -0.5)
 
     def noise_color(self, x: np.ndarray) -> np.ndarray:
         """Apply the square root of the noise covariance."""
-        if self._noise_eig is None:
-            return _scale_rows(np.asarray(x, dtype=float), self.noise.variances**0.5)
-        vals, vecs = self._noise_eig
-        return vecs @ _scale_rows(vecs.T @ x, vals**0.5)
+        return self._noise_power(x, 0.5)
 
     def whitened_norm(self, x: np.ndarray) -> float | np.ndarray:
         """Cameron-Martin norm of the noise measure: ``||zeta^(-1/2) x||``."""
@@ -475,15 +478,12 @@ class DataSample:
 
     y: np.ndarray
     n_level: float
-    u0: np.ndarray
-    u0_basis: str
+    u0: np.ndarray  # phi-coordinates
     seed: int
 
     def __post_init__(self):
         if self.n_level <= 0:
             raise ParameterError("n_level must be positive")
-        if self.u0_basis not in ("e", "phi"):
-            raise ParameterError("u0_basis must be 'e' or 'phi'")
         y = np.asarray(self.y, dtype=float)
         if not np.all(np.isfinite(y)):
             raise ParameterError("y must be finite-valued")
@@ -509,7 +509,7 @@ def simulate_data(problem: InverseProblem, u0: np.ndarray, n_level: float, seed:
     rng = substream(seed, "simulate")
     z = rng.standard_normal(problem.n_dim)
     y = forward_apply(problem, u0, "phi") + problem.noise_color(z) / math.sqrt(n_level)
-    return DataSample(y=y, n_level=float(n_level), u0=u0, u0_basis="phi", seed=seed)
+    return DataSample(y=y, n_level=float(n_level), u0=u0, seed=seed)
 
 
 def sample_prior(problem: InverseProblem, count: int, seed: int) -> np.ndarray:

@@ -364,7 +364,7 @@ class TestPlugIn:
         prob = identity_problem(8)
         u0 = cl.power_law_truth(2.0, 8)
         y = cl.forward_apply(prob, u0, "phi")
-        data = cl.DataSample(y, 10.0, u0, "phi", 0)
+        data = cl.DataSample(y, 10.0, u0, 0)
         est = cl.plug_in_estimate(prob, data, 4, 6)
         np.testing.assert_allclose(est.u_hat[:4], u0[:4], rtol=1e-12)
         assert np.all(est.u_hat[4:] == 0.0)
@@ -372,7 +372,7 @@ class TestPlugIn:
     def test_noiseless_flat_spectrum_exact_bits(self):
         prob = identity_problem(8, alpha=0.0)
         u0 = cl.power_law_truth(2.0, 8)
-        data = cl.DataSample(cl.forward_apply(prob, u0, "phi"), 10.0, u0, "phi", 0)
+        data = cl.DataSample(cl.forward_apply(prob, u0, "phi"), 10.0, u0, 0)
         est = cl.plug_in_estimate(prob, data, 5, 8)
         assert np.array_equal(est.u_hat[:5], u0[:5])
 
@@ -416,7 +416,7 @@ class TestPlugIn:
         """Same data, two thresholds: the decision flips with m0."""
         prob = identity_problem(8)
         u0 = cl.power_law_truth(2.0, 8)
-        data = cl.DataSample(cl.forward_apply(prob, u0, "phi"), 10.0, u0, "phi", 0)
+        data = cl.DataSample(cl.forward_apply(prob, u0, "phi"), 10.0, u0, 0)
         miss = np.linalg.norm(cl.plug_in_estimate(prob, data, 4, 8).u_hat - u0)
         assert cl.plug_in_test(prob, data, u0, 4, 8, xi=miss / 2, m0=1.0)
         assert not cl.plug_in_test(prob, data, u0, 4, 8, xi=miss / 2, m0=4.0)

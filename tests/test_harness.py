@@ -112,6 +112,26 @@ class TestBuildProblem:
             build_problem(config)
         assert err.value.field == field
 
+    def test_dense_operators_decomposed_once(self, monkeypatch):
+        """A Hilbert-scale prior with colored noise runs one eigh per dense
+        operator (G^-t + K2 and G^-r + K1) and nothing else."""
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        config = cl.parse_config(json.dumps({"problem": {
+            "n_dim": 16, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+            "noise": {"kind": "colored", "r": 0.5}}}))
+        prob = build_problem(config)
+        prob.whitened_gram
+        assert calls.count("eigh") == 2
+        assert calls.count("eigvalsh") == 2  # the spectral norms of K1 and K2
+        assert "svd" not in calls
+
     def test_every_kind_builds(self):
         kinds = [
             {"spectrum": {"family": "severe", "alpha1": 1.0, "alpha2": 1.0, "c0": 1.0,
@@ -307,6 +327,10 @@ class TestCli:
         d1 = json.loads((out1 / "result.json").read_text())["config_digest"]
         d2 = json.loads((out2 / "result.json").read_text())["config_digest"]
         assert d1 != d2
+
+    def test_one_dimensional_colored_noise(self, tmp_path, capsys):
+        path = self._write(tmp_path, "problem: {n_dim: 1, noise: {kind: colored, r: 0.5}}")
+        assert cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_failed_pipeline_exit_code(self, tmp_path, capsys):
         path = self._write(tmp_path, """

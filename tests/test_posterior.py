@@ -61,7 +61,7 @@ class TestConjugatePosterior:
     def test_scalar_conjugate_oracle(self):
         """Unit prior, operator, noise and n = y = 1: N(1/2, 1/2)."""
         prob = scalar_problem()
-        data = cl.DataSample(np.array([1.0]), 1.0, np.array([0.0]), "phi", 0)
+        data = cl.DataSample(np.array([1.0]), 1.0, np.array([0.0]), 0)
         post = cl.conjugate_posterior(prob, data)
         assert math.isclose(post.mean[0], 0.5, rel_tol=1e-14)
         assert math.isclose(post.covariance()[0, 0], 0.5, rel_tol=1e-14)
@@ -70,14 +70,14 @@ class TestConjugatePosterior:
         """At n = 1e10 the mean approaches T^-1 diag(1/rho) y."""
         prob = random_problem(3, n_dim=2)
         y = np.array([0.7, -0.4])
-        data = cl.DataSample(y, 1e10, np.zeros(2), "phi", 0)
+        data = cl.DataSample(y, 1e10, np.zeros(2), 0)
         post = cl.conjugate_posterior(prob, data)
         exact = prob.coupling.t_matrix.T @ (y / prob.operator.rho)
         assert np.linalg.norm(post.mean - exact) < 1e-4
 
     def test_zero_data_zero_mean(self):
         prob = random_problem(8)
-        data = cl.DataSample(np.zeros(prob.n_dim), 10.0, np.zeros(prob.n_dim), "phi", 0)
+        data = cl.DataSample(np.zeros(prob.n_dim), 10.0, np.zeros(prob.n_dim), 0)
         post = cl.conjugate_posterior(prob, data)
         assert np.all(post.mean == 0.0)
 
@@ -157,7 +157,7 @@ class TestWeightedExceedance:
 
     def test_huge_radius_is_zero(self):
         prob = random_problem(21, n_dim=2)
-        data = cl.DataSample(np.zeros(2), 1.0, np.zeros(2), "phi", 0)
+        data = cl.DataSample(np.zeros(2), 1.0, np.zeros(2), 0)
         est = cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 1e6, mc=2000, seed=2)
         assert est.value == 0.0
 

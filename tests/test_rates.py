@@ -70,8 +70,8 @@ class TestScalingExactness:
         base = cl.InverseProblem(spec, coupling, prior, cl.diagonal_noise(zeta, n_dim), n_dim)
         scaled = cl.InverseProblem(spec, coupling, prior, cl.diagonal_noise(4.0 * zeta, n_dim), n_dim)
         y = rng.standard_normal(n_dim)
-        post_a = cl.conjugate_posterior(base, cl.DataSample(y, 25.0, np.zeros(n_dim), "phi", 0))
-        post_b = cl.conjugate_posterior(scaled, cl.DataSample(y, 100.0, np.zeros(n_dim), "phi", 0))
+        post_a = cl.conjugate_posterior(base, cl.DataSample(y, 25.0, np.zeros(n_dim), 0))
+        post_b = cl.conjugate_posterior(scaled, cl.DataSample(y, 100.0, np.zeros(n_dim), 0))
         assert np.array_equal(post_a.mean, post_b.mean)
         assert np.array_equal(post_a.cov_factor, post_b.cov_factor)
 

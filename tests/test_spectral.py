@@ -157,6 +157,32 @@ class TestMeasures:
         with pytest.raises(ParameterError):
             cl.dense_noise(np.diag([1.0, -0.5]))
 
+    def test_vectors_must_be_orthonormal(self):
+        with pytest.raises(ParameterError):
+            cl.GaussianSequenceMeasure(2, [1.0, 2.0], "e", np.diag([2.0, 1.0]))
+        with pytest.raises(ParameterError):
+            cl.GaussianSequenceMeasure(2, [1.0, 2.0], "e", np.eye(3))
+
+    def test_prior_with_vectors_rejected(self):
+        """The posterior treats the prior as diagonal in the phi-basis, so a
+        prior carrying an eigenbasis would be silently misread."""
+        spec = cl.make_spectrum(cl.MildFamily(1.0), 2)
+        reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
+        prior = cl.GaussianSequenceMeasure(2, [1.0, 0.5], "phi", reflection)
+        with pytest.raises(ParameterError):
+            cl.InverseProblem(spec, cl.make_coupling(cl.IdentityCoupling(), 2), prior,
+                              cl.white_noise(2), 2)
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 7])
+    def test_random_spd_every_size(self, n_dim):
+        """Symmetric, with eigenvalues in [scale (1 - 1/1.05), scale (1 + 1/1.05)]."""
+        k = cl.random_spd(n_dim, seed=3, scale=0.5)
+        assert k.shape == (n_dim, n_dim)
+        assert np.array_equal(k, k.T)
+        vals = np.linalg.eigvalsh(k)
+        assert vals.min() >= 0.5 * (1 - 1 / 1.05) - 1e-12
+        assert vals.max() <= 0.5 * (1 + 1 / 1.05) + 1e-12
+
 
 class TestForwardModel:
     def test_diagonal_scaling_in_e_basis(self):
@@ -281,7 +307,7 @@ class TestImmutability:
     def test_stored_arrays_are_read_only(self):
         prob = self._colored_problem()
         for arr in (prob.operator.rho, prob.coupling.t_matrix, prob.prior.variances,
-                    prob.noise.variances, prob.noise.dense):
+                    prob.noise.variances, prob.noise.vectors, prob.noise.dense):
             with pytest.raises(ValueError):
                 arr[0] = -1.0
         assert np.all(prob.operator.rho > 0)
@@ -294,6 +320,23 @@ class TestImmutability:
             with pytest.raises(ValueError):
                 arr *= 2.0
         assert np.array_equal(prob.whitened_gram, prob.whitened_forward.T @ prob.whitened_forward)
+
+    def test_whitening_needs_no_further_decomposition(self, monkeypatch):
+        """The noise measure carries its eigenbasis, so whitening and
+        colouring never decompose the covariance again."""
+        prob = self._colored_problem()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decomposition after build")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        zeta = prob.noise.dense
+        m = prob.whitened_forward
+        np.testing.assert_allclose(m.T @ zeta @ m, prob.forward_matrix.T @ prob.forward_matrix,
+                                   rtol=1e-10, atol=1e-12)
+        z = np.ones(prob.n_dim)
+        np.testing.assert_allclose(prob.noise_whiten(prob.noise_color(z)), z, rtol=1e-12)
 
     def test_caller_arrays_are_copied_not_frozen(self):
         rho = np.array([1.0, 0.5, 0.25])
