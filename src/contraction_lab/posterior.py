@@ -123,8 +123,13 @@ class PosteriorFactor:
     _precision_chol: np.ndarray
 
     def mean(self, y: np.ndarray) -> np.ndarray:
-        """Posterior mean given data ``y`` (e-coordinates)."""
-        y = as_vector(y, self.problem.n_dim, "y")
+        """Posterior mean given data ``y`` (e-coordinates): a vector, or an
+        (N, R) block of R data draws with one mean per column, which costs
+        one matrix product and one triangular solve pair for all of them."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim > 2 or y.shape[:1] != (self.problem.n_dim,):
+            raise ParameterError(f"y must be a length-{self.problem.n_dim} vector or an "
+                                 f"({self.problem.n_dim}, R) block, got shape {y.shape}")
         rhs = self.n_level * (self.problem.whitened_forward.T @ self.problem.noise_whiten(y))
         return cho_solve((self._precision_chol, True), rhs)
 

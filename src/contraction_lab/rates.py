@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as _norm
-from scipy.stats import t as _student_t
+from scipy.special import ndtr, stdtrit
 
 from . import quadform
 from .errors import ParameterError
@@ -129,22 +128,32 @@ class RateFit:
             raise ParameterError("xi_hat and n_grid must have equal length")
 
 
-def _replicate_distances(factor: PosteriorFactor, cov_eig: tuple[np.ndarray, np.ndarray],
-                         u0: np.ndarray, delta_level: float,
-                         rng: np.random.Generator) -> float:
-    """Exact (1 - delta) posterior radius around u0 for one fresh data draw.
+def _replicate_distances(problem: InverseProblem, g_u0: np.ndarray, n_level: float,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Data draw ``y = G u0 + zeta^(1/2) z / sqrt(n)`` of one rate-fit
+    replicate from its own stream ``rng``; ``g_u0 = G u0``.
+
+    The fit calls it once per replicate and then hands the draws of all
+    replicates of one n to ``_posterior_radii``; perfbench times this binding
+    as one rate-fit replicate.
+    """
+    z = rng.standard_normal(problem.n_dim)
+    return g_u0 + problem.noise_color(z) / math.sqrt(n_level)
+
+
+def _posterior_radii(factor: PosteriorFactor, cov_eig: tuple[np.ndarray, np.ndarray],
+                     u0: np.ndarray, delta_level: float, ys: np.ndarray) -> np.ndarray:
+    """Exact (1 - delta) posterior radii around u0, one per column of the
+    (N, R) data block ``ys``.
 
     In the eigenbasis ``cov_eig`` of the posterior covariance the squared
     distance of a posterior draw from u0 is ``sum_i (c_i + sqrt(lam_i) Z_i)**2``
     with ``c = V^T (mean - u0)``; its upper delta-quantile comes from the
     saddlepoint kernel rather than from posterior samples.
     """
-    problem, n_level = factor.problem, factor.n_level
-    z = rng.standard_normal(problem.n_dim)
-    y = forward_apply(problem, u0, "phi") + problem.noise_color(z) / math.sqrt(n_level)
     lam, vecs = cov_eig
-    c = vecs.T @ (factor.mean(y) - u0)
-    return math.sqrt(quadform.quantile(delta_level, lam, c * c))
+    c = (factor.mean(ys) - u0[:, None]).T @ vecs  # row r: V^T (mean_r - u0)
+    return np.sqrt(quadform.quantiles(delta_level, lam, c * c))
 
 
 def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
@@ -157,7 +166,8 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     outside the ball: the ceil((1 - delta) R)-th smallest of the replicates'
     exact (1 - delta) posterior radii. Only the data are sampled; each
     replicate's radius is a saddlepoint quantile over one eigendecomposition
-    of the posterior covariance per n.
+    of the posterior covariance per n, and the replicates of one n share one
+    mean solve and one batched quantile solve.
     """
     n_grid = np.array(n_grid, dtype=float)
     if n_grid.ndim != 1 or len(n_grid) < 4:
@@ -171,13 +181,14 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     u0 = as_vector(u0, problem.n_dim, "u0")
 
     rank = math.ceil((1 - delta_level) * y_replicates)
+    g_u0 = forward_apply(problem, u0, "phi")
     xi_hat, exceed_frac = [], []
     for i, n in enumerate(n_grid):
         factor = factor_posterior(problem, n)
-        cov_eig = factor.covariance_eigh()
-        radii = np.array([_replicate_distances(factor, cov_eig, u0, delta_level,
-                                               substream(seed, "rate-fit", i, rep))
-                          for rep in range(y_replicates)])
+        ys = np.column_stack([_replicate_distances(problem, g_u0, n,
+                                                   substream(seed, "rate-fit", i, rep))
+                              for rep in range(y_replicates)])
+        radii = _posterior_radii(factor, factor.covariance_eigh(), u0, delta_level, ys)
         radii.sort()
         xi_hat.append(float(radii[rank - 1]))
         exceed_frac.append(np.count_nonzero(radii <= radii[rank - 1]) / y_replicates)
@@ -190,7 +201,7 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     s2 = float(resid @ resid) / dof
     sxx = float(np.sum((log_n - log_n.mean()) ** 2))
     se = math.sqrt(s2 / sxx)
-    width = float(_student_t.ppf(0.975, dof)) * se
+    width = float(stdtrit(dof, 0.975)) * se
     return RateFit(n_grid=n_grid, xi_hat=np.asarray(xi_hat),
                    slope=float(slope), slope_ci=(float(slope - width), float(slope + width)),
                    delta_level=delta_level, y_replicates=y_replicates,
@@ -315,7 +326,11 @@ def _mixture_posterior_1d(exp: FiniteDimExperiment, u_proj: float,
     post_var = 1.0 / (1.0 / sds**2 + like_prec)
     post_mean = post_var * (means / sds**2 + like_prec * u_proj)
     evidence_sd = np.sqrt(sds**2 + 1.0 / like_prec)
-    log_w = np.log(exp.prior.weights) + _norm.logpdf(u_proj, loc=means, scale=evidence_sd)
+    # Normal log-density of u_proj; its operation order is pinned to the bit by
+    # tests/test_rates.py::TestSpecialFunctionsBitIdentical.
+    z = (u_proj - means) / evidence_sd
+    log_w = np.log(exp.prior.weights) + (-z**2 / 2.0 - np.log(np.sqrt(2 * np.pi))
+                                         - np.log(evidence_sd))
     log_w -= log_w.max()
     w = np.exp(log_w)
     return w / w.sum(), post_mean, np.sqrt(post_var)
@@ -329,8 +344,8 @@ def finite_dim_exceedance_exact_1d(exp: FiniteDimExperiment, y: np.ndarray,
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u_proj = float(np.linalg.lstsq(exp.g_matrix, y, rcond=None)[0][0])
     wts, means, sds = _mixture_posterior_1d(exp, u_proj, n_level)
-    upper = _norm.sf((u0 + xi - means) / sds)
-    lower = _norm.cdf((u0 - xi - means) / sds)
+    upper = ndtr(-((u0 + xi - means) / sds))
+    lower = ndtr((u0 - xi - means) / sds)
     return float(np.sum(wts * (upper + lower)))
 
 

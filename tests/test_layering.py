@@ -1,8 +1,13 @@
 """Module layering: no module of the package reaches into a sibling's
 private names, whether by ``from .sibling import _name`` or by
-``sibling._name`` attribute access."""
+``sibling._name`` attribute access; and the package's import graph leaves
+out the slow-to-import parts of scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +79,38 @@ def test_guard_allows_public_and_own_names():
               "def _own():\n    return posterior.factor_posterior\n"
               "_own()\nposterior.__name__\n")
     assert private_accesses(source) == []
+
+
+# Runs in a fresh interpreter: the test process itself may have imported
+# scipy.stats already. Every pipeline runs and writes its CSV, so that a
+# function-local import anywhere on a pipeline's path is caught as well.
+IMPORT_GRAPH_SCRIPT = """
+import json, sys, tempfile
+import contraction_lab as cl
+from contraction_lab.config import PIPELINES
+
+config = cl.parse_config(json.dumps({
+    "problem": {"n_dim": 12, "coupling": {"kind": "banded"}},
+    "run": {"n_grid": [100, 1000, 10000, 100000], "mc": 300, "y_replicates": 3}}))
+record = cl.run_experiment(config, pipelines=list(PIPELINES))
+with tempfile.TemporaryDirectory() as out:
+    written = cl.emit_results(record, "csv", out)
+print(json.dumps({"pipelines": len(PIPELINES), "tables": len(record.tables),
+                  "csv": len(written), "failures": record.failures,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[:2] in (["scipy", "stats"],
+                                                           ["scipy", "optimize"]))}))
+"""
+
+
+def test_pipelines_never_import_scipy_stats_or_optimize():
+    """``scipy.stats`` and ``scipy.optimize`` cost about 0.75 s of every
+    process start; the package needs neither, at import or in any pipeline."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GRAPH_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["pipelines"] == 10 and out["tables"] >= 10 and out["csv"] >= 10
+    assert out["failures"] == {}
+    assert out["loaded"] == []

@@ -242,6 +242,24 @@ class TestPosteriorFactor:
 
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_block_mean_matches_column_means(self, seed):
+        """An (N, R) data block gives one posterior mean per column, equal to
+        the single-vector means up to the rounding of a BLAS-3 solve."""
+        prob = random_problem(seed, n_dim=7)
+        factor = cl.factor_posterior(prob, 1e3)
+        ys = np.random.default_rng(seed).standard_normal((7, 5))
+        block = factor.mean(ys)
+        assert block.shape == (7, 5)
+        for r in range(5):
+            column = factor.mean(ys[:, r])
+            assert np.allclose(block[:, r], column, rtol=0,
+                               atol=1e-13 * np.abs(column).max())
+        with pytest.raises(ParameterError, match="vector or an"):
+            factor.mean(ys.T)
+        with pytest.raises(ParameterError):
+            factor.mean(ys[:, :, None])
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_covariance_eigh_reconstructs_covariance(self, seed):
         prob = random_problem(seed, n_dim=6)
         factor = cl.factor_posterior(prob, 50.0)

@@ -194,3 +194,124 @@ class TestNoSilentNumerics:
             quadform.tail(1.0, [1.0, np.nan], [0.0, 0.0])
         with pytest.raises(ParameterError):
             quadform.cgf(0.5, [1.0], [0.0])
+
+
+def reference_tail_prob(s, lam, c2):
+    """Scalar Lugannani-Rice tail at the saddlepoint ``s``, evaluated the way
+    quadform did before its batched solver."""
+    k0, q, k2 = quadform.cgf(s, lam, c2)
+    u = s * math.sqrt(k2)
+    if abs(u) < 1e-4:
+        k2_0 = float(np.sum(lam * (2.0 * lam + 4.0 * c2)))
+        k3_0 = float(np.sum(lam * lam * (8.0 * lam + 24.0 * c2)))
+        return 0.5 - k3_0 / (6.0 * math.sqrt(2.0 * math.pi) * k2_0**1.5)
+    w = math.copysign(math.sqrt(max(2.0 * (s * q - k0), 0.0)), s)
+    density = math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi)
+    return 0.5 * math.erfc(w / math.sqrt(2.0)) + density * (1.0 / u - 1.0 / w)
+
+
+def brentq_quantile(p, lam, c2):
+    """Saddlepoint quantile of one form by the scalar bracket search and
+    ``brentq`` (xtol 1e-14 in t = 2 s max(lam)) that quadform ran before its
+    batched Newton-bisection."""
+    lam, c2 = np.asarray(lam, dtype=float), np.asarray(c2, dtype=float)
+    scale = 2.0 * float(lam.max())
+
+    def fn(t):
+        return reference_tail_prob(t / scale, lam, c2) - p
+
+    hi, lo = 0.5, -1.0
+    for _ in range(48):
+        if fn(hi) <= 0:
+            break
+        hi = 0.5 * (1.0 + hi)
+    for _ in range(48):
+        if fn(lo) >= 0:
+            break
+        lo *= 2.0
+    t = brentq(fn, lo, hi, xtol=1e-14)
+    return quadform.cgf(t / scale, lam, c2)[1]
+
+
+# (lam, c2 rows): up to 10 eigenvalues, any of them possibly zero (at least
+# one positive), and up to 6 rows of offsets, any row possibly all zero.
+batches = st.integers(min_value=1, max_value=10).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(1e-6, 1e2), min_size=k, max_size=k),
+    st.lists(st.booleans(), min_size=k, max_size=k),
+    st.lists(st.one_of(st.just([0.0] * k),
+                       st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k)),
+             min_size=1, max_size=6)))
+
+# Tail levels on either side of the band around the mean where the
+# Lugannani-Rice formula is replaced by its limit (there the tail is flat to
+# rounding and the root is not defined to 1e-12): that band lies at
+# p in (0.31, 0.5], since a quadratic form's skewness is in (0, 2 sqrt 2].
+tail_levels = st.one_of(st.floats(1e-6, 0.25), st.floats(0.55, 0.95))
+
+
+class TestBatchedQuantile:
+    @pytest.mark.parametrize("n_level", [1e2, 1e6])
+    def test_rate_fit_batch_matches_brentq_rows(self, n_level):
+        """The replicate forms of one n of the default banded rate fit
+        (N = 512): the batched 90% quantiles equal the row-by-row brentq
+        reference to 1e-12 relative."""
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
+                                                         "coupling": {"kind": "banded"}}}))
+        problem, u0 = build_problem(config), build_truth(config)
+        factor = cl.factor_posterior(problem, n_level)
+        lam, vecs = factor.covariance_eigh()
+        ys = np.column_stack([cl.simulate_data(problem, u0, n_level, seed=s).y
+                              for s in range(6)])
+        c = (factor.mean(ys) - u0[:, None]).T @ vecs
+        got = quadform.quantiles(0.1, lam, c * c)
+        assert got.shape == (6,)
+        for r in range(6):
+            assert got[r] == pytest.approx(brentq_quantile(0.1, lam, c[r] ** 2), rel=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(batches, tail_levels)
+    def test_batch_matches_brentq_rows(self, batch, p):
+        lam, zero, rows = batch
+        lam = np.asarray(lam) if all(zero) else np.where(zero, 0.0, lam)
+        c2 = np.asarray(rows)
+        got = quadform.quantiles(p, lam, c2)
+        assert got.shape == (len(rows),)
+        for r, row in enumerate(c2):
+            assert got[r] == pytest.approx(brentq_quantile(p, lam, row), rel=1e-12)
+            assert quadform.quantile(p, lam, row) == pytest.approx(got[r], rel=1e-12)
+
+    def test_scalar_routines_agree_with_batch(self):
+        """``tail`` inverts a batched quantile row by row."""
+        lam = np.array([1.0, 0.5, 0.0, 0.1])
+        c2 = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 2.0, 1.0], [4.0, 4.0, 0.0, 0.0]])
+        for p in (0.9, 0.1, 1e-5):
+            for row, q in zip(c2, quadform.quantiles(p, lam, c2)):
+                assert quadform.tail(q, lam, row) == pytest.approx(p, rel=1e-9)
+
+    def test_inputs_validated(self):
+        with pytest.raises(ParameterError):
+            quadform.quantiles(0.1, [1.0, 0.5], [1.0, 0.5])
+        with pytest.raises(ParameterError):
+            quadform.quantiles(0.1, [1.0, 0.5], np.zeros((0, 2)))
+        with pytest.raises(ParameterError):
+            quadform.quantiles(0.1, [1.0, 0.5], np.zeros((3, 3)))
+        with pytest.raises(ParameterError):
+            quadform.quantiles(0.1, [1.0, 0.5], [[0.0, -1.0]])
+        with pytest.raises(ParameterError):
+            quadform.quantiles(0.0, [1.0, 0.5], [[0.0, 1.0]])
+
+    def test_failed_bracket_names_the_row(self):
+        """Row 1 has a zero-variance term that pins Q >= 4, so no saddlepoint
+        reaches q = 1; rows 0 and 2 have one."""
+        c2 = np.array([[0.0, 0.5], [0.0, 4.0], [0.0, 0.0]])
+        with pytest.raises(NumericalError, match=r"bracket failed .*row 1 \(lower end\)"):
+            quadform._saddlepoint(1.0, np.array([1.0, 0.0]), c2)
+
+    def test_non_finite_cumulants_name_the_row(self):
+        with pytest.raises(NumericalError, match=r"not finite .*\(row 2\)"):
+            quadform.quantiles(0.1, [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0], [1e308, 1e308]])
+
+    def test_unconverged_row_raises(self, monkeypatch):
+        monkeypatch.setattr(quadform, "_MAX_STEPS", 1)
+        with pytest.raises(NumericalError, match=r"quantile at p = 0\.1 did not converge, row 0"):
+            quadform.quantiles(0.1, [1.0, 0.5], [[0.0, 1.0], [2.0, 0.0]])

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 from scipy.stats import norm
+from scipy.stats import t as student_t
 
 import contraction_lab as cl
+from contraction_lab import posterior as posterior_module
 from contraction_lab import rates
 from contraction_lab.errors import ParameterError
 from contraction_lab.rng import substream
@@ -114,16 +117,42 @@ class TestFitContractionRate:
             factor = cl.factor_posterior(prob, n)
             cov_eig = factor.covariance_eigh()
             for rep in range(3):
-                radius = rates._replicate_distances(factor, cov_eig, u0, 1 - p,
-                                                    substream(5, "rate-fit", i, rep))
+                y = rates._replicate_distances(prob, forward_apply(prob, u0, "phi"), n,
+                                               substream(5, "rate-fit", i, rep))
+                radius = rates._posterior_radii(factor, cov_eig, u0, 1 - p, y[:, None])[0]
                 rng = substream(5, "rate-fit", i, rep)
-                y = (forward_apply(prob, u0, "phi")
-                     + prob.noise_color(rng.standard_normal(n_dim)) / math.sqrt(n))
+                assert np.array_equal(y, forward_apply(prob, u0, "phi")
+                                      + prob.noise_color(rng.standard_normal(n_dim))
+                                      / math.sqrt(n))
                 post = factor.condition(y)
                 dist = np.sort(np.concatenate([
                     post.distances(u0, rng.standard_normal((n_dim, draws // 4)))
                     for _ in range(4)]))
                 assert dist[lo_idx] <= radius <= dist[hi_idx], (n, rep)
+
+    def test_one_mean_solve_per_n_and_one_draw_per_replicate(self, monkeypatch):
+        """Each replicate draws its data through the module's
+        ``_replicate_distances`` binding, once per replicate; the posterior
+        means of all replicates at one n come from one ``cho_solve`` on an
+        (N, R) block, beside the one that forms the covariance."""
+        draws, solves = [], []
+        draw, solve = rates._replicate_distances, posterior_module.cho_solve
+
+        def counting_draw(*args):
+            draws.append(args[2])
+            return draw(*args)
+
+        def counting_solve(factor, b, *args, **kwargs):
+            solves.append(np.shape(b))
+            return solve(factor, b, *args, **kwargs)
+
+        monkeypatch.setattr(rates, "_replicate_distances", counting_draw)
+        monkeypatch.setattr(posterior_module, "cho_solve", counting_solve)
+        grid = [1e2, 1e3, 1e4, 1e5]
+        cl.fit_contraction_rate(_small_problem(8), cl.power_law_truth(2.0, 8), grid, 0.1,
+                                y_replicates=5, seed=2)
+        assert draws == [n for n in grid for _ in range(5)]
+        assert sorted(solves) == [(8, 5)] * 4 + [(8, 8)] * 4
 
     def test_severe_spectrum_marked_exploratory(self):
         n = 12
@@ -142,6 +171,53 @@ def _small_problem(n_dim):
         cl.make_coupling(cl.IdentityCoupling(), n_dim),
         cl.power_law_prior(1.0, n_dim),
         cl.white_noise(n_dim), n_dim)
+
+
+def stats_exceedance_exact_1d(exp, y, u0, n_level, xi):
+    """``finite_dim_exceedance_exact_1d`` written with ``scipy.stats``, as
+    the package computed it before it took its normal functions from
+    ``scipy.special``."""
+    u_proj = float(np.linalg.lstsq(exp.g_matrix, np.atleast_1d(y), rcond=None)[0][0])
+    mw = exp.g_matrix[:, 0]
+    like_prec = n_level * float(mw @ mw)
+    means, sds = exp.prior.means[:, 0], exp.prior.sds[:, 0]
+    post_var = 1.0 / (1.0 / sds**2 + like_prec)
+    post_mean = post_var * (means / sds**2 + like_prec * u_proj)
+    log_w = np.log(exp.prior.weights) + norm.logpdf(u_proj, loc=means,
+                                                    scale=np.sqrt(sds**2 + 1.0 / like_prec))
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    w = w / w.sum()
+    post_sd = np.sqrt(post_var)
+    return float(np.sum(w * (norm.sf((u0 + xi - post_mean) / post_sd)
+                             + norm.cdf((u0 - xi - post_mean) / post_sd))))
+
+
+class TestSpecialFunctionsBitIdentical:
+    """``rates`` takes its normal and Student-t functions from
+    ``scipy.special``; they reproduce ``scipy.stats`` to the bit, so the
+    findim table and the slope interval keep their bytes."""
+
+    def test_student_t_quantile(self):
+        for dof in range(1, 31):
+            assert stdtrit(dof, 0.975) == student_t.ppf(0.975, dof), dof
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_exact_mixture_exceedance(self, q):
+        rng = np.random.default_rng(q)
+        prior = cl.GaussianMixturePrior(np.array([0.5, 0.3, 0.2]),
+                                        np.array([[-1.0], [0.5], [2.0]]),
+                                        np.array([[1.0], [0.3], [1.5]]))
+        for p_prior in (cl.two_component_mixture(1), prior):
+            exp = cl.FiniteDimExperiment(p=1, q=q, g_matrix=rng.uniform(0.5, 2.0, (q, 1)),
+                                         prior=p_prior, m_const=3.0)
+            for n in (3.0, 100.0, 1e4, 1e6):
+                for _ in range(5):
+                    y = rng.standard_normal(q)
+                    u0 = float(rng.uniform(-2.0, 2.0))
+                    xi = float(rng.uniform(0.0, 1.0)) * math.sqrt(math.log(n) / n) * 3.0
+                    got = cl.finite_dim_exceedance_exact_1d(exp, y, u0, n, xi)
+                    assert got == stats_exceedance_exact_1d(exp, y, u0, n, xi)
 
 
 class TestFiniteDimExperiment:
