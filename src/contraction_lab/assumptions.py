@@ -93,22 +93,6 @@ class AssumptionReport:
     details: dict = field(default_factory=dict)
 
     @property
-    def small_ball_ok(self) -> bool:
-        return self.small_ball.ok
-
-    @property
-    def tail_ok(self) -> bool:
-        return self.tail.ok
-
-    @property
-    def g_ok(self) -> bool:
-        return self.g.ok
-
-    @property
-    def kn_ok(self) -> bool:
-        return self.kn.ok
-
-    @property
     def all_ok(self) -> bool:
         return self.small_ball.ok and self.tail.ok and self.g.ok and self.kn.ok
 

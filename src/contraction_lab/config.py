@@ -191,8 +191,9 @@ def _check_invariants(data: dict) -> None:
         raise ConfigInvariantError("run.n_grid", "must be strictly increasing")
     if any(n <= 0 for n in n_grid):
         raise ConfigInvariantError("run.n_grid", "entries must be positive")
-    if run["mc"] < 1 or run["y_replicates"] < 1:
-        raise ConfigInvariantError("run.mc", "counts must be positive")
+    for key in ("mc", "y_replicates"):
+        if run[key] < 1:
+            raise ConfigInvariantError(f"run.{key}", "counts must be positive")
     if run["master_seed"] < 0:
         raise ConfigInvariantError("run.master_seed", "seed must be nonnegative")
     if not (0 < run["delta_level"] < 0.5):
@@ -225,6 +226,7 @@ class ExperimentConfig:
     def with_master_seed(self, seed: int) -> "ExperimentConfig":
         data = json.loads(json.dumps(self.data))
         data["run"]["master_seed"] = int(seed)
+        _check_invariants(data)
         return ExperimentConfig(data=data, digest=_digest(data))
 
 

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve, eigh
+from scipy.linalg.lapack import dtrtri
 
 from .errors import NumericalError, ParameterError
 from .rng import substream
@@ -26,11 +27,13 @@ from .spectral import InverseProblem, DataSample, as_vector, forward_apply
 # to minus that is the rounding of a zero.
 EIGENVALUE_RTOL = float(np.finfo(float).eps)
 
+JITTER_DOUBLINGS = 3
 
-def cholesky_with_jitter(mat: np.ndarray, max_doublings: int = 3) -> np.ndarray:
+
+def cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, escalating a scaled-identity jitter on failure.
 
-    Starts at 1e-12 * ||mat||_F and doubles at most ``max_doublings`` times.
+    Starts at 1e-12 * ||mat||_F and doubles at most ``JITTER_DOUBLINGS`` times.
     """
     try:
         return np.linalg.cholesky(mat)
@@ -38,7 +41,7 @@ def cholesky_with_jitter(mat: np.ndarray, max_doublings: int = 3) -> np.ndarray:
         pass
     jitter = 1e-12 * np.linalg.norm(mat)
     eye = np.eye(mat.shape[0])
-    for _ in range(max_doublings + 1):
+    for _ in range(JITTER_DOUBLINGS + 1):
         try:
             return np.linalg.cholesky(mat + jitter * eye)
         except np.linalg.LinAlgError:
@@ -49,8 +52,8 @@ def cholesky_with_jitter(mat: np.ndarray, max_doublings: int = 3) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorGaussian:
-    """Gaussian posterior in phi-coordinates with a lower-triangular
-    covariance factor (covariance = factor @ factor.T)."""
+    """Gaussian posterior in phi-coordinates with a triangular covariance
+    factor (covariance = factor @ factor.T)."""
 
     mean: np.ndarray
     cov_factor: np.ndarray
@@ -114,9 +117,10 @@ def posterior_precision(problem: InverseProblem, n_level: float) -> np.ndarray:
 class PosteriorFactor:
     """The data-independent part of the conjugate posterior at one noise
     level: factor once per n, then condition on any number of data draws.
-    The factorizations themselves are private to this module; the covariance
-    is formed on first use, as a Cholesky factor for sampling or as an
-    eigendecomposition for exact quadratic-form tails."""
+    The precision's Cholesky factor L is the only factorization; its triangular
+    inverse, formed on first use, gives the upper-triangular sampling factor
+    ``L^{-T}`` and the covariance ``L^{-T} L^{-1}`` that ``covariance_eigh``
+    decomposes. Both are read-only: every conditioned posterior shares them."""
 
     problem: InverseProblem
     n_level: float
@@ -135,16 +139,16 @@ class PosteriorFactor:
 
     def condition(self, y: np.ndarray) -> PosteriorGaussian:
         """Posterior given data ``y`` (e-coordinates)."""
-        return PosteriorGaussian(mean=self.mean(y), cov_factor=self._cov_factor,
+        return PosteriorGaussian(mean=self.mean(y), cov_factor=self._chol_inv.T,
                                  n_level=self.n_level)
 
-    def _covariance(self) -> np.ndarray:
-        cov = cho_solve((self._precision_chol, True), np.eye(self.problem.n_dim))
-        return 0.5 * (cov + cov.T)
-
     @cached_property
-    def _cov_factor(self) -> np.ndarray:
-        return cholesky_with_jitter(self._covariance())
+    def _chol_inv(self) -> np.ndarray:
+        # Half the time of a solve against the identity. Its info flags only a
+        # zero diagonal, which a Cholesky factor lacks.
+        inv, _ = dtrtri(self._precision_chol, lower=1)
+        inv.flags.writeable = False
+        return inv
 
     def covariance_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthonormal eigenvectors of the
@@ -157,7 +161,8 @@ class PosteriorFactor:
         ``-EIGENVALUE_RTOL * n_dim * max`` are the rounding of a zero and are
         set to zero; a more negative one raises ``NumericalError``.
         """
-        vals, vecs = eigh(self._covariance(), overwrite_a=True, check_finite=False)
+        # numpy forms ``A.T @ A`` by a symmetric rank-k update: exactly symmetric.
+        vals, vecs = eigh(self._chol_inv.T @ self._chol_inv, overwrite_a=True, check_finite=False)
         floor = -EIGENVALUE_RTOL * self.problem.n_dim * vals[-1]
         if not (vals[-1] > 0 and vals[0] >= floor):
             raise NumericalError(f"posterior covariance eigenvalue {vals[0]:.3e} below the "
@@ -169,10 +174,11 @@ class PosteriorFactor:
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
     """Factor the conjugate posterior at noise level ``n_level`` once; the
     result conditions on any number of data draws."""
-    p_chol = cholesky_with_jitter(posterior_precision(problem, n_level))
     # Fortran order: LAPACK's solve would otherwise copy the factor on every
     # call, which costs three times the solve itself at N = 512.
-    return PosteriorFactor(problem, n_level, np.asfortranarray(p_chol))
+    p_chol = np.asfortranarray(cholesky_with_jitter(posterior_precision(problem, n_level)))
+    p_chol.flags.writeable = False
+    return PosteriorFactor(problem, n_level, p_chol)
 
 
 def conjugate_posterior(problem: InverseProblem, data: DataSample) -> PosteriorGaussian:

@@ -496,7 +496,7 @@ class TestVerifyAssumptions:
         plan = cl.RatePlan(eps_n=eps, xi_n=eps**2, k_n=4, r_n=None,
                            constants=cl.RateConstants(), n_level=1e4)
         report = cl.verify_assumptions(prob, plan, u0, 1000, seed=6)
-        assert not report.g_ok
+        assert not report.g.ok
 
     def test_full_cutoff_tiny_eps_breaks_kn(self):
         prob = identity_problem(32)
@@ -504,7 +504,7 @@ class TestVerifyAssumptions:
         plan = cl.RatePlan(eps_n=1e-3, xi_n=0.5, k_n=32, r_n=None,
                            constants=cl.RateConstants(), n_level=100.0)
         report = cl.verify_assumptions(prob, plan, u0, 1000, seed=7)
-        assert not report.kn_ok
+        assert not report.kn.ok
 
     def test_finite_r_flagged(self):
         prob = identity_problem(16)

@@ -49,6 +49,17 @@ class TestParseConfig:
             cl.parse_config("run: {n_grid: [100, 50, 1000, 10000]}")
         assert "run.n_grid" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["mc", "y_replicates"])
+    def test_nonpositive_count_names_its_own_key(self, key):
+        with pytest.raises(ConfigInvariantError) as err:
+            cl.parse_config(f"run: {{{key}: 0}}")
+        assert err.value.field == f"run.{key}"
+
+    def test_seed_override_is_validated_like_the_file(self):
+        with pytest.raises(ConfigInvariantError) as err:
+            cl.parse_config("").with_master_seed(-5)
+        assert err.value.field == "run.master_seed"
+
     def test_unknown_key_suggests_spelling(self):
         with pytest.raises(UnknownConfigKeyError) as err:
             cl.parse_config("problem: {pirors: {family: power}}")
@@ -229,8 +240,9 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
             cl.run_experiment(config, workers=8).tables
 
     def test_posterior_pipeline_factors_once_per_n(self, monkeypatch):
-        """One factorization per n: a Cholesky of the precision and one of
-        the covariance, shared by the data conditioning and the xi grid."""
+        """One factorization per n: the Cholesky of the precision, shared by
+        the data conditioning and the xi grid; the covariance factor is its
+        triangular inverse, not a second Cholesky."""
         calls = []
         original = posterior_module.cholesky_with_jitter
 
@@ -242,7 +254,7 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         config = cl.parse_config(SMALL_CONFIG)
         record = cl.run_experiment(config, pipelines=["posterior"])
         assert not record.failures, record.failures
-        assert len(calls) == 2 * len(config.run["n_grid"])
+        assert len(calls) == len(config.run["n_grid"])
 
 
 class TestEmit:
@@ -317,6 +329,13 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli_main(["gn", "--config", str(tmp_path / "nope.yaml")]) == 3
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        assert cli_main(["gn", "--config", str(path), "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "'run.master_seed'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_changes_digest(self, tmp_path):
         path = self._write(tmp_path)

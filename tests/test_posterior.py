@@ -1,5 +1,6 @@
 """Potential, conjugate posterior, exceedance estimators and their agreement."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.stats import norm
 
 import contraction_lab as cl
 from contraction_lab import posterior
+from contraction_lab.config import build_problem
 from contraction_lab.errors import NumericalError, ParameterError
 
 
@@ -267,6 +269,44 @@ class TestPosteriorFactor:
         cov = factor.condition(np.zeros(6)).covariance()
         assert np.all(lam >= 0)
         assert np.allclose((vecs * lam) @ vecs.T, cov, rtol=0, atol=1e-12 * lam.max())
+
+    @pytest.mark.parametrize("n_level", [1e2, 1e6])
+    def test_cov_factor_inverts_precision_at_smooth_prior(self, n_level):
+        """The sampling factor is the upper-triangular inverse transpose of the
+        precision's Cholesky factor, and its square inverts the precision to
+        1e-13 even at prior smoothness 5, where cond(P) reaches 6.7e27."""
+        config = cl.parse_config(json.dumps({"problem": {
+            "n_dim": 512, "coupling": {"kind": "banded"}, "prior": {"delta": 5.0}}}))
+        prob = build_problem(config)
+        factor = cl.factor_posterior(prob, n_level).condition(np.zeros(512)).cov_factor
+        assert np.array_equal(factor, np.triu(factor)) and np.all(np.diag(factor) > 0)
+        resid = factor @ factor.T @ cl.posterior_precision(prob, n_level) - np.eye(512)
+        assert np.linalg.norm(resid) <= 1e-13
+
+    def test_covariance_handed_to_eigh_is_exactly_symmetric(self, monkeypatch):
+        captured = []
+        original = posterior.eigh
+
+        def capturing(mat, *args, **kwargs):
+            captured.append(mat.copy())
+            return original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(posterior, "eigh", capturing)
+        cl.factor_posterior(random_problem(3, n_dim=40), 1e3).covariance_eigh()
+        assert len(captured) == 1 and np.array_equal(captured[0], captured[0].T)
+
+    def test_cached_factors_are_read_only(self):
+        """A posterior shares its covariance factor with the factor it was
+        conditioned on, so a write through it must not reach later posteriors."""
+        prob = random_problem(1, n_dim=5)
+        factor = cl.factor_posterior(prob, 50.0)
+        post = factor.condition(np.ones(5))
+        before = post.cov_factor.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            post.cov_factor[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            factor._precision_chol[0, 0] = 2.0
+        assert np.array_equal(factor.condition(np.zeros(5)).cov_factor, before)
 
     def test_eigenvalue_rounding_of_zero_is_clipped(self, monkeypatch):
         prob = random_problem(0, n_dim=4)
