@@ -15,8 +15,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork, dtrtri
 
 from .errors import NumericalError, ParameterError
 from .rng import substream
@@ -119,7 +119,7 @@ class PosteriorFactor:
     level: factor once per n, then condition on any number of data draws.
     The precision's Cholesky factor L is the only factorization; its triangular
     inverse, formed on first use, gives the upper-triangular sampling factor
-    ``L^{-T}`` and the covariance ``L^{-T} L^{-1}`` that ``covariance_eigh``
+    ``L^{-T}`` and the covariance ``L^{-T} L^{-1}`` that ``covariance_spectrum``
     decomposes. Both are read-only: every conditioned posterior shares them."""
 
     problem: InverseProblem
@@ -130,10 +130,7 @@ class PosteriorFactor:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
         (N, R) block of R data draws with one mean per column, which costs
         one matrix product and one triangular solve pair for all of them."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim > 2 or y.shape[:1] != (self.problem.n_dim,):
-            raise ParameterError(f"y must be a length-{self.problem.n_dim} vector or an "
-                                 f"({self.problem.n_dim}, R) block, got shape {y.shape}")
+        y = self._block(y, "y")
         rhs = self.n_level * (self.problem.whitened_forward.T @ self.problem.noise_whiten(y))
         return cho_solve((self._precision_chol, True), rhs)
 
@@ -141,6 +138,13 @@ class PosteriorFactor:
         """Posterior given data ``y`` (e-coordinates)."""
         return PosteriorGaussian(mean=self.mean(y), cov_factor=self._chol_inv.T,
                                  n_level=self.n_level)
+
+    def _block(self, x, name: str) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 2 or x.shape[:1] != (self.problem.n_dim,):
+            raise ParameterError(f"{name} must be a length-{self.problem.n_dim} vector or an "
+                                 f"({self.problem.n_dim}, R) block, got shape {x.shape}")
+        return x
 
     @cached_property
     def _chol_inv(self) -> np.ndarray:
@@ -150,25 +154,63 @@ class PosteriorFactor:
         inv.flags.writeable = False
         return inv
 
-    def covariance_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and orthonormal eigenvectors of the
-        posterior covariance.
+    def _lapack_ok(self, routine: str, info: int) -> None:
+        if info != 0:
+            raise NumericalError(f"LAPACK {routine} failed with info = {info} on the "
+                                 f"posterior covariance at n_level = {float(self.n_level)!r}")
+
+    def covariance_spectrum(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)
+        V^T`` and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
+        without forming the eigenvectors V.
 
         The covariance, not the precision, is decomposed: the precision's
         condition number reaches 6.7e27 on a mildly ill-posed problem with
         prior smoothness 5, which would destroy the large covariance
-        eigenvalues that dominate posterior radii. Computed eigenvalues down to
+        eigenvalues that dominate posterior radii. LAPACK reduces ``C = Q T
+        Q^T`` to tridiagonal form (dsytrd), applies the reflectors Q^T to
+        ``d`` (dormqr) and solves ``T = Z diag(lam) Z^T`` by divide and conquer
+        (dstevd), so ``V^T d = Z^T Q^T d``; the back-transformation ``V = Q Z``
+        of a full eigensolver is skipped. Computed eigenvalues down to
         ``-EIGENVALUE_RTOL * n_dim * max`` are the rounding of a zero and are
-        set to zero; a more negative one raises ``NumericalError``.
+        set to zero; a more negative one, or a failed LAPACK call, raises
+        ``NumericalError``.
         """
-        # numpy forms ``A.T @ A`` by a symmetric rank-k update: exactly symmetric.
-        vals, vecs = eigh(self._chol_inv.T @ self._chol_inv, overwrite_a=True, check_finite=False)
-        floor = -EIGENVALUE_RTOL * self.problem.n_dim * vals[-1]
-        if not (vals[-1] > 0 and vals[0] >= floor):
-            raise NumericalError(f"posterior covariance eigenvalue {vals[0]:.3e} below the "
-                                 f"rounding floor {floor:.3e} (largest {vals[-1]:.3e})")
-        np.maximum(vals, 0.0, out=vals)
-        return vals, vecs
+        d = self._block(d, "d")
+        n = self.problem.n_dim
+        # numpy forms ``A.T @ A`` by a symmetric rank-k update: exactly
+        # symmetric, so its Fortran-ordered transpose is the same matrix and
+        # LAPACK reduces it in place without a copy.
+        cov = (self._chol_inv.T @ self._chol_inv).T
+        lwork, info = dsytrd_lwork(n, lower=1)
+        self._lapack_ok("dsytrd_lwork", info)
+        tri, diag, off, tau, info = dsytrd(cov, lower=1, lwork=int(lwork), overwrite_a=1)
+        self._lapack_ok("dsytrd", info)
+        proj = np.array(d.reshape(n, -1))
+        if n > 1:
+            # A lower reduction leaves row 0 alone; its reflectors are the QR
+            # factor of the trailing (N - 1) block.
+            refl = np.asfortranarray(tri[1:, :-1])
+            _, work, info = dormqr("L", "T", refl, tau, proj[1:], -1)
+            self._lapack_ok("dormqr", info)
+            proj[1:], _, info = dormqr("L", "T", refl, tau, proj[1:], int(work[0]))
+            self._lapack_ok("dormqr", info)
+            del refl
+        del cov, tri  # freed before dstevd allocates its N x N workspace
+        lam, z, info = dstevd(diag, off if n > 1 else np.zeros(1))
+        self._lapack_ok("dstevd", info)
+        floor = -EIGENVALUE_RTOL * n * lam[-1]
+        if not (lam[-1] > 0 and lam[0] >= floor):
+            raise NumericalError(f"posterior covariance eigenvalue {lam[0]:.3e} below the "
+                                 f"rounding floor {floor:.3e} (largest {lam[-1]:.3e})")
+        np.maximum(lam, 0.0, out=lam)
+        return lam, (z.T @ proj).reshape(d.shape)
+
+    def covariance_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of
+        the posterior covariance: ``covariance_spectrum`` of the identity."""
+        lam, vt = self.covariance_spectrum(np.eye(self.problem.n_dim))
+        return lam, vt.T
 
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:

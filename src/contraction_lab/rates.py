@@ -141,18 +141,20 @@ def _replicate_distances(problem: InverseProblem, g_u0: np.ndarray, n_level: flo
     return g_u0 + problem.noise_color(z) / math.sqrt(n_level)
 
 
-def _posterior_radii(factor: PosteriorFactor, cov_eig: tuple[np.ndarray, np.ndarray],
-                     u0: np.ndarray, delta_level: float, ys: np.ndarray) -> np.ndarray:
+def _posterior_radii(factor: PosteriorFactor, u0: np.ndarray, delta_level: float,
+                     ys: np.ndarray) -> np.ndarray:
     """Exact (1 - delta) posterior radii around u0, one per column of the
     (N, R) data block ``ys``.
 
-    In the eigenbasis ``cov_eig`` of the posterior covariance the squared
-    distance of a posterior draw from u0 is ``sum_i (c_i + sqrt(lam_i) Z_i)**2``
-    with ``c = V^T (mean - u0)``; its upper delta-quantile comes from the
-    saddlepoint kernel rather than from posterior samples.
+    In the eigenbasis V of the posterior covariance the squared distance of a
+    posterior draw from u0 is ``sum_i (c_i + sqrt(lam_i) Z_i)**2`` with
+    ``c = V^T (mean - u0)``; its upper delta-quantile comes from the
+    saddlepoint kernel rather than from posterior samples. ``lam`` and the R
+    projections come from one tridiagonal reduction of the covariance, and V
+    is never formed.
     """
-    lam, vecs = cov_eig
-    c = (factor.mean(ys) - u0[:, None]).T @ vecs  # row r: V^T (mean_r - u0)
+    lam, c = factor.covariance_spectrum(factor.mean(ys) - u0[:, None])
+    c = c.T.copy()  # row r: V^T (mean_r - u0)
     return np.sqrt(quadform.quantiles(delta_level, lam, c * c))
 
 
@@ -165,9 +167,10 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     (1 - delta) fraction of data replicates put posterior mass at most delta
     outside the ball: the ceil((1 - delta) R)-th smallest of the replicates'
     exact (1 - delta) posterior radii. Only the data are sampled; each
-    replicate's radius is a saddlepoint quantile over one eigendecomposition
-    of the posterior covariance per n, and the replicates of one n share one
-    mean solve and one batched quantile solve.
+    replicate's radius is a saddlepoint quantile over the eigenvalues of the
+    posterior covariance. Per n the replicates share one mean solve, one
+    tridiagonal reduction of the covariance that yields the eigenvalues and
+    their projections without eigenvectors, and one batched quantile solve.
     """
     n_grid = np.array(n_grid, dtype=float)
     if n_grid.ndim != 1 or len(n_grid) < 4:
@@ -188,7 +191,7 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
         ys = np.column_stack([_replicate_distances(problem, g_u0, n,
                                                    substream(seed, "rate-fit", i, rep))
                               for rep in range(y_replicates)])
-        radii = _posterior_radii(factor, factor.covariance_eigh(), u0, delta_level, ys)
+        radii = _posterior_radii(factor, u0, delta_level, ys)
         radii.sort()
         xi_hat.append(float(radii[rank - 1]))
         exceed_frac.append(np.count_nonzero(radii <= radii[rank - 1]) / y_replicates)

@@ -474,7 +474,8 @@ class InverseProblem:
 
 @dataclass(frozen=True, eq=False)
 class DataSample:
-    """One realization of the observation model at noise scaling ``n_level``."""
+    """One realization of the observation model at noise scaling ``n_level``;
+    ``y`` and ``u0`` are read-only copies of the arrays passed in."""
 
     y: np.ndarray
     n_level: float
@@ -484,11 +485,11 @@ class DataSample:
     def __post_init__(self):
         if self.n_level <= 0:
             raise ParameterError("n_level must be positive")
-        y = np.asarray(self.y, dtype=float)
+        y = _frozen(self.y)
         if not np.all(np.isfinite(y)):
             raise ParameterError("y must be finite-valued")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
+        object.__setattr__(self, "u0", _frozen(self.u0))
 
 
 def forward_apply(problem: InverseProblem, u: np.ndarray, basis: str = "phi") -> np.ndarray:

@@ -11,6 +11,7 @@ from contraction_lab.config import build_problem
 from contraction_lab.errors import (
     ConfigInvariantError,
     ConfigSyntaxError,
+    NumericalError,
     UnknownConfigKeyError,
 )
 from contraction_lab import posterior as posterior_module
@@ -336,6 +337,23 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 1
         assert "'run.master_seed'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_eigensolver_failure_names_the_pipeline(self, tmp_path, capsys, monkeypatch):
+        """A divide-and-conquer solve that fails to converge reaches the rate
+        fit as a ``NumericalError`` and the CLI as exit 2 with the pipeline
+        named on stderr."""
+        def unconverged(d, e, *args, **kwargs):
+            return d.copy(), np.eye(d.size), 1
+
+        monkeypatch.setattr(posterior_module, "dstevd", unconverged)
+        prob = build_problem(cl.parse_config(SMALL_CONFIG))
+        with pytest.raises(NumericalError, match=r"dstevd failed .* n_level = 100\.0"):
+            cl.fit_contraction_rate(prob, cl.power_law_truth(2.0, 12), [1e2, 1e3, 1e4, 1e5],
+                                    0.1, 4, seed=0)
+        path = self._write(tmp_path)
+        assert cli_main(["rate-fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "pipeline rate-fit failed: NumericalError" in err and "dstevd" in err
 
     def test_seed_flag_changes_digest(self, tmp_path):
         path = self._write(tmp_path)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import contraction_lab as cl
@@ -275,25 +278,34 @@ class TestPosteriorFactor:
         """The sampling factor is the upper-triangular inverse transpose of the
         precision's Cholesky factor, and its square inverts the precision to
         1e-13 even at prior smoothness 5, where cond(P) reaches 6.7e27."""
-        config = cl.parse_config(json.dumps({"problem": {
-            "n_dim": 512, "coupling": {"kind": "banded"}, "prior": {"delta": 5.0}}}))
-        prob = build_problem(config)
+        prob = _banded_problem(512, 5.0)
         factor = cl.factor_posterior(prob, n_level).condition(np.zeros(512)).cov_factor
         assert np.array_equal(factor, np.triu(factor)) and np.all(np.diag(factor) > 0)
         resid = factor @ factor.T @ cl.posterior_precision(prob, n_level) - np.eye(512)
         assert np.linalg.norm(resid) <= 1e-13
 
-    def test_covariance_handed_to_eigh_is_exactly_symmetric(self, monkeypatch):
+    def test_covariance_handed_to_dsytrd_is_exactly_symmetric(self, monkeypatch):
+        """The tridiagonal reduction reads only the lower triangle of the
+        covariance it is handed; that array is exactly symmetric, Fortran-
+        ordered (so LAPACK reduces it in place) and its lower triangle is the
+        lower triangle of an independently computed ``L^{-T} L^{-1}``."""
         captured = []
-        original = posterior.eigh
+        original = posterior.dsytrd
 
         def capturing(mat, *args, **kwargs):
-            captured.append(mat.copy())
+            captured.append((mat.copy(), mat.flags.f_contiguous))
             return original(mat, *args, **kwargs)
 
-        monkeypatch.setattr(posterior, "eigh", capturing)
-        cl.factor_posterior(random_problem(3, n_dim=40), 1e3).covariance_eigh()
-        assert len(captured) == 1 and np.array_equal(captured[0], captured[0].T)
+        monkeypatch.setattr(posterior, "dsytrd", capturing)
+        prob = random_problem(3, n_dim=40)
+        cl.factor_posterior(prob, 1e3).covariance_eigh()
+        assert len(captured) == 1
+        mat, fortran = captured[0]
+        assert fortran and np.array_equal(mat, mat.T)
+        p_chol = np.linalg.cholesky(cl.posterior_precision(prob, 1e3))
+        inv = scipy.linalg.solve_triangular(p_chol, np.eye(40), lower=True)
+        ref = inv.T @ inv
+        assert np.allclose(np.tril(mat), np.tril(ref), rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_cached_factors_are_read_only(self):
         """A posterior shares its covariance factor with the factor it was
@@ -311,18 +323,90 @@ class TestPosteriorFactor:
     def test_eigenvalue_rounding_of_zero_is_clipped(self, monkeypatch):
         prob = random_problem(0, n_dim=4)
         floor = posterior.EIGENVALUE_RTOL * 4
-        fake = (np.array([-0.5 * floor, 0.2, 0.5, 1.0]), np.eye(4))
-        monkeypatch.setattr(cl.posterior, "eigh", lambda *a, **k: fake)
+        fake = (np.array([-0.5 * floor, 0.2, 0.5, 1.0]), np.eye(4), 0)
+        monkeypatch.setattr(cl.posterior, "dstevd", lambda *a, **k: fake)
         lam, _ = cl.factor_posterior(prob, 50.0).covariance_eigh()
         assert lam[0] == 0.0 and lam[-1] == 1.0
 
     def test_negative_eigenvalue_beyond_rounding_raises(self, monkeypatch):
         prob = random_problem(0, n_dim=4)
         floor = posterior.EIGENVALUE_RTOL * 4
-        fake = (np.array([-2.0 * floor, 0.2, 0.5, 1.0]), np.eye(4))
-        monkeypatch.setattr(cl.posterior, "eigh", lambda *a, **k: fake)
+        fake = (np.array([-2.0 * floor, 0.2, 0.5, 1.0]), np.eye(4), 0)
+        monkeypatch.setattr(cl.posterior, "dstevd", lambda *a, **k: fake)
         with pytest.raises(NumericalError, match="rounding floor"):
             cl.factor_posterior(prob, 50.0).covariance_eigh()
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dormqr", "dstevd"])
+    def test_lapack_failure_raises_numerical_error(self, monkeypatch, routine):
+        """A nonzero ``info`` from any step of the kernel raises a typed error
+        naming the routine and the noise level."""
+        original = getattr(posterior, routine)
+
+        def failing(*args, **kwargs):
+            out = original(*args, **kwargs)
+            return out[:-1] + (3,)
+
+        monkeypatch.setattr(posterior, routine, failing)
+        factor = cl.factor_posterior(random_problem(0, n_dim=4), 50.0)
+        with pytest.raises(NumericalError, match=f"{routine} failed .* n_level = 50.0"):
+            factor.covariance_spectrum(np.ones(4))
+
+
+class TestCovarianceSpectrum:
+    """The projected kernel: covariance eigenvalues and ``V^T d`` without V."""
+
+    @staticmethod
+    def _check(factor, d):
+        """Against ``eigh`` of the same covariance ``L^{-T} L^{-1}``."""
+        lam, c = factor.covariance_spectrum(d)
+        inv = factor._chol_inv
+        ref = scipy.linalg.eigh(inv.T @ inv, eigvals_only=True)
+        assert c.shape == d.shape
+        assert np.all(np.diff(lam) >= 0) and np.all(lam >= 0)
+        assert np.all(np.abs(lam - ref) <= 1e-13 * ref.max())
+        d2 = np.sum(d * d, axis=0)
+        assert np.all(np.abs(np.sum(c * c, axis=0) - d2) <= 1e-13 * d2)
+        return lam, c
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_random_spd_eigenvalues_and_projection_norms(self, n_dim, cols, seed):
+        """A random lower-triangular factor with positive diagonal makes a
+        random SPD precision, hence a random SPD covariance."""
+        rng = np.random.default_rng(seed)
+        chol = np.tril(rng.standard_normal((n_dim, n_dim)), -1)
+        chol[np.diag_indices(n_dim)] = rng.uniform(0.5, 2.0, n_dim)
+        chol = np.asfortranarray(chol)
+        chol.flags.writeable = False
+        factor = posterior.PosteriorFactor(random_problem(seed, n_dim=n_dim), 1.0, chol)
+        self._check(factor, rng.standard_normal((n_dim, cols)))
+
+    @pytest.mark.parametrize("n_level", [1e2, 1e6])
+    def test_banded_smooth_prior(self, n_level):
+        """Banded N = 512 at prior smoothness 5, where cond(P) reaches 6.7e27."""
+        prob = _banded_problem(512, 5.0)
+        factor = cl.factor_posterior(prob, n_level)
+        self._check(factor, np.random.default_rng(0).standard_normal((512, 3)))
+
+    def test_edge_sizes_and_vector(self):
+        """N = 1 has no reflectors, N = 2 one; a vector comes back a vector,
+        equal to the matching column of a block."""
+        for n_dim in (1, 2):
+            prob = random_problem(7, n_dim=n_dim)
+            factor = cl.factor_posterior(prob, 10.0)
+            block = np.random.default_rng(n_dim).standard_normal((n_dim, 2))
+            lam, c = self._check(factor, block)
+            lam_v, c_v = factor.covariance_spectrum(block[:, 1])
+            assert c_v.shape == (n_dim,)
+            assert np.array_equal(lam_v, lam) and np.array_equal(c_v, c[:, 1])
+        with pytest.raises(ParameterError, match="vector or an"):
+            factor.covariance_spectrum(np.ones(3))
+
+
+def _banded_problem(n_dim, delta):
+    config = cl.parse_config(json.dumps({"problem": {
+        "n_dim": n_dim, "coupling": {"kind": "banded"}, "prior": {"delta": delta}}}))
+    return build_problem(config)
 
 
 class TestSnisExceedance:

@@ -1,17 +1,20 @@
 """Closed-form exponents, empirical rate fits, and the finite-dimensional
 log-rate experiment."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import stdtrit
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
 import contraction_lab as cl
 from contraction_lab import posterior as posterior_module
-from contraction_lab import rates
+from contraction_lab import quadform, rates
+from contraction_lab.config import build_problem
 from contraction_lab.errors import ParameterError
 from contraction_lab.rng import substream
 from contraction_lab.spectral import forward_apply
@@ -115,11 +118,10 @@ class TestFitContractionRate:
         lo_idx, hi_idx = math.floor(draws * p - half) - 1, math.ceil(draws * p + half) - 1
         for i, n in enumerate([1e2, 1e4, 1e6]):
             factor = cl.factor_posterior(prob, n)
-            cov_eig = factor.covariance_eigh()
             for rep in range(3):
                 y = rates._replicate_distances(prob, forward_apply(prob, u0, "phi"), n,
                                                substream(5, "rate-fit", i, rep))
-                radius = rates._posterior_radii(factor, cov_eig, u0, 1 - p, y[:, None])[0]
+                radius = rates._posterior_radii(factor, u0, 1 - p, y[:, None])[0]
                 rng = substream(5, "rate-fit", i, rep)
                 assert np.array_equal(y, forward_apply(prob, u0, "phi")
                                       + prob.noise_color(rng.standard_normal(n_dim))
@@ -134,9 +136,13 @@ class TestFitContractionRate:
         """Each replicate draws its data through the module's
         ``_replicate_distances`` binding, once per replicate; the posterior
         means of all replicates at one n come from one ``cho_solve`` on an
-        (N, R) block, and no solve forms the covariance against an identity."""
-        draws, solves = [], []
+        (N, R) block, and no solve forms the covariance against an identity.
+        Each n reduces its covariance to tridiagonal form once, and the
+        reflectors only ever meet the trailing (N - 1, R) rows of the
+        replicates' mean block, never an N x N identity."""
+        draws, solves, reductions, reflections = [], [], [], []
         draw, solve = rates._replicate_distances, posterior_module.cho_solve
+        reduce, reflect = posterior_module.dsytrd, posterior_module.dormqr
 
         def counting_draw(*args):
             draws.append(args[2])
@@ -146,13 +152,47 @@ class TestFitContractionRate:
             solves.append(np.shape(b))
             return solve(factor, b, *args, **kwargs)
 
+        def counting_reduce(a, *args, **kwargs):
+            reductions.append(np.shape(a))
+            return reduce(a, *args, **kwargs)
+
+        def counting_reflect(side, trans, a, tau, c, *args, **kwargs):
+            reflections.append(np.shape(c))
+            return reflect(side, trans, a, tau, c, *args, **kwargs)
+
         monkeypatch.setattr(rates, "_replicate_distances", counting_draw)
         monkeypatch.setattr(posterior_module, "cho_solve", counting_solve)
+        monkeypatch.setattr(posterior_module, "dsytrd", counting_reduce)
+        monkeypatch.setattr(posterior_module, "dormqr", counting_reflect)
         grid = [1e2, 1e3, 1e4, 1e5]
         cl.fit_contraction_rate(_small_problem(8), cl.power_law_truth(2.0, 8), grid, 0.1,
                                 y_replicates=5, seed=2)
         assert draws == [n for n in grid for _ in range(5)]
         assert solves == [(8, 5)] * 4
+        assert reductions == [(8, 8)] * 4
+        assert reflections and set(reflections) == {(7, 5)}
+
+    @pytest.mark.parametrize("delta", [1.0, 5.0])
+    @pytest.mark.parametrize("n_level", [1e2, 1e6])
+    def test_radii_match_eigenvector_route(self, delta, n_level):
+        """Radii from the projected kernel equal those from a full
+        eigendecomposition with eigenvectors to 1e-13 relative on the banded
+        N = 512 config."""
+        config = cl.parse_config(json.dumps({"problem": {
+            "n_dim": 512, "coupling": {"kind": "banded"}, "prior": {"delta": delta}}}))
+        prob = build_problem(config)
+        u0 = cl.power_law_truth(2.0, 512)
+        factor = cl.factor_posterior(prob, n_level)
+        g_u0 = forward_apply(prob, u0, "phi")
+        ys = np.column_stack([rates._replicate_distances(prob, g_u0, n_level,
+                                                         substream(3, "rate-fit", 0, rep))
+                              for rep in range(4)])
+        radii = rates._posterior_radii(factor, u0, 0.1, ys)
+        inv = factor._chol_inv
+        lam, vecs = scipy.linalg.eigh(inv.T @ inv)
+        c = (factor.mean(ys) - u0[:, None]).T @ vecs
+        ref = np.sqrt(quadform.quantiles(0.1, np.maximum(lam, 0.0), c * c))
+        assert np.all(np.abs(radii - ref) <= 1e-13 * ref)
 
     def test_severe_spectrum_marked_exploratory(self):
         n = 12

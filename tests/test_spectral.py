@@ -354,3 +354,15 @@ class TestImmutability:
         assert coupling.t_matrix[0, 0] == 1.0
         assert prior.variances[0] == 1.0
         assert noise.dense[0, 0] == 2.0
+
+    def test_data_sample_holds_read_only_copies(self):
+        """A data sample neither follows later writes to the caller's arrays
+        nor accepts a write that would bypass its finiteness check."""
+        y, u0 = np.array([1.0, 2.0, 3.0]), np.zeros(3)
+        sample = cl.DataSample(y=y, n_level=10.0, u0=u0, seed=0)
+        y[0], u0[0] = 99.0, 99.0
+        assert sample.y[0] == 1.0 and sample.u0[0] == 0.0
+        for arr in (sample.y, sample.u0):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[1] = np.nan
+        assert np.all(np.isfinite(sample.y))
