@@ -158,11 +158,6 @@ def compute_g_kr(problem: InverseProblem, k: int, r: int) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
-def compute_g_k(problem: InverseProblem, k: int) -> float:
-    """g with no e-projection: the truncation plays the infinite cutoff."""
-    return compute_g_kr(problem, k, problem.n_dim)
-
-
 # ---------------------------------------------------------------------------
 # Small-ball mass
 # ---------------------------------------------------------------------------
@@ -229,22 +224,37 @@ def small_ball_log_prob(problem: InverseProblem, u0: np.ndarray, eps: float,
 # Projection tails
 # ---------------------------------------------------------------------------
 
+def _projection_miss(problem: InverseProblem, k: int, r: int | None,
+                     x: np.ndarray) -> np.ndarray:
+    """``P^phi_k P^e_r x - x`` for e-coordinates ``x``, a vector or the columns
+    of a matrix; ``r = None`` projects on the prior basis alone."""
+    proj = x.copy()
+    if r is not None and r < problem.n_dim:
+        proj[r:] = 0.0
+    tk = problem.coupling.t_matrix[:, :k]
+    return tk @ (tk.T @ proj) - x
+
+
 def _residual_operator(problem: InverseProblem, k: int, r: int | None) -> np.ndarray:
     """Matrix mapping standard normals to ``P^phi_k P^e_r u - u`` under the prior."""
-    t = problem.coupling.t_matrix
-    scaled = t * np.sqrt(problem.prior.variances)[None, :]
-    proj = scaled.copy()
-    if r is not None and r < problem.n_dim:
-        proj[r:, :] = 0.0
-    tk = t[:, :k]
-    return tk @ (tk.T @ proj) - scaled
+    scaled = problem.coupling.t_matrix * np.sqrt(problem.prior.variances)[None, :]
+    return _projection_miss(problem, k, r, scaled)
 
 
-def _chernoff_log_tail(problem: InverseProblem, k: int, r: int | None,
-                       threshold: float) -> float:
-    """Log Chernoff bound for the prior probability that the double
-    projection misses by more than ``threshold``; ``-inf`` when the double
-    projection is the identity."""
+def projection_log_tail_bound(problem: InverseProblem, k: int, r: int | None,
+                              threshold: float) -> float:
+    """Log Chernoff upper bound on the prior probability that the double
+    projection misses by more than ``threshold``; ``r = None`` projects on the
+    prior basis alone, and the bound is ``-inf`` when the double projection is
+    the identity. ``projection_tail_grid`` estimates the same probability by
+    sampling.
+    """
+    if threshold <= 0:
+        raise ParameterError("threshold must be positive")
+    if not (1 <= k <= problem.n_dim):
+        raise ParameterError("k must lie in [1, n_dim]")
+    if r is not None and not (1 <= r <= problem.n_dim):
+        raise ParameterError("r must lie in [1, n_dim] or be None")
     if k == problem.n_dim and (r is None or r == problem.n_dim):
         return -math.inf  # full projection is the identity for an orthogonal coupling
     a = _residual_operator(problem, k, r)
@@ -253,28 +263,6 @@ def _chernoff_log_tail(problem: InverseProblem, k: int, r: int | None,
     if q.size == 0:
         return -math.inf
     return quadform.log_chernoff(threshold**2, q, np.zeros_like(q))
-
-
-def projection_tail_prob(problem: InverseProblem, k: int, r: int | None,
-                         threshold: float, mode: str = "mc",
-                         mc: int = 2000, seed: int = 0) -> float:
-    """Prior probability that the double projection misses by more than
-    ``threshold``; ``r = None`` projects on the prior basis alone.
-
-    ``mode="mc"`` estimates by sampling; ``mode="chernoff"`` returns the
-    exponential-moment upper bound for the Gaussian quadratic form.
-    """
-    if threshold <= 0:
-        raise ParameterError("threshold must be positive")
-    if not (1 <= k <= problem.n_dim):
-        raise ParameterError("k must lie in [1, n_dim]")
-    if r is not None and not (1 <= r <= problem.n_dim):
-        raise ParameterError("r must lie in [1, n_dim] or be None")
-    if mode == "chernoff":
-        return float(math.exp(_chernoff_log_tail(problem, k, r, threshold)))
-    if mode != "mc":
-        raise ParameterError("mode must be 'mc' or 'chernoff'")
-    return projection_tail_grid(problem, k, r, [threshold], mc, seed)[0]
 
 
 def projection_tail_grid(problem: InverseProblem, k: int, r: int | None,
@@ -408,7 +396,8 @@ def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
         values = tuple(float(np.linalg.norm(s[:m, :m])) for m in trunc)
         verdict = _growth_verdict(values)
         grid = np.unique(np.geomspace(1, max(1, problem.n_dim // 2), 12).astype(int))
-        g_rho = [(int(n), compute_g_k(problem, int(n)) * float(rho[n - 1] ** 2)) for n in grid]
+        g_rho = [(int(n), compute_g_kr(problem, int(n), problem.n_dim) * float(rho[n - 1] ** 2))
+                 for n in grid]
         vals = np.array([gr for _, gr in g_rho])
         half = max(1, len(vals) // 2)
         g_bounded = bool(vals[half:].max() <= 1.5 * vals[:half].max()) if len(vals) > 1 else True
@@ -446,27 +435,21 @@ def plug_in_estimate(problem: InverseProblem, data: DataSample, k: int, r: int) 
     return PlugInEstimate(u_hat=u_hat, k=k, r=r, sigma0_sq=sigma0_sq)
 
 
-def plug_in_test(problem: InverseProblem, data: DataSample, u0: np.ndarray,
-                 k: int, r: int, xi: float, m0: float = 1.0) -> bool:
-    """Indicator test: the reconstruction lands at least ``m0 * xi`` away
-    from the candidate truth. The threshold constant is a free parameter."""
-    if m0 < 0 or xi < 0:
-        raise ParameterError("m0 and xi must be nonnegative")
-    est = plug_in_estimate(problem, data, k, r)
-    return bool(np.linalg.norm(est.u_hat - as_vector(u0, problem.n_dim, "u0")) >= m0 * xi)
-
-
 @dataclass(frozen=True, eq=False)
 class ConcentrationReport:
     x_grid: np.ndarray
     empirical: np.ndarray
     bound: np.ndarray
     std_error: np.ndarray
+    ok: np.ndarray  # per x: empirical <= bound + 4 std_error
     sigma0_sq: float
     mean_deviation: float
     mean_deviation_bound: float
-    tail_ok: bool
     mean_dev_ok: bool
+
+    @property
+    def tail_ok(self) -> bool:
+        return bool(self.ok.all())
 
 
 def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
@@ -485,7 +468,7 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
     rng = substream(seed, "concentration")
 
     cols = _plug_in_columns(problem, k, r)
-    signal = cols.T @ forward_apply(problem, u0, "phi")
+    signal = cols.T @ forward_apply(problem, u0)
     z = rng.standard_normal((problem.n_dim, mc))
     noise_part = cols.T @ problem.noise_color(z) / math.sqrt(n_level)
     coeffs = signal[:, None] + noise_part
@@ -498,16 +481,16 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
     empirical = np.array([float(np.mean(dist >= m_hat + x)) for x in x_grid])
     bound = np.exp(-x_grid**2 / (2.0 * sigma0_sq))
     se = np.sqrt(np.maximum(empirical * (1 - empirical), 0.0) / mc)
-    tail_ok = bool(np.all(empirical <= bound + 4.0 * se))
+    ok = empirical <= bound + 4.0 * se
 
     mean_bound = math.sqrt(k * g / n_level)
     mean_se = float(dist.std(ddof=1)) / math.sqrt(mc)
     mean_dev_ok = m_hat <= mean_bound + 4.0 * mean_se
 
     return ConcentrationReport(x_grid=x_grid, empirical=empirical, bound=bound,
-                               std_error=se, sigma0_sq=sigma0_sq,
+                               std_error=se, ok=ok, sigma0_sq=sigma0_sq,
                                mean_deviation=m_hat, mean_deviation_bound=mean_bound,
-                               tail_ok=tail_ok, mean_dev_ok=mean_dev_ok)
+                               mean_dev_ok=mean_dev_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +520,7 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan, u0: np.ndarray,
                              measured=sb.log_prob, bound=sb_bound)
 
     tail_bound = -(cst.c + 4.0) * n * eps**2
-    tail_log = _chernoff_log_tail(problem, plan.k_n, plan.r_n, cst.c2 * xi)
+    tail_log = projection_log_tail_bound(problem, plan.k_n, plan.r_n, cst.c2 * xi)
     tail = CheckResult(ok=bool(tail_log <= tail_bound), measured=tail_log, bound=tail_bound)
 
     r_eff = plan.r_n if plan.r_n is not None else problem.n_dim
@@ -549,12 +532,7 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan, u0: np.ndarray,
     kn_bound = cst.r * n * eps**2
     kn = CheckResult(ok=bool(plan.k_n < kn_bound), measured=float(plan.k_n), bound=kn_bound)
 
-    u0_e = problem.coupling.t_matrix @ u0
-    proj = u0_e.copy()
-    if plan.r_n is not None and plan.r_n < problem.n_dim:
-        proj[plan.r_n:] = 0.0
-    tk = problem.coupling.t_matrix[:, :plan.k_n]
-    truth_miss = tk @ (tk.T @ proj) - u0_e
+    truth_miss = _projection_miss(problem, plan.k_n, plan.r_n, problem.coupling.t_matrix @ u0)
     truth_ratio = float(np.linalg.norm(truth_miss) / xi)
 
     details = {

@@ -191,8 +191,8 @@ def _check_invariants(data: dict) -> None:
         raise ConfigInvariantError("run.n_grid", "must be strictly increasing")
     if any(n <= 0 for n in n_grid):
         raise ConfigInvariantError("run.n_grid", "entries must be positive")
-    for key in ("mc", "y_replicates"):
-        if run[key] < 1:
+    for key in ("mc", "y_replicates", "k_max", "j_max", "plug_k", "plug_r"):
+        if run.get(key, 1) < 1:
             raise ConfigInvariantError(f"run.{key}", "counts must be positive")
     if run["master_seed"] < 0:
         raise ConfigInvariantError("run.master_seed", "seed must be nonnegative")

@@ -1,10 +1,11 @@
-"""Posterior computations: potential, conjugate Gaussian form, exceedance.
+"""Posterior computations: conjugate Gaussian form and exceedance.
 
 Two independent routes to the same posterior are kept side by side: the
 closed-form Gaussian conditioning (valid for Gaussian priors) and a
-self-normalized importance sampler driven only by the data-misfit potential,
-which works for any prior that can be sampled. Their agreement on exceedance
-probabilities is the module's oracle-equivalence property.
+self-normalized importance sampler driven only by the data-misfit potential
+Phi, which works for any prior that can be sampled. Phi is used by the
+weighted route alone. Their agreement on exceedance probabilities is the
+module's oracle-equivalence property.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork, dtrtri
 
 from .errors import NumericalError, ParameterError
 from .rng import substream
-from .spectral import InverseProblem, DataSample, as_vector, forward_apply
+from .spectral import InverseProblem, DataSample, as_vector
 
 # A symmetric eigensolver's eigenvalues are accurate to about
 # n * EIGENVALUE_RTOL * ||A||_2, so a computed eigenvalue of a covariance down
@@ -86,24 +86,11 @@ class PosteriorGaussian:
         return np.sqrt(np.add.reduce(dev, axis=0))
 
 
-def potential_phi(problem: InverseProblem, y: np.ndarray, u: np.ndarray, n_level: float) -> float:
-    """Data-misfit potential ``(n/2) <Gu, Gu>_zeta - n <y, Gu>_zeta``."""
-    if n_level <= 0:
-        raise ParameterError("n_level must be positive")
-    y = as_vector(y, problem.n_dim, "y")
-    gu = problem.noise_whiten(forward_apply(problem, u, "phi"))
-    wy = problem.noise_whiten(y)
-    value = 0.5 * n_level * float(gu @ gu) - n_level * float(wy @ gu)
-    if not np.isfinite(value):
-        vals = problem.noise.variances
-        raise NumericalError("noise whitening produced non-finite potential",
-                             condition_number=float(vals.max() / vals.min()))
-    return value
-
-
 def _potential_batch(problem: InverseProblem, w_y: np.ndarray, u_rows: np.ndarray,
                      n_level: float) -> np.ndarray:
-    """Potential of each row of ``u_rows`` against pre-whitened data ``w_y``."""
+    """Data-misfit potential ``Phi(u) = (n/2) <Gu, Gu>_zeta - n <y, Gu>_zeta``
+    of each row ``u`` of ``u_rows``, against pre-whitened data
+    ``w_y = zeta^(-1/2) y``."""
     v = problem.whitened_forward @ u_rows.T
     return 0.5 * n_level * np.einsum("ij,ij->j", v, v) - n_level * (w_y @ v)
 
@@ -290,14 +277,12 @@ def posterior_exceedance_grid(post: PosteriorGaussian, u0: np.ndarray, xis,
 
 def weighted_posterior_exceedance(problem: InverseProblem, data: DataSample,
                                   u0: np.ndarray, xi: float,
-                                  prior_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
                                   mc: int = 2000, seed: int = 0) -> ExceedanceEstimate:
     """Self-normalized prior-sampling estimate of the posterior exceedance.
 
-    Draws come from the prior (or any supplied sampler); each is weighted by
-    ``exp(-potential)``. The estimated normalizer is checked to be strictly
-    positive and finite, and an effective sample size below 10 marks the
-    result as degenerate.
+    Draws come from the prior; each is weighted by ``exp(-potential)``. The
+    estimated normalizer is checked to be strictly positive and finite, and an
+    effective sample size below 10 marks the result as degenerate.
     """
     if mc < 1000:
         raise ParameterError("mc must be >= 1000 for the weighted estimator")
@@ -305,12 +290,7 @@ def weighted_posterior_exceedance(problem: InverseProblem, data: DataSample,
         raise ParameterError("radius must be nonnegative")
     u0 = as_vector(u0, problem.n_dim, "u0")
     rng = substream(seed, "weighted-exceedance")
-    if prior_sampler is None:
-        draws = rng.standard_normal((mc, problem.n_dim)) * np.sqrt(problem.prior.variances)[None, :]
-    else:
-        draws = np.asarray(prior_sampler(rng, mc), dtype=float)
-        if draws.shape != (mc, problem.n_dim):
-            raise ParameterError("prior_sampler must return an (mc, n_dim) array")
+    draws = rng.standard_normal((mc, problem.n_dim)) * np.sqrt(problem.prior.variances)[None, :]
 
     w_y = problem.noise_whiten(data.y)
     log_w = -_potential_batch(problem, w_y, draws, data.n_level)

@@ -177,6 +177,8 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
         raise ParameterError("n_grid needs at least 4 points")
     if np.any(np.diff(n_grid) <= 0):
         raise ParameterError("n_grid must be strictly increasing")
+    if np.any(n_grid <= 0):
+        raise ParameterError("n_grid entries must be positive")
     if not (0 < delta_level < 0.5):
         raise ParameterError("delta_level must lie in (0, 0.5)")
     if y_replicates < 1:
@@ -184,7 +186,7 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     u0 = as_vector(u0, problem.n_dim, "u0")
 
     rank = math.ceil((1 - delta_level) * y_replicates)
-    g_u0 = forward_apply(problem, u0, "phi")
+    g_u0 = forward_apply(problem, u0)
     xi_hat, exceed_frac = [], []
     for i, n in enumerate(n_grid):
         factor = factor_posterior(problem, n)
@@ -306,15 +308,6 @@ def simulate_finite_dim(exp: FiniteDimExperiment, u0: np.ndarray, n_level: float
     rng = substream(seed, "findim-data")
     z = rng.standard_normal(exp.q)
     return exp.g_matrix @ np.asarray(u0, dtype=float) + z / math.sqrt(n_level)
-
-
-def finite_dim_posterior_exceedance(exp: FiniteDimExperiment, u0: np.ndarray,
-                                    n_level: float, xi: float, mc: int,
-                                    seed: int) -> ExceedanceEstimate:
-    """Simulate data at the given noise level and estimate the posterior
-    mass outside the xi-ball around the truth."""
-    y = simulate_finite_dim(exp, u0, n_level, seed)
-    return finite_dim_exceedance_given_y(exp, y, u0, n_level, xi, mc, seed)
 
 
 # -- exact posterior for one-dimensional mixture priors ----------------------

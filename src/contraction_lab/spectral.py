@@ -446,11 +446,6 @@ class InverseProblem:
         """Apply the square root of the noise covariance."""
         return self._noise_power(x, 0.5)
 
-    def whitened_norm(self, x: np.ndarray) -> float | np.ndarray:
-        """Cameron-Martin norm of the noise measure: ``||zeta^(-1/2) x||``."""
-        w = self.noise_whiten(x)
-        return np.linalg.norm(w, axis=0) if w.ndim > 1 else float(np.linalg.norm(w))
-
     # -- forward map ---------------------------------------------------------
 
     @cached_property
@@ -492,14 +487,10 @@ class DataSample:
         object.__setattr__(self, "u0", _frozen(self.u0))
 
 
-def forward_apply(problem: InverseProblem, u: np.ndarray, basis: str = "phi") -> np.ndarray:
-    """e-coordinates of G u for ``u`` given in the phi- or e-basis."""
+def forward_apply(problem: InverseProblem, u: np.ndarray) -> np.ndarray:
+    """e-coordinates of G u for ``u`` given in phi-coordinates."""
     u = as_vector(u, problem.n_dim, "u")
-    if basis == "phi":
-        return problem.operator.rho * (problem.coupling.t_matrix @ u)
-    if basis == "e":
-        return problem.operator.rho * u
-    raise ParameterError("basis must be 'e' or 'phi'")
+    return problem.operator.rho * (problem.coupling.t_matrix @ u)
 
 
 def simulate_data(problem: InverseProblem, u0: np.ndarray, n_level: float, seed: int) -> DataSample:
@@ -509,17 +500,8 @@ def simulate_data(problem: InverseProblem, u0: np.ndarray, n_level: float, seed:
     u0 = as_vector(u0, problem.n_dim, "u0")
     rng = substream(seed, "simulate")
     z = rng.standard_normal(problem.n_dim)
-    y = forward_apply(problem, u0, "phi") + problem.noise_color(z) / math.sqrt(n_level)
+    y = forward_apply(problem, u0) + problem.noise_color(z) / math.sqrt(n_level)
     return DataSample(y=y, n_level=float(n_level), u0=u0, seed=seed)
-
-
-def sample_prior(problem: InverseProblem, count: int, seed: int) -> np.ndarray:
-    """``count`` i.i.d. prior draws as rows of phi-coordinates."""
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    rng = substream(seed, "prior")
-    z = rng.standard_normal((count, problem.n_dim))
-    return z * np.sqrt(problem.prior.variances)[None, :]
 
 
 def power_law_truth(gamma: float, n_dim: int) -> np.ndarray:

@@ -56,7 +56,7 @@ def test_03_banded_g_bound():
     for seed in (0, 202):
         prob = _benchmark_problem(256, cl.BandedCoupling(), seed=seed)
         for n in range(1, 129):
-            ratio = cl.compute_g_k(prob, n) / (2 * n) ** 2
+            ratio = cl.compute_g_kr(prob, n, prob.n_dim) / (2 * n) ** 2
             worst = max(worst, ratio)
     ok = worst <= 1.0 + 1e-9
     _report(3, ok, f"max g_n / (2n)^2 = {worst:.6f} over n <= 128, two band seeds")

@@ -8,7 +8,6 @@ import pytest
 from scipy.stats import norm
 
 import contraction_lab as cl
-from contraction_lab.assumptions import _chernoff_log_tail
 from contraction_lab.errors import ParameterError
 
 
@@ -83,11 +82,6 @@ class TestG:
             cl.power_law_prior(1.0, 6), cl.white_noise(6), 6)
         assert abs(cl.compute_g_kr(prob, 3, 6) - 1.0) < 1e-12
 
-    def test_g_k_is_full_r(self):
-        prob = banded_problem(16, seed=1)
-        for k in (1, 5, 16):
-            assert cl.compute_g_k(prob, k) == cl.compute_g_kr(prob, k, 16)
-
     def test_identity_closed_form_all_small_indices(self):
         """Exact agreement with max over stored inverse singular values."""
         prob = identity_problem(32)
@@ -141,7 +135,7 @@ class TestG:
         """Band support keeps g_k below (2k)^(2 alpha) for k up to N/2."""
         prob = banded_problem(256, alpha=1.0, seed=11)
         for k in range(1, 65):
-            assert cl.compute_g_k(prob, k) <= (2 * k) ** 2 * (1 + 1e-9)
+            assert cl.compute_g_kr(prob, k, prob.n_dim) <= (2 * k) ** 2 * (1 + 1e-9)
 
     def test_bounds_validated(self):
         prob = identity_problem(4)
@@ -168,7 +162,7 @@ class TestSmallBall:
         u0 = cl.power_law_truth(2.0, 12)
         m = prob.whitened_forward
         second_moment = float(np.sum(prob.prior.variances * np.sum(m**2, axis=0))
-                              + prob.whitened_norm(cl.forward_apply(prob, u0, "phi")) ** 2)
+                              + np.linalg.norm(prob.noise_whiten(cl.forward_apply(prob, u0))) ** 2)
         eps = 10.0 * math.sqrt(second_moment)
         rep = cl.small_ball_log_prob(prob, u0, eps, 4000, seed=3)
         assert rep.log_prob >= math.log(0.99)
@@ -205,8 +199,10 @@ class TestSmallBall:
 class TestProjectionTail:
     def test_full_projection_exactly_zero(self):
         prob = banded_problem(8, seed=2)
-        assert cl.projection_tail_prob(prob, 8, None, 0.5) == 0.0
-        assert cl.projection_tail_prob(prob, 8, 8, 0.5) == 0.0
+        assert cl.projection_log_tail_bound(prob, 8, None, 0.5) == -math.inf
+        assert cl.projection_log_tail_bound(prob, 8, 8, 0.5) == -math.inf
+        assert cl.projection_tail_grid(prob, 8, None, [0.5]) == [0.0]
+        assert cl.projection_tail_grid(prob, 8, 8, [0.5]) == [0.0]
 
     def test_scalar_residual_gaussian_oracle(self):
         """Identity coupling, k=1 of 2 modes with unit second variance:
@@ -215,7 +211,7 @@ class TestProjectionTail:
             cl.make_spectrum(cl.MildFamily(0.0), 2),
             cl.make_coupling(cl.IdentityCoupling(), 2),
             cl.explicit_prior([1.0, 1.0], 2), cl.white_noise(2), 2)
-        est = cl.projection_tail_prob(prob, 1, None, 1.0, mode="mc", mc=40_000, seed=3)
+        est = cl.projection_tail_grid(prob, 1, None, [1.0], mc=40_000, seed=3)[0]
         assert abs(est - 2 * norm.sf(1.0)) < 0.01
 
     def test_monotone_grid_shared_batch(self):
@@ -228,8 +224,8 @@ class TestProjectionTail:
     @pytest.mark.parametrize("threshold", [0.3, 0.8, 1.5])
     def test_chernoff_dominates_monte_carlo(self, threshold):
         prob = banded_problem(10, seed=5)
-        mc = cl.projection_tail_prob(prob, 3, 6, threshold, mode="mc", mc=20_000, seed=5)
-        bound = cl.projection_tail_prob(prob, 3, 6, threshold, mode="chernoff")
+        mc = cl.projection_tail_grid(prob, 3, 6, [threshold], mc=20_000, seed=5)[0]
+        bound = math.exp(cl.projection_log_tail_bound(prob, 3, 6, threshold))
         assert mc <= bound + 0.02
         assert bound <= 1.0
 
@@ -241,13 +237,9 @@ class TestProjectionTail:
         1 / (2 max lam); the bound is still finite and no weaker than the
         bounded scalar search the check used before (``reference``)."""
         prob = identity_problem(8)
-        log_tail = _chernoff_log_tail(prob, 7, None, threshold)
+        log_tail = cl.projection_log_tail_bound(prob, 7, None, threshold)
         assert math.isfinite(log_tail)
         assert log_tail <= reference * (1.0 - 1e-12)
-
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            cl.projection_tail_prob(banded_problem(4), 2, None, 1.0, mode="exact")
 
 
 class TestMinmax:
@@ -363,7 +355,7 @@ class TestPlugIn:
         coordinates of the truth."""
         prob = identity_problem(8)
         u0 = cl.power_law_truth(2.0, 8)
-        y = cl.forward_apply(prob, u0, "phi")
+        y = cl.forward_apply(prob, u0)
         data = cl.DataSample(y, 10.0, u0, 0)
         est = cl.plug_in_estimate(prob, data, 4, 6)
         np.testing.assert_allclose(est.u_hat[:4], u0[:4], rtol=1e-12)
@@ -372,7 +364,7 @@ class TestPlugIn:
     def test_noiseless_flat_spectrum_exact_bits(self):
         prob = identity_problem(8, alpha=0.0)
         u0 = cl.power_law_truth(2.0, 8)
-        data = cl.DataSample(cl.forward_apply(prob, u0, "phi"), 10.0, u0, 0)
+        data = cl.DataSample(cl.forward_apply(prob, u0), 10.0, u0, 0)
         est = cl.plug_in_estimate(prob, data, 5, 8)
         assert np.array_equal(est.u_hat[:5], u0[:5])
 
@@ -399,7 +391,7 @@ class TestPlugIn:
         cols = t[:, :k].copy()
         cols[r:, :] = 0.0
         cols = cols / prob.operator.rho[:, None]
-        y = (cl.forward_apply(prob, u0, "phi")[:, None]
+        y = (cl.forward_apply(prob, u0)[:, None]
              + prob.noise_color(rng.standard_normal((n_dim, m))) / math.sqrt(n_level))
         coeffs = cols.T @ y
         se = coeffs.std(axis=1, ddof=1) / math.sqrt(m)
@@ -412,15 +404,6 @@ class TestPlugIn:
         est = cl.plug_in_estimate(prob, data, 3, 6)
         assert np.linalg.norm(est.u_hat) < 1e-3
 
-    def test_indicator_test_threshold_parameter(self):
-        """Same data, two thresholds: the decision flips with m0."""
-        prob = identity_problem(8)
-        u0 = cl.power_law_truth(2.0, 8)
-        data = cl.DataSample(cl.forward_apply(prob, u0, "phi"), 10.0, u0, 0)
-        miss = np.linalg.norm(cl.plug_in_estimate(prob, data, 4, 8).u_hat - u0)
-        assert cl.plug_in_test(prob, data, u0, 4, 8, xi=miss / 2, m0=1.0)
-        assert not cl.plug_in_test(prob, data, u0, 4, 8, xi=miss / 2, m0=4.0)
-
 
 class TestConcentration:
     def test_zero_offset_bound_is_one(self):
@@ -429,6 +412,7 @@ class TestConcentration:
                                      x_grid=[0.0], mc=1000, seed=1)
         assert rep.bound[0] == 1.0
         assert rep.empirical[0] <= 1.0
+        assert rep.ok.tolist() == [True]
         assert rep.tail_ok
 
     def test_scalar_gaussian_envelope(self):
@@ -468,8 +452,8 @@ class TestVerifyAssumptions:
         big_r = max(1.0, 2.0 * k_n / (n_level * eps**2))
         c2 = 1.0
         for _ in range(14):
-            log_tail = math.log(max(cl.projection_tail_prob(prob, k_n, None, c2 * xi,
-                                                            mode="chernoff"), 1e-300))
+            log_tail = max(cl.projection_log_tail_bound(prob, k_n, None, c2 * xi),
+                           math.log(1e-300))
             if log_tail <= -(c + 4.0) * n_level * eps**2:
                 break
             c2 *= 2.0

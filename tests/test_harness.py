@@ -50,8 +50,10 @@ class TestParseConfig:
             cl.parse_config("run: {n_grid: [100, 50, 1000, 10000]}")
         assert "run.n_grid" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["mc", "y_replicates"])
+    @pytest.mark.parametrize("key", ["mc", "y_replicates", "k_max", "j_max", "plug_k", "plug_r"])
     def test_nonpositive_count_names_its_own_key(self, key):
+        """A count below 1 is a config error naming its key, never a silent
+        default in its place or an empty table."""
         with pytest.raises(ConfigInvariantError) as err:
             cl.parse_config(f"run: {{{key}: 0}}")
         assert err.value.field == f"run.{key}"

@@ -1,4 +1,4 @@
-"""Potential, conjugate posterior, exceedance estimators and their agreement."""
+"""Conjugate posterior, exceedance estimators and their agreement."""
 
 import json
 import math
@@ -36,30 +36,6 @@ def random_problem(seed, n_dim=None):
         cl.make_coupling(cl.ExplicitCoupling(q), n),
         cl.explicit_prior(lam, n),
         cl.diagonal_noise(zeta, n), n)
-
-
-class TestPotential:
-    def test_zero_input_vanishes(self):
-        prob = scalar_problem()
-        assert cl.potential_phi(prob, np.array([1.3]), np.array([0.0]), 5.0) == 0.0
-
-    def test_hand_computed_scalar_value(self):
-        """n = 2, u = y = 1 with unit operator and noise: (2/2) - 2 = -1."""
-        prob = scalar_problem()
-        assert cl.potential_phi(prob, np.array([1.0]), np.array([1.0]), 2.0) == -1.0
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_noiseless_data_gives_negative_half_energy(self, seed):
-        """Substituting y = Gu leaves -(n/2) ||Gu||^2 in the noise norm."""
-        prob = random_problem(seed)
-        rng = np.random.default_rng(seed + 100)
-        u = rng.standard_normal(prob.n_dim)
-        y = cl.forward_apply(prob, u, "phi")
-        n = 3.5
-        expected = -0.5 * n * prob.whitened_norm(y) ** 2
-        got = cl.potential_phi(prob, y, u, n)
-        assert got <= 1e-12
-        assert math.isclose(got, expected, rel_tol=1e-10)
 
 
 class TestConjugatePosterior:
@@ -193,14 +169,6 @@ class TestWeightedExceedance:
         data = cl.simulate_data(prob, np.array([0.5, 0.1]), 1e8, seed=5)
         est = cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 0.1, mc=1000, seed=6)
         assert est.degenerate
-
-    def test_custom_sampler_shape_checked(self):
-        prob = random_problem(42, n_dim=2)
-        data = cl.simulate_data(prob, np.zeros(2), 5.0, seed=1)
-        with pytest.raises(ParameterError):
-            cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 1.0,
-                                             prior_sampler=lambda rng, m: rng.standard_normal((m, 3)),
-                                             mc=1000, seed=2)
 
     def test_mc_floor(self):
         prob = random_problem(43, n_dim=2)

@@ -14,7 +14,7 @@ from scipy.stats import ncx2
 
 import contraction_lab as cl
 from contraction_lab import quadform
-from contraction_lab.assumptions import _chernoff_log_tail, _residual_operator
+from contraction_lab.assumptions import _residual_operator
 from contraction_lab.config import build_plan, build_problem, build_truth
 from contraction_lab.errors import NumericalError, ParameterError
 
@@ -137,7 +137,7 @@ class TestLogChernoff:
         lam = lam[lam > 0]
         for factor in (1, 2, 4, 8, 16):
             threshold = plan.constants.c2 * plan.xi_n * factor
-            got = _chernoff_log_tail(problem, plan.k_n, plan.r_n, threshold)
+            got = cl.projection_log_tail_bound(problem, plan.k_n, plan.r_n, threshold)
             reference = bounded_chernoff(threshold**2, lam)
             assert got < 0.0
             assert got == pytest.approx(reference, rel=1e-9)

@@ -93,6 +93,13 @@ class TestFitContractionRate:
         with pytest.raises(ParameterError):
             cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.7, 5, seed=0)
 
+    @pytest.mark.parametrize("first", [0.0, -1.0])
+    def test_nonpositive_n_rejected(self, first):
+        prob = _small_problem(8)
+        u0 = cl.power_law_truth(2.0, 8)
+        with pytest.raises(ParameterError, match="n_grid entries must be positive"):
+            cl.fit_contraction_rate(prob, u0, [first, 1e2, 1e3, 1e4], 0.1, 5, seed=0)
+
     def test_smoke_fit_negative_slope_and_shrinking_radii(self):
         """Cheap pipeline run: radii shrink with n (one grid-point violation
         tolerated at Monte Carlo noise) and the slope is negative."""
@@ -119,11 +126,11 @@ class TestFitContractionRate:
         for i, n in enumerate([1e2, 1e4, 1e6]):
             factor = cl.factor_posterior(prob, n)
             for rep in range(3):
-                y = rates._replicate_distances(prob, forward_apply(prob, u0, "phi"), n,
+                y = rates._replicate_distances(prob, forward_apply(prob, u0), n,
                                                substream(5, "rate-fit", i, rep))
                 radius = rates._posterior_radii(factor, u0, 1 - p, y[:, None])[0]
                 rng = substream(5, "rate-fit", i, rep)
-                assert np.array_equal(y, forward_apply(prob, u0, "phi")
+                assert np.array_equal(y, forward_apply(prob, u0)
                                       + prob.noise_color(rng.standard_normal(n_dim))
                                       / math.sqrt(n))
                 post = factor.condition(y)
@@ -183,7 +190,7 @@ class TestFitContractionRate:
         prob = build_problem(config)
         u0 = cl.power_law_truth(2.0, 512)
         factor = cl.factor_posterior(prob, n_level)
-        g_u0 = forward_apply(prob, u0, "phi")
+        g_u0 = forward_apply(prob, u0)
         ys = np.column_stack([rates._replicate_distances(prob, g_u0, n_level,
                                                          substream(3, "rate-fit", 0, rep))
                               for rep in range(4)])
@@ -300,7 +307,8 @@ class TestFiniteDimExperiment:
 
     def test_zero_radius_full_mass(self):
         exp = self._scalar_exp()
-        est = cl.finite_dim_posterior_exceedance(exp, np.zeros(1), 50.0, 0.0, mc=2000, seed=3)
+        y = cl.simulate_finite_dim(exp, np.zeros(1), 50.0, seed=3)
+        est = cl.finite_dim_exceedance_given_y(exp, y, np.zeros(1), 50.0, 0.0, mc=2000, seed=3)
         assert est.value == 1.0
 
     def test_data_enter_only_through_range_projection(self):
@@ -329,9 +337,10 @@ class TestFiniteDimExperiment:
 
     def test_huge_m_const_exhausts_space(self):
         exp = self._scalar_exp(m_const=200.0)
-        est = cl.finite_dim_posterior_exceedance(exp, np.zeros(1), 30.0,
-                                                 200.0 * math.sqrt(math.log(30.0) / 30.0),
-                                                 mc=2000, seed=4)
+        y = cl.simulate_finite_dim(exp, np.zeros(1), 30.0, seed=4)
+        est = cl.finite_dim_exceedance_given_y(exp, y, np.zeros(1), 30.0,
+                                               200.0 * math.sqrt(math.log(30.0) / 30.0),
+                                               mc=2000, seed=4)
         assert est.value < 1e-12
 
     def test_grid_validation(self):

@@ -191,7 +191,7 @@ class TestForwardModel:
             cl.make_coupling(cl.IdentityCoupling(), 2),
             cl.power_law_prior(1.0, 2), cl.white_noise(2), 2)
         np.testing.assert_array_equal(
-            cl.forward_apply(prob, np.array([1.0, 1.0]), "e"), [1.0, 0.5])
+            cl.forward_apply(prob, np.array([1.0, 1.0])), [1.0, 0.5])
 
     def test_reflection_flips_first_mode(self):
         prob = cl.InverseProblem(
@@ -199,15 +199,15 @@ class TestForwardModel:
             cl.make_coupling(cl.ReflectionCoupling(np.array([1.0, 0.0])), 2),
             cl.power_law_prior(1.0, 2), cl.white_noise(2), 2)
         np.testing.assert_array_equal(
-            cl.forward_apply(prob, np.array([1.0, 0.0]), "phi"), [-1.0, 0.0])
+            cl.forward_apply(prob, np.array([1.0, 0.0])), [-1.0, 0.0])
 
     def test_zero_maps_to_zero(self):
         prob = identity_problem(5)
-        assert np.all(cl.forward_apply(prob, np.zeros(5), "phi") == 0.0)
+        assert np.all(cl.forward_apply(prob, np.zeros(5)) == 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
-            cl.forward_apply(identity_problem(4), np.zeros(5), "phi")
+            cl.forward_apply(identity_problem(4), np.zeros(5))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -218,8 +218,8 @@ class TestForwardModel:
         prob = identity_problem(6)
         rng = np.random.default_rng(seed)
         u, v = rng.standard_normal(6), rng.standard_normal(6)
-        lhs = cl.forward_apply(prob, a * u + b * v, "phi")
-        rhs = a * cl.forward_apply(prob, u, "phi") + b * cl.forward_apply(prob, v, "phi")
+        lhs = cl.forward_apply(prob, a * u + b * v)
+        rhs = a * cl.forward_apply(prob, u) + b * cl.forward_apply(prob, v)
         scale = max(1.0, np.linalg.norm(rhs))
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * scale
 
@@ -245,7 +245,7 @@ class TestSimulation:
         prob = identity_problem(4)
         u0 = cl.power_law_truth(2.0, 4)
         data = cl.simulate_data(prob, u0, 1e10, seed=17)
-        gap = np.linalg.norm(data.y - cl.forward_apply(prob, u0, "phi"))
+        gap = np.linalg.norm(data.y - cl.forward_apply(prob, u0))
         assert gap < 1e-4
 
     @pytest.mark.parametrize("dense", [False, True])
@@ -263,7 +263,7 @@ class TestSimulation:
         prob = cl.InverseProblem(spec, cl.make_coupling(cl.IdentityCoupling(), n_dim),
                                  cl.power_law_prior(1.0, n_dim), noise, n_dim)
         u0 = cl.power_law_truth(1.0, n_dim)
-        gu0 = cl.forward_apply(prob, u0, "phi")
+        gu0 = cl.forward_apply(prob, u0)
         draws = np.array([
             math.sqrt(n_level) * (cl.simulate_data(prob, u0, n_level, seed=s).y - gu0)
             for s in range(m)])
@@ -274,27 +274,6 @@ class TestSimulation:
     def test_bad_n_level(self):
         with pytest.raises(ParameterError):
             cl.simulate_data(identity_problem(3), np.zeros(3), 0.0, seed=0)
-
-
-class TestPriorSampling:
-    def test_sample_variance_concentrates(self):
-        """1e5 one-dimensional draws with variance 4: sample variance lands
-        within 4 +- 0.15 (chi-square SE is about 0.018)."""
-        prob = cl.InverseProblem(
-            cl.make_spectrum(cl.MildFamily(0.0), 1),
-            cl.make_coupling(cl.IdentityCoupling(), 1),
-            cl.explicit_prior([4.0], 1), cl.white_noise(1), 1)
-        draws = cl.sample_prior(prob, 100_000, seed=5)
-        assert abs(draws.var() - 4.0) < 0.15
-
-    def test_reproducible(self):
-        prob = identity_problem(4)
-        assert np.array_equal(cl.sample_prior(prob, 50, seed=9),
-                              cl.sample_prior(prob, 50, seed=9))
-
-    def test_count_validated(self):
-        with pytest.raises(ParameterError):
-            cl.sample_prior(identity_problem(3), 0, seed=1)
 
 
 class TestImmutability:
