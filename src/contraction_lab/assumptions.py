@@ -144,6 +144,15 @@ class PlugInEstimate:
 # The g quantities
 # ---------------------------------------------------------------------------
 
+def _check_kr(problem: InverseProblem, k: int, r: int | None) -> None:
+    """Raise unless k prior-basis and r e-basis directions (``r = None``: no
+    e-cutoff) select a double projection of the problem's coordinates."""
+    if not (1 <= k <= problem.n_dim):
+        raise ParameterError(f"k = {k} must lie in [1, n_dim = {problem.n_dim}]")
+    if r is not None and not (1 <= r <= problem.n_dim):
+        raise ParameterError(f"r = {r} must lie in [1, n_dim = {problem.n_dim}] or be None")
+
+
 def compute_g_kr(problem: InverseProblem, k: int, r: int) -> float:
     """Largest squared whitened norm of the projected inverse adjoint over
     unit vectors in the span of the first k prior-basis directions.
@@ -151,8 +160,7 @@ def compute_g_kr(problem: InverseProblem, k: int, r: int) -> float:
     Computed exactly as the top eigenvalue of the k x k Gram matrix of the
     restricted columns ``zeta^(1/2) P_r diag(1/rho) T[:, :k]``.
     """
-    if not (1 <= k <= problem.n_dim) or not (1 <= r <= problem.n_dim):
-        raise ParameterError("k and r must lie in [1, n_dim]")
+    _check_kr(problem, k, r)
     cols = problem.noise_color(_plug_in_columns(problem, k, r))
     gram = cols.T @ cols
     return float(np.linalg.eigvalsh(gram)[-1])
@@ -251,10 +259,7 @@ def projection_log_tail_bound(problem: InverseProblem, k: int, r: int | None,
     """
     if threshold <= 0:
         raise ParameterError("threshold must be positive")
-    if not (1 <= k <= problem.n_dim):
-        raise ParameterError("k must lie in [1, n_dim]")
-    if r is not None and not (1 <= r <= problem.n_dim):
-        raise ParameterError("r must lie in [1, n_dim] or be None")
+    _check_kr(problem, k, r)
     if k == problem.n_dim and (r is None or r == problem.n_dim):
         return -math.inf  # full projection is the identity for an orthogonal coupling
     a = _residual_operator(problem, k, r)
@@ -271,6 +276,9 @@ def projection_tail_grid(problem: InverseProblem, k: int, r: int | None,
     (exactly non-increasing along the grid)."""
     if mc < 100:
         raise ParameterError("mc must be >= 100")
+    _check_kr(problem, k, r)
+    if any(t < 0 for t in thresholds):
+        raise ParameterError("thresholds must be nonnegative")
     a = _residual_operator(problem, k, r)
     rng = substream(seed, "projection-tail")
     z = rng.standard_normal((problem.n_dim, mc))
@@ -356,10 +364,6 @@ def _growth_verdict(values) -> str:
     return "divergent"
 
 
-def _truncations(n_dim: int) -> tuple[int, int, int]:
-    return max(1, n_dim // 4), max(1, n_dim // 2), n_dim
-
-
 def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
     """Truncation-growth classification of the Hilbert-Schmidt criteria that
     license swapping the prior basis for the operator basis.
@@ -371,7 +375,7 @@ def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
     gn_bound: Frobenius norm of ``I - C1^(-1/2) C2 C1^(-1/2)`` for the two
     squared-spectrum covariances, plus boundedness of ``g_n rho_n^2``.
     """
-    trunc = _truncations(problem.n_dim)
+    trunc = (max(1, problem.n_dim // 4), max(1, problem.n_dim // 2), problem.n_dim)
     lam = problem.prior.variances
     if target == "reflection_pair":
         if not isinstance(problem.coupling.kind, ReflectionCoupling):
@@ -425,8 +429,7 @@ def plug_in_estimate(problem: InverseProblem, data: DataSample, k: int, r: int) 
     e-projected image of the j-th prior-basis vector; in the noiseless
     diagonal case this extracts the leading truth coordinates exactly.
     """
-    if not (1 <= k <= problem.n_dim) or not (1 <= r <= problem.n_dim):
-        raise ParameterError("k and r must lie in [1, n_dim]")
+    _check_kr(problem, k, r)
     cols = _plug_in_columns(problem, k, r)
     coeffs = cols.T @ data.y
     u_hat = np.zeros(problem.n_dim)
@@ -507,10 +510,7 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan, u0: np.ndarray,
     outcome is recorded as numerical evidence only.
     """
     u0 = as_vector(u0, problem.n_dim, "u0")
-    if plan.k_n > problem.n_dim:
-        raise ParameterError("plan.k_n exceeds the truncation dimension")
-    if plan.r_n is not None and plan.r_n > problem.n_dim:
-        raise ParameterError("plan.r_n exceeds the truncation dimension")
+    _check_kr(problem, plan.k_n, plan.r_n)
     n, eps, xi = plan.n_level, plan.eps_n, plan.xi_n
     cst = plan.constants
 
@@ -537,7 +537,6 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan, u0: np.ndarray,
 
     details = {
         "small_ball_report": sb,
-        "tail_mode": "chernoff",
         "tail_threshold": cst.c2 * xi,
     }
     if plan.r_n == plan.k_n:

@@ -1,7 +1,7 @@
 """Thin command-line interface: one subcommand per pipeline.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O error.
+Exit codes: 0 success, 1 configuration error (including a value a model
+constructor rejects), 2 numerical failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import PIPELINES, parse_config
-from .errors import ConfigError, NumericalError
+from .config import FORMATS, PIPELINES, parse_config
+from .errors import ConfigError, ConstructionError, ParameterError
 from .runner import emit_results, run_experiment
 
 _DESCRIPTIONS = {
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to a YAML experiment config")
     common.add_argument("--seed", type=int, default=None, help="override the master seed")
     common.add_argument("--out", default=None, help="output directory (default: from config)")
-    common.add_argument("--format", choices=("csv", "json", "plotdata"), default=None,
+    common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default: from config)")
     common.add_argument("--workers", type=int, default=_default_workers(),
                         help="worker threads for independent cells")
@@ -65,18 +65,12 @@ def main(argv=None) -> int:
         config = parse_config(text)
         if args.seed is not None:
             config = config.with_master_seed(args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        # run_experiment records pipeline errors as failures; what escapes it
+        # comes from the problem build, before any pipeline runs
         record = run_experiment(config, pipelines=[args.pipeline], workers=args.workers)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
     out_dir = args.out if args.out is not None else config.outputs["directory"]
     formats = [args.format] if args.format is not None else config.outputs["formats"]

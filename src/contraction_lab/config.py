@@ -29,18 +29,6 @@ PIPELINES = ("simulate", "posterior", "rate-fit", "check", "gn", "smallball",
 FORMATS = ("csv", "json", "plotdata")
 
 
-def _float(x):
-    return float(x)
-
-
-def _int(x):
-    return int(x)
-
-
-def _str(x):
-    return str(x)
-
-
 def _float_list(x):
     return [float(v) for v in x]
 
@@ -59,78 +47,79 @@ def _int_or_inf(x):
     return int(x)
 
 
-# (converter, default); None default means "absent unless given"
+# (converter, default), or a nested section's own schema; a None default
+# means "absent unless given"
 _SCHEMA = {
     "problem": {
-        "n_dim": (_int, 512),
-        "spectrum": ({
-            "family": (_str, "mild"),
-            "alpha": (_float, 1.0),
-            "c1": (_float, 1.0),
-            "c2": (_float, 1.0),
-            "alpha1": (_float, None),
-            "alpha2": (_float, None),
-            "c0": (_float, None),
-            "beta": (_float, None),
+        "n_dim": (int, 512),
+        "spectrum": {
+            "family": (str, "mild"),
+            "alpha": (float, 1.0),
+            "c1": (float, 1.0),
+            "c2": (float, 1.0),
+            "alpha1": (float, None),
+            "alpha2": (float, None),
+            "c0": (float, None),
+            "beta": (float, None),
             "rho": (_float_list, None),
-        }, "nested"),
-        "coupling": ({
-            "kind": (_str, "identity"),
-            "lo_ratio": (_float, 1.0 / 3.0),
-            "hi_ratio": (_float, 2.0),
-            "seed": (_int, None),
+        },
+        "coupling": {
+            "kind": (str, "identity"),
+            "lo_ratio": (float, 1.0 / 3.0),
+            "hi_ratio": (float, 2.0),
+            "seed": (int, None),
             "v": (_float_list, None),
             "generator": (_matrix, None),
             "matrix": (_matrix, None),
-        }, "nested"),
-        "prior": ({
-            "family": (_str, "power"),
-            "delta": (_float, 1.0),
+        },
+        "prior": {
+            "family": (str, "power"),
+            "delta": (float, 1.0),
             "variances": (_float_list, None),
-            "t": (_float, None),
-            "l": (_float, None),
-            "k2_seed": (_int, 7),
-            "k2_scale": (_float, 0.1),
-        }, "nested"),
-        "noise": ({
-            "kind": (_str, "white"),
+            "t": (float, None),
+            "l": (float, None),
+            "k2_seed": (int, 7),
+            "k2_scale": (float, 0.1),
+        },
+        "noise": {
+            "kind": (str, "white"),
             "variances": (_float_list, None),
-            "r": (_float, None),
-            "k1_seed": (_int, 11),
-            "k1_scale": (_float, 0.1),
+            "r": (float, None),
+            "k1_seed": (int, 11),
+            "k1_scale": (float, 0.1),
             "matrix": (_matrix, None),
-        }, "nested"),
+        },
     },
     "truth": {
-        "gamma": (_float, 2.0),
+        "gamma": (float, 2.0),
         "coefficients": (_float_list, None),
     },
     "run": {
         "pipelines": (_str_list, ["rate-fit"]),
         "n_grid": (_float_list, [1e2, 1e3, 1e4, 1e5, 1e6]),
-        "mc": (_int, 2000),
-        "y_replicates": (_int, 50),
-        "delta_level": (_float, 0.1),
-        "master_seed": (_int, DEFAULT_SEED),
+        "mc": (int, 2000),
+        "y_replicates": (int, 50),
+        "delta_level": (float, 0.1),
+        "master_seed": (int, DEFAULT_SEED),
         "xi_grid": (_float_list, None),
         "eps_grid": (_float_list, None),
         "x_grid": (_float_list, None),
-        "k_max": (_int, 32),
-        "j_max": (_int, None),
+        "k_max": (int, 32),
+        "j_max": (int, None),
         "r_values": (lambda x: [_int_or_inf(v) for v in x], None),
-        "hs_target": (_str, None),
-        "plug_k": (_int, None),
-        "plug_r": (_int, None),
+        "hs_target": (str, None),
+        "plug_k": (int, None),
+        "plug_r": (int, None),
     },
     "outputs": {
-        "directory": (_str, "out"),
+        "directory": (str, "out"),
         "formats": (_str_list, ["csv"]),
     },
     "findim": {
-        "p": (_int, 1),
-        "q": (_int, 1),
+        "p": (int, 1),
+        "q": (int, 1),
         "g": (_matrix, [[1.0]]),
-        "m_const": (_float, 3.0),
+        "m_const": (float, 3.0),
         "mixture_weights": (_float_list, None),
         "mixture_means": (_matrix, None),
         "mixture_sds": (_matrix, None),
@@ -138,8 +127,8 @@ _SCHEMA = {
 }
 
 _PLAN_KEYS = {
-    "eps_n": _float, "xi_n": _float, "k_n": _int, "r_n": _int_or_inf,
-    "n_level": _float, "c": _float, "c1": _float, "c2": _float, "r": _float,
+    "eps_n": float, "xi_n": float, "k_n": int, "r_n": _int_or_inf,
+    "n_level": float, "c": float, "c1": float, "c2": float, "r": float,
 }
 
 
@@ -163,9 +152,8 @@ def _normalize_section(given: dict, schema: dict, section: str) -> dict:
     _reject_unknown(given, schema.keys(), section)
     out = {}
     for key, spec in schema.items():
-        if isinstance(spec[0], dict):  # nested section
-            sub = given.get(key, {})
-            out[key] = _normalize_section(sub, spec[0], f"{section}.{key}")
+        if isinstance(spec, dict):
+            out[key] = _normalize_section(given.get(key, {}), spec, f"{section}.{key}")
             continue
         converter, default = spec
         if key in given and given[key] is not None:
@@ -185,15 +173,27 @@ def _normalize_plan(raw) -> str | dict:
 
 
 def _check_invariants(data: dict) -> None:
+    n_dim = data["problem"]["n_dim"]
+    if n_dim < 1:
+        raise ConfigInvariantError("problem.n_dim", "must be >= 1")
     run = data["run"]
     n_grid = run["n_grid"]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigInvariantError("run.n_grid", "must be strictly increasing")
     if any(n <= 0 for n in n_grid):
         raise ConfigInvariantError("run.n_grid", "entries must be positive")
-    for key in ("mc", "y_replicates", "k_max", "j_max", "plug_k", "plug_r"):
-        if run.get(key, 1) < 1:
+    for key in ("mc", "y_replicates", "k_max"):
+        if run[key] < 1:
             raise ConfigInvariantError(f"run.{key}", "counts must be positive")
+    # Coordinate counts lie in [1, n_dim] ("inf" where allowed); k_max alone is
+    # an upper limit, clipped to n_dim where it is used.
+    plan = data["plan"] if data["plan"] != "auto" else {}
+    counts = {f"run.{key}": [run[key]] for key in ("j_max", "plug_k", "plug_r") if key in run}
+    counts["run.r_values"] = run.get("r_values", [])
+    counts.update({f"plan.{key}": [plan[key]] for key in ("k_n", "r_n") if key in plan})
+    for name, values in counts.items():
+        if any(v != "inf" and not 1 <= v <= n_dim for v in values):
+            raise ConfigInvariantError(name, f"must lie in [1, n_dim = {n_dim}]")
     if run["master_seed"] < 0:
         raise ConfigInvariantError("run.master_seed", "seed must be nonnegative")
     if not (0 < run["delta_level"] < 0.5):
@@ -204,8 +204,6 @@ def _check_invariants(data: dict) -> None:
     for f in data["outputs"]["formats"]:
         if f not in FORMATS:
             raise ConfigInvariantError("outputs.formats", f"unknown format {f!r}")
-    if data["problem"]["n_dim"] < 1:
-        raise ConfigInvariantError("problem.n_dim", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -313,16 +311,11 @@ def _require(spec: dict, section: str, kind_key: str, table: dict):
     return make
 
 
-def build_spectrum(config: ExperimentConfig) -> spectral.OperatorSpectrum:
-    spec = config.data["problem"]["spectrum"]
-    make = _require(spec, "problem.spectrum", "family", _SPECTRA)
-    return make(spec, config.data["problem"]["n_dim"])
-
-
 def build_problem(config: ExperimentConfig) -> spectral.InverseProblem:
     prob = config.data["problem"]
     n_dim = prob["n_dim"]
-    spectrum = build_spectrum(config)
+    spectrum_spec = prob["spectrum"]
+    spectrum = _require(spectrum_spec, "problem.spectrum", "family", _SPECTRA)(spectrum_spec, n_dim)
 
     prior_spec = prob["prior"]
     coupling_spec = prob["coupling"]
@@ -368,13 +361,11 @@ def build_theory_params(config: ExperimentConfig) -> TheoryParams:
     noise_spec = prob["noise"]
     if noise_spec["kind"] == "colored" and prior_spec["family"] == "hilbert_scale":
         variant = Colored(noise_spec["r"], prior_spec["t"], prior_spec["l"])
-        delta = prior_spec.get("delta", 1.0)
     elif prior_spec["family"] == "power":
         variant = WhiteDiagonal()
-        delta = prior_spec["delta"]
     else:
         raise ConfigInvariantError("plan", "auto plans require a power or hilbert_scale prior")
-    return TheoryParams(alpha=alpha, delta=delta, gamma=gamma, variant=variant)
+    return TheoryParams(alpha=alpha, delta=prior_spec["delta"], gamma=gamma, variant=variant)
 
 
 def build_plan(config: ExperimentConfig) -> RatePlan:
@@ -384,8 +375,7 @@ def build_plan(config: ExperimentConfig) -> RatePlan:
         params = build_theory_params(config)
         n_level = float(config.run["n_grid"][-1])
         return plan_from_theory(params, n_level, n_dim)
-    constants = RateConstants(c=raw.get("c", 1.0), c1=raw.get("c1", 1.0),
-                              c2=raw.get("c2", 1.0), r=raw.get("r", 1.0))
+    constants = RateConstants(**{k: raw[k] for k in ("c", "c1", "c2", "r") if k in raw})
     r_n = raw.get("r_n")
     if r_n == "inf":
         r_n = None

@@ -85,10 +85,6 @@ def _table(config: ExperimentConfig, name: str, columns, rows, operation: str,
                  config.digest, label=label)
 
 
-def _f(x) -> float:
-    return float(x)
-
-
 def _n(x):
     """Grid value as int when integral, float otherwise (lossless CSV)."""
     v = float(x)
@@ -107,7 +103,7 @@ def _pipe_simulate(config: ExperimentConfig, problem: InverseProblem, workers: i
     def cell(item):
         i, n = item
         data = simulate_data(problem, u0, n, derive_seed(seed, "simulate", i))
-        return [(_n(n), k + 1, _f(data.y[k])) for k in range(problem.n_dim)]
+        return [(_n(n), k + 1, float(data.y[k])) for k in range(problem.n_dim)]
 
     rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
     return [_table(config, "simulate", ("n_level", "coord", "y"), rows, "simulate_data")]
@@ -127,7 +123,7 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
         xis = run.get("xi_grid") or [scale * m for m in (0.5, 1.0, 2.0, 4.0)]
         ests = posterior.posterior_exceedance_grid(post, u0, xis, mc,
                                                    derive_seed(seed, "posterior", i, "mc"))
-        return [(_n(n), _f(e.xi), _f(e.value), _f(e.std_error)) for e in ests]
+        return [(_n(n), float(e.xi), float(e.value), float(e.std_error)) for e in ests]
 
     rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
     return [_table(config, "posterior_exceedance", ("n_level", "xi", "estimate", "std_error"),
@@ -140,7 +136,8 @@ def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: i
     fit = rates.fit_contraction_rate(problem, u0, run["n_grid"], run["delta_level"],
                                      run["y_replicates"],
                                      seed=derive_seed(run["master_seed"], "rate-fit"))
-    rows = [(_n(n), _f(x), _f(frac), _f(fit.slope), _f(fit.slope_ci[0]), _f(fit.slope_ci[1]))
+    rows = [(_n(n), float(x), float(frac), float(fit.slope), float(fit.slope_ci[0]),
+             float(fit.slope_ci[1]))
             for n, x, frac in zip(fit.n_grid, fit.xi_hat, fit.exceedance_frac)]
     return [_table(config, "rate_fit",
                    ("n", "xi_hat", "exceedance_frac", "slope", "slope_lo", "slope_hi"), rows,
@@ -155,11 +152,12 @@ def _pipe_check(config: ExperimentConfig, problem: InverseProblem, workers: int)
     report = assumptions.verify_assumptions(problem, plan, u0, max(run["mc"], 1000),
                                             derive_seed(run["master_seed"], "check"))
     rows = [
-        ("small_ball", _f(report.small_ball.measured), _f(report.small_ball.bound), report.small_ball.ok),
-        ("projection_tail", _f(report.tail.measured), _f(report.tail.bound), report.tail.ok),
-        ("g", _f(report.g.measured), _f(report.g.bound), report.g.ok),
-        ("k_n", _f(report.kn.measured), _f(report.kn.bound), report.kn.ok),
-        ("truth_ratio", _f(report.truth_ratio), None, True),
+        ("small_ball", float(report.small_ball.measured), float(report.small_ball.bound),
+         report.small_ball.ok),
+        ("projection_tail", float(report.tail.measured), float(report.tail.bound), report.tail.ok),
+        ("g", float(report.g.measured), float(report.g.bound), report.g.ok),
+        ("k_n", float(report.kn.measured), float(report.kn.bound), report.kn.ok),
+        ("truth_ratio", float(report.truth_ratio), None, True),
     ]
     return [_table(config, "assumption_checks", ("check", "measured", "bound", "ok"), rows,
                    "verify_assumptions",
@@ -180,7 +178,7 @@ def _pipe_gn(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
         for r in r_values:
             r_eff = n if r == "inf" else int(r)
             g = assumptions.compute_g_kr(problem, k, r_eff)
-            out.append((k, "inf" if r == "inf" else int(r), _f(g)))
+            out.append((k, "inf" if r == "inf" else int(r), float(g)))
         return out
 
     return [_table(config, "g_table", ("k", "r", "g"), _cell_rows(cell, k_values, workers),
@@ -202,8 +200,8 @@ def _pipe_smallball(config: ExperimentConfig, problem: InverseProblem, workers: 
         i, eps = item
         rep = assumptions.small_ball_log_prob(problem, u0, eps, mc,
                                               derive_seed(seed, "smallball", i))
-        return (_f(eps), _f(rep.log_prob), _f(rep.ci_halfwidth), _f(rep.centered_log_prob),
-                _f(rep.shift_cost), rep.upper_bound_only)
+        return (float(eps), float(rep.log_prob), float(rep.ci_halfwidth),
+                float(rep.centered_log_prob), float(rep.shift_cost), rep.upper_bound_only)
 
     rows = _map_cells(cell, list(enumerate(eps_grid)), workers)
     return [_table(config, "small_ball", ("eps", "log_prob", "ci_halfwidth", "centered_log_prob",
@@ -217,7 +215,7 @@ def _pipe_minmax(config: ExperimentConfig, problem: InverseProblem, workers: int
     table = assumptions.minmax_compare(assumptions.coupled_pushforward_cov(problem),
                                        assumptions.diagonal_pushforward_cov(problem),
                                        j_max)
-    rows = [(j + 1, _f(a), _f(b), _f(r))
+    rows = [(j + 1, float(a), float(b), float(r))
             for j, (a, b, r) in enumerate(zip(table.alphas, table.betas, table.ratios))]
     return [_table(config, "minmax_ratios", ("j", "alpha", "beta", "ratio"), rows,
                    "minmax_compare", min_ratio=table.min_ratio, max_ratio=table.max_ratio)]
@@ -234,7 +232,7 @@ def _pipe_hs(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
         else:
             target = "gn_bound"
     report = assumptions.hs_diagnostic(problem, target)
-    rows = [(report.target, int(m), _f(v), report.verdict)
+    rows = [(report.target, int(m), float(v), report.verdict)
             for m, v in zip(report.truncations, report.values)]
     return [_table(config, "hs_diagnostic", ("target", "truncation", "value", "verdict"), rows,
                    "hs_diagnostic", details=report.details)]
@@ -251,7 +249,7 @@ def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, worke
     x_grid = run.get("x_grid") or [sigma0 * m for m in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
     rep = assumptions.concentration_check(problem, u0, k, r, n_level, x_grid, mc,
                                           derive_seed(run["master_seed"], "concentration"))
-    rows = [(_f(x), _f(e), _f(b), _f(s), bool(o))
+    rows = [(float(x), float(e), float(b), float(s), bool(o))
             for x, e, b, s, o in zip(rep.x_grid, rep.empirical, rep.bound, rep.std_error, rep.ok)]
     return [_table(config, "concentration", ("x", "empirical", "bound", "std_error", "ok"), rows,
                    "concentration_check", sigma0_sq=rep.sigma0_sq,
@@ -270,7 +268,7 @@ def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int
     table = rates.finite_dim_rate_run(exp, u0, n_grid, max(run["mc"], 1000),
                                       run["y_replicates"],
                                       derive_seed(run["master_seed"], "findim"))
-    rows = [(_n(n), _f(m), None if math.isnan(r) else _f(r), int(c))
+    rows = [(_n(n), float(m), None if math.isnan(r) else float(r), int(c))
             for n, m, r, c in zip(table.n_grid, table.mean_exceedance,
                                   table.max_ratio, table.diagnostic_counts)]
     return [_table(config, "findim_rate", ("n", "mean_exceedance", "max_ratio", "diagnostic_count"),
@@ -371,19 +369,14 @@ def emit_results(record: ResultRecord, format: str, out_dir) -> list[Path]:
         return [path]
     if format == "plotdata":
         for t in record.tables:
-            if len(t.columns) < 2:
-                continue
-            x_col = 0
-            for j, col in enumerate(t.columns):
-                if j == x_col:
-                    continue
+            for j, col in enumerate(t.columns[1:], start=1):
                 if not all(isinstance(r[j], (int, float)) and not isinstance(r[j], bool)
                            for r in t.rows):
                     continue
                 path = out / f"{t.name}.{col}.plotdata"
                 with open(path, "w") as fh:
                     for r in t.rows:
-                        fh.write(f"{r[x_col]} {r[j]}\n")
+                        fh.write(f"{r[0]} {r[j]}\n")
                 written.append(path)
         return written
     raise ConfigInvariantError("outputs.formats", f"unknown format {format!r}")

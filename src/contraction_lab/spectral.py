@@ -129,8 +129,6 @@ def make_spectrum(family: SpectrumFamily | np.ndarray, n_dim: int) -> OperatorSp
     (geometric mean of the two bounds); for a mild family with c1 = c2 = 1
     that is exactly ``(1 + k^2)^(-alpha/2)``.
     """
-    if n_dim < 1:
-        raise ParameterError("n_dim must be >= 1")
     k = np.arange(1, n_dim + 1, dtype=float)
     if isinstance(family, MildFamily):
         if family.alpha < 0:
@@ -408,8 +406,9 @@ def random_spd(n_dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
 class InverseProblem:
     """Bundle of operator, basis coupling, prior and noise at one truncation.
 
-    The forward and whitened forward maps are computed lazily and cached;
-    all fields are immutable so instances are safe to share across threads.
+    The whitened forward map and its Gram matrix are computed lazily and
+    cached; all fields are immutable so instances are safe to share across
+    threads.
     """
 
     operator: OperatorSpectrum
@@ -449,16 +448,10 @@ class InverseProblem:
     # -- forward map ---------------------------------------------------------
 
     @cached_property
-    def forward_matrix(self) -> np.ndarray:
-        """G T: e-coordinates of the forward image of phi-coordinates
-        (read-only)."""
-        return _read_only(self.operator.rho[:, None] * self.coupling.t_matrix)
-
-    @cached_property
     def whitened_forward(self) -> np.ndarray:
         """M = zeta^(-1/2) G T, the whitened forward map on phi-coordinates
         (read-only)."""
-        return _read_only(self.noise_whiten(self.forward_matrix))
+        return _read_only(self.noise_whiten(self.operator.rho[:, None] * self.coupling.t_matrix))
 
     @cached_property
     def whitened_gram(self) -> np.ndarray:

@@ -221,6 +221,17 @@ class TestProjectionTail:
         assert all(a >= b for a, b in zip(probs, probs[1:]))
         assert probs[-1] <= probs[0]
 
+    @pytest.mark.parametrize("k, r, threshold", [
+        (0, None, 0.5), (9, None, 0.5), (3, -2, 0.5), (3, None, -0.5)])
+    def test_grid_validates_like_the_bound(self, k, r, threshold):
+        """The Monte Carlo oracle rejects what the bound rejects instead of
+        sampling a meaningless projection."""
+        prob = banded_problem(8, seed=2)
+        with pytest.raises(ParameterError):
+            cl.projection_log_tail_bound(prob, k, r, threshold)
+        with pytest.raises(ParameterError):
+            cl.projection_tail_grid(prob, k, r, [threshold])
+
     @pytest.mark.parametrize("threshold", [0.3, 0.8, 1.5])
     def test_chernoff_dominates_monte_carlo(self, threshold):
         prob = banded_problem(10, seed=5)

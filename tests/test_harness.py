@@ -7,7 +7,13 @@ import pytest
 
 import contraction_lab as cl
 from contraction_lab.cli import main as cli_main
-from contraction_lab.config import build_problem
+from contraction_lab.config import (
+    build_findim,
+    build_plan,
+    build_problem,
+    build_theory_params,
+    build_truth,
+)
 from contraction_lab.errors import (
     ConfigInvariantError,
     ConfigSyntaxError,
@@ -57,6 +63,26 @@ class TestParseConfig:
         with pytest.raises(ConfigInvariantError) as err:
             cl.parse_config(f"run: {{{key}: 0}}")
         assert err.value.field == f"run.{key}"
+
+    @pytest.mark.parametrize("doc, field", [
+        ("run: {j_max: 40}", "run.j_max"),
+        ("run: {plug_k: 20}", "run.plug_k"),
+        ("run: {plug_r: 30}", "run.plug_r"),
+        ("run: {r_values: [6, 40, inf]}", "run.r_values"),
+        ("run: {r_values: [0]}", "run.r_values"),
+        ("plan: {eps_n: 0.5, xi_n: 0.5, k_n: 40}", "plan.k_n"),
+        ("plan: {eps_n: 0.5, xi_n: 0.5, k_n: 4, r_n: 13}", "plan.r_n"),
+    ])
+    def test_coordinate_count_outside_n_dim_names_its_own_key(self, doc, field):
+        """A count that indexes the N coordinates is a config error outside
+        [1, N], not a pipeline failure; ``k_max`` alone is an upper limit,
+        clipped to N."""
+        with pytest.raises(ConfigInvariantError) as err:
+            cl.parse_config("problem: {n_dim: 12}\n" + doc)
+        assert err.value.field == field
+        cl.parse_config("problem: {n_dim: 12}\n"
+                        "run: {k_max: 40, j_max: 12, plug_k: 12, plug_r: 12, r_values: [1, 12, inf]}\n"
+                        "plan: {eps_n: 0.5, xi_n: 0.5, k_n: 12, r_n: 12}")
 
     def test_seed_override_is_validated_like_the_file(self):
         with pytest.raises(ConfigInvariantError) as err:
@@ -165,6 +191,80 @@ class TestBuildProblem:
         for problem in kinds:
             config = cl.parse_config(json.dumps({"problem": {"n_dim": 4, **problem}}))
             assert build_problem(config).n_dim == 4
+
+
+SKEW_4 = (np.triu(np.ones((4, 4)), 1) - np.tril(np.ones((4, 4)), -1)).tolist()
+
+
+class TestBuilders:
+    """Config sections that reach the model objects through the builders."""
+
+    def test_explicit_plan_with_infinite_cutoff(self):
+        config = cl.parse_config("problem: {n_dim: 8}\n"
+                                 "plan: {eps_n: 0.5, xi_n: 0.4, k_n: 3, r_n: inf, c2: 2.5}")
+        plan = build_plan(config)
+        assert (plan.eps_n, plan.xi_n, plan.k_n, plan.r_n) == (0.5, 0.4, 3, None)
+        assert plan.constants == cl.RateConstants(c=1.0, c1=1.0, c2=2.5, r=1.0)
+        assert plan.n_level == 1e6
+
+    def test_explicit_finite_cutoff_is_evidence_only(self):
+        config = cl.parse_config("problem: {n_dim: 8}\n"
+                                 "plan: {eps_n: 0.5, xi_n: 0.5, k_n: 3, r_n: 4}\n"
+                                 "run: {n_grid: [100, 1000], mc: 1000}")
+        record = cl.run_experiment(config, pipelines=["check"])
+        assert not record.failures, record.failures
+        table = record.table("assumption_checks")
+        assert table.label == "finite-r evidence only"
+        assert table.provenance["plan"]["r_n"] == 4
+        assert table.provenance["plan"]["n_level"] == 1000.0
+
+    def test_colored_hilbert_scale_auto_plan(self):
+        config = cl.parse_config(
+            "problem: {n_dim: 16, prior: {family: hilbert_scale, t: 1.0, l: 2.0, delta: 2.5}, "
+            "noise: {kind: colored, r: 0.5}}\ntruth: {gamma: 3.0}")
+        params = build_theory_params(config)
+        assert params == cl.TheoryParams(alpha=1.0, delta=2.5, gamma=3.0,
+                                         variant=cl.Colored(r=0.5, t=1.0, l=2.0))
+        assert build_plan(config) == cl.plan_from_theory(params, 1e6, 16)
+
+    def test_truth_coefficients(self):
+        config = cl.parse_config("problem: {n_dim: 3}\ntruth: {coefficients: [0.5, -1, 2]}")
+        np.testing.assert_array_equal(build_truth(config), [0.5, -1.0, 2.0])
+        config = cl.parse_config("problem: {n_dim: 4}\ntruth: {coefficients: [0.5, -1, 2]}")
+        with pytest.raises(ConfigInvariantError) as err:
+            build_truth(config)
+        assert err.value.field == "truth.coefficients"
+
+    def test_findim_mixture_keys(self):
+        exp = build_findim(cl.parse_config(
+            "findim: {mixture_weights: [0.25, 0.75], mixture_means: [[-2.0], [1.0]], "
+            "mixture_sds: [[0.5], [2.0]], m_const: 4.0}"))
+        np.testing.assert_array_equal(exp.prior.weights, [0.25, 0.75])
+        np.testing.assert_array_equal(exp.prior.means, [[-2.0], [1.0]])
+        np.testing.assert_array_equal(exp.prior.sds, [[0.5], [2.0]])
+        assert (exp.p, exp.q, exp.m_const) == (1, 1, 4.0)
+
+    def test_findim_above_one_dimension_uses_snis(self):
+        config = cl.parse_config("problem: {n_dim: 4}\n"
+                                 "findim: {p: 2, q: 3, g: [[1, 0], [0, 1], [1, 1]]}\n"
+                                 "run: {n_grid: [100, 1000], mc: 1000, y_replicates: 3}")
+        record = cl.run_experiment(config, pipelines=["findim"])
+        assert not record.failures, record.failures
+        table = record.table("findim_rate")
+        assert table.provenance["method"] == "snis"
+        assert [row[0] for row in table.rows] == [100, 1000]
+        assert all(0.0 <= row[1] <= 1.0 for row in table.rows)
+
+    @pytest.mark.parametrize("coupling, target", [
+        ({"kind": "reflection", "v": [1.0, 0.5, 0.25, 0.125]}, "reflection_pair"),
+        ({"kind": "exp_skew", "generator": SKEW_4}, "exp_pair"),
+    ])
+    def test_hs_default_target_follows_the_coupling(self, coupling, target):
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 4, "coupling": coupling}}))
+        record = cl.run_experiment(config, pipelines=["hs"])
+        assert not record.failures, record.failures
+        rows = record.table("hs_diagnostic").rows
+        assert [(row[0], row[1]) for row in rows] == [(target, 1), (target, 2), (target, 4)]
 
 
 class TestDigest:
@@ -356,6 +456,16 @@ class TestCli:
         assert cli_main(["rate-fit", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "pipeline rate-fit failed: NumericalError" in err and "dstevd" in err
+
+    @pytest.mark.parametrize("problem", ["prior: {family: power, delta: -1}",
+                                         "coupling: {kind: banded, hi_ratio: 0.9}"])
+    def test_model_construction_error_exit_code(self, tmp_path, capsys, problem):
+        """A value the model constructors reject is a config error (exit 1)
+        reported on one line, not a traceback out of ``main``."""
+        path = self._write(tmp_path, f"problem: {{n_dim: 8, {problem}}}")
+        assert cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_flag_changes_digest(self, tmp_path):
         path = self._write(tmp_path)

@@ -293,7 +293,7 @@ class TestImmutability:
 
     def test_cached_matrices_are_read_only(self):
         prob = self._colored_problem()
-        for arr in (prob.forward_matrix, prob.whitened_forward, prob.whitened_gram):
+        for arr in (prob.whitened_forward, prob.whitened_gram):
             with pytest.raises(ValueError):
                 arr[0, 0] = -1.0
             with pytest.raises(ValueError):
@@ -312,8 +312,8 @@ class TestImmutability:
             monkeypatch.setattr(np.linalg, name, refuse)
         zeta = prob.noise.dense
         m = prob.whitened_forward
-        np.testing.assert_allclose(m.T @ zeta @ m, prob.forward_matrix.T @ prob.forward_matrix,
-                                   rtol=1e-10, atol=1e-12)
+        g_t = prob.operator.rho[:, None] * prob.coupling.t_matrix
+        np.testing.assert_allclose(m.T @ zeta @ m, g_t.T @ g_t, rtol=1e-10, atol=1e-12)
         z = np.ones(prob.n_dim)
         np.testing.assert_allclose(prob.noise_whiten(prob.noise_color(z)), z, rtol=1e-12)
 
