@@ -2,10 +2,11 @@
 
 The central object is the worst-case whitened norm of the inverted forward
 map over the leading prior-basis directions (``g``), computed exactly as the
-top eigenvalue of a small Gram matrix. Around it sit Monte Carlo and
-Chernoff evaluations of small-ball masses and projection tails, eigenvalue
-sandwich comparisons, Hilbert-Schmidt truncation diagnostics, and the
-concentration behaviour of the linear plug-in reconstruction.
+top eigenvalue of a small Gram matrix. Around it sit small-ball masses with
+rigorous two-sided bounds, Chernoff and Monte Carlo evaluations of
+projection tails, eigenvalue sandwich comparisons, Hilbert-Schmidt
+truncation diagnostics, and the concentration behaviour of the linear
+plug-in reconstruction.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .spectral import (
     as_vector,
     forward_apply,
 )
-
-_WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +72,9 @@ class RatePlan:
 
 @dataclass(frozen=True)
 class CheckResult:
-    ok: bool
+    """One inequality: ``ok`` is None when the evidence decides neither way."""
+
+    ok: bool | None
     measured: float
     bound: float
 
@@ -94,36 +95,58 @@ class AssumptionReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.small_ball.ok and self.tail.ok and self.g.ok and self.kn.ok
+        return all(check.ok is True for check in (self.small_ball, self.tail, self.g, self.kn))
 
 
 @dataclass(frozen=True)
 class SmallBallReport:
-    """Monte Carlo small-ball mass with its shifted lower-bound certificate.
+    """Log prior mass of a whitened forward ball with its shift certificate.
 
+    ``log_prob`` is the Lugannani-Rice value and ``bounds`` the rigorous
+    ``(lower, upper)`` pair around it (independence product, Chernoff); the
+    ``centered_`` fields are the same for the ball of radius eps/2 around 0.
     ``shift_cost`` is half the squared prior Cameron-Martin norm of the
-    truncated forward expansion of the center, so
-    ``log_prob >= centered_log_prob - shift_cost`` up to Monte Carlo slack.
+    truncated forward expansion of the center, so the true masses satisfy
+    ``log_prob >= centered_log_prob - shift_cost``.
     """
 
     log_prob: float
-    ci_halfwidth: float
+    bounds: tuple[float, float]
     centered_log_prob: float
-    centered_ci_halfwidth: float
+    centered_bounds: tuple[float, float]
     shift_cost: float
     eps: float
     truncation_index: int
-    upper_bound_only: bool = False
 
     def __post_init__(self):
-        if self.log_prob > 0 or self.shift_cost < 0:
-            raise ParameterError("log_prob must be <= 0 and shift_cost >= 0")
+        for lo, hi in (self.bounds, self.centered_bounds):
+            if not lo <= hi <= 0:
+                raise ParameterError("bounds must be ordered (lower, upper) and <= 0")
+        if self.shift_cost < 0:
+            raise ParameterError("shift_cost must be >= 0")
+
+    @staticmethod
+    def _halfwidth(bounds: tuple[float, float]) -> float:
+        lo, hi = bounds
+        return 0.0 if lo == hi else 0.5 * (hi - lo)
+
+    @property
+    def ci_halfwidth(self) -> float:
+        """Half the width of ``bounds`` in log space."""
+        return self._halfwidth(self.bounds)
+
+    @property
+    def centered_ci_halfwidth(self) -> float:
+        return self._halfwidth(self.centered_bounds)
+
+    @property
+    def upper_bound_only(self) -> bool:
+        """Only the upper bound is informative: the lower one is ``-inf``."""
+        return self.bounds[0] == -math.inf
 
     def shift_bound_satisfied(self) -> bool:
-        slack = self.ci_halfwidth + self.centered_ci_halfwidth
-        if not np.isfinite(slack):
-            return True
-        return self.log_prob >= self.centered_log_prob - self.shift_cost - slack
+        """The bounds are consistent with the shift inequality."""
+        return self.bounds[1] >= self.centered_bounds[0] - self.shift_cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +176,10 @@ def _check_kr(problem: InverseProblem, k: int, r: int | None) -> None:
         raise ParameterError(f"r = {r} must lie in [1, n_dim = {problem.n_dim}] or be None")
 
 
-def compute_g_kr(problem: InverseProblem, k: int, r: int) -> float:
+def compute_g_kr(problem: InverseProblem, k: int, r: int | None) -> float:
     """Largest squared whitened norm of the projected inverse adjoint over
-    unit vectors in the span of the first k prior-basis directions.
+    unit vectors in the span of the first k prior-basis directions; ``r =
+    None`` applies no e-cutoff.
 
     Computed exactly as the top eigenvalue of the k x k Gram matrix of the
     restricted columns ``zeta^(1/2) P_r diag(1/rho) T[:, :k]``.
@@ -170,62 +194,65 @@ def compute_g_kr(problem: InverseProblem, k: int, r: int) -> float:
 # Small-ball mass
 # ---------------------------------------------------------------------------
 
-def _wilson_interval(hits: int, count: int) -> tuple[float, float]:
-    z2 = _WILSON_Z**2
-    p = hits / count
-    denom = 1.0 + z2 / count
-    center = (p + z2 / (2 * count)) / denom
-    half = _WILSON_Z * math.sqrt(p * (1 - p) / count + z2 / (4 * count**2)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+@dataclass(frozen=True, eq=False)
+class SmallBallForm:
+    """The prior's whitened forward distance to one center u0, as the form
+    ``||M(u - u0)||**2 = sum_i (c_i + sqrt(lam_i) Z_i)**2``: ``lam`` the
+    eigenvalues of ``M Lambda M^T`` (M the whitened forward map, Lambda the
+    prior covariance) and ``c = V^T M u0``; the centered ball is the same form
+    with ``c = 0``. ``residual_norms[j] = ||M (u0 - P_j u0)||``, with ``P_j``
+    keeping the first j coordinates, prices the shift certificate."""
+
+    lam: np.ndarray
+    c: np.ndarray
+    residual_norms: np.ndarray
+
+
+def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
+    """One spectrum of the prior forward covariance, for every radius."""
+    u0 = as_vector(u0, problem.n_dim, "u0")
+    a = problem.whitened_forward * np.sqrt(problem.prior.variances)[None, :]
+    # ``a @ a.T`` is exactly symmetric, so its transpose is the same matrix in
+    # Fortran order, which the reduction overwrites without a copy.
+    lam, c = quadform.spectrum((a @ a.T).T, problem.whitened_forward @ u0,
+                               "prior forward covariance")
+    col_images = problem.whitened_forward * u0[None, :]
+    suffix = np.cumsum(col_images[:, ::-1], axis=1)[:, ::-1]
+    residual_norms = np.concatenate([np.linalg.norm(suffix, axis=0), [0.0]])
+    for array in (lam, c, residual_norms):
+        array.flags.writeable = False  # shared by every radius, on any thread
+    return SmallBallForm(lam=lam, c=c, residual_norms=residual_norms)
 
 
 def small_ball_log_prob(problem: InverseProblem, u0: np.ndarray, eps: float,
-                        mc: int, seed: int) -> SmallBallReport:
+                        form: SmallBallForm | None = None) -> SmallBallReport:
     """Log prior mass of the whitened forward ball of radius eps around u0.
 
     Also reports the centered mass at radius eps/2 and the cost of shifting
     the center: half the squared prior norm of the shortest truncated
-    expansion whose forward image sits within eps/2 of the target.
+    expansion whose forward image sits within eps/2 of the target. Both
+    masses are lower tails of ``small_ball_form(problem, u0)``, which a
+    caller may pass to share it across radii.
     """
-    if mc < 1000:
-        raise ParameterError("mc must be >= 1000")
     if eps <= 0:
         raise ParameterError("eps must be positive")
     u0 = as_vector(u0, problem.n_dim, "u0")
-    rng = substream(seed, "small-ball")
-    draws = rng.standard_normal((mc, problem.n_dim)) * np.sqrt(problem.prior.variances)[None, :]
-    images = problem.whitened_forward @ draws.T
-    target = problem.whitened_forward @ u0
-
-    dist = np.linalg.norm(images - target[:, None], axis=0)
-    hits = int(np.sum(dist <= eps))
-    lo, hi = _wilson_interval(hits, mc)
-    if hits == 0:
-        log_prob, halfwidth, flag = math.log(hi), math.inf, True
-    else:
-        log_prob = math.log(hits / mc)
-        halfwidth, flag = 0.5 * (math.log(hi) - math.log(lo)), False
-
-    centered = np.linalg.norm(images, axis=0)
-    c_hits = int(np.sum(centered <= eps / 2))
-    c_lo, c_hi = _wilson_interval(c_hits, mc)
-    if c_hits == 0:
-        c_log, c_half = -math.inf, math.inf
-    else:
-        c_log = math.log(c_hits / mc)
-        c_half = 0.5 * (math.log(c_hi) - math.log(c_lo))
+    if form is None:
+        form = small_ball_form(problem, u0)
+    c2 = np.stack([form.c * form.c, np.zeros_like(form.c)])
+    q = np.array([eps**2, eps**2 / 4.0])
+    lr = quadform.log_cdf(q, form.lam, c2)
+    lower = quadform.log_cdf_product(q, form.lam, c2)
+    upper = quadform.log_cdf_chernoff(q, form.lam, c2)
 
     # shortest feasible truncated certificate for the shift
-    col_images = problem.whitened_forward * u0[None, :]
-    suffix = np.cumsum(col_images[:, ::-1], axis=1)[:, ::-1]
-    tail_norms = np.concatenate([np.linalg.norm(suffix, axis=0), [0.0]])
-    j0 = int(np.argmax(tail_norms <= eps / 2))
+    j0 = int(np.argmax(form.residual_norms <= eps / 2))
     shift_cost = 0.5 * float(np.sum(u0[:j0] ** 2 / problem.prior.variances[:j0]))
 
-    return SmallBallReport(log_prob=log_prob, ci_halfwidth=halfwidth,
-                           centered_log_prob=c_log, centered_ci_halfwidth=c_half,
-                           shift_cost=shift_cost, eps=float(eps),
-                           truncation_index=j0, upper_bound_only=flag)
+    return SmallBallReport(log_prob=float(lr[0]), bounds=(float(lower[0]), float(upper[0])),
+                           centered_log_prob=float(lr[1]),
+                           centered_bounds=(float(lower[1]), float(upper[1])),
+                           shift_cost=shift_cost, eps=float(eps), truncation_index=j0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +441,11 @@ def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
 # Plug-in reconstruction and its concentration
 # ---------------------------------------------------------------------------
 
-def _plug_in_columns(problem: InverseProblem, k: int, r: int) -> np.ndarray:
-    """Columns ``diag(1/rho) P_r T[:, :k]`` pairing data to coefficients."""
+def _plug_in_columns(problem: InverseProblem, k: int, r: int | None) -> np.ndarray:
+    """Columns ``diag(1/rho) P_r T[:, :k]`` pairing data to coefficients;
+    ``r = None`` applies no e-cutoff."""
     cols = problem.coupling.t_matrix[:, :k].copy()
-    if r < problem.n_dim:
+    if r is not None and r < problem.n_dim:
         cols[r:, :] = 0.0
     return cols / problem.operator.rho[:, None]
 
@@ -500,31 +528,35 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
 # Assembled assumption verification
 # ---------------------------------------------------------------------------
 
-def verify_assumptions(problem: InverseProblem, plan: RatePlan, u0: np.ndarray,
-                       mc: int, seed: int) -> AssumptionReport:
+def verify_assumptions(problem: InverseProblem, plan: RatePlan,
+                       u0: np.ndarray) -> AssumptionReport:
     """Evaluate every contraction-assumption inequality at the plan's values.
 
-    Failures are report entries, never exceptions. The projection-tail
-    inequality is checked through its Chernoff bound, since the required
-    levels sit far below Monte Carlo resolution; with a finite ``r_n`` the
-    outcome is recorded as numerical evidence only.
+    Failures are report entries, never exceptions. The small-ball inequality
+    is settled by rigorous bounds only: ``ok`` when the product lower bound
+    meets it, False when the Chernoff upper bound misses it, and None
+    (undetermined) otherwise; the Lugannani-Rice value is the measured
+    number but never decides. The projection-tail inequality is checked
+    through its Chernoff bound, since the required levels sit far below
+    Monte Carlo resolution; with a finite ``r_n`` the outcome is recorded as
+    numerical evidence only.
     """
     u0 = as_vector(u0, problem.n_dim, "u0")
     _check_kr(problem, plan.k_n, plan.r_n)
     n, eps, xi = plan.n_level, plan.eps_n, plan.xi_n
     cst = plan.constants
 
-    sb = small_ball_log_prob(problem, u0, eps, mc, seed)
+    sb = small_ball_log_prob(problem, u0, eps)
     sb_bound = -cst.c * n * eps**2
-    small_ball = CheckResult(ok=bool(sb.log_prob >= sb_bound),
-                             measured=sb.log_prob, bound=sb_bound)
+    lower, upper = sb.bounds
+    sb_ok = True if lower >= sb_bound else False if upper < sb_bound else None
+    small_ball = CheckResult(ok=sb_ok, measured=sb.log_prob, bound=sb_bound)
 
     tail_bound = -(cst.c + 4.0) * n * eps**2
     tail_log = projection_log_tail_bound(problem, plan.k_n, plan.r_n, cst.c2 * xi)
     tail = CheckResult(ok=bool(tail_log <= tail_bound), measured=tail_log, bound=tail_bound)
 
-    r_eff = plan.r_n if plan.r_n is not None else problem.n_dim
-    g_value = compute_g_kr(problem, plan.k_n, r_eff)
+    g_value = compute_g_kr(problem, plan.k_n, plan.r_n)
     g_bound = cst.c1 * xi / eps
     g = CheckResult(ok=bool(math.sqrt(g_value) <= g_bound),
                     measured=math.sqrt(g_value), bound=g_bound)

@@ -21,7 +21,7 @@ _DESCRIPTIONS = {
     "rate-fit": "fit the empirical contraction-rate slope",
     "check": "verify the contraction assumptions for a rate plan",
     "gn": "tabulate the worst-case inverse-adjoint norms g(k, r)",
-    "smallball": "Monte Carlo small-ball masses with shift certificates",
+    "smallball": "small-ball masses with rigorous bounds and shift certificates",
     "minmax": "eigenvalue sandwich ratios against the diagonal surrogate",
     "hs": "Hilbert-Schmidt truncation diagnostics",
     "concentration": "plug-in estimator concentration versus the Gaussian envelope",

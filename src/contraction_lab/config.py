@@ -126,6 +126,10 @@ _SCHEMA = {
     },
 }
 
+# hs_diagnostic targets, with the coupling kind each one needs (None: any)
+_HS_TARGETS = {"reflection_pair": "reflection", "exp_pair": "exp_skew", "gn_bound": None}
+_MIXTURE_KEYS = ("mixture_weights", "mixture_means", "mixture_sds")
+
 _PLAN_KEYS = {
     "eps_n": float, "xi_n": float, "k_n": int, "r_n": _int_or_inf,
     "n_level": float, "c": float, "c1": float, "c2": float, "r": float,
@@ -204,6 +208,58 @@ def _check_invariants(data: dict) -> None:
     for f in data["outputs"]["formats"]:
         if f not in FORMATS:
             raise ConfigInvariantError("outputs.formats", f"unknown format {f!r}")
+    target = run.get("hs_target")
+    if target is not None:
+        if target not in _HS_TARGETS:
+            raise ConfigInvariantError("run.hs_target", f"unknown target {target!r}; expected "
+                                       f"one of {', '.join(_HS_TARGETS)}")
+        kind = _HS_TARGETS[target]
+        if kind is not None and data["problem"]["coupling"]["kind"] != kind:
+            raise ConfigInvariantError("run.hs_target", f"{target} requires a {kind} coupling")
+    _check_findim(data["findim"])
+
+
+def _findim_array(fd: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(fd[key], dtype=float)
+    except ValueError as exc:
+        raise ConfigInvariantError(f"findim.{key}", str(exc))
+
+
+def _check_findim(fd: dict) -> None:
+    """Everything ``build_findim``'s constructors would reject, by key."""
+    p, q = fd["p"], fd["q"]
+    if p < 1:
+        raise ConfigInvariantError("findim.p", "must be >= 1")
+    if q < p:
+        raise ConfigInvariantError("findim.q", f"must be >= findim.p = {p}")
+    g = _findim_array(fd, "g")
+    if g.size != q * p:
+        raise ConfigInvariantError("findim.g", f"must hold q x p = {q} x {p} entries, "
+                                               f"got {g.size}")
+    # One column has full rank exactly when it is nonzero; asking the SVD for
+    # that would page LAPACK's SVD into every process that parses a config.
+    g = g.reshape(q, p)
+    if not (np.any(g) if p == 1 else np.linalg.svd(g, compute_uv=False).min() > 0):
+        raise ConfigInvariantError("findim.g", "must have full column rank")
+    if fd["m_const"] <= 0:
+        raise ConfigInvariantError("findim.m_const", "must be positive")
+    given = [key for key in _MIXTURE_KEYS if key in fd]
+    if not given:
+        return
+    for key in _MIXTURE_KEYS:
+        if key not in fd:
+            raise ConfigInvariantError(f"findim.{key}", f"required with findim.{given[0]}")
+    weights = _findim_array(fd, "mixture_weights")
+    means, sds = (np.atleast_2d(_findim_array(fd, key)) for key in _MIXTURE_KEYS[1:])
+    if weights.ndim != 1 or np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+        raise ConfigInvariantError("findim.mixture_weights", "must be a positive distribution")
+    if means.shape != (weights.size, p):
+        raise ConfigInvariantError("findim.mixture_means",
+                                   f"must be {weights.size} x p = {weights.size} x {p}")
+    if sds.shape != means.shape or np.any(sds <= 0):
+        raise ConfigInvariantError("findim.mixture_sds",
+                                   f"must be positive, {weights.size} x p = {weights.size} x {p}")
 
 
 @dataclass(frozen=True)
@@ -390,7 +446,7 @@ def build_plan(config: ExperimentConfig) -> RatePlan:
 def build_findim(config: ExperimentConfig):
     fd = config.data["findim"]
     p, q = fd["p"], fd["q"]
-    if {"mixture_weights", "mixture_means", "mixture_sds"} <= fd.keys():
+    if set(_MIXTURE_KEYS) <= fd.keys():
         prior = rates.GaussianMixturePrior(np.asarray(fd["mixture_weights"]),
                                            np.asarray(fd["mixture_means"]),
                                            np.asarray(fd["mixture_sds"]))

@@ -16,16 +16,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork, dtrtri
+from scipy.linalg.lapack import dtrtri
 
+from . import quadform
 from .errors import NumericalError, ParameterError
 from .rng import substream
 from .spectral import InverseProblem, DataSample, as_vector
-
-# A symmetric eigensolver's eigenvalues are accurate to about
-# n * EIGENVALUE_RTOL * ||A||_2, so a computed eigenvalue of a covariance down
-# to minus that is the rounding of a zero.
-EIGENVALUE_RTOL = float(np.finfo(float).eps)
 
 JITTER_DOUBLINGS = 3
 
@@ -141,57 +137,22 @@ class PosteriorFactor:
         inv.flags.writeable = False
         return inv
 
-    def _lapack_ok(self, routine: str, info: int) -> None:
-        if info != 0:
-            raise NumericalError(f"LAPACK {routine} failed with info = {info} on the "
-                                 f"posterior covariance at n_level = {float(self.n_level)!r}")
-
     def covariance_spectrum(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)
         V^T`` and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
-        without forming the eigenvectors V.
+        without forming the eigenvectors V (``quadform.spectrum``).
 
         The covariance, not the precision, is decomposed: the precision's
         condition number reaches 6.7e27 on a mildly ill-posed problem with
         prior smoothness 5, which would destroy the large covariance
-        eigenvalues that dominate posterior radii. LAPACK reduces ``C = Q T
-        Q^T`` to tridiagonal form (dsytrd), applies the reflectors Q^T to
-        ``d`` (dormqr) and solves ``T = Z diag(lam) Z^T`` by divide and conquer
-        (dstevd), so ``V^T d = Z^T Q^T d``; the back-transformation ``V = Q Z``
-        of a full eigensolver is skipped. Computed eigenvalues down to
-        ``-EIGENVALUE_RTOL * n_dim * max`` are the rounding of a zero and are
-        set to zero; a more negative one, or a failed LAPACK call, raises
-        ``NumericalError``.
+        eigenvalues that dominate posterior radii.
         """
         d = self._block(d, "d")
-        n = self.problem.n_dim
         # numpy forms ``A.T @ A`` by a symmetric rank-k update: exactly
         # symmetric, so its Fortran-ordered transpose is the same matrix and
         # LAPACK reduces it in place without a copy.
-        cov = (self._chol_inv.T @ self._chol_inv).T
-        lwork, info = dsytrd_lwork(n, lower=1)
-        self._lapack_ok("dsytrd_lwork", info)
-        tri, diag, off, tau, info = dsytrd(cov, lower=1, lwork=int(lwork), overwrite_a=1)
-        self._lapack_ok("dsytrd", info)
-        proj = np.array(d.reshape(n, -1))
-        if n > 1:
-            # A lower reduction leaves row 0 alone; its reflectors are the QR
-            # factor of the trailing (N - 1) block.
-            refl = np.asfortranarray(tri[1:, :-1])
-            _, work, info = dormqr("L", "T", refl, tau, proj[1:], -1)
-            self._lapack_ok("dormqr", info)
-            proj[1:], _, info = dormqr("L", "T", refl, tau, proj[1:], int(work[0]))
-            self._lapack_ok("dormqr", info)
-            del refl
-        del cov, tri  # freed before dstevd allocates its N x N workspace
-        lam, z, info = dstevd(diag, off if n > 1 else np.zeros(1))
-        self._lapack_ok("dstevd", info)
-        floor = -EIGENVALUE_RTOL * n * lam[-1]
-        if not (lam[-1] > 0 and lam[0] >= floor):
-            raise NumericalError(f"posterior covariance eigenvalue {lam[0]:.3e} below the "
-                                 f"rounding floor {floor:.3e} (largest {lam[-1]:.3e})")
-        np.maximum(lam, 0.0, out=lam)
-        return lam, (z.T @ proj).reshape(d.shape)
+        return quadform.spectrum((self._chol_inv.T @ self._chol_inv).T, d,
+                                 f"posterior covariance at n_level = {float(self.n_level)!r}")
 
     def covariance_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of

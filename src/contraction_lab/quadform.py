@@ -7,6 +7,9 @@ eigenvalues, ``c`` the offset's coordinates). Every routine takes ``lam`` and
 ``c2 = c**2``; the cumulant generating function is written with ``c2``
 directly, so a vanishing eigenvalue never becomes a divisor.
 
+``spectrum`` computes ``lam`` and the offsets' coordinates from a covariance
+and an offset without forming eigenvectors.
+
 Tails use the Lugannani-Rice saddlepoint formula (Lugannani & Rice, Adv.
 Appl. Prob. 12, 1980), parameterized by the saddlepoint ``s`` on its domain
 ``(-inf, 1/(2 max lam))``. Its accuracy improves with the effective number of
@@ -14,9 +17,16 @@ degrees of freedom; Imhof's integral (Biometrika 48, 1961) is the test
 oracle. The Chernoff exponent ``min_{s >= 0} K(s) - s q`` is a rigorous
 upper bound on the log tail and is minimized at the same saddlepoint.
 
+The lower tail ``P(Q <= q)`` gets the same three answers from the other side
+of ``s = 0``: ``log_cdf`` (Lugannani-Rice in log space), its Chernoff upper
+bound ``log_cdf_chernoff`` and a rigorous lower bound ``log_cdf_product``
+from independence, ``P(Q <= q) >= prod_i P((c_i + sqrt(lam_i) Z_i)**2 <=
+q_i)`` for any split ``sum q_i = q``.
+
 Saddlepoints come from one safeguarded Newton-bisection that runs on a batch:
 forms that share ``lam`` and differ in their offsets, one row of ``c2`` each.
-``quantiles`` exposes the batch; the scalar routines solve a batch of one.
+``quantiles`` and the lower-tail routines expose the batch; the scalar
+routines solve a batch of one.
 """
 
 from __future__ import annotations
@@ -24,9 +34,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork
+from scipy.special import erf, erfc, erfcx, log_ndtr, ndtr
 
 from .errors import NumericalError, ParameterError
+
+# A symmetric eigensolver's eigenvalues are accurate to about
+# n * EIGENVALUE_RTOL * ||A||_2, so a computed eigenvalue of a covariance down
+# to minus that is the rounding of a zero.
+EIGENVALUE_RTOL = float(np.finfo(float).eps)
 
 # Below this |s sqrt(K'')| the Lugannani-Rice terms 1/u - 1/w cancel to
 # rounding noise; the formula is replaced by its s -> 0 limit there.
@@ -35,15 +51,83 @@ _NEAR_MEAN = 1e-4
 # tried is t = 1 - 2**-48, where 1 - 2 s lam is still resolved.
 _BRACKET_STEPS = 48
 _T_TOP = 1.0 - 2.0**-_BRACKET_STEPS
+# The lower end doubles from t = -1 at most this often: K is finite for every
+# s < 0, and a lower tail at q above Q's infimum q0 puts the saddlepoint near
+# t = -N max(lam) / (q - q0), so the last end tried (t = -2**599) reaches
+# q - q0 down to about 1e-180 N max(lam).
+_LOWER_STEPS = 600
 # The solve stops once a step in t = 2 s max(lam) is below _XTOL + _RTOL |t|;
 # the relative part (four ulps) matters where the lower end has doubled so
 # far from 0 that doubles are spaced wider than _XTOL. Bisection alone
-# narrows the widest bracket the search can return (width 2**46) below _XTOL
-# in 93 steps; _MAX_STEPS leaves room for the Newton steps in between.
+# narrows any bracket the search can return below that in 93 steps (a
+# bracket [2 t, t] of width 2**46 and up, against _XTOL; any wider one
+# against _RTOL |t|, in about 50); _MAX_STEPS leaves room for the Newton
+# steps in between.
 _XTOL = 1e-14
 _RTOL = 4.0 * float(np.finfo(float).eps)
 _MAX_STEPS = 240
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = math.log(_SQRT_2PI)
+_SQRT_HALF = math.sqrt(0.5)
+# The product bound's split: outer Newton steps on the log multiplier and
+# inner Newton steps on each log radius, at most. Any split that spends at
+# most q is a valid bound, so running out of steps costs tightness only.
+_SPLIT_OUTER_STEPS = 12
+_SPLIT_INNER_STEPS = 8
+_SPLIT_START_STEPS = 24
+_SPLIT_TOL = 1e-10
+# Largest change of a log radius in one inner step (a factor e**3), and the
+# range a log radius stays in, where r**2 and r * m stay finite.
+_SPLIT_MAX_STEP = 3.0
+_SPLIT_LOG_R = 300.0
+# Below this r (m + 1) the interval mass P(|m + Z| <= r) is its two-term
+# series; the remainder is O((r (m + 1))**4) relative.
+_SPLIT_SERIES = 1e-4
+
+
+def _lapack_ok(routine: str, info: int, what: str) -> None:
+    if info != 0:
+        raise NumericalError(f"LAPACK {routine} failed with info = {info} on the {what}")
+
+
+def spectrum(cov: np.ndarray, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) of a symmetric positive semi-definite ``cov =
+    V diag(lam) V^T`` and the projections ``V^T d`` of an (N,) or (N, R)
+    block ``d``, without forming the eigenvectors V.
+
+    LAPACK reduces ``cov = Q T Q^T`` to tridiagonal form (dsytrd, lower
+    triangle, in place: a Fortran-ordered ``cov`` is overwritten), applies the
+    reflectors Q^T to ``d`` (dormqr) and solves ``T = Z diag(lam) Z^T`` by
+    divide and conquer (dstevd), so ``V^T d = Z^T Q^T d``; the
+    back-transformation ``V = Q Z`` of a full eigensolver is skipped. Computed
+    eigenvalues down to ``-EIGENVALUE_RTOL * N * max`` are the rounding of a
+    zero and are set to zero; a more negative one, or a failed LAPACK call,
+    raises ``NumericalError`` naming ``what``.
+    """
+    n = cov.shape[0]
+    lwork, info = dsytrd_lwork(n, lower=1)
+    _lapack_ok("dsytrd_lwork", info, what)
+    tri, diag, off, tau, info = dsytrd(cov, lower=1, lwork=int(lwork), overwrite_a=1)
+    _lapack_ok("dsytrd", info, what)
+    proj = np.array(d.reshape(n, -1))
+    if n > 1:
+        # A lower reduction leaves row 0 alone; its reflectors are the QR
+        # factor of the trailing (N - 1) block.
+        refl = np.asfortranarray(tri[1:, :-1])
+        _, work, info = dormqr("L", "T", refl, tau, proj[1:], -1)
+        _lapack_ok("dormqr", info, what)
+        proj[1:], _, info = dormqr("L", "T", refl, tau, proj[1:], int(work[0]))
+        _lapack_ok("dormqr", info, what)
+        del refl
+    del cov, tri  # freed before dstevd allocates its N x N workspace
+    lam, z, info = dstevd(diag, off if n > 1 else np.zeros(1))
+    _lapack_ok("dstevd", info, what)
+    floor = -EIGENVALUE_RTOL * n * lam[-1]
+    if not (lam[-1] > 0 and lam[0] >= floor):
+        raise NumericalError(f"eigenvalue {lam[0]:.3e} of the {what} below the rounding "
+                             f"floor {floor:.3e} (largest {lam[-1]:.3e})")
+    np.maximum(lam, 0.0, out=lam)
+    return lam, (z.T @ proj).reshape(d.shape)
 
 
 def _terms(lam, c2, batch: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +233,7 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str) -> np.ndarray:
                              "(upper end)")
     idx = np.flatnonzero(np.isinf(lo))
     t = np.full(idx.size, -1.0)
-    for _ in range(_BRACKET_STEPS):
+    for _ in range(_LOWER_STEPS):
         if idx.size == 0:
             break
         down = fn(t / scale, idx)[0] < 0
@@ -182,12 +266,15 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str) -> np.ndarray:
     raise NumericalError(f"saddlepoint solve for the {what} did not converge, row {idx[0]}")
 
 
-def _saddlepoint(q: float, lam: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """The ``s`` solving ``K'(s) = q``, one per row of ``c2``."""
+def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str | None = None) -> np.ndarray:
+    """The ``s`` solving ``K'(s) = q``, one per row of ``c2``; ``q`` is one
+    level for every row or one per row."""
+    levels = np.broadcast_to(np.asarray(q, dtype=float), c2.shape[:1])
+
     def fn(s, idx):
         _, k1, k2 = _cgf(s, lam, c2, idx)
-        return q - k1, -k2
-    return _solve(fn, lam, c2.shape[0], f"tail at q = {q!r}")
+        return levels[idx] - k1, -k2
+    return _solve(fn, lam, c2.shape[0], what or f"tail at q = {q!r}")
 
 
 def tail(q: float, lam, c2) -> float:
@@ -238,3 +325,224 @@ def quantile(p: float, lam, c2) -> float:
     """The ``q`` with saddlepoint tail ``P(Q > q) = p``."""
     lam, c2 = _terms(lam, c2)
     return float(quantiles(p, lam, c2)[0])
+
+
+# ---------------------------------------------------------------------------
+# Lower tails
+# ---------------------------------------------------------------------------
+
+def _levels(q, rows: int) -> np.ndarray:
+    """``q`` as one level per row: a scalar for every row, or a vector."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim > 1 or (q.ndim == 1 and q.size != rows):
+        raise ParameterError(f"q must be a scalar or one level per row ({rows})")
+    if np.any(np.isnan(q)):
+        raise ParameterError("q must not be NaN")
+    return np.array(np.broadcast_to(q, (rows,)))
+
+
+def _floor(lam: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """``Q``'s essential infimum per row: the offsets of the zero-variance
+    terms. ``P(Q <= q) = 0`` for q at or below it, since some lam is
+    positive."""
+    return c2[:, lam == 0].sum(axis=1)
+
+
+def log_cdf(q, lam, c2) -> np.ndarray:
+    """Saddlepoint approximation to ``log P(Q <= q)`` for each row of the
+    (R, N) array ``c2``; ``q`` is one level or one per row.
+
+    Below the mean (``s < 0``) the Lugannani-Rice formula
+    ``Phi(w) + phi(w) (1/w - 1/u)`` is evaluated as ``log Phi(w)`` plus a
+    relative correction, so deep lower tails do not underflow; elsewhere it
+    is ``log1p`` of minus the tail. ``-inf`` at or below the infimum of Q.
+    An approximation: it bounds nothing.
+    """
+    lam, c2 = _terms(lam, c2, batch=True)
+    q = _levels(q, c2.shape[0])
+    out = np.full(q.size, -np.inf)
+    live = np.flatnonzero(q > _floor(lam, c2))
+    if live.size == 0:
+        return out
+    c2, q = c2[live], q[live]
+    s = _saddlepoint(q, lam, c2, "lower tail")
+    k0, _, k2 = _cgf(s, lam, c2)
+    u = s * np.sqrt(k2)
+    lower = (s < 0) & (np.abs(u) >= _NEAR_MEAN)
+    res = np.empty(live.size)
+    if not lower.all():
+        upper = np.flatnonzero(~lower)
+        res[upper] = np.log1p(-_lugannani_rice(s[upper], lam, c2, upper)[1])
+    if lower.any():
+        w = -np.sqrt(np.maximum(2.0 * (s * q - k0), 0.0))[lower]
+        # phi(w) / Phi(w) = sqrt(2 / pi) / erfcx(-w / sqrt 2), without underflow
+        corr = math.sqrt(2.0 / math.pi) / erfcx(-w * _SQRT_HALF) * (1.0 / w - 1.0 / u[lower])
+        if np.any(corr <= -1.0):
+            row = live[np.flatnonzero(lower)[np.argmax(corr <= -1.0)]]
+            raise NumericalError(f"Lugannani-Rice lower tail not positive, row {row}")
+        res[lower] = log_ndtr(w) + np.log1p(corr)
+    out[live] = res
+    return out
+
+
+def log_cdf_chernoff(q, lam, c2) -> np.ndarray:
+    """Chernoff exponent ``min_{s <= 0} K(s) - s q`` for each row of ``c2``:
+    ``P(Q <= q)`` is at most its exponential.
+
+    It is 0 from the mean ``K'(0)`` up and ``-inf`` at or below the infimum
+    of Q. When the saddlepoint lies further below 0 than the bracket search
+    reaches, the exponent is taken at the last lower end tried; every
+    ``s <= 0`` gives a valid bound.
+    """
+    lam, c2 = _terms(lam, c2, batch=True)
+    q = _levels(q, c2.shape[0])
+    out = np.zeros(q.size)
+    out[q <= _floor(lam, c2)] = -np.inf
+    idx = np.flatnonzero((q < lam.sum() + c2.sum(axis=1)) & np.isfinite(out))
+    if idx.size == 0:
+        return out
+    c2, q = c2[idx], q[idx]
+    s = np.full(idx.size, -2.0 ** (_LOWER_STEPS - 1) / (2.0 * float(lam.max())))
+    inside = np.flatnonzero(_cgf(s, lam, c2)[1] < q)
+    if inside.size:
+        s[inside] = _saddlepoint(q[inside], lam, c2[inside], "lower Chernoff bound")
+    out[idx] = np.minimum(0.0, _cgf(s, lam, c2)[0] - s * q)
+    return out
+
+
+def _interval(r: np.ndarray, m: np.ndarray, value_only: bool = False):
+    """Terms of ``H(r) = P(|m + Z| <= r)`` for standard normal Z.
+
+    Returns ``log H``, and unless ``value_only`` also ``kappa = log(H' / (2 r
+    H))`` (the log of ``d log H / d(r**2)``) and ``d kappa / d log r``. Each
+    branch forms ``log H`` and ``e = log H + (r - m)**2 / 2`` directly, so the
+    Gaussian exponent of a distant interval never cancels: ``r < m`` goes
+    through ``erfcx`` (``Phi(x) = erfcx(-x / sqrt 2) exp(-x**2 / 2) / 2``),
+    small ``r (m + 1)`` through the series ``2 r phi(m) (1 + (m**2 - 1)
+    r**2 / 6)``.
+    """
+    lo, hi, rm = r - m, r + m, r * m
+    half_lo2 = 0.5 * lo * lo
+    log_h, e = np.empty_like(r), np.empty_like(r)
+    series = r * (m + 1.0) < _SPLIT_SERIES
+    below = (lo < 0) & ~series
+    near_one = (lo > 1.0) & ~series
+    mid = ~(series | below | near_one)
+    if series.any():
+        rs, ms = r[series], m[series]
+        base = np.log(2.0 * rs) - _LOG_SQRT_2PI + np.log1p((ms * ms - 1.0) * rs * rs / 6.0)
+        log_h[series] = base - 0.5 * ms * ms
+        e[series] = base - rs * ms + 0.5 * rs * rs
+    if below.any():
+        ex_lo = erfcx(-lo[below] * _SQRT_HALF)
+        gap = np.log(erfcx(hi[below] * _SQRT_HALF) / ex_lo) - 2.0 * rm[below]
+        e[below] = np.log(0.5 * ex_lo) + np.log(-np.expm1(gap))
+        log_h[below] = e[below] - half_lo2[below]
+    if mid.any():
+        log_h[mid] = np.log(0.5 * (erf(hi[mid] * _SQRT_HALF) + erf(lo[mid] * _SQRT_HALF)))
+        e[mid] = log_h[mid] + half_lo2[mid]
+    if near_one.any():
+        log_h[near_one] = np.log1p(-0.5 * (erfc(hi[near_one] * _SQRT_HALF)
+                                           + erfc(lo[near_one] * _SQRT_HALF)))
+        e[near_one] = log_h[near_one] + half_lo2[near_one]
+    if value_only:
+        return log_h
+    log_ratio = np.log1p(np.exp(-2.0 * rm)) - _LOG_SQRT_2PI - e  # log(H' / H)
+    kappa = log_ratio - np.log(2.0 * r)
+    slope = -r * (r - m * np.tanh(rm)) - 1.0 - r * np.exp(log_ratio)
+    return log_h, kappa, slope
+
+
+def _bracketed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``x``, or the bracket's midpoint where ``x`` lies beyond it; a step
+    passes an end only toward the other end already found, so both ends are
+    finite there."""
+    outside = (x < lo) | (x > hi)
+    if outside.any():
+        x = x.copy()
+        x[outside] = 0.5 * (lo[outside] + hi[outside])
+    return x
+
+
+def _split_radii(rho, target, m, steps: int = _SPLIT_INNER_STEPS):
+    """Newton steps on each log radius ``rho`` toward ``kappa(rho) = target``
+    (``kappa`` decreases in ``rho``), bisecting inside the bracket found so
+    far whenever a step would leave it. Returns the log radii and ``d rho /
+    d target = 1 / slope``, taken as 0 where rounding left the slope of a
+    far-out term nonnegative."""
+    rho = np.clip(rho, -_SPLIT_LOG_R, _SPLIT_LOG_R)
+    lo, hi = np.full(rho.shape, -np.inf), np.full(rho.shape, np.inf)
+    for _ in range(steps):
+        _, kappa, slope = _interval(np.exp(rho), m)
+        f = kappa - target
+        lo = np.where(f > 0, rho, lo)
+        hi = np.where(f < 0, rho, hi)
+        step = np.sign(f)  # a slope that rounding made nonnegative: plain unit steps
+        np.divide(-f, slope, out=step, where=slope < 0)
+        step = np.clip(step, -_SPLIT_MAX_STEP, _SPLIT_MAX_STEP)
+        rho = np.clip(_bracketed(rho + step, lo, hi), -_SPLIT_LOG_R, _SPLIT_LOG_R)
+        if np.all(np.abs(step) <= _SPLIT_TOL * np.maximum(1.0, np.abs(rho))):
+            break
+    return rho, np.divide(1.0, slope, out=np.zeros_like(slope), where=slope < 0)
+
+
+def log_cdf_product(q, lam, c2) -> np.ndarray:
+    """Rigorous lower bound on ``log P(Q <= q)`` for each row of ``c2``:
+    ``sum_i log P((c_i + sqrt(lam_i) Z_i)**2 <= q_i)`` over a split ``sum_i
+    q_i <= q``, since the terms are independent.
+
+    A zero-variance term takes exactly ``q_i = c_i**2``; the bound is
+    ``-inf`` when those leave nothing. Each other term's log probability is
+    concave in ``q_i`` (Prekopa), so the best split equalizes the slopes
+    ``d/dq_i log P`` at a multiplier mu: Newton steps on ``log mu`` make the
+    split spend q, each nested in Newton steps on the terms' log radii
+    ``log sqrt(q_i / lam_i)``. The split is then scaled to spend
+    ``(1 - 4 EIGENVALUE_RTOL) q``, a margin for the rounding of its sum, and
+    the bound is evaluated there, so it is valid however far the solve got.
+    """
+    lam, c2 = _terms(lam, c2, batch=True)
+    q = _levels(q, c2.shape[0])
+    budget = q - _floor(lam, c2)
+    out = np.full(q.size, -np.inf)
+    live = np.flatnonzero(budget > 0)
+    if live.size == 0:
+        return out
+    pos = lam > 0
+    lam, budget = lam[pos], budget[live]
+    m = np.sqrt(c2[np.ix_(live, np.flatnonzero(pos))] / lam)
+    log_lam = np.log(lam)
+
+    # Start from an even split, where each term's slope is 1 / (2 q_i) for a
+    # small radius; the large-radius guess solves the Gaussian-tail form of
+    # kappa and caps the start so that no term begins far out on the tail.
+    nu = np.log(lam.size / (2.0 * budget))
+    target = nu[:, None] + log_lam
+    rho = -0.5 * (target + math.log(2.0))
+    tail = m + np.sqrt(np.maximum(-2.0 * target - 2.0 * _LOG_SQRT_2PI
+                                  - 2.0 * np.log(2.0 * (m + 1.0)), 0.0))
+    rho = np.where(tail > 0, np.minimum(rho, np.log(np.maximum(tail, 1e-300))), rho)
+    rho, drho = _split_radii(rho, target, m, _SPLIT_START_STEPS)
+
+    nu_lo, nu_hi = np.full(nu.shape, -np.inf), np.full(nu.shape, np.inf)
+    for _ in range(_SPLIT_OUTER_STEPS):
+        share = lam * np.exp(2.0 * rho)
+        spent = share.sum(axis=1)
+        g = np.log(spent / budget)
+        if np.all(np.abs(g) <= _SPLIT_TOL):
+            break
+        nu_lo = np.where(g > 0, nu, nu_lo)
+        nu_hi = np.where(g < 0, nu, nu_hi)
+        dg = 2.0 * (share * drho).sum(axis=1) / spent  # d g / d nu
+        step = np.sign(g)  # unit steps where no radius responds
+        np.divide(-g, dg, out=step, where=dg < 0)
+        new = _bracketed(nu + step, nu_lo, nu_hi)
+        rho = rho + np.clip((new - nu)[:, None] * drho, -_SPLIT_MAX_STEP, _SPLIT_MAX_STEP)
+        nu = new
+        target = nu[:, None] + log_lam
+        rho, drho = _split_radii(rho, target, m)
+
+    r = np.exp(rho)
+    spent = (lam * r * r).sum(axis=1)
+    r *= np.sqrt((1.0 - 4.0 * EIGENVALUE_RTOL) * budget / spent)[:, None]
+    out[live] = _interval(r, m, value_only=True).sum(axis=1)
+    return out

@@ -147,13 +147,12 @@ def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: i
 
 def _pipe_check(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
     u0 = build_truth(config)
-    run = config.run
     plan = build_plan(config)
-    report = assumptions.verify_assumptions(problem, plan, u0, max(run["mc"], 1000),
-                                            derive_seed(run["master_seed"], "check"))
+    report = assumptions.verify_assumptions(problem, plan, u0)
+    sb = report.details["small_ball_report"]
     rows = [
         ("small_ball", float(report.small_ball.measured), float(report.small_ball.bound),
-         report.small_ball.ok),
+         "undetermined" if report.small_ball.ok is None else report.small_ball.ok),
         ("projection_tail", float(report.tail.measured), float(report.tail.bound), report.tail.ok),
         ("g", float(report.g.measured), float(report.g.bound), report.g.ok),
         ("k_n", float(report.kn.measured), float(report.kn.bound), report.kn.ok),
@@ -162,6 +161,7 @@ def _pipe_check(config: ExperimentConfig, problem: InverseProblem, workers: int)
     return [_table(config, "assumption_checks", ("check", "measured", "bound", "ok"), rows,
                    "verify_assumptions",
                    label="finite-r evidence only" if report.finite_r_evidence else "",
+                   small_ball=[sb.bounds[0], sb.log_prob, sb.bounds[1]],
                    plan={"eps_n": plan.eps_n, "xi_n": plan.xi_n, "k_n": plan.k_n,
                          "r_n": plan.r_n if plan.r_n is not None else "inf",
                          "n_level": plan.n_level})]
@@ -176,8 +176,7 @@ def _pipe_gn(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
     def cell(k):
         out = []
         for r in r_values:
-            r_eff = n if r == "inf" else int(r)
-            g = assumptions.compute_g_kr(problem, k, r_eff)
+            g = assumptions.compute_g_kr(problem, k, None if r == "inf" else int(r))
             out.append((k, "inf" if r == "inf" else int(r), float(g)))
         return out
 
@@ -187,26 +186,22 @@ def _pipe_gn(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
 
 def _pipe_smallball(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
     u0 = build_truth(config)
-    run = config.run
-    seed = run["master_seed"]
-    mc = max(run["mc"], 1000)
-    eps_grid = run.get("eps_grid")
+    eps_grid = config.run.get("eps_grid")
     if not eps_grid:
         scale = math.sqrt(float(np.sum(problem.prior.variances *
                                        np.sum(problem.whitened_forward**2, axis=0))))
         eps_grid = [scale * m for m in (0.25, 0.5, 1.0, 2.0)]
-
-    def cell(item):
-        i, eps = item
-        rep = assumptions.small_ball_log_prob(problem, u0, eps, mc,
-                                              derive_seed(seed, "smallball", i))
-        return (float(eps), float(rep.log_prob), float(rep.ci_halfwidth),
-                float(rep.centered_log_prob), float(rep.shift_cost), rep.upper_bound_only)
-
-    rows = _map_cells(cell, list(enumerate(eps_grid)), workers)
+    form = assumptions.small_ball_form(problem, u0)
+    reports = _map_cells(lambda eps: assumptions.small_ball_log_prob(problem, u0, eps, form),
+                         eps_grid, workers)
+    rows = [(float(eps), float(rep.log_prob), float(rep.ci_halfwidth),
+             float(rep.centered_log_prob), float(rep.shift_cost), rep.upper_bound_only)
+            for eps, rep in zip(eps_grid, reports)]
     return [_table(config, "small_ball", ("eps", "log_prob", "ci_halfwidth", "centered_log_prob",
                                           "shift_cost", "upper_bound_only"), rows,
-                   "small_ball_log_prob")]
+                   "small_ball_log_prob",
+                   bounds=[list(rep.bounds) for rep in reports],
+                   centered_bounds=[list(rep.centered_bounds) for rep in reports])]
 
 
 def _pipe_minmax(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:

@@ -137,6 +137,12 @@ class TestG:
         for k in range(1, 65):
             assert cl.compute_g_kr(prob, k, prob.n_dim) <= (2 * k) ** 2 * (1 + 1e-9)
 
+    def test_no_e_cutoff_is_r_none(self):
+        """``r = None`` (no e-cutoff) gives the same bits as ``r = n_dim``."""
+        prob = banded_problem(8, seed=3)
+        for k in (1, 3, 8):
+            assert cl.compute_g_kr(prob, k, None) == cl.compute_g_kr(prob, k, 8)
+
     def test_bounds_validated(self):
         prob = identity_problem(4)
         with pytest.raises(ParameterError):
@@ -145,55 +151,119 @@ class TestG:
             cl.compute_g_kr(prob, 2, 5)
 
 
+def mc_small_ball(problem, u0, eps, draws, seed):
+    """Monte Carlo oracle: the fraction of prior draws whose whitened forward
+    image lies within eps of that of u0, with its hit count."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((draws, problem.n_dim)) * np.sqrt(problem.prior.variances)
+    dist = np.linalg.norm((z - u0) @ problem.whitened_forward.T, axis=1)
+    hits = int(np.count_nonzero(dist <= eps))
+    return hits / draws, hits
+
+
 class TestSmallBall:
     def test_scalar_gaussian_oracle(self):
-        """Unit everything: mass of |z| <= 1 is 2 Phi(1) - 1 ~ 0.6827."""
+        """Unit everything: mass of |z| <= 1 is 2 Phi(1) - 1 ~ 0.6827. One
+        term makes the product bound exact."""
         prob = cl.InverseProblem(
             cl.make_spectrum(cl.MildFamily(0.0), 1),
             cl.make_coupling(cl.IdentityCoupling(), 1),
             cl.explicit_prior([1.0], 1), cl.white_noise(1), 1)
-        rep = cl.small_ball_log_prob(prob, np.zeros(1), 1.0, 40_000, seed=2)
+        rep = cl.small_ball_log_prob(prob, np.zeros(1), 1.0)
         target = math.log(2 * norm.cdf(1.0) - 1)
-        assert abs(rep.log_prob - target) <= max(3 * rep.ci_halfwidth, 1e-3)
+        assert rep.bounds[0] == pytest.approx(target, rel=1e-14)
+        assert rep.bounds[0] <= target <= rep.bounds[1]
+        assert abs(rep.log_prob - target) <= 0.01
 
     def test_chebyshev_large_radius(self):
-        """Radius at ten standard deviations captures at least 99% mass."""
+        """Radius at ten standard deviations captures at least 99% mass, and
+        so does the rigorous lower bound."""
         prob = banded_problem(12, seed=4)
         u0 = cl.power_law_truth(2.0, 12)
         m = prob.whitened_forward
         second_moment = float(np.sum(prob.prior.variances * np.sum(m**2, axis=0))
                               + np.linalg.norm(prob.noise_whiten(cl.forward_apply(prob, u0))) ** 2)
         eps = 10.0 * math.sqrt(second_moment)
-        rep = cl.small_ball_log_prob(prob, u0, eps, 4000, seed=3)
+        rep = cl.small_ball_log_prob(prob, u0, eps)
+        assert rep.bounds[0] >= math.log(0.99)
         assert rep.log_prob >= math.log(0.99)
 
     def test_zero_center_costs_nothing(self):
         prob = banded_problem(8, seed=1)
-        rep = cl.small_ball_log_prob(prob, np.zeros(8), 0.5, 2000, seed=1)
+        rep = cl.small_ball_log_prob(prob, np.zeros(8), 0.5)
         assert rep.shift_cost == 0.0
         assert rep.truncation_index == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shifted_lower_bound_every_run(self, seed):
         """log mass at (u0, eps) >= centered log mass at eps/2 minus the
-        certificate cost, within Monte Carlo slack."""
+        certificate cost: the upper bound of the one never falls below the
+        lower bound of the other."""
         rng = np.random.default_rng(seed)
         prob = banded_problem(10, seed=seed)
         u0 = 0.3 * rng.standard_normal(10) * np.sqrt(prob.prior.variances)
         scale = math.sqrt(float(np.sum(prob.prior.variances *
                                        np.sum(prob.whitened_forward**2, axis=0))))
-        rep = cl.small_ball_log_prob(prob, u0, 0.8 * scale, 20_000, seed=seed + 50)
+        rep = cl.small_ball_log_prob(prob, u0, 0.8 * scale)
         assert rep.shift_bound_satisfied()
 
-    def test_zero_hits_returns_upper_bound_flag(self):
+    def test_tiny_radius_keeps_finite_bounds(self):
+        """A ball no sampler would ever hit still has a finite sandwich: the
+        lower bound is informative, so the report is not upper-bound-only."""
         prob = identity_problem(6)
-        rep = cl.small_ball_log_prob(prob, np.zeros(6), 1e-12, 1000, seed=0)
-        assert rep.upper_bound_only
-        assert rep.log_prob < 0
+        rep = cl.small_ball_log_prob(prob, np.zeros(6), 1e-12)
+        assert not rep.upper_bound_only
+        assert -200.0 < rep.bounds[0] <= rep.log_prob <= rep.bounds[1] < 0.0
+        assert rep.ci_halfwidth == 0.5 * (rep.bounds[1] - rep.bounds[0])
 
-    def test_mc_floor(self):
+    def test_upper_bound_only_means_no_lower_bound(self):
+        rep = cl.SmallBallReport(log_prob=-math.inf, bounds=(-math.inf, -math.inf),
+                                 centered_log_prob=-1.0, centered_bounds=(-2.0, -0.5),
+                                 shift_cost=0.0, eps=1.0, truncation_index=0)
+        assert rep.upper_bound_only
+        assert rep.ci_halfwidth == 0.0
+        assert rep.centered_ci_halfwidth == 0.75
         with pytest.raises(ParameterError):
-            cl.small_ball_log_prob(identity_problem(3), np.zeros(3), 0.5, 10, seed=0)
+            cl.SmallBallReport(log_prob=-1.0, bounds=(-0.5, -2.0), centered_log_prob=-1.0,
+                               centered_bounds=(-2.0, -0.5), shift_cost=0.0, eps=1.0,
+                               truncation_index=0)
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(ParameterError):
+            cl.small_ball_log_prob(identity_problem(3), np.zeros(3), 0.0)
+
+    def test_shared_form_gives_the_same_report(self):
+        prob = banded_problem(16, seed=2)
+        u0 = cl.power_law_truth(2.0, 16)
+        form = cl.small_ball_form(prob, u0)
+        for eps in (0.05, 0.2):
+            assert cl.small_ball_log_prob(prob, u0, eps, form) == \
+                cl.small_ball_log_prob(prob, u0, eps)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bounds_enclose_monte_carlo(self, seed):
+        """Wherever 2e5 prior draws give at least 100 hits, the Monte Carlo
+        log mass lies between the product and Chernoff bounds, widened by
+        four binomial standard errors; the Lugannani-Rice value sits within
+        0.1 of it."""
+        draws = 200_000
+        rng = np.random.default_rng(seed)
+        prob = banded_problem(24, seed=seed)
+        u0 = 0.5 * rng.standard_normal(24) * np.sqrt(prob.prior.variances)
+        form = cl.small_ball_form(prob, u0)
+        scale = math.sqrt(float(form.lam.sum()))
+        checked = 0
+        for factor in (0.3, 0.5, 0.8, 1.2):
+            rep = cl.small_ball_log_prob(prob, u0, factor * scale, form)
+            frac, hits = mc_small_ball(prob, u0, factor * scale, draws, seed + 10)
+            if hits < 100:
+                continue
+            slack = 4.0 / math.sqrt(hits)
+            assert rep.bounds[0] <= math.log(frac) + slack
+            assert math.log(frac) - slack <= rep.bounds[1]
+            assert abs(rep.log_prob - math.log(frac)) <= 0.1
+            checked += 1
+        assert checked >= 2
 
 
 class TestProjectionTail:
@@ -456,7 +526,7 @@ class TestVerifyAssumptions:
         base = cl.plan_from_theory(params, n_level, prob.n_dim)
         eps, xi, k_n = base.eps_n, base.xi_n, base.k_n
 
-        sb = cl.small_ball_log_prob(prob, u0, eps, 4000, seed=77)
+        sb = cl.small_ball_log_prob(prob, u0, eps)
         c = max(1.0, 2.0 * (-sb.log_prob) / (n_level * eps**2))
         g = cl.compute_g_kr(prob, k_n, prob.n_dim)
         c1 = 2.0 * math.sqrt(g) * eps / xi
@@ -478,7 +548,7 @@ class TestVerifyAssumptions:
         prob = identity_problem(64)
         u0 = cl.power_law_truth(2.0, 64)
         plan = self._calibrated_plan(prob, u0, 1e4)
-        report = cl.verify_assumptions(prob, plan, u0, 4000, seed=5)
+        report = cl.verify_assumptions(prob, plan, u0)
         assert report.all_ok
         assert not report.finite_r_evidence
         assert report.truth_ratio < math.inf
@@ -490,7 +560,7 @@ class TestVerifyAssumptions:
         eps = 0.1
         plan = cl.RatePlan(eps_n=eps, xi_n=eps**2, k_n=4, r_n=None,
                            constants=cl.RateConstants(), n_level=1e4)
-        report = cl.verify_assumptions(prob, plan, u0, 1000, seed=6)
+        report = cl.verify_assumptions(prob, plan, u0)
         assert not report.g.ok
 
     def test_full_cutoff_tiny_eps_breaks_kn(self):
@@ -498,7 +568,7 @@ class TestVerifyAssumptions:
         u0 = cl.power_law_truth(2.0, 32)
         plan = cl.RatePlan(eps_n=1e-3, xi_n=0.5, k_n=32, r_n=None,
                            constants=cl.RateConstants(), n_level=100.0)
-        report = cl.verify_assumptions(prob, plan, u0, 1000, seed=7)
+        report = cl.verify_assumptions(prob, plan, u0)
         assert not report.kn.ok
 
     def test_finite_r_flagged(self):
@@ -506,6 +576,61 @@ class TestVerifyAssumptions:
         u0 = cl.power_law_truth(2.0, 16)
         plan = cl.RatePlan(eps_n=0.2, xi_n=0.5, k_n=4, r_n=4,
                            constants=cl.RateConstants(), n_level=100.0)
-        report = cl.verify_assumptions(prob, plan, u0, 1000, seed=8)
+        report = cl.verify_assumptions(prob, plan, u0)
         assert report.finite_r_evidence
         assert "g_sqrt_at_r_equals_k" in report.details
+
+    def test_small_ball_verdict_follows_the_bounds(self):
+        """``ok`` is True only when the product lower bound meets
+        ``-c n eps^2``, False only when the Chernoff upper bound misses it,
+        and None (undetermined) in between; the Lugannani-Rice value is the
+        measured number whichever way it falls."""
+        prob = identity_problem(16)
+        u0 = cl.power_law_truth(2.0, 16)
+        eps, n_level = 0.05, 100.0
+        sb = cl.small_ball_log_prob(prob, u0, eps)
+        lower, upper = sb.bounds
+        assert lower < sb.log_prob < upper
+        scale = n_level * eps**2
+        for level, verdict in ((lower - 0.1, True), (0.5 * (lower + upper), None),
+                               (upper + 0.1, False)):
+            plan = cl.RatePlan(eps_n=eps, xi_n=0.5, k_n=4, r_n=None,
+                               constants=cl.RateConstants(c=-level / scale), n_level=n_level)
+            report = cl.verify_assumptions(prob, plan, u0)
+            assert report.small_ball.ok is verdict
+            assert report.small_ball.measured == sb.log_prob
+            assert report.small_ball.bound == pytest.approx(level, rel=1e-12)
+            if verdict is not True:
+                assert not report.all_ok
+
+    def test_default_plan_small_ball_is_refuted(self, tmp_path):
+        """The default banded N = 512 check (n = 1e6, eps = 0.00398) once
+        certified the small-ball inequality from a Wilson upper bound after
+        zero hits. The Chernoff upper bound on the mass (-28.6) lies below
+        the required -c n eps^2 = -15.85, so the row reads False."""
+        config = cl.parse_config("problem: {coupling: {kind: banded}}")
+        record = cl.run_experiment(config, pipelines=["check"])
+        table = record.table("assumption_checks")
+        row = table.rows[0]
+        assert row[0] == "small_ball" and row[3] is False
+        product, lr, chernoff = table.provenance["small_ball"]
+        assert product <= lr <= chernoff < row[2]
+        assert chernoff == pytest.approx(-28.6, abs=0.1)
+        cl.emit_results(record, "csv", tmp_path)
+        lines = (tmp_path / "assumption_checks.csv").read_text().splitlines()
+        assert lines[1].startswith("small_ball,") and lines[1].endswith(",False")
+
+
+class TestSmallBallDrawsNothing:
+    @pytest.mark.parametrize("pipeline", ["smallball", "check"])
+    def test_pipeline_runs_without_a_random_stream(self, monkeypatch, pipeline):
+        """Small-ball masses come from the quadratic-form kernel alone: with
+        the module's random streams disabled both pipelines still run."""
+        def no_stream(*args, **kwargs):
+            raise AssertionError("small-ball code drew random numbers")
+
+        monkeypatch.setattr(cl.assumptions, "substream", no_stream)
+        config = cl.parse_config(
+            "problem: {n_dim: 32, coupling: {kind: banded}}\nrun: {n_grid: [100, 1000, 10000]}")
+        record = cl.run_experiment(config, pipelines=[pipeline])
+        assert record.failures == {}

@@ -21,6 +21,7 @@ from contraction_lab.errors import (
     UnknownConfigKeyError,
 )
 from contraction_lab import posterior as posterior_module
+from contraction_lab import quadform
 from contraction_lab.runner import EXPLORATORY_LABEL
 
 SMALL_CONFIG = """
@@ -83,6 +84,35 @@ class TestParseConfig:
         cl.parse_config("problem: {n_dim: 12}\n"
                         "run: {k_max: 40, j_max: 12, plug_k: 12, plug_r: 12, r_values: [1, 12, inf]}\n"
                         "plan: {eps_n: 0.5, xi_n: 0.5, k_n: 12, r_n: 12}")
+
+    @pytest.mark.parametrize("doc, field", [
+        ("run: {hs_target: reflection}", "run.hs_target"),
+        ("run: {hs_target: exp_pair}", "run.hs_target"),
+        ("findim: {p: 0}", "findim.p"),
+        ("findim: {p: 2, q: 1}", "findim.q"),
+        ("findim: {p: 2, q: 3}", "findim.g"),
+        ("findim: {p: 1, q: 2, g: [[0], [0]]}", "findim.g"),
+        ("findim: {g: [[1, 2], [3]]}", "findim.g"),
+        ("findim: {m_const: 0}", "findim.m_const"),
+        ("findim: {mixture_weights: [1.0]}", "findim.mixture_means"),
+        ("findim: {mixture_weights: [0.5, 0.6], mixture_means: [[0], [1]], "
+         "mixture_sds: [[1], [1]]}", "findim.mixture_weights"),
+        ("findim: {mixture_weights: [0.5, 0.5], mixture_means: [[0, 1], [1, 0]], "
+         "mixture_sds: [[1, 1], [1, 1]]}", "findim.mixture_means"),
+        ("findim: {mixture_weights: [0.5, 0.5], mixture_means: [[0], [1]], "
+         "mixture_sds: [[1], [-1]]}", "findim.mixture_sds"),
+    ])
+    def test_hs_target_and_findim_checked_at_parse_time(self, doc, field):
+        """Values the hs and findim pipelines would reject are config errors
+        naming their key; valid ones parse."""
+        with pytest.raises(ConfigInvariantError) as err:
+            cl.parse_config(doc)
+        assert err.value.field == field
+        cl.parse_config("problem: {coupling: {kind: exp_skew, generator: [[0]]}}\n"
+                        "run: {hs_target: exp_pair}\n"
+                        "findim: {p: 2, q: 3, g: [[1, 0], [0, 1], [1, 1]], m_const: 2.0, "
+                        "mixture_weights: [1.0], mixture_means: [[0, 0]], "
+                        "mixture_sds: [[1, 2]]}")
 
     def test_seed_override_is_validated_like_the_file(self):
         with pytest.raises(ConfigInvariantError) as err:
@@ -447,7 +477,7 @@ class TestCli:
         def unconverged(d, e, *args, **kwargs):
             return d.copy(), np.eye(d.size), 1
 
-        monkeypatch.setattr(posterior_module, "dstevd", unconverged)
+        monkeypatch.setattr(quadform, "dstevd", unconverged)
         prob = build_problem(cl.parse_config(SMALL_CONFIG))
         with pytest.raises(NumericalError, match=r"dstevd failed .* n_level = 100\.0"):
             cl.fit_contraction_rate(prob, cl.power_law_truth(2.0, 12), [1e2, 1e3, 1e4, 1e5],
@@ -465,6 +495,19 @@ class TestCli:
         path = self._write(tmp_path, f"problem: {{n_dim: 8, {problem}}}")
         assert cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pipeline, doc, field", [
+        ("hs", "run: {hs_target: reflection}", "'run.hs_target'"),
+        ("findim", "findim: {p: 2, q: 1}", "'findim.q'"),
+    ])
+    def test_hs_target_and_findim_errors_exit_code(self, tmp_path, capsys, pipeline, doc, field):
+        """A bad hs target or findim section exits 1 (config error) with the
+        key named, before any pipeline runs, not 2 from the pipeline."""
+        path = self._write(tmp_path, "problem: {n_dim: 8}\n" + doc)
+        assert cli_main([pipeline, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_changes_digest(self, tmp_path):

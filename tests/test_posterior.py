@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import contraction_lab as cl
-from contraction_lab import posterior
+from contraction_lab import posterior, quadform
 from contraction_lab.config import build_problem
 from contraction_lab.errors import NumericalError, ParameterError
 
@@ -258,13 +258,13 @@ class TestPosteriorFactor:
         ordered (so LAPACK reduces it in place) and its lower triangle is the
         lower triangle of an independently computed ``L^{-T} L^{-1}``."""
         captured = []
-        original = posterior.dsytrd
+        original = quadform.dsytrd
 
         def capturing(mat, *args, **kwargs):
             captured.append((mat.copy(), mat.flags.f_contiguous))
             return original(mat, *args, **kwargs)
 
-        monkeypatch.setattr(posterior, "dsytrd", capturing)
+        monkeypatch.setattr(quadform, "dsytrd", capturing)
         prob = random_problem(3, n_dim=40)
         cl.factor_posterior(prob, 1e3).covariance_eigh()
         assert len(captured) == 1
@@ -290,17 +290,17 @@ class TestPosteriorFactor:
 
     def test_eigenvalue_rounding_of_zero_is_clipped(self, monkeypatch):
         prob = random_problem(0, n_dim=4)
-        floor = posterior.EIGENVALUE_RTOL * 4
+        floor = quadform.EIGENVALUE_RTOL * 4
         fake = (np.array([-0.5 * floor, 0.2, 0.5, 1.0]), np.eye(4), 0)
-        monkeypatch.setattr(cl.posterior, "dstevd", lambda *a, **k: fake)
+        monkeypatch.setattr(quadform, "dstevd", lambda *a, **k: fake)
         lam, _ = cl.factor_posterior(prob, 50.0).covariance_eigh()
         assert lam[0] == 0.0 and lam[-1] == 1.0
 
     def test_negative_eigenvalue_beyond_rounding_raises(self, monkeypatch):
         prob = random_problem(0, n_dim=4)
-        floor = posterior.EIGENVALUE_RTOL * 4
+        floor = quadform.EIGENVALUE_RTOL * 4
         fake = (np.array([-2.0 * floor, 0.2, 0.5, 1.0]), np.eye(4), 0)
-        monkeypatch.setattr(cl.posterior, "dstevd", lambda *a, **k: fake)
+        monkeypatch.setattr(quadform, "dstevd", lambda *a, **k: fake)
         with pytest.raises(NumericalError, match="rounding floor"):
             cl.factor_posterior(prob, 50.0).covariance_eigh()
 
@@ -308,13 +308,13 @@ class TestPosteriorFactor:
     def test_lapack_failure_raises_numerical_error(self, monkeypatch, routine):
         """A nonzero ``info`` from any step of the kernel raises a typed error
         naming the routine and the noise level."""
-        original = getattr(posterior, routine)
+        original = getattr(quadform, routine)
 
         def failing(*args, **kwargs):
             out = original(*args, **kwargs)
             return out[:-1] + (3,)
 
-        monkeypatch.setattr(posterior, routine, failing)
+        monkeypatch.setattr(quadform, routine, failing)
         factor = cl.factor_posterior(random_problem(0, n_dim=4), 50.0)
         with pytest.raises(NumericalError, match=f"{routine} failed .* n_level = 50.0"):
             factor.covariance_spectrum(np.ones(4))

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import log_ndtr
 from scipy.stats import ncx2
 
 import contraction_lab as cl
@@ -315,3 +316,151 @@ class TestBatchedQuantile:
         monkeypatch.setattr(quadform, "_MAX_STEPS", 1)
         with pytest.raises(NumericalError, match=r"quantile at p = 0\.1 did not converge, row 0"):
             quadform.quantiles(0.1, [1.0, 0.5], [[0.0, 1.0], [2.0, 0.0]])
+
+
+def imhof_log_cdf(q, lam, c2):
+    """log P(Q <= q) from Imhof's integral."""
+    return math.log(1.0 - imhof_tail(q, lam, c2))
+
+
+# (lam, c2, q / E Q): up to 6 terms, any eigenvalue possibly zero (at least
+# one positive) and the offsets possibly all zero; q not so far below the
+# mean that Imhof's integral loses the lower tail.
+lower_forms = st.integers(min_value=1, max_value=6).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(0.05, 10.0), min_size=k, max_size=k),
+    st.lists(st.booleans(), min_size=k, max_size=k),
+    st.one_of(st.just([0.0] * k), st.lists(st.floats(0.0, 5.0), min_size=k, max_size=k)),
+    st.floats(0.2, 1.5)))
+
+
+class TestLowerTail:
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(lower_forms)
+    def test_bounds_enclose_imhof(self, form):
+        """product <= log P(Q <= q) <= Chernoff, with P from Imhof's integral
+        (to 1e-4 relative), or in closed form when only one term varies."""
+        lam, zero, c2, frac = form
+        lam = np.where(zero, 0.0, lam) if not all(zero) else np.asarray(lam)
+        c2 = np.asarray(c2)
+        q = frac * float(lam.sum() + c2.sum())
+        product = quadform.log_cdf_product(q, lam, c2[None])[0]
+        chernoff = quadform.log_cdf_chernoff(q, lam, c2[None])[0]
+        assert product <= chernoff <= 0.0
+        if q <= c2[lam == 0].sum():
+            assert product == chernoff == quadform.log_cdf(q, lam, c2[None])[0] == -math.inf
+            return
+        pos = np.flatnonzero(lam > 0)
+        if pos.size == 1:  # Imhof's integrand decays too slowly for one term
+            r = math.sqrt((q - c2[lam == 0].sum()) / lam[pos[0]])
+            m = math.sqrt(c2[pos[0]] / lam[pos[0]])
+            a, b = log_ndtr(r - m), log_ndtr(-r - m)
+            exact = a + math.log1p(-math.exp(b - a))
+        else:
+            exact = math.log(1.0 - imhof_tail(q, lam, c2))
+        slack = 1e-4 * max(1.0, abs(exact))
+        assert product <= exact + slack
+        assert exact <= chernoff + slack
+
+    @pytest.mark.parametrize("k", [1, 4, 32, 128])
+    @pytest.mark.parametrize("noncentrality", [0.0, 1.0, 10.0])
+    def test_log_cdf_matches_noncentral_chi_square(self, k, noncentrality):
+        """Equal weights make Q / sigma^2 a noncentral chi-square; the
+        Lugannani-Rice relative error stays below 0.2 / k down to 1e-30, and
+        the bounds hold there too."""
+        sigma2 = 0.01
+        lam = np.full(k, sigma2)
+        c2 = np.full((1, k), sigma2 * noncentrality / k)
+        for p in (0.5, 0.1, 1e-4, 1e-8, 1e-30):
+            x = ncx2.ppf(p, k, noncentrality)
+            exact = ncx2.logcdf(x, k, noncentrality)
+            got = quadform.log_cdf(sigma2 * x, lam, c2)[0]
+            assert abs(math.expm1(got - exact)) < 0.2 / k
+            assert quadform.log_cdf_product(sigma2 * x, lam, c2)[0] <= exact + 1e-9
+            assert exact <= quadform.log_cdf_chernoff(sigma2 * x, lam, c2)[0] + 1e-9
+
+    @pytest.mark.parametrize("lam,c2", [(0.3, 0.0), (0.3, 2.0), (1e-4, 1.0), (4.0, 0.01)])
+    def test_product_bound_is_exact_for_one_term(self, lam, c2):
+        for q in (1e-6, 0.1, 1.0, 3.0):
+            # P(|m + Z| <= r) = Phi(r - m) - Phi(-r - m)
+            r, m = math.sqrt(q / lam), math.sqrt(c2 / lam)
+            a, b = log_ndtr(r - m), log_ndtr(-r - m)
+            exact = a + math.log1p(-math.exp(b - a))
+            got = quadform.log_cdf_product(q, [lam], [[c2]])[0]
+            assert got == pytest.approx(exact, rel=1e-9, abs=1e-12)
+            assert got <= exact + 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize("k", [1, 3, 16, 200])
+    @pytest.mark.parametrize("ratio", [0.99, 0.5, 0.1, 1e-3, 1e-8])
+    def test_chernoff_scaled_chi_square_closed_form(self, k, ratio):
+        """For Q = lam chi^2_k and x = q / lam < k the minimum over s <= 0
+        sits at s = (1 - k / x) / (2 lam), where the exponent is
+        -(x - k - k ln(x / k)) / 2."""
+        lam = 0.37
+        x = ratio * k
+        exact = -0.5 * (x - k - k * math.log(x / k))
+        got = quadform.log_cdf_chernoff(lam * x, np.full(k, lam), np.zeros((1, k)))[0]
+        assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_zero_from_the_mean_up_and_minus_infinity_at_the_infimum(self):
+        """A zero-variance term pins Q >= 4: nothing below it has mass."""
+        lam, c2 = np.array([0.5, 0.0]), np.array([[1.0, 4.0]])
+        for q in (5.5, 6.0, 50.0):
+            assert quadform.log_cdf_chernoff(q, lam, c2)[0] == 0.0
+        for q in (0.0, 3.0, 4.0):
+            for fn in (quadform.log_cdf, quadform.log_cdf_chernoff, quadform.log_cdf_product):
+                assert fn(q, lam, c2)[0] == -math.inf
+        values = [fn(4.0 + 1e-9, lam, c2)[0] for fn in (quadform.log_cdf_product,
+                                                        quadform.log_cdf,
+                                                        quadform.log_cdf_chernoff)]
+        assert all(np.isfinite(values)) and values == sorted(values)
+
+    def test_rows_agree_with_single_rows(self):
+        """One level per row; a batch gives each row's single-row answer."""
+        lam = np.array([1.0, 0.5, 0.0, 0.1])
+        c2 = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 2.0, 1.0], [4.0, 4.0, 0.0, 0.0]])
+        q = np.array([0.2, 3.0, 5.0])
+        for fn in (quadform.log_cdf, quadform.log_cdf_chernoff, quadform.log_cdf_product):
+            batch = fn(q, lam, c2)
+            assert batch.shape == (3,)
+            for r in range(3):
+                assert fn(q[r], lam, c2[r:r + 1])[0] == pytest.approx(batch[r], rel=1e-9)
+
+    def test_deep_tail_beyond_the_upper_bracket_range(self):
+        """A ball of radius 1e-12 puts the saddlepoint near t = -1e24, far
+        past the 48 doublings that bound an upper-tail bracket."""
+        lam = 1.0 / np.arange(1, 7) ** 5
+        c2 = np.zeros((1, 6))
+        q = 1e-24
+        values = [fn(q, lam, c2)[0] for fn in (quadform.log_cdf_product, quadform.log_cdf,
+                                               quadform.log_cdf_chernoff)]
+        assert all(np.isfinite(values)) and values == sorted(values)
+        # centered: P(Q <= q) = P(chi-square ball) ~ prod sqrt(q / lam_i) * const
+        assert values[1] == pytest.approx(0.5 * float(np.sum(np.log(q / lam))), rel=0.05)
+
+    def test_inputs_validated(self):
+        with pytest.raises(ParameterError):
+            quadform.log_cdf([1.0, 2.0], [1.0, 0.5], [[0.0, 1.0]])
+        with pytest.raises(ParameterError):
+            quadform.log_cdf_product(math.nan, [1.0, 0.5], [[0.0, 1.0]])
+        with pytest.raises(ParameterError):
+            quadform.log_cdf_chernoff(1.0, [1.0, 0.5], [0.0, 1.0])
+
+
+class TestSpectrum:
+    def test_matches_eigh_with_a_zero_eigenvalue(self):
+        """A rank-deficient PSD matrix in C order: eigenvalues and projection
+        norms against ``eigh``; the rounding of the zeros is never negative."""
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((9, 6))
+        cov = a @ a.T
+        d = rng.standard_normal((9, 2))
+        ref_lam, ref_vec = np.linalg.eigh(cov)
+        lam, c = quadform.spectrum(cov.copy(), d, "test matrix")
+        assert np.all(lam >= 0.0) and np.all(lam[:3] <= 1e-13 * lam[-1])
+        np.testing.assert_allclose(lam[3:], ref_lam[3:], rtol=1e-12)
+        np.testing.assert_allclose(np.abs(c[3:]), np.abs(ref_vec.T @ d)[3:], rtol=1e-9)
+        np.testing.assert_allclose(np.sum(c * c, axis=0), np.sum(d * d, axis=0), rtol=1e-12)
+
+    def test_failure_names_what_was_decomposed(self):
+        with pytest.raises(NumericalError, match="rounding floor"):
+            quadform.spectrum(-np.eye(3), np.ones(3), "test matrix")

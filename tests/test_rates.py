@@ -149,7 +149,7 @@ class TestFitContractionRate:
         replicates' mean block, never an N x N identity."""
         draws, solves, reductions, reflections = [], [], [], []
         draw, solve = rates._replicate_distances, posterior_module.cho_solve
-        reduce, reflect = posterior_module.dsytrd, posterior_module.dormqr
+        reduce, reflect = quadform.dsytrd, quadform.dormqr
 
         def counting_draw(*args):
             draws.append(args[2])
@@ -169,8 +169,8 @@ class TestFitContractionRate:
 
         monkeypatch.setattr(rates, "_replicate_distances", counting_draw)
         monkeypatch.setattr(posterior_module, "cho_solve", counting_solve)
-        monkeypatch.setattr(posterior_module, "dsytrd", counting_reduce)
-        monkeypatch.setattr(posterior_module, "dormqr", counting_reflect)
+        monkeypatch.setattr(quadform, "dsytrd", counting_reduce)
+        monkeypatch.setattr(quadform, "dormqr", counting_reflect)
         grid = [1e2, 1e3, 1e4, 1e5]
         cl.fit_contraction_rate(_small_problem(8), cl.power_law_truth(2.0, 8), grid, 0.1,
                                 y_replicates=5, seed=2)
