@@ -294,7 +294,7 @@ def projection_log_tail_bound(problem: InverseProblem, k: int, r: int | None,
     q = q[q > 0]
     if q.size == 0:
         return -math.inf
-    return quadform.log_chernoff(threshold**2, q, np.zeros_like(q))
+    return float(quadform.log_chernoff(threshold**2, q, np.zeros((1, q.size)))[0])
 
 
 def projection_tail_grid(problem: InverseProblem, k: int, r: int | None,

@@ -65,9 +65,6 @@ class PosteriorGaussian:
     def n_dim(self) -> int:
         return self.mean.shape[0]
 
-    def covariance(self) -> np.ndarray:
-        return self.cov_factor @ self.cov_factor.T
-
     def distances(self, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Distances from u0 of the posterior draws ``mean + factor @ z``,
         one per column of the standard-normal array ``z``.
@@ -154,12 +151,6 @@ class PosteriorFactor:
         return quadform.spectrum((self._chol_inv.T @ self._chol_inv).T, d,
                                  f"posterior covariance at n_level = {float(self.n_level)!r}")
 
-    def covariance_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of
-        the posterior covariance: ``covariance_spectrum`` of the identity."""
-        lam, vt = self.covariance_spectrum(np.eye(self.problem.n_dim))
-        return lam, vt.T
-
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
     """Factor the conjugate posterior at noise level ``n_level`` once; the
@@ -207,12 +198,6 @@ class ExceedanceEstimate:
 
 def _binomial_se(p: float, count: float) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / count)
-
-
-def posterior_exceedance(post: PosteriorGaussian, u0: np.ndarray, xi: float,
-                         mc: int, seed: int) -> ExceedanceEstimate:
-    """Probability that a posterior draw lands farther than ``xi`` from ``u0``."""
-    return posterior_exceedance_grid(post, u0, [xi], mc, seed)[0]
 
 
 def posterior_exceedance_grid(post: PosteriorGaussian, u0: np.ndarray, xis,

@@ -25,8 +25,9 @@ q_i)`` for any split ``sum q_i = q``.
 
 Saddlepoints come from one safeguarded Newton-bisection that runs on a batch:
 forms that share ``lam`` and differ in their offsets, one row of ``c2`` each.
-``quantiles`` and the lower-tail routines expose the batch; the scalar
-routines solve a batch of one.
+Every routine takes such a batch, an (R, N) array ``c2``; a single form is a
+batch of one row. ``log_cdf`` is the one Lugannani-Rice evaluator, on either
+side of the mean: ``P(Q > q) = -expm1(log_cdf(q, lam, c2))``.
 """
 
 from __future__ import annotations
@@ -130,29 +131,19 @@ def spectrum(cov: np.ndarray, d: np.ndarray, what: str) -> tuple[np.ndarray, np.
     return lam, (z.T @ proj).reshape(d.shape)
 
 
-def _terms(lam, c2, batch: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _terms(lam, c2) -> tuple[np.ndarray, np.ndarray]:
     """``lam`` as a vector and ``c2`` as an (R, N) batch of rows."""
     lam = np.asarray(lam, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    if batch:
-        if lam.ndim != 1 or c2.ndim != 2 or c2.shape[1] != lam.size or c2.shape[0] == 0:
-            raise ParameterError("lam must be a vector and c2 an (R, len(lam)) array, R >= 1")
-    elif lam.ndim != 1 or lam.shape != c2.shape:
-        raise ParameterError("lam and c2 must be non-empty vectors of equal length")
+    if lam.ndim != 1 or c2.ndim != 2 or c2.shape[1] != lam.size or c2.shape[0] == 0:
+        raise ParameterError("lam must be a vector and c2 an (R, len(lam)) array, R >= 1")
     if lam.size == 0:
-        raise ParameterError("lam and c2 must be non-empty vectors of equal length")
+        raise ParameterError("lam and c2 must be non-empty")
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(c2))):
         raise ParameterError("lam and c2 must be finite")
     if np.any(lam < 0) or np.any(c2 < 0) or lam.max() <= 0:
         raise ParameterError("lam and c2 must be nonnegative, with some lam positive")
-    return lam, c2.reshape(-1, lam.size)
-
-
-def cgf(s: float, lam, c2) -> tuple[float, float, float]:
-    """``K(s)``, ``K'(s)`` and ``K''(s)`` of ``Q`` at a saddlepoint
-    ``s < 1/(2 max lam)``; a non-finite value raises ``NumericalError``."""
-    lam, c2 = _terms(lam, c2)
-    return tuple(float(k[0]) for k in _cgf(np.array([s], dtype=float), lam, c2))
+    return lam, c2
 
 
 def _cgf(s: np.ndarray, lam: np.ndarray, c2: np.ndarray, rows: np.ndarray | None = None,
@@ -266,7 +257,7 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str) -> np.ndarray:
     raise NumericalError(f"saddlepoint solve for the {what} did not converge, row {idx[0]}")
 
 
-def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str | None = None) -> np.ndarray:
+def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str) -> np.ndarray:
     """The ``s`` solving ``K'(s) = q``, one per row of ``c2``; ``q`` is one
     level for every row or one per row."""
     levels = np.broadcast_to(np.asarray(q, dtype=float), c2.shape[:1])
@@ -274,43 +265,13 @@ def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str | None = None) ->
     def fn(s, idx):
         _, k1, k2 = _cgf(s, lam, c2, idx)
         return levels[idx] - k1, -k2
-    return _solve(fn, lam, c2.shape[0], what or f"tail at q = {q!r}")
-
-
-def tail(q: float, lam, c2) -> float:
-    """Saddlepoint approximation to ``P(Q > q)``."""
-    lam, c2 = _terms(lam, c2)
-    if not (q > 0 and math.isfinite(q)):
-        raise ParameterError("q must be positive and finite")
-    return float(_lugannani_rice(_saddlepoint(q, lam, c2), lam, c2, np.arange(1))[1][0])
-
-
-def log_chernoff(q: float, lam, c2) -> float:
-    """Chernoff exponent ``min_{s >= 0} K(s) - s q``: ``P(Q > q)`` is at most
-    its exponential.
-
-    It is 0 for ``q <= K'(0) = E Q``. When the saddlepoint lies closer to the
-    pole ``1/(2 max lam)`` than the bracket search resolves (a deep tail),
-    the exponent is taken at the last upper end tried instead; every ``s`` in
-    ``[0, 1/(2 max lam))`` gives a valid bound.
-    """
-    lam, c2 = _terms(lam, c2)
-    if math.isnan(q):
-        raise ParameterError("q must not be NaN")
-    if q <= float(lam.sum() + c2.sum()):
-        return 0.0
-    s = np.array([_T_TOP / (2.0 * float(lam.max()))])
-    k0, k1, _ = _cgf(s, lam, c2)
-    if k1[0] >= q:
-        s = _saddlepoint(q, lam, c2)
-        k0 = _cgf(s, lam, c2)[0]
-    return min(0.0, float(k0[0] - s[0] * q))
+    return _solve(fn, lam, c2.shape[0], what)
 
 
 def quantiles(p: float, lam, c2) -> np.ndarray:
     """The ``q`` with saddlepoint tail ``P(Q > q) = p`` for each row of the
     (R, N) array ``c2``, all with the eigenvalues ``lam``."""
-    lam, c2 = _terms(lam, c2, batch=True)
+    lam, c2 = _terms(lam, c2)
     if not (0.0 < p < 1.0):
         raise ParameterError("tail probability p must lie in (0, 1)")
 
@@ -320,16 +281,6 @@ def quantiles(p: float, lam, c2) -> np.ndarray:
     s = _solve(fn, lam, c2.shape[0], f"quantile at p = {p!r}")
     return _cgf(s, lam, c2)[1]
 
-
-def quantile(p: float, lam, c2) -> float:
-    """The ``q`` with saddlepoint tail ``P(Q > q) = p``."""
-    lam, c2 = _terms(lam, c2)
-    return float(quantiles(p, lam, c2)[0])
-
-
-# ---------------------------------------------------------------------------
-# Lower tails
-# ---------------------------------------------------------------------------
 
 def _levels(q, rows: int) -> np.ndarray:
     """``q`` as one level per row: a scalar for every row, or a vector."""
@@ -341,6 +292,43 @@ def _levels(q, rows: int) -> np.ndarray:
     return np.array(np.broadcast_to(q, (rows,)))
 
 
+def _chernoff(q: np.ndarray, lam: np.ndarray, c2: np.ndarray, end: float,
+              what: str) -> np.ndarray:
+    """``min(0, K(s) - s q)`` per row, at the saddlepoint of ``K'(s) = q``
+    where it lies between 0 and the bracket end ``t = end`` (``t = 2 s max
+    lam``), and at that end otherwise: every ``s`` on the same side of 0 as
+    the end gives a valid bound, so a saddlepoint beyond the search's reach
+    costs tightness only."""
+    s = np.full(q.size, end / (2.0 * float(lam.max())))
+    k1 = _cgf(s, lam, c2)[1]
+    inside = np.flatnonzero(k1 >= q if end > 0 else k1 < q)
+    if inside.size:
+        s[inside] = _saddlepoint(q[inside], lam, c2[inside], what)
+    return np.minimum(0.0, _cgf(s, lam, c2)[0] - s * q)
+
+
+def log_chernoff(q, lam, c2) -> np.ndarray:
+    """Chernoff exponent ``min_{s >= 0} K(s) - s q`` for each row of ``c2``:
+    ``P(Q > q)`` is at most its exponential.
+
+    It is 0 up to the mean ``K'(0)`` and ``-inf`` at ``q = inf``. When the
+    saddlepoint lies closer to the pole ``1/(2 max lam)`` than the bracket
+    search resolves (a deep tail), the exponent is taken at the last upper
+    end tried instead.
+    """
+    lam, c2 = _terms(lam, c2)
+    q = _levels(q, c2.shape[0])
+    out = np.zeros(q.size)
+    idx = np.flatnonzero(q > lam.sum() + c2.sum(axis=1))
+    if idx.size:
+        out[idx] = _chernoff(q[idx], lam, c2[idx], _T_TOP, "Chernoff bound")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Lower tails
+# ---------------------------------------------------------------------------
+
 def _floor(lam: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """``Q``'s essential infimum per row: the offsets of the zero-variance
     terms. ``P(Q <= q) = 0`` for q at or below it, since some lam is
@@ -350,7 +338,8 @@ def _floor(lam: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 def log_cdf(q, lam, c2) -> np.ndarray:
     """Saddlepoint approximation to ``log P(Q <= q)`` for each row of the
-    (R, N) array ``c2``; ``q`` is one level or one per row.
+    (R, N) array ``c2``; ``q`` is one level or one per row. The upper tail
+    is ``P(Q > q) = -expm1(log_cdf(q, lam, c2))``.
 
     Below the mean (``s < 0``) the Lugannani-Rice formula
     ``Phi(w) + phi(w) (1/w - 1/u)`` is evaluated as ``log Phi(w)`` plus a
@@ -358,14 +347,14 @@ def log_cdf(q, lam, c2) -> np.ndarray:
     is ``log1p`` of minus the tail. ``-inf`` at or below the infimum of Q.
     An approximation: it bounds nothing.
     """
-    lam, c2 = _terms(lam, c2, batch=True)
+    lam, c2 = _terms(lam, c2)
     q = _levels(q, c2.shape[0])
     out = np.full(q.size, -np.inf)
     live = np.flatnonzero(q > _floor(lam, c2))
     if live.size == 0:
         return out
     c2, q = c2[live], q[live]
-    s = _saddlepoint(q, lam, c2, "lower tail")
+    s = _saddlepoint(q, lam, c2, "Lugannani-Rice tail")
     k0, _, k2 = _cgf(s, lam, c2)
     u = s * np.sqrt(k2)
     lower = (s < 0) & (np.abs(u) >= _NEAR_MEAN)
@@ -391,22 +380,16 @@ def log_cdf_chernoff(q, lam, c2) -> np.ndarray:
 
     It is 0 from the mean ``K'(0)`` up and ``-inf`` at or below the infimum
     of Q. When the saddlepoint lies further below 0 than the bracket search
-    reaches, the exponent is taken at the last lower end tried; every
-    ``s <= 0`` gives a valid bound.
+    reaches, the exponent is taken at the last lower end tried.
     """
-    lam, c2 = _terms(lam, c2, batch=True)
+    lam, c2 = _terms(lam, c2)
     q = _levels(q, c2.shape[0])
     out = np.zeros(q.size)
     out[q <= _floor(lam, c2)] = -np.inf
     idx = np.flatnonzero((q < lam.sum() + c2.sum(axis=1)) & np.isfinite(out))
-    if idx.size == 0:
-        return out
-    c2, q = c2[idx], q[idx]
-    s = np.full(idx.size, -2.0 ** (_LOWER_STEPS - 1) / (2.0 * float(lam.max())))
-    inside = np.flatnonzero(_cgf(s, lam, c2)[1] < q)
-    if inside.size:
-        s[inside] = _saddlepoint(q[inside], lam, c2[inside], "lower Chernoff bound")
-    out[idx] = np.minimum(0.0, _cgf(s, lam, c2)[0] - s * q)
+    if idx.size:
+        out[idx] = _chernoff(q[idx], lam, c2[idx], -2.0 ** (_LOWER_STEPS - 1),
+                             "lower Chernoff bound")
     return out
 
 
@@ -500,7 +483,7 @@ def log_cdf_product(q, lam, c2) -> np.ndarray:
     ``(1 - 4 EIGENVALUE_RTOL) q``, a margin for the rounding of its sum, and
     the bound is evaluated there, so it is valid however far the solve got.
     """
-    lam, c2 = _terms(lam, c2, batch=True)
+    lam, c2 = _terms(lam, c2)
     q = _levels(q, c2.shape[0])
     budget = q - _floor(lam, c2)
     out = np.full(q.size, -np.inf)

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import assumptions, posterior, rates
 from .config import ExperimentConfig, build_findim, build_plan, build_problem, build_truth
-from .errors import ConfigInvariantError
+from .errors import (ConfigError, ConfigInvariantError, ConstructionError, NumericalError,
+                     ParameterError)
 from .rng import derive_seed
 from .spectral import (
     ExpSkewCoupling,
@@ -284,10 +285,17 @@ PIPELINE_FUNCS = {
 }
 
 
+# The failures a pipeline reports as data: its inputs, a model it could not
+# build, or numerics that broke down.
+_PIPELINE_ERRORS = (ParameterError, NumericalError, ConstructionError, ConfigError,
+                    np.linalg.LinAlgError)
+
+
 def run_experiment(config: ExperimentConfig, pipelines: list[str] | None = None,
                    workers: int = 1) -> ResultRecord:
-    """Execute the requested pipelines; module errors become per-pipeline
-    failure entries and never abort the remaining work."""
+    """Execute the requested pipelines; the package's errors and
+    ``LinAlgError`` become per-pipeline failure entries and never abort the
+    remaining work. Any other exception is a defect and propagates."""
     requested = pipelines if pipelines is not None else config.run["pipelines"]
     tables: list[Table] = []
     failures: dict[str, str] = {}
@@ -297,7 +305,7 @@ def run_experiment(config: ExperimentConfig, pipelines: list[str] | None = None,
             raise ConfigInvariantError("run.pipelines", f"unknown pipeline {name!r}")
         try:
             tables.extend(PIPELINE_FUNCS[name](config, problem, workers))
-        except Exception as exc:  # noqa: BLE001 - failures are data here
+        except _PIPELINE_ERRORS as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
     created = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return ResultRecord(config_digest=config.digest, created_at=created,

@@ -524,6 +524,40 @@ class TestCli:
         path = self._write(tmp_path, "problem: {n_dim: 1, noise: {kind: colored, r: 0.5}}")
         assert cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, workers):
+        path = self._write(tmp_path)
+        assert cli_main(["gn", "--config", str(path), "--workers", workers,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'--workers'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_workers_environment_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A bad ``CONTRACTION_LAB_WORKERS`` is a config error when it is the
+        value in use, and is not read when ``--workers`` is given."""
+        monkeypatch.setenv("CONTRACTION_LAB_WORKERS", "two")
+        path = self._write(tmp_path)
+        assert cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'CONTRACTION_LAB_WORKERS'" in err
+        assert not (tmp_path / "out").exists()
+        assert cli_main(["gn", "--config", str(path), "--workers", "2",
+                         "--out", str(tmp_path / "out")]) == 0
+
+    def test_unexpected_error_type_is_a_traceback(self, tmp_path, monkeypatch):
+        """Only the package's errors and ``LinAlgError`` become failure
+        entries (exit 2); a ``TypeError`` is a defect and leaves
+        ``run_experiment`` and ``main`` as a traceback."""
+        def broken(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cl.assumptions, "compute_g_kr", broken)
+        path = self._write(tmp_path)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")])
+
     def test_failed_pipeline_exit_code(self, tmp_path, capsys):
         path = self._write(tmp_path, """
 problem:

@@ -1,7 +1,8 @@
 """Module layering: no module of the package reaches into a sibling's
 private names, whether by ``from .sibling import _name`` or by
-``sibling._name`` attribute access; and the package's import graph leaves
-out the slow-to-import parts of scipy."""
+``sibling._name`` attribute access; every public function of ``quadform``
+has a caller in another module; and the package's import graph leaves out
+the slow-to-import parts of scipy."""
 
 import ast
 import json
@@ -79,6 +80,56 @@ def test_guard_allows_public_and_own_names():
               "def _own():\n    return posterior.factor_posterior\n"
               "_own()\nposterior.__name__\n")
     assert private_accesses(source) == []
+
+
+def public_functions(source: str) -> set[str]:
+    """Names of the module-level public functions a module source defines."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def sibling_calls(source: str, sibling: str) -> set[str]:
+    """Names of ``sibling``'s functions that a module source calls, as
+    ``sibling.name(...)`` after importing the module or as ``name(...)``
+    after ``from .sibling import name``."""
+    tree = ast.parse(source)
+    module_aliases, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names_sibling = _sibling(node.module, node.level) == sibling
+            package_itself = _sibling(node.module, node.level) is None and (
+                node.level == 1 or (node.level == 0 and node.module == PACKAGE))
+            for alias in node.names:
+                if package_itself and alias.name == sibling:
+                    module_aliases.add(alias.asname or alias.name)
+                elif names_sibling:
+                    imported[alias.asname or alias.name] = alias.name
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in module_aliases):
+            called.add(func.attr)
+        elif isinstance(func, ast.Name) and func.id in imported:
+            called.add(imported[func.id])
+    return called
+
+
+def test_every_public_quadform_function_has_a_caller_in_src():
+    """``quadform`` exposes one batched entry point per question; a public
+    function that no other module calls is dead surface."""
+    defined = public_functions((SRC / "quadform.py").read_text())
+    called = set().union(*(sibling_calls(path.read_text(), "quadform")
+                           for path in MODULES if path.name != "quadform.py"))
+    assert defined and sorted(defined - called) == []
+
+
+def test_caller_scan_reads_both_import_forms():
+    source = ("from . import quadform as qf\nfrom .quadform import spectrum as spec\n"
+              "qf.quantiles(0.1, lam, c2)\nspec(cov, d, 'x')\nqf.log_cdf\n")
+    assert sibling_calls(source, "quadform") == {"quantiles", "spectrum"}
 
 
 # Runs in a fresh interpreter: the test process itself may have imported

@@ -45,7 +45,7 @@ class TestConjugatePosterior:
         data = cl.DataSample(np.array([1.0]), 1.0, np.array([0.0]), 0)
         post = cl.conjugate_posterior(prob, data)
         assert math.isclose(post.mean[0], 0.5, rel_tol=1e-14)
-        assert math.isclose(post.covariance()[0, 0], 0.5, rel_tol=1e-14)
+        assert math.isclose((post.cov_factor @ post.cov_factor.T)[0, 0], 0.5, rel_tol=1e-14)
 
     def test_noiseless_limit_inverts_operator(self):
         """At n = 1e10 the mean approaches T^-1 diag(1/rho) y."""
@@ -68,7 +68,7 @@ class TestConjugatePosterior:
         prob = random_problem(seed)
         data = cl.simulate_data(prob, np.zeros(prob.n_dim), 20.0, seed=seed)
         post = cl.conjugate_posterior(prob, data)
-        rebuilt = np.linalg.inv(post.covariance())
+        rebuilt = np.linalg.inv(post.cov_factor @ post.cov_factor.T)
         target = cl.posterior_precision(prob, data.n_level)
         assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(target)
 
@@ -76,13 +76,13 @@ class TestConjugatePosterior:
 class TestExceedance:
     def test_zero_radius_full_mass(self):
         post = cl.PosteriorGaussian(np.zeros(1), np.eye(1), 1.0)
-        est = cl.posterior_exceedance(post, np.zeros(1), 0.0, 500, seed=4)
+        est = cl.posterior_exceedance_grid(post, np.zeros(1), [0.0], 500, seed=4)[0]
         assert est.value == 1.0
 
     def test_standard_normal_oracle(self):
         """P(|Z| > 1) = 2(1 - Phi(1)) ~ 0.3173, within 3 binomial SE."""
         post = cl.PosteriorGaussian(np.zeros(1), np.eye(1), 1.0)
-        est = cl.posterior_exceedance(post, np.zeros(1), 1.0, 40_000, seed=4)
+        est = cl.posterior_exceedance_grid(post, np.zeros(1), [1.0], 40_000, seed=4)[0]
         target = 2 * norm.sf(1.0)
         assert abs(est.value - target) <= 3 * max(est.std_error, 1e-6)
 
@@ -93,8 +93,8 @@ class TestExceedance:
         data = cl.simulate_data(prob, np.zeros(3), 4.0, seed=2)
         post = cl.conjugate_posterior(prob, data)
         u0 = np.full(3, 0.1)
-        xi = 1e3 * (np.linalg.norm(post.mean - u0) + np.trace(post.covariance()))
-        est = cl.posterior_exceedance(post, u0, xi, 2000, seed=6)
+        xi = 1e3 * (np.linalg.norm(post.mean - u0) + np.trace(post.cov_factor @ post.cov_factor.T))
+        est = cl.posterior_exceedance_grid(post, u0, [xi], 2000, seed=6)[0]
         assert est.value < 0.01
 
     def test_monotone_in_radius_on_shared_batch(self):
@@ -117,15 +117,16 @@ class TestExceedance:
         u0 = np.round(rng.uniform(-1, 1, 3) / scale) * scale
         shift = np.round(rng.uniform(-1000, 1000, 3) / scale) * scale
         factor = np.linalg.cholesky(np.eye(3) * 0.25)
-        a = cl.posterior_exceedance(cl.PosteriorGaussian(mean, factor, 1.0), u0, 0.5, 500, seed=3)
-        b = cl.posterior_exceedance(cl.PosteriorGaussian(mean + shift, factor, 1.0),
-                                    u0 + shift, 0.5, 500, seed=3)
+        a = cl.posterior_exceedance_grid(cl.PosteriorGaussian(mean, factor, 1.0), u0, [0.5],
+                                         500, seed=3)[0]
+        b = cl.posterior_exceedance_grid(cl.PosteriorGaussian(mean + shift, factor, 1.0),
+                                         u0 + shift, [0.5], 500, seed=3)[0]
         assert a.value == b.value
 
     def test_mc_floor(self):
         post = cl.PosteriorGaussian(np.zeros(1), np.eye(1), 1.0)
         with pytest.raises(ParameterError):
-            cl.posterior_exceedance(post, np.zeros(1), 1.0, 50, seed=0)
+            cl.posterior_exceedance_grid(post, np.zeros(1), [1.0], 50, seed=0)
 
 
 class TestWeightedExceedance:
@@ -150,8 +151,8 @@ class TestWeightedExceedance:
         u0 = np.array([0.3, -0.2])
         data = cl.simulate_data(prob, u0, 10.0, seed=seed)
         post = cl.conjugate_posterior(prob, data)
-        xi = float(np.sqrt(np.trace(post.covariance()) / 2))
-        conj = cl.posterior_exceedance(post, u0, xi, 20_000, seed=seed + 1)
+        xi = float(np.sqrt(np.trace(post.cov_factor @ post.cov_factor.T) / 2))
+        conj = cl.posterior_exceedance_grid(post, u0, [xi], 20_000, seed=seed + 1)[0]
         weighted = cl.weighted_posterior_exceedance(prob, data, u0, xi, mc=40_000, seed=seed + 2)
         combined = math.hypot(conj.std_error, weighted.std_error)
         assert abs(conj.value - weighted.value) <= 4 * combined
@@ -233,11 +234,15 @@ class TestPosteriorFactor:
             factor.mean(ys[:, :, None])
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_covariance_eigh_reconstructs_covariance(self, seed):
+    def test_identity_spectrum_reconstructs_covariance(self, seed):
+        """``covariance_spectrum`` of the identity gives the eigenvectors
+        themselves, as rows."""
         prob = random_problem(seed, n_dim=6)
         factor = cl.factor_posterior(prob, 50.0)
-        lam, vecs = factor.covariance_eigh()
-        cov = factor.condition(np.zeros(6)).covariance()
+        lam, vt = factor.covariance_spectrum(np.eye(6))
+        vecs = vt.T
+        post = factor.condition(np.zeros(6))
+        cov = post.cov_factor @ post.cov_factor.T
         assert np.all(lam >= 0)
         assert np.allclose((vecs * lam) @ vecs.T, cov, rtol=0, atol=1e-12 * lam.max())
 
@@ -266,7 +271,7 @@ class TestPosteriorFactor:
 
         monkeypatch.setattr(quadform, "dsytrd", capturing)
         prob = random_problem(3, n_dim=40)
-        cl.factor_posterior(prob, 1e3).covariance_eigh()
+        cl.factor_posterior(prob, 1e3).covariance_spectrum(np.eye(40))
         assert len(captured) == 1
         mat, fortran = captured[0]
         assert fortran and np.array_equal(mat, mat.T)
@@ -293,7 +298,7 @@ class TestPosteriorFactor:
         floor = quadform.EIGENVALUE_RTOL * 4
         fake = (np.array([-0.5 * floor, 0.2, 0.5, 1.0]), np.eye(4), 0)
         monkeypatch.setattr(quadform, "dstevd", lambda *a, **k: fake)
-        lam, _ = cl.factor_posterior(prob, 50.0).covariance_eigh()
+        lam, _ = cl.factor_posterior(prob, 50.0).covariance_spectrum(np.eye(4))
         assert lam[0] == 0.0 and lam[-1] == 1.0
 
     def test_negative_eigenvalue_beyond_rounding_raises(self, monkeypatch):
@@ -302,7 +307,7 @@ class TestPosteriorFactor:
         fake = (np.array([-2.0 * floor, 0.2, 0.5, 1.0]), np.eye(4), 0)
         monkeypatch.setattr(quadform, "dstevd", lambda *a, **k: fake)
         with pytest.raises(NumericalError, match="rounding floor"):
-            cl.factor_posterior(prob, 50.0).covariance_eigh()
+            cl.factor_posterior(prob, 50.0).covariance_spectrum(np.eye(4))
 
     @pytest.mark.parametrize("routine", ["dsytrd", "dormqr", "dstevd"])
     def test_lapack_failure_raises_numerical_error(self, monkeypatch, routine):
