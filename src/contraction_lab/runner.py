@@ -128,7 +128,7 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
 
     rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
     return [_table(config, "posterior_exceedance", ("n_level", "xi", "estimate", "std_error"),
-                   rows, "posterior_exceedance")]
+                   rows, "posterior_exceedance_grid", mc=mc)]
 
 
 def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -251,7 +251,7 @@ def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, worke
                    "concentration_check", sigma0_sq=rep.sigma0_sq,
                    mean_deviation=rep.mean_deviation,
                    mean_deviation_bound=rep.mean_deviation_bound,
-                   mean_dev_ok=rep.mean_dev_ok, k=k, r=r)]
+                   mean_dev_ok=rep.mean_dev_ok, k=k, r=r, mc=mc)]
 
 
 def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -261,14 +261,15 @@ def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int
     n_grid = [n for n in run["n_grid"] if n >= 3]
     if len(n_grid) < 1:
         raise ConfigInvariantError("run.n_grid", "findim needs grid entries >= 3")
-    table = rates.finite_dim_rate_run(exp, u0, n_grid, max(run["mc"], 1000),
+    mc = max(run["mc"], 1000)
+    table = rates.finite_dim_rate_run(exp, u0, n_grid, mc,
                                       run["y_replicates"],
                                       derive_seed(run["master_seed"], "findim"))
     rows = [(_n(n), float(m), None if math.isnan(r) else float(r), int(c))
             for n, m, r, c in zip(table.n_grid, table.mean_exceedance,
                                   table.max_ratio, table.diagnostic_counts)]
     return [_table(config, "findim_rate", ("n", "mean_exceedance", "max_ratio", "diagnostic_count"),
-                   rows, "finite_dim_rate_run", method=table.method)]
+                   rows, "finite_dim_rate_run", method=table.method, mc=mc)]
 
 
 PIPELINE_FUNCS = {

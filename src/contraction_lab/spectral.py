@@ -15,8 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrmm, dtrmv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConstructionError, ParameterError
 from .rng import substream
@@ -281,19 +285,14 @@ def make_coupling(kind: CouplingKind, n_dim: int, seed: int = 0) -> OrthogonalCo
 
 @dataclass(frozen=True, eq=False)
 class GaussianSequenceMeasure:
-    """Centered Gaussian measure with the given coordinate variances.
-
-    ``basis`` names the axes the measure is diagonal on ("phi" for priors,
-    "e" for noise). A dense covariance is stored as its eigendecomposition:
-    ``variances`` holds the eigenvalues and ``vectors`` the orthonormal
-    eigenbasis in e-coordinates (None means diagonal). Both arrays are
-    stored as read-only copies.
+    """Centered Gaussian measure, diagonal on the axes ``basis`` names ("phi"
+    for priors, "e" for noise), with the given coordinate variances, stored
+    as a read-only copy.
     """
 
     n_dim: int
     variances: np.ndarray
     basis: str
-    vectors: np.ndarray | None = None
 
     def __post_init__(self):
         if self.basis not in ("e", "phi"):
@@ -302,15 +301,36 @@ class GaussianSequenceMeasure:
         object.__setattr__(self, "variances", v)
         if not np.all(np.isfinite(v)) or np.any(v <= 0):
             raise ParameterError("all variances must be positive and finite")
-        if self.vectors is not None:
-            object.__setattr__(self, "vectors", _orthonormal(self.vectors, self.n_dim, "vectors"))
+
+
+@dataclass(frozen=True, eq=False)
+class DenseNoise:
+    """Centered Gaussian noise with a dense SPD covariance ``zeta`` in
+    e-coordinates, held as the lower Cholesky factor L of its whitening root
+    ``W = zeta^(-1/2) = L L'``.
+
+    ``root_factor`` is stored as a read-only Fortran-ordered copy, so BLAS
+    and ``cho_solve`` read it in place; only its lower triangle is used.
+    ``dense_noise`` and ``colored_noise`` build it.
+    """
+
+    n_dim: int
+    root_factor: np.ndarray
+    basis: ClassVar[str] = "e"
+
+    def __post_init__(self):
+        f = _read_only(np.array(self.root_factor, dtype=float, order="F"))
+        if f.shape != (self.n_dim, self.n_dim):
+            raise ParameterError("root_factor must be square of size n_dim")
+        if not np.all(np.isfinite(f)) or np.any(np.diagonal(f) <= 0):
+            raise ParameterError("root_factor must be finite with a positive diagonal")
+        object.__setattr__(self, "root_factor", f)
 
     @cached_property
-    def dense(self) -> np.ndarray | None:
-        """The covariance ``V diag(variances) V'`` (read-only), or None if diagonal."""
-        if self.vectors is None:
-            return None
-        return _read_only((self.vectors * self.variances) @ self.vectors.T)
+    def dense(self) -> np.ndarray:
+        """The covariance ``zeta = W^(-2)`` (read-only)."""
+        w_inv = cho_solve((self.root_factor, True), np.eye(self.n_dim), check_finite=False)
+        return _read_only(w_inv @ w_inv)
 
 
 def power_law_prior(delta: float, n_dim: int) -> GaussianSequenceMeasure:
@@ -340,37 +360,50 @@ def _is_symmetric(a: np.ndarray) -> bool:
     return bool(np.abs(a - a.T).max() <= 1e-12 * max(1.0, np.abs(a).max()))
 
 
-def dense_noise(covariance: np.ndarray) -> GaussianSequenceMeasure:
-    """Wrap a dense SPD covariance (e-coordinates) as a noise measure in its eigenbasis."""
+def _noise_from_root(root: np.ndarray, failure: str) -> DenseNoise:
+    """Dense noise whose whitening root is the SPD matrix ``root``, which is
+    factored in place when it is Fortran-ordered; ``failure`` is the error
+    message when it is not positive definite."""
+    factor, info = dpotrf(root, lower=1, overwrite_a=1)
+    if info != 0:
+        raise ParameterError(failure)
+    return DenseNoise(root.shape[0], factor)
+
+
+def dense_noise(covariance: np.ndarray) -> DenseNoise:
+    """Wrap a dense SPD covariance (e-coordinates) as a noise measure: one
+    ``eigh`` gives its whitening root ``V diag(v^(-1/2)) V'``."""
     cov = np.asarray(covariance, dtype=float)
     if not _is_symmetric(cov):
         raise ParameterError("dense covariance must be symmetric")
     vals, vecs = np.linalg.eigh(cov)
     if vals.min() <= 0:
         raise ParameterError(f"noise covariance is not SPD: min eigenvalue {vals.min():.3e}")
-    return GaussianSequenceMeasure(cov.shape[0], vals[::-1], "e", vecs[:, ::-1])
+    half = vecs * vals**-0.25
+    return _noise_from_root(half @ half.T, "the whitening root of the noise covariance "
+                                           "is not numerically positive definite")
 
 
-def _shifted_eigh(spectrum: OperatorSpectrum, a: float, k: np.ndarray,
-                  a_name: str, k_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of ``G^(-a) + K`` for a
-    symmetric K that keeps the sum positive definite."""
+_NOT_POSITIVE = "G^(-{a}) + {k} is not positive definite; {k} must be a positive operator"
+
+
+def _shifted(spectrum: OperatorSpectrum, a: float, k: np.ndarray, k_name: str) -> np.ndarray:
+    """``G^(-a) + K`` as a new Fortran-ordered array, for a symmetric K of size n_dim."""
     k = np.asarray(k, dtype=float)
     if k.shape != (spectrum.n_dim, spectrum.n_dim) or not _is_symmetric(k):
         raise ParameterError(f"{k_name} must be a symmetric matrix of size n_dim")
-    vals, vecs = np.linalg.eigh(np.diag(spectrum.rho ** (-a)) + k)
-    if vals.min() <= 0:
-        raise ParameterError(f"G^(-{a_name}) + {k_name} is not positive definite; "
-                             f"{k_name} must be a positive operator")
-    return vals, vecs
+    out = np.array(k, order="F")
+    diag = np.arange(spectrum.n_dim)
+    out[diag, diag] += spectrum.rho ** (-a)
+    return out
 
 
-def colored_noise(spectrum: OperatorSpectrum, r: float, k1: np.ndarray) -> GaussianSequenceMeasure:
-    """Noise covariance ``(G^(-r) + K1)^(-2)``, kept in the eigenbasis of ``G^(-r) + K1``."""
+def colored_noise(spectrum: OperatorSpectrum, r: float, k1: np.ndarray) -> DenseNoise:
+    """Noise covariance ``(G^(-r) + K1)^(-2)``: its whitening root is
+    ``G^(-r) + K1`` itself, so one Cholesky factorization and no eigensolve."""
     if not (0 < r < 1):
         raise ParameterError("colored noise requires r in (0, 1)")
-    vals, vecs = _shifted_eigh(spectrum, r, k1, "r", "K1")
-    return GaussianSequenceMeasure(spectrum.n_dim, vals**-2.0, "e", vecs)
+    return _noise_from_root(_shifted(spectrum, r, k1, "K1"), _NOT_POSITIVE.format(a="r", k="K1"))
 
 
 def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
@@ -381,7 +414,9 @@ def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
         raise ParameterError("hilbert-scale prior requires t > 0")
     if not (0 < l <= 2):
         raise ParameterError("hilbert-scale prior requires l in (0, 2]")
-    vals, vecs = _shifted_eigh(spectrum, t, k2, "t", "K2")
+    vals, vecs = np.linalg.eigh(_shifted(spectrum, t, k2, "K2"))
+    if vals.min() <= 0:
+        raise ParameterError(_NOT_POSITIVE.format(a="t", k="K2"))
     coupling = OrthogonalCoupling(spectrum.n_dim, vecs, ExplicitCoupling(vecs))
     prior = GaussianSequenceMeasure(spectrum.n_dim, vals**-l, "phi")
     return coupling, prior
@@ -414,7 +449,7 @@ class InverseProblem:
     operator: OperatorSpectrum
     coupling: OrthogonalCoupling
     prior: GaussianSequenceMeasure
-    noise: GaussianSequenceMeasure
+    noise: GaussianSequenceMeasure | DenseNoise
     n_dim: int
 
     def __post_init__(self):
@@ -422,28 +457,31 @@ class InverseProblem:
                 self.noise.n_dim, self.n_dim}
         if len(dims) != 1:
             raise ParameterError(f"all members must share n_dim, got {sorted(dims)}")
-        if self.prior.basis != "phi" or self.prior.vectors is not None:
+        if not isinstance(self.prior, GaussianSequenceMeasure) or self.prior.basis != "phi":
             raise ParameterError("prior must be diagonal in the phi-basis")
         if self.noise.basis != "e":
             raise ParameterError("noise must be expressed in the e-basis")
 
     # -- noise geometry ----------------------------------------------------
 
-    def _noise_power(self, x: np.ndarray, power: float) -> np.ndarray:
-        """Apply the noise covariance raised to ``power`` through its eigenpairs."""
-        scale = self.noise.variances**power
-        vecs = self.noise.vectors
-        if vecs is None:
-            return _scale_rows(np.asarray(x, dtype=float), scale)
-        return vecs @ _scale_rows(vecs.T @ x, scale)
-
     def noise_whiten(self, x: np.ndarray) -> np.ndarray:
-        """Apply the inverse square root of the noise covariance."""
-        return self._noise_power(x, -0.5)
+        """Apply the inverse square root of the noise covariance to a vector
+        or to the columns of a block; dense noise takes ``L (L' x)``."""
+        x = np.asarray(x, dtype=float)
+        if not isinstance(self.noise, DenseNoise):
+            return _scale_rows(x, self.noise.variances**-0.5)
+        f = self.noise.root_factor
+        if x.ndim == 1:
+            return dtrmv(f, dtrmv(f, x, lower=1, trans=1), lower=1, overwrite_x=1)
+        return dtrmm(1.0, f, dtrmm(1.0, f, x, lower=1, trans_a=1), lower=1, overwrite_b=1)
 
     def noise_color(self, x: np.ndarray) -> np.ndarray:
-        """Apply the square root of the noise covariance."""
-        return self._noise_power(x, 0.5)
+        """Apply the square root of the noise covariance to a vector or to the
+        columns of a block; dense noise solves ``W z = x`` on L."""
+        x = np.asarray(x, dtype=float)
+        if not isinstance(self.noise, DenseNoise):
+            return _scale_rows(x, self.noise.variances**0.5)
+        return cho_solve((self.noise.root_factor, True), x, check_finite=False)
 
     # -- forward map ---------------------------------------------------------
 

@@ -183,8 +183,9 @@ class TestBuildProblem:
         assert err.value.field == field
 
     def test_dense_operators_decomposed_once(self, monkeypatch):
-        """A Hilbert-scale prior with colored noise runs one eigh per dense
-        operator (G^-t + K2 and G^-r + K1) and nothing else."""
+        """A Hilbert-scale prior with colored noise runs one eigh, of G^-t + K2
+        (it defines the coupling); colored noise factors its whitening root
+        G^-r + K1 by Cholesky and runs no eigensolve at all."""
         calls = []
         for name in ("eigh", "eigvalsh", "svd"):
             original = getattr(np.linalg, name)
@@ -198,9 +199,13 @@ class TestBuildProblem:
             "noise": {"kind": "colored", "r": 0.5}}}))
         prob = build_problem(config)
         prob.whitened_gram
-        assert calls.count("eigh") == 2
+        assert calls.count("eigh") == 1
         assert calls.count("eigvalsh") == 2  # the spectral norms of K1 and K2
         assert "svd" not in calls
+        k1 = cl.random_spd(16, seed=1, scale=0.5)
+        calls.clear()
+        cl.colored_noise(prob.operator, 0.5, k1)
+        assert calls == []
 
     def test_every_kind_builds(self):
         kinds = [
@@ -371,6 +376,23 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         config = cl.parse_config(SMALL_CONFIG)
         assert cl.run_experiment(config, workers=1).tables == \
             cl.run_experiment(config, workers=8).tables
+
+    @pytest.mark.parametrize("mc, used", [(50, {"posterior_exceedance": 100,
+                                                 "concentration": 1000, "findim_rate": 1000}),
+                                           (1500, {"posterior_exceedance": 1500,
+                                                   "concentration": 1500, "findim_rate": 1500})])
+    def test_provenance_records_the_draws_used(self, mc, used):
+        """posterior draws at least 100 and concentration and findim at least
+        1000 times whatever ``run.mc`` says; each table records the count it
+        used, and posterior names the function that drew them."""
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 12}, "run": {
+            "pipelines": ["posterior", "concentration", "findim"],
+            "n_grid": [100, 1000], "mc": mc, "y_replicates": 2}}))
+        record = cl.run_experiment(config)
+        assert not record.failures, record.failures
+        assert {name: record.table(name).provenance["mc"] for name in used} == used
+        assert (record.table("posterior_exceedance").provenance["operation"]
+                == "posterior_exceedance_grid")
 
     def test_posterior_pipeline_factors_once_per_n(self, monkeypatch):
         """One factorization per n: the Cholesky of the precision, shared by

@@ -128,13 +128,23 @@ class TestMeasures:
             cl.explicit_prior([1.0, 0.0], 2)
 
     def test_colored_noise_matches_inverse_square(self):
-        """zeta (G^-r + K1)^2 = I by direct matrix multiplication."""
+        """zeta (G^-r + K1)^2 = I by direct matrix multiplication, and the
+        stored factor is the lower Cholesky factor of G^-r + K1."""
         spec = cl.make_spectrum(cl.MildFamily(1.0), 6)
         k1 = cl.random_spd(6, seed=3, scale=0.2)
         noise = cl.colored_noise(spec, 0.5, k1)
         base = np.diag(spec.rho**-0.5) + k1
         np.testing.assert_allclose(noise.dense @ base @ base, np.eye(6), atol=1e-10)
-        assert np.all(noise.variances > 0)
+        factor = noise.root_factor
+        assert np.array_equal(factor, np.tril(factor)) and np.all(np.diag(factor) > 0)
+        np.testing.assert_allclose(factor @ factor.T, base, rtol=1e-14, atol=1e-14)
+
+    def test_indefinite_colored_root_names_k1(self):
+        """K1 = -2 I leaves G^(-1/2) + K1 with diagonal entries of both signs,
+        so the whitening root is indefinite and the error names K1."""
+        spec = cl.make_spectrum(cl.MildFamily(1.0), 6)
+        with pytest.raises(ParameterError, match="K1"):
+            cl.colored_noise(spec, 0.5, -2.0 * np.eye(6))
 
     def test_colored_noise_requires_r_in_unit_interval(self):
         spec = cl.make_spectrum(cl.MildFamily(1.0), 4)
@@ -157,18 +167,17 @@ class TestMeasures:
         with pytest.raises(ParameterError):
             cl.dense_noise(np.diag([1.0, -0.5]))
 
-    def test_vectors_must_be_orthonormal(self):
+    @pytest.mark.parametrize("factor", [np.eye(3), np.diag([1.0, 0.0]),
+                                        np.array([[1.0, 0.0], [np.nan, 1.0]])])
+    def test_root_factor_must_be_square_finite_with_positive_diagonal(self, factor):
         with pytest.raises(ParameterError):
-            cl.GaussianSequenceMeasure(2, [1.0, 2.0], "e", np.diag([2.0, 1.0]))
-        with pytest.raises(ParameterError):
-            cl.GaussianSequenceMeasure(2, [1.0, 2.0], "e", np.eye(3))
+            cl.DenseNoise(2, factor)
 
-    def test_prior_with_vectors_rejected(self):
+    def test_dense_prior_rejected(self):
         """The posterior treats the prior as diagonal in the phi-basis, so a
-        prior carrying an eigenbasis would be silently misread."""
+        dense measure passed as the prior would be silently misread."""
         spec = cl.make_spectrum(cl.MildFamily(1.0), 2)
-        reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
-        prior = cl.GaussianSequenceMeasure(2, [1.0, 0.5], "phi", reflection)
+        prior = cl.dense_noise(np.array([[1.0, 0.3], [0.3, 0.5]]))
         with pytest.raises(ParameterError):
             cl.InverseProblem(spec, cl.make_coupling(cl.IdentityCoupling(), 2), prior,
                               cl.white_noise(2), 2)
@@ -276,6 +285,44 @@ class TestSimulation:
             cl.simulate_data(identity_problem(3), np.zeros(3), 0.0, seed=0)
 
 
+class TestNoiseRoot:
+    """Whitening and colouring against the eigen-route oracle: for a
+    whitening root W = V diag(w) V', whiten(x) = V diag(w) V' x and
+    color(x) = V diag(1/w) V' x."""
+
+    N = 64
+
+    @staticmethod
+    def _eigen_route(vals, vecs, power, x):
+        return vecs @ ((vals**power)[:, None] * (vecs.T @ x.reshape(len(vals), -1)))
+
+    def _problem_and_root(self, kind):
+        n = self.N
+        spec = cl.make_spectrum(cl.MildFamily(1.0), n)
+        if kind == "colored":
+            k1 = cl.random_spd(n, seed=5, scale=0.3)
+            noise = cl.colored_noise(spec, 0.5, k1)
+            vals, vecs = np.linalg.eigh(np.diag(spec.rho**-0.5) + k1)
+        else:
+            k = cl.random_spd(n, seed=6, scale=1.0)
+            cov_vals, vecs = np.linalg.eigh(k @ k)
+            noise = cl.dense_noise(k @ k)
+            vals = cov_vals**-0.5
+        prob = cl.InverseProblem(spec, cl.make_coupling(cl.IdentityCoupling(), n),
+                                 cl.power_law_prior(1.0, n), noise, n)
+        return prob, vals, vecs
+
+    @pytest.mark.parametrize("kind", ["colored", "dense"])
+    @pytest.mark.parametrize("shape", [(64,), (64, 5)])
+    def test_whiten_and_color_match_eigen_route(self, kind, shape):
+        prob, vals, vecs = self._problem_and_root(kind)
+        x = np.random.default_rng(7).standard_normal(shape)
+        for got, power in ((prob.noise_whiten(x), 1.0), (prob.noise_color(x), -1.0)):
+            want = self._eigen_route(vals, vecs, power, x).reshape(shape)
+            assert got.shape == shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 class TestImmutability:
     def _colored_problem(self, n=6):
         spec = cl.make_spectrum(cl.MildFamily(1.0), n)
@@ -286,7 +333,7 @@ class TestImmutability:
     def test_stored_arrays_are_read_only(self):
         prob = self._colored_problem()
         for arr in (prob.operator.rho, prob.coupling.t_matrix, prob.prior.variances,
-                    prob.noise.variances, prob.noise.vectors, prob.noise.dense):
+                    prob.noise.root_factor, prob.noise.dense):
             with pytest.raises(ValueError):
                 arr[0] = -1.0
         assert np.all(prob.operator.rho > 0)
@@ -301,8 +348,8 @@ class TestImmutability:
         assert np.array_equal(prob.whitened_gram, prob.whitened_forward.T @ prob.whitened_forward)
 
     def test_whitening_needs_no_further_decomposition(self, monkeypatch):
-        """The noise measure carries its eigenbasis, so whitening and
-        colouring never decompose the covariance again."""
+        """The noise measure carries the Cholesky factor of its whitening
+        root, so whitening and colouring never decompose anything again."""
         prob = self._colored_problem()
 
         def refuse(*args, **kwargs):
@@ -332,7 +379,7 @@ class TestImmutability:
         assert spec.rho[0] == 1.0
         assert coupling.t_matrix[0, 0] == 1.0
         assert prior.variances[0] == 1.0
-        assert noise.dense[0, 0] == 2.0
+        assert abs(noise.dense[0, 0] - 2.0) <= 1e-15  # derived through the root
 
     def test_data_sample_holds_read_only_copies(self):
         """A data sample neither follows later writes to the caller's arrays
