@@ -22,7 +22,6 @@ from .rng import substream
 from .spectral import (
     ExpSkewCoupling,
     InverseProblem,
-    DataSample,
     ReflectionCoupling,
     as_vector,
     forward_apply,
@@ -82,7 +81,7 @@ class CheckResult:
 @dataclass(frozen=True, eq=False)
 class AssumptionReport:
     """Outcome of every contraction-assumption inequality, with the two
-    numbers behind each boolean."""
+    numbers behind each boolean and the small-ball report behind the first."""
 
     small_ball: CheckResult
     tail: CheckResult
@@ -91,7 +90,7 @@ class AssumptionReport:
     g_value: float
     truth_ratio: float
     finite_r_evidence: bool
-    details: dict = field(default_factory=dict)
+    small_ball_report: SmallBallReport
 
     @property
     def all_ok(self) -> bool:
@@ -125,42 +124,16 @@ class SmallBallReport:
         if self.shift_cost < 0:
             raise ParameterError("shift_cost must be >= 0")
 
-    @staticmethod
-    def _halfwidth(bounds: tuple[float, float]) -> float:
-        lo, hi = bounds
-        return 0.0 if lo == hi else 0.5 * (hi - lo)
-
     @property
     def ci_halfwidth(self) -> float:
         """Half the width of ``bounds`` in log space."""
-        return self._halfwidth(self.bounds)
-
-    @property
-    def centered_ci_halfwidth(self) -> float:
-        return self._halfwidth(self.centered_bounds)
+        lo, hi = self.bounds
+        return 0.0 if lo == hi else 0.5 * (hi - lo)
 
     @property
     def upper_bound_only(self) -> bool:
         """Only the upper bound is informative: the lower one is ``-inf``."""
         return self.bounds[0] == -math.inf
-
-    def shift_bound_satisfied(self) -> bool:
-        """The bounds are consistent with the shift inequality."""
-        return self.bounds[1] >= self.centered_bounds[0] - self.shift_cost
-
-
-@dataclass(frozen=True, eq=False)
-class PlugInEstimate:
-    """Linear spectral reconstruction with its concentration scale."""
-
-    u_hat: np.ndarray
-    k: int
-    r: int
-    sigma0_sq: float
-
-    def __post_init__(self):
-        if self.sigma0_sq <= 0:
-            raise ParameterError("sigma0_sq must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +181,22 @@ class SmallBallForm:
     residual_norms: np.ndarray
 
 
+def _forward_image_factor(problem: InverseProblem, coupled: bool = True) -> np.ndarray:
+    """``A = M Lambda^(1/2)``, so that ``A A^T`` is the covariance of the
+    prior's whitened forward image. M is the cached whitened forward map; for
+    the diagonal surrogate (``coupled=False``) it is the same whitening of
+    ``diag(rho)``, as if the coupling were the identity."""
+    if coupled:
+        m = problem.whitened_forward
+    else:
+        m = problem.noise_whiten(problem.operator.rho[:, None] * np.eye(problem.n_dim))
+    return m * np.sqrt(problem.prior.variances)[None, :]
+
+
 def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
     """One spectrum of the prior forward covariance, for every radius."""
     u0 = as_vector(u0, problem.n_dim, "u0")
-    a = problem.whitened_forward * np.sqrt(problem.prior.variances)[None, :]
+    a = _forward_image_factor(problem)
     # ``a @ a.T`` is exactly symmetric, so its transpose is the same matrix in
     # Fortran order, which the reduction overwrites without a copy.
     lam, c = quadform.spectrum((a @ a.T).T, problem.whitened_forward @ u0,
@@ -350,24 +335,17 @@ def minmax_compare(op_a: np.ndarray, op_b: np.ndarray, j_max: int) -> MinmaxTabl
                        min_ratio=float(ratios.min()), max_ratio=float(ratios.max()))
 
 
-def _whitened_quadratic(problem: InverseProblem, cov_e: np.ndarray) -> np.ndarray:
-    rho = problem.operator.rho
-    a = rho[:, None] * cov_e * rho[None, :]
-    w = problem.noise_whiten(a)
-    return problem.noise_whiten(w.T).T
-
-
 def coupled_pushforward_cov(problem: InverseProblem) -> np.ndarray:
-    """Covariance of the whitened forward image of the prior."""
-    t = problem.coupling.t_matrix
-    cov_e = (t * problem.prior.variances[None, :]) @ t.T
-    return _whitened_quadratic(problem, cov_e)
+    """Covariance ``M Lambda M^T`` of the whitened forward image of the prior."""
+    a = _forward_image_factor(problem)
+    return a @ a.T
 
 
 def diagonal_pushforward_cov(problem: InverseProblem) -> np.ndarray:
     """Same construction for the diagonal surrogate prior (variances moved
     onto the e-basis)."""
-    return _whitened_quadratic(problem, np.diag(problem.prior.variances))
+    a = _forward_image_factor(problem, coupled=False)
+    return a @ a.T
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +428,6 @@ def _plug_in_columns(problem: InverseProblem, k: int, r: int | None) -> np.ndarr
     return cols / problem.operator.rho[:, None]
 
 
-def plug_in_estimate(problem: InverseProblem, data: DataSample, k: int, r: int) -> PlugInEstimate:
-    """Linear reconstruction from spectral pairings of the data.
-
-    Coefficient j is the plain inner product of the data with the inverted,
-    e-projected image of the j-th prior-basis vector; in the noiseless
-    diagonal case this extracts the leading truth coordinates exactly.
-    """
-    _check_kr(problem, k, r)
-    cols = _plug_in_columns(problem, k, r)
-    coeffs = cols.T @ data.y
-    u_hat = np.zeros(problem.n_dim)
-    u_hat[:k] = coeffs
-    sigma0_sq = compute_g_kr(problem, k, r) / data.n_level
-    return PlugInEstimate(u_hat=u_hat, k=k, r=r, sigma0_sq=sigma0_sq)
-
-
 @dataclass(frozen=True, eq=False)
 class ConcentrationReport:
     x_grid: np.ndarray
@@ -478,15 +440,13 @@ class ConcentrationReport:
     mean_deviation_bound: float
     mean_dev_ok: bool
 
-    @property
-    def tail_ok(self) -> bool:
-        return bool(self.ok.all())
-
 
 def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
                         n_level: float, x_grid, mc: int, seed: int) -> ConcentrationReport:
     """Empirical deviation tails of the plug-in reconstruction against the
-    Gaussian concentration envelope ``exp(-x^2 / (2 sigma0^2))``.
+    Gaussian concentration envelope ``exp(-x^2 / (2 sigma0^2))``, with
+    ``sigma0^2 = g(k, r) / n``; ``x_grid = None`` takes the offsets 0, 0.5,
+    ..., 4 times sigma0.
 
     Also checks the mean-deviation estimate against ``sqrt(k g / n)``.
     """
@@ -495,7 +455,12 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
     if n_level <= 0:
         raise ParameterError("n_level must be positive")
     u0 = as_vector(u0, problem.n_dim, "u0")
+    g = compute_g_kr(problem, k, r)
+    if x_grid is None:
+        x_grid = [math.sqrt(g / n_level) * m for m in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
     x_grid = np.asarray(x_grid, dtype=float)
+    if np.any(x_grid < 0):
+        raise ParameterError("offsets x must be nonnegative")
     rng = substream(seed, "concentration")
 
     cols = _plug_in_columns(problem, k, r)
@@ -507,7 +472,6 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
     dist = np.linalg.norm(dev, axis=0)
     m_hat = float(dist.mean())
 
-    g = compute_g_kr(problem, k, r)
     sigma0_sq = g / n_level
     empirical = np.array([float(np.mean(dist >= m_hat + x)) for x in x_grid])
     bound = np.exp(-x_grid**2 / (2.0 * sigma0_sq))
@@ -567,13 +531,7 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan,
     truth_miss = _projection_miss(problem, plan.k_n, plan.r_n, problem.coupling.t_matrix @ u0)
     truth_ratio = float(np.linalg.norm(truth_miss) / xi)
 
-    details = {
-        "small_ball_report": sb,
-        "tail_threshold": cst.c2 * xi,
-    }
-    if plan.r_n == plan.k_n:
-        details["g_sqrt_at_r_equals_k"] = math.sqrt(g_value)
     return AssumptionReport(small_ball=small_ball, tail=tail, g=g, kn=kn,
                             g_value=g_value, truth_ratio=truth_ratio,
                             finite_r_evidence=plan.r_n is not None,
-                            details=details)
+                            small_ball_report=sb)

@@ -1,14 +1,13 @@
 """Thin command-line interface: one subcommand per pipeline.
 
 Exit codes: 0 success, 1 configuration error (including a value a model
-constructor rejects, or a bad worker count), 2 a failed pipeline, 3 I/O
-error.
+constructor rejects, or a ``--workers`` count below 1), 2 a failed pipeline,
+3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -30,20 +29,6 @@ _DESCRIPTIONS = {
 }
 
 
-def _workers(flag: int | None) -> int:
-    """The worker count from ``--workers``, else from the environment."""
-    name, value = "--workers", flag
-    if flag is None:
-        name, raw = "CONTRACTION_LAB_WORKERS", os.environ.get("CONTRACTION_LAB_WORKERS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigInvariantError(name, f"must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigInvariantError(name, f"must be at least 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="contraction-lab",
                                      description="posterior-contraction laboratory")
@@ -53,9 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory (default: from config)")
     common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default: from config)")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker threads for independent cells "
-                             "(default: CONTRACTION_LAB_WORKERS, else 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="worker threads for independent cells (default: 1)")
     sub = parser.add_subparsers(dest="pipeline", required=True)
     for name in PIPELINES:
         sub.add_parser(name, parents=[common], help=_DESCRIPTIONS[name])
@@ -70,13 +54,14 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
-        workers = _workers(args.workers)
+        if args.workers < 1:
+            raise ConfigInvariantError("--workers", f"must be at least 1, got {args.workers}")
         config = parse_config(text)
         if args.seed is not None:
             config = config.with_master_seed(args.seed)
         # run_experiment records a pipeline's errors as failures; the ones
         # caught here come from the problem build, before any pipeline runs
-        record = run_experiment(config, pipelines=[args.pipeline], workers=workers)
+        record = run_experiment(config, pipelines=[args.pipeline], workers=args.workers)
     except (ConfigError, ParameterError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -189,6 +189,11 @@ def _check_invariants(data: dict) -> None:
     for key in ("mc", "y_replicates", "k_max"):
         if run[key] < 1:
             raise ConfigInvariantError(f"run.{key}", "counts must be positive")
+    for key in ("xi_grid", "x_grid"):
+        if any(v < 0 for v in run.get(key, [])):
+            raise ConfigInvariantError(f"run.{key}", "entries must be nonnegative")
+    if any(eps <= 0 for eps in run.get("eps_grid", [])):
+        raise ConfigInvariantError("run.eps_grid", "entries must be positive")
     # Coordinate counts lie in [1, n_dim] ("inf" where allowed); k_max alone is
     # an upper limit, clipped to n_dim where it is used.
     plan = data["plan"] if data["plan"] != "auto" else {}

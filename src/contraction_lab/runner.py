@@ -150,7 +150,7 @@ def _pipe_check(config: ExperimentConfig, problem: InverseProblem, workers: int)
     u0 = build_truth(config)
     plan = build_plan(config)
     report = assumptions.verify_assumptions(problem, plan, u0)
-    sb = report.details["small_ball_report"]
+    sb = report.small_ball_report
     rows = [
         ("small_ball", float(report.small_ball.measured), float(report.small_ball.bound),
          "undetermined" if report.small_ball.ok is None else report.small_ball.ok),
@@ -241,10 +241,8 @@ def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, worke
     k = run.get("plug_k") or min(8, problem.n_dim)
     r = run.get("plug_r") or problem.n_dim
     mc = max(run["mc"], 1000)
-    sigma0 = math.sqrt(assumptions.compute_g_kr(problem, k, r) / n_level)
-    x_grid = run.get("x_grid") or [sigma0 * m for m in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
-    rep = assumptions.concentration_check(problem, u0, k, r, n_level, x_grid, mc,
-                                          derive_seed(run["master_seed"], "concentration"))
+    rep = assumptions.concentration_check(problem, u0, k, r, n_level, run.get("x_grid") or None,
+                                          mc, derive_seed(run["master_seed"], "concentration"))
     rows = [(float(x), float(e), float(b), float(s), bool(o))
             for x, e, b, s, o in zip(rep.x_grid, rep.empirical, rep.bound, rep.std_error, rep.ok)]
     return [_table(config, "concentration", ("x", "empirical", "bound", "std_error", "ok"), rows,

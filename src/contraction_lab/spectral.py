@@ -189,14 +189,27 @@ CouplingKind = IdentityCoupling | BandedCoupling | ReflectionCoupling | ExpSkewC
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalCoupling:
-    """Orthogonal matrix whose column j holds the j-th prior-basis vector."""
+    """Orthogonal matrix whose column j holds the j-th prior-basis vector.
+
+    ``kind`` keeps read-only copies of its arrays; an explicit kind shares
+    ``t_matrix`` itself.
+    """
 
     n_dim: int
     t_matrix: np.ndarray
     kind: CouplingKind
 
     def __post_init__(self):
-        object.__setattr__(self, "t_matrix", _orthonormal(self.t_matrix, self.n_dim, "t_matrix"))
+        t = _orthonormal(self.t_matrix, self.n_dim, "t_matrix")
+        object.__setattr__(self, "t_matrix", t)
+        kind = self.kind
+        if isinstance(kind, ExplicitCoupling):
+            kind = ExplicitCoupling(t)
+        elif isinstance(kind, ReflectionCoupling):
+            kind = ReflectionCoupling(_frozen(kind.v))
+        elif isinstance(kind, ExpSkewCoupling):
+            kind = ExpSkewCoupling(_frozen(kind.a_matrix))
+        object.__setattr__(self, "kind", kind)
 
 
 def band_window(j: int, lo_ratio: float, hi_ratio: float, n_dim: int) -> tuple[int, int]:

@@ -205,7 +205,7 @@ class TestSmallBall:
         scale = math.sqrt(float(np.sum(prob.prior.variances *
                                        np.sum(prob.whitened_forward**2, axis=0))))
         rep = cl.small_ball_log_prob(prob, u0, 0.8 * scale)
-        assert rep.shift_bound_satisfied()
+        assert rep.bounds[1] >= rep.centered_bounds[0] - rep.shift_cost
 
     def test_tiny_radius_keeps_finite_bounds(self):
         """A ball no sampler would ever hit still has a finite sandwich: the
@@ -222,7 +222,6 @@ class TestSmallBall:
                                  shift_cost=0.0, eps=1.0, truncation_index=0)
         assert rep.upper_bound_only
         assert rep.ci_halfwidth == 0.0
-        assert rep.centered_ci_halfwidth == 0.75
         with pytest.raises(ParameterError):
             cl.SmallBallReport(log_prob=-1.0, bounds=(-0.5, -2.0), centered_log_prob=-1.0,
                                centered_bounds=(-2.0, -0.5), shift_cost=0.0, eps=1.0,
@@ -431,30 +430,11 @@ class TestHsDiagnostic:
 
 
 class TestPlugIn:
-    def test_noiseless_diagonal_extracts_coordinates(self):
-        """y = G u0 with identity coupling and r >= k recovers the leading
-        coordinates of the truth."""
-        prob = identity_problem(8)
-        u0 = cl.power_law_truth(2.0, 8)
-        y = cl.forward_apply(prob, u0)
-        data = cl.DataSample(y, 10.0, u0, 0)
-        est = cl.plug_in_estimate(prob, data, 4, 6)
-        np.testing.assert_allclose(est.u_hat[:4], u0[:4], rtol=1e-12)
-        assert np.all(est.u_hat[4:] == 0.0)
-
-    def test_noiseless_flat_spectrum_exact_bits(self):
-        prob = identity_problem(8, alpha=0.0)
-        u0 = cl.power_law_truth(2.0, 8)
-        data = cl.DataSample(cl.forward_apply(prob, u0), 10.0, u0, 0)
-        est = cl.plug_in_estimate(prob, data, 5, 8)
-        assert np.array_equal(est.u_hat[:5], u0[:5])
-
     def test_sigma0_definition(self):
         prob = banded_problem(12, seed=6)
-        data = cl.simulate_data(prob, np.zeros(12), 40.0, seed=1)
-        est = cl.plug_in_estimate(prob, data, 3, 9)
+        rep = cl.concentration_check(prob, np.zeros(12), 3, 9, 40.0, [0.0], 1000, seed=1)
         expected = cl.compute_g_kr(prob, 3, 9) / 40.0
-        assert math.isclose(est.sigma0_sq, expected, rel_tol=1e-10)
+        assert math.isclose(rep.sigma0_sq, expected, rel_tol=1e-10)
 
     def test_unbiased_for_double_projection(self):
         """Mean reconstruction over 1e4 noise draws matches the double
@@ -478,13 +458,6 @@ class TestPlugIn:
         se = coeffs.std(axis=1, ddof=1) / math.sqrt(m)
         assert np.all(np.abs(coeffs.mean(axis=1) - target) <= 5 * se + 1e-12)
 
-    def test_vanishes_at_huge_n(self):
-        """Zero truth at n = 1e10: the reconstruction norm collapses."""
-        prob = identity_problem(6)
-        data = cl.simulate_data(prob, np.zeros(6), 1e10, seed=12)
-        est = cl.plug_in_estimate(prob, data, 3, 6)
-        assert np.linalg.norm(est.u_hat) < 1e-3
-
 
 class TestConcentration:
     def test_zero_offset_bound_is_one(self):
@@ -494,7 +467,7 @@ class TestConcentration:
         assert rep.bound[0] == 1.0
         assert rep.empirical[0] <= 1.0
         assert rep.ok.tolist() == [True]
-        assert rep.tail_ok
+        assert rep.ok.all()
 
     def test_scalar_gaussian_envelope(self):
         """One mode: deviations are exactly Gaussian with variance g/n, so
@@ -507,8 +480,15 @@ class TestConcentration:
         rep = cl.concentration_check(prob, np.zeros(1), 1, 1, 30.0,
                                      x_grid=sigma0 * np.linspace(0, 3, 7),
                                      mc=10_000, seed=2)
-        assert rep.tail_ok
+        assert rep.ok.all()
         assert rep.mean_dev_ok
+
+    def test_negative_offset_rejected(self):
+        """An offset below the mean deviation is no tail: the grid is refused,
+        not tabulated as a failed check."""
+        with pytest.raises(ParameterError):
+            cl.concentration_check(identity_problem(6), np.zeros(6), 3, 6, 50.0,
+                                   x_grid=[-1.0, 0.0], mc=1000, seed=1)
 
     def test_doubling_n_halves_sigma_sq(self):
         prob = banded_problem(10, seed=8)
@@ -517,7 +497,7 @@ class TestConcentration:
         a = cl.concentration_check(prob, u0, 4, 10, 100.0, grid, 2000, seed=3)
         b = cl.concentration_check(prob, u0, 4, 10, 200.0, grid, 2000, seed=3)
         assert b.sigma0_sq == a.sigma0_sq / 2.0
-        assert a.tail_ok and b.tail_ok
+        assert a.ok.all() and b.ok.all()
 
 
 class TestVerifyAssumptions:
@@ -578,7 +558,7 @@ class TestVerifyAssumptions:
                            constants=cl.RateConstants(), n_level=100.0)
         report = cl.verify_assumptions(prob, plan, u0)
         assert report.finite_r_evidence
-        assert "g_sqrt_at_r_equals_k" in report.details
+        assert report.g.measured == math.sqrt(report.g_value)
 
     def test_small_ball_verdict_follows_the_bounds(self):
         """``ok`` is True only when the product lower bound meets

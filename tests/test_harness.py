@@ -20,6 +20,7 @@ from contraction_lab.errors import (
     NumericalError,
     UnknownConfigKeyError,
 )
+from contraction_lab import assumptions as assumptions_module
 from contraction_lab import posterior as posterior_module
 from contraction_lab import quadform
 from contraction_lab.runner import EXPLORATORY_LABEL
@@ -411,6 +412,21 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert not record.failures, record.failures
         assert len(calls) == len(config.run["n_grid"])
 
+    def test_concentration_pipeline_computes_g_once(self, monkeypatch):
+        """The plug-in scale g(k, r) sets both the default x grid and the
+        envelope, from one computation per run."""
+        calls = []
+        original = assumptions_module.compute_g_kr
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(assumptions_module, "compute_g_kr", counting)
+        record = cl.run_experiment(cl.parse_config(SMALL_CONFIG), pipelines=["concentration"])
+        assert not record.failures, record.failures
+        assert len(calls) == 1
+
 
 class TestEmit:
     def test_empty_record_valid_header_only_csv(self, tmp_path):
@@ -532,6 +548,20 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pipeline, doc, field", [
+        ("posterior", "run: {xi_grid: [-0.1, 0.2]}", "'run.xi_grid'"),
+        ("smallball", "run: {eps_grid: [0.0, 0.5]}", "'run.eps_grid'"),
+        ("concentration", "run: {x_grid: [-1.0, 0.0]}", "'run.x_grid'"),
+    ])
+    def test_grid_errors_exit_code(self, tmp_path, capsys, pipeline, doc, field):
+        """A grid value outside its domain exits 1 (config error) with the key
+        named, not 2 from the pipeline, and writes no rows."""
+        path = self._write(tmp_path, "problem: {n_dim: 8}\n" + doc)
+        assert cli_main([pipeline, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_changes_digest(self, tmp_path):
         path = self._write(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -554,19 +584,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "'--workers'" in err
         assert not (tmp_path / "out").exists()
-
-    def test_non_integer_workers_environment_exit_code(self, tmp_path, capsys, monkeypatch):
-        """A bad ``CONTRACTION_LAB_WORKERS`` is a config error when it is the
-        value in use, and is not read when ``--workers`` is given."""
-        monkeypatch.setenv("CONTRACTION_LAB_WORKERS", "two")
-        path = self._write(tmp_path)
-        assert cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "'CONTRACTION_LAB_WORKERS'" in err
-        assert not (tmp_path / "out").exists()
-        assert cli_main(["gn", "--config", str(path), "--workers", "2",
-                         "--out", str(tmp_path / "out")]) == 0
 
     def test_unexpected_error_type_is_a_traceback(self, tmp_path, monkeypatch):
         """Only the package's errors and ``LinAlgError`` become failure

@@ -1,12 +1,12 @@
 """Module layering: no module of the package reaches into a sibling's
 private names, whether by ``from .sibling import _name`` or by
-``sibling._name`` attribute access; every public function of ``quadform``
-has a caller in another module; and the package's import graph leaves out
-the slow-to-import parts of scipy."""
+``sibling._name`` attribute access; every public name has a caller; and the
+package's import graph leaves out the slow-to-import parts of scipy."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -84,54 +84,132 @@ def test_guard_allows_public_and_own_names():
     assert private_accesses(source) == []
 
 
-def public_functions(source: str) -> set[str]:
-    """Names of the module-level public functions a module source defines."""
-    return {node.name for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+README = SRC.parents[1] / "README.md"
+
+# Public names that only tests call, each the oracle of a test.
+TEST_ORACLES = {
+    "projection_tail_grid": "Monte Carlo check of the Chernoff projection-tail bound",
+    "weighted_posterior_exceedance": "importance-sampling side of the conjugate agreement tests",
+    "band_window": "the band pattern banded-coupling entries are checked against",
+    "OperatorSpectrum.envelope_bounds": "the family envelope spectra are checked against",
+}
 
 
-def sibling_calls(source: str, sibling: str) -> set[str]:
-    """Names of ``sibling``'s functions that a module source calls, as
-    ``sibling.name(...)`` after importing the module or as ``name(...)``
-    after ``from .sibling import name``."""
-    tree = ast.parse(source)
-    module_aliases, imported = set(), {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names_sibling = _sibling(node.module, node.level) == sibling
-            package_itself = _sibling(node.module, node.level) is None and (
-                node.level == 1 or (node.level == 0 and node.module == PACKAGE))
-            for alias in node.names:
-                if package_itself and alias.name == sibling:
-                    module_aliases.add(alias.asname or alias.name)
-                elif names_sibling:
-                    imported[alias.asname or alias.name] = alias.name
-    called = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                and func.value.id in module_aliases):
-            called.add(func.attr)
-        elif isinstance(func, ast.Name) and func.id in imported:
-            called.add(imported[func.id])
-    return called
+class _Uses(ast.NodeVisitor):
+    """The definitions of one module, each with the names used inside it.
+
+    A definition is a module-level function or class, or a method of a
+    class, keyed ``Class.method``; a function defined inside a function is
+    part of it. Names used outside every definition are keyed ``""``."""
+
+    def __init__(self):
+        self.owner = ""
+        self.classes = set()
+        self.used = {"": set()}
+
+    def _define(self, node, is_class: bool):
+        if self.owner and self.owner not in self.classes:
+            self.generic_visit(node)
+            return
+        for decorator in node.decorator_list:
+            self.visit(decorator)
+        parent = self.owner
+        self.owner = f"{parent}.{node.name}" if parent else node.name
+        if is_class:
+            self.classes.add(self.owner)
+        self.used.setdefault(self.owner, set())
+        for child in ast.iter_child_nodes(node):
+            if child not in node.decorator_list:
+                self.visit(child)
+        self.owner = parent
+
+    def visit_FunctionDef(self, node):
+        self._define(node, False)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node):
+        self._define(node, True)
+
+    def visit_Name(self, node):
+        self.used[self.owner].add(node.id)
+
+    def visit_Attribute(self, node):
+        self.used[self.owner].add(node.attr)
+        self.generic_visit(node)
 
 
-def test_every_public_quadform_function_has_a_caller_in_src():
-    """``quadform`` exposes one batched entry point per question; a public
-    function that no other module calls is dead surface."""
-    defined = public_functions((SRC / "quadform.py").read_text())
-    called = set().union(*(sibling_calls(path.read_text(), "quadform")
-                           for path in MODULES if path.name != "quadform.py"))
-    assert defined and sorted(defined - called) == []
+def _live(qualname: str, live: set[str]) -> bool:
+    *owner, name = qualname.split(".")
+    if name.startswith("__") and name.endswith("__"):
+        return bool(owner) and owner[-1] in live  # called implicitly on its class
+    return name in live or qualname in live
 
 
-def test_caller_scan_reads_both_import_forms():
-    source = ("from . import quadform as qf\nfrom .quadform import spectrum as spec\n"
-              "qf.quantiles(0.1, lam, c2)\nspec(cov, d, 'x')\nqf.log_cdf\n")
-    assert sibling_calls(source, "quadform") == {"quantiles", "spectrum"}
+def unreached(sources: dict[str, str], used_elsewhere: set[str]) -> list[str]:
+    """Public definitions of the module ``sources`` that no live code uses.
+
+    Module-level code and the names in ``used_elsewhere`` are live. A
+    definition becomes live once live code uses its name (a method: any
+    attribute of that name), and then the names it uses are live too, so
+    code used only by dead code is dead. Imports use nothing.
+    """
+    pending, live = {}, set(used_elsewhere)
+    for module, source in sources.items():
+        scan = _Uses()
+        scan.visit(ast.parse(source))
+        live |= scan.used.pop("")
+        pending.update({(module, qualname): used for qualname, used in scan.used.items()})
+    while ready := [key for key in pending if _live(key[1], live)]:
+        for key in ready:
+            live |= pending.pop(key)
+    return sorted(qualname for _, qualname in pending
+                  if not any(part.startswith("_") for part in qualname.split(".")))
+
+
+def readme_names(text: str) -> set[str]:
+    """Identifiers in a Markdown text's code: fenced blocks and inline spans."""
+    fence = re.compile(r"^```\w*\n(.*?)^```", re.M | re.S)
+    code = fence.findall(text) + re.findall(r"`([^`\n]+)`", fence.sub("", text))
+    return {name for chunk in code for name in re.findall(r"[A-Za-z_]\w*", chunk)}
+
+
+def test_every_public_name_has_a_caller():
+    """Every public function, class, method and property in ``src/`` is used
+    by live code in ``src/``, by README's code, or is a listed test oracle;
+    anything else is dead surface."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreached(sources, readme_names(README.read_text()) | set(TEST_ORACLES)) == []
+
+
+def test_every_test_oracle_is_defined():
+    """An oracle deleted from ``src/`` leaves the allow-list too."""
+    defined = set()
+    for path in MODULES:
+        scan = _Uses()
+        scan.visit(ast.parse(path.read_text()))
+        defined |= scan.used.keys()
+    assert set(TEST_ORACLES) <= defined
+
+
+def test_caller_scan_follows_live_code_only():
+    source = ("def used():\n    return Helper()\n"
+              "class Helper:\n"
+              "    def __post_init__(self):\n        self.prop\n"
+              "    @property\n    def prop(self):\n        return 1\n"
+              "    def unused_method(self):\n        return 2\n"
+              "def dead():\n    return Orphan()\n"
+              "class Orphan:\n    pass\n"
+              "def recursive():\n    return recursive()\n"
+              "def outer():\n    def inner():\n        return 0\n    return inner\n"
+              "def documented():\n    pass\n"
+              "def _private():\n    pass\n"
+              "TABLE = {'simulate': used}\n")
+    sources = {"a": source, "b": "from .a import dead\nprint(outer)\n"}
+    assert unreached(sources, {"documented"}) == ["Helper.unused_method", "Orphan", "dead",
+                                                  "recursive"]
+    assert readme_names("see `cl.quadform.log_cdf` and\n```python\nfit(x)\n```\n") == \
+        {"cl", "quadform", "log_cdf", "fit", "x"}
 
 
 # Runs in a fresh interpreter: the test process itself may have imported

@@ -381,6 +381,40 @@ class TestImmutability:
         assert prior.variances[0] == 1.0
         assert abs(noise.dense[0, 0] - 2.0) <= 1e-15  # derived through the root
 
+    def test_coupling_kinds_hold_read_only_copies(self):
+        """A coupling's kind keeps read-only copies of its arrays: writing to
+        the caller's arrays leaves the diagnostics built on the kind
+        unchanged, and writing through the kind raises. An explicit kind,
+        the Hilbert-scale prior's included, shares the coupling's matrix."""
+        n = 6
+        spec = cl.make_spectrum(cl.MildFamily(1.0), n)
+
+        def problem(kind):
+            return cl.InverseProblem(spec, cl.make_coupling(kind, n), cl.power_law_prior(1.0, n),
+                                     cl.white_noise(n), n)
+
+        a = np.triu(np.arange(1.0, n * n + 1).reshape(n, n) / 10.0, 1)
+        a = a - a.T
+        v = np.arange(1.0, n + 1)
+        skew, refl = problem(cl.ExpSkewCoupling(a)), problem(cl.ReflectionCoupling(v))
+        before = (cl.hs_diagnostic(skew, "exp_pair").values,
+                  cl.hs_diagnostic(refl, "reflection_pair").values)
+        assert any(before[0]) and any(before[1])
+        a[:] = 0.0
+        v[:] = 0.0
+        for arr in (skew.coupling.kind.a_matrix, refl.coupling.kind.v):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert (cl.hs_diagnostic(skew, "exp_pair").values,
+                cl.hs_diagnostic(refl, "reflection_pair").values) == before
+
+        t = np.eye(n)
+        explicit = cl.make_coupling(cl.ExplicitCoupling(t), n)
+        hilbert, _ = cl.hilbert_scale_prior(spec, 1.0, 2.0, cl.random_spd(n, seed=5, scale=0.1))
+        for coupling in (explicit, hilbert):
+            assert coupling.kind.t_matrix is coupling.t_matrix
+        assert t.flags.writeable
+
     def test_data_sample_holds_read_only_copies(self):
         """A data sample neither follows later writes to the caller's arrays
         nor accepts a write that would bypass its finiteness check."""
