@@ -189,6 +189,9 @@ def _check_invariants(data: dict) -> None:
     for key in ("mc", "y_replicates", "k_max"):
         if run[key] < 1:
             raise ConfigInvariantError(f"run.{key}", "counts must be positive")
+    for key in ("xi_grid", "x_grid", "eps_grid", "r_values"):
+        if run.get(key) == []:
+            raise ConfigInvariantError(f"run.{key}", "must not be empty; omit it for the default")
     for key in ("xi_grid", "x_grid"):
         if any(v < 0 for v in run.get(key, [])):
             raise ConfigInvariantError(f"run.{key}", "entries must be nonnegative")

@@ -6,6 +6,11 @@ self-normalized importance sampler driven only by the data-misfit potential
 Phi, which works for any prior that can be sampled. Phi is used by the
 weighted route alone. Their agreement on exceedance probabilities is the
 module's oracle-equivalence property.
+
+The conjugate posterior factorizes over independent blocks of coordinates:
+where the whitened Gram is block-diagonal (a banded coupling), so is every
+posterior precision, and its Cholesky factor, triangular inverse and
+covariance eigensolve are taken one diagonal block at a time.
 """
 
 from __future__ import annotations
@@ -26,24 +31,47 @@ from .spectral import InverseProblem, DataSample, as_vector
 JITTER_DOUBLINGS = 3
 
 
-def cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
+def cholesky_with_jitter(mat: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
     """Lower Cholesky factor, escalating a scaled-identity jitter on failure.
 
     Starts at 1e-12 * ||mat||_F and doubles at most ``JITTER_DOUBLINGS`` times.
+    ``blocks`` (edges as ``quadform.diagonal_blocks`` returns them) splits a
+    block-diagonal ``mat``: each diagonal block is factored on its own into a
+    Fortran-ordered factor, and a jitter, still scaled by the whole matrix,
+    shifts every block. One block (or None) factors the whole array.
     """
+    edges = np.array([0, mat.shape[0]]) if blocks is None else blocks
     try:
-        return np.linalg.cholesky(mat)
+        return _block_cholesky(mat, edges, 0.0)
     except np.linalg.LinAlgError:
         pass
     jitter = 1e-12 * np.linalg.norm(mat)
-    eye = np.eye(mat.shape[0])
     for _ in range(JITTER_DOUBLINGS + 1):
         try:
-            return np.linalg.cholesky(mat + jitter * eye)
+            return _block_cholesky(mat, edges, jitter)
         except np.linalg.LinAlgError:
             jitter *= 2.0
     raise NumericalError("Cholesky failed after jitter escalation",
                          condition_number=float(np.linalg.cond(mat)))
+
+
+def _block_cholesky(mat: np.ndarray, edges: np.ndarray, jitter: float) -> np.ndarray:
+    """Cholesky factor of ``mat + jitter I``; raises ``LinAlgError`` where a
+    block is not positive definite."""
+    return _blockwise(mat, edges, lambda b: np.linalg.cholesky(
+        b + jitter * np.eye(b.shape[0]) if jitter else b))
+
+
+def _blockwise(mat: np.ndarray, edges: np.ndarray, block_fn) -> np.ndarray:
+    """``block_fn`` of ``mat`` where ``edges`` make one block; otherwise a
+    Fortran-ordered N x N array, zero off the diagonal blocks of ``edges``,
+    holding ``block_fn`` of each block of ``mat``."""
+    if edges.size == 2:
+        return block_fn(mat)
+    out = np.zeros(mat.shape, order="F")
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[lo:hi, lo:hi] = block_fn(mat[lo:hi, lo:hi])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +125,26 @@ def posterior_precision(problem: InverseProblem, n_level: float) -> np.ndarray:
 class PosteriorFactor:
     """The data-independent part of the conjugate posterior at one noise
     level: factor once per n, then condition on any number of data draws.
-    The precision's Cholesky factor L is the only factorization; its triangular
-    inverse, formed on first use, gives the upper-triangular sampling factor
-    ``L^{-T}`` and the covariance ``L^{-T} L^{-1}`` that ``covariance_spectrum``
-    decomposes. Both are read-only: every conditioned posterior shares them."""
+
+    The precision is block-diagonal on ``blocks`` (edges, as
+    ``quadform.diagonal_blocks`` returns them; None means one block), and the
+    coordinates of different blocks are independent a posteriori. Its
+    Cholesky factor L, factored block by block, is the only factorization;
+    its triangular inverse, formed on first use block by block, gives the
+    upper-triangular sampling factor ``L^{-T}`` and the covariance ``L^{-T}
+    L^{-1}`` whose blocks ``covariance_spectrum`` decomposes. L and its
+    inverse are full N x N, Fortran-ordered and read-only: every conditioned
+    posterior shares them."""
 
     problem: InverseProblem
     n_level: float
     _precision_chol: np.ndarray
+    blocks: np.ndarray | None = None
+
+    def __post_init__(self):
+        blocks = np.array([0, self.problem.n_dim] if self.blocks is None else self.blocks)
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     def mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
@@ -130,14 +170,15 @@ class PosteriorFactor:
     def _chol_inv(self) -> np.ndarray:
         # Half the time of a solve against the identity. Its info flags only a
         # zero diagonal, which a Cholesky factor lacks.
-        inv, _ = dtrtri(self._precision_chol, lower=1)
+        inv = _blockwise(self._precision_chol, self.blocks, lambda b: dtrtri(b, lower=1)[0])
         inv.flags.writeable = False
         return inv
 
     def covariance_spectrum(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)
         V^T`` and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
-        without forming the eigenvectors V (``quadform.spectrum``).
+        without forming the eigenvectors V (``quadform.spectrum``, one
+        diagonal block at a time).
 
         The covariance, not the precision, is decomposed: the precision's
         condition number reaches 6.7e27 on a mildly ill-posed problem with
@@ -147,19 +188,23 @@ class PosteriorFactor:
         d = self._block(d, "d")
         # numpy forms ``A.T @ A`` by a symmetric rank-k update: exactly
         # symmetric, so its Fortran-ordered transpose is the same matrix and
-        # LAPACK reduces it in place without a copy.
-        return quadform.spectrum((self._chol_inv.T @ self._chol_inv).T, d,
-                                 f"posterior covariance at n_level = {float(self.n_level)!r}")
+        # LAPACK reduces a one-block covariance in place without a copy.
+        return quadform.spectrum(_blockwise(self._chol_inv, self.blocks, lambda b: (b.T @ b).T),
+                                 d, f"posterior covariance at n_level = {float(self.n_level)!r}")
 
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
     """Factor the conjugate posterior at noise level ``n_level`` once; the
     result conditions on any number of data draws."""
+    # The prior precision is diagonal and n turns no zero of the Gram into a
+    # nonzero, so every precision of the problem splits as its Gram does.
+    blocks = quadform.diagonal_blocks(problem.whitened_gram)
     # Fortran order: LAPACK's solve would otherwise copy the factor on every
     # call, which costs three times the solve itself at N = 512.
-    p_chol = np.asfortranarray(cholesky_with_jitter(posterior_precision(problem, n_level)))
+    p_chol = np.asfortranarray(cholesky_with_jitter(posterior_precision(problem, n_level),
+                                                    blocks))
     p_chol.flags.writeable = False
-    return PosteriorFactor(problem, n_level, p_chol)
+    return PosteriorFactor(problem, n_level, p_chol, blocks)
 
 
 def conjugate_posterior(problem: InverseProblem, data: DataSample) -> PosteriorGaussian:

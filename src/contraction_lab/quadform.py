@@ -8,7 +8,9 @@ eigenvalues, ``c`` the offset's coordinates). Every routine takes ``lam`` and
 directly, so a vanishing eigenvalue never becomes a divisor.
 
 ``spectrum`` computes ``lam`` and the offsets' coordinates from a covariance
-and an offset without forming eigenvectors.
+and an offset without forming eigenvectors, one diagonal block at a time
+where the covariance splits (``diagonal_blocks``): independent blocks of
+coordinates add independent terms to Q.
 
 Tails use the Lugannani-Rice saddlepoint formula (Lugannani & Rice, Adv.
 Appl. Prob. 12, 1980), parameterized by the saddlepoint ``s`` on its domain
@@ -91,19 +93,68 @@ def _lapack_ok(routine: str, info: int, what: str) -> None:
         raise NumericalError(f"LAPACK {routine} failed with info = {info} on the {what}")
 
 
+def diagonal_blocks(mat: np.ndarray) -> np.ndarray:
+    """Edges of the finest contiguous diagonal blocks of a symmetric matrix,
+    from its exact zero pattern: block j is rows and columns ``edges[j]:
+    edges[j + 1]``, and every entry of the lower triangle outside the blocks
+    is exactly zero. The lower triangle is the one that a lower Cholesky
+    factorization and ``spectrum``'s reduction read. A matrix with no such
+    split is one block, ``[0, N]``.
+
+    Row i's first nonzero column ``f_i`` (at most i: the diagonal counts as
+    nonzero) couples it to every row from ``f_i`` on, so a block ends before
+    row k exactly when no row from k on reaches back past k. A
+    Fortran-ordered matrix is scanned by columns instead, in memory order:
+    column j's last nonzero row reaches down to it, and a block ends after
+    column k exactly when no column up to k reaches past k.
+    """
+    nz = mat != 0
+    np.fill_diagonal(nz, True)
+    n = mat.shape[0]
+    if nz.flags.f_contiguous:
+        last = n - 1 - nz[::-1].argmax(axis=0)
+        return np.flatnonzero(np.insert(np.maximum.accumulate(last) == np.arange(n), 0, True))
+    reach = np.minimum.accumulate(nz.argmax(axis=1)[::-1])[::-1]
+    return np.flatnonzero(np.append(reach == np.arange(n), True))
+
+
 def spectrum(cov: np.ndarray, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) of a symmetric positive semi-definite ``cov =
     V diag(lam) V^T`` and the projections ``V^T d`` of an (N,) or (N, R)
     block ``d``, without forming the eigenvectors V.
+
+    ``cov`` is split into its diagonal blocks (``diagonal_blocks``), and each
+    block is decomposed on its own by ``_tridiagonal_spectrum``, with its
+    rows named in errors; one block is decomposed in place, as the whole
+    array. The eigenvalues are merged in ascending order by a stable sort,
+    and the projection rows follow them.
+    """
+    edges = diagonal_blocks(cov)
+    if edges.size == 2:
+        return _tridiagonal_spectrum(cov, d, what)
+    n = cov.shape[0]
+    lam = np.empty(n)
+    proj = np.array(d.reshape(n, -1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        lam[lo:hi], proj[lo:hi] = _tridiagonal_spectrum(
+            np.array(cov[lo:hi, lo:hi], order="F"), proj[lo:hi], f"{what}, rows {lo}:{hi}")
+    order = np.argsort(lam, kind="stable")
+    return lam[order], proj[order].reshape(d.shape)
+
+
+def _tridiagonal_spectrum(cov: np.ndarray, d: np.ndarray,
+                          what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``spectrum`` of one block.
 
     LAPACK reduces ``cov = Q T Q^T`` to tridiagonal form (dsytrd, lower
     triangle, in place: a Fortran-ordered ``cov`` is overwritten), applies the
     reflectors Q^T to ``d`` (dormqr) and solves ``T = Z diag(lam) Z^T`` by
     divide and conquer (dstevd), so ``V^T d = Z^T Q^T d``; the
     back-transformation ``V = Q Z`` of a full eigensolver is skipped. Computed
-    eigenvalues down to ``-EIGENVALUE_RTOL * N * max`` are the rounding of a
-    zero and are set to zero; a more negative one, or a failed LAPACK call,
-    raises ``NumericalError`` naming ``what``.
+    eigenvalues down to ``-EIGENVALUE_RTOL * b * max`` (b rows, max the
+    block's largest eigenvalue) are the rounding of a zero and are set to
+    zero; a more negative one, or a failed LAPACK call, raises
+    ``NumericalError`` naming ``what``.
     """
     n = cov.shape[0]
     lwork, info = dsytrd_lwork(n, lower=1)
@@ -243,7 +294,9 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str) -> np.ndarray:
         xi, lo_i, hi_i = x[idx], lo[idx], hi[idx]
         lo_i = np.where(f > 0, xi, lo_i)
         hi_i = np.where(f < 0, xi, hi_i)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A flat or subnormal slope makes an infinite step, which fails the
+        # bracket test below and bisects.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = f / (df / scale)
         newton = xi - step
         ok = (newton >= lo_i) & (newton <= hi_i) & (2.0 * np.abs(step) <= last[idx])

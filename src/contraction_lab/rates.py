@@ -150,8 +150,8 @@ def _posterior_radii(factor: PosteriorFactor, u0: np.ndarray, delta_level: float
     posterior draw from u0 is ``sum_i (c_i + sqrt(lam_i) Z_i)**2`` with
     ``c = V^T (mean - u0)``; its upper delta-quantile comes from the
     saddlepoint kernel rather than from posterior samples. ``lam`` and the R
-    projections come from one tridiagonal reduction of the covariance, and V
-    is never formed.
+    projections come from one tridiagonal reduction per diagonal block of
+    the covariance, and V is never formed.
     """
     lam, c = factor.covariance_spectrum(factor.mean(ys) - u0[:, None])
     c = c.T.copy()  # row r: V^T (mean_r - u0)
@@ -169,8 +169,9 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     exact (1 - delta) posterior radii. Only the data are sampled; each
     replicate's radius is a saddlepoint quantile over the eigenvalues of the
     posterior covariance. Per n the replicates share one mean solve, one
-    tridiagonal reduction of the covariance that yields the eigenvalues and
-    their projections without eigenvectors, and one batched quantile solve.
+    tridiagonal reduction per diagonal block of the covariance that yields
+    the eigenvalues and their projections without eigenvectors, and one
+    batched quantile solve.
     """
     n_grid = np.array(n_grid, dtype=float)
     if n_grid.ndim != 1 or len(n_grid) < 4:

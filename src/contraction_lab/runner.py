@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assumptions, posterior, rates
+from . import assumptions, posterior, quadform, rates
 from .config import ExperimentConfig, build_findim, build_plan, build_problem, build_truth
 from .errors import (ConfigError, ConfigInvariantError, ConstructionError, NumericalError,
                      ParameterError)
@@ -96,6 +96,13 @@ def _n(x):
 # Pipelines
 # ---------------------------------------------------------------------------
 
+def _posterior_blocks(problem: InverseProblem) -> dict:
+    """How many diagonal blocks each posterior precision splits into, and
+    the size of the largest: the per-n factorization and eigensolve cost."""
+    sizes = np.diff(quadform.diagonal_blocks(problem.whitened_gram))
+    return {"count": int(sizes.size), "largest": int(sizes.max())}
+
+
 def _pipe_simulate(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
     u0 = build_truth(config)
     run = config.run
@@ -128,7 +135,8 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
 
     rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
     return [_table(config, "posterior_exceedance", ("n_level", "xi", "estimate", "std_error"),
-                   rows, "posterior_exceedance_grid", mc=mc)]
+                   rows, "posterior_exceedance_grid", mc=mc,
+                   posterior_blocks=_posterior_blocks(problem))]
 
 
 def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
@@ -143,7 +151,7 @@ def _pipe_rate_fit(config: ExperimentConfig, problem: InverseProblem, workers: i
     return [_table(config, "rate_fit",
                    ("n", "xi_hat", "exceedance_frac", "slope", "slope_lo", "slope_hi"), rows,
                    "fit_contraction_rate", label=EXPLORATORY_LABEL if fit.exploratory else "",
-                   failures=list(fit.failures))]
+                   failures=list(fit.failures), posterior_blocks=_posterior_blocks(problem))]
 
 
 def _pipe_check(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:

@@ -395,6 +395,31 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert (record.table("posterior_exceedance").provenance["operation"]
                 == "posterior_exceedance_grid")
 
+    def test_posterior_blocks_reach_metadata_only(self, tmp_path):
+        """The rate-fit and posterior provenance records how the posterior
+        precision splits (block count and largest block); it reaches
+        ``metadata.json`` and leaves every CSV byte as a record without it
+        writes them."""
+        config = cl.parse_config(SMALL_CONFIG.replace("coupling: {kind: identity}",
+                                                      "coupling: {kind: banded}"))
+        record = cl.run_experiment(config, pipelines=["posterior", "rate-fit"])
+        assert not record.failures, record.failures
+        sizes = np.diff(quadform.diagonal_blocks(build_problem(config).whitened_gram))
+        assert sizes.size > 1
+        expected = {"count": int(sizes.size), "largest": int(sizes.max())}
+        names = ("posterior_exceedance", "rate_fit")
+        assert [record.table(n).provenance["posterior_blocks"] for n in names] == [expected] * 2
+        cl.emit_results(record, "csv", tmp_path / "with")
+        meta = json.loads((tmp_path / "with" / "metadata.json").read_text())
+        assert [meta["tables"][n]["provenance"]["posterior_blocks"] for n in names] == [expected] * 2
+        doc = cl.record_to_dict(record)
+        for table in doc["tables"]:
+            del table["provenance"]["posterior_blocks"]
+        cl.emit_results(cl.record_from_dict(doc), "csv", tmp_path / "without")
+        for n in names:
+            assert ((tmp_path / "with" / f"{n}.csv").read_bytes()
+                    == (tmp_path / "without" / f"{n}.csv").read_bytes())
+
     def test_posterior_pipeline_factors_once_per_n(self, monkeypatch):
         """One factorization per n: the Cholesky of the precision, shared by
         the data conditioning and the xi grid; the covariance factor is its
@@ -560,6 +585,19 @@ class TestCli:
         assert cli_main([pipeline, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pipeline, key", [
+        ("posterior", "xi_grid"), ("smallball", "eps_grid"),
+        ("concentration", "x_grid"), ("gn", "r_values"),
+    ])
+    def test_empty_grid_exit_code(self, tmp_path, capsys, pipeline, key):
+        """An explicitly empty grid is a config error naming its key (exit 1),
+        not a silent switch to the default grid under another digest."""
+        path = self._write(tmp_path, f"problem: {{n_dim: 8}}\nrun: {{{key}: []}}")
+        assert cli_main([pipeline, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'run.{key}'" in err
         assert not (tmp_path / "out").exists()
 
     def test_seed_flag_changes_digest(self, tmp_path):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import contraction_lab as cl
-from contraction_lab import posterior, quadform
+from contraction_lab import posterior, quadform, rates
 from contraction_lab.config import build_problem
 from contraction_lab.errors import NumericalError, ParameterError
+from contraction_lab.rng import substream
+from contraction_lab.spectral import forward_apply
 
 
 def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
@@ -374,6 +376,108 @@ class TestCovarianceSpectrum:
             assert np.array_equal(lam_v, lam) and np.array_equal(c_v, c[:, 1])
         with pytest.raises(ParameterError, match="vector or an"):
             factor.covariance_spectrum(np.ones(3))
+
+
+def _block_problem(sizes, seed):
+    """A problem whose coupling is orthogonal on the diagonal blocks of
+    ``sizes`` rows each, so every posterior precision is block-diagonal."""
+    rng = np.random.default_rng(seed)
+    n = int(sum(sizes))
+    q = np.zeros((n, n))
+    lo = 0
+    for b in sizes:
+        q[lo:lo + b, lo:lo + b] = np.linalg.qr(rng.standard_normal((b, b)))[0]
+        lo += b
+    return cl.InverseProblem(
+        cl.make_spectrum(np.sort(rng.uniform(0.2, 1.5, n))[::-1], n),
+        cl.make_coupling(cl.ExplicitCoupling(q), n),
+        cl.explicit_prior(rng.uniform(0.2, 2.0, n), n),
+        cl.diagonal_noise(rng.uniform(0.5, 1.5, n), n), n)
+
+
+def _assert_routes_agree(factor, u0, ys):
+    """Against the same posterior factored and decomposed as one block (the
+    dense route, with every matrix taken as one block): eigenvalues within
+    1e-13 of the largest, per-column projection norms within 1e-13 relative
+    and exact rate-fit radii within 1e-12 relative."""
+    d = factor.mean(ys) - u0[:, None]
+    lam, c = factor.covariance_spectrum(d)
+    radii = rates._posterior_radii(factor, u0, 0.1, ys)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadform, "diagonal_blocks", lambda mat: np.array([0, mat.shape[0]]))
+        twin = cl.factor_posterior(factor.problem, factor.n_level)
+        ref_lam, ref_c = twin.covariance_spectrum(d)
+        ref_radii = rates._posterior_radii(twin, u0, 0.1, ys)
+    assert twin.blocks.size == 2
+    assert np.all(np.abs(lam - ref_lam) <= 1e-13 * ref_lam.max())
+    norms, ref_norms = np.linalg.norm(c, axis=0), np.linalg.norm(ref_c, axis=0)
+    assert np.all(np.abs(norms - ref_norms) <= 1e-13 * ref_norms)
+    assert np.all(np.abs(radii - ref_radii) <= 1e-12 * ref_radii)
+
+
+class TestBlockRoute:
+    """A block-diagonal precision is factored, inverted and decomposed one
+    diagonal block at a time, and agrees with the same matrix taken as one
+    block."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e2, 1e4, 1e6]))
+    def test_random_partitions_match_one_block(self, sizes, seed, n_level):
+        prob = _block_problem(sizes, seed)
+        factor = cl.factor_posterior(prob, n_level)
+        assert np.array_equal(factor.blocks, np.cumsum([0] + sizes))
+        rng = np.random.default_rng(seed)
+        _assert_routes_agree(factor, rng.standard_normal(prob.n_dim),
+                             rng.standard_normal((prob.n_dim, 3)))
+
+    @pytest.mark.parametrize("n_level", [1e2, 1e6])
+    def test_banded_smooth_prior_matches_one_block(self, n_level):
+        """Banded N = 512 at prior smoothness 5, where cond(P) reaches 6.7e27."""
+        prob = _banded_problem(512, 5.0)
+        factor = cl.factor_posterior(prob, n_level)
+        assert factor.blocks.size > 2
+        u0 = cl.power_law_truth(2.0, 512)
+        g_u0 = forward_apply(prob, u0)
+        ys = np.column_stack([rates._replicate_distances(prob, g_u0, n_level,
+                                                         substream(3, "rate-fit", 0, rep))
+                              for rep in range(4)])
+        _assert_routes_agree(factor, u0, ys)
+
+    @staticmethod
+    def _with_nearly_singular_block():
+        """Blocks {0, 1} (nearly singular), {2} and {3, 4}; the large last
+        block makes the whole matrix's Frobenius norm differ from any
+        block's."""
+        mat = np.zeros((5, 5))
+        mat[:2, :2] = [[1.0, 1e-9 - 1e-25], [1e-9 - 1e-25, 1e-18]]
+        mat[2, 2] = 3.0
+        mat[3:, 3:] = [[100.0, 20.0], [20.0, 50.0]]
+        return mat, np.array([0, 2, 3, 5])
+
+    def test_jitter_is_the_whole_matrix_jitter(self):
+        mat, edges = self._with_nearly_singular_block()
+        assert np.array_equal(quadform.diagonal_blocks(mat), edges)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(mat[:2, :2])
+        block = cl.cholesky_with_jitter(mat, edges)
+        dense = cl.cholesky_with_jitter(mat)
+        assert block.flags.f_contiguous and np.array_equal(block, np.tril(block))
+        assert np.allclose(block, dense, rtol=0, atol=1e-15 * np.abs(dense).max())
+        jitter = 1e-12 * np.linalg.norm(mat)
+        shift = np.diag(block @ block.T - mat)
+        assert np.allclose(shift, jitter, rtol=1e-3, atol=0)
+
+    def test_indefinite_block_raises_with_whole_condition_number(self):
+        mat, edges = self._with_nearly_singular_block()
+        mat[2, 2] = -3.0
+        with pytest.raises(NumericalError) as err:
+            cl.cholesky_with_jitter(mat, edges)
+        assert err.value.condition_number == float(np.linalg.cond(mat))
+        mat[2, 2], mat[4, 4] = 3.0, -50.0
+        with pytest.raises(NumericalError) as err:
+            cl.cholesky_with_jitter(mat, edges)
+        assert err.value.condition_number == float(np.linalg.cond(mat))
 
 
 def _banded_problem(n_dim, delta):

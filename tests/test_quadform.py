@@ -504,3 +504,87 @@ class TestSpectrum:
     def test_failure_names_what_was_decomposed(self):
         with pytest.raises(NumericalError, match="rounding floor"):
             quadform.spectrum(-np.eye(3), np.ones(3), "test matrix")
+
+    def test_block_route_matches_one_block(self):
+        """A block-diagonal matrix with blocks of 1, 3, 1 and 4 rows: the
+        block route gives ``eigh``'s eigenvalues of the whole matrix in the
+        same (ascending) order, and projections of equal magnitude; a
+        negative eigenvalue names its block's rows."""
+        rng = np.random.default_rng(9)
+        edges = np.array([0, 1, 4, 5, 9])
+        cov = np.zeros((9, 9))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            a = rng.standard_normal((hi - lo, hi - lo))
+            cov[lo:hi, lo:hi] = a @ a.T
+        d = rng.standard_normal((9, 3))
+        assert np.array_equal(quadform.diagonal_blocks(cov), edges)
+        lam, c = quadform.spectrum(cov.copy(), d, "test matrix")
+        ref_lam, ref_vec = np.linalg.eigh(cov)
+        ref_c = ref_vec.T @ d
+        assert np.all(np.diff(lam) >= 0)
+        assert np.all(np.abs(lam - ref_lam) <= 1e-13 * lam.max())
+        assert np.allclose(np.abs(c), np.abs(ref_c), rtol=0, atol=1e-12 * np.abs(d).max())
+        cov[1:4, 1:4] *= -1.0
+        with pytest.raises(NumericalError, match="rows 1:4 below the rounding floor"):
+            quadform.spectrum(cov, d, "test matrix")
+        with pytest.raises(NumericalError, match="rows 0:1 below the rounding floor"):
+            quadform.spectrum(np.diag([-1.0, 2.0]), np.ones(2), "test matrix")
+
+
+def _config_problem(problem: dict):
+    return build_problem(cl.parse_config(json.dumps({"problem": {"n_dim": 48, **problem}})))
+
+
+class TestDiagonalBlocks:
+    """``diagonal_blocks`` reads a symmetric matrix's partition off its exact
+    zero pattern."""
+
+    def test_banded_coupling_gives_its_own_partition(self):
+        from contraction_lab.rng import substream
+        from contraction_lab.spectral import _banded_blocks
+
+        n, kind = 200, cl.BandedCoupling()
+        prob = cl.InverseProblem(cl.make_spectrum(cl.MildFamily(1.0), n),
+                                 cl.make_coupling(kind, n, seed=3),
+                                 cl.power_law_prior(1.0, n), cl.white_noise(n), n)
+        own = _banded_blocks(n, kind.lo_ratio, kind.hi_ratio, substream(3, "banded-coupling"))
+        edges = np.array([a - 1 for a, _ in own] + [n])
+        assert len(own) > 1
+        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram), edges)
+        assert np.array_equal(quadform.diagonal_blocks(cl.posterior_precision(prob, 1e4)), edges)
+
+    def test_identity_coupling_gives_singletons(self):
+        prob = _config_problem({"coupling": {"kind": "identity"}})
+        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram), np.arange(49))
+
+    @pytest.mark.parametrize("problem", [
+        {"coupling": {"kind": "reflection", "v": [1.0] * 48}},
+        {"prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0}},
+        {"noise": {"kind": "colored", "r": 0.5}},
+        {"noise": {"kind": "dense", "matrix": (np.eye(48) + 0.01).tolist()}},
+    ], ids=["reflection", "hilbert_scale", "colored", "dense"])
+    def test_dense_problems_are_one_block(self, problem):
+        assert np.array_equal(quadform.diagonal_blocks(_config_problem(problem).whitened_gram), [0, 48])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_hand_made_pattern(self, order):
+        """Blocks {0}, {1, 2, 3} (row 2 is joined only by the entry that
+        couples rows 1 and 3), {4} and {5, 6}, the last one ending on the last
+        row. A zero row is a block of its own, and an entry above the
+        diagonal alone joins nothing: the upper triangle is not read. A
+        C-ordered matrix is scanned by rows, a Fortran-ordered one by
+        columns; both read the same partition."""
+        def blocks(mat):
+            return quadform.diagonal_blocks(np.array(mat, order=order))
+
+        mat = np.diag([1.0, 2.0, 3.0, 4.0, 0.0, 6.0, 7.0])
+        mat[3, 1] = mat[1, 3] = 0.5
+        mat[6, 5] = mat[5, 6] = -0.25
+        assert np.array_equal(blocks(mat), [0, 1, 4, 5, 7])
+        mat[0, 2] = 1.0
+        assert np.array_equal(blocks(mat), [0, 1, 4, 5, 7])
+        mat[2, 0] = 1.0
+        assert np.array_equal(blocks(mat), [0, 4, 5, 7])
+        mat[6, 4] = 1.0
+        assert np.array_equal(blocks(mat), [0, 4, 7])
+        assert np.array_equal(blocks(np.ones((1, 1))), [0, 1])

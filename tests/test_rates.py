@@ -139,14 +139,10 @@ class TestFitContractionRate:
                     for _ in range(4)]))
                 assert dist[lo_idx] <= radius <= dist[hi_idx], (n, rep)
 
-    def test_one_mean_solve_per_n_and_one_draw_per_replicate(self, monkeypatch):
-        """Each replicate draws its data through the module's
-        ``_replicate_distances`` binding, once per replicate; the posterior
-        means of all replicates at one n come from one ``cho_solve`` on an
-        (N, R) block, and no solve forms the covariance against an identity.
-        Each n reduces its covariance to tridiagonal form once, and the
-        reflectors only ever meet the trailing (N - 1, R) rows of the
-        replicates' mean block, never an N x N identity."""
+    @staticmethod
+    def _count_fit(monkeypatch, prob, grid, replicates):
+        """Run a rate fit and record its data draws (n per replicate), mean
+        solves, tridiagonal reductions and reflector applications (shapes)."""
         draws, solves, reductions, reflections = [], [], [], []
         draw, solve = rates._replicate_distances, posterior_module.cho_solve
         reduce, reflect = quadform.dsytrd, quadform.dormqr
@@ -171,13 +167,40 @@ class TestFitContractionRate:
         monkeypatch.setattr(posterior_module, "cho_solve", counting_solve)
         monkeypatch.setattr(quadform, "dsytrd", counting_reduce)
         monkeypatch.setattr(quadform, "dormqr", counting_reflect)
+        cl.fit_contraction_rate(prob, cl.power_law_truth(2.0, prob.n_dim), grid, 0.1,
+                                y_replicates=replicates, seed=2)
+        return draws, solves, reductions, reflections
+
+    def test_one_mean_solve_per_n_and_one_draw_per_replicate(self, monkeypatch):
+        """Each replicate draws its data through the module's
+        ``_replicate_distances`` binding, once per replicate; the posterior
+        means of all replicates at one n come from one ``cho_solve`` on an
+        (N, R) block, and no solve forms the covariance against an identity.
+        On a dense coupling, each n reduces its covariance to tridiagonal
+        form once, and the reflectors only ever meet the trailing (N - 1, R)
+        rows of the replicates' mean block, never an N x N identity."""
         grid = [1e2, 1e3, 1e4, 1e5]
-        cl.fit_contraction_rate(_small_problem(8), cl.power_law_truth(2.0, 8), grid, 0.1,
-                                y_replicates=5, seed=2)
+        draws, solves, reductions, reflections = self._count_fit(
+            monkeypatch, _small_problem(8, cl.ReflectionCoupling(np.arange(1.0, 9.0))), grid, 5)
         assert draws == [n for n in grid for _ in range(5)]
         assert solves == [(8, 5)] * 4
         assert reductions == [(8, 8)] * 4
         assert reflections and set(reflections) == {(7, 5)}
+
+    def test_one_reduction_per_block_per_n(self, monkeypatch):
+        """The block twin of the count above: on a banded coupling, each n
+        reduces each diagonal block once, in the partition's order, and the
+        reflectors of a block of b > 1 rows meet its trailing (b - 1, R) rows.
+        The draws and the one mean solve per n are unchanged."""
+        prob = _small_problem(24, cl.BandedCoupling())
+        sizes = np.diff(quadform.diagonal_blocks(prob.whitened_gram))
+        assert sizes.size > 1 and sizes.max() > 1
+        grid = [1e2, 1e3, 1e4, 1e5]
+        draws, solves, reductions, reflections = self._count_fit(monkeypatch, prob, grid, 3)
+        assert draws == [n for n in grid for _ in range(3)]
+        assert solves == [(24, 3)] * 4
+        assert reductions == [(b, b) for b in sizes] * 4
+        assert set(reflections) == {(b - 1, 3) for b in sizes if b > 1}
 
     @pytest.mark.parametrize("delta", [1.0, 5.0])
     @pytest.mark.parametrize("n_level", [1e2, 1e6])
@@ -212,10 +235,10 @@ class TestFitContractionRate:
         assert fit.exploratory
 
 
-def _small_problem(n_dim):
+def _small_problem(n_dim, coupling=cl.IdentityCoupling()):
     return cl.InverseProblem(
         cl.make_spectrum(cl.MildFamily(1.0), n_dim),
-        cl.make_coupling(cl.IdentityCoupling(), n_dim),
+        cl.make_coupling(coupling, n_dim),
         cl.power_law_prior(1.0, n_dim),
         cl.white_noise(n_dim), n_dim)
 
