@@ -268,15 +268,21 @@ def projection_log_tail_bound(problem: InverseProblem, k: int, r: int | None,
     prior basis alone, and the bound is ``-inf`` when the double projection is
     the identity. ``projection_tail_grid`` estimates the same probability by
     sampling.
+
+    Without an e-cutoff (``r`` None or ``n_dim``) the miss is ``-T_{>k}
+    Lambda_{>k}^{1/2} z`` and T is orthogonal, so its covariance eigenvalues
+    are the prior variances from k on, exactly; a finite r takes them from an
+    eigensolve.
     """
     if threshold <= 0:
         raise ParameterError("threshold must be positive")
     _check_kr(problem, k, r)
-    if k == problem.n_dim and (r is None or r == problem.n_dim):
-        return -math.inf  # full projection is the identity for an orthogonal coupling
-    a = _residual_operator(problem, k, r)
-    q = np.linalg.eigvalsh(a.T @ a)
-    q = q[q > 0]
+    if r is None or r == problem.n_dim:
+        q = problem.prior.variances[k:]  # empty at k = n_dim: the projection is the identity
+    else:
+        a = _residual_operator(problem, k, r)
+        q = np.linalg.eigvalsh(a.T @ a)
+        q = q[q > 0]
     if q.size == 0:
         return -math.inf
     return float(quadform.log_chernoff(threshold**2, q, np.zeros((1, q.size)))[0])

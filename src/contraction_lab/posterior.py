@@ -9,8 +9,9 @@ module's oracle-equivalence property.
 
 The conjugate posterior factorizes over independent blocks of coordinates:
 where the whitened Gram is block-diagonal (a banded coupling), so is every
-posterior precision, and its Cholesky factor, triangular inverse and
-covariance eigensolve are taken one diagonal block at a time.
+posterior precision, and its Cholesky factor, triangular inverse, mean
+solve, covariance eigensolve and the product of the sampling factor with
+the draws are taken one diagonal block at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
 from . import quadform
@@ -40,7 +42,7 @@ def cholesky_with_jitter(mat: np.ndarray, blocks: np.ndarray | None = None) -> n
     Fortran-ordered factor, and a jitter, still scaled by the whole matrix,
     shifts every block. One block (or None) factors the whole array.
     """
-    edges = np.array([0, mat.shape[0]]) if blocks is None else blocks
+    edges = _edges(blocks, mat.shape[0])
     try:
         return _block_cholesky(mat, edges, 0.0)
     except np.linalg.LinAlgError:
@@ -58,53 +60,82 @@ def cholesky_with_jitter(mat: np.ndarray, blocks: np.ndarray | None = None) -> n
 def _block_cholesky(mat: np.ndarray, edges: np.ndarray, jitter: float) -> np.ndarray:
     """Cholesky factor of ``mat + jitter I``; raises ``LinAlgError`` where a
     block is not positive definite."""
-    return _blockwise(mat, edges, lambda b: np.linalg.cholesky(
+    return quadform.blockwise(mat, edges, lambda b: np.linalg.cholesky(
         b + jitter * np.eye(b.shape[0]) if jitter else b))
 
 
-def _blockwise(mat: np.ndarray, edges: np.ndarray, block_fn) -> np.ndarray:
-    """``block_fn`` of ``mat`` where ``edges`` make one block; otherwise a
-    Fortran-ordered N x N array, zero off the diagonal blocks of ``edges``,
-    holding ``block_fn`` of each block of ``mat``."""
-    if edges.size == 2:
-        return block_fn(mat)
-    out = np.zeros(mat.shape, order="F")
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out[lo:hi, lo:hi] = block_fn(mat[lo:hi, lo:hi])
-    return out
+def _edges(blocks, n_dim: int) -> np.ndarray:
+    """Read-only copy of block edges (None: one block), checked to run from
+    0 to ``n_dim`` in increasing steps."""
+    edges = np.array([0, n_dim] if blocks is None else blocks)
+    if edges.ndim != 1 or edges.size < 2 or edges[0] != 0 or edges[-1] != n_dim \
+            or np.any(np.diff(edges) <= 0):
+        raise ParameterError(f"blocks must be increasing edges from 0 to {n_dim}, got {edges}")
+    edges.flags.writeable = False
+    return edges
+
+
+# Rows of the sampling factor read at a time by the triangular-pattern check.
+_CHECK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
 class PosteriorGaussian:
-    """Gaussian posterior in phi-coordinates with a triangular covariance
-    factor (covariance = factor @ factor.T)."""
+    """Gaussian posterior in phi-coordinates with an upper-triangular
+    covariance factor (covariance = factor @ factor.T) that is zero outside
+    its diagonal blocks ``blocks`` (edges, as ``quadform.diagonal_blocks``
+    returns them; None means one block)."""
 
     mean: np.ndarray
     cov_factor: np.ndarray
     n_level: float
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_level <= 0:
             raise ParameterError("n_level must be positive")
+        if np.shape(self.cov_factor) != (self.n_dim, self.n_dim):
+            raise ParameterError(f"covariance factor must be {self.n_dim} x {self.n_dim}")
         if np.any(np.diag(self.cov_factor) <= 0):
             raise ParameterError("covariance factor must have positive diagonal")
+        edges = _edges(self.blocks, self.n_dim)
+        object.__setattr__(self, "blocks", edges)
+        # A few rows at a time, so no N x N temporary: left of the rows'
+        # first diagonal entry and right of their block, every entry is zero,
+        # and so is the strict lower triangle of their square at the diagonal.
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            for top in range(lo, hi, _CHECK_ROWS):
+                rows = self.cov_factor[top:min(top + _CHECK_ROWS, hi)]
+                if (np.count_nonzero(rows[:, :top]) or np.count_nonzero(rows[:, hi:])
+                        or np.count_nonzero(np.tril(rows[:, top:top + rows.shape[0]], -1))):
+                    raise ParameterError("covariance factor must be upper-triangular and zero "
+                                         f"outside its blocks (rows {top}:{top + rows.shape[0]})")
 
     @property
     def n_dim(self) -> int:
         return self.mean.shape[0]
 
     def distances(self, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Distances from u0 of the posterior draws ``mean + factor @ z``,
-        one per column of the standard-normal array ``z``.
+        """Distances from u0 of the posterior draws ``mean + cov_factor @ z``,
+        one per column of the (N, count) standard-normal array ``z``.
 
-        Bit-identical to ``np.linalg.norm(dev, axis=0)`` but squared in place:
-        the caller still holds ``z``, so a further (N, count) temporary would
-        raise peak memory.
+        Overwrites ``z`` when it is a writeable C-ordered float array (any
+        other ``z`` is copied first), so no second (N, count) array exists:
+        in memory such a ``z`` is the Fortran-ordered (count, N) ``z^T``, and
+        BLAS dtrmm forms ``z^T cov_factor^T``, a right-side product with a
+        lower-triangular matrix, in place one diagonal block at a time. The
+        offset is then added and the squares summed as
+        ``np.linalg.norm(dev, axis=0)`` does.
         """
-        dev = self.cov_factor @ z
-        dev += (self.mean - u0)[:, None]
-        dev *= dev
-        return np.sqrt(np.add.reduce(dev, axis=0))
+        z = np.require(z, dtype=float, requirements=["C", "W"])
+        if z.ndim != 2 or z.shape[0] != self.n_dim:
+            raise ParameterError(f"z must be an ({self.n_dim}, count) array, got shape {z.shape}")
+        lower, zt = self.cov_factor.T, z.T
+        for lo, hi in zip(self.blocks[:-1], self.blocks[1:]):
+            dtrmm(1.0, lower[lo:hi, lo:hi], zt[:, lo:hi], side=1, lower=1, overwrite_b=1)
+        z += (self.mean - u0)[:, None]
+        z *= z
+        return np.sqrt(np.add.reduce(z, axis=0))
 
 
 def _potential_batch(problem: InverseProblem, w_y: np.ndarray, u_rows: np.ndarray,
@@ -142,22 +173,23 @@ class PosteriorFactor:
     blocks: np.ndarray | None = None
 
     def __post_init__(self):
-        blocks = np.array([0, self.problem.n_dim] if self.blocks is None else self.blocks)
-        blocks.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", _edges(self.blocks, self.problem.n_dim))
 
     def mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
         (N, R) block of R data draws with one mean per column, which costs
-        one matrix product and one triangular solve pair for all of them."""
+        one matrix product and, per diagonal block, one triangular solve pair
+        for all of them."""
         y = self._block(y, "y")
         rhs = self.n_level * (self.problem.whitened_forward.T @ self.problem.noise_whiten(y))
-        return cho_solve((self._precision_chol, True), rhs)
+        for lo, hi in zip(self.blocks[:-1], self.blocks[1:]):
+            rhs[lo:hi] = cho_solve((self._precision_chol[lo:hi, lo:hi], True), rhs[lo:hi])
+        return rhs
 
     def condition(self, y: np.ndarray) -> PosteriorGaussian:
         """Posterior given data ``y`` (e-coordinates)."""
         return PosteriorGaussian(mean=self.mean(y), cov_factor=self._chol_inv.T,
-                                 n_level=self.n_level)
+                                 n_level=self.n_level, blocks=self.blocks)
 
     def _block(self, x, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -170,7 +202,8 @@ class PosteriorFactor:
     def _chol_inv(self) -> np.ndarray:
         # Half the time of a solve against the identity. Its info flags only a
         # zero diagonal, which a Cholesky factor lacks.
-        inv = _blockwise(self._precision_chol, self.blocks, lambda b: dtrtri(b, lower=1)[0])
+        inv = quadform.blockwise(self._precision_chol, self.blocks,
+                                 lambda b: dtrtri(b, lower=1)[0])
         inv.flags.writeable = False
         return inv
 
@@ -189,16 +222,15 @@ class PosteriorFactor:
         # numpy forms ``A.T @ A`` by a symmetric rank-k update: exactly
         # symmetric, so its Fortran-ordered transpose is the same matrix and
         # LAPACK reduces a one-block covariance in place without a copy.
-        return quadform.spectrum(_blockwise(self._chol_inv, self.blocks, lambda b: (b.T @ b).T),
-                                 d, f"posterior covariance at n_level = {float(self.n_level)!r}")
+        return quadform.spectrum(
+            quadform.blockwise(self._chol_inv, self.blocks, lambda b: (b.T @ b).T),
+            d, f"posterior covariance at n_level = {float(self.n_level)!r}")
 
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
     """Factor the conjugate posterior at noise level ``n_level`` once; the
     result conditions on any number of data draws."""
-    # The prior precision is diagonal and n turns no zero of the Gram into a
-    # nonzero, so every precision of the problem splits as its Gram does.
-    blocks = quadform.diagonal_blocks(problem.whitened_gram)
+    blocks = problem.gram_blocks
     # Fortran order: LAPACK's solve would otherwise copy the factor on every
     # call, which costs three times the solve itself at N = 512.
     p_chol = np.asfortranarray(cholesky_with_jitter(posterior_precision(problem, n_level),

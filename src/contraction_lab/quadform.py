@@ -94,12 +94,13 @@ def _lapack_ok(routine: str, info: int, what: str) -> None:
 
 
 def diagonal_blocks(mat: np.ndarray) -> np.ndarray:
-    """Edges of the finest contiguous diagonal blocks of a symmetric matrix,
-    from its exact zero pattern: block j is rows and columns ``edges[j]:
-    edges[j + 1]``, and every entry of the lower triangle outside the blocks
-    is exactly zero. The lower triangle is the one that a lower Cholesky
-    factorization and ``spectrum``'s reduction read. A matrix with no such
-    split is one block, ``[0, N]``.
+    """Edges of the finest contiguous diagonal blocks of a square matrix's
+    lower triangle, from its exact zero pattern: block j is rows and columns
+    ``edges[j]: edges[j + 1]``, and every entry of the lower triangle outside
+    the blocks is exactly zero. For a symmetric matrix these are its diagonal
+    blocks; the lower triangle is the one that a lower Cholesky factorization
+    and ``spectrum``'s reduction read. A matrix with no such split is one
+    block, ``[0, N]``.
 
     Row i's first nonzero column ``f_i`` (at most i: the diagonal counts as
     nonzero) couples it to every row from ``f_i`` on, so a block ends before
@@ -116,6 +117,18 @@ def diagonal_blocks(mat: np.ndarray) -> np.ndarray:
         return np.flatnonzero(np.insert(np.maximum.accumulate(last) == np.arange(n), 0, True))
     reach = np.minimum.accumulate(nz.argmax(axis=1)[::-1])[::-1]
     return np.flatnonzero(np.append(reach == np.arange(n), True))
+
+
+def blockwise(mat: np.ndarray, edges, block_fn) -> np.ndarray:
+    """``block_fn`` of ``mat`` where ``edges`` make one block; otherwise a
+    Fortran-ordered N x N array, zero off the diagonal blocks of ``edges``,
+    holding ``block_fn`` of each block of ``mat``."""
+    if len(edges) == 2:
+        return block_fn(mat)
+    out = np.zeros(mat.shape, order="F")
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        out[lo:hi, lo:hi] = block_fn(mat[lo:hi, lo:hi])
+    return out
 
 
 def spectrum(cov: np.ndarray, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:

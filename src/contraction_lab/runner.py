@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assumptions, posterior, quadform, rates
+from . import assumptions, posterior, rates
 from .config import ExperimentConfig, build_findim, build_plan, build_problem, build_truth
 from .errors import (ConfigError, ConfigInvariantError, ConstructionError, NumericalError,
                      ParameterError)
@@ -99,7 +99,7 @@ def _n(x):
 def _posterior_blocks(problem: InverseProblem) -> dict:
     """How many diagonal blocks each posterior precision splits into, and
     the size of the largest: the per-n factorization and eigensolve cost."""
-    sizes = np.diff(quadform.diagonal_blocks(problem.whitened_gram))
+    sizes = np.diff(problem.gram_blocks)
     return {"count": int(sizes.size), "largest": int(sizes.max())}
 
 

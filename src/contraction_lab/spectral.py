@@ -13,7 +13,7 @@ Indexing convention: coordinate k runs from 1 to N in formulas; arrays are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
@@ -22,6 +22,7 @@ from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm, dtrmv
 from scipy.linalg.lapack import dpotrf
 
+from . import quadform
 from .errors import ConstructionError, ParameterError
 from .rng import substream
 
@@ -47,15 +48,34 @@ def _read_only(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _orthonormal(q, n_dim: int, name: str) -> np.ndarray:
-    """Read-only copy of ``q``, checked to be orthonormal within ``ORTHOGONALITY_TOL``."""
+def _coupling_blocks(t: np.ndarray) -> np.ndarray:
+    """Edges of the finest diagonal blocks outside which the square ``t`` is
+    exactly zero in both triangles: a boundary of ``quadform.diagonal_blocks``
+    of both ``t`` and ``t.T``. A nonzero corner couples the first coordinate
+    to the last, so such a matrix is one block without a scan."""
+    if t[-1, 0] != 0 or t[0, -1] != 0:
+        return np.array([0, t.shape[0]])
+    return np.intersect1d(quadform.diagonal_blocks(t), quadform.diagonal_blocks(t.T))
+
+
+def _orthonormal(q, n_dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copy of ``q`` and its block edges (``_coupling_blocks``),
+    checked to be orthonormal within ``ORTHOGONALITY_TOL``. ``Q'Q`` is exactly
+    zero between different blocks, so ``||Q'Q - I||_F`` is summed over the
+    blocks."""
     q = _frozen(q)
     if q.shape != (n_dim, n_dim):
         raise ParameterError(f"{name} must be square of size n_dim")
-    err = np.linalg.norm(q.T @ q - np.eye(n_dim))
+    edges = _coupling_blocks(q)
+    err_sq = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        gram = q[lo:hi, lo:hi].T @ q[lo:hi, lo:hi]
+        gram.flat[::hi - lo + 1] -= 1.0
+        err_sq += np.linalg.norm(gram) ** 2
+    err = math.sqrt(err_sq)
     if err >= ORTHOGONALITY_TOL:
         raise ParameterError(f"{name} is not orthonormal: ||Q'Q - I||_F = {err:.3e}")
-    return q
+    return q, edges
 
 
 def _scale_rows(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -192,16 +212,21 @@ class OrthogonalCoupling:
     """Orthogonal matrix whose column j holds the j-th prior-basis vector.
 
     ``kind`` keeps read-only copies of its arrays; an explicit kind shares
-    ``t_matrix`` itself.
+    ``t_matrix`` itself. ``blocks`` (read-only) holds the edges of the finest
+    diagonal blocks outside which ``t_matrix`` is exactly zero: the seeded
+    blocks of a banded coupling, N one-row blocks for the identity, one block
+    for a dense matrix.
     """
 
     n_dim: int
     t_matrix: np.ndarray
     kind: CouplingKind
+    blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = _orthonormal(self.t_matrix, self.n_dim, "t_matrix")
+        t, blocks = _orthonormal(self.t_matrix, self.n_dim, "t_matrix")
         object.__setattr__(self, "t_matrix", t)
+        object.__setattr__(self, "blocks", _read_only(blocks))
         kind = self.kind
         if isinstance(kind, ExplicitCoupling):
             kind = ExplicitCoupling(t)
@@ -506,9 +531,20 @@ class InverseProblem:
 
     @cached_property
     def whitened_gram(self) -> np.ndarray:
-        """M^T M (read-only)."""
+        """M^T M (read-only). Diagonal noise gives M the coupling's zero
+        pattern, so the Gram is formed one coupling block at a time; dense
+        noise couples every coordinate and forms it whole."""
         m = self.whitened_forward
-        return _read_only(m.T @ m)
+        edges = [0, self.n_dim] if isinstance(self.noise, DenseNoise) else self.coupling.blocks
+        return _read_only(quadform.blockwise(m, edges, lambda b: b.T @ b))
+
+    @cached_property
+    def gram_blocks(self) -> np.ndarray:
+        """Edges of the diagonal blocks of ``whitened_gram``
+        (``quadform.diagonal_blocks``, read-only). The prior precision is
+        diagonal and ``n`` turns no zero into a nonzero, so every posterior
+        precision of the problem splits on them."""
+        return _read_only(quadform.diagonal_blocks(self.whitened_gram))
 
 
 @dataclass(frozen=True, eq=False)

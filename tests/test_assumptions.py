@@ -8,6 +8,8 @@ import pytest
 from scipy.stats import norm
 
 import contraction_lab as cl
+from contraction_lab import quadform
+from contraction_lab.assumptions import _residual_operator
 from contraction_lab.errors import ParameterError
 
 
@@ -308,6 +310,32 @@ class TestProjectionTail:
         bound = math.exp(cl.projection_log_tail_bound(prob, 3, 6, threshold))
         assert mc <= bound + 0.02
         assert bound <= 1.0
+
+    @pytest.mark.parametrize("k", [1, 16, 100, 511])
+    @pytest.mark.parametrize("r", [None, 512])
+    def test_closed_form_tail_spectrum_matches_eigensolve(self, monkeypatch, k, r):
+        """Without an e-cutoff the miss's covariance eigenvalues are the prior
+        variances from k on: the eigensolve of its covariance gives them to
+        N eps of the largest, plus k rounding-level zeros, and both spectra
+        give the same bound to 1e-12 relative. The closed form calls no
+        eigensolver."""
+        prob = banded_problem(512, seed=7)
+        a = _residual_operator(prob, k, r)
+        eig = np.linalg.eigvalsh(a.T @ a)
+        closed = np.sort(prob.prior.variances[k:])
+        tol = 512 * np.finfo(float).eps * closed.max()
+        assert np.all(np.abs(eig[k:] - closed) <= tol)
+        assert np.all(np.abs(eig[:k]) <= tol)
+        threshold = 2.0 * math.sqrt(closed.sum())
+        eig = eig[eig > 0]
+        reference = float(quadform.log_chernoff(threshold**2, eig, np.zeros((1, eig.size)))[0])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve for a closed-form spectrum")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = cl.projection_log_tail_bound(prob, k, r, threshold)
+        assert got == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("threshold, reference", [
         (1e3, -262023355.44759336), (1e6, -262023363858580.25),

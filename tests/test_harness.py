@@ -23,6 +23,7 @@ from contraction_lab.errors import (
 from contraction_lab import assumptions as assumptions_module
 from contraction_lab import posterior as posterior_module
 from contraction_lab import quadform
+from contraction_lab import runner as runner_module
 from contraction_lab.runner import EXPLORATORY_LABEL
 
 SMALL_CONFIG = """
@@ -419,6 +420,32 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         for n in names:
             assert ((tmp_path / "with" / f"{n}.csv").read_bytes()
                     == (tmp_path / "without" / f"{n}.csv").read_bytes())
+
+    def test_gram_partition_found_once_per_problem(self, monkeypatch):
+        """Every factorization of a problem (one per n and pipeline) and the
+        provenance of both pipelines share one zero-pattern scan of the
+        whitened Gram, cached on the problem."""
+        problems, scanned = [], []
+        build, scan = runner_module.build_problem, quadform.diagonal_blocks
+
+        def capturing_build(config):
+            problems.append(build(config))
+            return problems[-1]
+
+        def counting_scan(mat):
+            scanned.append(mat)
+            return scan(mat)
+
+        monkeypatch.setattr(runner_module, "build_problem", capturing_build)
+        monkeypatch.setattr(quadform, "diagonal_blocks", counting_scan)
+        config = cl.parse_config(SMALL_CONFIG.replace("coupling: {kind: identity}",
+                                                      "coupling: {kind: banded}"))
+        record = cl.run_experiment(config, pipelines=["posterior", "rate-fit"])
+        assert not record.failures, record.failures
+        assert problems
+        for prob in problems:
+            assert sum(mat is prob.whitened_gram for mat in scanned) == 1
+            assert prob.gram_blocks.size > 2
 
     def test_posterior_pipeline_factors_once_per_n(self, monkeypatch):
         """One factorization per n: the Cholesky of the precision, shared by

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.stats import norm
 
 import contraction_lab as cl
 from contraction_lab import posterior, quadform, rates
-from contraction_lab.config import build_problem
+from contraction_lab.config import build_problem, build_truth
 from contraction_lab.errors import NumericalError, ParameterError
 from contraction_lab.rng import substream
 from contraction_lab.spectral import forward_apply
@@ -405,7 +406,9 @@ def _assert_routes_agree(factor, u0, ys):
     radii = rates._posterior_radii(factor, u0, 0.1, ys)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadform, "diagonal_blocks", lambda mat: np.array([0, mat.shape[0]]))
-        twin = cl.factor_posterior(factor.problem, factor.n_level)
+        precision = cl.posterior_precision(factor.problem, factor.n_level)
+        twin = posterior.PosteriorFactor(factor.problem, factor.n_level,
+                                         np.asfortranarray(cl.cholesky_with_jitter(precision)))
         ref_lam, ref_c = twin.covariance_spectrum(d)
         ref_radii = rates._posterior_radii(twin, u0, 0.1, ys)
     assert twin.blocks.size == 2
@@ -478,6 +481,91 @@ class TestBlockRoute:
         with pytest.raises(NumericalError) as err:
             cl.cholesky_with_jitter(mat, edges)
         assert err.value.condition_number == float(np.linalg.cond(mat))
+
+
+def _default_banded():
+    config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
+                                                     "coupling": {"kind": "banded"}}}))
+    return config, build_problem(config), build_truth(config)
+
+
+class TestInPlaceSampling:
+    """``distances`` applies the block-triangular sampling factor to the
+    draws one diagonal block at a time, in place."""
+
+    def test_default_banded_matches_dense_product(self):
+        """At all five n of the default banded config: within 1e-15 relative
+        of ``(mean - u0) + cov_factor @ z``, with the same exceedance counts
+        at the posterior pipeline's default radii."""
+        config, prob, u0 = _default_banded()
+        for i, n in enumerate(config.run["n_grid"]):
+            post = cl.factor_posterior(prob, n).condition(cl.simulate_data(prob, u0, n, i).y)
+            assert np.array_equal(post.blocks, prob.gram_blocks) and post.blocks.size > 2
+            z = np.random.default_rng(i).standard_normal((512, 2000))
+            ref = np.linalg.norm((post.mean - u0)[:, None] + post.cov_factor @ z, axis=0)
+            dist = post.distances(u0, z)
+            assert np.all(np.abs(dist - ref) <= 1e-15 * ref)
+            scale = math.sqrt(float(np.sum(post.cov_factor**2)))
+            for xi in (0.5 * scale, scale, 2.0 * scale, 4.0 * scale):
+                assert np.count_nonzero(dist > xi) == np.count_nonzero(ref > xi)
+
+    def test_draws_are_overwritten_without_a_second_array(self):
+        """The squared deviations end up in ``z`` itself, and the call
+        allocates far less than one (N, count) array; a Fortran-ordered ``z``
+        is copied and left as it was."""
+        config, prob, u0 = _default_banded()
+        post = cl.factor_posterior(prob, 1e4).condition(cl.simulate_data(prob, u0, 1e4, 0).y)
+        z = np.random.default_rng(0).standard_normal((512, 2000))
+        tracemalloc.start()
+        try:
+            dist = post.distances(u0, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < z.nbytes / 16
+        assert np.array_equal(np.sqrt(np.add.reduce(z, axis=0)), dist)
+        fortran = np.asfortranarray(np.random.default_rng(1).standard_normal((512, 50)))
+        before = fortran.copy()
+        post.distances(u0, fortran)
+        assert np.array_equal(fortran, before)
+        with pytest.raises(ParameterError, match="count"):
+            post.distances(u0, np.ones(512))
+
+    def test_factor_outside_its_pattern_rejected(self):
+        """Only an upper-triangular factor that is zero off its blocks is
+        accepted, and the check makes no N x N temporary."""
+        rng = np.random.default_rng(3)
+        upper = np.triu(rng.uniform(0.5, 1.0, (6, 6)))
+        edges = np.array([0, 2, 6])
+        split = upper.copy()
+        split[:2, 2:] = 0.0
+        cl.PosteriorGaussian(np.zeros(6), upper, 1.0)
+        cl.PosteriorGaussian(np.zeros(6), split, 1.0, blocks=edges)
+        with pytest.raises(ParameterError, match="upper-triangular"):
+            cl.PosteriorGaussian(np.zeros(6), upper.T.copy(), 1.0)
+        with pytest.raises(ParameterError, match="outside its blocks"):
+            cl.PosteriorGaussian(np.zeros(6), upper, 1.0, blocks=edges)
+        for bad in ([0, 6, 2], [0, 2, 5], [1, 6]):
+            with pytest.raises(ParameterError, match="blocks"):
+                cl.PosteriorGaussian(np.zeros(6), split, 1.0, blocks=bad)
+        for row, col, rows in ((5, 0, "2:6"), (3, 2, "2:6"), (0, 5, "0:2"), (1, 3, "0:2")):
+            bad = split.copy()
+            bad[row, col] = 1e-300
+            with pytest.raises(ParameterError, match=f"rows {rows}"):
+                cl.PosteriorGaussian(np.zeros(6), bad, 1.0, blocks=edges)
+        big = np.triu(rng.uniform(0.5, 1.0, (512, 512)))
+        for row, col in ((100, 70), (100, 10), (127, 126), (64, 63), (511, 0)):
+            bad = big.copy()
+            bad[row, col] = 1.0
+            with pytest.raises(ParameterError, match="upper-triangular"):
+                cl.PosteriorGaussian(np.zeros(512), bad, 1.0)
+        tracemalloc.start()
+        try:
+            cl.PosteriorGaussian(np.zeros(512), big, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes / 16
 
 
 def _banded_problem(n_dim, delta):

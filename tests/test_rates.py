@@ -191,14 +191,15 @@ class TestFitContractionRate:
         """The block twin of the count above: on a banded coupling, each n
         reduces each diagonal block once, in the partition's order, and the
         reflectors of a block of b > 1 rows meet its trailing (b - 1, R) rows.
-        The draws and the one mean solve per n are unchanged."""
+        The draws are unchanged, and the mean solve also goes block by block:
+        one solve of a (b, R) right-hand side per block per n."""
         prob = _small_problem(24, cl.BandedCoupling())
         sizes = np.diff(quadform.diagonal_blocks(prob.whitened_gram))
         assert sizes.size > 1 and sizes.max() > 1
         grid = [1e2, 1e3, 1e4, 1e5]
         draws, solves, reductions, reflections = self._count_fit(monkeypatch, prob, grid, 3)
         assert draws == [n for n in grid for _ in range(3)]
-        assert solves == [(24, 3)] * 4
+        assert solves == [(b, 3) for b in sizes] * 4
         assert reductions == [(b, b) for b in sizes] * 4
         assert set(reflections) == {(b - 1, 3) for b in sizes if b > 1}
 

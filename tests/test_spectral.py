@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contraction_lab as cl
+from contraction_lab import quadform, spectral
 from contraction_lab.errors import ConstructionError, ParameterError
+from contraction_lab.rng import substream
 
 
 def identity_problem(n_dim=4, alpha=1.0, delta=1.0):
@@ -120,6 +122,110 @@ class TestCouplings:
     def test_infeasible_band_pattern(self):
         with pytest.raises(ConstructionError):
             cl.make_coupling(cl.BandedCoupling(0.5, 0.9), 8)
+
+
+def _hilbert_coupling(n_dim):
+    spec = cl.make_spectrum(cl.MildFamily(1.0), n_dim)
+    return cl.hilbert_scale_prior(spec, 1.0, 2.0, cl.random_spd(n_dim, seed=2, scale=0.2))[0]
+
+
+class TestCouplingBlocks:
+    """A coupling finds its diagonal blocks once, from the exact zero pattern
+    of T in both triangles, and checks orthonormality block by block."""
+
+    @pytest.mark.parametrize("n_dim,seed", [(16, 0), (128, 2), (512, 7)])
+    def test_banded_blocks_are_the_seeded_partition(self, n_dim, seed):
+        coupling = cl.make_coupling(cl.BandedCoupling(), n_dim, seed=seed)
+        made = spectral._banded_blocks(n_dim, 1 / 3, 2.0, substream(seed, "banded-coupling"))
+        assert np.array_equal(coupling.blocks, [0] + [b for _, b in made])
+        with pytest.raises(ValueError, match="read-only"):
+            coupling.blocks[0] = 1
+
+    def test_identity_and_dense_kinds(self):
+        assert np.array_equal(cl.make_coupling(cl.IdentityCoupling(), 5).blocks, np.arange(6))
+        reflect = cl.make_coupling(cl.ReflectionCoupling(np.array([1.0, 0.0, 0.0])), 3)
+        assert np.array_equal(reflect.blocks, [0, 1, 2, 3])
+        skew = np.triu(np.ones((6, 6)), 1)
+        for coupling in (cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 9.0)), 8),
+                         cl.make_coupling(cl.ExpSkewCoupling(skew - skew.T), 6),
+                         _hilbert_coupling(32)):
+            assert np.array_equal(coupling.blocks, [0, coupling.n_dim])
+
+    def test_both_triangles_count(self):
+        """An entry above the diagonal joins blocks as one below it does,
+        even one small enough to pass the orthonormality tolerance."""
+        t = np.eye(4)
+        t[[0, 0, 1, 1], [0, 1, 0, 1]] = [0.6, 0.8, -0.8, 0.6]  # rotation, rows 0:2
+        assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(t), 4).blocks, [0, 2, 3, 4])
+        p = np.eye(4)[[0, 3, 2, 1]]  # swaps coordinates 1 and 3
+        assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(p), 4).blocks, [0, 1, 4])
+        for row, col, edges in ((1, 3, [0, 1, 4]), (0, 2, [0, 3, 4])):
+            t = np.eye(4)
+            t[row, col] = 1e-12  # above the diagonal; its transpose has it below
+            for mat in (t, t.T):
+                assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(mat), 4).blocks, edges)
+
+    def test_dense_coupling_skips_the_scan(self, monkeypatch):
+        """A nonzero corner makes T one block with no zero-pattern scan."""
+        def refuse(mat):
+            raise AssertionError("zero-pattern scan of a dense coupling")
+
+        monkeypatch.setattr(quadform, "diagonal_blocks", refuse)
+        assert np.array_equal(_hilbert_coupling(64).blocks, [0, 64])
+        refl = cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64)
+        assert np.array_equal(refl.blocks, [0, 64])
+
+    @pytest.mark.parametrize("block", [0, 3, 7])
+    def test_bad_block_rejected_with_the_whole_matrix_error(self, block):
+        coupling = cl.make_coupling(cl.BandedCoupling(), 128, seed=2)
+        lo, hi = coupling.blocks[block], coupling.blocks[block + 1]
+        t = coupling.t_matrix.copy()
+        t[lo:hi, lo:hi] *= 1.0 + 1e-6
+        err = np.linalg.norm(t.T @ t - np.eye(128))
+        with pytest.raises(ParameterError, match=f"{err:.3e}"):
+            cl.make_coupling(cl.ExplicitCoupling(t), 128)
+
+    def test_orthonormal_kinds_pass(self):
+        rng = np.random.default_rng(1)
+        for coupling in (cl.make_coupling(cl.BandedCoupling(), 257, seed=3),
+                         cl.make_coupling(cl.IdentityCoupling(), 64),
+                         cl.make_coupling(cl.ReflectionCoupling(rng.standard_normal(64)), 64),
+                         _hilbert_coupling(64)):
+            t = coupling.t_matrix
+            assert np.linalg.norm(t.T @ t - np.eye(coupling.n_dim)) < spectral.ORTHOGONALITY_TOL
+
+
+class TestBlockGram:
+    """With diagonal noise the whitened Gram is formed one coupling block at
+    a time; dense noise forms it whole."""
+
+    def test_banded_gram_matches_dense_product(self):
+        n = 512
+        prob = cl.InverseProblem(cl.make_spectrum(cl.MildFamily(1.0), n),
+                                 cl.make_coupling(cl.BandedCoupling(), n, seed=5),
+                                 cl.power_law_prior(1.0, n),
+                                 cl.diagonal_noise(np.linspace(0.5, 2.0, n), n), n)
+        gram, m = prob.whitened_gram, prob.whitened_forward
+        ref = m.T @ m
+        assert np.abs(gram - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.array_equal(gram, gram.T)
+        inside = np.zeros((n, n), dtype=bool)
+        for lo, hi in zip(prob.coupling.blocks[:-1], prob.coupling.blocks[1:]):
+            inside[lo:hi, lo:hi] = True
+        assert prob.coupling.blocks.size > 2 and not np.any(gram[~inside])
+        assert np.array_equal(prob.gram_blocks, prob.coupling.blocks)
+
+    @pytest.mark.parametrize("noise", ["colored", "dense"])
+    def test_dense_noise_gram_is_bit_equal(self, noise):
+        n = 64
+        spec = cl.make_spectrum(cl.MildFamily(1.0), n)
+        cov = cl.random_spd(n, seed=4, scale=0.2)
+        measure = (cl.colored_noise(spec, 0.5, cov) if noise == "colored"
+                   else cl.dense_noise(cov))
+        prob = cl.InverseProblem(spec, cl.make_coupling(cl.BandedCoupling(), n, seed=3),
+                                 cl.power_law_prior(1.0, n), measure, n)
+        m = prob.whitened_forward
+        assert np.array_equal(prob.whitened_gram, m.T @ m)
 
 
 class TestMeasures:
