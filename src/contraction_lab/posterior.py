@@ -10,8 +10,10 @@ module's oracle-equivalence property.
 The conjugate posterior factorizes over independent blocks of coordinates:
 where the whitened Gram is block-diagonal (a banded coupling), so is every
 posterior precision, and its Cholesky factor, triangular inverse, mean
-solve, covariance eigensolve and the product of the sampling factor with
-the draws are taken one diagonal block at a time.
+solve, covariance and its eigensolve and the product of the sampling factor
+with the draws are taken one diagonal block at a time. Each N x N array on
+the way exists once: the precision is factored in place, and the covariance
+comes from the factor one block at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
 from . import quadform
 from .errors import NumericalError, ParameterError
@@ -34,34 +36,77 @@ JITTER_DOUBLINGS = 3
 
 
 def cholesky_with_jitter(mat: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
-    """Lower Cholesky factor, escalating a scaled-identity jitter on failure.
+    """Lower Cholesky factor of the symmetric ``mat``, escalating a
+    scaled-identity jitter on failure.
 
-    Starts at 1e-12 * ||mat||_F and doubles at most ``JITTER_DOUBLINGS`` times.
-    ``blocks`` (edges as ``quadform.diagonal_blocks`` returns them) splits a
-    block-diagonal ``mat``: each diagonal block is factored on its own into a
-    Fortran-ordered factor, and a jitter, still scaled by the whole matrix,
-    shifts every block. One block (or None) factors the whole array.
+    LAPACK dpotrf factors ``mat`` in place when it is a writeable
+    Fortran-ordered float array, and a copy of it otherwise; either way the
+    factor comes back Fortran-ordered, with its strict upper triangle zeroed.
+    The jitter starts at 1e-12 * ||mat||_F and doubles at most
+    ``JITTER_DOUBLINGS`` times. A failed attempt has overwritten part of the
+    lower triangle, so before a retry it is restored from the untouched upper
+    triangle, which equals it in a symmetric ``mat``, and from the saved
+    diagonal: every attempt factors ``mat + jitter I`` itself. ``blocks``
+    (edges as ``quadform.diagonal_blocks`` returns them) splits a
+    block-diagonal ``mat``: each diagonal block is factored on its own, and a
+    jitter, still scaled by the whole matrix, shifts every block. One block
+    (or None) factors the whole array.
     """
+    mat = np.require(mat, dtype=float, requirements=["F", "W"])
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ParameterError(f"Cholesky needs a square matrix, got shape {mat.shape}")
     edges = _edges(blocks, mat.shape[0])
-    try:
-        return _block_cholesky(mat, edges, 0.0)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * np.linalg.norm(mat)
-    for _ in range(JITTER_DOUBLINGS + 1):
-        try:
-            return _block_cholesky(mat, edges, jitter)
-        except np.linalg.LinAlgError:
-            jitter *= 2.0
+    diag = np.diagonal(mat).copy()
+    jitter = 0.0
+    for attempt in range(JITTER_DOUBLINGS + 2):  # unjittered, then each jitter
+        if jitter:
+            np.fill_diagonal(mat, diag + jitter)
+        if _block_cholesky(mat, edges):
+            return mat
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            _set_upper(mat[lo:hi, lo:hi].T)
+        np.fill_diagonal(mat, diag)
+        jitter = 1e-12 * np.linalg.norm(mat) if attempt == 0 else 2.0 * jitter
     raise NumericalError("Cholesky failed after jitter escalation",
                          condition_number=float(np.linalg.cond(mat)))
 
 
-def _block_cholesky(mat: np.ndarray, edges: np.ndarray, jitter: float) -> np.ndarray:
-    """Cholesky factor of ``mat + jitter I``; raises ``LinAlgError`` where a
-    block is not positive definite."""
-    return quadform.blockwise(mat, edges, lambda b: np.linalg.cholesky(
-        b + jitter * np.eye(b.shape[0]) if jitter else b))
+def _block_cholesky(mat: np.ndarray, edges: np.ndarray) -> bool:
+    """Factor each diagonal block of the Fortran-ordered ``mat`` in place
+    and zero the strict upper triangles; False, with the upper triangles
+    untouched, where a block is not positive definite."""
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = mat[lo:hi, lo:hi]
+        factor, info = dpotrf(block, lower=1, clean=0, overwrite_a=1)
+        if info:
+            return False
+        if not np.may_share_memory(factor, block):  # a strided block is factored in a copy
+            block[...] = factor
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        _set_upper(mat[lo:hi, lo:hi], zero=True)
+    return True
+
+
+# Columns per panel of ``_set_upper``.
+_PANEL = 64
+
+
+def _set_upper(a: np.ndarray, zero: bool = False) -> np.ndarray:
+    """Overwrite the strict upper triangle of the square ``a`` in place with
+    the transpose of its strict lower one, or with zeros when ``zero``, a
+    panel of columns at a time, so no N x N temporary is made. On ``a.T``
+    it restores the lower triangle from the upper one."""
+    for j in range(0, a.shape[0], _PANEL):
+        k = min(j + _PANEL, a.shape[0])
+        upper = np.triu_indices(k - j, 1)
+        square = a[j:k, j:k]
+        if zero:
+            a[:j, j:k] = 0.0
+            square[upper] = 0.0
+        else:
+            a[:j, j:k] = a[j:k, :j].T
+            square[upper] = square.T[upper]
+    return a
 
 
 def _edges(blocks, n_dim: int) -> np.ndarray:
@@ -148,8 +193,18 @@ def _potential_batch(problem: InverseProblem, w_y: np.ndarray, u_rows: np.ndarra
 
 
 def posterior_precision(problem: InverseProblem, n_level: float) -> np.ndarray:
-    """Posterior precision: prior precision plus ``n`` times the whitened Gram."""
-    return np.diag(1.0 / problem.prior.variances) + n_level * problem.whitened_gram
+    """Posterior precision: prior precision plus ``n`` times the whitened
+    Gram, as a new Fortran-ordered array that ``cholesky_with_jitter`` factors
+    in place. Each diagonal block of ``problem.gram_blocks`` is written
+    straight into it, in the Gram's own (Fortran) memory order; it is zero
+    off them."""
+    gram, edges = problem.whitened_gram, problem.gram_blocks
+    out = np.zeros(gram.shape, order="F")
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.multiply(gram[lo:hi, lo:hi], n_level, out=out[lo:hi, lo:hi])
+    diag = np.arange(problem.n_dim)
+    out[diag, diag] += 1.0 / problem.prior.variances
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,12 +215,12 @@ class PosteriorFactor:
     The precision is block-diagonal on ``blocks`` (edges, as
     ``quadform.diagonal_blocks`` returns them; None means one block), and the
     coordinates of different blocks are independent a posteriori. Its
-    Cholesky factor L, factored block by block, is the only factorization;
-    its triangular inverse, formed on first use block by block, gives the
-    upper-triangular sampling factor ``L^{-T}`` and the covariance ``L^{-T}
-    L^{-1}`` whose blocks ``covariance_spectrum`` decomposes. L and its
-    inverse are full N x N, Fortran-ordered and read-only: every conditioned
-    posterior shares them."""
+    Cholesky factor L, factored block by block, is the only factorization.
+    ``covariance_spectrum`` takes each block of the covariance ``L^{-T}
+    L^{-1}`` from L by LAPACK dpotri; the triangular inverse, which gives the
+    upper-triangular sampling factor ``L^{-T}``, is formed only for sampling,
+    on first use, block by block. L and its inverse are full N x N,
+    Fortran-ordered and read-only: every conditioned posterior shares them."""
 
     problem: InverseProblem
     n_level: float
@@ -179,9 +234,10 @@ class PosteriorFactor:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
         (N, R) block of R data draws with one mean per column, which costs
         one matrix product and, per diagonal block, one triangular solve pair
-        for all of them."""
+        for all of them. The right-hand side ``n M^T W y`` (W the whitening
+        root) comes from ``problem.whitened_adjoint``, so M is not formed."""
         y = self._block(y, "y")
-        rhs = self.n_level * (self.problem.whitened_forward.T @ self.problem.noise_whiten(y))
+        rhs = self.n_level * self.problem.whitened_adjoint(self.problem.noise_whiten(y))
         for lo, hi in zip(self.blocks[:-1], self.blocks[1:]):
             rhs[lo:hi] = cho_solve((self._precision_chol[lo:hi, lo:hi], True), rhs[lo:hi])
         return rhs
@@ -207,11 +263,24 @@ class PosteriorFactor:
         inv.flags.writeable = False
         return inv
 
+    def _covariance(self, lo: int, hi: int) -> np.ndarray:
+        """Block ``lo:hi`` of the covariance ``L^{-T} L^{-1}`` as a new
+        Fortran-ordered array: dpotri on a copy of L's block, whose lower
+        triangle is then mirrored onto the upper one, so the block is exactly
+        symmetric."""
+        cov, info = dpotri(np.array(self._precision_chol[lo:hi, lo:hi], order="F"),
+                           lower=1, overwrite_c=1)
+        if info:
+            raise NumericalError(f"LAPACK dpotri failed with info = {info} on the posterior "
+                                 f"covariance at n_level = {float(self.n_level)!r}, rows {lo}:{hi}")
+        return _set_upper(cov)
+
     def covariance_spectrum(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)
         V^T`` and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
-        without forming the eigenvectors V (``quadform.spectrum``, one
-        diagonal block at a time).
+        without forming the eigenvectors V (``quadform.block_spectrum``, one
+        diagonal block at a time). Each block of C is formed from L only when
+        it is decomposed, and reduced in place.
 
         The covariance, not the precision, is decomposed: the precision's
         condition number reaches 6.7e27 on a mildly ill-posed problem with
@@ -219,22 +288,17 @@ class PosteriorFactor:
         eigenvalues that dominate posterior radii.
         """
         d = self._block(d, "d")
-        # numpy forms ``A.T @ A`` by a symmetric rank-k update: exactly
-        # symmetric, so its Fortran-ordered transpose is the same matrix and
-        # LAPACK reduces a one-block covariance in place without a copy.
-        return quadform.spectrum(
-            quadform.blockwise(self._chol_inv, self.blocks, lambda b: (b.T @ b).T),
-            d, f"posterior covariance at n_level = {float(self.n_level)!r}")
+        return quadform.block_spectrum(self.blocks, self._covariance, d,
+                                       f"posterior covariance at n_level = {float(self.n_level)!r}")
 
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
     """Factor the conjugate posterior at noise level ``n_level`` once; the
-    result conditions on any number of data draws."""
+    result conditions on any number of data draws. The precision is built
+    Fortran-ordered and factored in place, the layout LAPACK's solves read
+    without a copy."""
     blocks = problem.gram_blocks
-    # Fortran order: LAPACK's solve would otherwise copy the factor on every
-    # call, which costs three times the solve itself at N = 512.
-    p_chol = np.asfortranarray(cholesky_with_jitter(posterior_precision(problem, n_level),
-                                                    blocks))
+    p_chol = cholesky_with_jitter(posterior_precision(problem, n_level), blocks)
     p_chol.flags.writeable = False
     return PosteriorFactor(problem, n_level, p_chol, blocks)
 

@@ -136,21 +136,35 @@ def spectrum(cov: np.ndarray, d: np.ndarray, what: str) -> tuple[np.ndarray, np.
     V diag(lam) V^T`` and the projections ``V^T d`` of an (N,) or (N, R)
     block ``d``, without forming the eigenvectors V.
 
-    ``cov`` is split into its diagonal blocks (``diagonal_blocks``), and each
-    block is decomposed on its own by ``_tridiagonal_spectrum``, with its
-    rows named in errors; one block is decomposed in place, as the whole
-    array. The eigenvalues are merged in ascending order by a stable sort,
-    and the projection rows follow them.
+    ``cov`` is split into its diagonal blocks (``diagonal_blocks``) and
+    handed to ``block_spectrum``, a Fortran-ordered copy of each block; one
+    block is decomposed in place, as the whole array.
     """
     edges = diagonal_blocks(cov)
     if edges.size == 2:
         return _tridiagonal_spectrum(cov, d, what)
-    n = cov.shape[0]
+    return block_spectrum(edges, lambda lo, hi: np.array(cov[lo:hi, lo:hi], order="F"), d, what)
+
+
+def block_spectrum(edges, block, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``spectrum`` of a covariance that is zero off its diagonal blocks
+    ``edges``, whose block ``lo:hi`` the call ``block(lo, hi)`` returns as a
+    new, exactly symmetric Fortran-ordered array.
+
+    Each block is made only when it is decomposed by
+    ``_tridiagonal_spectrum``, which reduces it in place and frees it before
+    the eigensolve; more than one block names its rows in errors. The
+    eigenvalues are merged in ascending order by a stable sort, and the
+    projection rows follow them.
+    """
+    n = int(edges[-1])
+    if len(edges) == 2:
+        return _tridiagonal_spectrum(block(0, n), d, what)
     lam = np.empty(n)
     proj = np.array(d.reshape(n, -1))
     for lo, hi in zip(edges[:-1], edges[1:]):
-        lam[lo:hi], proj[lo:hi] = _tridiagonal_spectrum(
-            np.array(cov[lo:hi, lo:hi], order="F"), proj[lo:hi], f"{what}, rows {lo}:{hi}")
+        lam[lo:hi], proj[lo:hi] = _tridiagonal_spectrum(block(lo, hi), proj[lo:hi],
+                                                        f"{what}, rows {lo}:{hi}")
     order = np.argsort(lam, kind="stable")
     return lam[order], proj[order].reshape(d.shape)
 
@@ -177,8 +191,11 @@ def _tridiagonal_spectrum(cov: np.ndarray, d: np.ndarray,
     proj = np.array(d.reshape(n, -1))
     if n > 1:
         # A lower reduction leaves row 0 alone; its reflectors are the QR
-        # factor of the trailing (N - 1) block.
-        refl = np.asfortranarray(tri[1:, :-1])
+        # factor of the trailing (N - 1) rows of the first N - 1 columns.
+        # dormqr reads them in place through an (N, N - 1) Fortran view that
+        # starts at tri[1, 0] with leading dimension N: it reads the first
+        # N - 1 rows of each column, never the last (the next column's row 0).
+        refl = np.ndarray((n, n - 1), buffer=tri.T, offset=tri.itemsize, order="F")
         _, work, info = dormqr("L", "T", refl, tau, proj[1:], -1)
         _lapack_ok("dormqr", info, what)
         proj[1:], _, info = dormqr("L", "T", refl, tau, proj[1:], int(work[0]))

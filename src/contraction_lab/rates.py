@@ -190,11 +190,11 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     g_u0 = forward_apply(problem, u0)
     xi_hat, exceed_frac = [], []
     for i, n in enumerate(n_grid):
-        factor = factor_posterior(problem, n)
         ys = np.column_stack([_replicate_distances(problem, g_u0, n,
                                                    substream(seed, "rate-fit", i, rep))
                               for rep in range(y_replicates)])
-        radii = _posterior_radii(factor, u0, delta_level, ys)
+        # No name holds the factor, so it is freed before the next n's.
+        radii = _posterior_radii(factor_posterior(problem, n), u0, delta_level, ys)
         radii.sort()
         xi_hat.append(float(radii[rank - 1]))
         exceed_frac.append(np.count_nonzero(radii <= radii[rank - 1]) / y_replicates)

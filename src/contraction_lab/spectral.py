@@ -73,7 +73,7 @@ def _orthonormal(q, n_dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
         gram.flat[::hi - lo + 1] -= 1.0
         err_sq += np.linalg.norm(gram) ** 2
     err = math.sqrt(err_sq)
-    if err >= ORTHOGONALITY_TOL:
+    if not err < ORTHOGONALITY_TOL:  # a NaN entry makes err NaN, which fails too
         raise ParameterError(f"{name} is not orthonormal: ||Q'Q - I||_F = {err:.3e}")
     return q, edges
 
@@ -461,14 +461,19 @@ def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
 
 
 def random_spd(n_dim: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Diagonally dominant random SPD matrix with spectral norm <= 2*scale."""
+    """Diagonally dominant random SPD matrix with spectral norm <= 2*scale:
+    ``scale * (I + S / (1.05 ||S||_2))`` for the symmetric part S of a
+    seeded Gaussian draw, built in the draw's own array."""
     rng = substream(seed, "spd")
     s = rng.standard_normal((n_dim, n_dim))
-    s = 0.5 * (s + s.T)
+    s += s.T
+    s *= 0.5
     norm = np.abs(np.linalg.eigvalsh(s)).max()
     if norm > 0:
-        s = s / (1.05 * norm)
-    return scale * (np.eye(n_dim) + s)
+        s /= 1.05 * norm
+    s.flat[::n_dim + 1] += 1.0
+    s *= scale
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +531,32 @@ class InverseProblem:
     @cached_property
     def whitened_forward(self) -> np.ndarray:
         """M = zeta^(-1/2) G T, the whitened forward map on phi-coordinates
-        (read-only)."""
-        return _read_only(self.noise_whiten(self.operator.rho[:, None] * self.coupling.t_matrix))
+        (read-only). Held only once read: the posterior needs only
+        ``whitened_gram`` and ``whitened_adjoint``, which do without it."""
+        return _read_only(self._forward_map())
+
+    def _forward_map(self) -> np.ndarray:
+        return self.noise_whiten(self.operator.rho[:, None] * self.coupling.t_matrix)
+
+    def whitened_adjoint(self, x: np.ndarray) -> np.ndarray:
+        """``M^T x = T^T (rho * zeta^(-1/2) x)`` for a vector or the columns
+        of a block, from the arrays the problem holds: the whitening root is
+        symmetric, so M is never formed."""
+        return self.coupling.t_matrix.T @ _scale_rows(self.noise_whiten(x), self.operator.rho)
 
     @cached_property
     def whitened_gram(self) -> np.ndarray:
-        """M^T M (read-only). Diagonal noise gives M the coupling's zero
-        pattern, so the Gram is formed one coupling block at a time; dense
-        noise couples every coordinate and forms it whole."""
-        m = self.whitened_forward
+        """M^T M (read-only and Fortran-ordered), from ``whitened_forward``
+        when it is held and otherwise from a temporary M. numpy forms ``B^T
+        B`` by a symmetric rank-k update, so the product is exactly symmetric
+        and its Fortran-ordered transpose is the same matrix. Diagonal noise gives M the coupling's
+        zero pattern, so the Gram is formed one coupling block at a time;
+        dense noise couples every coordinate and forms it whole."""
+        m = vars(self).get("whitened_forward")
+        if m is None:
+            m = self._forward_map()
         edges = [0, self.n_dim] if isinstance(self.noise, DenseNoise) else self.coupling.blocks
-        return _read_only(quadform.blockwise(m, edges, lambda b: b.T @ b))
+        return _read_only(quadform.blockwise(m, edges, lambda b: (b.T @ b).T))
 
     @cached_property
     def gram_blocks(self) -> np.ndarray:

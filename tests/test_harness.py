@@ -447,6 +447,27 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
             assert sum(mat is prob.whitened_gram for mat in scanned) == 1
             assert prob.gram_blocks.size > 2
 
+    def test_posterior_pipelines_leave_forward_map_uncached(self, monkeypatch):
+        """A posterior or rate-fit invocation on a dense problem never holds
+        the whitened forward map M: the Gram forms it as a temporary and the
+        posterior mean goes through ``whitened_adjoint``."""
+        problems = []
+        build = runner_module.build_problem
+
+        def capturing_build(config):
+            problems.append(build(config))
+            return problems[-1]
+
+        monkeypatch.setattr(runner_module, "build_problem", capturing_build)
+        config = cl.parse_config(SMALL_CONFIG.replace(
+            "prior: {family: power, delta: 1.0}",
+            "prior: {family: hilbert_scale, t: 1.0, l: 2.0}\n  noise: {kind: colored, r: 0.5}"))
+        record = cl.run_experiment(config, pipelines=["posterior", "rate-fit"])
+        assert not record.failures, record.failures
+        assert problems
+        for prob in problems:
+            assert "whitened_gram" in vars(prob) and "whitened_forward" not in vars(prob)
+
     def test_posterior_pipeline_factors_once_per_n(self, monkeypatch):
         """One factorization per n: the Cholesky of the precision, shared by
         the data conditioning and the xi grid; the covariance factor is its

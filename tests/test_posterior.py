@@ -328,6 +328,15 @@ class TestPosteriorFactor:
             factor.covariance_spectrum(np.ones(4))
 
 
+    def test_dpotri_failure_raises_numerical_error(self, monkeypatch):
+        """The covariance block's LAPACK call is checked like the kernel's."""
+        original = posterior.dpotri
+        monkeypatch.setattr(posterior, "dpotri", lambda *a, **k: (original(*a, **k)[0], 2))
+        factor = cl.factor_posterior(random_problem(0, n_dim=4), 50.0)
+        with pytest.raises(NumericalError, match=r"dpotri failed .* n_level = 50.0, rows 0:4"):
+            factor.covariance_spectrum(np.ones(4))
+
+
 class TestCovarianceSpectrum:
     """The projected kernel: covariance eigenvalues and ``V^T d`` without V."""
 
@@ -585,3 +594,130 @@ class TestSnisExceedance:
     def test_non_finite_log_weights_rejected(self):
         with pytest.raises(NumericalError):
             cl.snis_exceedance(np.array([0.0, np.nan]), np.zeros(2), 1.0)
+
+
+def _dense_hilbert(n_dim):
+    """A Hilbert-scale prior with colored noise: every matrix of the
+    posterior path is one dense block."""
+    config = cl.parse_config(json.dumps({"problem": {
+        "n_dim": n_dim, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+        "noise": {"kind": "colored", "r": 0.5}}}))
+    return config, build_problem(config), build_truth(config)
+
+
+class TestInPlaceCholesky:
+    """``cholesky_with_jitter`` factors a writeable Fortran-ordered argument
+    in place with LAPACK dpotrf, bit for bit as ``np.linalg.cholesky`` does,
+    and copies any other argument first."""
+
+    def test_overwrites_only_writeable_fortran_input(self):
+        precision = cl.posterior_precision(random_problem(1, n_dim=30), 1e3)
+        assert precision.flags.f_contiguous and precision.flags.writeable
+        ref = scipy.linalg.cholesky(precision, lower=True)
+        read_only = precision.copy(order="F")
+        read_only.flags.writeable = False
+        for arr in (np.ascontiguousarray(precision), read_only):
+            before = arr.copy()
+            out = cl.cholesky_with_jitter(arr)
+            assert np.array_equal(arr, before) and not np.shares_memory(out, arr)
+            assert out.flags.f_contiguous and np.array_equal(out, ref)
+        out = cl.cholesky_with_jitter(precision)
+        assert out is precision and np.array_equal(precision, ref)
+
+    @pytest.mark.parametrize("kind", ["banded", "dense"])
+    def test_matches_numpy_bit_for_bit(self, kind):
+        """At every n of the default banded config (block by block, and as
+        one block) and of a dense Hilbert-scale problem at N = 256."""
+        config, prob, _ = _default_banded() if kind == "banded" else _dense_hilbert(256)
+        edges = prob.gram_blocks
+        assert (edges.size > 2) == (kind == "banded")
+        for n in config.run["n_grid"]:
+            precision = cl.posterior_precision(prob, n)
+            ref = quadform.blockwise(precision, edges, np.linalg.cholesky)
+            assert np.array_equal(cl.factor_posterior(prob, n)._precision_chol, ref)
+            assert np.array_equal(cl.cholesky_with_jitter(precision.copy(order="F")),
+                                  np.linalg.cholesky(precision))
+
+    def test_jittered_retry_after_failed_in_place_attempt(self):
+        """A matrix whose smallest eigenvalue is -1.5e-12 ||mat||_F fails
+        unjittered and at the first jitter. The in-place factor at the next
+        jitter equals the factor of a fresh array holding the shifted matrix,
+        which factors at the first attempt, and the factor of a C-ordered
+        copy, so each failed attempt was undone exactly."""
+        b = np.random.default_rng(5).standard_normal((40, 40))
+        mat = b @ b.T
+        mat = 0.5 * (mat + mat.T)
+        mat -= (np.linalg.eigvalsh(mat)[0] + 1.5e-12 * np.linalg.norm(mat)) * np.eye(40)
+        mat = np.asfortranarray(mat)
+        fresh = np.ascontiguousarray(mat)
+        jitter = 1e-12 * np.linalg.norm(mat)
+        for shift in (0.0, jitter):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(mat + shift * np.eye(40))
+        ref = cl.cholesky_with_jitter(mat + 2.0 * jitter * np.eye(40))
+        np.testing.assert_allclose(ref, np.linalg.cholesky(mat + 2.0 * jitter * np.eye(40)),
+                                   rtol=0, atol=1e-15 * np.abs(ref).max())
+        out = cl.cholesky_with_jitter(mat)
+        assert out is mat and np.array_equal(out, ref)
+        assert np.array_equal(cl.cholesky_with_jitter(fresh), ref)
+
+    def test_jittered_block_retry_in_place(self):
+        """The block twin: a Fortran-ordered block-diagonal matrix with a
+        nearly singular block gives the factor of a C-ordered copy."""
+        mat, edges = TestBlockRoute._with_nearly_singular_block()
+        fortran = np.asfortranarray(mat)
+        ref = cl.cholesky_with_jitter(mat, edges)
+        assert cl.cholesky_with_jitter(fortran, edges) is fortran
+        assert np.array_equal(fortran, ref)
+
+
+class TestMemoryBudget:
+    """On a dense problem every N x N array of the posterior path exists
+    once, measured by ``tracemalloc`` at N = 256 after the problem is
+    built."""
+
+    N = 256
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_rate_fit_n_allocates_three_arrays(self):
+        """Factor, mean and ``covariance_spectrum`` of one rate-fit n: the
+        factor, the covariance block and dstevd's eigenvectors and workspace
+        (the covariance is freed before dstevd runs), where forming ``L^{-1}``
+        and ``L^{-T} L^{-1}`` made five."""
+        config, prob, u0 = _dense_hilbert(self.N)
+        prob.gram_blocks
+        g_u0 = forward_apply(prob, u0)
+        ys = np.column_stack([rates._replicate_distances(prob, g_u0, 1e4,
+                                                         substream(3, "rate-fit", 0, rep))
+                              for rep in range(10)])
+        peak, radii = self._peak(
+            lambda: rates._posterior_radii(cl.factor_posterior(prob, 1e4), u0, 0.1, ys))
+        assert radii.shape == (10,)
+        assert peak <= 3.5 * self.N**2 * 8
+        assert "whitened_forward" not in vars(prob)
+
+    def test_posterior_cell_holds_inverse_and_draws(self):
+        """One posterior cell (factor, condition, covariance trace, draws):
+        the factor is freed once ``L^{-1}`` is formed, so the peak stays
+        below ``L^{-1}`` plus the draws plus half an N x N array."""
+        config, prob, u0 = _dense_hilbert(self.N)
+        prob.gram_blocks
+        mc = 2000
+
+        def cell():
+            post = cl.conjugate_posterior(prob, cl.simulate_data(prob, u0, 1e4, 0))
+            scale = math.sqrt(float(np.sum(post.cov_factor**2)))
+            return posterior.posterior_exceedance_grid(post, u0, [scale], mc, 1)
+
+        peak, ests = self._peak(cell)
+        assert 0.0 <= ests[0].value <= 1.0
+        assert peak <= self.N**2 * 8 + self.N * mc * 8 + self.N**2 * 8 / 2
+        assert "whitened_forward" not in vars(prob)

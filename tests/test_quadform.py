@@ -531,6 +531,35 @@ class TestSpectrum:
             quadform.spectrum(np.diag([-1.0, 2.0]), np.ones(2), "test matrix")
 
 
+class TestReflectorsInPlace:
+    @pytest.mark.parametrize("n_dim", [2, 3, 40])
+    def test_dormqr_reads_dsytrd_output_without_a_copy(self, monkeypatch, n_dim):
+        """The reflectors handed to dormqr share memory with dsytrd's output,
+        and the projections equal those of dormqr on a copy of the trailing
+        (N - 1) x (N - 1) block, bit for bit."""
+        reduced, checked = [], []
+        reduce, reflect = quadform.dsytrd, quadform.dormqr
+
+        def capturing_reduce(*args, **kwargs):
+            out = reduce(*args, **kwargs)
+            reduced.append(out[0])
+            return out
+
+        def comparing_reflect(side, trans, a, tau, c, lwork):
+            out = reflect(side, trans, a, tau, c, lwork)
+            copied = reflect(side, trans, np.asfortranarray(reduced[-1][1:, :-1]), tau, c, lwork)
+            checked.append(np.shares_memory(a, reduced[-1])
+                           and all(np.array_equal(x, y) for x, y in zip(out, copied)))
+            return out
+
+        monkeypatch.setattr(quadform, "dsytrd", capturing_reduce)
+        monkeypatch.setattr(quadform, "dormqr", comparing_reflect)
+        rng = np.random.default_rng(n_dim)
+        a = rng.standard_normal((n_dim, n_dim))
+        quadform.spectrum(np.asfortranarray(a @ a.T), rng.standard_normal((n_dim, 3)), "test")
+        assert checked == [True, True]
+
+
 def _config_problem(problem: dict):
     return build_problem(cl.parse_config(json.dumps({"problem": {"n_dim": 48, **problem}})))
 

@@ -123,6 +123,15 @@ class TestCouplings:
         with pytest.raises(ConstructionError):
             cl.make_coupling(cl.BandedCoupling(0.5, 0.9), 8)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        """A NaN entry makes ``||T'T - I||_F`` NaN, which compares false
+        against the tolerance either way round; it must still be rejected."""
+        t = np.eye(3)
+        t[1, 1] = bad
+        with pytest.raises(ParameterError, match="not orthonormal"):
+            cl.make_coupling(cl.ExplicitCoupling(t), 3)
+
 
 def _hilbert_coupling(n_dim):
     spec = cl.make_spectrum(cl.MildFamily(1.0), n_dim)
@@ -226,6 +235,7 @@ class TestBlockGram:
                                  cl.power_law_prior(1.0, n), measure, n)
         m = prob.whitened_forward
         assert np.array_equal(prob.whitened_gram, m.T @ m)
+        assert np.array_equal(prob.whitened_gram, prob.whitened_gram.T)
 
 
 class TestMeasures:
@@ -287,6 +297,17 @@ class TestMeasures:
         with pytest.raises(ParameterError):
             cl.InverseProblem(spec, cl.make_coupling(cl.IdentityCoupling(), 2), prior,
                               cl.white_noise(2), 2)
+
+    @pytest.mark.parametrize("n_dim,seed,scale", [(1, 0, 1.0), (2, 3, 0.5), (7, 1, 0.2),
+                                                  (64, 5, 0.3), (257, 2, 1.0)])
+    def test_random_spd_bytes_pinned(self, n_dim, seed, scale):
+        """Built in the draw's own array, the matrix keeps the bytes of the
+        expression ``scale * (I + S / (1.05 ||S||_2))``, S = (A + A') / 2."""
+        a = substream(seed, "spd").standard_normal((n_dim, n_dim))
+        s = 0.5 * (a + a.T)
+        ref = scale * (np.eye(n_dim) + s / (1.05 * np.abs(np.linalg.eigvalsh(s)).max()))
+        k = cl.random_spd(n_dim, seed, scale)
+        assert k.flags.c_contiguous and k.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("n_dim", [1, 2, 7])
     def test_random_spd_every_size(self, n_dim):
@@ -452,6 +473,28 @@ class TestImmutability:
             with pytest.raises(ValueError):
                 arr *= 2.0
         assert np.array_equal(prob.whitened_gram, prob.whitened_forward.T @ prob.whitened_forward)
+
+    @pytest.mark.parametrize("noise", ["colored", "diagonal"])
+    def test_gram_and_adjoint_do_without_cached_forward_map(self, noise):
+        """``whitened_gram`` forms M only as a temporary when M is not held,
+        bit-equal to the Gram of the cached M; ``whitened_adjoint`` gives
+        ``M^T x`` for a vector and a block to rounding, and neither leaves M
+        cached."""
+        prob = self._colored_problem(12)
+        if noise == "diagonal":
+            prob = cl.InverseProblem(prob.operator, prob.coupling, prob.prior,
+                                     cl.diagonal_noise(np.linspace(0.5, 2.0, 12), 12), 12)
+        x = np.random.default_rng(0).standard_normal((12, 3))
+        gram, adjoint, adjoint_vec = (prob.whitened_gram, prob.whitened_adjoint(x),
+                                      prob.whitened_adjoint(x[:, 0]))
+        assert "whitened_forward" not in vars(prob)
+        m = prob.whitened_forward
+        twin = cl.InverseProblem(prob.operator, prob.coupling, prob.prior, prob.noise, 12)
+        twin.whitened_forward
+        assert np.array_equal(gram, twin.whitened_gram) and np.array_equal(gram, gram.T)
+        ref = m.T @ x
+        np.testing.assert_allclose(adjoint, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+        np.testing.assert_allclose(adjoint_vec, ref[:, 0], rtol=0, atol=1e-14 * np.abs(ref).max())
 
     def test_whitening_needs_no_further_decomposition(self, monkeypatch):
         """The noise measure carries the Cholesky factor of its whitening
