@@ -18,6 +18,7 @@ comes from the factor one block at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,6 +92,16 @@ def _block_cholesky(mat: np.ndarray, edges: np.ndarray) -> bool:
 _PANEL = 64
 
 
+@functools.cache
+def _strict_upper(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(size, 1)`` as read-only arrays, made once per
+    panel size (at most ``_PANEL`` sizes)."""
+    upper = np.triu_indices(size, 1)
+    for index in upper:
+        index.flags.writeable = False
+    return upper
+
+
 def _set_upper(a: np.ndarray, zero: bool = False) -> np.ndarray:
     """Overwrite the strict upper triangle of the square ``a`` in place with
     the transpose of its strict lower one, or with zeros when ``zero``, a
@@ -98,7 +109,7 @@ def _set_upper(a: np.ndarray, zero: bool = False) -> np.ndarray:
     it restores the lower triangle from the upper one."""
     for j in range(0, a.shape[0], _PANEL):
         k = min(j + _PANEL, a.shape[0])
-        upper = np.triu_indices(k - j, 1)
+        upper = _strict_upper(k - j)
         square = a[j:k, j:k]
         if zero:
             a[:j, j:k] = 0.0
@@ -233,13 +244,25 @@ class PosteriorFactor:
     def mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
         (N, R) block of R data draws with one mean per column, which costs
-        one matrix product and, per diagonal block, one triangular solve pair
-        for all of them. The right-hand side ``n M^T W y`` (W the whitening
-        root) comes from ``problem.whitened_adjoint``, so M is not formed."""
+        one product per coupling block and, per diagonal block, one
+        triangular solve pair for all of them. The right-hand side ``n M^T W
+        y`` (W the whitening root) comes from ``problem.whitened_adjoint``,
+        so M is not formed. A run of one-row blocks (``quadform.block_runs``)
+        is solved at once, as ``(b * (1 / l)) * (1 / l)`` with ``l`` the
+        factor's diagonal: the operations of a 1 x 1 ``cho_solve`` in
+        OpenBLAS."""
         y = self._block(y, "y")
         rhs = self.n_level * self.problem.whitened_adjoint(self.problem.noise_whiten(y))
-        for lo, hi in zip(self.blocks[:-1], self.blocks[1:]):
-            rhs[lo:hi] = cho_solve((self._precision_chol[lo:hi, lo:hi], True), rhs[lo:hi])
+        for lo, hi, single in quadform.block_runs(self.blocks):
+            if single:
+                inv = 1.0 / np.diagonal(self._precision_chol)[lo:hi]
+                if rhs.ndim == 2:
+                    inv = inv[:, None]
+                rhs[lo:hi] *= inv
+                rhs[lo:hi] *= inv
+            else:
+                rhs[lo:hi] = cho_solve((self._precision_chol[lo:hi, lo:hi], True), rhs[lo:hi],
+                                       check_finite=False)
         return rhs
 
     def condition(self, y: np.ndarray) -> PosteriorGaussian:

@@ -27,6 +27,7 @@ q_i)`` for any split ``sum q_i = q``.
 
 Saddlepoints come from one safeguarded Newton-bisection that runs on a batch:
 forms that share ``lam`` and differ in their offsets, one row of ``c2`` each.
+``quantiles`` starts it from a two-moment chi-square guess per row.
 Every routine takes such a batch, an (R, N) array ``c2``; a single form is a
 batch of one row. ``log_cdf`` is the one Lugannani-Rice evaluator, on either
 side of the mean: ``P(Q > q) = -expm1(log_cdf(q, lam, c2))``.
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork
-from scipy.special import erf, erfc, erfcx, log_ndtr, ndtr
+from scipy.special import chdtri, erf, erfc, erfcx, log_ndtr, ndtr
 
 from .errors import NumericalError, ParameterError
 
@@ -56,9 +57,10 @@ _BRACKET_STEPS = 48
 _T_TOP = 1.0 - 2.0**-_BRACKET_STEPS
 # The lower end doubles from t = -1 at most this often: K is finite for every
 # s < 0, and a lower tail at q above Q's infimum q0 puts the saddlepoint near
-# t = -N max(lam) / (q - q0), so the last end tried (t = -2**599) reaches
-# q - q0 down to about 1e-180 N max(lam).
+# t = -N max(lam) / (q - q0), so the last end tried (t = _T_BOTTOM = -2**599)
+# reaches q - q0 down to about 1e-180 N max(lam).
 _LOWER_STEPS = 600
+_T_BOTTOM = -2.0 ** (_LOWER_STEPS - 1)
 # The solve stops once a step in t = 2 s max(lam) is below _XTOL + _RTOL |t|;
 # the relative part (four ulps) matters where the lower end has doubled so
 # far from 0 that doubles are spaced wider than _XTOL. Bisection alone
@@ -129,6 +131,18 @@ def blockwise(mat: np.ndarray, edges, block_fn) -> np.ndarray:
     for lo, hi in zip(edges[:-1], edges[1:]):
         out[lo:hi, lo:hi] = block_fn(mat[lo:hi, lo:hi])
     return out
+
+
+def block_runs(edges) -> list[tuple[int, int, bool]]:
+    """The diagonal blocks of ``edges`` as ``(lo, hi, single)`` segments in
+    order: each multi-row block on its own (``single`` False), and each
+    maximal run of consecutive one-row blocks merged into one segment
+    (``single`` True), whose rows a diagonal operation handles at once."""
+    edges = np.asarray(edges)
+    single = np.diff(edges) == 1
+    starts = np.flatnonzero(np.append(True, ~(single[1:] & single[:-1])))
+    ends = np.append(starts[1:], single.size)
+    return [(int(edges[a]), int(edges[b]), bool(single[a])) for a, b in zip(starts, ends)]
 
 
 def spectrum(cov: np.ndarray, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -280,29 +294,37 @@ def _lugannani_rice(s: np.ndarray, lam: np.ndarray, c2: np.ndarray,
     return q, p, dp
 
 
-def _solve(fn, lam: np.ndarray, rows: int, what: str) -> np.ndarray:
+def _solve(fn, lam: np.ndarray, rows: int, what: str,
+           start: np.ndarray | None = None) -> np.ndarray:
     """Roots in ``s`` of ``rows`` decreasing functions of the saddlepoint.
 
     ``fn(s, idx)`` returns the values and ``s``-derivatives of the functions
     ``idx`` at ``s[j]`` for row ``idx[j]``. The search runs in
-    ``t = 2 s max(lam)``, whose domain is ``(-inf, 1)``: the upper end moves
-    toward 1 and the lower end doubles away from 0 until they bracket a sign
-    change; then each row takes Newton steps, bisecting whenever a step would
-    leave its bracket or fails to halve the step before it.
+    ``t = 2 s max(lam)``, whose domain is ``(-inf, 1)``. A row with a usable
+    ``start`` (``_warm_bracket``) is bracketed around it; every other row is
+    bracketed from scratch: the upper end moves toward 1 and the lower end
+    doubles away from 0 until they bracket a sign change. Then each row
+    takes Newton steps, bisecting whenever a step would leave its bracket or
+    fails to halve the step before it.
     """
     scale = 2.0 * float(lam.max())
     lo, hi = np.full(rows, -np.inf), np.full(rows, 0.5)
-    idx, t = np.arange(rows), hi.copy()
+    x = np.full(rows, np.nan)
+    idx = np.arange(rows)
+    if start is not None:
+        idx = _warm_bracket(fn, scale * start, scale, lo, hi, x)
+    t = hi[idx]
     for _ in range(_BRACKET_STEPS):
+        if idx.size == 0:
+            break
         up = fn(t / scale, idx)[0] > 0
         lo[idx[up]] = t[up]  # a tried upper end that falls short is a lower end
         idx, t = idx[up], 0.5 * (1.0 + t[up])
         hi[idx] = t
-        if idx.size == 0:
-            break
     else:
-        raise NumericalError(f"saddlepoint bracket failed for the {what}, row {idx[0]} "
-                             "(upper end)")
+        if idx.size:
+            raise NumericalError(f"saddlepoint bracket failed for the {what}, row {idx[0]} "
+                                 "(upper end)")
     idx = np.flatnonzero(np.isinf(lo))
     t = np.full(idx.size, -1.0)
     for _ in range(_LOWER_STEPS):
@@ -316,7 +338,7 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str) -> np.ndarray:
         raise NumericalError(f"saddlepoint bracket failed for the {what}, row {idx[0]} "
                              "(lower end)")
 
-    x = 0.5 * (lo + hi)
+    x = np.where(np.isnan(x), 0.5 * (lo + hi), x)
     last = hi - lo
     idx = np.arange(rows)
     for _ in range(_MAX_STEPS):
@@ -340,6 +362,52 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str) -> np.ndarray:
     raise NumericalError(f"saddlepoint solve for the {what} did not converge, row {idx[0]}")
 
 
+def _warm_bracket(fn, t0: np.ndarray, scale: float, lo: np.ndarray, hi: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Bracket the roots of ``_solve``'s rows near the starting points
+    ``t0`` (in t) with two evaluations per row; returns the rows left for
+    the search from scratch.
+
+    A start is used where it lies in ``[_T_BOTTOM, _T_TOP]``, the range the
+    search from scratch evaluates. The Newton step from it predicts the
+    root, and the other end is tried a quarter of that step beyond the
+    prediction. Both stay within one step of the search from scratch of the
+    start: up to halfway to ``_T_TOP`` (to half the start, below t = -1) and
+    down to twice the start (to -2, above t = -1). So bisection narrows the
+    bracket within ``_MAX_STEPS``. Where the two ends bracket a sign change
+    they become ``lo`` and ``hi``, and the row's first point in ``x`` is the
+    root of the inverse cubic Hermite interpolant of ``t(f)`` through both
+    ends (their midpoint, where it falls outside; a start that is a root is
+    both ends). A row with no usable start, slope or prediction, or no sign
+    change, falls back.
+    """
+    rows = np.flatnonzero((t0 >= _T_BOTTOM) & (t0 <= _T_TOP))
+    t0 = t0[rows]
+    if rows.size:
+        f0, df0 = fn(t0 / scale, rows)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            guess = t0 - f0 / (df0 / scale)
+        top = np.where(t0 < -1.0, 0.5 * t0, 0.5 * (_T_TOP + t0))
+        bottom = np.maximum(2.0 * np.minimum(t0, -1.0), _T_BOTTOM)
+        use = (df0 < 0) & (guess > bottom) & (guess < top)
+        rows, t0, f0, df0, guess, top, bottom = (v[use] for v in (rows, t0, f0, df0, guess,
+                                                                 top, bottom))
+    if rows.size:
+        far = np.clip(1.25 * guess - 0.25 * t0, bottom, top)
+        f1, df1 = fn(far / scale, rows)
+        crossed = np.where(f0 > 0, f1 <= 0, f1 >= 0) & (df1 < 0)
+        rows, t0, f0, df0, far, f1, df1 = (v[crossed] for v in (rows, t0, f0, df0, far, f1, df1))
+        lo[rows], hi[rows] = np.minimum(t0, far), np.maximum(t0, far)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            h = f1 - f0
+            u = -f0 / h
+            root_t = ((2.0 * u - 3.0) * u * u + 1.0) * t0 + (3.0 - 2.0 * u) * u * u * far \
+                + (u - 1.0) * u * h * ((u - 1.0) * scale / df0 + u * scale / df1)
+            inside = (root_t >= lo[rows]) & (root_t <= hi[rows])
+        x[rows] = np.where(inside, root_t, 0.5 * (lo[rows] + hi[rows]))
+    return np.flatnonzero(np.isnan(x))
+
+
 def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str) -> np.ndarray:
     """The ``s`` solving ``K'(s) = q``, one per row of ``c2``; ``q`` is one
     level for every row or one per row."""
@@ -353,7 +421,8 @@ def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str) -> np.ndarray:
 
 def quantiles(p: float, lam, c2) -> np.ndarray:
     """The ``q`` with saddlepoint tail ``P(Q > q) = p`` for each row of the
-    (R, N) array ``c2``, all with the eigenvalues ``lam``."""
+    (R, N) array ``c2``, all with the eigenvalues ``lam``. The solve starts
+    from ``_two_moment_start``."""
     lam, c2 = _terms(lam, c2)
     if not (0.0 < p < 1.0):
         raise ParameterError("tail probability p must lie in (0, 1)")
@@ -361,8 +430,21 @@ def quantiles(p: float, lam, c2) -> np.ndarray:
     def fn(s, idx):
         _, tail_p, dp = _lugannani_rice(s, lam, c2, idx)
         return tail_p - p, dp
-    s = _solve(fn, lam, c2.shape[0], f"quantile at p = {p!r}")
+    s = _solve(fn, lam, c2.shape[0], f"quantile at p = {p!r}", _two_moment_start(p, lam, c2))
     return _cgf(s, lam, c2)[1]
+
+
+def _two_moment_start(p: float, lam: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Per-row guess at the saddlepoint of the quantile at tail ``p``: Q
+    matched in mean ``mu`` and variance by ``a`` times a chi-square with
+    ``mu / a`` degrees of freedom, whose quantile is ``q0`` and whose
+    saddlepoint at ``q0`` is ``(1 - mu / q0) / (2 a)``. Where a moment sum
+    overflows the guess is not finite, and ``_solve`` does not use it."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = lam.sum() + c2.sum(axis=1)
+        a = (lam @ lam + 2.0 * (c2 @ lam)) / mu
+        q0 = a * chdtri(mu / a, p)
+        return (1.0 - mu / q0) / (2.0 * a)
 
 
 def _levels(q, rows: int) -> np.ndarray:
@@ -471,8 +553,7 @@ def log_cdf_chernoff(q, lam, c2) -> np.ndarray:
     out[q <= _floor(lam, c2)] = -np.inf
     idx = np.flatnonzero((q < lam.sum() + c2.sum(axis=1)) & np.isfinite(out))
     if idx.size:
-        out[idx] = _chernoff(q[idx], lam, c2[idx], -2.0 ** (_LOWER_STEPS - 1),
-                             "lower Chernoff bound")
+        out[idx] = _chernoff(q[idx], lam, c2[idx], _T_BOTTOM, "lower Chernoff bound")
     return out
 
 

@@ -541,8 +541,20 @@ class InverseProblem:
     def whitened_adjoint(self, x: np.ndarray) -> np.ndarray:
         """``M^T x = T^T (rho * zeta^(-1/2) x)`` for a vector or the columns
         of a block, from the arrays the problem holds: the whitening root is
-        symmetric, so M is never formed."""
-        return self.coupling.t_matrix.T @ _scale_rows(self.noise_whiten(x), self.operator.rho)
+        symmetric, so M is never formed. ``T^T`` is applied one coupling
+        block at a time (``quadform.block_runs``: a run of one-row blocks is
+        one elementwise product); a one-block coupling takes one product."""
+        t, edges = self.coupling.t_matrix, self.coupling.blocks
+        v = _scale_rows(self.noise_whiten(x), self.operator.rho)
+        if len(edges) == 2:
+            return t.T @ v
+        out = np.empty_like(v)
+        for lo, hi, single in quadform.block_runs(edges):
+            if single:
+                out[lo:hi] = _scale_rows(v[lo:hi], np.diagonal(t)[lo:hi])
+            else:
+                out[lo:hi] = t[lo:hi, lo:hi].T @ v[lo:hi]
+        return out
 
     @cached_property
     def whitened_gram(self) -> np.ndarray:

@@ -360,6 +360,81 @@ class TestBatchedQuantile:
             quadform.quantiles(0.1, [1.0, 0.5], [[0.0, 1.0], [2.0, 0.0]])
 
 
+def _near_mean_u(q, lam, c2):
+    """``|u| = |s| sqrt(K''(s))`` at the saddlepoint of ``K'(s) = q``: how
+    many standard deviations (to first order) the level lies from the mean."""
+    s = float(quadform._saddlepoint(q, np.asarray(lam, dtype=float), np.asarray([c2]), "u")[0])
+    return abs(s) * math.sqrt(cgf(s, lam, c2)[2])
+
+
+class TestWarmStart:
+    """``quantiles`` starts each row's solve from the two-moment chi-square
+    guess and brackets it with two evaluations; rows whose guess is unusable
+    take the search from scratch."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(batches, st.floats(1e-8, 0.49))
+    def test_matches_brentq_from_deep_tail_to_near_mean(self, batch, p):
+        """Every row agrees with the scalar brentq reference to 1e-12
+        relative, except a level within 0.02 standard deviations of the mean
+        (``|u| < 0.02``). There the Lugannani-Rice terms ``1/u - 1/w`` cancel,
+        the tail is flat and noisy to ~1e-13, and the root is defined only to
+        ~1e-9 relative; the search from scratch disagrees with brentq there
+        just as much (5e-9 at ``|u| = 6e-4``), so those rows are held to the
+        round-trip bound of ``test_quantile_inverts_tail``."""
+        lam, zero, rows = batch
+        lam = np.asarray(lam) if all(zero) else np.where(zero, 0.0, lam)
+        c2 = np.asarray(rows)
+        got = quadform.quantiles(p, lam, c2)
+        assert got.shape == (len(rows),)
+        for r, row in enumerate(c2):
+            ref = brentq_quantile(p, lam, row)
+            if _near_mean_u(ref, lam, row) >= 0.02:
+                assert got[r] == pytest.approx(ref, rel=1e-12)
+            else:
+                sd = math.sqrt(cgf(0.0, lam, row)[2])
+                assert abs(got[r] - ref) <= 1e-9 * ref + 2e-4 * sd
+
+    def test_overflowing_moments_fall_back_without_warnings(self):
+        """A moment sum that overflows makes that row's start non-finite,
+        silently; the row then takes the search from scratch, whose
+        cumulants raise the existing ``NumericalError``. The pytest
+        configuration turns any ``RuntimeWarning`` into an error."""
+        lam, c2 = np.array([1.0, 1.0]), np.array([[0.0, 1.0], [1e308, 1e308]])
+        start = quadform._two_moment_start(0.1, lam, c2)
+        assert np.isfinite(start[0]) and not np.isfinite(start[1])
+        with pytest.raises(NumericalError, match=r"not finite .*\(row 1\)"):
+            quadform.quantiles(0.1, lam, c2)
+
+    def test_unusable_starts_take_the_search_from_scratch(self):
+        """Rows whose start is NaN, infinite, at the pole or beyond it give
+        the roots of the search from scratch bit for bit; a usable start
+        gives the same root to rounding."""
+        lam = np.array([1.0, 0.5, 0.0, 0.1])
+        c2 = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 2.0, 1.0], [4.0, 4.0, 0.0, 0.0],
+                       [1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 0.5, 0.5]])
+
+        def fn(s, idx):
+            _, tail_p, dp = quadform._lugannani_rice(s, lam, c2, idx)
+            return tail_p - 0.05, dp
+        cold = quadform._solve(fn, lam, 5, "test")
+        good = quadform._two_moment_start(0.05, lam, c2)[4]
+        warm = quadform._solve(fn, lam, 5, "test",
+                               np.array([np.nan, np.inf, -np.inf, 0.5, good]))
+        assert np.array_equal(warm[:4], cold[:4])
+        assert warm[4] == pytest.approx(cold[4], rel=1e-13)
+
+    def test_far_prediction_is_not_bracketed(self):
+        """The start of a two-term form at p = 3e-3 lies near the pole,
+        where the tail is flat, so its Newton step predicts a root near
+        t = -1e93. A bracket that wide would outlast the bisection budget;
+        the prediction is refused and the row solved from scratch."""
+        lam, c2, p = np.array([87.0, 46.5]), np.zeros((1, 2)), 0.003036856217121455
+        assert quadform._two_moment_start(p, lam, c2)[0] * 2.0 * 87.0 > 0.99
+        assert quadform.quantiles(p, lam, c2)[0] == pytest.approx(
+            brentq_quantile(p, lam, c2[0]), rel=1e-12)
+
+
 # (lam, c2, q / E Q): up to 6 terms, any eigenvalue possibly zero (at least
 # one positive) and the offsets possibly all zero; q not so far below the
 # mean that Imhof's integral loses the lower tail.
@@ -562,6 +637,16 @@ class TestReflectorsInPlace:
 
 def _config_problem(problem: dict):
     return build_problem(cl.parse_config(json.dumps({"problem": {"n_dim": 48, **problem}})))
+
+
+class TestBlockRuns:
+    def test_runs_of_one_row_blocks_merge(self):
+        edges = [0, 1, 2, 4, 5, 6, 9, 10]
+        assert quadform.block_runs(edges) == [(0, 2, True), (2, 4, False), (4, 6, True),
+                                              (6, 9, False), (9, 10, True)]
+        assert quadform.block_runs(np.arange(513)) == [(0, 512, True)]
+        assert quadform.block_runs([0, 5]) == [(0, 5, False)]
+        assert quadform.block_runs([0, 2, 5]) == [(0, 2, False), (2, 5, False)]
 
 
 class TestDiagonalBlocks:

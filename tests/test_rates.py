@@ -14,7 +14,7 @@ from scipy.stats import t as student_t
 import contraction_lab as cl
 from contraction_lab import posterior as posterior_module
 from contraction_lab import quadform, rates
-from contraction_lab.config import build_problem
+from contraction_lab.config import build_problem, build_truth
 from contraction_lab.errors import ParameterError
 from contraction_lab.rng import substream
 from contraction_lab.spectral import forward_apply
@@ -192,16 +192,37 @@ class TestFitContractionRate:
         reduces each diagonal block once, in the partition's order, and the
         reflectors of a block of b > 1 rows meet its trailing (b - 1, R) rows.
         The draws are unchanged, and the mean solve also goes block by block:
-        one solve of a (b, R) right-hand side per block per n."""
+        one ``cho_solve`` of a (b, R) right-hand side per block of b > 1 rows
+        per n; runs of one-row blocks are solved elementwise."""
         prob = _small_problem(24, cl.BandedCoupling())
         sizes = np.diff(quadform.diagonal_blocks(prob.whitened_gram))
         assert sizes.size > 1 and sizes.max() > 1
         grid = [1e2, 1e3, 1e4, 1e5]
         draws, solves, reductions, reflections = self._count_fit(monkeypatch, prob, grid, 3)
         assert draws == [n for n in grid for _ in range(3)]
-        assert solves == [(b, 3) for b in sizes] * 4
+        assert 1 in sizes
+        assert solves == [(b, 3) for b in sizes if b > 1] * 4
         assert reductions == [(b, b) for b in sizes] * 4
         assert set(reflections) == {(b - 1, 3) for b in sizes if b > 1}
+
+    def test_quantile_solve_work_per_replicate(self, monkeypatch):
+        """The default-config fit (banded N = 512, five n, 50 replicates)
+        evaluates the Lugannani-Rice tail at most 6 times per replicate per
+        n: the two-moment start, the other end of its bracket and the Newton
+        steps. The search from scratch took about 9.2."""
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
+                                                         "coupling": {"kind": "banded"}}}))
+        run, rows = config.run, []
+        evaluate = quadform._lugannani_rice
+
+        def counting(s, lam, c2, idx):
+            rows.append(len(idx))
+            return evaluate(s, lam, c2, idx)
+
+        monkeypatch.setattr(quadform, "_lugannani_rice", counting)
+        cl.fit_contraction_rate(build_problem(config), build_truth(config),
+                                run["n_grid"], run["delta_level"], run["y_replicates"], seed=3)
+        assert sum(rows) <= 6 * len(run["n_grid"]) * run["y_replicates"]
 
     @pytest.mark.parametrize("delta", [1.0, 5.0])
     @pytest.mark.parametrize("n_level", [1e2, 1e6])

@@ -204,6 +204,62 @@ class TestCouplingBlocks:
             assert np.linalg.norm(t.T @ t - np.eye(coupling.n_dim)) < spectral.ORTHOGONALITY_TOL
 
 
+def _adjoint_problem(coupling):
+    n = coupling.n_dim
+    return cl.InverseProblem(cl.make_spectrum(cl.MildFamily(1.0), n), coupling,
+                             cl.power_law_prior(1.0, n),
+                             cl.diagonal_noise(np.linspace(0.5, 2.0, n), n), n)
+
+
+class TestBlockAdjoint:
+    """``whitened_adjoint`` applies ``T^T`` one coupling block at a time, a
+    run of one-row blocks as one elementwise product, and a one-block
+    coupling as one product."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: cl.make_coupling(cl.BandedCoupling(), 512, seed=5),
+        lambda: cl.make_coupling(cl.IdentityCoupling(), 64),
+        lambda: cl.make_coupling(cl.ReflectionCoupling(np.eye(64)[2]), 64),
+        lambda: cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64),
+        lambda: _hilbert_coupling(64),
+    ], ids=["banded", "identity", "reflection-diagonal", "reflection", "hilbert"])
+    def test_matches_the_whole_product(self, make):
+        prob = _adjoint_problem(make())
+        n, t = prob.n_dim, prob.coupling.t_matrix
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 7))):
+            v = prob.noise_whiten(x)
+            v = (prob.operator.rho * v.T).T
+            ref = t.T @ v
+            got = prob.whitened_adjoint(x)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_one_block_coupling_makes_one_product(self, monkeypatch):
+        def refuse(edges):
+            raise AssertionError("block loop on a one-block coupling")
+
+        monkeypatch.setattr(quadform, "block_runs", refuse)
+        for coupling in (_hilbert_coupling(64),
+                         cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64)):
+            prob = _adjoint_problem(coupling)
+            x = np.random.default_rng(0).standard_normal((64, 5))
+            v = (prob.operator.rho * prob.noise_whiten(x).T).T
+            assert np.array_equal(prob.whitened_adjoint(x), coupling.t_matrix.T @ v)
+
+    def test_one_row_runs_are_elementwise(self):
+        """The identity and a coordinate reflection are one run of one-row
+        blocks: the adjoint is the diagonal times the whitened data, exactly."""
+        for coupling in (cl.make_coupling(cl.IdentityCoupling(), 64),
+                         cl.make_coupling(cl.ReflectionCoupling(np.eye(64)[2]), 64)):
+            assert quadform.block_runs(coupling.blocks) == [(0, 64, True)]
+            prob = _adjoint_problem(coupling)
+            x = np.random.default_rng(1).standard_normal((64, 3))
+            v = (prob.operator.rho * prob.noise_whiten(x).T).T
+            assert np.array_equal(prob.whitened_adjoint(x),
+                                  np.diagonal(coupling.t_matrix)[:, None] * v)
+
+
 class TestBlockGram:
     """With diagonal noise the whitened Gram is formed one coupling block at
     a time; dense noise forms it whole."""
