@@ -182,10 +182,10 @@ class SmallBallForm:
 
 
 def _forward_image_factor(problem: InverseProblem, coupled: bool = True) -> np.ndarray:
-    """``A = M Lambda^(1/2)``, so that ``A A^T`` is the covariance of the
-    prior's whitened forward image. M is the cached whitened forward map; for
-    the diagonal surrogate (``coupled=False``) it is the same whitening of
-    ``diag(rho)``, as if the coupling were the identity."""
+    """``A = M Lambda^(1/2)`` as one N x N array, so that ``A A^T`` is the
+    covariance of the prior's whitened forward image. M is the cached whitened
+    forward map; for the diagonal surrogate (``coupled=False``) it is the same
+    whitening of ``diag(rho)``, as if the coupling were the identity."""
     if coupled:
         m = problem.whitened_forward
     else:
@@ -194,16 +194,23 @@ def _forward_image_factor(problem: InverseProblem, coupled: bool = True) -> np.n
 
 
 def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
-    """One spectrum of the prior forward covariance, for every radius."""
+    """One spectrum of the prior forward covariance, for every radius. It
+    splits on ``problem.gram_blocks`` as M does, and each block ``(M_BB
+    Lambda_B^(1/2))(M_BB Lambda_B^(1/2))^T`` is formed only when it is
+    decomposed. ``residual_norms`` is reduced in one N x N array, in place."""
     u0 = as_vector(u0, problem.n_dim, "u0")
-    a = _forward_image_factor(problem)
-    # ``a @ a.T`` is exactly symmetric, so its transpose is the same matrix in
-    # Fortran order, which the reduction overwrites without a copy.
-    lam, c = quadform.spectrum((a @ a.T).T, problem.whitened_forward @ u0,
-                               "prior forward covariance")
-    col_images = problem.whitened_forward * u0[None, :]
-    suffix = np.cumsum(col_images[:, ::-1], axis=1)[:, ::-1]
-    residual_norms = np.concatenate([np.linalg.norm(suffix, axis=0), [0.0]])
+    m, root = problem.whitened_forward, np.sqrt(problem.prior.variances)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        a = m[lo:hi, lo:hi] * root[lo:hi]
+        return (a @ a.T).T  # exactly symmetric, so this is the block in Fortran order
+
+    lam, c = quadform.block_spectrum(problem.gram_blocks, block, m @ u0,
+                                     "prior forward covariance")
+    suffix = m * u0  # column images of u0, summed from the right and squared in place
+    np.cumsum(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
+    suffix *= suffix
+    residual_norms = np.append(np.sqrt(np.add.reduce(suffix, axis=0)), 0.0)
     for array in (lam, c, residual_norms):
         array.flags.writeable = False  # shared by every radius, on any thread
     return SmallBallForm(lam=lam, c=c, residual_norms=residual_norms)

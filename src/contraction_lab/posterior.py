@@ -137,10 +137,10 @@ _CHECK_ROWS = 64
 
 @dataclass(frozen=True, eq=False)
 class PosteriorGaussian:
-    """Gaussian posterior in phi-coordinates with an upper-triangular
-    covariance factor (covariance = factor @ factor.T) that is zero outside
-    its diagonal blocks ``blocks`` (edges, as ``quadform.diagonal_blocks``
-    returns them; None means one block)."""
+    """Gaussian posterior in phi-coordinates: a length-N vector ``mean`` and
+    an upper-triangular covariance factor (covariance = factor @ factor.T)
+    that is zero outside its diagonal blocks ``blocks`` (edges, as
+    ``quadform.diagonal_blocks`` returns them; None means one block)."""
 
     mean: np.ndarray
     cov_factor: np.ndarray
@@ -150,8 +150,10 @@ class PosteriorGaussian:
     def __post_init__(self):
         if self.n_level <= 0:
             raise ParameterError("n_level must be positive")
-        if np.shape(self.cov_factor) != (self.n_dim, self.n_dim):
-            raise ParameterError(f"covariance factor must be {self.n_dim} x {self.n_dim}")
+        shape = np.shape(self.cov_factor)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ParameterError(f"covariance factor must be square, got shape {shape}")
+        object.__setattr__(self, "mean", as_vector(self.mean, shape[0], "mean"))
         if np.any(np.diag(self.cov_factor) <= 0):
             raise ParameterError("covariance factor must have positive diagonal")
         edges = _edges(self.blocks, self.n_dim)
@@ -288,15 +290,15 @@ class PosteriorFactor:
 
     def _covariance(self, lo: int, hi: int) -> np.ndarray:
         """Block ``lo:hi`` of the covariance ``L^{-T} L^{-1}`` as a new
-        Fortran-ordered array: dpotri on a copy of L's block, whose lower
-        triangle is then mirrored onto the upper one, so the block is exactly
-        symmetric."""
+        Fortran-ordered array: dpotri on a copy of L's block, which holds it
+        in the lower triangle, the one ``quadform.block_spectrum`` reads; the
+        upper triangle keeps L's zeros."""
         cov, info = dpotri(np.array(self._precision_chol[lo:hi, lo:hi], order="F"),
                            lower=1, overwrite_c=1)
         if info:
             raise NumericalError(f"LAPACK dpotri failed with info = {info} on the posterior "
                                  f"covariance at n_level = {float(self.n_level)!r}, rows {lo}:{hi}")
-        return _set_upper(cov)
+        return cov
 
     def covariance_spectrum(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)

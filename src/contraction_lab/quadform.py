@@ -7,10 +7,10 @@ eigenvalues, ``c`` the offset's coordinates). Every routine takes ``lam`` and
 ``c2 = c**2``; the cumulant generating function is written with ``c2``
 directly, so a vanishing eigenvalue never becomes a divisor.
 
-``spectrum`` computes ``lam`` and the offsets' coordinates from a covariance
-and an offset without forming eigenvectors, one diagonal block at a time
-where the covariance splits (``diagonal_blocks``): independent blocks of
-coordinates add independent terms to Q.
+``block_spectrum`` computes ``lam`` and the offsets' coordinates from a
+covariance and an offset without forming eigenvectors, one diagonal block at
+a time on a known partition (a problem's ``gram_blocks``): independent
+blocks of coordinates add independent terms to Q.
 
 Tails use the Lugannani-Rice saddlepoint formula (Lugannani & Rice, Adv.
 Appl. Prob. 12, 1980), parameterized by the saddlepoint ``s`` on its domain
@@ -100,9 +100,9 @@ def diagonal_blocks(mat: np.ndarray) -> np.ndarray:
     lower triangle, from its exact zero pattern: block j is rows and columns
     ``edges[j]: edges[j + 1]``, and every entry of the lower triangle outside
     the blocks is exactly zero. For a symmetric matrix these are its diagonal
-    blocks; the lower triangle is the one that a lower Cholesky factorization
-    and ``spectrum``'s reduction read. A matrix with no such split is one
-    block, ``[0, N]``.
+    blocks; ``spectral`` scans an orthogonal coupling and its transpose, and
+    every other partition is derived from the coupling's. A matrix with no
+    such split is one block, ``[0, N]``.
 
     Row i's first nonzero column ``f_i`` (at most i: the diagonal counts as
     nonzero) couples it to every row from ``f_i`` on, so a block ends before
@@ -145,31 +145,18 @@ def block_runs(edges) -> list[tuple[int, int, bool]]:
     return [(int(edges[a]), int(edges[b]), bool(single[a])) for a, b in zip(starts, ends)]
 
 
-def spectrum(cov: np.ndarray, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) of a symmetric positive semi-definite ``cov =
-    V diag(lam) V^T`` and the projections ``V^T d`` of an (N,) or (N, R)
-    block ``d``, without forming the eigenvectors V.
-
-    ``cov`` is split into its diagonal blocks (``diagonal_blocks``) and
-    handed to ``block_spectrum``, a Fortran-ordered copy of each block; one
-    block is decomposed in place, as the whole array.
-    """
-    edges = diagonal_blocks(cov)
-    if edges.size == 2:
-        return _tridiagonal_spectrum(cov, d, what)
-    return block_spectrum(edges, lambda lo, hi: np.array(cov[lo:hi, lo:hi], order="F"), d, what)
-
-
 def block_spectrum(edges, block, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``spectrum`` of a covariance that is zero off its diagonal blocks
-    ``edges``, whose block ``lo:hi`` the call ``block(lo, hi)`` returns as a
-    new, exactly symmetric Fortran-ordered array.
+    """Eigenvalues (ascending) of a symmetric positive semi-definite ``cov =
+    V diag(lam) V^T`` that is zero off its diagonal blocks ``edges``, and the
+    projections ``V^T d`` of an (N,) or (N, R) block ``d``, without forming
+    the eigenvectors V; one block (``edges == [0, N]``) is the whole matrix.
 
-    Each block is made only when it is decomposed by
-    ``_tridiagonal_spectrum``, which reduces it in place and frees it before
-    the eigensolve; more than one block names its rows in errors. The
-    eigenvalues are merged in ascending order by a stable sort, and the
-    projection rows follow them.
+    The call ``block(lo, hi)`` returns block ``lo:hi`` of ``cov`` as a new
+    Fortran-ordered array of which only the lower triangle is read. Each
+    block is made only when it is decomposed by ``_tridiagonal_spectrum``,
+    which reduces it in place and frees it before the eigensolve; more than
+    one block names its rows in errors. The eigenvalues are merged in
+    ascending order by a stable sort, and the projection rows follow them.
     """
     n = int(edges[-1])
     if len(edges) == 2:
@@ -185,7 +172,7 @@ def block_spectrum(edges, block, d: np.ndarray, what: str) -> tuple[np.ndarray, 
 
 def _tridiagonal_spectrum(cov: np.ndarray, d: np.ndarray,
                           what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``spectrum`` of one block.
+    """``block_spectrum`` of one block.
 
     LAPACK reduces ``cov = Q T Q^T`` to tridiagonal form (dsytrd, lower
     triangle, in place: a Fortran-ordered ``cov`` is overwritten), applies the

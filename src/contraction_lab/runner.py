@@ -304,12 +304,13 @@ def run_experiment(config: ExperimentConfig, pipelines: list[str] | None = None,
     ``LinAlgError`` become per-pipeline failure entries and never abort the
     remaining work. Any other exception is a defect and propagates."""
     requested = pipelines if pipelines is not None else config.run["pipelines"]
+    for name in requested:
+        if name not in PIPELINE_FUNCS:
+            raise ConfigInvariantError("run.pipelines", f"unknown pipeline {name!r}")
     tables: list[Table] = []
     failures: dict[str, str] = {}
     problem = build_problem(config)
     for name in requested:
-        if name not in PIPELINE_FUNCS:
-            raise ConfigInvariantError("run.pipelines", f"unknown pipeline {name!r}")
         try:
             tables.extend(PIPELINE_FUNCS[name](config, problem, workers))
         except _PIPELINE_ERRORS as exc:

@@ -559,24 +559,24 @@ class InverseProblem:
     @cached_property
     def whitened_gram(self) -> np.ndarray:
         """M^T M (read-only and Fortran-ordered), from ``whitened_forward``
-        when it is held and otherwise from a temporary M. numpy forms ``B^T
-        B`` by a symmetric rank-k update, so the product is exactly symmetric
-        and its Fortran-ordered transpose is the same matrix. Diagonal noise gives M the coupling's
-        zero pattern, so the Gram is formed one coupling block at a time;
-        dense noise couples every coordinate and forms it whole."""
+        when it is held and otherwise from a temporary M, one block of
+        ``gram_blocks`` at a time. numpy forms ``B^T B`` by a symmetric
+        rank-k update, so the product is exactly symmetric and its
+        Fortran-ordered transpose is the same matrix."""
         m = vars(self).get("whitened_forward")
         if m is None:
             m = self._forward_map()
-        edges = [0, self.n_dim] if isinstance(self.noise, DenseNoise) else self.coupling.blocks
-        return _read_only(quadform.blockwise(m, edges, lambda b: (b.T @ b).T))
+        return _read_only(quadform.blockwise(m, self.gram_blocks, lambda b: (b.T @ b).T))
 
-    @cached_property
+    @property
     def gram_blocks(self) -> np.ndarray:
-        """Edges of the diagonal blocks of ``whitened_gram``
-        (``quadform.diagonal_blocks``, read-only). The prior precision is
-        diagonal and ``n`` turns no zero into a nonzero, so every posterior
-        precision of the problem splits on them."""
-        return _read_only(quadform.diagonal_blocks(self.whitened_gram))
+        """The problem's one partition (read-only edges): the coupling's
+        blocks under diagonal noise, ``[0, N]`` under dense noise. M is zero
+        off them, so the whitened Gram, every posterior precision and ``M
+        Lambda M^T`` split on them."""
+        if isinstance(self.noise, DenseNoise):
+            return _read_only(np.array([0, self.n_dim]))
+        return self.coupling.blocks
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,20 @@
 """The g quantities, small-ball masses, projection tails, eigenvalue
 sandwiches, Hilbert-Schmidt diagnostics and plug-in concentration."""
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import contraction_lab as cl
 from contraction_lab import quadform
 from contraction_lab.assumptions import _residual_operator
+from contraction_lab.config import build_problem, build_truth
 from contraction_lab.errors import ParameterError
 
 
@@ -642,3 +647,87 @@ class TestSmallBallDrawsNothing:
             "problem: {n_dim: 32, coupling: {kind: banded}}\nrun: {n_grid: [100, 1000, 10000]}")
         record = cl.run_experiment(config, pipelines=[pipeline])
         assert record.failures == {}
+
+
+def _config_problem(problem: dict):
+    config = cl.parse_config(json.dumps({"problem": problem}))
+    return build_problem(config), build_truth(config)
+
+
+def _block_problem(sizes, seed):
+    """A problem whose coupling is orthogonal on the diagonal blocks of
+    ``sizes`` rows each, with diagonal noise, so ``M Lambda M^T`` splits on
+    them."""
+    rng = np.random.default_rng(seed)
+    n = int(sum(sizes))
+    q = np.zeros((n, n))
+    lo = 0
+    for b in sizes:
+        q[lo:lo + b, lo:lo + b] = np.linalg.qr(rng.standard_normal((b, b)))[0]
+        lo += b
+    return cl.InverseProblem(
+        cl.make_spectrum(np.sort(rng.uniform(0.2, 1.5, n))[::-1], n),
+        cl.make_coupling(cl.ExplicitCoupling(q), n),
+        cl.explicit_prior(rng.uniform(0.2, 2.0, n), n),
+        cl.diagonal_noise(rng.uniform(0.5, 1.5, n), n), n)
+
+
+class TestSmallBallForm:
+    """``small_ball_form`` decomposes ``M Lambda M^T`` one block of the
+    problem's partition at a time, each block formed only when it is
+    decomposed."""
+
+    @staticmethod
+    def _assert_routes_agree(prob, u0):
+        """Against a dense ``eigh`` of the whole ``A A^T``: eigenvalues within
+        1e-13 of the largest and projection norms within 1e-13 relative;
+        ``residual_norms`` bit-equal to the ``np.linalg.norm`` reference."""
+        form = cl.small_ball_form(prob, u0)
+        m = prob.whitened_forward
+        a = m * np.sqrt(prob.prior.variances)
+        ref_lam, ref_vec = np.linalg.eigh(a @ a.T)
+        ref_c = ref_vec.T @ (m @ u0)
+        assert np.all(np.abs(form.lam - ref_lam) <= 1e-13 * ref_lam.max())
+        norm_c, ref_norm = np.linalg.norm(form.c), np.linalg.norm(ref_c)
+        assert abs(norm_c - ref_norm) <= 1e-13 * ref_norm
+        suffix = np.cumsum((m * u0[None, :])[:, ::-1], axis=1)[:, ::-1]
+        ref_residual = np.concatenate([np.linalg.norm(suffix, axis=0), [0.0]])
+        assert np.array_equal(form.residual_norms, ref_residual)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+    def test_random_partitions_match_dense_eigh(self, sizes, seed):
+        prob = _block_problem(sizes, seed)
+        assert np.array_equal(prob.gram_blocks, np.cumsum([0] + sizes))
+        u0 = np.random.default_rng(seed).standard_normal(prob.n_dim)
+        self._assert_routes_agree(prob, u0)
+
+    @pytest.mark.parametrize("problem", [
+        {"n_dim": 512, "coupling": {"kind": "banded"}},
+        {"n_dim": 256, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+         "noise": {"kind": "colored", "r": 0.5}},
+    ], ids=["banded", "dense_hilbert"])
+    def test_default_configs_match_dense_eigh(self, problem):
+        prob, u0 = _config_problem(problem)
+        assert (prob.gram_blocks.size > 2) == ("coupling" in problem)
+        self._assert_routes_agree(prob, u0)
+
+    @pytest.mark.parametrize("problem, budget", [
+        ({"n_dim": 512, "coupling": {"kind": "banded"}}, 1.5),
+        ({"n_dim": 256, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+          "noise": {"kind": "colored", "r": 0.5}}, 2.5),
+    ], ids=["banded", "dense_hilbert"])
+    def test_peak_memory_in_n_by_n_arrays(self, problem, budget):
+        """``tracemalloc`` peak of one ``small_ball_form`` with M held: one
+        N x N array for the residual norms on the banded default, which
+        forms only its small blocks of ``A A^T``; ``A`` and ``A A^T`` on a
+        dense problem, one block."""
+        prob, u0 = _config_problem(problem)
+        prob.whitened_forward
+        tracemalloc.start()
+        try:
+            cl.small_ball_form(prob, u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * prob.n_dim**2 * 8

@@ -374,6 +374,16 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert "check" in record.failures
         assert record.tables == ()
 
+    def test_unknown_pipeline_rejected_before_any_work(self, monkeypatch):
+        """An unknown name among the requested pipelines raises before the
+        problem is built or any named pipeline runs."""
+        def refuse(config):
+            raise AssertionError("build_problem called before the pipeline names were checked")
+
+        monkeypatch.setattr(runner_module, "build_problem", refuse)
+        with pytest.raises(ConfigInvariantError, match="'nope'"):
+            cl.run_experiment(cl.parse_config(SMALL_CONFIG), pipelines=["simulate", "nope"])
+
     def test_workers_do_not_change_tables(self):
         config = cl.parse_config(SMALL_CONFIG)
         assert cl.run_experiment(config, workers=1).tables == \
@@ -421,10 +431,12 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
             assert ((tmp_path / "with" / f"{n}.csv").read_bytes()
                     == (tmp_path / "without" / f"{n}.csv").read_bytes())
 
-    def test_gram_partition_found_once_per_problem(self, monkeypatch):
-        """Every factorization of a problem (one per n and pipeline) and the
-        provenance of both pipelines share one zero-pattern scan of the
-        whitened Gram, cached on the problem."""
+    def test_one_partition_per_problem_read_off_the_coupling(self, monkeypatch):
+        """A problem's partition is its coupling's blocks under diagonal
+        noise and one block under dense noise, and during a banded run of
+        all ten pipelines the only matrices scanned for a zero pattern are
+        couplings T and their transposes: no Gram or covariance is
+        rescanned."""
         problems, scanned = [], []
         build, scan = runner_module.build_problem, quadform.diagonal_blocks
 
@@ -432,20 +444,24 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
             problems.append(build(config))
             return problems[-1]
 
-        def counting_scan(mat):
+        def capturing_scan(mat):
             scanned.append(mat)
             return scan(mat)
 
         monkeypatch.setattr(runner_module, "build_problem", capturing_build)
-        monkeypatch.setattr(quadform, "diagonal_blocks", counting_scan)
+        monkeypatch.setattr(quadform, "diagonal_blocks", capturing_scan)
         config = cl.parse_config(SMALL_CONFIG.replace("coupling: {kind: identity}",
                                                       "coupling: {kind: banded}"))
-        record = cl.run_experiment(config, pipelines=["posterior", "rate-fit"])
+        record = cl.run_experiment(config, pipelines=list(runner_module.PIPELINE_FUNCS))
         assert not record.failures, record.failures
-        assert problems
-        for prob in problems:
-            assert sum(mat is prob.whitened_gram for mat in scanned) == 1
-            assert prob.gram_blocks.size > 2
+        assert len(problems) == 1 and len(scanned) == 2
+        prob = problems[0]
+        t = prob.coupling.t_matrix
+        assert scanned[0] is t and scanned[1].base is t and np.array_equal(scanned[1], t.T)
+        assert prob.gram_blocks is prob.coupling.blocks and prob.gram_blocks.size > 2
+        dense = build_problem(cl.parse_config(SMALL_CONFIG.replace(
+            "coupling: {kind: identity}", "coupling: {kind: banded}\n  noise: {kind: colored, r: 0.5}")))
+        assert np.array_equal(dense.gram_blocks, [0, 12])
 
     def test_posterior_pipelines_leave_forward_map_uncached(self, monkeypatch):
         """A posterior or rate-fit invocation on a dense problem never holds

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -261,11 +262,10 @@ class TestPosteriorFactor:
         resid = factor @ factor.T @ cl.posterior_precision(prob, n_level) - np.eye(512)
         assert np.linalg.norm(resid) <= 1e-13
 
-    def test_covariance_handed_to_dsytrd_is_exactly_symmetric(self, monkeypatch):
-        """The tridiagonal reduction reads only the lower triangle of the
-        covariance it is handed; that array is exactly symmetric, Fortran-
-        ordered (so LAPACK reduces it in place) and its lower triangle is the
-        lower triangle of an independently computed ``L^{-T} L^{-1}``."""
+    def test_covariance_handed_to_dsytrd_holds_the_lower_triangle(self, monkeypatch):
+        """The tridiagonal reduction is handed a Fortran-ordered covariance
+        (so LAPACK reduces it in place) whose lower triangle is the lower
+        triangle of an independently computed ``L^{-T} L^{-1}``."""
         captured = []
         original = quadform.dsytrd
 
@@ -278,11 +278,39 @@ class TestPosteriorFactor:
         cl.factor_posterior(prob, 1e3).covariance_spectrum(np.eye(40))
         assert len(captured) == 1
         mat, fortran = captured[0]
-        assert fortran and np.array_equal(mat, mat.T)
+        assert fortran
         p_chol = np.linalg.cholesky(cl.posterior_precision(prob, 1e3))
         inv = scipy.linalg.solve_triangular(p_chol, np.eye(40), lower=True)
         ref = inv.T @ inv
         assert np.allclose(np.tril(mat), np.tril(ref), rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("kind", ["banded", "dense"])
+    def test_covariance_upper_triangle_is_never_read(self, monkeypatch, kind):
+        """NaN in the strict upper triangle of every covariance block leaves
+        the spectrum and the rate-fit radii bit for bit the same, on the
+        default banded config and on a dense Hilbert-scale problem at
+        N = 256."""
+        config, prob, u0 = _default_banded() if kind == "banded" else _dense_hilbert(256)
+        g_u0 = forward_apply(prob, u0)
+        original = posterior.PosteriorFactor._covariance
+
+        def poisoned(self, lo, hi):
+            cov = original(self, lo, hi)
+            cov[np.triu_indices(hi - lo, 1)] = np.nan
+            return cov
+
+        for i, n in enumerate(config.run["n_grid"][::2]):
+            ys = np.column_stack([rates._replicate_distances(prob, g_u0, n,
+                                                             substream(3, "rate-fit", i, rep))
+                                  for rep in range(4)])
+            factor = cl.factor_posterior(prob, n)
+            d = factor.mean(ys) - u0[:, None]
+            before = factor.covariance_spectrum(d), rates._posterior_radii(factor, u0, 0.1, ys)
+            with monkeypatch.context() as patch:
+                patch.setattr(posterior.PosteriorFactor, "_covariance", poisoned)
+                after = factor.covariance_spectrum(d), rates._posterior_radii(factor, u0, 0.1, ys)
+            assert all(np.array_equal(x, y) for x, y in zip(before[0], after[0]))
+            assert np.array_equal(before[1], after[1])
 
     def test_cached_factors_are_read_only(self):
         """A posterior shares its covariance factor with the factor it was
@@ -414,13 +442,11 @@ def _assert_routes_agree(factor, u0, ys):
     d = factor.mean(ys) - u0[:, None]
     lam, c = factor.covariance_spectrum(d)
     radii = rates._posterior_radii(factor, u0, 0.1, ys)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadform, "diagonal_blocks", lambda mat: np.array([0, mat.shape[0]]))
-        precision = cl.posterior_precision(factor.problem, factor.n_level)
-        twin = posterior.PosteriorFactor(factor.problem, factor.n_level,
-                                         np.asfortranarray(cl.cholesky_with_jitter(precision)))
-        ref_lam, ref_c = twin.covariance_spectrum(d)
-        ref_radii = rates._posterior_radii(twin, u0, 0.1, ys)
+    precision = cl.posterior_precision(factor.problem, factor.n_level)
+    twin = posterior.PosteriorFactor(factor.problem, factor.n_level,
+                                     np.asfortranarray(cl.cholesky_with_jitter(precision)))
+    ref_lam, ref_c = twin.covariance_spectrum(d)
+    ref_radii = rates._posterior_radii(twin, u0, 0.1, ys)
     assert twin.blocks.size == 2
     assert np.all(np.abs(lam - ref_lam) <= 1e-13 * ref_lam.max())
     norms, ref_norms = np.linalg.norm(c, axis=0), np.linalg.norm(ref_c, axis=0)
@@ -576,6 +602,18 @@ class TestInPlaceSampling:
         finally:
             tracemalloc.stop()
         assert peak < big.nbytes / 16
+
+    def test_mean_must_be_a_length_n_vector(self):
+        """A posterior conditioned on an (N, R) data block, or given any mean
+        that is not a length-N vector, raises ``ParameterError`` naming the
+        mean's shape, rather than a broadcasting error in ``distances``."""
+        factor = cl.factor_posterior(random_problem(2, n_dim=6), 50.0)
+        with pytest.raises(ParameterError, match=r"mean must be a length-6 vector, got shape \(6, 5\)"):
+            factor.condition(np.ones((6, 5)))
+        upper = np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (6, 6)))
+        for shape in ((6, 1), (5,), (7,), ()):
+            with pytest.raises(ParameterError, match=re.escape(f"got shape {shape}")):
+                cl.PosteriorGaussian(np.zeros(shape), upper, 1.0)
 
 
 def _banded_problem(n_dim, delta):
@@ -795,7 +833,7 @@ class TestMemoryBudget:
         (the covariance is freed before dstevd runs), where forming ``L^{-1}``
         and ``L^{-T} L^{-1}`` made five."""
         config, prob, u0 = _dense_hilbert(self.N)
-        prob.gram_blocks
+        prob.whitened_gram
         g_u0 = forward_apply(prob, u0)
         ys = np.column_stack([rates._replicate_distances(prob, g_u0, 1e4,
                                                          substream(3, "rate-fit", 0, rep))
@@ -811,7 +849,7 @@ class TestMemoryBudget:
         the factor is freed once ``L^{-1}`` is formed, so the peak stays
         below ``L^{-1}`` plus the draws plus half an N x N array."""
         config, prob, u0 = _dense_hilbert(self.N)
-        prob.gram_blocks
+        prob.whitened_gram
         mc = 2000
 
         def cell():

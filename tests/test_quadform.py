@@ -561,6 +561,13 @@ class TestLowerTail:
             quadform.log_cdf_chernoff(1.0, [1.0, 0.5], [0.0, 1.0])
 
 
+def _spectrum(cov, d, what):
+    """``quadform.block_spectrum`` on the partition read off ``cov``'s zero
+    pattern, each block a Fortran-ordered copy."""
+    return quadform.block_spectrum(quadform.diagonal_blocks(cov),
+                                   lambda lo, hi: np.array(cov[lo:hi, lo:hi], order="F"), d, what)
+
+
 class TestSpectrum:
     def test_matches_eigh_with_a_zero_eigenvalue(self):
         """A rank-deficient PSD matrix in C order: eigenvalues and projection
@@ -570,7 +577,7 @@ class TestSpectrum:
         cov = a @ a.T
         d = rng.standard_normal((9, 2))
         ref_lam, ref_vec = np.linalg.eigh(cov)
-        lam, c = quadform.spectrum(cov.copy(), d, "test matrix")
+        lam, c = _spectrum(cov.copy(), d, "test matrix")
         assert np.all(lam >= 0.0) and np.all(lam[:3] <= 1e-13 * lam[-1])
         np.testing.assert_allclose(lam[3:], ref_lam[3:], rtol=1e-12)
         np.testing.assert_allclose(np.abs(c[3:]), np.abs(ref_vec.T @ d)[3:], rtol=1e-9)
@@ -578,7 +585,7 @@ class TestSpectrum:
 
     def test_failure_names_what_was_decomposed(self):
         with pytest.raises(NumericalError, match="rounding floor"):
-            quadform.spectrum(-np.eye(3), np.ones(3), "test matrix")
+            _spectrum(-np.eye(3), np.ones(3), "test matrix")
 
     def test_block_route_matches_one_block(self):
         """A block-diagonal matrix with blocks of 1, 3, 1 and 4 rows: the
@@ -593,7 +600,7 @@ class TestSpectrum:
             cov[lo:hi, lo:hi] = a @ a.T
         d = rng.standard_normal((9, 3))
         assert np.array_equal(quadform.diagonal_blocks(cov), edges)
-        lam, c = quadform.spectrum(cov.copy(), d, "test matrix")
+        lam, c = _spectrum(cov.copy(), d, "test matrix")
         ref_lam, ref_vec = np.linalg.eigh(cov)
         ref_c = ref_vec.T @ d
         assert np.all(np.diff(lam) >= 0)
@@ -601,9 +608,9 @@ class TestSpectrum:
         assert np.allclose(np.abs(c), np.abs(ref_c), rtol=0, atol=1e-12 * np.abs(d).max())
         cov[1:4, 1:4] *= -1.0
         with pytest.raises(NumericalError, match="rows 1:4 below the rounding floor"):
-            quadform.spectrum(cov, d, "test matrix")
+            _spectrum(cov, d, "test matrix")
         with pytest.raises(NumericalError, match="rows 0:1 below the rounding floor"):
-            quadform.spectrum(np.diag([-1.0, 2.0]), np.ones(2), "test matrix")
+            _spectrum(np.diag([-1.0, 2.0]), np.ones(2), "test matrix")
 
 
 class TestReflectorsInPlace:
@@ -631,7 +638,7 @@ class TestReflectorsInPlace:
         monkeypatch.setattr(quadform, "dormqr", comparing_reflect)
         rng = np.random.default_rng(n_dim)
         a = rng.standard_normal((n_dim, n_dim))
-        quadform.spectrum(np.asfortranarray(a @ a.T), rng.standard_normal((n_dim, 3)), "test")
+        _spectrum(np.asfortranarray(a @ a.T), rng.standard_normal((n_dim, 3)), "test")
         assert checked == [True, True]
 
 
