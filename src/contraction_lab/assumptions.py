@@ -20,6 +20,7 @@ from . import quadform
 from .errors import NumericalError, ParameterError
 from .rng import substream
 from .spectral import (
+    DenseNoise,
     ExpSkewCoupling,
     InverseProblem,
     ReflectionCoupling,
@@ -181,32 +182,23 @@ class SmallBallForm:
     residual_norms: np.ndarray
 
 
-def _forward_image_factor(problem: InverseProblem, coupled: bool = True) -> np.ndarray:
-    """``A = M Lambda^(1/2)`` as one N x N array, so that ``A A^T`` is the
-    covariance of the prior's whitened forward image. M is the cached whitened
-    forward map; for the diagonal surrogate (``coupled=False``) it is the same
-    whitening of ``diag(rho)``, as if the coupling were the identity."""
-    if coupled:
-        m = problem.whitened_forward
-    else:
-        m = problem.noise_whiten(problem.operator.rho[:, None] * np.eye(problem.n_dim))
-    return m * np.sqrt(problem.prior.variances)[None, :]
+def _image_cov(lo: int, hi: int, m: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Part ``lo:hi`` of ``M Lambda M^T`` from M's part ``m`` (``root`` the
+    prior standard deviations): ``(a a^T)^T``, exactly symmetric and so
+    Fortran-ordered, for ``a = m Lambda_B^(1/2)``, or ``a * a`` on a run."""
+    a = m * root[lo:hi]
+    return (a @ a.T).T if a.ndim == 2 else a * a
 
 
 def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
     """One spectrum of the prior forward covariance, for every radius. It
-    splits on ``problem.gram_blocks`` as M does, and each block ``(M_BB
-    Lambda_B^(1/2))(M_BB Lambda_B^(1/2))^T`` is formed only when it is
+    splits on ``problem.gram_blocks`` as M does, and each block of ``M
+    Lambda M^T`` is formed from ``problem.forward_blocks`` only when it is
     decomposed. ``residual_norms`` is reduced in one N x N array, in place."""
     u0 = as_vector(u0, problem.n_dim, "u0")
     m, root = problem.whitened_forward, np.sqrt(problem.prior.variances)
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        a = m[lo:hi, lo:hi] * root[lo:hi]
-        return (a @ a.T).T  # exactly symmetric, so this is the block in Fortran order
-
-    lam, c = quadform.block_spectrum(problem.gram_blocks, block, m @ u0,
-                                     "prior forward covariance")
+    lam, c = quadform.block_spectrum(problem.forward_blocks(), m @ u0, "prior forward covariance",
+                                     lambda lo, hi, part: _image_cov(lo, hi, part, root))
     suffix = m * u0  # column images of u0, summed from the right and squared in place
     np.cumsum(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
     suffix *= suffix
@@ -324,23 +316,26 @@ class MinmaxTable:
     max_ratio: float
 
 
-def minmax_compare(op_a: np.ndarray, op_b: np.ndarray, j_max: int) -> MinmaxTable:
-    """Ratio table of sorted eigenvalues of two SPD operators.
+def minmax_compare(op_a: quadform.BlockDiagonal, op_b: quadform.BlockDiagonal,
+                   j_max: int) -> MinmaxTable:
+    """Ratio table of sorted eigenvalues of two SPD ``quadform.BlockDiagonal``
+    operators, taken block by block (``quadform.block_spectrum``).
 
     Bounded ratios over the leading modes certify that the two covariances
     share small-ball asymptotics.
     """
-    a = np.asarray(op_a, dtype=float)
-    b = np.asarray(op_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError("operators must be square matrices of equal size")
-    if not (1 <= j_max <= a.shape[0]):
+    if not all(isinstance(op, quadform.BlockDiagonal) for op in (op_a, op_b)) \
+            or op_a.n_dim != op_b.n_dim:
+        raise ParameterError("operators must be BlockDiagonal operators of equal size")
+    if not (1 <= j_max <= op_a.n_dim):
         raise ParameterError("j_max must lie in [1, N]")
+    zeros = np.zeros(op_a.n_dim)
     try:
-        alphas = np.linalg.eigvalsh(a)[::-1]
-        betas = np.linalg.eigvalsh(b)[::-1]
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise NumericalError(f"eigendecomposition failed: {exc}")
+        alphas, betas = (quadform.block_spectrum(op, zeros, "operator",
+                                                 lambda lo, hi, part: part)[0][::-1]
+                         for op in (op_a, op_b))
+    except NumericalError as exc:
+        raise ParameterError(f"operators must be positive definite: {exc}") from exc
     if alphas[-1] <= 0 or betas[-1] <= 0:
         raise ParameterError("operators must be positive definite")
     ratios = alphas[:j_max] / betas[:j_max]
@@ -348,17 +343,22 @@ def minmax_compare(op_a: np.ndarray, op_b: np.ndarray, j_max: int) -> MinmaxTabl
                        min_ratio=float(ratios.min()), max_ratio=float(ratios.max()))
 
 
-def coupled_pushforward_cov(problem: InverseProblem) -> np.ndarray:
+def coupled_pushforward_cov(problem: InverseProblem) -> quadform.BlockDiagonal:
     """Covariance ``M Lambda M^T`` of the whitened forward image of the prior."""
-    a = _forward_image_factor(problem)
-    return a @ a.T
+    root = np.sqrt(problem.prior.variances)
+    return problem.forward_blocks().map(lambda lo, hi, m: _image_cov(lo, hi, m, root)).read_only()
 
 
-def diagonal_pushforward_cov(problem: InverseProblem) -> np.ndarray:
+def diagonal_pushforward_cov(problem: InverseProblem) -> quadform.BlockDiagonal:
     """Same construction for the diagonal surrogate prior (variances moved
-    onto the e-basis)."""
-    a = _forward_image_factor(problem, coupled=False)
-    return a @ a.T
+    onto the e-basis): M is the whitening of ``diag(rho)``, diagonal unless
+    the noise is dense."""
+    rho, root, n = problem.operator.rho, np.sqrt(problem.prior.variances), problem.n_dim
+    if isinstance(problem.noise, DenseNoise):
+        m = quadform.BlockDiagonal.from_dense(problem.noise_whiten(rho[:, None] * np.eye(n)))
+    else:
+        m = quadform.BlockDiagonal(np.arange(n + 1), lambda lo, hi, run: problem.noise_whiten(rho))
+    return m.map(lambda lo, hi, part: _image_cov(lo, hi, part, root)).read_only()
 
 
 # ---------------------------------------------------------------------------

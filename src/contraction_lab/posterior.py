@@ -8,12 +8,10 @@ weighted route alone. Their agreement on exceedance probabilities is the
 module's oracle-equivalence property.
 
 The conjugate posterior factorizes over independent blocks of coordinates:
-where the whitened Gram is block-diagonal (a banded coupling), so is every
-posterior precision, and its Cholesky factor, triangular inverse, mean
-solve, covariance and its eigensolve and the product of the sampling factor
-with the draws are taken one diagonal block at a time. Each N x N array on
-the way exists once: the precision is factored in place, and the covariance
-comes from the factor one block at a time.
+the precision and its Cholesky factor are ``quadform.BlockDiagonal``
+operators on the whitened Gram's blocks, and the mean solve, triangular
+inverse, covariance eigensolve and sampling product go part by part. The
+precision is factored in place, and the covariance comes from the factor.
 """
 
 from __future__ import annotations
@@ -36,55 +34,56 @@ from .spectral import InverseProblem, DataSample, as_vector
 JITTER_DOUBLINGS = 3
 
 
-def cholesky_with_jitter(mat: np.ndarray, blocks: np.ndarray | None = None) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric ``mat``, escalating a
-    scaled-identity jitter on failure.
+def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
+    """Lower Cholesky factor of the symmetric ``quadform.BlockDiagonal``
+    ``mat``, as a ``BlockDiagonal``, escalating a scaled-identity jitter on
+    failure.
 
-    LAPACK dpotrf factors ``mat`` in place when it is a writeable
-    Fortran-ordered float array, and a copy of it otherwise; either way the
-    factor comes back Fortran-ordered, with its strict upper triangle zeroed.
-    The jitter starts at 1e-12 * ||mat||_F and doubles at most
-    ``JITTER_DOUBLINGS`` times. A failed attempt has overwritten part of the
-    lower triangle, so before a retry it is restored from the untouched upper
-    triangle, which equals it in a symmetric ``mat``, and from the saved
-    diagonal: every attempt factors ``mat + jitter I`` itself. ``blocks``
-    (edges as ``quadform.diagonal_blocks`` returns them) splits a
-    block-diagonal ``mat``: each diagonal block is factored on its own, and a
-    jitter, still scaled by the whole matrix, shifts every block. One block
-    (or None) factors the whole array.
+    LAPACK dpotrf factors each part in place when it is a writeable
+    Fortran-ordered float array, and a copy otherwise, and its strict upper
+    triangle is zeroed; a run of one-row blocks takes ``sqrt``, dpotrf's
+    operation on one row. The jitter, 1e-12 * ||mat||_F doubled at most
+    ``JITTER_DOUBLINGS`` times, shifts every block. A failed attempt has
+    overwritten part of a lower triangle, so before a retry each part is
+    restored from its untouched upper triangle and saved diagonal: every
+    attempt factors ``mat + jitter I`` itself.
     """
-    mat = np.require(mat, dtype=float, requirements=["F", "W"])
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParameterError(f"Cholesky needs a square matrix, got shape {mat.shape}")
-    edges = _edges(blocks, mat.shape[0])
-    diag = np.diagonal(mat).copy()
+    out = mat.map(lambda lo, hi, p: np.require(p, dtype=float, requirements=["F", "W"]))
+    diags = [_diagonal(p).copy() for p in out.parts]
     jitter = 0.0
     for attempt in range(JITTER_DOUBLINGS + 2):  # unjittered, then each jitter
         if jitter:
-            np.fill_diagonal(mat, diag + jitter)
-        if _block_cholesky(mat, edges):
-            return mat
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            _set_upper(mat[lo:hi, lo:hi].T)
-        np.fill_diagonal(mat, diag)
-        jitter = 1e-12 * np.linalg.norm(mat) if attempt == 0 else 2.0 * jitter
+            for p, d in zip(out.parts, diags):
+                _diagonal(p)[...] = d + jitter
+        if _factor_parts(out.parts):
+            return out
+        for p, d in zip(out.parts, diags):
+            if p.ndim == 2:
+                _set_upper(p.T)
+            _diagonal(p)[...] = d
+        jitter = 1e-12 * math.sqrt(out.square_sum()) if attempt == 0 else 2.0 * jitter
     raise NumericalError("Cholesky failed after jitter escalation",
-                         condition_number=float(np.linalg.cond(mat)))
+                         condition_number=float(np.linalg.cond(out.dense())))
 
 
-def _block_cholesky(mat: np.ndarray, edges: np.ndarray) -> bool:
-    """Factor each diagonal block of the Fortran-ordered ``mat`` in place
-    and zero the strict upper triangles; False, with the upper triangles
-    untouched, where a block is not positive definite."""
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block = mat[lo:hi, lo:hi]
-        factor, info = dpotrf(block, lower=1, clean=0, overwrite_a=1)
-        if info:
+def _diagonal(part: np.ndarray) -> np.ndarray:
+    """Writeable view of a part's diagonal: a run is its own diagonal."""
+    return np.einsum("ii->i", part) if part.ndim == 2 else part
+
+
+def _factor_parts(parts) -> bool:
+    """Factor the Fortran-ordered parts in place and zero their strict upper
+    triangles; False, upper triangles untouched, if one is not definite."""
+    for p in parts:
+        if p.ndim == 1:
+            if not np.all(p > 0):
+                return False
+            np.sqrt(p, out=p)
+        elif dpotrf(p, lower=1, clean=0, overwrite_a=1)[1]:
             return False
-        if not np.may_share_memory(factor, block):  # a strided block is factored in a copy
-            block[...] = factor
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        _set_upper(mat[lo:hi, lo:hi], zero=True)
+    for p in parts:
+        if p.ndim == 2:
+            _set_upper(p, zero=True)
     return True
 
 
@@ -120,17 +119,6 @@ def _set_upper(a: np.ndarray, zero: bool = False) -> np.ndarray:
     return a
 
 
-def _edges(blocks, n_dim: int) -> np.ndarray:
-    """Read-only copy of block edges (None: one block), checked to run from
-    0 to ``n_dim`` in increasing steps."""
-    edges = np.array([0, n_dim] if blocks is None else blocks)
-    if edges.ndim != 1 or edges.size < 2 or edges[0] != 0 or edges[-1] != n_dim \
-            or np.any(np.diff(edges) <= 0):
-        raise ParameterError(f"blocks must be increasing edges from 0 to {n_dim}, got {edges}")
-    edges.flags.writeable = False
-    return edges
-
-
 # Rows of the sampling factor read at a time by the triangular-pattern check.
 _CHECK_ROWS = 64
 
@@ -154,24 +142,34 @@ class PosteriorGaussian:
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ParameterError(f"covariance factor must be square, got shape {shape}")
         object.__setattr__(self, "mean", as_vector(self.mean, shape[0], "mean"))
-        if np.any(np.diag(self.cov_factor) <= 0):
-            raise ParameterError("covariance factor must have positive diagonal")
-        edges = _edges(self.blocks, self.n_dim)
+        if not np.all(np.isfinite(self.mean)):
+            raise ParameterError("mean must be finite")
+        edges = quadform.BlockDiagonal.from_dense(self.cov_factor, self.blocks).edges
         object.__setattr__(self, "blocks", edges)
         # A few rows at a time, so no N x N temporary: left of the rows'
         # first diagonal entry and right of their block, every entry is zero,
-        # and so is the strict lower triangle of their square at the diagonal.
+        # and so is the strict lower triangle of their square at the diagonal;
+        # inside their block every entry is finite, and the diagonal positive.
         for lo, hi in zip(edges[:-1], edges[1:]):
             for top in range(lo, hi, _CHECK_ROWS):
                 rows = self.cov_factor[top:min(top + _CHECK_ROWS, hi)]
+                where = f"rows {top}:{top + rows.shape[0]}"
                 if (np.count_nonzero(rows[:, :top]) or np.count_nonzero(rows[:, hi:])
                         or np.count_nonzero(np.tril(rows[:, top:top + rows.shape[0]], -1))):
                     raise ParameterError("covariance factor must be upper-triangular and zero "
-                                         f"outside its blocks (rows {top}:{top + rows.shape[0]})")
+                                         f"outside its blocks ({where})")
+                if not (np.all(np.isfinite(rows[:, top:hi]))
+                        and np.all(np.diagonal(rows[:, top:]) > 0)):
+                    raise ParameterError("covariance factor must be finite with a positive "
+                                         f"diagonal ({where})")
 
     @property
     def n_dim(self) -> int:
         return self.mean.shape[0]
+
+    def covariance_trace(self) -> float:
+        """``trace(cov_factor @ cov_factor.T)``, summed block by block."""
+        return quadform.BlockDiagonal.from_dense(self.cov_factor, self.blocks).square_sum()
 
     def distances(self, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Distances from u0 of the posterior draws ``mean + cov_factor @ z``,
@@ -205,19 +203,16 @@ def _potential_batch(problem: InverseProblem, w_y: np.ndarray, u_rows: np.ndarra
     return 0.5 * n_level * np.einsum("ij,ij->j", v, v) - n_level * (w_y @ v)
 
 
-def posterior_precision(problem: InverseProblem, n_level: float) -> np.ndarray:
-    """Posterior precision: prior precision plus ``n`` times the whitened
-    Gram, as a new Fortran-ordered array that ``cholesky_with_jitter`` factors
-    in place. Each diagonal block of ``problem.gram_blocks`` is written
-    straight into it, in the Gram's own (Fortran) memory order; it is zero
-    off them."""
-    gram, edges = problem.whitened_gram, problem.gram_blocks
-    out = np.zeros(gram.shape, order="F")
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        np.multiply(gram[lo:hi, lo:hi], n_level, out=out[lo:hi, lo:hi])
-    diag = np.arange(problem.n_dim)
-    out[diag, diag] += 1.0 / problem.prior.variances
-    return out
+def posterior_precision(problem: InverseProblem, n_level: float) -> quadform.BlockDiagonal:
+    """Prior precision plus ``n`` times the whitened Gram, on the Gram's
+    blocks, in fresh parts that ``cholesky_with_jitter`` factors in place."""
+    inv_var = 1.0 / problem.prior.variances
+
+    def part(lo: int, hi: int, gram: np.ndarray) -> np.ndarray:
+        out = np.multiply(gram, n_level)
+        _diagonal(out)[...] += inv_var[lo:hi]
+        return out
+    return problem.whitened_gram.map(part)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,47 +220,30 @@ class PosteriorFactor:
     """The data-independent part of the conjugate posterior at one noise
     level: factor once per n, then condition on any number of data draws.
 
-    The precision is block-diagonal on ``blocks`` (edges, as
-    ``quadform.diagonal_blocks`` returns them; None means one block), and the
-    coordinates of different blocks are independent a posteriori. Its
-    Cholesky factor L, factored block by block, is the only factorization.
-    ``covariance_spectrum`` takes each block of the covariance ``L^{-T}
-    L^{-1}`` from L by LAPACK dpotri; the triangular inverse, which gives the
-    upper-triangular sampling factor ``L^{-T}``, is formed only for sampling,
-    on first use, block by block. L and its inverse are full N x N,
-    Fortran-ordered and read-only: every conditioned posterior shares them."""
+    The precision's Cholesky factor L, a read-only ``quadform.BlockDiagonal``
+    on the problem's blocks, is the only factorization. ``covariance_spectrum``
+    takes each block of the covariance ``L^{-T} L^{-1}`` from L by LAPACK
+    dpotri; the triangular inverse, whose transpose is the sampling factor,
+    is formed only on the first ``condition``. A run of one-row blocks takes
+    these calls' closed forms in their own operation order: ``1 / l``, then
+    ``(1 / l) * (1 / l)``."""
 
     problem: InverseProblem
     n_level: float
-    _precision_chol: np.ndarray
-    blocks: np.ndarray | None = None
+    _precision_chol: quadform.BlockDiagonal
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", _edges(self.blocks, self.problem.n_dim))
+    @property
+    def blocks(self) -> np.ndarray:
+        return self._precision_chol.edges
 
     def mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
-        (N, R) block of R data draws with one mean per column, which costs
-        one product per coupling block and, per diagonal block, one
-        triangular solve pair for all of them. The right-hand side ``n M^T W
-        y`` (W the whitening root) comes from ``problem.whitened_adjoint``,
-        so M is not formed. A run of one-row blocks (``quadform.block_runs``)
-        is solved at once, as ``(b * (1 / l)) * (1 / l)`` with ``l`` the
-        factor's diagonal: the operations of a 1 x 1 ``cho_solve`` in
-        OpenBLAS."""
+        (N, R) block of R data draws with one mean per column, from one
+        ``BlockDiagonal.cho_solve`` of ``n M^T W y`` (W the whitening root),
+        which ``problem.whitened_adjoint`` forms without M."""
         y = self._block(y, "y")
         rhs = self.n_level * self.problem.whitened_adjoint(self.problem.noise_whiten(y))
-        for lo, hi, single in quadform.block_runs(self.blocks):
-            if single:
-                inv = 1.0 / np.diagonal(self._precision_chol)[lo:hi]
-                if rhs.ndim == 2:
-                    inv = inv[:, None]
-                rhs[lo:hi] *= inv
-                rhs[lo:hi] *= inv
-            else:
-                rhs[lo:hi] = cho_solve((self._precision_chol[lo:hi, lo:hi], True), rhs[lo:hi],
-                                       check_finite=False)
-        return rhs
+        return self._precision_chol.cho_solve(rhs, cho_solve)
 
     def condition(self, y: np.ndarray) -> PosteriorGaussian:
         """Posterior given data ``y`` (e-coordinates)."""
@@ -281,20 +259,23 @@ class PosteriorFactor:
 
     @cached_property
     def _chol_inv(self) -> np.ndarray:
-        # Half the time of a solve against the identity. Its info flags only a
-        # zero diagonal, which a Cholesky factor lacks.
-        inv = quadform.blockwise(self._precision_chol, self.blocks,
-                                 lambda b: dtrtri(b, lower=1)[0])
+        """``L^{-1}`` scattered once into an N x N array (read-only) whose
+        transpose every posterior shares: dtrtri per block, half the time of a
+        solve against the identity (its info flags only a zero diagonal, which
+        a Cholesky factor lacks), and ``1 / l`` per run."""
+        inv = self._precision_chol.map(
+            lambda lo, hi, l: dtrtri(l, lower=1)[0] if l.ndim == 2 else 1.0 / l).dense()
         inv.flags.writeable = False
         return inv
 
-    def _covariance(self, lo: int, hi: int) -> np.ndarray:
-        """Block ``lo:hi`` of the covariance ``L^{-T} L^{-1}`` as a new
-        Fortran-ordered array: dpotri on a copy of L's block, which holds it
-        in the lower triangle, the one ``quadform.block_spectrum`` reads; the
-        upper triangle keeps L's zeros."""
-        cov, info = dpotri(np.array(self._precision_chol[lo:hi, lo:hi], order="F"),
-                           lower=1, overwrite_c=1)
+    def _covariance(self, lo: int, hi: int, l: np.ndarray) -> np.ndarray:
+        """The covariance ``L^{-T} L^{-1}`` on one part ``l`` of L: dpotri on
+        a copy of a block, which holds it in the lower triangle that
+        ``quadform.block_spectrum`` reads; ``(1 / l) * (1 / l)`` on a run."""
+        if l.ndim == 1:
+            inv = 1.0 / l
+            return inv * inv
+        cov, info = dpotri(np.array(l, order="F"), lower=1, overwrite_c=1)
         if info:
             raise NumericalError(f"LAPACK dpotri failed with info = {info} on the posterior "
                                  f"covariance at n_level = {float(self.n_level)!r}, rows {lo}:{hi}")
@@ -304,8 +285,8 @@ class PosteriorFactor:
         """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)
         V^T`` and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
         without forming the eigenvectors V (``quadform.block_spectrum``, one
-        diagonal block at a time). Each block of C is formed from L only when
-        it is decomposed, and reduced in place.
+        part of L at a time). Each block of C is formed from L only when it
+        is decomposed, and reduced in place.
 
         The covariance, not the precision, is decomposed: the precision's
         condition number reaches 6.7e27 on a mildly ill-posed problem with
@@ -313,19 +294,18 @@ class PosteriorFactor:
         eigenvalues that dominate posterior radii.
         """
         d = self._block(d, "d")
-        return quadform.block_spectrum(self.blocks, self._covariance, d,
-                                       f"posterior covariance at n_level = {float(self.n_level)!r}")
+        return quadform.block_spectrum(self._precision_chol, d,
+                                       f"posterior covariance at n_level = {float(self.n_level)!r}",
+                                       self._covariance)
 
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
     """Factor the conjugate posterior at noise level ``n_level`` once; the
-    result conditions on any number of data draws. The precision is built
-    Fortran-ordered and factored in place, the layout LAPACK's solves read
-    without a copy."""
-    blocks = problem.gram_blocks
-    p_chol = cholesky_with_jitter(posterior_precision(problem, n_level), blocks)
-    p_chol.flags.writeable = False
-    return PosteriorFactor(problem, n_level, p_chol, blocks)
+    result conditions on any number of data draws. The precision's parts are
+    built Fortran-ordered and factored in place, the layout LAPACK's solves
+    read without a copy."""
+    p_chol = cholesky_with_jitter(posterior_precision(problem, n_level)).read_only()
+    return PosteriorFactor(problem, n_level, p_chol)
 
 
 def conjugate_posterior(problem: InverseProblem, data: DataSample) -> PosteriorGaussian:

@@ -8,9 +8,9 @@ eigenvalues, ``c`` the offset's coordinates). Every routine takes ``lam`` and
 directly, so a vanishing eigenvalue never becomes a divisor.
 
 ``block_spectrum`` computes ``lam`` and the offsets' coordinates from a
-covariance and an offset without forming eigenvectors, one diagonal block at
-a time on a known partition (a problem's ``gram_blocks``): independent
-blocks of coordinates add independent terms to Q.
+covariance and an offset without forming eigenvectors, one part of a
+``BlockDiagonal`` operator at a time (a problem's ``gram_blocks``):
+independent blocks of coordinates add independent terms to Q.
 
 Tails use the Lugannani-Rice saddlepoint formula (Lugannani & Rice, Adv.
 Appl. Prob. 12, 1980), parameterized by the saddlepoint ``s`` on its domain
@@ -121,68 +121,139 @@ def diagonal_blocks(mat: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.append(reach == np.arange(n), True))
 
 
-def blockwise(mat: np.ndarray, edges, block_fn) -> np.ndarray:
-    """``block_fn`` of ``mat`` where ``edges`` make one block; otherwise a
-    Fortran-ordered N x N array, zero off the diagonal blocks of ``edges``,
-    holding ``block_fn`` of each block of ``mat``."""
-    if len(edges) == 2:
-        return block_fn(mat)
-    out = np.zeros(mat.shape, order="F")
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out[lo:hi, lo:hi] = block_fn(mat[lo:hi, lo:hi])
-    return out
+class BlockDiagonal:
+    """A square N x N matrix that is zero off its diagonal blocks ``edges``
+    (increasing from 0 to N), held by its blocks, never as one N x N array.
+    ``segments`` lists ``(lo, hi, run)``: each block of more than one row,
+    and each maximal run of one-row blocks (``run`` True). ``parts`` holds
+    each block (Fortran-ordered where the package builds it; a one-block
+    operator's is its matrix itself) or a run's diagonal as a vector, on
+    which each operation takes its closed form. ``dense()``, not
+    ``__array__``, makes the N x N array. The package's operators are
+    ``read_only``, but for the fresh precision that
+    ``posterior.cholesky_with_jitter`` factors in place."""
+
+    def __init__(self, edges, part):
+        """``part(lo, hi, run)`` makes each segment's part, in order."""
+        edges = np.array(edges)
+        if edges.ndim != 1 or edges.size < 2 or edges[0] != 0 or np.any(np.diff(edges) <= 0):
+            raise ParameterError(f"blocks must be increasing edges from 0 to N, got {edges}")
+        edges.flags.writeable = False
+        one = np.diff(edges) == 1
+        starts = np.flatnonzero(np.append(True, ~(one[1:] & one[:-1])))
+        self.edges, self.segments = edges, tuple(
+            (int(edges[a]), int(edges[b]), bool(one[a]))
+            for a, b in zip(starts, np.append(starts[1:], one.size)))
+        self.parts = tuple(part(*segment) for segment in self.segments)
+        for (lo, hi, run), p in zip(self.segments, self.parts):
+            if np.shape(p) != ((hi - lo,) if run else (hi - lo, hi - lo)):
+                raise ParameterError(f"blocks: part {lo}:{hi} has shape {np.shape(p)}")
+
+    @classmethod
+    def from_dense(cls, mat: np.ndarray, edges=None) -> BlockDiagonal:
+        """Views of the blocks ``edges`` (None: one, ``mat`` itself) of the
+        square ``mat``; entries off the blocks are not read."""
+        n = mat.shape[0]
+        op = cls([0, n] if edges is None else edges, lambda lo, hi, run: (
+            np.diagonal(mat)[lo:hi] if run else mat if hi - lo == n else mat[lo:hi, lo:hi]))
+        if op.n_dim != n:
+            raise ParameterError(f"blocks must end at {n}, got {op.edges}")
+        return op
+
+    @property
+    def n_dim(self) -> int:
+        return int(self.edges[-1])
+
+    def map(self, fn) -> BlockDiagonal:
+        """The operator whose parts are ``fn(lo, hi, part)``."""
+        parts = iter(self.parts)
+        return BlockDiagonal(self.edges, lambda lo, hi, run: fn(lo, hi, next(parts)))
+
+    def read_only(self) -> BlockDiagonal:
+        for p in self.parts:
+            p.flags.writeable = False
+        return self
+
+    def dense(self) -> np.ndarray:
+        """The Fortran-ordered N x N matrix; one block is its part, uncopied."""
+        if len(self.parts) == 1 and self.parts[0].ndim == 2:
+            return self.parts[0]
+        out = np.zeros((self.n_dim, self.n_dim), order="F")
+        for (lo, hi, run), p in zip(self.segments, self.parts):
+            rows = np.arange(lo, hi) if run else slice(lo, hi)
+            out[rows, rows] = p
+        return out
+
+    def square_sum(self) -> float:
+        """Sum of squared entries, one dot product per part: for one block,
+        the square that ``np.linalg.norm`` takes the root of, bit for bit."""
+        return sum(float(f @ f) for f in (p.ravel(order="K") for p in self.parts))
+
+    def transpose_apply(self, x: np.ndarray) -> np.ndarray:
+        """``A^T x`` for a vector or block ``x``, one product per part."""
+        out = np.empty_like(x)
+        for (lo, hi, run), p in zip(self.segments, self.parts):
+            if run:
+                out[lo:hi] = (p if x.ndim == 1 else p[:, None]) * x[lo:hi]
+            else:
+                out[lo:hi] = p.T @ x[lo:hi]
+        return out
+
+    def cho_solve(self, b: np.ndarray, solve) -> np.ndarray:
+        """``(L L^T)^{-1} b`` in ``b``'s rows, for the Cholesky factor L this
+        holds: ``solve`` (scipy's ``cho_solve``) per block, and per run
+        ``(b * (1 / l)) * (1 / l)``, a 1 x 1 ``cho_solve``'s operations."""
+        for (lo, hi, run), l in zip(self.segments, self.parts):
+            if run:
+                inv = 1.0 / l if b.ndim == 1 else (1.0 / l)[:, None]
+                b[lo:hi] *= inv
+                b[lo:hi] *= inv
+            else:
+                b[lo:hi] = solve((l, True), b[lo:hi], check_finite=False)
+        return b
 
 
-def block_runs(edges) -> list[tuple[int, int, bool]]:
-    """The diagonal blocks of ``edges`` as ``(lo, hi, single)`` segments in
-    order: each multi-row block on its own (``single`` False), and each
-    maximal run of consecutive one-row blocks merged into one segment
-    (``single`` True), whose rows a diagonal operation handles at once."""
-    edges = np.asarray(edges)
-    single = np.diff(edges) == 1
-    starts = np.flatnonzero(np.append(True, ~(single[1:] & single[:-1])))
-    ends = np.append(starts[1:], single.size)
-    return [(int(edges[a]), int(edges[b]), bool(single[a])) for a, b in zip(starts, ends)]
-
-
-def block_spectrum(edges, block, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) of a symmetric positive semi-definite ``cov =
-    V diag(lam) V^T`` that is zero off its diagonal blocks ``edges``, and the
-    projections ``V^T d`` of an (N,) or (N, R) block ``d``, without forming
-    the eigenvectors V; one block (``edges == [0, N]``) is the whole matrix.
-
-    The call ``block(lo, hi)`` returns block ``lo:hi`` of ``cov`` as a new
-    Fortran-ordered array of which only the lower triangle is read. Each
-    block is made only when it is decomposed by ``_tridiagonal_spectrum``,
-    which reduces it in place and frees it before the eigensolve; more than
-    one block names its rows in errors. The eigenvalues are merged in
-    ascending order by a stable sort, and the projection rows follow them.
+def block_spectrum(op: BlockDiagonal, d: np.ndarray, what: str,
+                   block) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) of the symmetric positive semi-definite ``cov
+    = V diag(lam) V^T`` whose parts are ``block(lo, hi, part)`` of those of
+    ``op``, and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
+    without forming V. Each part is made only when it is decomposed. A block
+    (its lower triangle read) goes to ``_tridiagonal_spectrum``, which frees
+    it before the eigensolve; it is reduced in place when it is a writeable
+    Fortran-ordered array and copied otherwise. A run's entries are its
+    eigenvalues, each of which must be positive, and ``d``'s rows its
+    projections. Errors name the rows of their segment; the eigenvalues are
+    merged by a stable sort, and the projections follow.
     """
-    n = int(edges[-1])
-    if len(edges) == 2:
-        return _tridiagonal_spectrum(block(0, n), d, what)
+    n = op.n_dim
     lam = np.empty(n)
     proj = np.array(d.reshape(n, -1))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        lam[lo:hi], proj[lo:hi] = _tridiagonal_spectrum(block(lo, hi), proj[lo:hi],
-                                                        f"{what}, rows {lo}:{hi}")
+    for (lo, hi, run), part in zip(op.segments, op.parts):
+        if run:
+            lam[lo:hi] = block(lo, hi, part)
+            bad = lo + np.flatnonzero(~(lam[lo:hi] > 0))
+            if bad.size:  # the first one-row block that is not positive
+                _clip_rounding(lam[bad[0]:bad[0] + 1], f"{what}, rows {bad[0]}:{bad[0] + 1}")
+        else:
+            lam[lo:hi], proj[lo:hi] = _tridiagonal_spectrum(
+                np.require(block(lo, hi, part), float, ["F", "W"]), proj[lo:hi],
+                f"{what}, rows {lo}:{hi}")
     order = np.argsort(lam, kind="stable")
     return lam[order], proj[order].reshape(d.shape)
 
 
 def _tridiagonal_spectrum(cov: np.ndarray, d: np.ndarray,
                           what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``block_spectrum`` of one block.
+    """``block_spectrum`` of one block of two or more rows.
 
     LAPACK reduces ``cov = Q T Q^T`` to tridiagonal form (dsytrd, lower
     triangle, in place: a Fortran-ordered ``cov`` is overwritten), applies the
     reflectors Q^T to ``d`` (dormqr) and solves ``T = Z diag(lam) Z^T`` by
     divide and conquer (dstevd), so ``V^T d = Z^T Q^T d``; the
     back-transformation ``V = Q Z`` of a full eigensolver is skipped. Computed
-    eigenvalues down to ``-EIGENVALUE_RTOL * b * max`` (b rows, max the
-    block's largest eigenvalue) are the rounding of a zero and are set to
-    zero; a more negative one, or a failed LAPACK call, raises
-    ``NumericalError`` naming ``what``.
+    eigenvalues go through ``_clip_rounding``, and a failed LAPACK call
+    raises ``NumericalError`` naming ``what``.
     """
     n = cov.shape[0]
     lwork, info = dsytrd_lwork(n, lower=1)
@@ -190,27 +261,32 @@ def _tridiagonal_spectrum(cov: np.ndarray, d: np.ndarray,
     tri, diag, off, tau, info = dsytrd(cov, lower=1, lwork=int(lwork), overwrite_a=1)
     _lapack_ok("dsytrd", info, what)
     proj = np.array(d.reshape(n, -1))
-    if n > 1:
-        # A lower reduction leaves row 0 alone; its reflectors are the QR
-        # factor of the trailing (N - 1) rows of the first N - 1 columns.
-        # dormqr reads them in place through an (N, N - 1) Fortran view that
-        # starts at tri[1, 0] with leading dimension N: it reads the first
-        # N - 1 rows of each column, never the last (the next column's row 0).
-        refl = np.ndarray((n, n - 1), buffer=tri.T, offset=tri.itemsize, order="F")
-        _, work, info = dormqr("L", "T", refl, tau, proj[1:], -1)
-        _lapack_ok("dormqr", info, what)
-        proj[1:], _, info = dormqr("L", "T", refl, tau, proj[1:], int(work[0]))
-        _lapack_ok("dormqr", info, what)
-        del refl
-    del cov, tri  # freed before dstevd allocates its N x N workspace
-    lam, z, info = dstevd(diag, off if n > 1 else np.zeros(1))
+    # A lower reduction leaves row 0 alone; its reflectors are the QR factor
+    # of the trailing (N - 1) rows of the first N - 1 columns. dormqr reads
+    # them in place through an (N, N - 1) Fortran view that starts at tri[1, 0]
+    # with leading dimension N: it reads the first N - 1 rows of each column,
+    # never the last (the next column's row 0).
+    refl = np.ndarray((n, n - 1), buffer=tri.T, offset=tri.itemsize, order="F")
+    _, work, info = dormqr("L", "T", refl, tau, proj[1:], -1)
+    _lapack_ok("dormqr", info, what)
+    proj[1:], _, info = dormqr("L", "T", refl, tau, proj[1:], int(work[0]))
+    _lapack_ok("dormqr", info, what)
+    del refl, cov, tri  # freed before dstevd allocates its N x N workspace
+    lam, z, info = dstevd(diag, off)
     _lapack_ok("dstevd", info, what)
-    floor = -EIGENVALUE_RTOL * n * lam[-1]
+    _clip_rounding(lam, what)
+    return lam, (z.T @ proj).reshape(d.shape)
+
+
+def _clip_rounding(lam: np.ndarray, what: str) -> None:
+    """Set the ascending eigenvalues ``lam`` of a b-row block down to
+    ``-EIGENVALUE_RTOL * b * max`` to zero, the rounding of a zero; raise
+    ``NumericalError`` naming ``what`` on a more negative one."""
+    floor = -EIGENVALUE_RTOL * lam.size * lam[-1]
     if not (lam[-1] > 0 and lam[0] >= floor):
         raise NumericalError(f"eigenvalue {lam[0]:.3e} of the {what} below the rounding "
                              f"floor {floor:.3e} (largest {lam[-1]:.3e})")
     np.maximum(lam, 0.0, out=lam)
-    return lam, (z.T @ proj).reshape(d.shape)
 
 
 def _terms(lam, c2) -> tuple[np.ndarray, np.ndarray]:

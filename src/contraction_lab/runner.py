@@ -127,7 +127,7 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
         i, n = item
         data = simulate_data(problem, u0, n, derive_seed(seed, "posterior", i, "data"))
         post = posterior.conjugate_posterior(problem, data)
-        scale = math.sqrt(float(np.sum(post.cov_factor**2)))
+        scale = math.sqrt(post.covariance_trace())
         xis = run.get("xi_grid") or [scale * m for m in (0.5, 1.0, 2.0, 4.0)]
         ests = posterior.posterior_exceedance_grid(post, u0, xis, mc,
                                                    derive_seed(seed, "posterior", i, "mc"))
@@ -195,12 +195,11 @@ def _pipe_gn(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
 
 def _pipe_smallball(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
     u0 = build_truth(config)
-    eps_grid = config.run.get("eps_grid")
-    if not eps_grid:
-        scale = math.sqrt(float(np.sum(problem.prior.variances *
-                                       np.sum(problem.whitened_forward**2, axis=0))))
-        eps_grid = [scale * m for m in (0.25, 0.5, 1.0, 2.0)]
     form = assumptions.small_ball_form(problem, u0)
+    eps_grid = config.run.get("eps_grid")
+    if not eps_grid:  # the scale is sqrt(trace(M Lambda M^T))
+        scale = math.sqrt(float(form.lam.sum()))
+        eps_grid = [scale * m for m in (0.25, 0.5, 1.0, 2.0)]
     reports = _map_cells(lambda eps: assumptions.small_ball_log_prob(problem, u0, eps, form),
                          eps_grid, workers)
     rows = [(float(eps), float(rep.log_prob), float(rep.ci_halfwidth),

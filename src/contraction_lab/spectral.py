@@ -4,7 +4,10 @@ Everything lives in a fixed N-dimensional coordinate space. The operator acts
 diagonally in the e-basis through its singular values; a second orthonormal
 basis (the columns of an orthogonal coupling matrix) carries the prior. Data
 follow ``y = G u + noise / sqrt(n)`` with Gaussian noise that is either
-diagonal in the e-basis or given by a dense SPD covariance.
+diagonal in the e-basis or given by a dense SPD covariance. Where the
+coupling is block-diagonal and the noise diagonal, so is the whitened forward
+map M, and M's blocks and the whitened Gram are ``quadform.BlockDiagonal``
+operators formed from T's blocks; T and M themselves stay dense arrays.
 
 Indexing convention: coordinate k runs from 1 to N in formulas; arrays are
 0-based internally.
@@ -538,42 +541,39 @@ class InverseProblem:
     def _forward_map(self) -> np.ndarray:
         return self.noise_whiten(self.operator.rho[:, None] * self.coupling.t_matrix)
 
+    def forward_blocks(self) -> quadform.BlockDiagonal:
+        """M on ``gram_blocks``: under diagonal noise each part is formed
+        from T's in M's own operation order, ``zeta_B^(-1/2) (rho_B T_BB)``;
+        under dense noise the one block is M (cached, or a temporary)."""
+        if isinstance(self.noise, DenseNoise):
+            m = vars(self).get("whitened_forward")
+            return quadform.BlockDiagonal.from_dense(self._forward_map() if m is None else m)
+        rho, scale = self.operator.rho, self.noise.variances**-0.5
+        return quadform.BlockDiagonal.from_dense(self.coupling.t_matrix, self.gram_blocks).map(
+            lambda lo, hi, t: _scale_rows(_scale_rows(t, rho[lo:hi]), scale[lo:hi]))
+
     def whitened_adjoint(self, x: np.ndarray) -> np.ndarray:
         """``M^T x = T^T (rho * zeta^(-1/2) x)`` for a vector or the columns
         of a block, from the arrays the problem holds: the whitening root is
-        symmetric, so M is never formed. ``T^T`` is applied one coupling
-        block at a time (``quadform.block_runs``: a run of one-row blocks is
-        one elementwise product); a one-block coupling takes one product."""
-        t, edges = self.coupling.t_matrix, self.coupling.blocks
+        symmetric, so M is never formed; ``T^T`` goes block by block."""
         v = _scale_rows(self.noise_whiten(x), self.operator.rho)
-        if len(edges) == 2:
-            return t.T @ v
-        out = np.empty_like(v)
-        for lo, hi, single in quadform.block_runs(edges):
-            if single:
-                out[lo:hi] = _scale_rows(v[lo:hi], np.diagonal(t)[lo:hi])
-            else:
-                out[lo:hi] = t[lo:hi, lo:hi].T @ v[lo:hi]
-        return out
+        t = quadform.BlockDiagonal.from_dense(self.coupling.t_matrix, self.coupling.blocks)
+        return t.transpose_apply(v)
 
     @cached_property
-    def whitened_gram(self) -> np.ndarray:
-        """M^T M (read-only and Fortran-ordered), from ``whitened_forward``
-        when it is held and otherwise from a temporary M, one block of
-        ``gram_blocks`` at a time. numpy forms ``B^T B`` by a symmetric
-        rank-k update, so the product is exactly symmetric and its
-        Fortran-ordered transpose is the same matrix."""
-        m = vars(self).get("whitened_forward")
-        if m is None:
-            m = self._forward_map()
-        return _read_only(quadform.blockwise(m, self.gram_blocks, lambda b: (b.T @ b).T))
+    def whitened_gram(self) -> quadform.BlockDiagonal:
+        """M^T M on ``gram_blocks`` (read-only), from ``forward_blocks``. numpy
+        forms ``B^T B`` by a symmetric rank-k update, so each block is exactly
+        symmetric and its Fortran-ordered transpose is the same matrix."""
+        return self.forward_blocks().map(
+            lambda lo, hi, m: (m.T @ m).T if m.ndim == 2 else m * m).read_only()
 
     @property
     def gram_blocks(self) -> np.ndarray:
         """The problem's one partition (read-only edges): the coupling's
         blocks under diagonal noise, ``[0, N]`` under dense noise. M is zero
         off them, so the whitened Gram, every posterior precision and ``M
-        Lambda M^T`` split on them."""
+        Lambda M^T`` are ``quadform.BlockDiagonal`` operators on them."""
         if isinstance(self.noise, DenseNoise):
             return _read_only(np.array([0, self.n_dim]))
         return self.coupling.blocks

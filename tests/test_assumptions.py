@@ -359,7 +359,7 @@ class TestMinmax:
     def test_equal_operators_unit_ratios(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 5))
-        spd = a @ a.T + 5 * np.eye(5)
+        spd = quadform.BlockDiagonal.from_dense(a @ a.T + 5 * np.eye(5))
         table = cl.minmax_compare(spd, spd, 5)
         assert np.all(table.ratios == 1.0)
 
@@ -387,10 +387,13 @@ class TestMinmax:
             assert hi <= 2 * c1
 
     def test_validation(self):
+        one = quadform.BlockDiagonal.from_dense
         with pytest.raises(ParameterError):
-            cl.minmax_compare(np.eye(3), np.eye(4), 2)
+            cl.minmax_compare(one(np.eye(3)), one(np.eye(4)), 2)
         with pytest.raises(ParameterError):
-            cl.minmax_compare(np.diag([1.0, -1.0]), np.eye(2), 2)
+            cl.minmax_compare(one(np.diag([1.0, -1.0])), one(np.eye(2)), 2)
+        with pytest.raises(ParameterError):
+            cl.minmax_compare(np.eye(3), one(np.eye(3)), 2)
 
 
 class TestHsDiagnostic:

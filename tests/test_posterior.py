@@ -29,6 +29,13 @@ def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
         cl.diagonal_noise([zeta], 1), 1)
 
 
+def one_block_cholesky(mat):
+    """``cholesky_with_jitter`` of an array taken as one block: the array
+    itself is the operator's one part, so the factor is written into it when
+    it is a writeable Fortran-ordered float array."""
+    return cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat)).dense()
+
+
 def random_problem(seed, n_dim=None):
     rng = np.random.default_rng(seed)
     n = n_dim or int(rng.integers(1, 5))
@@ -74,7 +81,7 @@ class TestConjugatePosterior:
         data = cl.simulate_data(prob, np.zeros(prob.n_dim), 20.0, seed=seed)
         post = cl.conjugate_posterior(prob, data)
         rebuilt = np.linalg.inv(post.cov_factor @ post.cov_factor.T)
-        target = cl.posterior_precision(prob, data.n_level)
+        target = cl.posterior_precision(prob, data.n_level).dense()
         assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(target)
 
 
@@ -187,14 +194,14 @@ class TestJitteredCholesky:
     def test_recovers_nearly_singular(self):
         mat = np.diag([1.0, 1e-18])
         mat[0, 1] = mat[1, 0] = 1e-9 - 1e-25
-        factor = cl.cholesky_with_jitter(mat)
+        factor = one_block_cholesky(mat)
         assert np.all(np.diag(factor) > 0)
 
     def test_fails_on_indefinite(self):
         from contraction_lab.errors import NumericalError
 
         with pytest.raises(NumericalError):
-            cl.cholesky_with_jitter(np.diag([1.0, -1.0]))
+            one_block_cholesky(np.diag([1.0, -1.0]))
 
 
 class TestPosteriorFactor:
@@ -259,7 +266,7 @@ class TestPosteriorFactor:
         prob = _banded_problem(512, 5.0)
         factor = cl.factor_posterior(prob, n_level).condition(np.zeros(512)).cov_factor
         assert np.array_equal(factor, np.triu(factor)) and np.all(np.diag(factor) > 0)
-        resid = factor @ factor.T @ cl.posterior_precision(prob, n_level) - np.eye(512)
+        resid = factor @ factor.T @ cl.posterior_precision(prob, n_level).dense() - np.eye(512)
         assert np.linalg.norm(resid) <= 1e-13
 
     def test_covariance_handed_to_dsytrd_holds_the_lower_triangle(self, monkeypatch):
@@ -279,7 +286,7 @@ class TestPosteriorFactor:
         assert len(captured) == 1
         mat, fortran = captured[0]
         assert fortran
-        p_chol = np.linalg.cholesky(cl.posterior_precision(prob, 1e3))
+        p_chol = np.linalg.cholesky(cl.posterior_precision(prob, 1e3).dense())
         inv = scipy.linalg.solve_triangular(p_chol, np.eye(40), lower=True)
         ref = inv.T @ inv
         assert np.allclose(np.tril(mat), np.tril(ref), rtol=0, atol=1e-13 * np.abs(ref).max())
@@ -294,9 +301,10 @@ class TestPosteriorFactor:
         g_u0 = forward_apply(prob, u0)
         original = posterior.PosteriorFactor._covariance
 
-        def poisoned(self, lo, hi):
-            cov = original(self, lo, hi)
-            cov[np.triu_indices(hi - lo, 1)] = np.nan
+        def poisoned(self, lo, hi, part):
+            cov = original(self, lo, hi, part)
+            if cov.ndim == 2:  # a run of one-row blocks has no upper triangle
+                cov[np.triu_indices(hi - lo, 1)] = np.nan
             return cov
 
         for i, n in enumerate(config.run["n_grid"][::2]):
@@ -322,7 +330,7 @@ class TestPosteriorFactor:
         with pytest.raises(ValueError, match="read-only"):
             post.cov_factor[:] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            factor._precision_chol[0, 0] = 2.0
+            factor._precision_chol.parts[0][0, 0] = 2.0
         assert np.array_equal(factor.condition(np.zeros(5)).cov_factor, before)
 
     def test_eigenvalue_rounding_of_zero_is_clipped(self, monkeypatch):
@@ -392,7 +400,8 @@ class TestCovarianceSpectrum:
         chol[np.diag_indices(n_dim)] = rng.uniform(0.5, 2.0, n_dim)
         chol = np.asfortranarray(chol)
         chol.flags.writeable = False
-        factor = posterior.PosteriorFactor(random_problem(seed, n_dim=n_dim), 1.0, chol)
+        factor = posterior.PosteriorFactor(random_problem(seed, n_dim=n_dim), 1.0,
+                                           quadform.BlockDiagonal.from_dense(chol))
         self._check(factor, rng.standard_normal((n_dim, cols)))
 
     @pytest.mark.parametrize("n_level", [1e2, 1e6])
@@ -442,9 +451,10 @@ def _assert_routes_agree(factor, u0, ys):
     d = factor.mean(ys) - u0[:, None]
     lam, c = factor.covariance_spectrum(d)
     radii = rates._posterior_radii(factor, u0, 0.1, ys)
-    precision = cl.posterior_precision(factor.problem, factor.n_level)
+    precision = cl.posterior_precision(factor.problem, factor.n_level).dense()
     twin = posterior.PosteriorFactor(factor.problem, factor.n_level,
-                                     np.asfortranarray(cl.cholesky_with_jitter(precision)))
+                                     quadform.BlockDiagonal.from_dense(
+                                         np.asfortranarray(one_block_cholesky(precision))))
     ref_lam, ref_c = twin.covariance_spectrum(d)
     ref_radii = rates._posterior_radii(twin, u0, 0.1, ys)
     assert twin.blocks.size == 2
@@ -499,8 +509,8 @@ class TestBlockRoute:
         assert np.array_equal(quadform.diagonal_blocks(mat), edges)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(mat[:2, :2])
-        block = cl.cholesky_with_jitter(mat, edges)
-        dense = cl.cholesky_with_jitter(mat)
+        block = cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges)).dense()
+        dense = one_block_cholesky(mat)
         assert block.flags.f_contiguous and np.array_equal(block, np.tril(block))
         assert np.allclose(block, dense, rtol=0, atol=1e-15 * np.abs(dense).max())
         jitter = 1e-12 * np.linalg.norm(mat)
@@ -511,11 +521,11 @@ class TestBlockRoute:
         mat, edges = self._with_nearly_singular_block()
         mat[2, 2] = -3.0
         with pytest.raises(NumericalError) as err:
-            cl.cholesky_with_jitter(mat, edges)
+            cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges))
         assert err.value.condition_number == float(np.linalg.cond(mat))
         mat[2, 2], mat[4, 4] = 3.0, -50.0
         with pytest.raises(NumericalError) as err:
-            cl.cholesky_with_jitter(mat, edges)
+            cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges))
         assert err.value.condition_number == float(np.linalg.cond(mat))
 
 
@@ -650,17 +660,17 @@ class TestInPlaceCholesky:
     and copies any other argument first."""
 
     def test_overwrites_only_writeable_fortran_input(self):
-        precision = cl.posterior_precision(random_problem(1, n_dim=30), 1e3)
+        precision = cl.posterior_precision(random_problem(1, n_dim=30), 1e3).dense()
         assert precision.flags.f_contiguous and precision.flags.writeable
         ref = scipy.linalg.cholesky(precision, lower=True)
         read_only = precision.copy(order="F")
         read_only.flags.writeable = False
         for arr in (np.ascontiguousarray(precision), read_only):
             before = arr.copy()
-            out = cl.cholesky_with_jitter(arr)
+            out = one_block_cholesky(arr)
             assert np.array_equal(arr, before) and not np.shares_memory(out, arr)
             assert out.flags.f_contiguous and np.array_equal(out, ref)
-        out = cl.cholesky_with_jitter(precision)
+        out = one_block_cholesky(precision)
         assert out is precision and np.array_equal(precision, ref)
 
     @pytest.mark.parametrize("kind", ["banded", "dense"])
@@ -671,10 +681,12 @@ class TestInPlaceCholesky:
         edges = prob.gram_blocks
         assert (edges.size > 2) == (kind == "banded")
         for n in config.run["n_grid"]:
-            precision = cl.posterior_precision(prob, n)
-            ref = quadform.blockwise(precision, edges, np.linalg.cholesky)
-            assert np.array_equal(cl.factor_posterior(prob, n)._precision_chol, ref)
-            assert np.array_equal(cl.cholesky_with_jitter(precision.copy(order="F")),
+            precision = cl.posterior_precision(prob, n).dense()
+            ref = np.zeros_like(precision)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                ref[lo:hi, lo:hi] = np.linalg.cholesky(precision[lo:hi, lo:hi])
+            assert np.array_equal(cl.factor_posterior(prob, n)._precision_chol.dense(), ref)
+            assert np.array_equal(one_block_cholesky(precision.copy(order="F")),
                                   np.linalg.cholesky(precision))
 
     def test_jittered_retry_after_failed_in_place_attempt(self):
@@ -693,21 +705,26 @@ class TestInPlaceCholesky:
         for shift in (0.0, jitter):
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(mat + shift * np.eye(40))
-        ref = cl.cholesky_with_jitter(mat + 2.0 * jitter * np.eye(40))
+        ref = one_block_cholesky(mat + 2.0 * jitter * np.eye(40))
         np.testing.assert_allclose(ref, np.linalg.cholesky(mat + 2.0 * jitter * np.eye(40)),
                                    rtol=0, atol=1e-15 * np.abs(ref).max())
-        out = cl.cholesky_with_jitter(mat)
+        out = one_block_cholesky(mat)
         assert out is mat and np.array_equal(out, ref)
-        assert np.array_equal(cl.cholesky_with_jitter(fresh), ref)
+        assert np.array_equal(one_block_cholesky(fresh), ref)
 
     def test_jittered_block_retry_in_place(self):
-        """The block twin: a Fortran-ordered block-diagonal matrix with a
-        nearly singular block gives the factor of a C-ordered copy."""
+        """The block twin: a block-diagonal matrix with a nearly singular
+        block, held in writeable Fortran-ordered parts, is factored in those
+        parts and gives the factor of C-ordered views copied first."""
         mat, edges = TestBlockRoute._with_nearly_singular_block()
-        fortran = np.asfortranarray(mat)
-        ref = cl.cholesky_with_jitter(mat, edges)
-        assert cl.cholesky_with_jitter(fortran, edges) is fortran
-        assert np.array_equal(fortran, ref)
+        ref = cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges))
+        views = quadform.BlockDiagonal.from_dense(mat, edges)
+        parts = [np.array(p, order="F") for p in views.parts]
+        fresh = iter(parts)
+        out = cl.cholesky_with_jitter(
+            quadform.BlockDiagonal(edges, lambda lo, hi, run: next(fresh)))
+        assert len(out.parts) == 3 and all(a is b for a, b in zip(out.parts, parts))
+        assert all(np.array_equal(a, b) for a, b in zip(out.parts, ref.parts))
 
 
 class TestSetUpper:
@@ -752,7 +769,7 @@ def _per_block_mean(factor, y):
     """The mean as every block was solved before runs of one-row blocks:
     one ``cho_solve`` per diagonal block."""
     rhs = factor.n_level * factor.problem.whitened_adjoint(factor.problem.noise_whiten(y))
-    chol, edges = factor._precision_chol, factor.blocks
+    chol, edges = factor._precision_chol.dense(), factor.blocks
     for lo, hi in zip(edges[:-1], edges[1:]):
         rhs[lo:hi] = scipy.linalg.cho_solve((chol[lo:hi, lo:hi], True), rhs[lo:hi])
     return rhs
@@ -861,3 +878,94 @@ class TestMemoryBudget:
         assert 0.0 <= ests[0].value <= 1.0
         assert peak <= self.N**2 * 8 + self.N * mc * 8 + self.N**2 * 8 / 2
         assert "whitened_forward" not in vars(prob)
+
+
+class TestNonFinitePosterior:
+    """A posterior with a NaN or an infinity in its mean or anywhere in its
+    covariance factor is rejected, naming the mean or the factor's rows,
+    rather than reporting an exceedance of 0.0 with a standard error of
+    0.0."""
+
+    def test_non_finite_mean_rejected(self):
+        upper = np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (6, 6)))
+        for bad in (np.nan, np.inf):
+            mean = np.zeros(6)
+            mean[4] = bad
+            with pytest.raises(ParameterError, match="mean must be finite"):
+                cl.PosteriorGaussian(mean, upper, 1.0)
+
+    @pytest.mark.parametrize("row, col, rows", [(2, 2, "0:6"), (1, 4, "0:6"), (70, 100, "64:128"),
+                                                (0, 0, "0:64")])
+    def test_non_finite_factor_entry_rejected(self, row, col, rows):
+        """On the diagonal too, where ``nan <= 0`` is False; the check runs
+        in the panel pass and names the panel's rows."""
+        n = 6 if rows == "0:6" else 512
+        upper = np.triu(np.random.default_rng(4).uniform(0.5, 1.0, (n, n)))
+        for bad in (np.nan, np.inf):
+            factor = upper.copy()
+            factor[row, col] = bad
+            with pytest.raises(ParameterError,
+                               match=f"covariance factor must be finite.*rows {rows}"):
+                cl.PosteriorGaussian(np.zeros(n), factor, 1.0)
+
+    def test_nan_in_a_block_of_a_block_diagonal_factor(self):
+        upper = np.triu(np.random.default_rng(5).uniform(0.5, 1.0, (6, 6)))
+        upper[:2, 2:] = 0.0
+        upper[3, 5] = np.nan
+        with pytest.raises(ParameterError, match="rows 2:6"):
+            cl.PosteriorGaussian(np.zeros(6), upper, 1.0, blocks=[0, 2, 6])
+
+
+def _assert_operators_match_dense(prob, n_level, rng):
+    """Every ``BlockDiagonal`` of the problem and its posterior against a
+    dense reference built from the cached M: the Gram, the precision, its
+    factor, the mean, the covariance spectrum and both pushforward
+    covariances ``M Lambda M^T``, each zero off the problem's blocks."""
+    n = prob.n_dim
+    m, lam = prob.whitened_forward, prob.prior.variances
+    inside = np.zeros((n, n), dtype=bool)
+    for lo, hi in zip(prob.gram_blocks[:-1], prob.gram_blocks[1:]):
+        inside[lo:hi, lo:hi] = True
+
+    def close(got, ref, rtol=1e-13):
+        assert not np.any(got[~inside]) and np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+    gram = m.T @ m
+    close(prob.whitened_gram.dense(), gram)
+    precision = np.diag(1.0 / lam) + n_level * gram
+    close(cl.posterior_precision(prob, n_level).dense(), precision)
+    factor = cl.factor_posterior(prob, n_level)
+    close(factor._precision_chol.dense(), np.linalg.cholesky(precision))
+    y = rng.standard_normal((n, 3))
+    ref_mean = np.linalg.solve(precision, n_level * m.T @ prob.noise_whiten(y))
+    np.testing.assert_allclose(factor.mean(y), ref_mean, rtol=0,
+                               atol=1e-12 * np.abs(ref_mean).max())
+    ref_lam = np.linalg.eigvalsh(np.linalg.inv(precision))
+    got_lam, c = factor.covariance_spectrum(y)
+    assert np.abs(got_lam - ref_lam).max() <= 1e-12 * ref_lam.max()
+    np.testing.assert_allclose(np.linalg.norm(c, axis=0), np.linalg.norm(y, axis=0), rtol=1e-13)
+    close(cl.coupled_pushforward_cov(prob).dense(), (m * lam) @ m.T)
+    surrogate = prob.noise_whiten(np.diag(prob.operator.rho))
+    diagonal = cl.diagonal_pushforward_cov(prob).dense()
+    ref = (surrogate * lam) @ surrogate.T
+    assert np.abs(diagonal - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestOperatorsMatchDense:
+    """The block-diagonal route of every operator agrees with its dense
+    reference, on partitions with runs of one-row blocks and on the banded
+    default."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.lists(st.sampled_from([1, 1, 1, 2, 3, 5]), min_size=1, max_size=10),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e2, 1e4, 1e6]))
+    def test_random_partitions(self, sizes, seed, n_level):
+        prob = _block_problem(sizes, seed)
+        assert np.array_equal(prob.gram_blocks, np.cumsum([0] + sizes))
+        _assert_operators_match_dense(prob, n_level, np.random.default_rng(seed))
+
+    def test_banded_default(self):
+        config, prob, _ = _default_banded()
+        runs = [seg for seg in prob.whitened_gram.segments if seg[2]]
+        assert runs and len(prob.whitened_gram.segments) > len(runs)
+        _assert_operators_match_dense(prob, 1e4, np.random.default_rng(0))

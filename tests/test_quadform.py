@@ -564,8 +564,9 @@ class TestLowerTail:
 def _spectrum(cov, d, what):
     """``quadform.block_spectrum`` on the partition read off ``cov``'s zero
     pattern, each block a Fortran-ordered copy."""
-    return quadform.block_spectrum(quadform.diagonal_blocks(cov),
-                                   lambda lo, hi: np.array(cov[lo:hi, lo:hi], order="F"), d, what)
+    op = quadform.BlockDiagonal.from_dense(cov, quadform.diagonal_blocks(cov))
+    return quadform.block_spectrum(op, d, what,
+                                   lambda lo, hi, p: np.array(p, order="F") if p.ndim == 2 else p)
 
 
 class TestSpectrum:
@@ -648,12 +649,15 @@ def _config_problem(problem: dict):
 
 class TestBlockRuns:
     def test_runs_of_one_row_blocks_merge(self):
+        def block_runs(edges):
+            return list(quadform.BlockDiagonal.from_dense(np.eye(edges[-1]), edges).segments)
+
         edges = [0, 1, 2, 4, 5, 6, 9, 10]
-        assert quadform.block_runs(edges) == [(0, 2, True), (2, 4, False), (4, 6, True),
-                                              (6, 9, False), (9, 10, True)]
-        assert quadform.block_runs(np.arange(513)) == [(0, 512, True)]
-        assert quadform.block_runs([0, 5]) == [(0, 5, False)]
-        assert quadform.block_runs([0, 2, 5]) == [(0, 2, False), (2, 5, False)]
+        assert block_runs(edges) == [(0, 2, True), (2, 4, False), (4, 6, True),
+                                     (6, 9, False), (9, 10, True)]
+        assert block_runs(np.arange(513)) == [(0, 512, True)]
+        assert block_runs([0, 5]) == [(0, 5, False)]
+        assert block_runs([0, 2, 5]) == [(0, 2, False), (2, 5, False)]
 
 
 class TestDiagonalBlocks:
@@ -671,12 +675,13 @@ class TestDiagonalBlocks:
         own = _banded_blocks(n, kind.lo_ratio, kind.hi_ratio, substream(3, "banded-coupling"))
         edges = np.array([a - 1 for a, _ in own] + [n])
         assert len(own) > 1
-        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram), edges)
-        assert np.array_equal(quadform.diagonal_blocks(cl.posterior_precision(prob, 1e4)), edges)
+        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram.dense()), edges)
+        assert np.array_equal(quadform.diagonal_blocks(cl.posterior_precision(prob, 1e4).dense()),
+                              edges)
 
     def test_identity_coupling_gives_singletons(self):
         prob = _config_problem({"coupling": {"kind": "identity"}})
-        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram), np.arange(49))
+        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram.dense()), np.arange(49))
 
     @pytest.mark.parametrize("problem", [
         {"coupling": {"kind": "reflection", "v": [1.0] * 48}},
@@ -685,7 +690,8 @@ class TestDiagonalBlocks:
         {"noise": {"kind": "dense", "matrix": (np.eye(48) + 0.01).tolist()}},
     ], ids=["reflection", "hilbert_scale", "colored", "dense"])
     def test_dense_problems_are_one_block(self, problem):
-        assert np.array_equal(quadform.diagonal_blocks(_config_problem(problem).whitened_gram), [0, 48])
+        gram = _config_problem(problem).whitened_gram.dense()
+        assert np.array_equal(quadform.diagonal_blocks(gram), [0, 48])
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_hand_made_pattern(self, order):
@@ -709,3 +715,56 @@ class TestDiagonalBlocks:
         mat[6, 4] = 1.0
         assert np.array_equal(blocks(mat), [0, 4, 7])
         assert np.array_equal(blocks(np.ones((1, 1))), [0, 1])
+
+
+class TestBlockDiagonal:
+    """The one block-diagonal operator type: edges checked once, runs of
+    one-row blocks held as vectors, read-only parts wherever the package
+    holds one, and no implicit densification."""
+
+    def test_segments_and_parts(self):
+        mat = np.arange(1.0, 37.0).reshape(6, 6)
+        op = quadform.BlockDiagonal.from_dense(mat, [0, 1, 2, 4, 5, 6])
+        assert op.segments == ((0, 2, True), (2, 4, False), (4, 6, True))
+        assert [p.shape for p in op.parts] == [(2,), (2, 2), (2,)]
+        assert np.array_equal(op.parts[0], [1.0, 8.0]) and np.shares_memory(op.parts[1], mat)
+        dense = op.dense()
+        assert dense.flags.f_contiguous
+        ref = np.diag(np.diag(mat))
+        ref[2:4, 2:4] = mat[2:4, 2:4]
+        assert np.array_equal(dense, ref)
+        assert op.square_sum() == float(np.sum(dense**2))
+        whole = quadform.BlockDiagonal.from_dense(mat)
+        assert whole.parts[0] is mat and whole.dense() is mat and whole.n_dim == 6
+        assert not hasattr(quadform.BlockDiagonal, "__array__")
+
+    @pytest.mark.parametrize("edges", [[0, 3, 2, 6], [1, 6], [0], [[0, 6]], [0, 2, 5], [0, 2, 7]])
+    def test_bad_edges_raise(self, edges):
+        with pytest.raises(ParameterError, match="blocks"):
+            quadform.BlockDiagonal.from_dense(np.eye(6), edges)
+
+    def test_part_of_the_wrong_shape_raises(self):
+        with pytest.raises(ParameterError, match="part 0:2 has shape"):
+            quadform.BlockDiagonal([0, 2, 3], lambda lo, hi, run: np.ones(hi - lo))
+
+    def test_operators_the_package_holds_are_read_only(self):
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 64,
+                                                         "coupling": {"kind": "banded"}}}))
+        prob = build_problem(config)
+        factor = cl.factor_posterior(prob, 1e3)
+        held = [prob.whitened_gram, factor._precision_chol, cl.coupled_pushforward_cov(prob),
+                cl.diagonal_pushforward_cov(prob)]
+        assert any(p.ndim == 1 for op in held for p in op.parts)
+        for op in held:
+            for part in op.parts:
+                with pytest.raises(ValueError, match="read-only"):
+                    part[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            factor._chol_inv[0, 0] = 1.0
+
+    def test_identity_problem_is_one_run_of_vectors(self):
+        prob = _config_problem({"coupling": {"kind": "identity"}})
+        for op in (prob.whitened_gram, cl.posterior_precision(prob, 1e3),
+                   cl.factor_posterior(prob, 1e3)._precision_chol,
+                   cl.coupled_pushforward_cov(prob), cl.diagonal_pushforward_cov(prob)):
+            assert op.segments == ((0, 48, True),) and op.parts[0].shape == (48,)

@@ -235,13 +235,11 @@ class TestBlockAdjoint:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
-    def test_one_block_coupling_makes_one_product(self, monkeypatch):
-        def refuse(edges):
-            raise AssertionError("block loop on a one-block coupling")
-
-        monkeypatch.setattr(quadform, "block_runs", refuse)
+    def test_one_block_coupling_makes_one_product(self):
         for coupling in (_hilbert_coupling(64),
                          cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64)):
+            t = quadform.BlockDiagonal.from_dense(coupling.t_matrix, coupling.blocks)
+            assert len(t.parts) == 1 and t.parts[0] is coupling.t_matrix
             prob = _adjoint_problem(coupling)
             x = np.random.default_rng(0).standard_normal((64, 5))
             v = (prob.operator.rho * prob.noise_whiten(x).T).T
@@ -252,7 +250,8 @@ class TestBlockAdjoint:
         blocks: the adjoint is the diagonal times the whitened data, exactly."""
         for coupling in (cl.make_coupling(cl.IdentityCoupling(), 64),
                          cl.make_coupling(cl.ReflectionCoupling(np.eye(64)[2]), 64)):
-            assert quadform.block_runs(coupling.blocks) == [(0, 64, True)]
+            t = quadform.BlockDiagonal.from_dense(coupling.t_matrix, coupling.blocks)
+            assert t.segments == ((0, 64, True),)
             prob = _adjoint_problem(coupling)
             x = np.random.default_rng(1).standard_normal((64, 3))
             v = (prob.operator.rho * prob.noise_whiten(x).T).T
@@ -270,7 +269,7 @@ class TestBlockGram:
                                  cl.make_coupling(cl.BandedCoupling(), n, seed=5),
                                  cl.power_law_prior(1.0, n),
                                  cl.diagonal_noise(np.linspace(0.5, 2.0, n), n), n)
-        gram, m = prob.whitened_gram, prob.whitened_forward
+        gram, m = prob.whitened_gram.dense(), prob.whitened_forward
         ref = m.T @ m
         assert np.abs(gram - ref).max() <= 1e-15 * np.abs(ref).max()
         assert np.array_equal(gram, gram.T)
@@ -290,8 +289,10 @@ class TestBlockGram:
         prob = cl.InverseProblem(spec, cl.make_coupling(cl.BandedCoupling(), n, seed=3),
                                  cl.power_law_prior(1.0, n), measure, n)
         m = prob.whitened_forward
-        assert np.array_equal(prob.whitened_gram, m.T @ m)
-        assert np.array_equal(prob.whitened_gram, prob.whitened_gram.T)
+        gram = prob.whitened_gram
+        assert len(gram.parts) == 1 and gram.dense() is gram.parts[0]
+        assert np.array_equal(gram.dense(), m.T @ m)
+        assert np.array_equal(gram.dense(), gram.dense().T)
 
 
 class TestMeasures:
@@ -523,12 +524,13 @@ class TestImmutability:
 
     def test_cached_matrices_are_read_only(self):
         prob = self._colored_problem()
-        for arr in (prob.whitened_forward, prob.whitened_gram):
+        for arr in (prob.whitened_forward, *prob.whitened_gram.parts):
             with pytest.raises(ValueError):
                 arr[0, 0] = -1.0
             with pytest.raises(ValueError):
                 arr *= 2.0
-        assert np.array_equal(prob.whitened_gram, prob.whitened_forward.T @ prob.whitened_forward)
+        assert np.array_equal(prob.whitened_gram.dense(),
+                              prob.whitened_forward.T @ prob.whitened_forward)
 
     @pytest.mark.parametrize("noise", ["colored", "diagonal"])
     def test_gram_and_adjoint_do_without_cached_forward_map(self, noise):
@@ -541,13 +543,13 @@ class TestImmutability:
             prob = cl.InverseProblem(prob.operator, prob.coupling, prob.prior,
                                      cl.diagonal_noise(np.linspace(0.5, 2.0, 12), 12), 12)
         x = np.random.default_rng(0).standard_normal((12, 3))
-        gram, adjoint, adjoint_vec = (prob.whitened_gram, prob.whitened_adjoint(x),
+        gram, adjoint, adjoint_vec = (prob.whitened_gram.dense(), prob.whitened_adjoint(x),
                                       prob.whitened_adjoint(x[:, 0]))
         assert "whitened_forward" not in vars(prob)
         m = prob.whitened_forward
         twin = cl.InverseProblem(prob.operator, prob.coupling, prob.prior, prob.noise, 12)
         twin.whitened_forward
-        assert np.array_equal(gram, twin.whitened_gram) and np.array_equal(gram, gram.T)
+        assert np.array_equal(gram, twin.whitened_gram.dense()) and np.array_equal(gram, gram.T)
         ref = m.T @ x
         np.testing.assert_allclose(adjoint, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
         np.testing.assert_allclose(adjoint_vec, ref[:, 0], rtol=0, atol=1e-14 * np.abs(ref).max())
