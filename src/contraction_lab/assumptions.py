@@ -412,10 +412,16 @@ def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
         return HsReport(target, trunc, values, _growth_verdict(values))
     if target == "gn_bound":
         rho = problem.operator.rho
-        t = problem.coupling.t_matrix
-        c2 = (t * rho[None, :] ** 2) @ t.T
-        s = np.eye(problem.n_dim) - c2 / rho[:, None] / rho[None, :]
-        values = tuple(float(np.linalg.norm(s[:m, :m])) for m in trunc)
+        t = quadform.BlockDiagonal.from_dense(problem.coupling.t_matrix, problem.coupling.blocks)
+        square = np.zeros(len(trunc))  # each truncation's, summed over the blocks it cuts
+        for (lo, hi, run), part in zip(t.segments, t.parts):
+            r = rho[lo:hi]  # s = I - C2 / rho_i / rho_j on C2 = T rho^2 T^T's block
+            s = (1.0 - (part * r**2) * part / r / r if run else
+                 np.eye(hi - lo) - ((part * r**2) @ part.T) / r[:, None] / r[None, :])
+            for i, m in enumerate(trunc):
+                q = s[:max(m - lo, 0)] if run else s[:max(m - lo, 0), :m - lo]
+                square[i] += np.vdot(q, q)
+        values = tuple(float(v) for v in np.sqrt(square))
         verdict = _growth_verdict(values)
         grid = np.unique(np.geomspace(1, max(1, problem.n_dim // 2), 12).astype(int))
         g_rho = [(int(n), compute_g_kr(problem, int(n), problem.n_dim) * float(rho[n - 1] ** 2))
@@ -472,7 +478,7 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
     if x_grid is None:
         x_grid = [math.sqrt(g / n_level) * m for m in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
     x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid < 0):
+    if not np.all(x_grid >= 0):
         raise ParameterError("offsets x must be nonnegative")
     rng = substream(seed, "concentration")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +185,8 @@ def _check_invariants(data: dict) -> None:
     n_grid = run["n_grid"]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigInvariantError("run.n_grid", "must be strictly increasing")
-    if any(n <= 0 for n in n_grid):
-        raise ConfigInvariantError("run.n_grid", "entries must be positive")
+    if not all(0 < n < math.inf for n in n_grid):
+        raise ConfigInvariantError("run.n_grid", "entries must be positive and finite")
     for key in ("mc", "y_replicates", "k_max"):
         if run[key] < 1:
             raise ConfigInvariantError(f"run.{key}", "counts must be positive")
@@ -193,10 +194,10 @@ def _check_invariants(data: dict) -> None:
         if run.get(key) == []:
             raise ConfigInvariantError(f"run.{key}", "must not be empty; omit it for the default")
     for key in ("xi_grid", "x_grid"):
-        if any(v < 0 for v in run.get(key, [])):
-            raise ConfigInvariantError(f"run.{key}", "entries must be nonnegative")
-    if any(eps <= 0 for eps in run.get("eps_grid", [])):
-        raise ConfigInvariantError("run.eps_grid", "entries must be positive")
+        if not all(0 <= v < math.inf for v in run.get(key, [])):
+            raise ConfigInvariantError(f"run.{key}", "entries must be nonnegative and finite")
+    if not all(0 < eps < math.inf for eps in run.get("eps_grid", [])):
+        raise ConfigInvariantError("run.eps_grid", "entries must be positive and finite")
     # Coordinate counts lie in [1, n_dim] ("inf" where allowed); k_max alone is
     # an upper limit, clipped to n_dim where it is used.
     plan = data["plan"] if data["plan"] != "auto" else {}

@@ -8,10 +8,11 @@ weighted route alone. Their agreement on exceedance probabilities is the
 module's oracle-equivalence property.
 
 The conjugate posterior factorizes over independent blocks of coordinates:
-the precision and its Cholesky factor are ``quadform.BlockDiagonal``
-operators on the whitened Gram's blocks, and the mean solve, triangular
-inverse, covariance eigensolve and sampling product go part by part. The
-precision is factored in place, and the covariance comes from the factor.
+the precision, its Cholesky factor and the sampling factor are
+``quadform.BlockDiagonal`` operators on the whitened Gram's blocks, and the
+mean solve, triangular inverse, covariance eigensolve and sampling product go
+part by part. The precision is factored in place, and the covariance comes
+from the factor.
 """
 
 from __future__ import annotations
@@ -119,57 +120,53 @@ def _set_upper(a: np.ndarray, zero: bool = False) -> np.ndarray:
     return a
 
 
-# Rows of the sampling factor read at a time by the triangular-pattern check.
+# Rows of a sampling factor's block read at a time by the triangular-pattern check.
 _CHECK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
 class PosteriorGaussian:
     """Gaussian posterior in phi-coordinates: a length-N vector ``mean`` and
-    an upper-triangular covariance factor (covariance = factor @ factor.T)
-    that is zero outside its diagonal blocks ``blocks`` (edges, as
-    ``quadform.diagonal_blocks`` returns them; None means one block)."""
+    a covariance factor (covariance = factor @ factor.T), a
+    ``quadform.BlockDiagonal`` whose blocks are upper-triangular with a
+    positive diagonal and whose runs of one-row blocks are positive."""
 
     mean: np.ndarray
-    cov_factor: np.ndarray
+    cov_factor: quadform.BlockDiagonal
     n_level: float
-    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_level <= 0:
             raise ParameterError("n_level must be positive")
-        shape = np.shape(self.cov_factor)
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ParameterError(f"covariance factor must be square, got shape {shape}")
-        object.__setattr__(self, "mean", as_vector(self.mean, shape[0], "mean"))
+        if not isinstance(self.cov_factor, quadform.BlockDiagonal):
+            raise ParameterError("covariance factor must be a BlockDiagonal, not "
+                                 + type(self.cov_factor).__name__)
+        object.__setattr__(self, "mean", as_vector(self.mean, self.n_dim, "mean"))
         if not np.all(np.isfinite(self.mean)):
             raise ParameterError("mean must be finite")
-        edges = quadform.BlockDiagonal.from_dense(self.cov_factor, self.blocks).edges
-        object.__setattr__(self, "blocks", edges)
-        # A few rows at a time, so no N x N temporary: left of the rows'
-        # first diagonal entry and right of their block, every entry is zero,
-        # and so is the strict lower triangle of their square at the diagonal;
-        # inside their block every entry is finite, and the diagonal positive.
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            for top in range(lo, hi, _CHECK_ROWS):
-                rows = self.cov_factor[top:min(top + _CHECK_ROWS, hi)]
-                where = f"rows {top}:{top + rows.shape[0]}"
-                if (np.count_nonzero(rows[:, :top]) or np.count_nonzero(rows[:, hi:])
-                        or np.count_nonzero(np.tril(rows[:, top:top + rows.shape[0]], -1))):
-                    raise ParameterError("covariance factor must be upper-triangular and zero "
-                                         f"outside its blocks ({where})")
-                if not (np.all(np.isfinite(rows[:, top:hi]))
-                        and np.all(np.diagonal(rows[:, top:]) > 0)):
+        # A few rows of a part at a time, so no N x N temporary: left of the
+        # rows' first diagonal entry every entry is zero, and so is the strict
+        # lower triangle of their square at the diagonal; every entry is
+        # finite, and the diagonal positive.
+        for (lo, hi, run), part in zip(self.cov_factor.segments, self.cov_factor.parts):
+            for top in range(0, hi - lo, _CHECK_ROWS):
+                rows = part[top:top + _CHECK_ROWS]
+                where = f"rows {lo + top}:{lo + top + rows.shape[0]}"
+                if not run and (np.count_nonzero(rows[:, :top]) or np.count_nonzero(
+                        np.tril(rows[:, top:top + rows.shape[0]], -1))):
+                    raise ParameterError(f"covariance factor must be upper-triangular ({where})")
+                if not (np.all(np.isfinite(rows))
+                        and np.all((rows if run else np.diagonal(rows[:, top:])) > 0)):
                     raise ParameterError("covariance factor must be finite with a positive "
                                          f"diagonal ({where})")
 
     @property
     def n_dim(self) -> int:
-        return self.mean.shape[0]
+        return self.cov_factor.n_dim
 
     def covariance_trace(self) -> float:
-        """``trace(cov_factor @ cov_factor.T)``, summed block by block."""
-        return quadform.BlockDiagonal.from_dense(self.cov_factor, self.blocks).square_sum()
+        """``trace(cov_factor @ cov_factor.T)``, summed part by part."""
+        return self.cov_factor.square_sum()
 
     def distances(self, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Distances from u0 of the posterior draws ``mean + cov_factor @ z``,
@@ -177,18 +174,21 @@ class PosteriorGaussian:
 
         Overwrites ``z`` when it is a writeable C-ordered float array (any
         other ``z`` is copied first), so no second (N, count) array exists:
-        in memory such a ``z`` is the Fortran-ordered (count, N) ``z^T``, and
-        BLAS dtrmm forms ``z^T cov_factor^T``, a right-side product with a
-        lower-triangular matrix, in place one diagonal block at a time. The
-        offset is then added and the squares summed as
+        in memory such a ``z`` is the Fortran-ordered (count, N) ``z^T``. On
+        each block BLAS dtrmm forms ``z^T cov_factor^T``, a right-side product
+        with a lower-triangular matrix, in place; each run scales its columns.
+        The offset is then added and the squares summed as
         ``np.linalg.norm(dev, axis=0)`` does.
         """
         z = np.require(z, dtype=float, requirements=["C", "W"])
         if z.ndim != 2 or z.shape[0] != self.n_dim:
             raise ParameterError(f"z must be an ({self.n_dim}, count) array, got shape {z.shape}")
-        lower, zt = self.cov_factor.T, z.T
-        for lo, hi in zip(self.blocks[:-1], self.blocks[1:]):
-            dtrmm(1.0, lower[lo:hi, lo:hi], zt[:, lo:hi], side=1, lower=1, overwrite_b=1)
+        zt = z.T
+        for (lo, hi, run), part in zip(self.cov_factor.segments, self.cov_factor.parts):
+            if run:
+                zt[:, lo:hi] *= part
+            else:
+                dtrmm(1.0, part.T, zt[:, lo:hi], side=1, lower=1, overwrite_b=1)
         z += (self.mean - u0)[:, None]
         z *= z
         return np.sqrt(np.add.reduce(z, axis=0))
@@ -232,10 +232,6 @@ class PosteriorFactor:
     n_level: float
     _precision_chol: quadform.BlockDiagonal
 
-    @property
-    def blocks(self) -> np.ndarray:
-        return self._precision_chol.edges
-
     def mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
         (N, R) block of R data draws with one mean per column, from one
@@ -247,8 +243,8 @@ class PosteriorFactor:
 
     def condition(self, y: np.ndarray) -> PosteriorGaussian:
         """Posterior given data ``y`` (e-coordinates)."""
-        return PosteriorGaussian(mean=self.mean(y), cov_factor=self._chol_inv.T,
-                                 n_level=self.n_level, blocks=self.blocks)
+        return PosteriorGaussian(mean=self.mean(y), cov_factor=self._cov_factor,
+                                 n_level=self.n_level)
 
     def _block(self, x, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -258,15 +254,13 @@ class PosteriorFactor:
         return x
 
     @cached_property
-    def _chol_inv(self) -> np.ndarray:
-        """``L^{-1}`` scattered once into an N x N array (read-only) whose
-        transpose every posterior shares: dtrtri per block, half the time of a
-        solve against the identity (its info flags only a zero diagonal, which
-        a Cholesky factor lacks), and ``1 / l`` per run."""
-        inv = self._precision_chol.map(
-            lambda lo, hi, l: dtrtri(l, lower=1)[0] if l.ndim == 2 else 1.0 / l).dense()
-        inv.flags.writeable = False
-        return inv
+    def _cov_factor(self) -> quadform.BlockDiagonal:
+        """The sampling factor ``L^{-T}`` (read-only), which every posterior
+        shares: per block the transpose of dtrtri's ``L^{-1}``, uncopied
+        (half the time of a solve against the identity; its info flags only a
+        zero diagonal, which a Cholesky factor lacks), and ``1 / l`` per run."""
+        return self._precision_chol.map(
+            lambda lo, hi, l: dtrtri(l, lower=1)[0].T if l.ndim == 2 else 1.0 / l).read_only()
 
     def _covariance(self, lo: int, hi: int, l: np.ndarray) -> np.ndarray:
         """The covariance ``L^{-T} L^{-1}`` on one part ``l`` of L: dpotri on
@@ -359,7 +353,7 @@ def posterior_exceedance_grid(post: PosteriorGaussian, u0: np.ndarray, xis,
     dist = post.distances(u0, rng.standard_normal((post.n_dim, mc)))
     out = []
     for xi in xis:
-        if xi < 0:
+        if not xi >= 0:
             raise ParameterError("radius must be nonnegative")
         p = float(np.mean(dist > xi))
         out.append(ExceedanceEstimate(value=p, std_error=_binomial_se(p, mc),

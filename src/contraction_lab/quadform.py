@@ -10,7 +10,9 @@ directly, so a vanishing eigenvalue never becomes a divisor.
 ``block_spectrum`` computes ``lam`` and the offsets' coordinates from a
 covariance and an offset without forming eigenvectors, one part of a
 ``BlockDiagonal`` operator at a time (a problem's ``gram_blocks``):
-independent blocks of coordinates add independent terms to Q.
+independent blocks of coordinates add independent terms to Q. An operator
+takes its edges from its caller; no routine here reads a partition off a zero
+pattern (``spectral`` does, once per coupling).
 
 Tails use the Lugannani-Rice saddlepoint formula (Lugannani & Rice, Adv.
 Appl. Prob. 12, 1980), parameterized by the saddlepoint ``s`` on its domain
@@ -95,43 +97,17 @@ def _lapack_ok(routine: str, info: int, what: str) -> None:
         raise NumericalError(f"LAPACK {routine} failed with info = {info} on the {what}")
 
 
-def diagonal_blocks(mat: np.ndarray) -> np.ndarray:
-    """Edges of the finest contiguous diagonal blocks of a square matrix's
-    lower triangle, from its exact zero pattern: block j is rows and columns
-    ``edges[j]: edges[j + 1]``, and every entry of the lower triangle outside
-    the blocks is exactly zero. For a symmetric matrix these are its diagonal
-    blocks; ``spectral`` scans an orthogonal coupling and its transpose, and
-    every other partition is derived from the coupling's. A matrix with no
-    such split is one block, ``[0, N]``.
-
-    Row i's first nonzero column ``f_i`` (at most i: the diagonal counts as
-    nonzero) couples it to every row from ``f_i`` on, so a block ends before
-    row k exactly when no row from k on reaches back past k. A
-    Fortran-ordered matrix is scanned by columns instead, in memory order:
-    column j's last nonzero row reaches down to it, and a block ends after
-    column k exactly when no column up to k reaches past k.
-    """
-    nz = mat != 0
-    np.fill_diagonal(nz, True)
-    n = mat.shape[0]
-    if nz.flags.f_contiguous:
-        last = n - 1 - nz[::-1].argmax(axis=0)
-        return np.flatnonzero(np.insert(np.maximum.accumulate(last) == np.arange(n), 0, True))
-    reach = np.minimum.accumulate(nz.argmax(axis=1)[::-1])[::-1]
-    return np.flatnonzero(np.append(reach == np.arange(n), True))
-
-
 class BlockDiagonal:
     """A square N x N matrix that is zero off its diagonal blocks ``edges``
     (increasing from 0 to N), held by its blocks, never as one N x N array.
     ``segments`` lists ``(lo, hi, run)``: each block of more than one row,
     and each maximal run of one-row blocks (``run`` True). ``parts`` holds
-    each block (Fortran-ordered where the package builds it; a one-block
-    operator's is its matrix itself) or a run's diagonal as a vector, on
-    which each operation takes its closed form. ``dense()``, not
-    ``__array__``, makes the N x N array. The package's operators are
-    ``read_only``, but for the fresh precision that
-    ``posterior.cholesky_with_jitter`` factors in place."""
+    each block (Fortran-ordered where the package builds it, transposed in
+    the posterior's sampling factor; a one-block operator's is its matrix
+    itself) or a run's diagonal as a vector, on which each operation takes
+    its closed form. ``dense()``, not ``__array__``, makes the N x N array.
+    The package's operators are ``read_only``, but for the fresh precision
+    that ``posterior.cholesky_with_jitter`` factors in place."""
 
     def __init__(self, edges, part):
         """``part(lo, hi, run)`` makes each segment's part, in order."""

@@ -93,8 +93,8 @@ def plan_from_theory(params: TheoryParams, n_level: float, n_dim: int,
                      constants: RateConstants | None = None,
                      r_n: int | None = None) -> RatePlan:
     """Instantiate a rate plan from the closed-form exponents at one n."""
-    if n_level <= 1:
-        raise ParameterError("n_level must exceed 1 for a meaningful plan")
+    if not 1 < n_level < math.inf:
+        raise ParameterError("n_level must be finite and exceed 1 for a meaningful plan")
     exps = theory_rates(params)
     eps = min(1.0, n_level**exps.eps_exponent)
     xi = min(1.0, n_level**exps.xi_exponent)
@@ -178,8 +178,8 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
         raise ParameterError("n_grid needs at least 4 points")
     if np.any(np.diff(n_grid) <= 0):
         raise ParameterError("n_grid must be strictly increasing")
-    if np.any(n_grid <= 0):
-        raise ParameterError("n_grid entries must be positive")
+    if not np.all((n_grid > 0) & (n_grid < math.inf)):
+        raise ParameterError("n_grid entries must be positive and finite")
     if not (0 < delta_level < 0.5):
         raise ParameterError("delta_level must lie in (0, 0.5)")
     if y_replicates < 1:

@@ -7,7 +7,8 @@ follow ``y = G u + noise / sqrt(n)`` with Gaussian noise that is either
 diagonal in the e-basis or given by a dense SPD covariance. Where the
 coupling is block-diagonal and the noise diagonal, so is the whitened forward
 map M, and M's blocks and the whitened Gram are ``quadform.BlockDiagonal``
-operators formed from T's blocks; T and M themselves stay dense arrays.
+operators formed from T's blocks, which ``_coupling_blocks`` reads off T's
+zero pattern once per coupling; T and M themselves stay dense arrays.
 
 Indexing convention: coordinate k runs from 1 to N in formulas; arrays are
 0-based internally.
@@ -53,12 +54,17 @@ def _read_only(v: np.ndarray) -> np.ndarray:
 
 def _coupling_blocks(t: np.ndarray) -> np.ndarray:
     """Edges of the finest diagonal blocks outside which the square ``t`` is
-    exactly zero in both triangles: a boundary of ``quadform.diagonal_blocks``
-    of both ``t`` and ``t.T``. A nonzero corner couples the first coordinate
-    to the last, so such a matrix is one block without a scan."""
+    exactly zero, in one scan: coordinate i reaches its row's last nonzero
+    column and its column's last nonzero row (at least i), and a block ends
+    after k exactly when nothing up to k reaches past k. A nonzero corner
+    couples the first coordinate to the last: one block without a scan."""
+    n = t.shape[0]
     if t[-1, 0] != 0 or t[0, -1] != 0:
-        return np.array([0, t.shape[0]])
-    return np.intersect1d(quadform.diagonal_blocks(t), quadform.diagonal_blocks(t.T))
+        return np.array([0, n])
+    nz = t != 0
+    np.fill_diagonal(nz, True)
+    reach = n - 1 - np.minimum(nz[:, ::-1].argmax(axis=1), nz[::-1].argmax(axis=0))
+    return np.flatnonzero(np.insert(np.maximum.accumulate(reach) == np.arange(n), 0, True))
 
 
 def _orthonormal(q, n_dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -96,7 +96,8 @@ def test_05_oracle_equivalence():
         u0 = rng.standard_normal(n_dim) * 0.3
         data = cl.simulate_data(prob, u0, 10.0, seed=trial)
         post = cl.conjugate_posterior(prob, data)
-        xi = float(np.sqrt(np.trace(post.cov_factor @ post.cov_factor.T) / n_dim))
+        factor = post.cov_factor.dense()
+        xi = float(np.sqrt(np.trace(factor @ factor.T) / n_dim))
         conj = cl.posterior_exceedance_grid(post, u0, [xi], 20_000, seed=trial + 40)[0]
         weighted = cl.weighted_posterior_exceedance(prob, data, u0, xi, mc=40_000,
                                                     seed=trial + 80)

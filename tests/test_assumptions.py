@@ -455,6 +455,39 @@ class TestHsDiagnostic:
         for _, val in rep.details["g_rho_sq"]:
             assert math.isclose(val, 1.0, rel_tol=1e-10)
 
+    @staticmethod
+    def _gn_values_whole(prob, trunc):
+        """The gn_bound norms from ``I - T rho^2 T^T / rho_i / rho_j`` formed
+        as one N x N matrix, as the diagnostic did before it went block by
+        block."""
+        rho, t = prob.operator.rho, prob.coupling.t_matrix
+        c2 = (t * rho[None, :] ** 2) @ t.T
+        s = np.eye(prob.n_dim) - c2 / rho[:, None] / rho[None, :]
+        return [float(np.linalg.norm(s[:m, :m])) for m in trunc]
+
+    @pytest.mark.parametrize("kind", ["banded-0", "banded-5", "banded-9", "reflection",
+                                      "identity"])
+    def test_gn_bound_blocks_match_the_whole_matrix(self, kind):
+        """Summed over the coupling blocks each truncation cuts, within
+        1e-14 relative of the whole-matrix norms (the sums run in another
+        order), with the same verdict; bit for bit on an identity coupling.
+        The reflection's one block, rows 2 to 5 of 8, is cut by the first
+        two truncations (2 and 4)."""
+        if kind == "reflection":
+            v = np.zeros(8)
+            v[[2, 5]] = [0.6, 0.8]
+            prob = self._reflection_problem(v, np.arange(1, 9) ** -2.0)
+        elif kind == "identity":
+            prob = identity_problem(256)
+        else:
+            prob = banded_problem(512, seed=int(kind[-1]))
+        rep = cl.hs_diagnostic(prob, "gn_bound")
+        whole = self._gn_values_whole(prob, rep.truncations)
+        if kind == "identity":
+            assert list(rep.values) == whole
+        np.testing.assert_allclose(rep.values, whole, rtol=1e-14, atol=0)
+        assert rep.verdict == cl.assumptions._growth_verdict(whole)
+
     def test_kind_mismatch_rejected(self):
         prob = identity_problem(8)
         with pytest.raises(ParameterError):
@@ -521,10 +554,12 @@ class TestConcentration:
 
     def test_negative_offset_rejected(self):
         """An offset below the mean deviation is no tail: the grid is refused,
-        not tabulated as a failed check."""
-        with pytest.raises(ParameterError):
-            cl.concentration_check(identity_problem(6), np.zeros(6), 3, 6, 50.0,
-                                   x_grid=[-1.0, 0.0], mc=1000, seed=1)
+        not tabulated as a failed check; nor is a NaN offset, which no
+        comparison rejects."""
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ParameterError, match="nonnegative"):
+                cl.concentration_check(identity_problem(6), np.zeros(6), 3, 6, 50.0,
+                                       x_grid=[bad, 0.0], mc=1000, seed=1)
 
     def test_doubling_n_halves_sigma_sq(self):
         prob = banded_problem(10, seed=8)

@@ -20,6 +20,9 @@ from contraction_lab.errors import NumericalError, ParameterError
 from contraction_lab.rng import substream
 from contraction_lab.spectral import forward_apply
 
+from block_reference import (scattered_distances, scattered_factor, scattered_trace,
+                             zero_pattern_blocks)
+
 
 def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
     return cl.InverseProblem(
@@ -34,6 +37,17 @@ def one_block_cholesky(mat):
     itself is the operator's one part, so the factor is written into it when
     it is a writeable Fortran-ordered float array."""
     return cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat)).dense()
+
+
+def covariance(post):
+    """A posterior's covariance ``cov_factor @ cov_factor.T``, dense."""
+    factor = post.cov_factor.dense()
+    return factor @ factor.T
+
+
+def one_block(mat):
+    """``mat`` as a ``BlockDiagonal`` of one block, or of one run at N = 1."""
+    return quadform.BlockDiagonal.from_dense(mat)
 
 
 def random_problem(seed, n_dim=None):
@@ -57,7 +71,7 @@ class TestConjugatePosterior:
         data = cl.DataSample(np.array([1.0]), 1.0, np.array([0.0]), 0)
         post = cl.conjugate_posterior(prob, data)
         assert math.isclose(post.mean[0], 0.5, rel_tol=1e-14)
-        assert math.isclose((post.cov_factor @ post.cov_factor.T)[0, 0], 0.5, rel_tol=1e-14)
+        assert math.isclose(covariance(post)[0, 0], 0.5, rel_tol=1e-14)
 
     def test_noiseless_limit_inverts_operator(self):
         """At n = 1e10 the mean approaches T^-1 diag(1/rho) y."""
@@ -80,20 +94,20 @@ class TestConjugatePosterior:
         prob = random_problem(seed)
         data = cl.simulate_data(prob, np.zeros(prob.n_dim), 20.0, seed=seed)
         post = cl.conjugate_posterior(prob, data)
-        rebuilt = np.linalg.inv(post.cov_factor @ post.cov_factor.T)
+        rebuilt = np.linalg.inv(covariance(post))
         target = cl.posterior_precision(prob, data.n_level).dense()
         assert np.linalg.norm(rebuilt - target) <= 1e-8 * np.linalg.norm(target)
 
 
 class TestExceedance:
     def test_zero_radius_full_mass(self):
-        post = cl.PosteriorGaussian(np.zeros(1), np.eye(1), 1.0)
+        post = cl.PosteriorGaussian(np.zeros(1), one_block(np.eye(1)), 1.0)
         est = cl.posterior_exceedance_grid(post, np.zeros(1), [0.0], 500, seed=4)[0]
         assert est.value == 1.0
 
     def test_standard_normal_oracle(self):
         """P(|Z| > 1) = 2(1 - Phi(1)) ~ 0.3173, within 3 binomial SE."""
-        post = cl.PosteriorGaussian(np.zeros(1), np.eye(1), 1.0)
+        post = cl.PosteriorGaussian(np.zeros(1), one_block(np.eye(1)), 1.0)
         est = cl.posterior_exceedance_grid(post, np.zeros(1), [1.0], 40_000, seed=4)[0]
         target = 2 * norm.sf(1.0)
         assert abs(est.value - target) <= 3 * max(est.std_error, 1e-6)
@@ -105,7 +119,7 @@ class TestExceedance:
         data = cl.simulate_data(prob, np.zeros(3), 4.0, seed=2)
         post = cl.conjugate_posterior(prob, data)
         u0 = np.full(3, 0.1)
-        xi = 1e3 * (np.linalg.norm(post.mean - u0) + np.trace(post.cov_factor @ post.cov_factor.T))
+        xi = 1e3 * (np.linalg.norm(post.mean - u0) + np.trace(covariance(post)))
         est = cl.posterior_exceedance_grid(post, u0, [xi], 2000, seed=6)[0]
         assert est.value < 0.01
 
@@ -128,15 +142,23 @@ class TestExceedance:
         mean = np.round(rng.uniform(-1, 1, 3) / scale) * scale
         u0 = np.round(rng.uniform(-1, 1, 3) / scale) * scale
         shift = np.round(rng.uniform(-1000, 1000, 3) / scale) * scale
-        factor = np.linalg.cholesky(np.eye(3) * 0.25)
+        factor = one_block(np.linalg.cholesky(np.eye(3) * 0.25))
         a = cl.posterior_exceedance_grid(cl.PosteriorGaussian(mean, factor, 1.0), u0, [0.5],
                                          500, seed=3)[0]
         b = cl.posterior_exceedance_grid(cl.PosteriorGaussian(mean + shift, factor, 1.0),
                                          u0 + shift, [0.5], 500, seed=3)[0]
         assert a.value == b.value
 
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_radius_must_be_nonnegative(self, bad):
+        """A NaN radius is refused, not tabulated as an estimate of 0.0 with
+        a standard error of 0.0."""
+        post = cl.PosteriorGaussian(np.zeros(1), one_block(np.eye(1)), 1.0)
+        with pytest.raises(ParameterError, match="radius must be nonnegative"):
+            cl.posterior_exceedance_grid(post, np.zeros(1), [1.0, bad], 100, seed=0)
+
     def test_mc_floor(self):
-        post = cl.PosteriorGaussian(np.zeros(1), np.eye(1), 1.0)
+        post = cl.PosteriorGaussian(np.zeros(1), one_block(np.eye(1)), 1.0)
         with pytest.raises(ParameterError):
             cl.posterior_exceedance_grid(post, np.zeros(1), [1.0], 50, seed=0)
 
@@ -163,7 +185,7 @@ class TestWeightedExceedance:
         u0 = np.array([0.3, -0.2])
         data = cl.simulate_data(prob, u0, 10.0, seed=seed)
         post = cl.conjugate_posterior(prob, data)
-        xi = float(np.sqrt(np.trace(post.cov_factor @ post.cov_factor.T) / 2))
+        xi = float(np.sqrt(np.trace(covariance(post)) / 2))
         conj = cl.posterior_exceedance_grid(post, u0, [xi], 20_000, seed=seed + 1)[0]
         weighted = cl.weighted_posterior_exceedance(prob, data, u0, xi, mc=40_000, seed=seed + 2)
         combined = math.hypot(conj.std_error, weighted.std_error)
@@ -214,7 +236,7 @@ class TestPosteriorFactor:
             post = cl.conjugate_posterior(prob, data)
             reused = factor.condition(data.y)
             assert np.array_equal(reused.mean, post.mean)
-            assert np.array_equal(reused.cov_factor, post.cov_factor)
+            assert np.array_equal(reused.cov_factor.dense(), post.cov_factor.dense())
 
     @pytest.mark.parametrize("n_dim,count", [(1, 5), (4, 300), (40, 7)])
     def test_distances_equal_plain_norm_bit_for_bit(self, n_dim, count):
@@ -223,7 +245,8 @@ class TestPosteriorFactor:
         post = cl.factor_posterior(prob, 10.0).condition(rng.standard_normal(n_dim))
         u0 = rng.standard_normal(n_dim)
         z = rng.standard_normal((n_dim, count))
-        reference = np.linalg.norm((post.mean - u0)[:, None] + post.cov_factor @ z, axis=0)
+        reference = np.linalg.norm((post.mean - u0)[:, None] + post.cov_factor.dense() @ z,
+                                   axis=0)
         assert np.array_equal(post.distances(u0, z), reference)
 
 
@@ -254,7 +277,7 @@ class TestPosteriorFactor:
         lam, vt = factor.covariance_spectrum(np.eye(6))
         vecs = vt.T
         post = factor.condition(np.zeros(6))
-        cov = post.cov_factor @ post.cov_factor.T
+        cov = covariance(post)
         assert np.all(lam >= 0)
         assert np.allclose((vecs * lam) @ vecs.T, cov, rtol=0, atol=1e-12 * lam.max())
 
@@ -264,7 +287,7 @@ class TestPosteriorFactor:
         precision's Cholesky factor, and its square inverts the precision to
         1e-13 even at prior smoothness 5, where cond(P) reaches 6.7e27."""
         prob = _banded_problem(512, 5.0)
-        factor = cl.factor_posterior(prob, n_level).condition(np.zeros(512)).cov_factor
+        factor = cl.factor_posterior(prob, n_level).condition(np.zeros(512)).cov_factor.dense()
         assert np.array_equal(factor, np.triu(factor)) and np.all(np.diag(factor) > 0)
         resid = factor @ factor.T @ cl.posterior_precision(prob, n_level).dense() - np.eye(512)
         assert np.linalg.norm(resid) <= 1e-13
@@ -326,12 +349,12 @@ class TestPosteriorFactor:
         prob = random_problem(1, n_dim=5)
         factor = cl.factor_posterior(prob, 50.0)
         post = factor.condition(np.ones(5))
-        before = post.cov_factor.copy()
+        before = post.cov_factor.dense().copy()
         with pytest.raises(ValueError, match="read-only"):
-            post.cov_factor[:] = 0.0
+            post.cov_factor.parts[0][:] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             factor._precision_chol.parts[0][0, 0] = 2.0
-        assert np.array_equal(factor.condition(np.zeros(5)).cov_factor, before)
+        assert np.array_equal(factor.condition(np.zeros(5)).cov_factor.dense(), before)
 
     def test_eigenvalue_rounding_of_zero_is_clipped(self, monkeypatch):
         prob = random_problem(0, n_dim=4)
@@ -381,7 +404,7 @@ class TestCovarianceSpectrum:
     def _check(factor, d):
         """Against ``eigh`` of the same covariance ``L^{-T} L^{-1}``."""
         lam, c = factor.covariance_spectrum(d)
-        inv = factor._chol_inv
+        inv = factor._cov_factor.dense().T
         ref = scipy.linalg.eigh(inv.T @ inv, eigvals_only=True)
         assert c.shape == d.shape
         assert np.all(np.diff(lam) >= 0) and np.all(lam >= 0)
@@ -457,7 +480,7 @@ def _assert_routes_agree(factor, u0, ys):
                                          np.asfortranarray(one_block_cholesky(precision))))
     ref_lam, ref_c = twin.covariance_spectrum(d)
     ref_radii = rates._posterior_radii(twin, u0, 0.1, ys)
-    assert twin.blocks.size == 2
+    assert twin._precision_chol.edges.size == 2
     assert np.all(np.abs(lam - ref_lam) <= 1e-13 * ref_lam.max())
     norms, ref_norms = np.linalg.norm(c, axis=0), np.linalg.norm(ref_c, axis=0)
     assert np.all(np.abs(norms - ref_norms) <= 1e-13 * ref_norms)
@@ -475,7 +498,7 @@ class TestBlockRoute:
     def test_random_partitions_match_one_block(self, sizes, seed, n_level):
         prob = _block_problem(sizes, seed)
         factor = cl.factor_posterior(prob, n_level)
-        assert np.array_equal(factor.blocks, np.cumsum([0] + sizes))
+        assert np.array_equal(factor._precision_chol.edges, np.cumsum([0] + sizes))
         rng = np.random.default_rng(seed)
         _assert_routes_agree(factor, rng.standard_normal(prob.n_dim),
                              rng.standard_normal((prob.n_dim, 3)))
@@ -485,7 +508,7 @@ class TestBlockRoute:
         """Banded N = 512 at prior smoothness 5, where cond(P) reaches 6.7e27."""
         prob = _banded_problem(512, 5.0)
         factor = cl.factor_posterior(prob, n_level)
-        assert factor.blocks.size > 2
+        assert factor._precision_chol.edges.size > 2
         u0 = cl.power_law_truth(2.0, 512)
         g_u0 = forward_apply(prob, u0)
         ys = np.column_stack([rates._replicate_distances(prob, g_u0, n_level,
@@ -506,7 +529,7 @@ class TestBlockRoute:
 
     def test_jitter_is_the_whole_matrix_jitter(self):
         mat, edges = self._with_nearly_singular_block()
-        assert np.array_equal(quadform.diagonal_blocks(mat), edges)
+        assert np.array_equal(zero_pattern_blocks(mat), edges)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(mat[:2, :2])
         block = cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges)).dense()
@@ -540,20 +563,43 @@ class TestInPlaceSampling:
     draws one diagonal block at a time, in place."""
 
     def test_default_banded_matches_dense_product(self):
-        """At all five n of the default banded config: within 1e-15 relative
-        of ``(mean - u0) + cov_factor @ z``, with the same exceedance counts
-        at the posterior pipeline's default radii."""
+        """At all five n of the default banded config: bit for bit the route
+        through the factor scattered into one N x N array, distances and
+        covariance trace alike, and within 1e-15 relative of ``(mean - u0) +
+        cov_factor @ z``, with the same exceedance counts at the posterior
+        pipeline's default radii."""
         config, prob, u0 = _default_banded()
         for i, n in enumerate(config.run["n_grid"]):
             post = cl.factor_posterior(prob, n).condition(cl.simulate_data(prob, u0, n, i).y)
-            assert np.array_equal(post.blocks, prob.gram_blocks) and post.blocks.size > 2
+            edges = post.cov_factor.edges
+            assert np.array_equal(edges, prob.gram_blocks) and edges.size > 2
             z = np.random.default_rng(i).standard_normal((512, 2000))
-            ref = np.linalg.norm((post.mean - u0)[:, None] + post.cov_factor @ z, axis=0)
+            factor = scattered_factor(post)
+            ref = np.linalg.norm((post.mean - u0)[:, None] + factor @ z, axis=0)
+            scattered = scattered_distances(post, u0, z)
             dist = post.distances(u0, z)
+            assert np.array_equal(dist, scattered)
             assert np.all(np.abs(dist - ref) <= 1e-15 * ref)
-            scale = math.sqrt(float(np.sum(post.cov_factor**2)))
+            assert post.covariance_trace() == scattered_trace(post)
+            scale = math.sqrt(float(np.sum(factor**2)))
             for xi in (0.5 * scale, scale, 2.0 * scale, 4.0 * scale):
                 assert np.count_nonzero(dist > xi) == np.count_nonzero(ref > xi)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.lists(st.sampled_from([1, 1, 1, 1, 2, 3, 5]), min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e2, 1e4, 1e6]))
+    def test_random_partitions_match_scattered_route(self, sizes, seed, n_level):
+        """On partitions rich in runs of one-row blocks, which are scaled
+        where the scattered route makes a 1 x 1 dtrmm call: distances and
+        covariance trace bit for bit."""
+        prob = _block_problem(sizes, seed)
+        rng = np.random.default_rng(seed)
+        post = cl.factor_posterior(prob, n_level).condition(rng.standard_normal(prob.n_dim))
+        assert np.array_equal(post.cov_factor.edges, np.cumsum([0] + sizes))
+        u0 = rng.standard_normal(prob.n_dim)
+        z = rng.standard_normal((prob.n_dim, 7))
+        assert np.array_equal(scattered_distances(post, u0, z), post.distances(u0, z))
+        assert post.covariance_trace() == scattered_trace(post)
 
     def test_draws_are_overwritten_without_a_second_array(self):
         """The squared deviations end up in ``z`` itself, and the call
@@ -577,37 +623,31 @@ class TestInPlaceSampling:
         with pytest.raises(ParameterError, match="count"):
             post.distances(u0, np.ones(512))
 
-    def test_factor_outside_its_pattern_rejected(self):
-        """Only an upper-triangular factor that is zero off its blocks is
-        accepted, and the check makes no N x N temporary."""
+    def test_factor_must_be_an_upper_triangular_block_diagonal(self):
+        """Only a ``BlockDiagonal`` whose blocks are upper-triangular is
+        accepted; an entry below a block's diagonal is named by its rows, and
+        the check makes no N x N temporary."""
         rng = np.random.default_rng(3)
         upper = np.triu(rng.uniform(0.5, 1.0, (6, 6)))
-        edges = np.array([0, 2, 6])
-        split = upper.copy()
-        split[:2, 2:] = 0.0
-        cl.PosteriorGaussian(np.zeros(6), upper, 1.0)
-        cl.PosteriorGaussian(np.zeros(6), split, 1.0, blocks=edges)
-        with pytest.raises(ParameterError, match="upper-triangular"):
-            cl.PosteriorGaussian(np.zeros(6), upper.T.copy(), 1.0)
-        with pytest.raises(ParameterError, match="outside its blocks"):
-            cl.PosteriorGaussian(np.zeros(6), upper, 1.0, blocks=edges)
-        for bad in ([0, 6, 2], [0, 2, 5], [1, 6]):
-            with pytest.raises(ParameterError, match="blocks"):
-                cl.PosteriorGaussian(np.zeros(6), split, 1.0, blocks=bad)
-        for row, col, rows in ((5, 0, "2:6"), (3, 2, "2:6"), (0, 5, "0:2"), (1, 3, "0:2")):
-            bad = split.copy()
+        for bad in (upper, upper.tolist(), None):
+            with pytest.raises(ParameterError, match="must be a BlockDiagonal"):
+                cl.PosteriorGaussian(np.zeros(6), bad, 1.0)
+        cl.PosteriorGaussian(np.zeros(6), quadform.BlockDiagonal.from_dense(upper, [0, 2, 6]), 1.0)
+        for row, col, rows in ((5, 2, "2:6"), (3, 2, "2:6"), (1, 0, "0:2")):
+            bad = upper.copy()
             bad[row, col] = 1e-300
-            with pytest.raises(ParameterError, match=f"rows {rows}"):
-                cl.PosteriorGaussian(np.zeros(6), bad, 1.0, blocks=edges)
+            with pytest.raises(ParameterError, match=f"upper-triangular \\(rows {rows}\\)"):
+                cl.PosteriorGaussian(np.zeros(6), quadform.BlockDiagonal.from_dense(bad, [0, 2, 6]),
+                                     1.0)
         big = np.triu(rng.uniform(0.5, 1.0, (512, 512)))
         for row, col in ((100, 70), (100, 10), (127, 126), (64, 63), (511, 0)):
             bad = big.copy()
             bad[row, col] = 1.0
             with pytest.raises(ParameterError, match="upper-triangular"):
-                cl.PosteriorGaussian(np.zeros(512), bad, 1.0)
+                cl.PosteriorGaussian(np.zeros(512), one_block(bad), 1.0)
         tracemalloc.start()
         try:
-            cl.PosteriorGaussian(np.zeros(512), big, 1.0)
+            cl.PosteriorGaussian(np.zeros(512), one_block(big), 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -620,7 +660,7 @@ class TestInPlaceSampling:
         factor = cl.factor_posterior(random_problem(2, n_dim=6), 50.0)
         with pytest.raises(ParameterError, match=r"mean must be a length-6 vector, got shape \(6, 5\)"):
             factor.condition(np.ones((6, 5)))
-        upper = np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (6, 6)))
+        upper = one_block(np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (6, 6))))
         for shape in ((6, 1), (5,), (7,), ()):
             with pytest.raises(ParameterError, match=re.escape(f"got shape {shape}")):
                 cl.PosteriorGaussian(np.zeros(shape), upper, 1.0)
@@ -769,7 +809,7 @@ def _per_block_mean(factor, y):
     """The mean as every block was solved before runs of one-row blocks:
     one ``cho_solve`` per diagonal block."""
     rhs = factor.n_level * factor.problem.whitened_adjoint(factor.problem.noise_whiten(y))
-    chol, edges = factor._precision_chol.dense(), factor.blocks
+    chol, edges = factor._precision_chol.dense(), factor._precision_chol.edges
     for lo, hi in zip(edges[:-1], edges[1:]):
         rhs[lo:hi] = scipy.linalg.cho_solve((chol[lo:hi, lo:hi], True), rhs[lo:hi])
     return rhs
@@ -782,7 +822,7 @@ class TestOneRowRuns:
     def test_mixed_blocks_one_solve_per_multi_row_block(self, monkeypatch):
         prob = _block_problem([1, 1, 3, 1, 2, 1, 1, 1], seed=4)
         factor = cl.factor_posterior(prob, 1e3)
-        assert np.array_equal(factor.blocks, [0, 1, 2, 5, 6, 8, 9, 10, 11])
+        assert np.array_equal(factor._precision_chol.edges, [0, 1, 2, 5, 6, 8, 9, 10, 11])
         rng = np.random.default_rng(2)
         for y in (rng.standard_normal(11), rng.standard_normal((11, 4))):
             ref = _per_block_mean(factor, y)
@@ -871,7 +911,7 @@ class TestMemoryBudget:
 
         def cell():
             post = cl.conjugate_posterior(prob, cl.simulate_data(prob, u0, 1e4, 0))
-            scale = math.sqrt(float(np.sum(post.cov_factor**2)))
+            scale = math.sqrt(post.covariance_trace())
             return posterior.posterior_exceedance_grid(post, u0, [scale], mc, 1)
 
         peak, ests = self._peak(cell)
@@ -887,7 +927,7 @@ class TestNonFinitePosterior:
     0.0."""
 
     def test_non_finite_mean_rejected(self):
-        upper = np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (6, 6)))
+        upper = one_block(np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (6, 6))))
         for bad in (np.nan, np.inf):
             mean = np.zeros(6)
             mean[4] = bad
@@ -906,14 +946,26 @@ class TestNonFinitePosterior:
             factor[row, col] = bad
             with pytest.raises(ParameterError,
                                match=f"covariance factor must be finite.*rows {rows}"):
-                cl.PosteriorGaussian(np.zeros(n), factor, 1.0)
+                cl.PosteriorGaussian(np.zeros(n), one_block(factor), 1.0)
 
     def test_nan_in_a_block_of_a_block_diagonal_factor(self):
         upper = np.triu(np.random.default_rng(5).uniform(0.5, 1.0, (6, 6)))
-        upper[:2, 2:] = 0.0
         upper[3, 5] = np.nan
         with pytest.raises(ParameterError, match="rows 2:6"):
-            cl.PosteriorGaussian(np.zeros(6), upper, 1.0, blocks=[0, 2, 6])
+            cl.PosteriorGaussian(np.zeros(6), quadform.BlockDiagonal.from_dense(upper, [0, 2, 6]),
+                                 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_run_entry_not_finite_and_positive_rejected(self, bad):
+        """A run of one-row blocks is its diagonal: each entry must be
+        finite and positive (``nan <= 0`` is False), and the error names the
+        run's rows."""
+        diag = np.random.default_rng(6).uniform(0.5, 1.0, 8)
+        diag[5] = bad
+        op = quadform.BlockDiagonal.from_dense(np.diag(diag), [0, 1, 2, 5, 6, 7, 8])
+        assert op.segments == ((0, 2, True), (2, 5, False), (5, 8, True))
+        with pytest.raises(ParameterError, match=r"finite with a positive diagonal \(rows 5:8\)"):
+            cl.PosteriorGaussian(np.zeros(8), op, 1.0)
 
 
 def _assert_operators_match_dense(prob, n_level, rng):

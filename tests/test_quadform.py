@@ -18,6 +18,9 @@ from contraction_lab import quadform
 from contraction_lab.assumptions import _residual_operator
 from contraction_lab.config import build_plan, build_problem, build_truth
 from contraction_lab.errors import NumericalError, ParameterError
+from contraction_lab.spectral import _coupling_blocks
+
+from block_reference import zero_pattern_blocks
 
 
 def imhof_tail(q, lam, c2):
@@ -564,7 +567,7 @@ class TestLowerTail:
 def _spectrum(cov, d, what):
     """``quadform.block_spectrum`` on the partition read off ``cov``'s zero
     pattern, each block a Fortran-ordered copy."""
-    op = quadform.BlockDiagonal.from_dense(cov, quadform.diagonal_blocks(cov))
+    op = quadform.BlockDiagonal.from_dense(cov, zero_pattern_blocks(cov))
     return quadform.block_spectrum(op, d, what,
                                    lambda lo, hi, p: np.array(p, order="F") if p.ndim == 2 else p)
 
@@ -600,7 +603,7 @@ class TestSpectrum:
             a = rng.standard_normal((hi - lo, hi - lo))
             cov[lo:hi, lo:hi] = a @ a.T
         d = rng.standard_normal((9, 3))
-        assert np.array_equal(quadform.diagonal_blocks(cov), edges)
+        assert np.array_equal(zero_pattern_blocks(cov), edges)
         lam, c = _spectrum(cov.copy(), d, "test matrix")
         ref_lam, ref_vec = np.linalg.eigh(cov)
         ref_c = ref_vec.T @ d
@@ -661,8 +664,8 @@ class TestBlockRuns:
 
 
 class TestDiagonalBlocks:
-    """``diagonal_blocks`` reads a symmetric matrix's partition off its exact
-    zero pattern."""
+    """The partition read off a symmetric operator's exact zero pattern (the
+    reference in ``block_reference``) is the coupling's own."""
 
     def test_banded_coupling_gives_its_own_partition(self):
         from contraction_lab.rng import substream
@@ -675,13 +678,14 @@ class TestDiagonalBlocks:
         own = _banded_blocks(n, kind.lo_ratio, kind.hi_ratio, substream(3, "banded-coupling"))
         edges = np.array([a - 1 for a, _ in own] + [n])
         assert len(own) > 1
-        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram.dense()), edges)
-        assert np.array_equal(quadform.diagonal_blocks(cl.posterior_precision(prob, 1e4).dense()),
+        assert np.array_equal(prob.coupling.blocks, edges)
+        assert np.array_equal(zero_pattern_blocks(prob.whitened_gram.dense()), edges)
+        assert np.array_equal(zero_pattern_blocks(cl.posterior_precision(prob, 1e4).dense()),
                               edges)
 
     def test_identity_coupling_gives_singletons(self):
         prob = _config_problem({"coupling": {"kind": "identity"}})
-        assert np.array_equal(quadform.diagonal_blocks(prob.whitened_gram.dense()), np.arange(49))
+        assert np.array_equal(zero_pattern_blocks(prob.whitened_gram.dense()), np.arange(49))
 
     @pytest.mark.parametrize("problem", [
         {"coupling": {"kind": "reflection", "v": [1.0] * 48}},
@@ -691,26 +695,28 @@ class TestDiagonalBlocks:
     ], ids=["reflection", "hilbert_scale", "colored", "dense"])
     def test_dense_problems_are_one_block(self, problem):
         gram = _config_problem(problem).whitened_gram.dense()
-        assert np.array_equal(quadform.diagonal_blocks(gram), [0, 48])
+        assert np.array_equal(zero_pattern_blocks(gram), [0, 48])
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_hand_made_pattern(self, order):
         """Blocks {0}, {1, 2, 3} (row 2 is joined only by the entry that
         couples rows 1 and 3), {4} and {5, 6}, the last one ending on the last
-        row. A zero row is a block of its own, and an entry above the
-        diagonal alone joins nothing: the upper triangle is not read. A
-        C-ordered matrix is scanned by rows, a Fortran-ordered one by
-        columns; both read the same partition."""
+        row. A zero row is a block of its own, and an entry on either side of
+        the diagonal joins its row and column. The coupling's one-pass scan
+        reads the reference's partition in either memory order."""
         def blocks(mat):
-            return quadform.diagonal_blocks(np.array(mat, order=order))
+            mat = np.array(mat, order=order)
+            edges = _coupling_blocks(mat)
+            assert np.array_equal(edges, zero_pattern_blocks(mat))
+            return edges
 
         mat = np.diag([1.0, 2.0, 3.0, 4.0, 0.0, 6.0, 7.0])
-        mat[3, 1] = mat[1, 3] = 0.5
-        mat[6, 5] = mat[5, 6] = -0.25
+        mat[3, 1] = 0.5
+        mat[5, 6] = -0.25
         assert np.array_equal(blocks(mat), [0, 1, 4, 5, 7])
         mat[0, 2] = 1.0
-        assert np.array_equal(blocks(mat), [0, 1, 4, 5, 7])
-        mat[2, 0] = 1.0
+        assert np.array_equal(blocks(mat), [0, 4, 5, 7])
+        mat[0, 2], mat[2, 0] = 0.0, 1.0
         assert np.array_equal(blocks(mat), [0, 4, 5, 7])
         mat[6, 4] = 1.0
         assert np.array_equal(blocks(mat), [0, 4, 7])
@@ -753,14 +759,12 @@ class TestBlockDiagonal:
         prob = build_problem(config)
         factor = cl.factor_posterior(prob, 1e3)
         held = [prob.whitened_gram, factor._precision_chol, cl.coupled_pushforward_cov(prob),
-                cl.diagonal_pushforward_cov(prob)]
+                cl.diagonal_pushforward_cov(prob), factor.condition(np.zeros(64)).cov_factor]
         assert any(p.ndim == 1 for op in held for p in op.parts)
         for op in held:
             for part in op.parts:
                 with pytest.raises(ValueError, match="read-only"):
                     part[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            factor._chol_inv[0, 0] = 1.0
 
     def test_identity_problem_is_one_run_of_vectors(self):
         prob = _config_problem({"coupling": {"kind": "identity"}})

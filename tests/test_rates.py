@@ -19,6 +19,8 @@ from contraction_lab.errors import ParameterError
 from contraction_lab.rng import substream
 from contraction_lab.spectral import forward_apply
 
+from block_reference import zero_pattern_blocks
+
 
 class TestTheoryRates:
     def test_benchmark_exponents(self):
@@ -56,6 +58,13 @@ class TestTheoryRates:
         above = cl.theory_rates(cl.TheoryParams(1.0, 1.0, 1.0 + 1e-9)).xi_exponent
         assert abs(below - above) < 1e-9
 
+    @pytest.mark.parametrize("n_level", [math.inf, math.nan])
+    def test_plan_from_theory_rejects_non_finite_n(self, n_level):
+        """Not an ``OverflowError`` from rounding ``inf**exponent``, nor a
+        plan at n = nan."""
+        with pytest.raises(ParameterError, match="finite"):
+            cl.plan_from_theory(cl.TheoryParams(1.0, 1.0, 2.0), n_level, 8)
+
     def test_plan_from_theory_respects_dims(self):
         plan = cl.plan_from_theory(cl.TheoryParams(1.0, 1.0, 2.0), 1e4, 8)
         assert 1 <= plan.k_n <= 8
@@ -79,7 +88,7 @@ class TestScalingExactness:
         post_a = cl.conjugate_posterior(base, cl.DataSample(y, 25.0, np.zeros(n_dim), 0))
         post_b = cl.conjugate_posterior(scaled, cl.DataSample(y, 100.0, np.zeros(n_dim), 0))
         assert np.array_equal(post_a.mean, post_b.mean)
-        assert np.array_equal(post_a.cov_factor, post_b.cov_factor)
+        assert np.array_equal(post_a.cov_factor.dense(), post_b.cov_factor.dense())
 
 
 class TestFitContractionRate:
@@ -92,6 +101,14 @@ class TestFitContractionRate:
             cl.fit_contraction_rate(prob, u0, [100.0, 50.0, 200.0, 300.0], 0.1, 5, seed=0)
         with pytest.raises(ParameterError):
             cl.fit_contraction_rate(prob, u0, [1e2, 1e3, 1e4, 1e5], 0.7, 5, seed=0)
+
+    @pytest.mark.parametrize("grid", [[1e2, 1e3, 1e4, math.inf], [math.nan, 1e2, 1e3, 1e4],
+                                      [1e2, 1e3, math.nan, 1e4]])
+    def test_non_finite_n_rejected(self, grid):
+        """Rejected up front, not by an SVD that does not converge."""
+        prob = _small_problem(8)
+        with pytest.raises(ParameterError, match="n_grid entries must be positive and finite"):
+            cl.fit_contraction_rate(prob, cl.power_law_truth(2.0, 8), grid, 0.1, 5, seed=0)
 
     @pytest.mark.parametrize("first", [0.0, -1.0])
     def test_nonpositive_n_rejected(self, first):
@@ -196,7 +213,7 @@ class TestFitContractionRate:
         one ``cho_solve`` of a (b, R) right-hand side per block of b > 1 rows
         per n; runs of one-row blocks are solved elementwise."""
         prob = _small_problem(24, cl.BandedCoupling())
-        sizes = np.diff(quadform.diagonal_blocks(prob.whitened_gram.dense()))
+        sizes = np.diff(zero_pattern_blocks(prob.whitened_gram.dense()))
         assert sizes.size > 1 and sizes.max() > 1
         grid = [1e2, 1e3, 1e4, 1e5]
         draws, solves, reductions, reflections = self._count_fit(monkeypatch, prob, grid, 3)
@@ -241,7 +258,7 @@ class TestFitContractionRate:
                                                          substream(3, "rate-fit", 0, rep))
                               for rep in range(4)])
         radii = rates._posterior_radii(factor, u0, 0.1, ys)
-        inv = factor._chol_inv
+        inv = factor._cov_factor.dense().T
         lam, vecs = scipy.linalg.eigh(inv.T @ inv)
         c = (factor.mean(ys) - u0[:, None]).T @ vecs
         ref = np.sqrt(quadform.quantiles(0.1, np.maximum(lam, 0.0), c * c))

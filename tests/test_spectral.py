@@ -12,6 +12,8 @@ from contraction_lab import quadform, spectral
 from contraction_lab.errors import ConstructionError, ParameterError
 from contraction_lab.rng import substream
 
+from block_reference import zero_pattern_blocks
+
 
 def identity_problem(n_dim=4, alpha=1.0, delta=1.0):
     return cl.InverseProblem(
@@ -174,15 +176,60 @@ class TestCouplingBlocks:
             for mat in (t, t.T):
                 assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(mat), 4).blocks, edges)
 
-    def test_dense_coupling_skips_the_scan(self, monkeypatch):
-        """A nonzero corner makes T one block with no zero-pattern scan."""
-        def refuse(mat):
-            raise AssertionError("zero-pattern scan of a dense coupling")
+    def test_dense_coupling_skips_the_scan(self):
+        """A nonzero corner makes T one block with no zero-pattern scan: the
+        whole-matrix comparison that starts the scan is never made."""
+        class Unscannable(np.ndarray):
+            def __ne__(self, other):
+                raise AssertionError("zero-pattern scan of a dense coupling")
 
-        monkeypatch.setattr(quadform, "diagonal_blocks", refuse)
-        assert np.array_equal(_hilbert_coupling(64).blocks, [0, 64])
+        hilbert = _hilbert_coupling(64)
         refl = cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64)
-        assert np.array_equal(refl.blocks, [0, 64])
+        for coupling in (hilbert, refl):
+            assert np.array_equal(coupling.blocks, [0, 64])
+            t = coupling.t_matrix.view(Unscannable)
+            assert np.array_equal(spectral._coupling_blocks(t), [0, 64])
+        with pytest.raises(AssertionError, match="zero-pattern scan"):
+            spectral._coupling_blocks(np.eye(64).view(Unscannable))
+
+    @settings(derandomize=True, deadline=None, max_examples=250)
+    @given(st.data())
+    def test_scan_matches_the_reference(self, data):
+        """The one-pass scan against the definition (``block_reference``)
+        on drawn zero patterns: permutations, zero diagonals and entries on
+        either side of the diagonal, in both memory orders."""
+        n = data.draw(st.integers(1, 12))
+        mat = np.zeros((n, n))
+        if data.draw(st.booleans()):
+            mat[np.arange(n), data.draw(st.permutations(range(n)))] = 1.0
+        else:
+            mat[np.diag_indices(n)] = data.draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                                         min_size=n, max_size=n))
+        entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                            st.sampled_from([0.0, -1e-300, 2.0]))
+        for i, j, value in data.draw(st.lists(entries, max_size=n)):
+            mat[i, j] = value
+        for order in "CF":
+            arr = np.array(mat, order=order)
+            assert np.array_equal(spectral._coupling_blocks(arr), zero_pattern_blocks(mat))
+
+    @pytest.mark.parametrize("kind", ["banded", "identity", "reflection", "hilbert"])
+    def test_couplings_match_the_reference(self, kind):
+        """On the package's couplings, in both memory orders: the default
+        banded partition, N one-row blocks, a reflection whose vector has
+        two nonzero entries (rows 2 to 5 are one block), and a dense
+        Hilbert-scale basis."""
+        v = np.zeros(16)
+        v[[2, 5]] = [0.6, 0.8]
+        t = {"banded": lambda: cl.make_coupling(cl.BandedCoupling(), 512, seed=7).t_matrix,
+             "identity": lambda: np.eye(64),
+             "reflection": lambda: cl.make_coupling(cl.ReflectionCoupling(v), 16).t_matrix,
+             "hilbert": lambda: _hilbert_coupling(64).t_matrix}[kind]()
+        ref = zero_pattern_blocks(t)
+        for order in "CF":
+            assert np.array_equal(spectral._coupling_blocks(np.array(t, order=order)), ref)
+        if kind == "reflection":
+            assert np.array_equal(ref, [0, 1, 2, 6] + list(range(7, 17)))
 
     @pytest.mark.parametrize("block", [0, 3, 7])
     def test_bad_block_rejected_with_the_whole_matrix_error(self, block):
