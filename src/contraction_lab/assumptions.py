@@ -25,6 +25,7 @@ from .spectral import (
     InverseProblem,
     ReflectionCoupling,
     as_vector,
+    check_noise_level,
     forward_apply,
 )
 
@@ -66,8 +67,7 @@ class RatePlan:
             raise ParameterError("k_n must be >= 1")
         if self.r_n is not None and self.r_n < 1:
             raise ParameterError("r_n must be >= 1 or None (infinite)")
-        if self.n_level <= 0:
-            raise ParameterError("n_level must be positive")
+        check_noise_level(self.n_level)
 
 
 @dataclass(frozen=True)
@@ -191,18 +191,26 @@ def _image_cov(lo: int, hi: int, m: np.ndarray, root: np.ndarray) -> np.ndarray:
 
 
 def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
-    """One spectrum of the prior forward covariance, for every radius. It
-    splits on ``problem.gram_blocks`` as M does, and each block of ``M
-    Lambda M^T`` is formed from ``problem.forward_blocks`` only when it is
-    decomposed. ``residual_norms`` is reduced in one N x N array, in place."""
+    """One spectrum of the prior forward covariance, for every radius, from
+    ``problem.forward_blocks`` alone: each block of ``M Lambda M^T`` is formed
+    only when it is decomposed. ``residual_norms[j]`` adds ``own[j]``, the
+    squared image of u0's coordinates j to the end of j's block, summed from
+    the right, to each later block's whole image ``own[lo]``, from the last."""
     u0 = as_vector(u0, problem.n_dim, "u0")
-    m, root = problem.whitened_forward, np.sqrt(problem.prior.variances)
-    lam, c = quadform.block_spectrum(problem.forward_blocks(), m @ u0, "prior forward covariance",
+    m, root = problem.forward_blocks(), np.sqrt(problem.prior.variances)
+    image, own = np.empty(problem.n_dim), np.empty(problem.n_dim)
+    for (lo, hi, run), part in zip(m.segments, m.parts):
+        suffix = np.multiply(part, u0[lo:hi], order="F")  # columns contiguous: summed pairwise
+        image[lo:hi] = suffix if run else part @ u0[lo:hi]
+        if not run:
+            np.cumsum(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
+        suffix *= suffix
+        own[lo:hi] = suffix if run else np.add.reduce(suffix, axis=0)
+    del suffix  # freed before any block of M Lambda M^T is formed
+    later = np.append(np.cumsum(own[m.edges[-2:0:-1]])[::-1], 0.0)
+    residual_norms = np.append(np.sqrt(own + np.repeat(later, np.diff(m.edges))), 0.0)
+    lam, c = quadform.block_spectrum(m, image, "prior forward covariance",
                                      lambda lo, hi, part: _image_cov(lo, hi, part, root))
-    suffix = m * u0  # column images of u0, summed from the right and squared in place
-    np.cumsum(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
-    suffix *= suffix
-    residual_norms = np.append(np.sqrt(np.add.reduce(suffix, axis=0)), 0.0)
     for array in (lam, c, residual_norms):
         array.flags.writeable = False  # shared by every radius, on any thread
     return SmallBallForm(lam=lam, c=c, residual_norms=residual_norms)
@@ -218,8 +226,8 @@ def small_ball_log_prob(problem: InverseProblem, u0: np.ndarray, eps: float,
     masses are lower tails of ``small_ball_form(problem, u0)``, which a
     caller may pass to share it across radii.
     """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
+    if not eps > 0:
+        raise ParameterError(f"eps must be positive, got {eps!r}")
     u0 = as_vector(u0, problem.n_dim, "u0")
     if form is None:
         form = small_ball_form(problem, u0)
@@ -273,8 +281,8 @@ def projection_log_tail_bound(problem: InverseProblem, k: int, r: int | None,
     are the prior variances from k on, exactly; a finite r takes them from an
     eigensolve.
     """
-    if threshold <= 0:
-        raise ParameterError("threshold must be positive")
+    if not threshold > 0:
+        raise ParameterError(f"threshold must be positive, got {threshold!r}")
     _check_kr(problem, k, r)
     if r is None or r == problem.n_dim:
         q = problem.prior.variances[k:]  # empty at k = n_dim: the projection is the identity
@@ -294,7 +302,7 @@ def projection_tail_grid(problem: InverseProblem, k: int, r: int | None,
     if mc < 100:
         raise ParameterError("mc must be >= 100")
     _check_kr(problem, k, r)
-    if any(t < 0 for t in thresholds):
+    if not all(t >= 0 for t in thresholds):
         raise ParameterError("thresholds must be nonnegative")
     a = _residual_operator(problem, k, r)
     rng = substream(seed, "projection-tail")
@@ -471,8 +479,7 @@ def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
     """
     if mc < 1000:
         raise ParameterError("mc must be >= 1000")
-    if n_level <= 0:
-        raise ParameterError("n_level must be positive")
+    check_noise_level(n_level)
     u0 = as_vector(u0, problem.n_dim, "u0")
     g = compute_g_kr(problem, k, r)
     if x_grid is None:

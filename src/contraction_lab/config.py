@@ -128,7 +128,7 @@ _SCHEMA = {
 }
 
 # hs_diagnostic targets, with the coupling kind each one needs (None: any)
-_HS_TARGETS = {"reflection_pair": "reflection", "exp_pair": "exp_skew", "gn_bound": None}
+HS_TARGETS = {"reflection_pair": "reflection", "exp_pair": "exp_skew", "gn_bound": None}
 _MIXTURE_KEYS = ("mixture_weights", "mixture_means", "mixture_sds")
 
 _PLAN_KEYS = {
@@ -219,10 +219,10 @@ def _check_invariants(data: dict) -> None:
             raise ConfigInvariantError("outputs.formats", f"unknown format {f!r}")
     target = run.get("hs_target")
     if target is not None:
-        if target not in _HS_TARGETS:
+        if target not in HS_TARGETS:
             raise ConfigInvariantError("run.hs_target", f"unknown target {target!r}; expected "
-                                       f"one of {', '.join(_HS_TARGETS)}")
-        kind = _HS_TARGETS[target]
+                                       f"one of {', '.join(HS_TARGETS)}")
+        kind = HS_TARGETS[target]
         if kind is not None and data["problem"]["coupling"]["kind"] != kind:
             raise ConfigInvariantError("run.hs_target", f"{target} requires a {kind} coupling")
     _check_findim(data["findim"])

@@ -17,7 +17,6 @@ from the factor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +29,7 @@ from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 from . import quadform
 from .errors import NumericalError, ParameterError
 from .rng import substream
-from .spectral import InverseProblem, DataSample, as_vector
+from .spectral import InverseProblem, DataSample, as_vector, check_noise_level
 
 JITTER_DOUBLINGS = 3
 
@@ -88,35 +87,14 @@ def _factor_parts(parts) -> bool:
     return True
 
 
-# Columns per panel of ``_set_upper``.
-_PANEL = 64
-
-
-@functools.cache
-def _strict_upper(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(size, 1)`` as read-only arrays, made once per
-    panel size (at most ``_PANEL`` sizes)."""
-    upper = np.triu_indices(size, 1)
-    for index in upper:
-        index.flags.writeable = False
-    return upper
-
-
 def _set_upper(a: np.ndarray, zero: bool = False) -> np.ndarray:
     """Overwrite the strict upper triangle of the square ``a`` in place with
-    the transpose of its strict lower one, or with zeros when ``zero``, a
-    panel of columns at a time, so no N x N temporary is made. On ``a.T``
-    it restores the lower triangle from the upper one."""
-    for j in range(0, a.shape[0], _PANEL):
-        k = min(j + _PANEL, a.shape[0])
-        upper = _strict_upper(k - j)
-        square = a[j:k, j:k]
-        if zero:
-            a[:j, j:k] = 0.0
-            square[upper] = 0.0
-        else:
-            a[:j, j:k] = a[j:k, :j].T
-            square[upper] = square.T[upper]
+    the transpose of its strict lower one, or with zeros when ``zero``, one
+    column at a time: each step copies between views, so nothing the size of
+    ``a`` is allocated. On ``a.T`` it restores the lower triangle from the
+    upper one."""
+    for j in range(1, a.shape[0]):
+        a[:j, j] = 0.0 if zero else a[j, :j]
     return a
 
 
@@ -136,8 +114,7 @@ class PosteriorGaussian:
     n_level: float
 
     def __post_init__(self):
-        if self.n_level <= 0:
-            raise ParameterError("n_level must be positive")
+        check_noise_level(self.n_level)
         if not isinstance(self.cov_factor, quadform.BlockDiagonal):
             raise ParameterError("covariance factor must be a BlockDiagonal, not "
                                  + type(self.cov_factor).__name__)
@@ -206,6 +183,7 @@ def _potential_batch(problem: InverseProblem, w_y: np.ndarray, u_rows: np.ndarra
 def posterior_precision(problem: InverseProblem, n_level: float) -> quadform.BlockDiagonal:
     """Prior precision plus ``n`` times the whitened Gram, on the Gram's
     blocks, in fresh parts that ``cholesky_with_jitter`` factors in place."""
+    check_noise_level(n_level)
     inv_var = 1.0 / problem.prior.variances
 
     def part(lo: int, hi: int, gram: np.ndarray) -> np.ndarray:
@@ -372,8 +350,6 @@ def weighted_posterior_exceedance(problem: InverseProblem, data: DataSample,
     """
     if mc < 1000:
         raise ParameterError("mc must be >= 1000 for the weighted estimator")
-    if xi < 0:
-        raise ParameterError("radius must be nonnegative")
     u0 = as_vector(u0, problem.n_dim, "u0")
     rng = substream(seed, "weighted-exceedance")
     draws = rng.standard_normal((mc, problem.n_dim)) * np.sqrt(problem.prior.variances)[None, :]
@@ -387,10 +363,12 @@ def snis_exceedance(log_w: np.ndarray, dist: np.ndarray, xi: float) -> Exceedanc
     """Self-normalized importance estimate of the mass with ``dist > xi``.
 
     ``log_w`` holds the unnormalized log-weights of the draws and ``dist``
-    their distances from the ball's center. Non-finite log-weights and a
-    non-finite normalizer raise; an effective sample size below 10 marks the
-    result as degenerate.
+    their distances from the ball's center. A radius that is not
+    nonnegative, non-finite log-weights and a non-finite normalizer raise;
+    an effective sample size below 10 marks the result as degenerate.
     """
+    if not xi >= 0:
+        raise ParameterError(f"xi must be nonnegative, got {xi!r}")
     if not np.all(np.isfinite(log_w)):
         raise NumericalError("non-finite importance log-weights")
     shift = log_w.max()

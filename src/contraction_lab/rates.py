@@ -20,7 +20,7 @@ from scipy.special import ndtr, stdtrit
 from . import quadform
 from .errors import ParameterError
 from .rng import derive_seed, substream
-from .spectral import InverseProblem, SevereFamily, as_vector, forward_apply
+from .spectral import InverseProblem, SevereFamily, as_vector, check_noise_level, forward_apply
 from .posterior import ExceedanceEstimate, PosteriorFactor, factor_posterior, snis_exceedance
 from .assumptions import RateConstants, RatePlan
 
@@ -292,8 +292,7 @@ def finite_dim_exceedance_given_y(exp: FiniteDimExperiment, y: np.ndarray,
     """
     if mc < 1000:
         raise ParameterError("mc must be >= 1000")
-    if xi < 0 or n_level <= 0:
-        raise ParameterError("xi >= 0 and n_level > 0 required")
+    check_noise_level(n_level)
     g = exp.g_matrix
     u_proj = np.linalg.lstsq(g, np.asarray(y, dtype=float), rcond=None)[0]
 
@@ -338,6 +337,9 @@ def finite_dim_exceedance_exact_1d(exp: FiniteDimExperiment, y: np.ndarray,
     """Exact posterior exceedance for p = 1 via the conjugate mixture form."""
     if exp.p != 1:
         raise ParameterError("exact route requires p = 1")
+    check_noise_level(n_level)
+    if not xi >= 0:
+        raise ParameterError(f"xi must be nonnegative, got {xi!r}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     u_proj = float(np.linalg.lstsq(exp.g_matrix, y, rcond=None)[0][0])
     wts, means, sds = _mixture_posterior_1d(exp, u_proj, n_level)

@@ -19,16 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import assumptions, posterior, rates
-from .config import ExperimentConfig, build_findim, build_plan, build_problem, build_truth
+from .config import (HS_TARGETS, ExperimentConfig, build_findim, build_plan, build_problem,
+                     build_truth)
 from .errors import (ConfigError, ConfigInvariantError, ConstructionError, NumericalError,
                      ParameterError)
 from .rng import derive_seed
-from .spectral import (
-    ExpSkewCoupling,
-    InverseProblem,
-    ReflectionCoupling,
-    simulate_data,
-)
+from .spectral import InverseProblem, simulate_data
 
 EXPLORATORY_LABEL = "exploratory - no rate claim for severely ill-posed spectra"
 
@@ -226,14 +222,9 @@ def _pipe_minmax(config: ExperimentConfig, problem: InverseProblem, workers: int
 
 def _pipe_hs(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
     run = config.run
-    target = run.get("hs_target")
-    if target is None:
-        if isinstance(problem.coupling.kind, ReflectionCoupling):
-            target = "reflection_pair"
-        elif isinstance(problem.coupling.kind, ExpSkewCoupling):
-            target = "exp_pair"
-        else:
-            target = "gn_bound"
+    kind = config.data["problem"]["coupling"]["kind"]
+    target = run.get("hs_target") or next(
+        (t for t, needs in HS_TARGETS.items() if needs == kind), "gn_bound")
     report = assumptions.hs_diagnostic(problem, target)
     rows = [(report.target, int(m), float(v), report.verdict)
             for m, v in zip(report.truncations, report.values)]

@@ -8,7 +8,8 @@ diagonal in the e-basis or given by a dense SPD covariance. Where the
 coupling is block-diagonal and the noise diagonal, so is the whitened forward
 map M, and M's blocks and the whitened Gram are ``quadform.BlockDiagonal``
 operators formed from T's blocks, which ``_coupling_blocks`` reads off T's
-zero pattern once per coupling; T and M themselves stay dense arrays.
+zero pattern once per coupling. T stays a dense array; M's dense view is
+formed only when ``whitened_forward`` is read.
 
 Indexing convention: coordinate k runs from 1 to N in formulas; arrays are
 0-based internally.
@@ -39,6 +40,12 @@ def as_vector(x, n_dim: int, name: str) -> np.ndarray:
     if v.shape != (n_dim,):
         raise ParameterError(f"{name} must be a length-{n_dim} vector, got shape {v.shape}")
     return v
+
+
+def check_noise_level(n_level: float) -> None:
+    """Raise ``ParameterError`` unless the noise level is positive and finite."""
+    if not 0 < n_level < math.inf:
+        raise ParameterError(f"n_level must be positive and finite, got {n_level!r}")
 
 
 def _frozen(x: np.ndarray) -> np.ndarray:
@@ -539,21 +546,21 @@ class InverseProblem:
 
     @cached_property
     def whitened_forward(self) -> np.ndarray:
-        """M = zeta^(-1/2) G T, the whitened forward map on phi-coordinates
-        (read-only). Held only once read: the posterior needs only
-        ``whitened_gram`` and ``whitened_adjoint``, which do without it."""
-        return _read_only(self._forward_map())
-
-    def _forward_map(self) -> np.ndarray:
-        return self.noise_whiten(self.operator.rho[:, None] * self.coupling.t_matrix)
+        """M = zeta^(-1/2) G T, the whitened forward map on phi-coordinates:
+        ``forward_blocks().dense()``, read-only. No pipeline holds it; they
+        read ``forward_blocks``, ``whitened_gram`` and ``whitened_adjoint``."""
+        return _read_only(self.forward_blocks().dense())
 
     def forward_blocks(self) -> quadform.BlockDiagonal:
-        """M on ``gram_blocks``: under diagonal noise each part is formed
-        from T's in M's own operation order, ``zeta_B^(-1/2) (rho_B T_BB)``;
-        under dense noise the one block is M (cached, or a temporary)."""
+        """M on ``gram_blocks``, the one construction of M: under diagonal
+        noise each part is formed from T's as ``zeta_B^(-1/2) (rho_B T_BB)``;
+        under dense noise the one block is ``zeta^(-1/2) (rho T)``, or the
+        cached ``whitened_forward`` when it is held."""
         if isinstance(self.noise, DenseNoise):
             m = vars(self).get("whitened_forward")
-            return quadform.BlockDiagonal.from_dense(self._forward_map() if m is None else m)
+            if m is None:
+                m = self.noise_whiten(self.operator.rho[:, None] * self.coupling.t_matrix)
+            return quadform.BlockDiagonal.from_dense(m)
         rho, scale = self.operator.rho, self.noise.variances**-0.5
         return quadform.BlockDiagonal.from_dense(self.coupling.t_matrix, self.gram_blocks).map(
             lambda lo, hi, t: _scale_rows(_scale_rows(t, rho[lo:hi]), scale[lo:hi]))
@@ -596,8 +603,7 @@ class DataSample:
     seed: int
 
     def __post_init__(self):
-        if self.n_level <= 0:
-            raise ParameterError("n_level must be positive")
+        check_noise_level(self.n_level)
         y = _frozen(self.y)
         if not np.all(np.isfinite(y)):
             raise ParameterError("y must be finite-valued")
@@ -613,8 +619,7 @@ def forward_apply(problem: InverseProblem, u: np.ndarray) -> np.ndarray:
 
 def simulate_data(problem: InverseProblem, u0: np.ndarray, n_level: float, seed: int) -> DataSample:
     """Draw ``y = G u0 + zeta^(1/2) z / sqrt(n)`` with a seeded standard normal z."""
-    if n_level <= 0:
-        raise ParameterError("n_level must be positive")
+    check_noise_level(n_level)
     u0 = as_vector(u0, problem.n_dim, "u0")
     rng = substream(seed, "simulate")
     z = rng.standard_normal(problem.n_dim)

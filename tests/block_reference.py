@@ -1,7 +1,10 @@
 """Reference routes that tests compare the package's block-diagonal code
-against: the partition of a zero pattern by its definition, and the sampling
+against: the partition of a zero pattern by its definition, the sampling
 factor scattered into one N x N array as the posterior held it before it
-stayed a ``quadform.BlockDiagonal``."""
+stayed a ``quadform.BlockDiagonal``, and the small-ball residual norms one
+coordinate at a time."""
+
+import math
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
@@ -43,3 +46,22 @@ def scattered_trace(post) -> float:
     sum of ``from_dense`` views of its blocks."""
     return quadform.BlockDiagonal.from_dense(scattered_factor(post),
                                              post.cov_factor.edges).square_sum()
+
+
+def per_block_residual_norms(prob, u0: np.ndarray) -> np.ndarray:
+    """``small_ball_form(prob, u0).residual_norms`` one coordinate at a time,
+    in its summation order, from the dense ``whitened_forward``: for j in a
+    block, the columns j to the block's end of M times u0, added from the
+    right, squared and summed over the block's rows as ``np.add.reduce``
+    sums a vector; plus the squared whole images of the later blocks, added
+    from the last block on."""
+    m, edges = prob.whitened_forward, prob.gram_blocks
+    norms, later = [0.0], 0.0
+    for lo, hi in reversed(list(zip(edges[:-1], edges[1:]))):
+        image = np.zeros(hi - lo)
+        for j in range(hi - 1, lo - 1, -1):
+            image = image + m[lo:hi, j] * u0[j]
+            own = np.add.reduce(image * image)
+            norms.append(math.sqrt(own + later))
+        later = later + own
+    return np.array(norms[::-1])

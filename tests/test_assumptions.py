@@ -17,6 +17,8 @@ from contraction_lab.assumptions import _residual_operator
 from contraction_lab.config import build_problem, build_truth
 from contraction_lab.errors import ParameterError
 
+from block_reference import per_block_residual_norms
+
 
 def identity_problem(n_dim, alpha=1.0, delta=1.0, noise=None):
     return cl.InverseProblem(
@@ -719,7 +721,8 @@ class TestSmallBallForm:
     def _assert_routes_agree(prob, u0):
         """Against a dense ``eigh`` of the whole ``A A^T``: eigenvalues within
         1e-13 of the largest and projection norms within 1e-13 relative;
-        ``residual_norms`` bit-equal to the ``np.linalg.norm`` reference."""
+        ``residual_norms`` bit-equal to the per-coordinate reference in the
+        same summation order."""
         form = cl.small_ball_form(prob, u0)
         m = prob.whitened_forward
         a = m * np.sqrt(prob.prior.variances)
@@ -728,9 +731,7 @@ class TestSmallBallForm:
         assert np.all(np.abs(form.lam - ref_lam) <= 1e-13 * ref_lam.max())
         norm_c, ref_norm = np.linalg.norm(form.c), np.linalg.norm(ref_c)
         assert abs(norm_c - ref_norm) <= 1e-13 * ref_norm
-        suffix = np.cumsum((m * u0[None, :])[:, ::-1], axis=1)[:, ::-1]
-        ref_residual = np.concatenate([np.linalg.norm(suffix, axis=0), [0.0]])
-        assert np.array_equal(form.residual_norms, ref_residual)
+        assert np.array_equal(form.residual_norms, per_block_residual_norms(prob, u0))
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
@@ -750,16 +751,34 @@ class TestSmallBallForm:
         assert (prob.gram_blocks.size > 2) == ("coupling" in problem)
         self._assert_routes_agree(prob, u0)
 
+    @pytest.mark.parametrize("problem", [
+        {"n_dim": 200, "coupling": {"kind": "banded"}},
+        {"n_dim": 64, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+         "noise": {"kind": "colored", "r": 0.5}},
+    ], ids=["banded", "dense_hilbert"])
+    def test_residual_norms_match_exact_sums(self, problem):
+        """Within 5e-16 relative of ``math.fsum`` sums of the rounded column
+        images and of their squares, for the default truth. Summing the
+        dense N columns from the right and the N rows in order was 1.07e-15
+        off on the banded problem."""
+        prob, u0 = _config_problem(problem)
+        rows = (prob.whitened_forward * u0).tolist()
+        ref = np.array([math.sqrt(math.fsum(math.fsum(row[j:]) ** 2 for row in rows))
+                        for j in range(prob.n_dim)])
+        got = cl.small_ball_form(prob, u0).residual_norms
+        assert got[-1] == 0.0
+        assert np.all(np.abs(got[:-1] - ref) <= 5e-16 * ref)
+
     @pytest.mark.parametrize("problem, budget", [
-        ({"n_dim": 512, "coupling": {"kind": "banded"}}, 1.5),
+        ({"n_dim": 512, "coupling": {"kind": "banded"}}, 0.35),
         ({"n_dim": 256, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
           "noise": {"kind": "colored", "r": 0.5}}, 2.5),
     ], ids=["banded", "dense_hilbert"])
     def test_peak_memory_in_n_by_n_arrays(self, problem, budget):
-        """``tracemalloc`` peak of one ``small_ball_form`` with M held: one
-        N x N array for the residual norms on the banded default, which
-        forms only its small blocks of ``A A^T``; ``A`` and ``A A^T`` on a
-        dense problem, one block."""
+        """``tracemalloc`` peak of one ``small_ball_form`` with M held: the
+        banded default forms M's blocks, their column images and their
+        blocks of ``A A^T``, no N x N array; a dense problem is one block,
+        and forms ``A`` and ``A A^T``."""
         prob, u0 = _config_problem(problem)
         prob.whitened_forward
         tracemalloc.start()

@@ -309,6 +309,7 @@ class TestBuilders:
     @pytest.mark.parametrize("coupling, target", [
         ({"kind": "reflection", "v": [1.0, 0.5, 0.25, 0.125]}, "reflection_pair"),
         ({"kind": "exp_skew", "generator": SKEW_4}, "exp_pair"),
+        ({"kind": "banded"}, "gn_bound"),
     ])
     def test_hs_default_target_follows_the_coupling(self, coupling, target):
         config = cl.parse_config(json.dumps({"problem": {"n_dim": 4, "coupling": coupling}}))
@@ -475,10 +476,16 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
             "coupling: {kind: identity}", "coupling: {kind: banded}\n  noise: {kind: colored, r: 0.5}")))
         assert np.array_equal(dense.gram_blocks, [0, 12])
 
-    def test_posterior_pipelines_leave_forward_map_uncached(self, monkeypatch):
-        """A posterior or rate-fit invocation on a dense problem never holds
-        the whitened forward map M: the Gram forms it as a temporary and the
-        posterior mean goes through ``whitened_adjoint``."""
+    @pytest.mark.parametrize("replace", [
+        ("coupling: {kind: identity}", "coupling: {kind: banded}"),
+        ("prior: {family: power, delta: 1.0}",
+         "prior: {family: hilbert_scale, t: 1.0, l: 2.0}\n  noise: {kind: colored, r: 0.5}"),
+    ], ids=["banded", "dense_hilbert"])
+    def test_pipelines_leave_forward_map_uncached(self, monkeypatch, replace):
+        """No pipeline holds the whitened forward map M, on a banded or a
+        dense problem: the Gram, the small-ball form and the pushforward
+        covariances read ``forward_blocks`` (a temporary M when dense), and
+        the posterior mean goes through ``whitened_adjoint``."""
         problems = []
         build = runner_module.build_problem
 
@@ -487,10 +494,8 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
             return problems[-1]
 
         monkeypatch.setattr(runner_module, "build_problem", capturing_build)
-        config = cl.parse_config(SMALL_CONFIG.replace(
-            "prior: {family: power, delta: 1.0}",
-            "prior: {family: hilbert_scale, t: 1.0, l: 2.0}\n  noise: {kind: colored, r: 0.5}"))
-        record = cl.run_experiment(config, pipelines=["posterior", "rate-fit"])
+        config = cl.parse_config(SMALL_CONFIG.replace(*replace))
+        record = cl.run_experiment(config, pipelines=list(runner_module.PIPELINE_FUNCS))
         assert not record.failures, record.failures
         assert problems
         for prob in problems:
@@ -761,9 +766,10 @@ def _banded_default(coupling="banded"):
 
 class TestBandedMemoryBudget:
     """On the default banded problem (N = 512, 21 blocks holding 0.115 N^2
-    entries) no operator of the posterior or the minmax pipeline is an
-    N x N array: ``tracemalloc`` peaks in units of one N x N float array,
-    measured after the build and before the Gram is read. The parent of this
+    entries) no operator of the posterior, minmax, smallball or check
+    pipeline is an N x N array: ``tracemalloc`` peaks in units of one N x N
+    float array, measured after the build and before the Gram is read. The
+    small-ball form reads M's blocks only. The parent of this
     layout measured 3.39 (rate-fit), 4.03 (minmax) and 1.00 (a held factor)."""
 
     UNIT = 512 * 512 * 8
@@ -793,17 +799,15 @@ class TestBandedMemoryBudget:
     # Peak of each pipeline in N x N arrays: the measured value plus 0.1, but
     # for posterior and hs, whose peaks at the dense sampling factor and the
     # whole-matrix gn_bound product were 1.45 and 4.03.
-    PIPELINE_BUDGETS = {"simulate": 0.28, "posterior": 0.6, "rate-fit": 1.72, "check": 2.14,
-                        "gn": 0.26, "smallball": 2.14, "minmax": 0.36, "hs": 1.14,
+    PIPELINE_BUDGETS = {"simulate": 0.28, "posterior": 0.6, "rate-fit": 1.72, "check": 0.34,
+                        "gn": 0.26, "smallball": 0.34, "minmax": 0.36, "hs": 1.14,
                         "concentration": 4.06, "findim": 0.11}
 
     @pytest.mark.parametrize("pipeline", list(runner_module.PIPELINE_FUNCS))
     def test_pipeline_peak(self, pipeline):
         """Each of the ten pipelines on the default banded problem at
         ``mc: 100``, traced from after the build. What is left for a later
-        change: ``smallball`` and ``check`` read the dense cached
-        ``whitened_forward`` and reduce ``residual_norms`` over an N x N
-        array; ``rate-fit`` keeps about ten (R, N) batches alive in
+        change: ``rate-fit`` keeps about ten (R, N) batches alive in
         ``quadform._cgf``; ``concentration``'s peak is its Monte Carlo draws;
         ``hs`` is ``compute_g_kr``'s N x k columns and k x k Gram at k = N / 2
         for the ``g_rho_sq`` grid (0.75 N x N at least, so not 0.5)."""

@@ -212,6 +212,47 @@ class TestWeightedExceedance:
             cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 1.0, mc=500, seed=2)
 
 
+def _guarded_inputs():
+    """A small problem, a data draw and a one-dimensional finite-dimensional
+    experiment for the guard cases below."""
+    prob = random_problem(20, n_dim=2)
+    prior = cl.GaussianMixturePrior(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)))
+    exp = cl.FiniteDimExperiment(p=1, q=1, g_matrix=np.array([[1.0]]), prior=prior, m_const=3.0)
+    return prob, cl.simulate_data(prob, np.zeros(2), 5.0, seed=1), exp
+
+
+@pytest.mark.parametrize("name, call", [
+    ("xi", lambda prob, data, exp: cl.weighted_posterior_exceedance(
+        prob, data, np.zeros(2), math.nan, mc=1000)),
+    ("thresholds", lambda prob, data, exp: cl.projection_tail_grid(prob, 1, None, [math.nan])),
+    ("xi", lambda prob, data, exp: cl.finite_dim_exceedance_given_y(
+        exp, [0.3], np.zeros(1), 10.0, math.nan, 1000, 0)),
+    ("n_level", lambda prob, data, exp: cl.finite_dim_exceedance_given_y(
+        exp, [0.3], np.zeros(1), math.nan, 0.5, 1000, 0)),
+    ("xi", lambda prob, data, exp: cl.finite_dim_exceedance_exact_1d(
+        exp, [0.3], 0.0, 10.0, math.nan)),
+    *(("n_level", lambda prob, data, exp, n=n: cl.factor_posterior(prob, n))
+      for n in (0.0, -5.0, math.inf, math.nan)),
+    ("n_level", lambda prob, data, exp: cl.concentration_check(
+        prob, np.zeros(2), 1, 2, math.nan, None, 1000, 0)),
+    ("eps", lambda prob, data, exp: cl.small_ball_log_prob(prob, np.zeros(2), math.nan)),
+    ("threshold", lambda prob, data, exp: cl.projection_log_tail_bound(prob, 1, None, math.nan)),
+    *(("n_level", lambda prob, data, exp, n=n: cl.simulate_data(prob, np.zeros(2), n, 0))
+      for n in (math.inf, math.nan)),
+    ("n_level", lambda prob, data, exp: cl.PosteriorGaussian(
+        np.zeros(2), one_block(np.eye(2)), math.nan)),
+], ids=["weighted-xi-nan", "tail-grid-nan", "findim-xi-nan", "findim-n-nan", "exact-1d-xi-nan",
+        "factor-n-0", "factor-n-negative", "factor-n-inf", "factor-n-nan",
+        "concentration-n-nan", "small-ball-eps-nan", "tail-bound-threshold-nan",
+        "simulate-n-inf", "simulate-n-nan", "posterior-gaussian-n-nan"])
+def test_public_guards_refuse_nan_infinite_and_nonpositive_inputs(name, call):
+    """A NaN, infinite or non-positive input raises ``ParameterError``
+    naming its argument: it is not turned into an estimate of 0.0, a NaN
+    mean, a LAPACK failure or an error about another argument."""
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        call(*_guarded_inputs())
+
+
 class TestJitteredCholesky:
     def test_recovers_nearly_singular(self):
         mat = np.diag([1.0, 1e-18])
@@ -768,9 +809,8 @@ class TestInPlaceCholesky:
 
 
 class TestSetUpper:
-    """``_set_upper`` mirrors or zeroes the strict upper triangle with
-    read-only index arrays made once per panel size, bit for bit as the
-    ``np.triu_indices`` reference does."""
+    """``_set_upper`` mirrors or zeroes the strict upper triangle one column
+    at a time, bit for bit as the ``np.triu_indices`` reference does."""
 
     @staticmethod
     def _reference(a, zero):
@@ -795,14 +835,20 @@ class TestSetUpper:
                 assert np.array_equal(view, ref), (size, zero)
             assert np.array_equal(host[2:size + 2, 1:size + 1].T, views[-1])
 
-    def test_cached_indices_are_read_only(self):
-        rows, cols = posterior._strict_upper(64)
-        assert posterior._strict_upper(64)[0] is rows
-        assert np.array_equal(rows, np.triu_indices(64, 1)[0])
-        assert np.array_equal(cols, np.triu_indices(64, 1)[1])
-        for index in (rows, cols):
-            with pytest.raises(ValueError, match="read-only"):
-                index[0] = 1
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_allocates_no_temporary(self, zero):
+        """On a 1024 x 1024 Fortran-ordered array and on its transpose, a
+        call allocates less than 1 KiB: one column at a time, it copies
+        between views."""
+        a = np.asfortranarray(np.random.default_rng(3).standard_normal((1024, 1024)))
+        for view in (a, a.T):
+            tracemalloc.start()
+            try:
+                posterior._set_upper(view, zero=zero)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024
 
 
 def _per_block_mean(factor, y):
