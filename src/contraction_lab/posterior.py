@@ -1,11 +1,4 @@
-"""Posterior computations: conjugate Gaussian form and exceedance.
-
-Two independent routes to the same posterior are kept side by side: the
-closed-form Gaussian conditioning (valid for Gaussian priors) and a
-self-normalized importance sampler driven only by the data-misfit potential
-Phi, which works for any prior that can be sampled. Phi is used by the
-weighted route alone. Their agreement on exceedance probabilities is the
-module's oracle-equivalence property.
+"""Posterior computations: the conjugate Gaussian form and exceedance.
 
 The conjugate posterior factorizes over independent blocks of coordinates:
 the precision, its Cholesky factor and the sampling factor are
@@ -171,15 +164,6 @@ class PosteriorGaussian:
         return np.sqrt(np.add.reduce(z, axis=0))
 
 
-def _potential_batch(problem: InverseProblem, w_y: np.ndarray, u_rows: np.ndarray,
-                     n_level: float) -> np.ndarray:
-    """Data-misfit potential ``Phi(u) = (n/2) <Gu, Gu>_zeta - n <y, Gu>_zeta``
-    of each row ``u`` of ``u_rows``, against pre-whitened data
-    ``w_y = zeta^(-1/2) y``."""
-    v = problem.whitened_forward @ u_rows.T
-    return 0.5 * n_level * np.einsum("ij,ij->j", v, v) - n_level * (w_y @ v)
-
-
 def posterior_precision(problem: InverseProblem, n_level: float) -> quadform.BlockDiagonal:
     """Prior precision plus ``n`` times the whitened Gram, on the Gram's
     blocks, in fresh parts that ``cholesky_with_jitter`` factors in place."""
@@ -291,26 +275,18 @@ def conjugate_posterior(problem: InverseProblem, data: DataSample) -> PosteriorG
 
 @dataclass(frozen=True)
 class ExceedanceEstimate:
-    """Monte Carlo estimate of the posterior mass outside a ball.
-
-    ``ess`` is set on the importance-sampled route; its standard error is the
-    binomial error at the effective sample size. ``log_normalizer`` records
-    the log of the estimated normalizing constant, which must be finite.
-    """
+    """Monte Carlo estimate of the posterior mass outside a ball, with its
+    binomial standard error."""
 
     value: float
     std_error: float
     mc_count: int
     xi: float
-    ess: float | None = None
-    log_normalizer: float | None = None
-    degenerate: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ParameterError(f"exceedance estimate {self.value} outside [0, 1]")
-        effective = self.ess if self.ess is not None else float(self.mc_count)
-        if self.std_error > 0.5 / math.sqrt(effective) + 1e-12:
+        if self.std_error > 0.5 / math.sqrt(self.mc_count) + 1e-12:
             raise ParameterError("standard error exceeds the binomial bound")
 
 
@@ -337,49 +313,3 @@ def posterior_exceedance_grid(post: PosteriorGaussian, u0: np.ndarray, xis,
         out.append(ExceedanceEstimate(value=p, std_error=_binomial_se(p, mc),
                                       mc_count=mc, xi=float(xi)))
     return out
-
-
-def weighted_posterior_exceedance(problem: InverseProblem, data: DataSample,
-                                  u0: np.ndarray, xi: float,
-                                  mc: int = 2000, seed: int = 0) -> ExceedanceEstimate:
-    """Self-normalized prior-sampling estimate of the posterior exceedance.
-
-    Draws come from the prior; each is weighted by ``exp(-potential)``. The
-    estimated normalizer is checked to be strictly positive and finite, and an
-    effective sample size below 10 marks the result as degenerate.
-    """
-    if mc < 1000:
-        raise ParameterError("mc must be >= 1000 for the weighted estimator")
-    u0 = as_vector(u0, problem.n_dim, "u0")
-    rng = substream(seed, "weighted-exceedance")
-    draws = rng.standard_normal((mc, problem.n_dim)) * np.sqrt(problem.prior.variances)[None, :]
-
-    w_y = problem.noise_whiten(data.y)
-    log_w = -_potential_batch(problem, w_y, draws, data.n_level)
-    return snis_exceedance(log_w, np.linalg.norm(draws - u0[None, :], axis=1), xi)
-
-
-def snis_exceedance(log_w: np.ndarray, dist: np.ndarray, xi: float) -> ExceedanceEstimate:
-    """Self-normalized importance estimate of the mass with ``dist > xi``.
-
-    ``log_w`` holds the unnormalized log-weights of the draws and ``dist``
-    their distances from the ball's center. A radius that is not
-    nonnegative, non-finite log-weights and a non-finite normalizer raise;
-    an effective sample size below 10 marks the result as degenerate.
-    """
-    if not xi >= 0:
-        raise ParameterError(f"xi must be nonnegative, got {xi!r}")
-    if not np.all(np.isfinite(log_w)):
-        raise NumericalError("non-finite importance log-weights")
-    shift = log_w.max()
-    w = np.exp(log_w - shift)
-    total = float(w.sum())
-    log_normalizer = shift + math.log(total / log_w.size)
-    if not np.isfinite(log_normalizer):
-        raise NumericalError("importance-sampling normalizer is not finite")
-
-    value = min(max(float(w[dist > xi].sum() / total), 0.0), 1.0)
-    ess = total**2 / float(w @ w)
-    return ExceedanceEstimate(value=value, std_error=_binomial_se(value, ess),
-                              mc_count=log_w.size, xi=float(xi), ess=ess,
-                              log_normalizer=log_normalizer, degenerate=ess < 10.0)

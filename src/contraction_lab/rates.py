@@ -21,7 +21,7 @@ from . import quadform
 from .errors import ParameterError
 from .rng import derive_seed, substream
 from .spectral import InverseProblem, SevereFamily, as_vector, check_noise_level, forward_apply
-from .posterior import ExceedanceEstimate, PosteriorFactor, factor_posterior, snis_exceedance
+from .posterior import PosteriorFactor, factor_posterior
 from .assumptions import RateConstants, RatePlan
 
 
@@ -244,11 +244,6 @@ class GaussianMixturePrior:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        comp = rng.choice(self.weights.size, size=count, p=self.weights)
-        z = rng.standard_normal((count, self.dim))
-        return self.means[comp] + self.sds[comp] * z
-
 
 def two_component_mixture(p: int = 1) -> GaussianMixturePrior:
     """Default non-Gaussian prior: two well-separated diagonal components."""
@@ -260,8 +255,8 @@ def two_component_mixture(p: int = 1) -> GaussianMixturePrior:
 @dataclass(frozen=True, eq=False)
 class FiniteDimExperiment:
     """Injective linear model between finite-dimensional spaces with white
-    noise; the prior only needs to be sampleable with a positive continuous
-    density."""
+    noise and a Gaussian mixture prior, so the posterior is a Gaussian
+    mixture too."""
 
     p: int
     q: int
@@ -282,27 +277,6 @@ class FiniteDimExperiment:
             raise ParameterError("prior dimension must equal p")
 
 
-def finite_dim_exceedance_given_y(exp: FiniteDimExperiment, y: np.ndarray,
-                                  u0: np.ndarray, n_level: float, xi: float,
-                                  mc: int, seed: int) -> ExceedanceEstimate:
-    """Self-normalized prior-sampling posterior exceedance for fixed data.
-
-    The data enter only through the projection of y onto the model range in
-    the Euclidean inner product, so off-range components cancel exactly.
-    """
-    if mc < 1000:
-        raise ParameterError("mc must be >= 1000")
-    check_noise_level(n_level)
-    g = exp.g_matrix
-    u_proj = np.linalg.lstsq(g, np.asarray(y, dtype=float), rcond=None)[0]
-
-    rng = substream(seed, "findim-mc")
-    draws = exp.prior.sample(rng, mc)
-    resid = g @ (draws - u_proj[None, :]).T
-    log_w = -0.5 * n_level * np.einsum("ij,ij->j", resid, resid)
-    return snis_exceedance(log_w, np.linalg.norm(draws - np.asarray(u0)[None, :], axis=1), xi)
-
-
 def simulate_finite_dim(exp: FiniteDimExperiment, u0: np.ndarray, n_level: float,
                         seed: int) -> np.ndarray:
     rng = substream(seed, "findim-data")
@@ -310,42 +284,79 @@ def simulate_finite_dim(exp: FiniteDimExperiment, u0: np.ndarray, n_level: float
     return exp.g_matrix @ np.asarray(u0, dtype=float) + z / math.sqrt(n_level)
 
 
-# -- exact posterior for one-dimensional mixture priors ----------------------
+def _mixture_posterior(exp: FiniteDimExperiment, u_proj: np.ndarray,
+                       n_level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact mixture posterior given the range projections of the data,
+    one per row of the (R, p) ``u_proj``.
 
-def _mixture_posterior_1d(exp: FiniteDimExperiment, u_proj: float,
-                          n_level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Component weights, means and sds of the exact mixture posterior."""
-    mw = exp.g_matrix[:, 0]
-    like_prec = n_level * float(mw @ mw)
-    means = exp.prior.means[:, 0]
-    sds = exp.prior.sds[:, 0]
-    post_var = 1.0 / (1.0 / sds**2 + like_prec)
-    post_mean = post_var * (means / sds**2 + like_prec * u_proj)
-    evidence_sd = np.sqrt(sds**2 + 1.0 / like_prec)
-    # Normal log-density of u_proj; its operation order is pinned to the bit by
-    # tests/test_rates.py::TestSpecialFunctionsBitIdentical.
-    z = (u_proj - means) / evidence_sd
-    log_w = np.log(exp.prior.weights) + (-z**2 / 2.0 - np.log(np.sqrt(2 * np.pi))
-                                         - np.log(evidence_sd))
-    log_w -= log_w.max()
+    Component j has precision ``diag(1/s_j^2) + n G^T G`` and a weight
+    proportional to ``w_j N(u_proj; mu_j, diag(s_j^2) + (n G^T G)^-1)``.
+    Returns the (R, J) weights, the (R, J, p) means and the (J, p, p)
+    covariances, which do not depend on the data. At p = 1 each step is the
+    scalar closed form in the operation order that
+    tests/test_rates.py::TestSpecialFunctionsBitIdentical pins to the bit.
+    """
+    gram = n_level * (exp.g_matrix.T @ exp.g_matrix)
+    means, var = exp.prior.means, exp.prior.sds**2
+    diag = np.eye(exp.p, dtype=bool)
+    prec = np.where(diag, 1.0 / var[:, :, None], 0.0) + gram
+    cov = np.linalg.inv(prec)
+    post_mean = np.einsum("jab,rjb->rja", cov, means / var + (u_proj @ gram)[:, None, :])
+    # Normal log-density of u_proj, z = L^-1 (u_proj - mu_j) by forward
+    # substitution with L the Cholesky factor of the evidence covariance.
+    root = np.linalg.cholesky(np.where(diag, var[:, :, None], 0.0) + np.linalg.inv(gram))
+    d = u_proj[:, None, :] - means
+    z = np.zeros_like(d)
+    for i in range(exp.p):
+        z[..., i] = (d[..., i] - np.einsum("rjk,jk->rj", z[..., :i], root[:, i, :i])) \
+            / root[:, i, i]
+    log_det = np.sum(np.log(np.diagonal(root, axis1=1, axis2=2)), axis=1)
+    log_w = np.log(exp.prior.weights) + (-np.sum(z**2, axis=2) / 2.0
+                                         - exp.p * np.log(np.sqrt(2 * np.pi)) - log_det)
+    log_w -= log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w)
-    return w / w.sum(), post_mean, np.sqrt(post_var)
+    return w / w.sum(axis=1, keepdims=True), post_mean, cov
 
 
-def finite_dim_exceedance_exact_1d(exp: FiniteDimExperiment, y: np.ndarray,
-                                   u0: float, n_level: float, xi: float) -> float:
-    """Exact posterior exceedance for p = 1 via the conjugate mixture form."""
-    if exp.p != 1:
-        raise ParameterError("exact route requires p = 1")
+def finite_dim_exceedance(exp: FiniteDimExperiment, y, u0, n_level: float, xi):
+    """Exact posterior mass outside the ball of radius ``xi`` around the
+    length-p ``u0``, from the mixture posterior: a float for one length-q
+    datum ``y``, and one value per row for an (R, q) block, with ``xi`` one
+    radius or one per row.
+
+    The data enter only through their projection onto the model range. Each
+    component's mass is a tail of ``||u - u0||^2``: ``ndtr`` of the standard
+    score at p = 1, and at p >= 2 the Lugannani-Rice tail
+    ``-expm1(quadform.log_cdf(xi^2, lam_j, c_j^2))`` over the eigenvalues
+    ``lam_j`` of the component's covariance, one call per component for all
+    rows.
+    """
     check_noise_level(n_level)
-    if not xi >= 0:
-        raise ParameterError(f"xi must be nonnegative, got {xi!r}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    u_proj = float(np.linalg.lstsq(exp.g_matrix, y, rcond=None)[0][0])
-    wts, means, sds = _mixture_posterior_1d(exp, u_proj, n_level)
-    upper = ndtr(-((u0 + xi - means) / sds))
-    lower = ndtr((u0 - xi - means) / sds)
-    return float(np.sum(wts * (upper + lower)))
+    u0 = as_vector(u0, exp.p, "u0")
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim not in (1, 2) or ys.shape[-1] != exp.q:
+        raise ParameterError(f"y must be a length-{exp.q} vector or an (R, {exp.q}) block, "
+                             f"got shape {ys.shape}")
+    rows = np.atleast_2d(ys)
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape not in ((), rows.shape[:1]) or not np.all(xi >= 0):
+        raise ParameterError(f"xi must be nonnegative, one radius or one per row, "
+                             f"got {xi.tolist()}")
+    xi = np.broadcast_to(xi, rows.shape[:1])
+    # One solve per row, so a row's bits do not depend on the block around it.
+    u_proj = np.array([np.linalg.lstsq(exp.g_matrix, row, rcond=None)[0] for row in rows])
+    wts, means, cov = _mixture_posterior(exp, u_proj, n_level)
+    if exp.p == 1:
+        sds, x, m = np.sqrt(cov[:, 0, 0]), xi[:, None], means[..., 0]
+        tails = ndtr(-((u0[0] + x - m) / sds)) + ndtr((u0[0] - x - m) / sds)
+    else:
+        tails = np.empty(wts.shape)
+        for j, c in enumerate(cov):
+            lam, vecs = np.linalg.eigh(c)
+            proj = (means[:, j] - u0) @ vecs
+            tails[:, j] = -np.expm1(quadform.log_cdf(xi * xi, lam, proj * proj))
+    out = np.sum(wts * tails, axis=1)
+    return float(out[0]) if ys.ndim == 1 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,56 +366,47 @@ class FiniteDimRateTable:
     max_ratio: np.ndarray
     diagnostic_counts: np.ndarray
     method: str
+    tail: str
     ratios: dict = field(default_factory=dict)
 
 
 def finite_dim_rate_run(exp: FiniteDimExperiment, u0: np.ndarray, n_grid,
-                        mc: int, y_replicates: int, seed: int) -> FiniteDimRateTable:
+                        y_replicates: int, seed: int) -> FiniteDimRateTable:
     """Mean exceedance at radius ``m_const sqrt(log n / n)`` over an n-grid.
 
     For data realizations landing close to the noiseless observation, the
     table also reports the ratio of their exceedance to the noiseless-data
-    exceedance at half the radius. In one dimension with a mixture prior
-    both quantities are computed from the exact conjugate mixture (the
-    probabilities fall far below Monte Carlo resolution on this grid);
-    otherwise the importance-sampled estimates are used.
+    exceedance at half the radius. Both come from the exact mixture
+    posterior (the probabilities fall far below Monte Carlo resolution on
+    this grid): per n, one ``finite_dim_exceedance`` of the replicates' data
+    with the noiseless datum as its last row. Only the data are drawn.
     """
     n_grid = np.asarray(n_grid, dtype=float)
+    if not np.all(np.isfinite(n_grid)):
+        raise ParameterError("n_grid entries must be finite")
     if np.any(np.diff(n_grid) <= 0) or np.any(n_grid < 3):
         raise ParameterError("n_grid must be increasing with all entries >= 3")
     u0 = np.asarray(u0, dtype=float).reshape(exp.p)
+    g_u0 = exp.g_matrix @ u0
     k1 = float(np.linalg.svd(exp.g_matrix, compute_uv=False).min()) / 2.0
-    exact = exp.p == 1
 
     mean_exc, max_ratio, counts = [], [], []
     ratios: dict[float, list[float]] = {}
     for i, n in enumerate(n_grid):
         xi_n = exp.m_const * math.sqrt(math.log(n) / n)
-        if exact:
-            denom = finite_dim_exceedance_exact_1d(exp, exp.g_matrix @ u0, float(u0[0]),
-                                                   n, xi_n / 2.0)
-        else:
-            denom = finite_dim_exceedance_given_y(exp, exp.g_matrix @ u0, u0, n,
-                                                  xi_n / 2.0, mc,
-                                                  seed=derive_seed(seed, i, "denom")).value
-        values, cell_ratios = [], []
-        for rep in range(y_replicates):
-            cell_seed = derive_seed(seed, i, rep)
-            y = simulate_finite_dim(exp, u0, n, cell_seed)
-            if exact:
-                val = finite_dim_exceedance_exact_1d(exp, y, float(u0[0]), n, xi_n)
-            else:
-                val = finite_dim_exceedance_given_y(exp, y, u0, n, xi_n, mc, cell_seed).value
-            values.append(val)
-            misfit = float(np.linalg.norm(y - exp.g_matrix @ u0))
-            if misfit < k1 * xi_n:
-                cell_ratios.append(val / denom if denom > 0 else math.inf)
+        ys = [simulate_finite_dim(exp, u0, n, derive_seed(seed, i, rep))
+              for rep in range(y_replicates)]
+        xis = np.append(np.full(y_replicates, xi_n), xi_n / 2.0)
+        *values, denom = finite_dim_exceedance(exp, np.vstack(ys + [g_u0]), u0, n, xis).tolist()
+        cell_ratios = [val / denom if denom > 0 else math.inf
+                       for y, val in zip(ys, values)
+                       if float(np.linalg.norm(y - g_u0)) < k1 * xi_n]
         mean_exc.append(float(np.mean(values)))
         max_ratio.append(max(cell_ratios) if cell_ratios else math.nan)
         counts.append(len(cell_ratios))
         ratios[float(n)] = cell_ratios
     return FiniteDimRateTable(n_grid=n_grid, mean_exceedance=np.asarray(mean_exc),
                               max_ratio=np.asarray(max_ratio),
-                              diagnostic_counts=np.asarray(counts),
-                              method="exact-mixture" if exact else "snis",
+                              diagnostic_counts=np.asarray(counts), method="exact-mixture",
+                              tail="normal-cdf" if exp.p == 1 else "lugannani-rice",
                               ratios=ratios)

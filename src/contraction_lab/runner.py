@@ -257,15 +257,13 @@ def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int
     n_grid = [n for n in run["n_grid"] if n >= 3]
     if len(n_grid) < 1:
         raise ConfigInvariantError("run.n_grid", "findim needs grid entries >= 3")
-    mc = max(run["mc"], 1000)
-    table = rates.finite_dim_rate_run(exp, u0, n_grid, mc,
-                                      run["y_replicates"],
+    table = rates.finite_dim_rate_run(exp, u0, n_grid, run["y_replicates"],
                                       derive_seed(run["master_seed"], "findim"))
     rows = [(_n(n), float(m), None if math.isnan(r) else float(r), int(c))
             for n, m, r, c in zip(table.n_grid, table.mean_exceedance,
                                   table.max_ratio, table.diagnostic_counts)]
     return [_table(config, "findim_rate", ("n", "mean_exceedance", "max_ratio", "diagnostic_count"),
-                   rows, "finite_dim_rate_run", method=table.method, mc=mc)]
+                   rows, "finite_dim_rate_run", method=table.method, tail=table.tail)]
 
 
 PIPELINE_FUNCS = {

@@ -295,16 +295,31 @@ class TestBuilders:
         np.testing.assert_array_equal(exp.prior.sds, [[0.5], [2.0]])
         assert (exp.p, exp.q, exp.m_const) == (1, 1, 4.0)
 
-    def test_findim_above_one_dimension_uses_snis(self):
+    def test_findim_above_one_dimension_is_exact(self):
+        """At p >= 2 the table comes from the exact mixture posterior with
+        saddlepoint component tails, and draws nothing but the data."""
         config = cl.parse_config("problem: {n_dim: 4}\n"
                                  "findim: {p: 2, q: 3, g: [[1, 0], [0, 1], [1, 1]]}\n"
                                  "run: {n_grid: [100, 1000], mc: 1000, y_replicates: 3}")
         record = cl.run_experiment(config, pipelines=["findim"])
         assert not record.failures, record.failures
         table = record.table("findim_rate")
-        assert table.provenance["method"] == "snis"
+        assert table.provenance == {"operation": "finite_dim_rate_run",
+                                    "seed": config.run["master_seed"],
+                                    "method": "exact-mixture", "tail": "lugannani-rice"}
         assert [row[0] for row in table.rows] == [100, 1000]
         assert all(0.0 <= row[1] <= 1.0 for row in table.rows)
+
+    def test_findim_plane_table_falls_strictly_in_n(self):
+        """``findim: {p: 2, q: 2, g: I}`` on the default n-grid: the mean
+        exceedance falls strictly with n (importance sampling read 0.041,
+        0.82 and 0.92 at n = 1e4 to 1e6 here)."""
+        config = cl.parse_config("findim: {p: 2, q: 2, g: [[1, 0], [0, 1]]}")
+        table = cl.run_experiment(config, pipelines=["findim"]).table("findim_rate")
+        assert [row[0] for row in table.rows] == [100, 1000, 10000, 100000, 1000000]
+        values = [row[1] for row in table.rows]
+        assert all(a > b for a, b in zip(values, values[1:])), values
+        assert values[-1] < 1e-15
 
     @pytest.mark.parametrize("coupling, target", [
         ({"kind": "reflection", "v": [1.0, 0.5, 0.25, 0.125]}, "reflection_pair"),
@@ -405,19 +420,21 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
             cl.run_experiment(config, workers=8).tables
 
     @pytest.mark.parametrize("mc, used", [(50, {"posterior_exceedance": 100,
-                                                 "concentration": 1000, "findim_rate": 1000}),
+                                                 "concentration": 1000}),
                                            (1500, {"posterior_exceedance": 1500,
-                                                   "concentration": 1500, "findim_rate": 1500})])
+                                                   "concentration": 1500})])
     def test_provenance_records_the_draws_used(self, mc, used):
-        """posterior draws at least 100 and concentration and findim at least
-        1000 times whatever ``run.mc`` says; each table records the count it
-        used, and posterior names the function that drew them."""
+        """posterior draws at least 100 and concentration at least 1000
+        times whatever ``run.mc`` says; each table records the count it
+        used, and posterior names the function that drew them. findim draws
+        nothing but its data, so its table records no count."""
         config = cl.parse_config(json.dumps({"problem": {"n_dim": 12}, "run": {
             "pipelines": ["posterior", "concentration", "findim"],
             "n_grid": [100, 1000], "mc": mc, "y_replicates": 2}}))
         record = cl.run_experiment(config)
         assert not record.failures, record.failures
         assert {name: record.table(name).provenance["mc"] for name in used} == used
+        assert "mc" not in record.table("findim_rate").provenance
         assert (record.table("posterior_exceedance").provenance["operation"]
                 == "posterior_exceedance_grid")
 

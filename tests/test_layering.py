@@ -1,7 +1,8 @@
 """Module layering: no module of the package reaches into a sibling's
 private names, whether by ``from .sibling import _name`` or by
-``sibling._name`` attribute access; every public name has a caller; and the
-package's import graph leaves out the slow-to-import parts of scipy."""
+``sibling._name`` attribute access; every public name has a caller; only
+listed functions draw random numbers; and the package's import graph leaves
+out the slow-to-import parts of scipy."""
 
 import ast
 import json
@@ -89,7 +90,6 @@ README = SRC.parents[1] / "README.md"
 # Public names that only tests call, each the oracle of a test.
 TEST_ORACLES = {
     "projection_tail_grid": "Monte Carlo check of the Chernoff projection-tail bound",
-    "weighted_posterior_exceedance": "importance-sampling side of the conjugate agreement tests",
     "band_window": "the band pattern banded-coupling entries are checked against",
     "OperatorSpectrum.envelope_bounds": "the family envelope spectra are checked against",
 }
@@ -210,6 +210,68 @@ def test_caller_scan_follows_live_code_only():
                                                   "recursive"]
     assert readme_names("see `cl.quadform.log_cdf` and\n```python\nfit(x)\n```\n") == \
         {"cl", "quadform", "log_cdf", "fit", "x"}
+
+
+# A generator's sampling methods.
+DRAW_METHODS = ("standard_normal", "normal", "uniform", "integers", "random", "choice",
+                "permutation", "shuffle")
+
+# Every function in ``src/`` that draws from a random generator, each with
+# the reason it may: data and seeded builds, and the samplers still to be
+# replaced by exact computations. Replacing a sampler removes its line.
+DRAW_SITES = {
+    "spectral.simulate_data": "data: the draws of simulate and posterior",
+    "rates._replicate_distances": "data: one rate-fit replicate",
+    "rates.simulate_finite_dim": "data: one findim replicate",
+    "spectral._banded_blocks": "build: a banded coupling's seeded block sizes",
+    "spectral._haar_orthogonal": "build: a banded coupling's Haar-random blocks",
+    "spectral.random_spd": "build: the seeded operator of colored noise or a Hilbert prior",
+    "posterior.posterior_exceedance_grid": "sampler: posterior exceedance, which a "
+                                           "Lugannani-Rice tail of the posterior form can give",
+    "assumptions.concentration_check": "sampler: plug-in deviations, whose tail is a "
+                                       "Gaussian quadratic form's",
+    "assumptions.projection_tail_grid": "sampler: the Monte Carlo side of the projection-tail "
+                                        "bound, a test oracle",
+}
+
+
+def draw_sites(sources: dict[str, str]) -> set[str]:
+    """``module.function`` of every call of a ``DRAW_METHODS`` method in the
+    module ``sources``: the enclosing module-level function, or
+    ``Class.method``; a call outside every function is keyed by its module."""
+    found = set()
+
+    def walk(node, owner: str, in_function: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and not in_function:
+                walk(child, f"{owner}.{child.name}", False)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_function:
+                walk(child, f"{owner}.{child.name}", True)
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr in DRAW_METHODS):
+                    found.add(owner)
+                walk(child, owner, in_function)
+
+    for module, source in sources.items():
+        walk(ast.parse(source), module, False)
+    return found
+
+
+def test_only_listed_functions_draw():
+    """Every random draw in ``src/`` is in a function of ``DRAW_SITES``,
+    and every listed function still draws."""
+    assert draw_sites({path.stem: path.read_text() for path in MODULES}) == set(DRAW_SITES)
+
+
+def test_draw_scan_keys_by_enclosing_function():
+    source = ("import numpy as np\n"
+              "def data(rng):\n    return rng.standard_normal(3)\n"
+              "def outer(rng):\n    def inner():\n        return rng.choice(4)\n    return inner\n"
+              "class Prior:\n    def sample(self, rng):\n        return rng.uniform(size=2)\n"
+              "def exact(x):\n    return np.sqrt(x)\n"
+              "FIXED = np.random.default_rng(0).integers(5)\n")
+    assert draw_sites({"m": source}) == {"m.data", "m.outer", "m.Prior.sample", "m"}
 
 
 # Runs in a fresh interpreter: the test process itself may have imported

@@ -22,6 +22,7 @@ from contraction_lab.spectral import forward_apply
 
 from block_reference import (scattered_distances, scattered_factor, scattered_trace,
                              zero_pattern_blocks)
+from oracles import finite_dim_exceedance_given_y, snis_exceedance, weighted_posterior_exceedance
 
 
 def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
@@ -167,14 +168,14 @@ class TestWeightedExceedance:
     def test_zero_radius_is_one(self):
         prob = random_problem(20, n_dim=2)
         data = cl.simulate_data(prob, np.zeros(2), 5.0, seed=1)
-        est = cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 0.0, mc=2000, seed=2)
+        est = weighted_posterior_exceedance(prob, data, np.zeros(2), 0.0, mc=2000, seed=2)
         assert est.value == 1.0
         assert est.log_normalizer is not None and math.isfinite(est.log_normalizer)
 
     def test_huge_radius_is_zero(self):
         prob = random_problem(21, n_dim=2)
         data = cl.DataSample(np.zeros(2), 1.0, np.zeros(2), 0)
-        est = cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 1e6, mc=2000, seed=2)
+        est = weighted_posterior_exceedance(prob, data, np.zeros(2), 1e6, mc=2000, seed=2)
         assert est.value == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -187,14 +188,14 @@ class TestWeightedExceedance:
         post = cl.conjugate_posterior(prob, data)
         xi = float(np.sqrt(np.trace(covariance(post)) / 2))
         conj = cl.posterior_exceedance_grid(post, u0, [xi], 20_000, seed=seed + 1)[0]
-        weighted = cl.weighted_posterior_exceedance(prob, data, u0, xi, mc=40_000, seed=seed + 2)
+        weighted = weighted_posterior_exceedance(prob, data, u0, xi, mc=40_000, seed=seed + 2)
         combined = math.hypot(conj.std_error, weighted.std_error)
         assert abs(conj.value - weighted.value) <= 4 * combined
 
     def test_normalizer_positive_finite_and_ess_reported(self):
         prob = random_problem(40, n_dim=3)
         data = cl.simulate_data(prob, cl.power_law_truth(1.0, 3), 50.0, seed=3)
-        est = cl.weighted_posterior_exceedance(prob, data, np.zeros(3), 0.5, mc=4000, seed=4)
+        est = weighted_posterior_exceedance(prob, data, np.zeros(3), 0.5, mc=4000, seed=4)
         assert math.isfinite(est.log_normalizer)
         assert est.ess is not None and 1.0 <= est.ess <= est.mc_count + 1e-9
 
@@ -202,14 +203,14 @@ class TestWeightedExceedance:
         """At n = 1e8 nearly all prior draws carry negligible weight."""
         prob = random_problem(41, n_dim=2)
         data = cl.simulate_data(prob, np.array([0.5, 0.1]), 1e8, seed=5)
-        est = cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 0.1, mc=1000, seed=6)
+        est = weighted_posterior_exceedance(prob, data, np.zeros(2), 0.1, mc=1000, seed=6)
         assert est.degenerate
 
     def test_mc_floor(self):
         prob = random_problem(43, n_dim=2)
         data = cl.simulate_data(prob, np.zeros(2), 5.0, seed=1)
         with pytest.raises(ParameterError):
-            cl.weighted_posterior_exceedance(prob, data, np.zeros(2), 1.0, mc=500, seed=2)
+            weighted_posterior_exceedance(prob, data, np.zeros(2), 1.0, mc=500, seed=2)
 
 
 def _guarded_inputs():
@@ -221,16 +222,31 @@ def _guarded_inputs():
     return prob, cl.simulate_data(prob, np.zeros(2), 5.0, seed=1), exp
 
 
+def _plane_experiment():
+    return cl.FiniteDimExperiment(p=2, q=2, g_matrix=np.eye(2),
+                                  prior=cl.two_component_mixture(2), m_const=3.0)
+
+
 @pytest.mark.parametrize("name, call", [
-    ("xi", lambda prob, data, exp: cl.weighted_posterior_exceedance(
+    ("xi", lambda prob, data, exp: weighted_posterior_exceedance(
         prob, data, np.zeros(2), math.nan, mc=1000)),
     ("thresholds", lambda prob, data, exp: cl.projection_tail_grid(prob, 1, None, [math.nan])),
-    ("xi", lambda prob, data, exp: cl.finite_dim_exceedance_given_y(
+    ("xi", lambda prob, data, exp: finite_dim_exceedance_given_y(
         exp, [0.3], np.zeros(1), 10.0, math.nan, 1000, 0)),
-    ("n_level", lambda prob, data, exp: cl.finite_dim_exceedance_given_y(
+    ("n_level", lambda prob, data, exp: finite_dim_exceedance_given_y(
         exp, [0.3], np.zeros(1), math.nan, 0.5, 1000, 0)),
-    ("xi", lambda prob, data, exp: cl.finite_dim_exceedance_exact_1d(
-        exp, [0.3], 0.0, 10.0, math.nan)),
+    ("xi", lambda prob, data, exp: cl.finite_dim_exceedance(
+        exp, [0.3], np.zeros(1), 10.0, math.nan)),
+    ("n_level", lambda prob, data, exp: cl.finite_dim_exceedance(
+        exp, [0.3], np.zeros(1), math.nan, 0.5)),
+    ("xi", lambda prob, data, exp: cl.finite_dim_exceedance(
+        _plane_experiment(), [[0.3, 0.1], [0.2, 0.0]], np.zeros(2), 10.0, [0.5, math.nan])),
+    ("u0", lambda prob, data, exp: cl.finite_dim_exceedance(
+        _plane_experiment(), [0.3, 0.1], np.zeros(1), 10.0, 0.5)),
+    ("xi", lambda prob, data, exp: cl.finite_dim_exceedance(
+        _plane_experiment(), [[0.3, 0.1], [0.2, 0.0]], np.zeros(2), 10.0, [0.5, 0.5, 0.5])),
+    ("y", lambda prob, data, exp: cl.finite_dim_exceedance(
+        _plane_experiment(), [0.3, 0.1, 0.2], np.zeros(2), 10.0, 0.5)),
     *(("n_level", lambda prob, data, exp, n=n: cl.factor_posterior(prob, n))
       for n in (0.0, -5.0, math.inf, math.nan)),
     ("n_level", lambda prob, data, exp: cl.concentration_check(
@@ -242,13 +258,16 @@ def _guarded_inputs():
     ("n_level", lambda prob, data, exp: cl.PosteriorGaussian(
         np.zeros(2), one_block(np.eye(2)), math.nan)),
 ], ids=["weighted-xi-nan", "tail-grid-nan", "findim-xi-nan", "findim-n-nan", "exact-1d-xi-nan",
+        "exact-1d-n-nan", "exact-2d-xi-nan", "exact-2d-u0-length", "exact-2d-xi-length",
+        "exact-2d-y-shape",
         "factor-n-0", "factor-n-negative", "factor-n-inf", "factor-n-nan",
         "concentration-n-nan", "small-ball-eps-nan", "tail-bound-threshold-nan",
         "simulate-n-inf", "simulate-n-nan", "posterior-gaussian-n-nan"])
 def test_public_guards_refuse_nan_infinite_and_nonpositive_inputs(name, call):
-    """A NaN, infinite or non-positive input raises ``ParameterError``
-    naming its argument: it is not turned into an estimate of 0.0, a NaN
-    mean, a LAPACK failure or an error about another argument."""
+    """A NaN, infinite, non-positive or mis-shaped input raises
+    ``ParameterError`` naming its argument: it is not turned into an
+    estimate of 0.0, a NaN mean, a LAPACK or broadcasting failure or an
+    error about another argument."""
     with pytest.raises(ParameterError, match=f"^{name} must"):
         call(*_guarded_inputs())
 
@@ -715,7 +734,7 @@ def _banded_problem(n_dim, delta):
 
 class TestSnisExceedance:
     def test_equal_weights_give_plain_fraction(self):
-        est = cl.snis_exceedance(np.full(4, -3.0), np.array([0.1, 0.5, 2.0, 3.0]), 1.0)
+        est = snis_exceedance(np.full(4, -3.0), np.array([0.1, 0.5, 2.0, 3.0]), 1.0)
         assert est.value == 0.5
         assert est.ess == 4.0
         assert est.mc_count == 4
@@ -723,7 +742,7 @@ class TestSnisExceedance:
 
     def test_non_finite_log_weights_rejected(self):
         with pytest.raises(NumericalError):
-            cl.snis_exceedance(np.array([0.0, np.nan]), np.zeros(2), 1.0)
+            snis_exceedance(np.array([0.0, np.nan]), np.zeros(2), 1.0)
 
 
 def _dense_hilbert(n_dim):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import log_ndtr
 from scipy.stats import ncx2
@@ -21,50 +20,7 @@ from contraction_lab.errors import NumericalError, ParameterError
 from contraction_lab.spectral import _coupling_blocks
 
 from block_reference import zero_pattern_blocks
-
-
-def imhof_tail(q, lam, c2):
-    """P(sum (c_i + sqrt(lam_i) Z_i)^2 > q) by Imhof's (1961) inversion
-    integral, with the noncentrality written through c2 = lam b^2.
-
-    The integrand is ``sin(theta(u) - q u / 2) / (u rho(u))``, where theta
-    tends to a constant. A plain adaptive rule on ``[0, inf)`` exhausts its
-    subdivisions on the slowly decaying oscillation (lam = [1, 1], c2 = 0,
-    q = 2 came out 3.5e-6 above e**-1), so only ``[0, 50 / max lam]`` is
-    integrated directly; beyond it the integrand is split into the smooth
-    factors of ``cos(q u / 2)`` and ``sin(q u / 2)``, each a Fourier integral
-    that QUADPACK integrates one cycle at a time with extrapolation. A
-    zero-variance term adds the constant c2_i to Q, so it moves into q and
-    theta keeps no linear part.
-    """
-    lam, c2 = np.asarray(lam, dtype=float), np.asarray(c2, dtype=float)
-    q = q - float(c2[lam == 0].sum())
-    lam, c2 = lam[lam > 0], c2[lam > 0]
-
-    def theta_amp(u):
-        lu = lam * u
-        theta = 0.5 * np.sum(np.arctan(lu) + c2 * u / (1.0 + lu * lu))
-        log_rho = np.sum(0.25 * np.log1p(lu * lu) + 0.5 * c2 * lam * u * u / (1.0 + lu * lu))
-        return theta, math.exp(-log_rho) / u
-
-    def head(u):
-        theta, amp = theta_amp(u)
-        return math.sin(theta - 0.5 * q * u) * amp
-
-    def sin_part(u):
-        theta, amp = theta_amp(u)
-        return math.sin(theta) * amp
-
-    def cos_part(u):
-        theta, amp = theta_amp(u)
-        return math.cos(theta) * amp
-
-    split = 50.0 / float(lam.max())
-    value, _ = quad(head, 0.0, split, limit=1000, epsabs=1e-13, epsrel=1e-11)
-    # sin(theta - w u) = sin(theta) cos(w u) - cos(theta) sin(w u)
-    with_cos, _ = quad(sin_part, split, np.inf, weight="cos", wvar=0.5 * q, epsabs=1e-14)
-    with_sin, _ = quad(cos_part, split, np.inf, weight="sin", wvar=0.5 * q, epsabs=1e-14)
-    return 0.5 + (value + with_cos - with_sin) / math.pi
+from oracles import imhof_tail
 
 
 def cgf(s, lam, c2):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import stdtrit
-from scipy.stats import norm
+from scipy.stats import multivariate_normal, ncx2, norm
 from scipy.stats import t as student_t
 
 import contraction_lab as cl
@@ -20,6 +20,7 @@ from contraction_lab.rng import substream
 from contraction_lab.spectral import forward_apply
 
 from block_reference import zero_pattern_blocks
+from oracles import finite_dim_exceedance_given_y, imhof_tail
 
 
 class TestTheoryRates:
@@ -284,7 +285,7 @@ def _small_problem(n_dim, coupling=cl.IdentityCoupling()):
 
 
 def stats_exceedance_exact_1d(exp, y, u0, n_level, xi):
-    """``finite_dim_exceedance_exact_1d`` written with ``scipy.stats``, as
+    """``finite_dim_exceedance`` at p = 1 written with ``scipy.stats``, as
     the package computed it before it took its normal functions from
     ``scipy.special``."""
     u_proj = float(np.linalg.lstsq(exp.g_matrix, np.atleast_1d(y), rcond=None)[0][0])
@@ -326,7 +327,7 @@ class TestSpecialFunctionsBitIdentical:
                     y = rng.standard_normal(q)
                     u0 = float(rng.uniform(-2.0, 2.0))
                     xi = float(rng.uniform(0.0, 1.0)) * math.sqrt(math.log(n) / n) * 3.0
-                    got = cl.finite_dim_exceedance_exact_1d(exp, y, u0, n, xi)
+                    got = cl.finite_dim_exceedance(exp, y, np.array([u0]), n, xi)
                     assert got == stats_exceedance_exact_1d(exp, y, u0, n, xi)
 
 
@@ -352,7 +353,7 @@ class TestFiniteDimExperiment:
         exp = self._scalar_exp()
         n, xi = 100.0, 3.0 / math.sqrt(101.0)
         y = cl.simulate_finite_dim(exp, np.zeros(1), n, seed=13)
-        est = cl.finite_dim_exceedance_given_y(exp, y, np.zeros(1), n, xi, mc=40_000, seed=14)
+        est = finite_dim_exceedance_given_y(exp, y, np.zeros(1), n, xi, mc=40_000, seed=14)
         mean = n * y[0] / (n + 1.0)
         sd = 1.0 / math.sqrt(n + 1.0)
         target = norm.sf((xi - mean) / sd) + norm.cdf((-xi - mean) / sd)
@@ -364,14 +365,14 @@ class TestFiniteDimExperiment:
                                      prior=cl.two_component_mixture(1), m_const=3.0)
         y = np.array([0.4, 0.1])
         n, xi = 50.0, 0.4
-        exact = cl.finite_dim_exceedance_exact_1d(exp, y, 0.0, n, xi)
-        est = cl.finite_dim_exceedance_given_y(exp, y, np.zeros(1), n, xi, mc=60_000, seed=15)
+        exact = cl.finite_dim_exceedance(exp, y, np.zeros(1), n, xi)
+        est = finite_dim_exceedance_given_y(exp, y, np.zeros(1), n, xi, mc=60_000, seed=15)
         assert abs(est.value - exact) <= 4 * max(est.std_error, 1e-4)
 
     def test_zero_radius_full_mass(self):
         exp = self._scalar_exp()
         y = cl.simulate_finite_dim(exp, np.zeros(1), 50.0, seed=3)
-        est = cl.finite_dim_exceedance_given_y(exp, y, np.zeros(1), 50.0, 0.0, mc=2000, seed=3)
+        est = finite_dim_exceedance_given_y(exp, y, np.zeros(1), 50.0, 0.0, mc=2000, seed=3)
         assert est.value == 1.0
 
     def test_data_enter_only_through_range_projection(self):
@@ -381,19 +382,19 @@ class TestFiniteDimExperiment:
                                      prior=cl.two_component_mixture(1), m_const=3.0)
         y = np.array([0.7, 0.3])
         shifted = y + np.array([0.0, 5.0])
-        a = cl.finite_dim_exceedance_given_y(exp, y, np.zeros(1), 30.0, 0.5, mc=4000, seed=9)
-        b = cl.finite_dim_exceedance_given_y(exp, shifted, np.zeros(1), 30.0, 0.5, mc=4000, seed=9)
+        a = finite_dim_exceedance_given_y(exp, y, np.zeros(1), 30.0, 0.5, mc=4000, seed=9)
+        b = finite_dim_exceedance_given_y(exp, shifted, np.zeros(1), 30.0, 0.5, mc=4000, seed=9)
         assert a.value == b.value
         projected = np.array([y[0], 0.0])
-        c = cl.finite_dim_exceedance_given_y(exp, projected, np.zeros(1), 30.0, 0.5, mc=4000, seed=9)
+        c = finite_dim_exceedance_given_y(exp, projected, np.zeros(1), 30.0, 0.5, mc=4000, seed=9)
         assert a.value == c.value
 
     def test_rate_run_decreasing_with_finite_ratios(self):
         exp = cl.FiniteDimExperiment(p=1, q=1, g_matrix=np.array([[1.0]]),
                                      prior=cl.two_component_mixture(1), m_const=3.0)
         table = cl.finite_dim_rate_run(exp, np.zeros(1), [100.0, 1000.0, 10_000.0],
-                                       mc=2000, y_replicates=10, seed=6)
-        assert table.method == "exact-mixture"
+                                       y_replicates=10, seed=6)
+        assert (table.method, table.tail) == ("exact-mixture", "normal-cdf")
         assert all(a >= b for a, b in zip(table.mean_exceedance, table.mean_exceedance[1:]))
         for ratio_list in table.ratios.values():
             assert all(math.isfinite(r) for r in ratio_list)
@@ -401,7 +402,7 @@ class TestFiniteDimExperiment:
     def test_huge_m_const_exhausts_space(self):
         exp = self._scalar_exp(m_const=200.0)
         y = cl.simulate_finite_dim(exp, np.zeros(1), 30.0, seed=4)
-        est = cl.finite_dim_exceedance_given_y(exp, y, np.zeros(1), 30.0,
+        est = finite_dim_exceedance_given_y(exp, y, np.zeros(1), 30.0,
                                                200.0 * math.sqrt(math.log(30.0) / 30.0),
                                                mc=2000, seed=4)
         assert est.value < 1e-12
@@ -409,5 +410,129 @@ class TestFiniteDimExperiment:
     def test_grid_validation(self):
         exp = self._scalar_exp()
         with pytest.raises(ParameterError):
-            cl.finite_dim_rate_run(exp, np.zeros(1), [2.0, 10.0], mc=1000,
-                                   y_replicates=3, seed=1)
+            cl.finite_dim_rate_run(exp, np.zeros(1), [2.0, 10.0], y_replicates=3, seed=1)
+
+    @pytest.mark.parametrize("grid", [[100.0, math.inf], [100.0, math.nan, 1000.0],
+                                      [math.nan, 100.0]])
+    def test_non_finite_grid_entry_rejected(self, grid):
+        """A NaN or infinite grid entry is refused up front, naming the grid,
+        not carried into ``log(n) / n`` or reported against ``n_level``."""
+        with pytest.raises(ParameterError, match="^n_grid"):
+            cl.finite_dim_rate_run(self._scalar_exp(), np.zeros(1), grid, y_replicates=3, seed=1)
+
+
+class TestMixturePosteriorAboveOneDimension:
+    """The exact mixture posterior at p >= 2, whose component tails are
+    Lugannani-Rice values of a p-term quadratic form."""
+
+    @pytest.mark.parametrize("n", [3.0, 100.0, 1e4, 1e6])
+    def test_gaussian_prior_matches_noncentral_chi_square(self, n):
+        """A one-component N(0, I) prior with G = I has the posterior
+        N(n y / (n + 1), I / (n + 1)), so ``(n + 1) ||u||^2`` is noncentral
+        chi-square with two degrees of freedom; the tail agrees within 5%
+        relative down to 1e-22."""
+        prior = cl.GaussianMixturePrior(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
+        exp = cl.FiniteDimExperiment(p=2, q=2, g_matrix=np.eye(2), prior=prior, m_const=3.0)
+        rng = np.random.default_rng(int(n))
+        ys = rng.standard_normal((6, 2)) / math.sqrt(n)
+        mean = n * ys / (n + 1.0)
+        for level in (0.5, 1e-3, 1e-8, 1e-15, 1e-22):
+            xi = np.array([math.sqrt(ncx2.isf(level, 2, (n + 1.0) * (m @ m)) / (n + 1.0))
+                           for m in mean])
+            got = cl.finite_dim_exceedance(exp, ys, np.zeros(2), n, xi)
+            want = ncx2.sf((n + 1.0) * xi**2, 2, (n + 1.0) * np.sum(mean**2, axis=1))
+            assert np.all(np.abs(got / want - 1.0) < 0.05), (level, got, want)
+
+    @pytest.mark.parametrize("n", [3.0, 30.0, 1e3])
+    def test_coupled_components_match_imhof(self, n):
+        """With the coupled ``g = [[1, 0], [0, 1], [1, 1]]``, each component
+        of the default mixture, taken as a prior of its own, has the
+        posterior ``N(C (mu / s^2 + n G^T y), C)``, ``C = (diag(1 / s^2) +
+        n G^T G)^-1``; its tail agrees with Imhof's integral within 10%
+        relative wherever that tail is at least 1e-10. The covariance's
+        eigenvalues differ threefold, so the form is nearly one-term, and
+        the Lugannani-Rice error reaches 8.8% here (4.7% on the
+        equal-weight forms above)."""
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        mixture = cl.two_component_mixture(2)
+        rng = np.random.default_rng(int(n) + 1)
+        u0 = np.array([0.3, -0.2])
+        checked = 0
+        for mu, s in zip(mixture.means, mixture.sds):
+            exp = cl.FiniteDimExperiment(
+                p=2, q=3, g_matrix=g, m_const=3.0,
+                prior=cl.GaussianMixturePrior(np.array([1.0]), mu[None, :], s[None, :]))
+            for _ in range(3):
+                y = g @ u0 + rng.standard_normal(3) / math.sqrt(n)
+                cov = np.linalg.inv(np.diag(1.0 / s**2) + n * g.T @ g)
+                lam, vecs = np.linalg.eigh(cov)
+                c = vecs.T @ (cov @ (mu / s**2 + n * g.T @ y) - u0)
+                for xi in np.sqrt(lam.sum()) * np.array([0.5, 1.0, 2.0, 4.0, 6.0]):
+                    want = imhof_tail(xi * xi, lam, c * c)
+                    if want < 1e-10:
+                        continue
+                    got = cl.finite_dim_exceedance(exp, y, u0, n, xi)
+                    assert abs(got / want - 1.0) < 0.10, (xi, got, want)
+                    checked += 1
+        assert checked >= 18
+
+    def test_mixture_matches_snis(self):
+        """At n = 1, where 60 000 prior draws leave an effective sample size
+        above 100 (10 800), the two-component mixture posterior on the
+        coupled ``g`` agrees with the importance-sampling oracle within 4
+        standard errors. The datum lies between the components, where
+        dropping the evidence's log-determinant or its off-diagonal moves
+        the value by 4 to 7 standard errors."""
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        exp = cl.FiniteDimExperiment(p=2, q=3, g_matrix=g, prior=cl.two_component_mixture(2),
+                                     m_const=3.0)
+        y = np.array([1.0, 0.8, 1.5])
+        n, u0 = 1.0, np.array([0.2, -0.1])
+        for xi in (0.2, 0.4, 0.8):
+            est = finite_dim_exceedance_given_y(exp, y, u0, n, xi, mc=60_000, seed=16)
+            assert est.ess >= 100
+            exact = cl.finite_dim_exceedance(exp, y, u0, n, xi)
+            assert abs(est.value - exact) <= 4 * est.std_error, (xi, exact, est)
+
+    @pytest.mark.parametrize("n", [0.5, 3.0, 40.0])
+    def test_weights_are_the_data_space_evidence(self, n):
+        """The mixture value is ``sum_j pi_j P_j``, with ``P_j`` the value
+        under component j alone and ``pi_j`` proportional to
+        ``w_j N(y; G mu_j, G diag(s_j^2) G^T + I / n)``, the evidence written
+        in data space rather than through the range projection."""
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        mixture = cl.GaussianMixturePrior(np.array([0.5, 0.3, 0.2]),
+                                          np.array([[-1.0, 0.5], [1.0, 1.0], [0.0, -2.0]]),
+                                          np.array([[1.0, 0.5], [1.5, 1.5], [0.3, 2.0]]))
+        exp = cl.FiniteDimExperiment(p=2, q=3, g_matrix=g, prior=mixture, m_const=3.0)
+        rng = np.random.default_rng(int(10 * n))
+        u0 = np.array([0.2, -0.1])
+        for _ in range(4):
+            y, xi = rng.standard_normal(3), float(rng.uniform(0.2, 1.5))
+            alone = [cl.finite_dim_exceedance(
+                cl.FiniteDimExperiment(p=2, q=3, g_matrix=g, m_const=3.0,
+                                       prior=cl.GaussianMixturePrior(np.array([1.0]), mu[None],
+                                                                     s[None])), y, u0, n, xi)
+                for mu, s in zip(mixture.means, mixture.sds)]
+            evidence = mixture.weights * np.array([
+                multivariate_normal.pdf(y, g @ mu, g @ np.diag(s**2) @ g.T + np.eye(3) / n)
+                for mu, s in zip(mixture.means, mixture.sds)])
+            want = float(evidence @ alone / evidence.sum())
+            assert cl.finite_dim_exceedance(exp, y, u0, n, xi) == pytest.approx(want, rel=1e-9)
+
+    def test_block_rows_match_one_datum_at_a_time(self):
+        """A block of data and per-row radii gives each row's value to the
+        bit, and the data enter only through their projection onto the
+        model range."""
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        exp = cl.FiniteDimExperiment(p=2, q=3, g_matrix=g, prior=cl.two_component_mixture(2),
+                                     m_const=3.0)
+        rng = np.random.default_rng(5)
+        ys, xis, u0 = rng.standard_normal((4, 3)) * 0.3, np.array([0.1, 0.2, 0.3, 0.05]), \
+            np.array([0.1, 0.0])
+        block = cl.finite_dim_exceedance(exp, ys, u0, 50.0, xis)
+        assert block.tolist() == [cl.finite_dim_exceedance(exp, y, u0, 50.0, xi)
+                                  for y, xi in zip(ys, xis)]
+        normal = np.array([1.0, 1.0, -1.0])  # orthogonal to the range of g
+        moved = cl.finite_dim_exceedance(exp, ys + normal, u0, 50.0, xis)
+        np.testing.assert_allclose(moved, block, rtol=1e-12)
