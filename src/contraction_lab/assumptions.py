@@ -5,8 +5,8 @@ map over the leading prior-basis directions (``g``), computed exactly as the
 top eigenvalue of a small Gram matrix. Around it sit small-ball masses with
 rigorous two-sided bounds, Chernoff and Monte Carlo evaluations of
 projection tails, eigenvalue sandwich comparisons, Hilbert-Schmidt
-truncation diagnostics, and the concentration behaviour of the linear
-plug-in reconstruction.
+truncation diagnostics, and the exact concentration of the linear plug-in
+reconstruction, read off the same Gram as ``g``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .spectral import (
     ReflectionCoupling,
     as_vector,
     check_noise_level,
-    forward_apply,
 )
 
 
@@ -45,7 +44,7 @@ class RateConstants:
 
     def __post_init__(self):
         for name in ("c", "c1", "c2", "r"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ParameterError(f"constant {name} must be positive")
 
 
@@ -153,15 +152,22 @@ def _check_kr(problem: InverseProblem, k: int, r: int | None) -> None:
 def compute_g_kr(problem: InverseProblem, k: int, r: int | None) -> float:
     """Largest squared whitened norm of the projected inverse adjoint over
     unit vectors in the span of the first k prior-basis directions; ``r =
-    None`` applies no e-cutoff.
-
-    Computed exactly as the top eigenvalue of the k x k Gram matrix of the
-    restricted columns ``zeta^(1/2) P_r diag(1/rho) T[:, :k]``.
+    None`` applies no e-cutoff: exactly, the top eigenvalue of ``_plug_in_gram``.
     """
+    return float(np.linalg.eigvalsh(_plug_in_gram(problem, k, r))[-1])
+
+
+def _plug_in_gram(problem: InverseProblem, k: int, r: int | None) -> np.ndarray:
+    """The k x k Gram ``cols^T zeta cols`` of the plug-in columns ``cols =
+    diag(1/rho) P_r T[:, :k]``, which pair data to the first k prior-basis
+    coefficients (``r = None``: no e-cutoff)."""
     _check_kr(problem, k, r)
-    cols = problem.noise_color(_plug_in_columns(problem, k, r))
-    gram = cols.T @ cols
-    return float(np.linalg.eigvalsh(gram)[-1])
+    cols = problem.coupling.t_matrix[:, :k].copy()
+    if r is not None:
+        cols[r:, :] = 0.0
+    cols /= problem.operator.rho[:, None]
+    cols = problem.noise_color(cols)
+    return cols.T @ cols
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +232,8 @@ def small_ball_log_prob(problem: InverseProblem, u0: np.ndarray, eps: float,
     masses are lower tails of ``small_ball_form(problem, u0)``, which a
     caller may pass to share it across radii.
     """
-    if not eps > 0:
-        raise ParameterError(f"eps must be positive, got {eps!r}")
+    if not 0 < eps < math.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
     u0 = as_vector(u0, problem.n_dim, "u0")
     if form is None:
         form = small_ball_form(problem, u0)
@@ -446,72 +452,54 @@ def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
 # Plug-in reconstruction and its concentration
 # ---------------------------------------------------------------------------
 
-def _plug_in_columns(problem: InverseProblem, k: int, r: int | None) -> np.ndarray:
-    """Columns ``diag(1/rho) P_r T[:, :k]`` pairing data to coefficients;
-    ``r = None`` applies no e-cutoff."""
-    cols = problem.coupling.t_matrix[:, :k].copy()
-    if r is not None and r < problem.n_dim:
-        cols[r:, :] = 0.0
-    return cols / problem.operator.rho[:, None]
-
-
 @dataclass(frozen=True, eq=False)
 class ConcentrationReport:
     x_grid: np.ndarray
-    empirical: np.ndarray
-    bound: np.ndarray
-    std_error: np.ndarray
-    ok: np.ndarray  # per x: empirical <= bound + 4 std_error
+    empirical: np.ndarray  # Lugannani-Rice P(||X - EX|| >= m + x)
+    bound: np.ndarray  # the envelope exp(-x^2 / (2 sigma0^2))
+    log_chernoff: np.ndarray  # log Chernoff bound on the same tail
+    ok: np.ndarray  # per x: log_chernoff <= log bound, which certifies the row
     sigma0_sq: float
-    mean_deviation: float
+    mean_deviation: float  # the center m = sqrt(tr Sigma)
     mean_deviation_bound: float
     mean_dev_ok: bool
 
 
-def concentration_check(problem: InverseProblem, u0: np.ndarray, k: int, r: int,
-                        n_level: float, x_grid, mc: int, seed: int) -> ConcentrationReport:
-    """Empirical deviation tails of the plug-in reconstruction against the
-    Gaussian concentration envelope ``exp(-x^2 / (2 sigma0^2))``, with
-    ``sigma0^2 = g(k, r) / n``; ``x_grid = None`` takes the offsets 0, 0.5,
-    ..., 4 times sigma0.
+def concentration_check(problem: InverseProblem, k: int, r: int | None, n_level: float,
+                        x_grid=None) -> ConcentrationReport:
+    """Exact deviation tails of the plug-in reconstruction X of the first k
+    coefficients against the envelope ``exp(-x^2 / (2 sigma0^2))``; ``x_grid
+    = None`` takes the offsets 0, 0.5, ..., 4 times sigma0. Nothing is drawn.
 
-    Also checks the mean-deviation estimate against ``sqrt(k g / n)``.
+    Whatever the truth, X - EX is Gaussian with covariance ``Sigma =
+    _plug_in_gram / n``, so ``||X - EX||^2`` is a quadratic form in Sigma's k
+    eigenvalues and ``sigma0^2 = max lam = g(k, r) / n``. The center ``m =
+    sqrt(tr Sigma) >= E||X - EX||`` keeps the envelope a theorem (Borell-TIS);
+    by Laurent and Massart (2000) the form's Chernoff exponent at ``(m +
+    x)^2`` proves it, and ``ok`` compares the two. The mean deviation is
+    checked against ``sqrt(k g / n)``.
     """
-    if mc < 1000:
-        raise ParameterError("mc must be >= 1000")
     check_noise_level(n_level)
-    u0 = as_vector(u0, problem.n_dim, "u0")
-    g = compute_g_kr(problem, k, r)
+    spectrum = np.linalg.eigvalsh(_plug_in_gram(problem, k, r))
+    lam = np.maximum(spectrum / n_level, 0.0)  # a Gram is PSD: below 0 is rounding
+    sigma0_sq = float(lam[-1])
     if x_grid is None:
-        x_grid = [math.sqrt(g / n_level) * m for m in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
+        x_grid = [math.sqrt(sigma0_sq) * m for m in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)]
     x_grid = np.asarray(x_grid, dtype=float)
-    if not np.all(x_grid >= 0):
-        raise ParameterError("offsets x must be nonnegative")
-    rng = substream(seed, "concentration")
+    if not np.all((x_grid >= 0) & (x_grid < math.inf)):
+        raise ParameterError("offsets x must be nonnegative and finite")
 
-    cols = _plug_in_columns(problem, k, r)
-    signal = cols.T @ forward_apply(problem, u0)
-    z = rng.standard_normal((problem.n_dim, mc))
-    noise_part = cols.T @ problem.noise_color(z) / math.sqrt(n_level)
-    coeffs = signal[:, None] + noise_part
-    dev = coeffs - coeffs.mean(axis=1)[:, None]
-    dist = np.linalg.norm(dev, axis=0)
-    m_hat = float(dist.mean())
-
-    sigma0_sq = g / n_level
-    empirical = np.array([float(np.mean(dist >= m_hat + x)) for x in x_grid])
-    bound = np.exp(-x_grid**2 / (2.0 * sigma0_sq))
-    se = np.sqrt(np.maximum(empirical * (1 - empirical), 0.0) / mc)
-    ok = empirical <= bound + 4.0 * se
-
-    mean_bound = math.sqrt(k * g / n_level)
-    mean_se = float(dist.std(ddof=1)) / math.sqrt(mc)
-    mean_dev_ok = m_hat <= mean_bound + 4.0 * mean_se
-
-    return ConcentrationReport(x_grid=x_grid, empirical=empirical, bound=bound,
-                               std_error=se, ok=ok, sigma0_sq=sigma0_sq,
-                               mean_deviation=m_hat, mean_deviation_bound=mean_bound,
-                               mean_dev_ok=mean_dev_ok)
+    center = math.sqrt(float(lam.sum()))
+    q, c2 = (center + x_grid) ** 2, np.zeros((x_grid.size, lam.size))
+    empirical = -np.expm1(quadform.log_cdf(q, lam, c2))
+    log_chernoff = quadform.log_chernoff(q, lam, c2)
+    log_bound = -x_grid**2 / (2.0 * sigma0_sq)
+    mean_bound = math.sqrt(k * float(spectrum[-1]) / n_level)
+    return ConcentrationReport(x_grid=x_grid, empirical=empirical, bound=np.exp(log_bound),
+                               log_chernoff=log_chernoff, ok=log_chernoff <= log_bound,
+                               sigma0_sq=sigma0_sq, mean_deviation=center,
+                               mean_deviation_bound=mean_bound,
+                               mean_dev_ok=center <= mean_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,15 @@ def _check_invariants(data: dict) -> None:
     # Coordinate counts lie in [1, n_dim] ("inf" where allowed); k_max alone is
     # an upper limit, clipped to n_dim where it is used.
     plan = data["plan"] if data["plan"] != "auto" else {}
+    # NaN fails "0 < v < inf" where it passes every "v <= 0"
+    positive = {f"plan.{key}": plan[key] for key in ("c", "c1", "c2", "r") if key in plan}
+    positive.update({"truth.gamma": data["truth"]["gamma"],
+                     "findim.m_const": data["findim"]["m_const"]})
+    for name, v in positive.items():
+        if not 0 < v < math.inf:
+            raise ConfigInvariantError(name, "must be positive and finite")
+    if not np.all(np.isfinite(data["truth"].get("coefficients", []))):
+        raise ConfigInvariantError("truth.coefficients", "entries must be finite")
     counts = {f"run.{key}": [run[key]] for key in ("j_max", "plug_k", "plug_r") if key in run}
     counts["run.r_values"] = run.get("r_values", [])
     counts.update({f"plan.{key}": [plan[key]] for key in ("k_n", "r_n") if key in plan})
@@ -236,7 +245,8 @@ def _findim_array(fd: dict, key: str) -> np.ndarray:
 
 
 def _check_findim(fd: dict) -> None:
-    """Everything ``build_findim``'s constructors would reject, by key."""
+    """The shapes, rank and mixture ``build_findim``'s constructors would
+    reject, by key (``m_const`` is checked with the other positive scalars)."""
     p, q = fd["p"], fd["q"]
     if p < 1:
         raise ConfigInvariantError("findim.p", "must be >= 1")
@@ -249,10 +259,9 @@ def _check_findim(fd: dict) -> None:
     # One column has full rank exactly when it is nonzero; asking the SVD for
     # that would page LAPACK's SVD into every process that parses a config.
     g = g.reshape(q, p)
-    if not (np.any(g) if p == 1 else np.linalg.svd(g, compute_uv=False).min() > 0):
-        raise ConfigInvariantError("findim.g", "must have full column rank")
-    if fd["m_const"] <= 0:
-        raise ConfigInvariantError("findim.m_const", "must be positive")
+    if not np.all(np.isfinite(g)) or not (
+            np.any(g) if p == 1 else np.linalg.svd(g, compute_uv=False).min() > 0):
+        raise ConfigInvariantError("findim.g", "must be finite with full column rank")
     given = [key for key in _MIXTURE_KEYS if key in fd]
     if not given:
         return
@@ -261,14 +270,14 @@ def _check_findim(fd: dict) -> None:
             raise ConfigInvariantError(f"findim.{key}", f"required with findim.{given[0]}")
     weights = _findim_array(fd, "mixture_weights")
     means, sds = (np.atleast_2d(_findim_array(fd, key)) for key in _MIXTURE_KEYS[1:])
-    if weights.ndim != 1 or np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-12:
+    if weights.ndim != 1 or not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ConfigInvariantError("findim.mixture_weights", "must be a positive distribution")
-    if means.shape != (weights.size, p):
+    if means.shape != (weights.size, p) or not np.all(np.isfinite(means)):
         raise ConfigInvariantError("findim.mixture_means",
-                                   f"must be {weights.size} x p = {weights.size} x {p}")
-    if sds.shape != means.shape or np.any(sds <= 0):
-        raise ConfigInvariantError("findim.mixture_sds",
-                                   f"must be positive, {weights.size} x p = {weights.size} x {p}")
+                                   f"must be finite, {weights.size} x p = {weights.size} x {p}")
+    if sds.shape != means.shape or not np.all((sds > 0) & (sds < math.inf)):
+        raise ConfigInvariantError("findim.mixture_sds", f"must be positive and finite, "
+                                   f"{weights.size} x p = {weights.size} x {p}")
 
 
 @dataclass(frozen=True)

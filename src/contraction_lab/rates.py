@@ -53,9 +53,9 @@ class TheoryParams:
     variant: WhiteDiagonal | Colored = WhiteDiagonal()
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ParameterError("alpha must be >= 0")
-        if self.delta <= 0 or self.gamma <= 0:
+        if not (self.delta > 0 and self.gamma > 0):
             raise ParameterError("delta and gamma must be positive")
         if isinstance(self.variant, Colored):
             v = self.variant
@@ -234,8 +234,9 @@ class GaussianMixturePrior:
         s = np.atleast_2d(np.asarray(self.sds, dtype=float))
         if w.ndim != 1 or m.shape != s.shape or m.shape[0] != w.size:
             raise ParameterError("mixture weights, means and sds are inconsistent")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12 or np.any(s <= 0):
-            raise ParameterError("weights must be a positive distribution and sds positive")
+        if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12
+                and np.all(np.isfinite(m) & (s > 0) & (s < math.inf))):
+            raise ParameterError("weights must be a positive distribution, sds positive, all finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "sds", s)
@@ -269,9 +270,9 @@ class FiniteDimExperiment:
             raise ParameterError("need q >= p >= 1")
         g = np.asarray(self.g_matrix, dtype=float).reshape(self.q, self.p)
         object.__setattr__(self, "g_matrix", g)
-        if np.linalg.svd(g, compute_uv=False).min() <= 0:
-            raise ParameterError("g_matrix must have full column rank")
-        if self.m_const <= 0:
+        if not np.all(np.isfinite(g)) or np.linalg.svd(g, compute_uv=False).min() <= 0:
+            raise ParameterError("g_matrix must be finite with full column rank")
+        if not self.m_const > 0:
             raise ParameterError("m_const must be positive")
         if self.prior.dim != self.p:
             raise ParameterError("prior dimension must equal p")
@@ -386,6 +387,8 @@ def finite_dim_rate_run(exp: FiniteDimExperiment, u0: np.ndarray, n_grid,
         raise ParameterError("n_grid entries must be finite")
     if np.any(np.diff(n_grid) <= 0) or np.any(n_grid < 3):
         raise ParameterError("n_grid must be increasing with all entries >= 3")
+    if y_replicates < 1:
+        raise ParameterError("y_replicates must be >= 1")
     u0 = np.asarray(u0, dtype=float).reshape(exp.p)
     g_u0 = exp.g_matrix @ u0
     k1 = float(np.linalg.svd(exp.g_matrix, compute_uv=False).min()) / 2.0

@@ -233,21 +233,20 @@ def _pipe_hs(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
 
 
 def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:
-    u0 = build_truth(config)
     run = config.run
-    n_level = float(run["n_grid"][-1])
     k = run.get("plug_k") or min(8, problem.n_dim)
     r = run.get("plug_r") or problem.n_dim
-    mc = max(run["mc"], 1000)
-    rep = assumptions.concentration_check(problem, u0, k, r, n_level, run.get("x_grid") or None,
-                                          mc, derive_seed(run["master_seed"], "concentration"))
-    rows = [(float(x), float(e), float(b), float(s), bool(o))
-            for x, e, b, s, o in zip(rep.x_grid, rep.empirical, rep.bound, rep.std_error, rep.ok)]
+    rep = assumptions.concentration_check(problem, k, r, float(run["n_grid"][-1]),
+                                          run.get("x_grid") or None)
+    # std_error stays empty: nothing is sampled
+    rows = [(float(x), float(e), float(b), None, bool(o))
+            for x, e, b, o in zip(rep.x_grid, rep.empirical, rep.bound, rep.ok)]
     return [_table(config, "concentration", ("x", "empirical", "bound", "std_error", "ok"), rows,
-                   "concentration_check", sigma0_sq=rep.sigma0_sq,
+                   "concentration_check", tail="lugannani-rice", certificate="chernoff",
+                   log_chernoff=rep.log_chernoff.tolist(), sigma0_sq=rep.sigma0_sq,
                    mean_deviation=rep.mean_deviation,
                    mean_deviation_bound=rep.mean_deviation_bound,
-                   mean_dev_ok=rep.mean_dev_ok, k=k, r=r, mc=mc)]
+                   mean_dev_ok=rep.mean_dev_ok, k=k, r=r)]
 
 
 def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:

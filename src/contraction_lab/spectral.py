@@ -629,7 +629,7 @@ def simulate_data(problem: InverseProblem, u0: np.ndarray, n_level: float, seed:
 
 def power_law_truth(gamma: float, n_dim: int) -> np.ndarray:
     """Truth with phi-coordinates ``j^(-gamma - 1/2)``: borderline smoothness gamma."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ParameterError("gamma must be positive")
     j = np.arange(1, n_dim + 1, dtype=float)
     return j ** (-gamma - 0.5)

@@ -1,7 +1,9 @@
 """Config validation, digesting, pipeline orchestration, emission, CLI."""
 
 import json
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,16 @@ class TestParseConfig:
          "mixture_sds: [[1, 1], [1, 1]]}", "findim.mixture_means"),
         ("findim: {mixture_weights: [0.5, 0.5], mixture_means: [[0], [1]], "
          "mixture_sds: [[1], [-1]]}", "findim.mixture_sds"),
+        ("findim: {m_const: .nan}", "findim.m_const"),
+        ("findim: {m_const: .inf}", "findim.m_const"),
+        ("findim: {g: [[.inf]]}", "findim.g"),
+        ("findim: {p: 2, q: 2, g: [[1, 0], [.nan, 1]]}", "findim.g"),
+        ("findim: {mixture_weights: [.nan, 1.0], mixture_means: [[0], [1]], "
+         "mixture_sds: [[1], [1]]}", "findim.mixture_weights"),
+        ("findim: {mixture_weights: [0.5, 0.5], mixture_means: [[.nan], [1]], "
+         "mixture_sds: [[1], [1]]}", "findim.mixture_means"),
+        ("findim: {mixture_weights: [0.5, 0.5], mixture_means: [[0], [1]], "
+         "mixture_sds: [[1], [.nan]]}", "findim.mixture_sds"),
     ])
     def test_hs_target_and_findim_checked_at_parse_time(self, doc, field):
         """Values the hs and findim pipelines would reject are config errors
@@ -129,6 +141,25 @@ class TestParseConfig:
                         "findim: {p: 2, q: 3, g: [[1, 0], [0, 1], [1, 1]], m_const: 2.0, "
                         "mixture_weights: [1.0], mixture_means: [[0, 0]], "
                         "mixture_sds: [[1, 2]]}")
+
+    @pytest.mark.parametrize("doc, field", [
+        *((f"plan: {{eps_n: 0.1, xi_n: 0.2, k_n: 3, {key}: {bad}}}", f"plan.{key}")
+          for key in ("c", "c1", "c2", "r") for bad in (".nan", ".inf", "0")),
+        ("truth: {gamma: .nan}", "truth.gamma"),
+        ("truth: {gamma: 0}", "truth.gamma"),
+        ("truth: {coefficients: [1.0, .nan]}", "truth.coefficients"),
+    ])
+    def test_plan_and_truth_values_checked_at_parse_time(self, doc, field):
+        """Every comparison with NaN is False, so a NaN constant or truth
+        value passed ``<= 0`` checks and reached the tables as NaN bounds
+        with verdicts; each is a config error naming its key, and so is an
+        infinite or zero one. (``RatePlan`` refuses a NaN ``eps_n``,
+        ``xi_n`` or ``n_level`` by itself.)"""
+        with pytest.raises(ConfigInvariantError) as err:
+            cl.parse_config(doc)
+        assert err.value.field == field
+        cl.parse_config("plan: {eps_n: 0.1, xi_n: 0.2, k_n: 3, n_level: 100, "
+                        "c: 2, c1: 2, c2: 2, r: 2}\ntruth: {gamma: 1.5}")
 
     def test_seed_override_is_validated_like_the_file(self):
         with pytest.raises(ConfigInvariantError) as err:
@@ -419,24 +450,28 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert cl.run_experiment(config, workers=1).tables == \
             cl.run_experiment(config, workers=8).tables
 
-    @pytest.mark.parametrize("mc, used", [(50, {"posterior_exceedance": 100,
-                                                 "concentration": 1000}),
-                                           (1500, {"posterior_exceedance": 1500,
-                                                   "concentration": 1500})])
+    @pytest.mark.parametrize("mc, used", [(50, 100), (1500, 1500)])
     def test_provenance_records_the_draws_used(self, mc, used):
-        """posterior draws at least 100 and concentration at least 1000
-        times whatever ``run.mc`` says; each table records the count it
-        used, and posterior names the function that drew them. findim draws
-        nothing but its data, so its table records no count."""
+        """posterior draws at least 100 times whatever ``run.mc`` says; its
+        table records the count it used and names the function that drew
+        them. concentration draws nothing and findim nothing but its data,
+        so their tables record no count; concentration says how its tail
+        and verdicts were obtained, with one Chernoff exponent per row."""
         config = cl.parse_config(json.dumps({"problem": {"n_dim": 12}, "run": {
             "pipelines": ["posterior", "concentration", "findim"],
             "n_grid": [100, 1000], "mc": mc, "y_replicates": 2}}))
         record = cl.run_experiment(config)
         assert not record.failures, record.failures
-        assert {name: record.table(name).provenance["mc"] for name in used} == used
-        assert "mc" not in record.table("findim_rate").provenance
+        assert record.table("posterior_exceedance").provenance["mc"] == used
         assert (record.table("posterior_exceedance").provenance["operation"]
                 == "posterior_exceedance_grid")
+        for name in ("concentration", "findim_rate"):
+            assert "mc" not in record.table(name).provenance
+        conc = record.table("concentration")
+        assert (conc.provenance["tail"], conc.provenance["certificate"]) == \
+            ("lugannani-rice", "chernoff")
+        assert len(conc.provenance["log_chernoff"]) == len(conc.rows)
+        assert [row[3] for row in conc.rows] == [None] * len(conc.rows)
 
     def test_posterior_blocks_reach_metadata_only(self, tmp_path):
         """The rate-fit and posterior provenance records how the posterior
@@ -536,16 +571,16 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert len(calls) == len(config.run["n_grid"])
 
     def test_concentration_pipeline_computes_g_once(self, monkeypatch):
-        """The plug-in scale g(k, r) sets both the default x grid and the
-        envelope, from one computation per run."""
+        """One plug-in Gram per run sets g, the default x grid, the envelope
+        and the spectrum of the deviation."""
         calls = []
-        original = assumptions_module.compute_g_kr
+        original = assumptions_module._plug_in_gram
 
         def counting(*args, **kwargs):
             calls.append(args[1:])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(assumptions_module, "compute_g_kr", counting)
+        monkeypatch.setattr(assumptions_module, "_plug_in_gram", counting)
         record = cl.run_experiment(cl.parse_config(SMALL_CONFIG), pipelines=["concentration"])
         assert not record.failures, record.failures
         assert len(calls) == 1
@@ -676,6 +711,26 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("pipeline, doc, field", [
+        ("check", "plan: {eps_n: 0.1, xi_n: 0.2, k_n: 3, c: .nan}", "'plan.c'"),
+        ("check", "truth: {gamma: .nan}", "'truth.gamma'"),
+        ("findim", "findim: {mixture_weights: [.nan, 1.0], mixture_means: [[0], [1]], "
+                   "mixture_sds: [[1], [1]]}", "'findim.mixture_weights'"),
+        ("findim", "findim: {mixture_weights: [0.5, 0.5], mixture_means: [[.nan], [1]], "
+                   "mixture_sds: [[1], [1]]}", "'findim.mixture_means'"),
+        ("findim", "findim: {g: [[.inf]]}", "'findim.g'"),
+        ("findim", "findim: {m_const: .nan}", "'findim.m_const'"),
+    ])
+    def test_non_finite_values_exit_code(self, tmp_path, capsys, pipeline, doc, field):
+        """A NaN or infinite value that every ``<= 0`` check lets through
+        exits 1 (config error) with its key named, before any pipeline runs;
+        it is not written as NaN rows, nor reported against another key."""
+        path = self._write(tmp_path, "problem: {n_dim: 8}\n" + doc)
+        assert cli_main([pipeline, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("pipeline, doc, field", [
         ("posterior", "run: {xi_grid: [-0.1, 0.2]}", "'run.xi_grid'"),
         ("smallball", "run: {eps_grid: [0.0, 0.5]}", "'run.eps_grid'"),
         ("concentration", "run: {x_grid: [-1.0, 0.0]}", "'run.x_grid'"),
@@ -774,6 +829,24 @@ run:
         assert not record.failures, record.failures
         assert record.table(table).rows
 
+    def test_tables_match_the_benchmark_headers(self):
+        """All ten pipelines on a small banded config write the header and
+        row count that ``perfbench.checks.expected_tables`` pins for the run
+        defaults, so renaming or dropping a pinned column fails here, not
+        only in every benchmark operation. The module is read by path, so
+        the test runs from any directory."""
+        checks = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+        expected_tables = runpy.run_path(str(checks))["expected_tables"]
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 12,
+                                                         "coupling": {"kind": "banded"}},
+                                             "run": {"mc": 100, "y_replicates": 3}}))
+        record = cl.run_experiment(config, pipelines=list(runner_module.PIPELINE_FUNCS))
+        assert not record.failures, record.failures
+        expected = {}
+        for pipeline in runner_module.PIPELINE_FUNCS:
+            expected.update(expected_tables(pipeline, 12, config.run["n_grid"]))
+        assert {t.name: (t.columns, len(t.rows)) for t in record.tables} == expected
+
 
 def _banded_default(coupling="banded"):
     config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
@@ -814,20 +887,20 @@ class TestBandedMemoryBudget:
         assert peak <= budget
 
     # Peak of each pipeline in N x N arrays: the measured value plus 0.1, but
-    # for posterior and hs, whose peaks at the dense sampling factor and the
-    # whole-matrix gn_bound product were 1.45 and 4.03.
+    # for posterior, whose peak at the dense sampling factor was 1.45.
     PIPELINE_BUDGETS = {"simulate": 0.28, "posterior": 0.6, "rate-fit": 1.72, "check": 0.34,
                         "gn": 0.26, "smallball": 0.34, "minmax": 0.36, "hs": 1.14,
-                        "concentration": 4.06, "findim": 0.11}
+                        "concentration": 0.15, "findim": 0.11}
 
     @pytest.mark.parametrize("pipeline", list(runner_module.PIPELINE_FUNCS))
     def test_pipeline_peak(self, pipeline):
         """Each of the ten pipelines on the default banded problem at
-        ``mc: 100``, traced from after the build. What is left for a later
-        change: ``rate-fit`` keeps about ten (R, N) batches alive in
-        ``quadform._cgf``; ``concentration``'s peak is its Monte Carlo draws;
-        ``hs`` is ``compute_g_kr``'s N x k columns and k x k Gram at k = N / 2
-        for the ``g_rho_sq`` grid (0.75 N x N at least, so not 0.5)."""
+        ``mc: 100``, traced from after the build. ``concentration`` draws
+        nothing (0.05 measured; its draws made 3.96). What is left for a
+        later change: ``rate-fit`` keeps about ten (R, N) batches alive in
+        ``quadform._cgf``; ``hs`` (1.04) is the plug-in Gram's two N x k
+        arrays at k = N / 2, the columns and their coloring, for the
+        ``g_rho_sq`` grid."""
         assert set(self.PIPELINE_BUDGETS) == set(runner_module.PIPELINE_FUNCS)
         config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
                                                          "coupling": {"kind": "banded"}},

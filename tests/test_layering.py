@@ -228,8 +228,6 @@ DRAW_SITES = {
     "spectral.random_spd": "build: the seeded operator of colored noise or a Hilbert prior",
     "posterior.posterior_exceedance_grid": "sampler: posterior exceedance, which a "
                                            "Lugannani-Rice tail of the posterior form can give",
-    "assumptions.concentration_check": "sampler: plug-in deviations, whose tail is a "
-                                       "Gaussian quadratic form's",
     "assumptions.projection_tail_grid": "sampler: the Monte Carlo side of the projection-tail "
                                         "bound, a test oracle",
 }

@@ -249,9 +249,11 @@ def _plane_experiment():
         _plane_experiment(), [0.3, 0.1, 0.2], np.zeros(2), 10.0, 0.5)),
     *(("n_level", lambda prob, data, exp, n=n: cl.factor_posterior(prob, n))
       for n in (0.0, -5.0, math.inf, math.nan)),
-    ("n_level", lambda prob, data, exp: cl.concentration_check(
-        prob, np.zeros(2), 1, 2, math.nan, None, 1000, 0)),
+    ("n_level", lambda prob, data, exp: cl.concentration_check(prob, 1, 2, math.nan)),
     ("eps", lambda prob, data, exp: cl.small_ball_log_prob(prob, np.zeros(2), math.nan)),
+    ("eps", lambda prob, data, exp: cl.small_ball_log_prob(prob, np.zeros(2), math.inf)),
+    ("y_replicates", lambda prob, data, exp: cl.finite_dim_rate_run(
+        exp, np.zeros(1), [10.0, 100.0], 0, 0)),
     ("threshold", lambda prob, data, exp: cl.projection_log_tail_bound(prob, 1, None, math.nan)),
     *(("n_level", lambda prob, data, exp, n=n: cl.simulate_data(prob, np.zeros(2), n, 0))
       for n in (math.inf, math.nan)),
@@ -261,7 +263,8 @@ def _plane_experiment():
         "exact-1d-n-nan", "exact-2d-xi-nan", "exact-2d-u0-length", "exact-2d-xi-length",
         "exact-2d-y-shape",
         "factor-n-0", "factor-n-negative", "factor-n-inf", "factor-n-nan",
-        "concentration-n-nan", "small-ball-eps-nan", "tail-bound-threshold-nan",
+        "concentration-n-nan", "small-ball-eps-nan", "small-ball-eps-inf",
+        "findim-no-replicates", "tail-bound-threshold-nan",
         "simulate-n-inf", "simulate-n-nan", "posterior-gaussian-n-nan"])
 def test_public_guards_refuse_nan_infinite_and_nonpositive_inputs(name, call):
     """A NaN, infinite, non-positive or mis-shaped input raises

@@ -331,6 +331,29 @@ class TestSpecialFunctionsBitIdentical:
                     assert got == stats_exceedance_exact_1d(exp, y, u0, n, xi)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: cl.RateConstants(c=math.nan),
+    lambda: cl.RateConstants(r=math.nan),
+    lambda: cl.GaussianMixturePrior(np.array([math.nan, 1.0]), np.zeros((2, 1)), np.ones((2, 1))),
+    lambda: cl.GaussianMixturePrior(np.array([0.5, 0.5]), np.array([[math.nan], [1.0]]),
+                                    np.ones((2, 1))),
+    lambda: cl.GaussianMixturePrior(np.array([0.5, 0.5]), np.zeros((2, 1)),
+                                    np.array([[1.0], [math.nan]])),
+    lambda: cl.FiniteDimExperiment(p=1, q=1, g_matrix=np.array([[1.0]]),
+                                   prior=cl.two_component_mixture(1), m_const=math.nan),
+    lambda: cl.FiniteDimExperiment(p=1, q=1, g_matrix=np.array([[math.inf]]),
+                                   prior=cl.two_component_mixture(1), m_const=3.0),
+    lambda: cl.power_law_truth(math.nan, 4),
+], ids=["constant-c", "constant-r", "mixture-weight", "mixture-mean", "mixture-sd",
+        "findim-m-const", "findim-g-inf", "truth-gamma"])
+def test_constructors_refuse_nan(build):
+    """A NaN passes every ``v <= 0`` check, so the constructors test
+    ``not v > 0`` (and finiteness where a value has no upper limit to
+    compare with): ``ParameterError``, not a model of NaN."""
+    with pytest.raises(ParameterError):
+        build()
+
+
 class TestFiniteDimExperiment:
     def _scalar_exp(self, m_const=3.0):
         prior = cl.GaussianMixturePrior(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)))
