@@ -6,6 +6,10 @@ the precision, its Cholesky factor and the sampling factor are
 mean solve, triangular inverse, covariance eigensolve and sampling product go
 part by part. The precision is factored in place, and the covariance comes
 from the factor.
+
+The exceedance ``P(||u - u0|| > xi | y)`` that pipelines report is a tail of
+the quadratic form over ``covariance_spectrum`` (``quadform.log_cdf``). The
+sampler ``posterior_exceedance_grid`` is its Monte Carlo cross-check.
 """
 
 from __future__ import annotations
@@ -133,10 +137,6 @@ class PosteriorGaussian:
     @property
     def n_dim(self) -> int:
         return self.cov_factor.n_dim
-
-    def covariance_trace(self) -> float:
-        """``trace(cov_factor @ cov_factor.T)``, summed part by part."""
-        return self.cov_factor.square_sum()
 
     def distances(self, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Distances from u0 of the posterior draws ``mean + cov_factor @ z``,
@@ -296,7 +296,8 @@ def _binomial_se(p: float, count: float) -> float:
 
 def posterior_exceedance_grid(post: PosteriorGaussian, u0: np.ndarray, xis,
                               mc: int, seed: int) -> list[ExceedanceEstimate]:
-    """Exceedance at several radii from one shared sample batch.
+    """Monte Carlo exceedance at several radii from one shared sample batch,
+    the cross-check of the saddlepoint tails that pipelines report.
 
     Sharing the batch makes the estimates exactly non-increasing in xi.
     """

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assumptions, posterior, rates
+from . import assumptions, posterior, quadform, rates
 from .config import (HS_TARGETS, ExperimentConfig, build_findim, build_plan, build_problem,
                      build_truth)
 from .errors import (ConfigError, ConfigInvariantError, ConstructionError, NumericalError,
@@ -117,21 +117,28 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
     u0 = build_truth(config)
     run = config.run
     seed = run["master_seed"]
-    mc = max(run["mc"], 100)
 
     def cell(item):
+        # ||u - u0||^2 under the posterior is the quadratic form of the
+        # covariance's eigenvalues lam and offsets c = V^T (mean - u0)
         i, n = item
         data = simulate_data(problem, u0, n, derive_seed(seed, "posterior", i, "data"))
-        post = posterior.conjugate_posterior(problem, data)
-        scale = math.sqrt(post.covariance_trace())
+        factor = posterior.factor_posterior(problem, n)
+        lam, c = factor.covariance_spectrum(factor.mean(data.y) - u0)
+        scale = math.sqrt(lam.sum())  # sqrt(trace C)
         xis = run.get("xi_grid") or [scale * m for m in (0.5, 1.0, 2.0, 4.0)]
-        ests = posterior.posterior_exceedance_grid(post, u0, xis, mc,
-                                                   derive_seed(seed, "posterior", i, "mc"))
-        return [(_n(n), float(e.xi), float(e.value), float(e.std_error)) for e in ests]
+        q = np.square(xis)
+        c2 = np.broadcast_to(c * c, (q.size, c.size))
+        tails = -np.expm1(quadform.log_cdf(q, lam, c2))
+        return ([(_n(n), float(xi), float(t), None) for xi, t in zip(xis, tails)],
+                quadform.log_chernoff(q, lam, c2).tolist())
 
-    rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
+    cells = _map_cells(cell, list(enumerate(run["n_grid"])), workers)
+    # std_error stays empty: nothing is sampled
     return [_table(config, "posterior_exceedance", ("n_level", "xi", "estimate", "std_error"),
-                   rows, "posterior_exceedance_grid", mc=mc,
+                   [row for rows, _ in cells for row in rows], "covariance_spectrum",
+                   tail="lugannani-rice", certificate="chernoff",
+                   log_chernoff=[b for _, bounds in cells for b in bounds],
                    posterior_blocks=_posterior_blocks(problem))]
 
 

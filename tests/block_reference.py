@@ -9,8 +9,6 @@ import math
 import numpy as np
 from scipy.linalg.blas import dtrmm
 
-from contraction_lab import quadform
-
 
 def zero_pattern_blocks(mat: np.ndarray) -> np.ndarray:
     """Edges of the finest diagonal blocks outside which the square ``mat``
@@ -39,13 +37,6 @@ def scattered_distances(post, u0: np.ndarray, z: np.ndarray) -> np.ndarray:
     z += (post.mean - u0)[:, None]
     z *= z
     return np.sqrt(np.add.reduce(z, axis=0))
-
-
-def scattered_trace(post) -> float:
-    """``post.covariance_trace()`` through the scattered factor: the square
-    sum of ``from_dense`` views of its blocks."""
-    return quadform.BlockDiagonal.from_dense(scattered_factor(post),
-                                             post.cov_factor.edges).square_sum()
 
 
 def per_block_residual_norms(prob, u0: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from contraction_lab.errors import (
 from contraction_lab import assumptions as assumptions_module
 from contraction_lab import posterior as posterior_module
 from contraction_lab import quadform
+from contraction_lab import rates as rates_module
 from contraction_lab import runner as runner_module
 from contraction_lab import spectral
 from contraction_lab.runner import EXPLORATORY_LABEL
@@ -450,28 +451,31 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert cl.run_experiment(config, workers=1).tables == \
             cl.run_experiment(config, workers=8).tables
 
-    @pytest.mark.parametrize("mc, used", [(50, 100), (1500, 1500)])
-    def test_provenance_records_the_draws_used(self, mc, used):
-        """posterior draws at least 100 times whatever ``run.mc`` says; its
-        table records the count it used and names the function that drew
-        them. concentration draws nothing and findim nothing but its data,
-        so their tables record no count; concentration says how its tail
-        and verdicts were obtained, with one Chernoff exponent per row."""
+    @pytest.mark.parametrize("mc", [50, 1500])
+    def test_provenance_records_the_draws_used(self, mc):
+        """No pipeline reads ``run.mc``: posterior and concentration draw
+        nothing and findim nothing but its data, so no table records a count
+        and posterior's bytes do not depend on it. posterior and
+        concentration say how their tails and certificates were obtained,
+        with one Chernoff exponent per row and every ``std_error`` empty."""
         config = cl.parse_config(json.dumps({"problem": {"n_dim": 12}, "run": {
             "pipelines": ["posterior", "concentration", "findim"],
             "n_grid": [100, 1000], "mc": mc, "y_replicates": 2}}))
         record = cl.run_experiment(config)
         assert not record.failures, record.failures
-        assert record.table("posterior_exceedance").provenance["mc"] == used
-        assert (record.table("posterior_exceedance").provenance["operation"]
-                == "posterior_exceedance_grid")
-        for name in ("concentration", "findim_rate"):
+        for name in ("posterior_exceedance", "concentration", "findim_rate"):
             assert "mc" not in record.table(name).provenance
-        conc = record.table("concentration")
-        assert (conc.provenance["tail"], conc.provenance["certificate"]) == \
-            ("lugannani-rice", "chernoff")
-        assert len(conc.provenance["log_chernoff"]) == len(conc.rows)
-        assert [row[3] for row in conc.rows] == [None] * len(conc.rows)
+        post = record.table("posterior_exceedance")
+        assert post.provenance["operation"] == "covariance_spectrum"
+        for name, column in (("posterior_exceedance", 3), ("concentration", 3)):
+            table = record.table(name)
+            assert (table.provenance["tail"], table.provenance["certificate"]) == \
+                ("lugannani-rice", "chernoff")
+            assert len(table.provenance["log_chernoff"]) == len(table.rows)
+            assert [row[column] for row in table.rows] == [None] * len(table.rows)
+        default = cl.parse_config(json.dumps({"problem": {"n_dim": 12}, "run": {
+            "pipelines": ["posterior"], "n_grid": [100, 1000]}}))
+        assert cl.run_experiment(default).table("posterior_exceedance").rows == post.rows
 
     def test_posterior_blocks_reach_metadata_only(self, tmp_path):
         """The rate-fit and posterior provenance records how the posterior
@@ -569,6 +573,40 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         record = cl.run_experiment(config, pipelines=["posterior"])
         assert not record.failures, record.failures
         assert len(calls) == len(config.run["n_grid"])
+
+    def test_posterior_pipeline_draws_only_its_data(self, monkeypatch):
+        """One invocation draws N normals per grid n, the data of
+        ``spectral.simulate_data``, through every module's ``substream``,
+        and never reaches the Monte Carlo oracle
+        ``posterior_exceedance_grid``."""
+        drawn = []
+
+        class Counting:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, size=None, **kwargs):
+                drawn.append(int(np.prod(size)))
+                return self._gen.standard_normal(size, **kwargs)
+
+            def __getattr__(self, name):
+                raise AssertionError(f"generator method {name} called")
+
+        def oracle(*args, **kwargs):
+            raise AssertionError("posterior_exceedance_grid called")
+
+        config = cl.parse_config(SMALL_CONFIG.replace("coupling: {kind: identity}",
+                                                      "coupling: {kind: banded}"))
+        prob = build_problem(config)
+        for module in (spectral, posterior_module, assumptions_module, rates_module):
+            original = module.substream
+            monkeypatch.setattr(module, "substream",
+                                lambda *args, _f=original: Counting(_f(*args)))
+        monkeypatch.setattr(posterior_module, "posterior_exceedance_grid", oracle)
+        tables = runner_module._pipe_posterior(config, prob, 1)
+        grid = config.run["n_grid"]
+        assert len(tables[0].rows) == 4 * len(grid)
+        assert drawn == [prob.n_dim] * len(grid)
 
     def test_concentration_pipeline_computes_g_once(self, monkeypatch):
         """One plug-in Gram per run sets g, the default x grid, the envelope
@@ -886,25 +924,24 @@ class TestBandedMemoryBudget:
         assert fit.xi_hat.size == len(run["n_grid"])
         assert peak <= budget
 
-    # Peak of each pipeline in N x N arrays: the measured value plus 0.1, but
-    # for posterior, whose peak at the dense sampling factor was 1.45.
-    PIPELINE_BUDGETS = {"simulate": 0.28, "posterior": 0.6, "rate-fit": 1.72, "check": 0.34,
+    # Peak of each pipeline in N x N arrays: the measured value plus 0.1.
+    PIPELINE_BUDGETS = {"simulate": 0.28, "posterior": 0.47, "rate-fit": 1.72, "check": 0.34,
                         "gn": 0.26, "smallball": 0.34, "minmax": 0.36, "hs": 1.14,
                         "concentration": 0.15, "findim": 0.11}
 
     @pytest.mark.parametrize("pipeline", list(runner_module.PIPELINE_FUNCS))
     def test_pipeline_peak(self, pipeline):
-        """Each of the ten pipelines on the default banded problem at
-        ``mc: 100``, traced from after the build. ``concentration`` draws
-        nothing (0.05 measured; its draws made 3.96). What is left for a
+        """Each of the ten pipelines on the default banded problem, traced
+        from after the build. ``concentration`` draws nothing (0.05 measured;
+        its draws made 3.96), and neither does ``posterior`` beyond its data
+        (0.37 measured; at ``mc: 100`` its draws made 0.48). What is left for a
         later change: ``rate-fit`` keeps about ten (R, N) batches alive in
         ``quadform._cgf``; ``hs`` (1.04) is the plug-in Gram's two N x k
         arrays at k = N / 2, the columns and their coloring, for the
         ``g_rho_sq`` grid."""
         assert set(self.PIPELINE_BUDGETS) == set(runner_module.PIPELINE_FUNCS)
         config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
-                                                         "coupling": {"kind": "banded"}},
-                                             "run": {"mc": 100}}))
+                                                         "coupling": {"kind": "banded"}}}))
         prob = build_problem(config)
         peak, tables = self._peak(
             lambda: runner_module.PIPELINE_FUNCS[pipeline](config, prob, 1))

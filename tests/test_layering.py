@@ -217,8 +217,9 @@ DRAW_METHODS = ("standard_normal", "normal", "uniform", "integers", "random", "c
                 "permutation", "shuffle")
 
 # Every function in ``src/`` that draws from a random generator, each with
-# the reason it may: data and seeded builds, and the samplers still to be
-# replaced by exact computations. Replacing a sampler removes its line.
+# the reason it may: data and seeded builds, and the samplers that no
+# pipeline calls, kept as test oracles. Moving a sampler to ``tests/``
+# removes its line.
 DRAW_SITES = {
     "spectral.simulate_data": "data: the draws of simulate and posterior",
     "rates._replicate_distances": "data: one rate-fit replicate",
@@ -226,8 +227,8 @@ DRAW_SITES = {
     "spectral._banded_blocks": "build: a banded coupling's seeded block sizes",
     "spectral._haar_orthogonal": "build: a banded coupling's Haar-random blocks",
     "spectral.random_spd": "build: the seeded operator of colored noise or a Hilbert prior",
-    "posterior.posterior_exceedance_grid": "sampler: posterior exceedance, which a "
-                                           "Lugannani-Rice tail of the posterior form can give",
+    "posterior.posterior_exceedance_grid": "sampler: posterior exceedance, a test oracle kept "
+                                           "in src/ while perfbench's wrappers bind it",
     "assumptions.projection_tail_grid": "sampler: the Monte Carlo side of the projection-tail "
                                         "bound, a test oracle",
 }

@@ -15,14 +15,15 @@ from scipy.stats import norm
 
 import contraction_lab as cl
 from contraction_lab import posterior, quadform, rates
+from contraction_lab import runner as runner_module
 from contraction_lab.config import build_problem, build_truth
 from contraction_lab.errors import NumericalError, ParameterError
-from contraction_lab.rng import substream
+from contraction_lab.rng import derive_seed, substream
 from contraction_lab.spectral import forward_apply
 
-from block_reference import (scattered_distances, scattered_factor, scattered_trace,
-                             zero_pattern_blocks)
-from oracles import finite_dim_exceedance_given_y, snis_exceedance, weighted_posterior_exceedance
+from block_reference import scattered_distances, scattered_factor, zero_pattern_blocks
+from oracles import (finite_dim_exceedance_given_y, imhof_tail, snis_exceedance,
+                     weighted_posterior_exceedance)
 
 
 def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
@@ -627,10 +628,9 @@ class TestInPlaceSampling:
 
     def test_default_banded_matches_dense_product(self):
         """At all five n of the default banded config: bit for bit the route
-        through the factor scattered into one N x N array, distances and
-        covariance trace alike, and within 1e-15 relative of ``(mean - u0) +
-        cov_factor @ z``, with the same exceedance counts at the posterior
-        pipeline's default radii."""
+        through the factor scattered into one N x N array, and within 1e-15
+        relative of ``(mean - u0) + cov_factor @ z``, with the same exceedance
+        counts at the radii 0.5, 1, 2 and 4 times ``sqrt(tr C)``."""
         config, prob, u0 = _default_banded()
         for i, n in enumerate(config.run["n_grid"]):
             post = cl.factor_posterior(prob, n).condition(cl.simulate_data(prob, u0, n, i).y)
@@ -643,7 +643,6 @@ class TestInPlaceSampling:
             dist = post.distances(u0, z)
             assert np.array_equal(dist, scattered)
             assert np.all(np.abs(dist - ref) <= 1e-15 * ref)
-            assert post.covariance_trace() == scattered_trace(post)
             scale = math.sqrt(float(np.sum(factor**2)))
             for xi in (0.5 * scale, scale, 2.0 * scale, 4.0 * scale):
                 assert np.count_nonzero(dist > xi) == np.count_nonzero(ref > xi)
@@ -653,8 +652,8 @@ class TestInPlaceSampling:
            st.integers(0, 2**32 - 1), st.sampled_from([1e2, 1e4, 1e6]))
     def test_random_partitions_match_scattered_route(self, sizes, seed, n_level):
         """On partitions rich in runs of one-row blocks, which are scaled
-        where the scattered route makes a 1 x 1 dtrmm call: distances and
-        covariance trace bit for bit."""
+        where the scattered route makes a 1 x 1 dtrmm call: distances bit for
+        bit."""
         prob = _block_problem(sizes, seed)
         rng = np.random.default_rng(seed)
         post = cl.factor_posterior(prob, n_level).condition(rng.standard_normal(prob.n_dim))
@@ -662,7 +661,6 @@ class TestInPlaceSampling:
         u0 = rng.standard_normal(prob.n_dim)
         z = rng.standard_normal((prob.n_dim, 7))
         assert np.array_equal(scattered_distances(post, u0, z), post.distances(u0, z))
-        assert post.covariance_trace() == scattered_trace(post)
 
     def test_draws_are_overwritten_without_a_second_array(self):
         """The squared deviations end up in ``z`` itself, and the call
@@ -727,6 +725,82 @@ class TestInPlaceSampling:
         for shape in ((6, 1), (5,), (7,), ()):
             with pytest.raises(ParameterError, match=re.escape(f"got shape {shape}")):
                 cl.PosteriorGaussian(np.zeros(shape), upper, 1.0)
+
+
+def _posterior_cells(n_dim, seed):
+    """The posterior pipeline's table on a banded config, with each n's
+    data draw and its posterior form ``(lam, c)`` by a dense reference route:
+    the precision ``Lambda^-1 + n M^T M`` inverted and decomposed by numpy,
+    from the dense ``whitened_forward``."""
+    config = cl.parse_config(json.dumps({"problem": {"n_dim": n_dim,
+                                                     "coupling": {"kind": "banded"}},
+                                         "run": {"master_seed": seed}}))
+    prob, u0 = build_problem(config), build_truth(config)
+    table = runner_module._pipe_posterior(config, prob, 1)[0]
+    m = prob.whitened_forward
+    cells = []
+    for i, n in enumerate(config.run["n_grid"]):
+        data = cl.simulate_data(prob, u0, n, derive_seed(seed, "posterior", i, "data"))
+        cov = np.linalg.inv(np.diag(1.0 / prob.prior.variances) + n * m.T @ m)
+        lam, v = np.linalg.eigh(cov)
+        c = v.T @ (cov @ (n * m.T @ prob.noise_whiten(data.y)) - u0)
+        cells.append((data, np.maximum(lam, 0.0), c, table.rows[4 * i:4 * i + 4]))
+    return prob, u0, table, cells
+
+
+class TestPosteriorPipelineTails:
+    """The ``posterior`` table is read off one covariance spectrum per n:
+    each estimate is the Lugannani-Rice tail ``P(||u - u0|| > xi)`` of the
+    posterior form, under its Chernoff bound, with nothing sampled."""
+
+    @pytest.mark.parametrize("seed", [20240810, 90817])
+    def test_tails_match_imhof_and_bounds(self, seed):
+        """Against Imhof's integral on the reference form: within 5% where
+        the tail is >= 1e-9 (3.5% measured; 7.5% at a 5.6e-10 tail), and
+        within 5e-11 below. Non-increasing in xi, at most the exponential of
+        the provenance's Chernoff exponent row by row, and std_error empty."""
+        _, _, table, cells = _posterior_cells(64, seed)
+        bounds = table.provenance["log_chernoff"]
+        assert len(bounds) == len(table.rows) == 20
+        assert (table.provenance["tail"], table.provenance["certificate"]) == \
+            ("lugannani-rice", "chernoff")
+        for _, lam, c, rows in cells:
+            for n_level, xi, estimate, std_error in rows:
+                exact = imhof_tail(xi * xi, lam, c * c)
+                assert abs(estimate - exact) <= 0.05 * max(exact, 1e-9), (n_level, xi)
+                assert std_error is None
+            values = [row[2] for row in rows]
+            assert all(a >= b for a, b in zip(values, values[1:]))
+        for row, bound in zip(table.rows, bounds):
+            assert 0.0 < row[2] <= math.exp(bound)
+
+    @pytest.mark.parametrize("seed", [20240810, 90817])
+    def test_tails_match_the_sampler(self, seed):
+        """Where the tail is >= 1e-3, within 4 binomial standard errors (at
+        the tail) of ``posterior_exceedance_grid`` at 2e5 posterior draws in
+        four batches, on the same data (2.5 measured)."""
+        prob, u0, _, cells = _posterior_cells(64, seed)
+        count = 50_000
+        for data, _, _, rows in cells:
+            post = cl.conjugate_posterior(prob, data)
+            xis = [row[1] for row in rows]
+            sampled = np.mean([[e.value for e in cl.posterior_exceedance_grid(
+                post, u0, xis, count, seed=k)] for k in range(4)], axis=0)
+            for (_, xi, estimate, _), p in zip(rows, sampled):
+                if estimate >= 1e-3:
+                    se = math.sqrt(estimate * (1.0 - estimate) / (4 * count))
+                    assert abs(estimate - p) <= 4.0 * se, (data.n_level, xi)
+
+    def test_default_config_reads_no_zero_or_one(self):
+        """On the default banded N = 512 config, where the sampler wrote 0.0
+        or 1.0 in 10 of the 20 cells, every tail lies strictly between them:
+        the smallest is about 1.8e-41 (n = 1e6, 4 sqrt(tr C))."""
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 512,
+                                                         "coupling": {"kind": "banded"}}}))
+        table = runner_module._pipe_posterior(config, build_problem(config), 1)[0]
+        values = [row[2] for row in table.rows]
+        assert len(values) == 20 and all(0.0 < v < 1.0 for v in values)
+        assert min(values) < 1e-35
 
 
 def _banded_problem(n_dim, delta):
@@ -969,22 +1043,16 @@ class TestMemoryBudget:
         assert peak <= 3.5 * self.N**2 * 8
         assert "whitened_forward" not in vars(prob)
 
-    def test_posterior_cell_holds_inverse_and_draws(self):
-        """One posterior cell (factor, condition, covariance trace, draws):
-        the factor is freed once ``L^{-1}`` is formed, so the peak stays
-        below ``L^{-1}`` plus the draws plus half an N x N array."""
+    def test_posterior_pipeline_allocates_three_arrays(self):
+        """The posterior pipeline at all five n: per n the factor, the
+        covariance block and dstevd's eigenvectors and workspace, as for a
+        rate-fit n. Nothing is drawn but the data, so neither ``L^{-1}`` nor
+        an (N, mc) batch of draws is formed."""
         config, prob, u0 = _dense_hilbert(self.N)
         prob.whitened_gram
-        mc = 2000
-
-        def cell():
-            post = cl.conjugate_posterior(prob, cl.simulate_data(prob, u0, 1e4, 0))
-            scale = math.sqrt(post.covariance_trace())
-            return posterior.posterior_exceedance_grid(post, u0, [scale], mc, 1)
-
-        peak, ests = self._peak(cell)
-        assert 0.0 <= ests[0].value <= 1.0
-        assert peak <= self.N**2 * 8 + self.N * mc * 8 + self.N**2 * 8 / 2
+        peak, tables = self._peak(lambda: runner_module._pipe_posterior(config, prob, 1))
+        assert len(tables[0].rows) == 4 * len(config.run["n_grid"])
+        assert peak <= 3.5 * self.N**2 * 8
         assert "whitened_forward" not in vars(prob)
 
 
