@@ -67,7 +67,6 @@ from .assumptions import (
     hs_diagnostic,
     minmax_compare,
     projection_log_tail_bound,
-    projection_tail_grid,
     small_ball_form,
     small_ball_log_prob,
     verify_assumptions,

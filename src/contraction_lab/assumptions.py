@@ -3,10 +3,10 @@
 The central object is the worst-case whitened norm of the inverted forward
 map over the leading prior-basis directions (``g``), computed exactly as the
 top eigenvalue of a small Gram matrix. Around it sit small-ball masses with
-rigorous two-sided bounds, Chernoff and Monte Carlo evaluations of
-projection tails, eigenvalue sandwich comparisons, Hilbert-Schmidt
-truncation diagnostics, and the exact concentration of the linear plug-in
-reconstruction, read off the same Gram as ``g``.
+rigorous two-sided bounds, Chernoff bounds on projection tails, eigenvalue
+sandwich comparisons, Hilbert-Schmidt truncation diagnostics, and the exact
+concentration of the linear plug-in reconstruction, read off the same Gram
+as ``g``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import quadform
 from .errors import NumericalError, ParameterError
-from .rng import substream
+from .rng import substream  # noqa: F401 -- no function here draws; perfbench/wrap.py binds it
 from .spectral import (
     DenseNoise,
     ExpSkewCoupling,
@@ -239,9 +239,8 @@ def small_ball_log_prob(problem: InverseProblem, u0: np.ndarray, eps: float,
         form = small_ball_form(problem, u0)
     c2 = np.stack([form.c * form.c, np.zeros_like(form.c)])
     q = np.array([eps**2, eps**2 / 4.0])
-    lr = quadform.log_cdf(q, form.lam, c2)
+    lr, _, upper = quadform.tails(q, form.lam, c2)
     lower = quadform.log_cdf_product(q, form.lam, c2)
-    upper = quadform.log_cdf_chernoff(q, form.lam, c2)
 
     # shortest feasible truncated certificate for the shift
     j0 = int(np.argmax(form.residual_norms <= eps / 2))
@@ -279,8 +278,8 @@ def projection_log_tail_bound(problem: InverseProblem, k: int, r: int | None,
     """Log Chernoff upper bound on the prior probability that the double
     projection misses by more than ``threshold``; ``r = None`` projects on the
     prior basis alone, and the bound is ``-inf`` when the double projection is
-    the identity. ``projection_tail_grid`` estimates the same probability by
-    sampling.
+    the identity. The test oracle ``projection_tail_grid`` estimates the same
+    probability by sampling.
 
     Without an e-cutoff (``r`` None or ``n_dim``) the miss is ``-T_{>k}
     Lambda_{>k}^{1/2} z`` and T is orthogonal, so its covariance eigenvalues
@@ -298,23 +297,7 @@ def projection_log_tail_bound(problem: InverseProblem, k: int, r: int | None,
         q = q[q > 0]
     if q.size == 0:
         return -math.inf
-    return float(quadform.log_chernoff(threshold**2, q, np.zeros((1, q.size)))[0])
-
-
-def projection_tail_grid(problem: InverseProblem, k: int, r: int | None,
-                         thresholds, mc: int = 2000, seed: int = 0) -> list[float]:
-    """Monte Carlo tails at several thresholds from one shared batch
-    (exactly non-increasing along the grid)."""
-    if mc < 100:
-        raise ParameterError("mc must be >= 100")
-    _check_kr(problem, k, r)
-    if not all(t >= 0 for t in thresholds):
-        raise ParameterError("thresholds must be nonnegative")
-    a = _residual_operator(problem, k, r)
-    rng = substream(seed, "projection-tail")
-    z = rng.standard_normal((problem.n_dim, mc))
-    norms = np.linalg.norm(a @ z, axis=0)
-    return [float(np.mean(norms > t)) for t in thresholds]
+    return float(quadform.tails(threshold**2, q, np.zeros((1, q.size))).log_sf_bound[0])
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +444,6 @@ class ConcentrationReport:
     ok: np.ndarray  # per x: log_chernoff <= log bound, which certifies the row
     sigma0_sq: float
     mean_deviation: float  # the center m = sqrt(tr Sigma)
-    mean_deviation_bound: float
-    mean_dev_ok: bool
 
 
 def concentration_check(problem: InverseProblem, k: int, r: int | None, n_level: float,
@@ -476,8 +457,7 @@ def concentration_check(problem: InverseProblem, k: int, r: int | None, n_level:
     eigenvalues and ``sigma0^2 = max lam = g(k, r) / n``. The center ``m =
     sqrt(tr Sigma) >= E||X - EX||`` keeps the envelope a theorem (Borell-TIS);
     by Laurent and Massart (2000) the form's Chernoff exponent at ``(m +
-    x)^2`` proves it, and ``ok`` compares the two. The mean deviation is
-    checked against ``sqrt(k g / n)``.
+    x)^2`` proves it, and ``ok`` compares the two.
     """
     check_noise_level(n_level)
     spectrum = np.linalg.eigvalsh(_plug_in_gram(problem, k, r))
@@ -491,15 +471,12 @@ def concentration_check(problem: InverseProblem, k: int, r: int | None, n_level:
 
     center = math.sqrt(float(lam.sum()))
     q, c2 = (center + x_grid) ** 2, np.zeros((x_grid.size, lam.size))
-    empirical = -np.expm1(quadform.log_cdf(q, lam, c2))
-    log_chernoff = quadform.log_chernoff(q, lam, c2)
+    tails = quadform.tails(q, lam, c2)
     log_bound = -x_grid**2 / (2.0 * sigma0_sq)
-    mean_bound = math.sqrt(k * float(spectrum[-1]) / n_level)
-    return ConcentrationReport(x_grid=x_grid, empirical=empirical, bound=np.exp(log_bound),
-                               log_chernoff=log_chernoff, ok=log_chernoff <= log_bound,
-                               sigma0_sq=sigma0_sq, mean_deviation=center,
-                               mean_deviation_bound=mean_bound,
-                               mean_dev_ok=center <= mean_bound)
+    return ConcentrationReport(x_grid=x_grid, empirical=-np.expm1(tails.log_cdf),
+                               bound=np.exp(log_bound), log_chernoff=tails.log_sf_bound,
+                               ok=tails.log_sf_bound <= log_bound, sigma0_sq=sigma0_sq,
+                               mean_deviation=center)
 
 
 # ---------------------------------------------------------------------------

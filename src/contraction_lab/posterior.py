@@ -8,7 +8,7 @@ part by part. The precision is factored in place, and the covariance comes
 from the factor.
 
 The exceedance ``P(||u - u0|| > xi | y)`` that pipelines report is a tail of
-the quadratic form over ``covariance_spectrum`` (``quadform.log_cdf``). The
+the quadratic form over ``covariance_spectrum`` (``quadform.tails``). The
 sampler ``posterior_exceedance_grid`` is its Monte Carlo cross-check.
 """
 

@@ -14,30 +14,28 @@ independent blocks of coordinates add independent terms to Q. An operator
 takes its edges from its caller; no routine here reads a partition off a zero
 pattern (``spectral`` does, once per coupling).
 
-Tails use the Lugannani-Rice saddlepoint formula (Lugannani & Rice, Adv.
-Appl. Prob. 12, 1980), parameterized by the saddlepoint ``s`` on its domain
-``(-inf, 1/(2 max lam))``. Its accuracy improves with the effective number of
-degrees of freedom; Imhof's integral (Biometrika 48, 1961) is the test
-oracle. The Chernoff exponent ``min_{s >= 0} K(s) - s q`` is a rigorous
-upper bound on the log tail and is minimized at the same saddlepoint.
-
-The lower tail ``P(Q <= q)`` gets the same three answers from the other side
-of ``s = 0``: ``log_cdf`` (Lugannani-Rice in log space), its Chernoff upper
-bound ``log_cdf_chernoff`` and a rigorous lower bound ``log_cdf_product``
-from independence, ``P(Q <= q) >= prod_i P((c_i + sqrt(lam_i) Z_i)**2 <=
-q_i)`` for any split ``sum q_i = q``.
+``tails`` is the one tail evaluator. One saddlepoint ``s`` of ``K'(s) = q``
+per row, on the domain ``(-inf, 1/(2 max lam))``, gives the Lugannani-Rice
+approximation to ``log P(Q <= q)`` (Lugannani & Rice, Adv. Appl. Prob. 12,
+1980) on either side of the mean, ``P(Q > q) = -expm1(log_cdf)``, and the
+Chernoff exponent ``K(s) - s q``: a rigorous upper bound on the log of the
+tail on the saddlepoint's side of 0. The formula's accuracy improves with the
+effective number of degrees of freedom; Imhof's integral (Biometrika 48,
+1961) is the test oracle. ``log_cdf_product`` is a rigorous lower bound on
+the lower tail from independence, ``P(Q <= q) >= prod_i P((c_i + sqrt(lam_i)
+Z_i)**2 <= q_i)`` for any split ``sum q_i = q``.
 
 Saddlepoints come from one safeguarded Newton-bisection that runs on a batch:
 forms that share ``lam`` and differ in their offsets, one row of ``c2`` each.
 ``quantiles`` starts it from a two-moment chi-square guess per row.
 Every routine takes such a batch, an (R, N) array ``c2``; a single form is a
-batch of one row. ``log_cdf`` is the one Lugannani-Rice evaluator, on either
-side of the mean: ``P(Q > q) = -expm1(log_cdf(q, lam, c2))``.
+batch of one row.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork
@@ -308,12 +306,13 @@ def _cgf(s: np.ndarray, lam: np.ndarray, c2: np.ndarray, rows: np.ndarray | None
     return tuple(out)
 
 
-def _lugannani_rice(s: np.ndarray, lam: np.ndarray, c2: np.ndarray,
-                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lugannani_rice(s: np.ndarray, lam: np.ndarray, c2: np.ndarray, rows: np.ndarray,
+                    cum=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(q, P(Q > q), dP/ds)`` of the rows ``rows`` of ``c2`` at the
-    saddlepoints ``s`` solving ``K'(s) = q``; the derivative is 0 where the
+    saddlepoints ``s`` solving ``K'(s) = q``, from their four cumulants
+    ``cum`` there (None: evaluated here); the derivative is 0 where the
     s -> 0 limit is used."""
-    k0, q, k2, k3 = _cgf(s, lam, c2, rows, third=True)
+    k0, q, k2, k3 = _cgf(s, lam, c2, rows, third=True) if cum is None else cum
     sd = np.sqrt(k2)
     u = s * sd
     near = np.abs(u) < _NEAR_MEAN
@@ -333,8 +332,8 @@ def _lugannani_rice(s: np.ndarray, lam: np.ndarray, c2: np.ndarray,
     return q, p, dp
 
 
-def _solve(fn, lam: np.ndarray, rows: int, what: str,
-           start: np.ndarray | None = None) -> np.ndarray:
+def _solve(fn, lam: np.ndarray, rows: int, what: str, start: np.ndarray | None = None,
+           stop_at_top: bool = False) -> np.ndarray:
     """Roots in ``s`` of ``rows`` decreasing functions of the saddlepoint.
 
     ``fn(s, idx)`` returns the values and ``s``-derivatives of the functions
@@ -342,9 +341,11 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str,
     ``t = 2 s max(lam)``, whose domain is ``(-inf, 1)``. A row with a usable
     ``start`` (``_warm_bracket``) is bracketed around it; every other row is
     bracketed from scratch: the upper end moves toward 1 and the lower end
-    doubles away from 0 until they bracket a sign change. Then each row
-    takes Newton steps, bisecting whenever a step would leave its bracket or
-    fails to halve the step before it.
+    doubles away from 0 until they bracket a sign change; with
+    ``stop_at_top``, a row still short at the last upper end tried,
+    ``_T_TOP``, returns that end instead of raising. Then each row takes
+    Newton steps, bisecting whenever a step would leave its bracket or fails
+    to halve the step before it.
     """
     scale = 2.0 * float(lam.max())
     lo, hi = np.full(rows, -np.inf), np.full(rows, 0.5)
@@ -361,9 +362,10 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str,
         idx, t = idx[up], 0.5 * (1.0 + t[up])
         hi[idx] = t
     else:
-        if idx.size:
+        if idx.size and not stop_at_top:
             raise NumericalError(f"saddlepoint bracket failed for the {what}, row {idx[0]} "
                                  "(upper end)")
+        hi[idx] = lo[idx]  # a bracket of width 0 at _T_TOP, where Newton stops at once
     idx = np.flatnonzero(np.isinf(lo))
     t = np.full(idx.size, -1.0)
     for _ in range(_LOWER_STEPS):
@@ -449,13 +451,14 @@ def _warm_bracket(fn, t0: np.ndarray, scale: float, lo: np.ndarray, hi: np.ndarr
 
 def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str) -> np.ndarray:
     """The ``s`` solving ``K'(s) = q``, one per row of ``c2``; ``q`` is one
-    level for every row or one per row."""
+    level for every row or one per row. A root past the last upper end tried
+    is returned as that end, ``s = _T_TOP / (2 max lam)``."""
     levels = np.broadcast_to(np.asarray(q, dtype=float), c2.shape[:1])
 
     def fn(s, idx):
         _, k1, k2 = _cgf(s, lam, c2, idx)
         return levels[idx] - k1, -k2
-    return _solve(fn, lam, c2.shape[0], what)
+    return _solve(fn, lam, c2.shape[0], what, stop_at_top=True)
 
 
 def quantiles(p: float, lam, c2) -> np.ndarray:
@@ -496,43 +499,6 @@ def _levels(q, rows: int) -> np.ndarray:
     return np.array(np.broadcast_to(q, (rows,)))
 
 
-def _chernoff(q: np.ndarray, lam: np.ndarray, c2: np.ndarray, end: float,
-              what: str) -> np.ndarray:
-    """``min(0, K(s) - s q)`` per row, at the saddlepoint of ``K'(s) = q``
-    where it lies between 0 and the bracket end ``t = end`` (``t = 2 s max
-    lam``), and at that end otherwise: every ``s`` on the same side of 0 as
-    the end gives a valid bound, so a saddlepoint beyond the search's reach
-    costs tightness only."""
-    s = np.full(q.size, end / (2.0 * float(lam.max())))
-    k1 = _cgf(s, lam, c2)[1]
-    inside = np.flatnonzero(k1 >= q if end > 0 else k1 < q)
-    if inside.size:
-        s[inside] = _saddlepoint(q[inside], lam, c2[inside], what)
-    return np.minimum(0.0, _cgf(s, lam, c2)[0] - s * q)
-
-
-def log_chernoff(q, lam, c2) -> np.ndarray:
-    """Chernoff exponent ``min_{s >= 0} K(s) - s q`` for each row of ``c2``:
-    ``P(Q > q)`` is at most its exponential.
-
-    It is 0 up to the mean ``K'(0)`` and ``-inf`` at ``q = inf``. When the
-    saddlepoint lies closer to the pole ``1/(2 max lam)`` than the bracket
-    search resolves (a deep tail), the exponent is taken at the last upper
-    end tried instead.
-    """
-    lam, c2 = _terms(lam, c2)
-    q = _levels(q, c2.shape[0])
-    out = np.zeros(q.size)
-    idx = np.flatnonzero(q > lam.sum() + c2.sum(axis=1))
-    if idx.size:
-        out[idx] = _chernoff(q[idx], lam, c2[idx], _T_TOP, "Chernoff bound")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Lower tails
-# ---------------------------------------------------------------------------
-
 def _floor(lam: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """``Q``'s essential infimum per row: the offsets of the zero-variance
     terms. ``P(Q <= q) = 0`` for q at or below it, since some lam is
@@ -540,61 +506,65 @@ def _floor(lam: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return c2[:, lam == 0].sum(axis=1)
 
 
-def log_cdf(q, lam, c2) -> np.ndarray:
-    """Saddlepoint approximation to ``log P(Q <= q)`` for each row of the
-    (R, N) array ``c2``; ``q`` is one level or one per row. The upper tail
-    is ``P(Q > q) = -expm1(log_cdf(q, lam, c2))``.
+class Tails(NamedTuple):
+    """Per row: the Lugannani-Rice ``log P(Q <= q)``, an approximation that
+    bounds nothing, and Chernoff exponents that bound ``log P(Q > q)`` and
+    ``log P(Q <= q)`` from above."""
+    log_cdf: np.ndarray
+    log_sf_bound: np.ndarray
+    log_cdf_bound: np.ndarray
 
-    Below the mean (``s < 0``) the Lugannani-Rice formula
-    ``Phi(w) + phi(w) (1/w - 1/u)`` is evaluated as ``log Phi(w)`` plus a
-    relative correction, so deep lower tails do not underflow; elsewhere it
-    is ``log1p`` of minus the tail. ``-inf`` at or below the infimum of Q.
-    An approximation: it bounds nothing.
+
+def tails(q, lam, c2) -> Tails:
+    """Both tails of Q at ``q`` for each row of the (R, N) array ``c2``;
+    ``q`` is one level or one per row. One saddlepoint ``s`` of ``K'(s) =
+    q`` per row, and the cumulants there, give both answers.
+
+    ``log_cdf`` is the Lugannani-Rice ``Phi(w) + phi(w) (1/w - 1/u)``. Below
+    the mean (``s < 0``) it is evaluated as ``log Phi(w)`` plus a relative
+    correction, so deep lower tails do not underflow; elsewhere it is
+    ``log1p`` of minus the upper tail, so ``P(Q > q) = -expm1(log_cdf)``.
+
+    ``min(0, K(s) - s q)`` is the Chernoff exponent, the minimum over ``s``
+    on the saddlepoint's side of 0: ``log_sf_bound`` above the mean ``K'(0)``
+    and ``log_cdf_bound`` below it, each 0 on the other side. At or below
+    the infimum of Q, ``log_cdf`` and ``log_cdf_bound`` are ``-inf``. A
+    saddlepoint closer to the pole ``1/(2 max lam)`` than the bracket search
+    resolves stops at the last upper end tried: the exponent there is still
+    a bound (``-inf`` at ``q = inf``), and ``log_cdf`` is ``-0.0``, the
+    rounding of a tail below ``exp(-2**47)``. One below the last lower end
+    tried raises ``NumericalError``.
     """
     lam, c2 = _terms(lam, c2)
     q = _levels(q, c2.shape[0])
-    out = np.full(q.size, -np.inf)
+    mean = lam.sum() + c2.sum(axis=1)
+    log_cdf, exponent = np.full(q.size, -np.inf), np.full(q.size, -np.inf)
     live = np.flatnonzero(q > _floor(lam, c2))
-    if live.size == 0:
-        return out
-    c2, q = c2[live], q[live]
-    s = _saddlepoint(q, lam, c2, "Lugannani-Rice tail")
-    k0, _, k2 = _cgf(s, lam, c2)
-    u = s * np.sqrt(k2)
-    lower = (s < 0) & (np.abs(u) >= _NEAR_MEAN)
-    res = np.empty(live.size)
-    if not lower.all():
+    if live.size:
+        c2, level = c2[live], q[live]
+        s = _saddlepoint(level, lam, c2, "Lugannani-Rice tail")
+        cum = np.array(_cgf(s, lam, c2, third=True))
+        k0, _, k2, _ = cum
+        exponent[live] = np.minimum(0.0, k0 - s * level)
+        u = s * np.sqrt(k2)
+        lower = (s < 0) & (np.abs(u) >= _NEAR_MEAN)
         upper = np.flatnonzero(~lower)
-        res[upper] = np.log1p(-_lugannani_rice(s[upper], lam, c2, upper)[1])
-    if lower.any():
-        w = -np.sqrt(np.maximum(2.0 * (s * q - k0), 0.0))[lower]
-        # phi(w) / Phi(w) = sqrt(2 / pi) / erfcx(-w / sqrt 2), without underflow
-        corr = math.sqrt(2.0 / math.pi) / erfcx(-w * _SQRT_HALF) * (1.0 / w - 1.0 / u[lower])
-        if np.any(corr <= -1.0):
-            row = live[np.flatnonzero(lower)[np.argmax(corr <= -1.0)]]
-            raise NumericalError(f"Lugannani-Rice lower tail not positive, row {row}")
-        res[lower] = log_ndtr(w) + np.log1p(corr)
-    out[live] = res
-    return out
+        log_cdf[live[upper]] = np.log1p(
+            -_lugannani_rice(s[upper], lam, c2, upper, cum[:, upper])[1])
+        if lower.any():
+            w = -np.sqrt(np.maximum(2.0 * (s * level - k0), 0.0))[lower]
+            # phi(w) / Phi(w) = sqrt(2 / pi) / erfcx(-w / sqrt 2), without underflow
+            corr = math.sqrt(2.0 / math.pi) / erfcx(-w * _SQRT_HALF) * (1.0 / w - 1.0 / u[lower])
+            if np.any(corr <= -1.0):
+                row = live[np.flatnonzero(lower)[np.argmax(corr <= -1.0)]]
+                raise NumericalError(f"Lugannani-Rice lower tail not positive, row {row}")
+            log_cdf[live[lower]] = log_ndtr(w) + np.log1p(corr)
+    return Tails(log_cdf, np.where(q > mean, exponent, 0.0), np.where(q < mean, exponent, 0.0))
 
 
-def log_cdf_chernoff(q, lam, c2) -> np.ndarray:
-    """Chernoff exponent ``min_{s <= 0} K(s) - s q`` for each row of ``c2``:
-    ``P(Q <= q)`` is at most its exponential.
-
-    It is 0 from the mean ``K'(0)`` up and ``-inf`` at or below the infimum
-    of Q. When the saddlepoint lies further below 0 than the bracket search
-    reaches, the exponent is taken at the last lower end tried.
-    """
-    lam, c2 = _terms(lam, c2)
-    q = _levels(q, c2.shape[0])
-    out = np.zeros(q.size)
-    out[q <= _floor(lam, c2)] = -np.inf
-    idx = np.flatnonzero((q < lam.sum() + c2.sum(axis=1)) & np.isfinite(out))
-    if idx.size:
-        out[idx] = _chernoff(q[idx], lam, c2[idx], _T_BOTTOM, "lower Chernoff bound")
-    return out
-
+# ---------------------------------------------------------------------------
+# The product lower bound
+# ---------------------------------------------------------------------------
 
 def _interval(r: np.ndarray, m: np.ndarray, value_only: bool = False):
     """Terms of ``H(r) = P(|m + Z| <= r)`` for standard normal Z.

@@ -328,7 +328,7 @@ def finite_dim_exceedance(exp: FiniteDimExperiment, y, u0, n_level: float, xi):
     The data enter only through their projection onto the model range. Each
     component's mass is a tail of ``||u - u0||^2``: ``ndtr`` of the standard
     score at p = 1, and at p >= 2 the Lugannani-Rice tail
-    ``-expm1(quadform.log_cdf(xi^2, lam_j, c_j^2))`` over the eigenvalues
+    ``-expm1(quadform.tails(xi^2, lam_j, c_j^2).log_cdf)`` over the eigenvalues
     ``lam_j`` of the component's covariance, one call per component for all
     rows.
     """
@@ -355,7 +355,7 @@ def finite_dim_exceedance(exp: FiniteDimExperiment, y, u0, n_level: float, xi):
         for j, c in enumerate(cov):
             lam, vecs = np.linalg.eigh(c)
             proj = (means[:, j] - u0) @ vecs
-            tails[:, j] = -np.expm1(quadform.log_cdf(xi * xi, lam, proj * proj))
+            tails[:, j] = -np.expm1(quadform.tails(xi * xi, lam, proj * proj).log_cdf)
     out = np.sum(wts * tails, axis=1)
     return float(out[0]) if ys.ndim == 1 else out
 

@@ -129,9 +129,9 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
         xis = run.get("xi_grid") or [scale * m for m in (0.5, 1.0, 2.0, 4.0)]
         q = np.square(xis)
         c2 = np.broadcast_to(c * c, (q.size, c.size))
-        tails = -np.expm1(quadform.log_cdf(q, lam, c2))
-        return ([(_n(n), float(xi), float(t), None) for xi, t in zip(xis, tails)],
-                quadform.log_chernoff(q, lam, c2).tolist())
+        tails = quadform.tails(q, lam, c2)
+        return ([(_n(n), float(xi), float(t), None)
+                 for xi, t in zip(xis, -np.expm1(tails.log_cdf))], tails.log_sf_bound.tolist())
 
     cells = _map_cells(cell, list(enumerate(run["n_grid"])), workers)
     # std_error stays empty: nothing is sampled
@@ -251,9 +251,7 @@ def _pipe_concentration(config: ExperimentConfig, problem: InverseProblem, worke
     return [_table(config, "concentration", ("x", "empirical", "bound", "std_error", "ok"), rows,
                    "concentration_check", tail="lugannani-rice", certificate="chernoff",
                    log_chernoff=rep.log_chernoff.tolist(), sigma0_sq=rep.sigma0_sq,
-                   mean_deviation=rep.mean_deviation,
-                   mean_deviation_bound=rep.mean_deviation_bound,
-                   mean_dev_ok=rep.mean_dev_ok, k=k, r=r)]
+                   mean_deviation=rep.mean_deviation, k=k, r=r)]
 
 
 def _pipe_findim(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:

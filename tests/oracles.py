@@ -1,8 +1,8 @@
 """Reference routes that tests check the package's exact computations
 against: self-normalized importance sampling (SNIS) of posterior exceedance
 probabilities, for the conjugate problem and for the finite-dimensional
-mixture experiment, and Imhof's inversion integral for the tail of a
-Gaussian quadratic form.
+mixture experiment, Monte Carlo projection tails under the prior, and
+Imhof's inversion integral for the tail of a Gaussian quadratic form.
 
 The samplers weight prior draws by the data likelihood, so they work for any
 prior that can be sampled and share no code with the closed forms they
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from contraction_lab.assumptions import _check_kr, _residual_operator
 from contraction_lab.errors import NumericalError, ParameterError
 from contraction_lab.rng import substream
 from contraction_lab.spectral import as_vector, check_noise_level
@@ -121,6 +122,23 @@ def finite_dim_exceedance_given_y(exp, y: np.ndarray, u0: np.ndarray, n_level: f
     resid = g @ (draws - u_proj[None, :]).T
     log_w = -0.5 * n_level * np.einsum("ij,ij->j", resid, resid)
     return snis_exceedance(log_w, np.linalg.norm(draws - np.asarray(u0)[None, :], axis=1), xi)
+
+
+def projection_tail_grid(problem, k: int, r: int | None, thresholds, mc: int = 2000,
+                         seed: int = 0) -> list[float]:
+    """Monte Carlo prior probabilities that the double projection misses by
+    more than each threshold, from one shared batch (exactly non-increasing
+    along the grid); it rejects what ``projection_log_tail_bound`` rejects."""
+    if mc < 100:
+        raise ParameterError("mc must be >= 100")
+    _check_kr(problem, k, r)
+    if not all(t >= 0 for t in thresholds):
+        raise ParameterError("thresholds must be nonnegative")
+    a = _residual_operator(problem, k, r)
+    rng = substream(seed, "projection-tail")
+    z = rng.standard_normal((problem.n_dim, mc))
+    norms = np.linalg.norm(a @ z, axis=0)
+    return [float(np.mean(norms > t)) for t in thresholds]
 
 
 def imhof_tail(q, lam, c2):

@@ -18,7 +18,7 @@ from contraction_lab.config import build_problem, build_truth
 from contraction_lab.errors import ParameterError
 
 from block_reference import per_block_residual_norms
-from oracles import imhof_tail
+from oracles import imhof_tail, projection_tail_grid
 
 
 def identity_problem(n_dim, alpha=1.0, delta=1.0, noise=None):
@@ -280,8 +280,8 @@ class TestProjectionTail:
         prob = banded_problem(8, seed=2)
         assert cl.projection_log_tail_bound(prob, 8, None, 0.5) == -math.inf
         assert cl.projection_log_tail_bound(prob, 8, 8, 0.5) == -math.inf
-        assert cl.projection_tail_grid(prob, 8, None, [0.5]) == [0.0]
-        assert cl.projection_tail_grid(prob, 8, 8, [0.5]) == [0.0]
+        assert projection_tail_grid(prob, 8, None, [0.5]) == [0.0]
+        assert projection_tail_grid(prob, 8, 8, [0.5]) == [0.0]
 
     def test_scalar_residual_gaussian_oracle(self):
         """Identity coupling, k=1 of 2 modes with unit second variance:
@@ -290,13 +290,13 @@ class TestProjectionTail:
             cl.make_spectrum(cl.MildFamily(0.0), 2),
             cl.make_coupling(cl.IdentityCoupling(), 2),
             cl.explicit_prior([1.0, 1.0], 2), cl.white_noise(2), 2)
-        est = cl.projection_tail_grid(prob, 1, None, [1.0], mc=40_000, seed=3)[0]
+        est = projection_tail_grid(prob, 1, None, [1.0], mc=40_000, seed=3)[0]
         assert abs(est - 2 * norm.sf(1.0)) < 0.01
 
     def test_monotone_grid_shared_batch(self):
         prob = banded_problem(10, seed=3)
         grid = np.linspace(0.05, 3.0, 15)
-        probs = cl.projection_tail_grid(prob, 3, 6, grid, mc=2000, seed=4)
+        probs = projection_tail_grid(prob, 3, 6, grid, mc=2000, seed=4)
         assert all(a >= b for a, b in zip(probs, probs[1:]))
         assert probs[-1] <= probs[0]
 
@@ -309,12 +309,12 @@ class TestProjectionTail:
         with pytest.raises(ParameterError):
             cl.projection_log_tail_bound(prob, k, r, threshold)
         with pytest.raises(ParameterError):
-            cl.projection_tail_grid(prob, k, r, [threshold])
+            projection_tail_grid(prob, k, r, [threshold])
 
     @pytest.mark.parametrize("threshold", [0.3, 0.8, 1.5])
     def test_chernoff_dominates_monte_carlo(self, threshold):
         prob = banded_problem(10, seed=5)
-        mc = cl.projection_tail_grid(prob, 3, 6, [threshold], mc=20_000, seed=5)[0]
+        mc = projection_tail_grid(prob, 3, 6, [threshold], mc=20_000, seed=5)[0]
         bound = math.exp(cl.projection_log_tail_bound(prob, 3, 6, threshold))
         assert mc <= bound + 0.02
         assert bound <= 1.0
@@ -336,7 +336,8 @@ class TestProjectionTail:
         assert np.all(np.abs(eig[:k]) <= tol)
         threshold = 2.0 * math.sqrt(closed.sum())
         eig = eig[eig > 0]
-        reference = float(quadform.log_chernoff(threshold**2, eig, np.zeros((1, eig.size)))[0])
+        reference = float(quadform.tails(threshold**2, eig,
+                                         np.zeros((1, eig.size))).log_sf_bound[0])
 
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolve for a closed-form spectrum")
@@ -564,7 +565,7 @@ class TestConcentration:
         root = _plug_in_columns(prob, k, r).T @ prob.noise_color(np.eye(prob.n_dim))
         np.testing.assert_allclose(np.linalg.eigvalsh(root @ root.T / n), lam, rtol=1e-10)
         assert rep.mean_deviation == math.sqrt(lam.sum())
-        assert rep.mean_dev_ok and rep.ok.all()
+        assert rep.ok.all()
         assert np.all(rep.empirical > 0) and np.all(np.diff(rep.empirical) < 0)
 
     def test_lugannani_rice_matches_imhof_on_the_default_rows(self):
@@ -621,7 +622,25 @@ class TestConcentration:
         np.testing.assert_allclose(rep.empirical, 2 * norm.sf(z), rtol=0.05)
         np.testing.assert_allclose(rep.log_chernoff, -(z * z - 1 - np.log(z * z)) / 2,
                                    rtol=1e-9, atol=1e-14)
-        assert rep.ok.all() and rep.mean_dev_ok
+        assert rep.ok.all()
+
+    def test_offset_past_the_bracket_reads_zero_under_its_end_exponent(self):
+        """At x = 1e10 sigma0 the saddlepoint lies closer to the pole ``1 / (2
+        sigma0^2)`` than the bracket search resolves (its last upper end is
+        ``t = 2 s sigma0^2 = 1 - 2**-48``). The tail reads 0.0, and the
+        exponent is the Chernoff exponent ``K(s) - s (m + x)^2`` at that end,
+        to 1e-12 relative, which still certifies the row; the check does not
+        raise."""
+        prob = banded_problem(10, seed=8)
+        sigma0 = math.sqrt(cl.compute_g_kr(prob, 4, 10) / 100.0)
+        rep = cl.concentration_check(prob, 4, 10, 100.0, x_grid=[sigma0, 1e10 * sigma0])
+        lam = np.maximum(np.linalg.eigvalsh(_plug_in_gram(prob, 4, 10)) / 100.0, 0.0)
+        s = (1.0 - 2.0**-48) / (2.0 * lam.max())
+        q = (rep.mean_deviation + rep.x_grid[1]) ** 2
+        end = -0.5 * float(np.sum(np.log1p(-2.0 * s * lam))) - s * q
+        assert 0.0 < rep.empirical[0] < 1.0 and rep.empirical[1] == 0.0
+        assert rep.log_chernoff[1] == pytest.approx(end, rel=1e-12)
+        assert rep.ok.all()
 
     def test_zero_offset_bound_is_one(self):
         rep = cl.concentration_check(identity_problem(6), 3, 6, 50.0, x_grid=[0.0])
@@ -663,7 +682,8 @@ def test_chernoff_certifies_the_concentration_envelope(log_lam, t):
     ``test_unresolved_offset_is_left_uncertified``."""
     lam = 10.0 ** np.array(log_lam)
     x = t * math.sqrt(lam.max())
-    got = quadform.log_chernoff((math.sqrt(lam.sum()) + x) ** 2, lam, np.zeros((1, lam.size)))
+    got = quadform.tails((math.sqrt(lam.sum()) + x) ** 2, lam,
+                         np.zeros((1, lam.size))).log_sf_bound
     assert got[0] <= -x * x / (2.0 * lam.max())
 
 
@@ -782,14 +802,17 @@ class TestVerifyAssumptions:
 class TestSmallBallDrawsNothing:
     @pytest.mark.parametrize("pipeline", ["smallball", "check"])
     def test_pipeline_runs_without_a_random_stream(self, monkeypatch, pipeline):
-        """Small-ball masses come from the quadratic-form kernel alone: with
-        the module's random streams disabled both pipelines still run."""
+        """Small-ball masses come from the quadratic-form kernel alone: once
+        the problem is built (a banded coupling is seeded), both pipelines
+        run with every random stream of numpy disabled."""
         def no_stream(*args, **kwargs):
             raise AssertionError("small-ball code drew random numbers")
 
-        monkeypatch.setattr(cl.assumptions, "substream", no_stream)
         config = cl.parse_config(
             "problem: {n_dim: 32, coupling: {kind: banded}}\nrun: {n_grid: [100, 1000, 10000]}")
+        problem = build_problem(config)
+        monkeypatch.setattr(cl.runner, "build_problem", lambda config: problem)
+        monkeypatch.setattr(np.random, "default_rng", no_stream)
         record = cl.run_experiment(config, pipelines=[pipeline])
         assert record.failures == {}
 

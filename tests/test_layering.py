@@ -89,7 +89,6 @@ README = SRC.parents[1] / "README.md"
 
 # Public names that only tests call, each the oracle of a test.
 TEST_ORACLES = {
-    "projection_tail_grid": "Monte Carlo check of the Chernoff projection-tail bound",
     "band_window": "the band pattern banded-coupling entries are checked against",
     "OperatorSpectrum.envelope_bounds": "the family envelope spectra are checked against",
 }
@@ -212,6 +211,37 @@ def test_caller_scan_follows_live_code_only():
         {"cl", "quadform", "log_cdf", "fit", "x"}
 
 
+# ``quadform``'s whole public surface: one tail evaluator (``tails`` and its
+# ``Tails``), the rigorous lower bound beside it, the quantile solve, and the
+# block-diagonal type with its spectrum. A second tail entry fails the test.
+QUADFORM_PUBLIC = {"BlockDiagonal", "block_spectrum", "quantiles", "tails", "Tails",
+                   "log_cdf_product", "EIGENVALUE_RTOL"}
+
+
+def public_definitions(source: str) -> set[str]:
+    """Public names a module defines at its top level: functions, classes
+    and assigned names; imports define none."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_quadform_public_names_are_pinned():
+    assert public_definitions((SRC / "quadform.py").read_text()) == QUADFORM_PUBLIC
+
+
+def test_public_definition_scan():
+    source = ("import math\nfrom numpy import linalg\nLIMIT = 1.0\n_TOL = 2.0\n"
+              "WIDTH: int = 3\ndef tails():\n    inner = 1\n    return inner\n"
+              "def _solve():\n    pass\nclass Tails:\n    field = 0\n")
+    assert public_definitions(source) == {"LIMIT", "WIDTH", "tails", "Tails"}
+
+
 # A generator's sampling methods.
 DRAW_METHODS = ("standard_normal", "normal", "uniform", "integers", "random", "choice",
                 "permutation", "shuffle")
@@ -229,8 +259,6 @@ DRAW_SITES = {
     "spectral.random_spd": "build: the seeded operator of colored noise or a Hilbert prior",
     "posterior.posterior_exceedance_grid": "sampler: posterior exceedance, a test oracle kept "
                                            "in src/ while perfbench's wrappers bind it",
-    "assumptions.projection_tail_grid": "sampler: the Monte Carlo side of the projection-tail "
-                                        "bound, a test oracle",
 }
 
 

@@ -22,8 +22,8 @@ from contraction_lab.rng import derive_seed, substream
 from contraction_lab.spectral import forward_apply
 
 from block_reference import scattered_distances, scattered_factor, zero_pattern_blocks
-from oracles import (finite_dim_exceedance_given_y, imhof_tail, snis_exceedance,
-                     weighted_posterior_exceedance)
+from oracles import (finite_dim_exceedance_given_y, imhof_tail, projection_tail_grid,
+                     snis_exceedance, weighted_posterior_exceedance)
 
 
 def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
@@ -231,7 +231,7 @@ def _plane_experiment():
 @pytest.mark.parametrize("name, call", [
     ("xi", lambda prob, data, exp: weighted_posterior_exceedance(
         prob, data, np.zeros(2), math.nan, mc=1000)),
-    ("thresholds", lambda prob, data, exp: cl.projection_tail_grid(prob, 1, None, [math.nan])),
+    ("thresholds", lambda prob, data, exp: projection_tail_grid(prob, 1, None, [math.nan])),
     ("xi", lambda prob, data, exp: finite_dim_exceedance_given_y(
         exp, [0.3], np.zeros(1), 10.0, math.nan, 1000, 0)),
     ("n_level", lambda prob, data, exp: finite_dim_exceedance_given_y(
@@ -727,24 +727,26 @@ class TestInPlaceSampling:
                 cl.PosteriorGaussian(np.zeros(shape), upper, 1.0)
 
 
-def _posterior_cells(n_dim, seed):
+def _posterior_cells(n_dim, seed, xi_grid=None):
     """The posterior pipeline's table on a banded config, with each n's
     data draw and its posterior form ``(lam, c)`` by a dense reference route:
     the precision ``Lambda^-1 + n M^T M`` inverted and decomposed by numpy,
-    from the dense ``whitened_forward``."""
+    from the dense ``whitened_forward``. ``xi_grid`` None takes the four
+    default radii."""
+    run = {"master_seed": seed, **({"xi_grid": xi_grid} if xi_grid else {})}
     config = cl.parse_config(json.dumps({"problem": {"n_dim": n_dim,
                                                      "coupling": {"kind": "banded"}},
-                                         "run": {"master_seed": seed}}))
+                                         "run": run}))
     prob, u0 = build_problem(config), build_truth(config)
     table = runner_module._pipe_posterior(config, prob, 1)[0]
     m = prob.whitened_forward
-    cells = []
+    cells, width = [], len(xi_grid or range(4))
     for i, n in enumerate(config.run["n_grid"]):
         data = cl.simulate_data(prob, u0, n, derive_seed(seed, "posterior", i, "data"))
         cov = np.linalg.inv(np.diag(1.0 / prob.prior.variances) + n * m.T @ m)
         lam, v = np.linalg.eigh(cov)
         c = v.T @ (cov @ (n * m.T @ prob.noise_whiten(data.y)) - u0)
-        cells.append((data, np.maximum(lam, 0.0), c, table.rows[4 * i:4 * i + 4]))
+        cells.append((data, np.maximum(lam, 0.0), c, table.rows[width * i:width * (i + 1)]))
     return prob, u0, table, cells
 
 
@@ -801,6 +803,24 @@ class TestPosteriorPipelineTails:
         values = [row[2] for row in table.rows]
         assert len(values) == 20 and all(0.0 < v < 1.0 for v in values)
         assert min(values) < 1e-35
+
+    def test_radius_past_the_bracket_reads_zero_under_its_end_exponent(self):
+        """At xi = 1e20 each n's saddlepoint lies closer to the pole ``1 / (2
+        max lam)`` than the bracket search resolves (its last upper end is
+        ``t = 2 s max lam = 1 - 2**-48``). The tail reads 0.0, the rounding of
+        one below ``exp(-2**47)``, and the exponent is the Chernoff exponent
+        ``K(s) - s xi^2`` at that end, within 1e-9 of the reference form's;
+        the pipeline does not fail. The default radius 0.05 beside it keeps
+        a tail strictly inside (0, 1)."""
+        _, _, table, cells = _posterior_cells(64, 20240810, [0.05, 1e20])
+        bounds = table.provenance["log_chernoff"]
+        for i, (_, lam, c, rows) in enumerate(cells):
+            (_, _, near, _), (_, xi, far, _) = rows
+            assert 0.0 < near < 1.0 and far == 0.0
+            s = (1.0 - 2.0**-48) / (2.0 * lam.max())
+            d = 1.0 - 2.0 * s * lam
+            end = float(np.sum(s * c * c / d - 0.5 * np.log1p(-2.0 * s * lam))) - s * xi * xi
+            assert bounds[2 * i + 1] == pytest.approx(end, rel=1e-9)
 
 
 def _banded_problem(n_dim, delta):

@@ -35,7 +35,20 @@ def cgf(s, lam, c2):
 
 def tail(q, lam, c2):
     """``P(Q > q)`` of one form from the batched Lugannani-Rice ``log_cdf``."""
-    return -math.expm1(quadform.log_cdf(q, lam, [c2])[0])
+    return -math.expm1(log_cdf(q, lam, [c2])[0])
+
+
+# The fields of ``quadform.tails``, one at a time, as functions of (q, lam, c2).
+def log_cdf(q, lam, c2):
+    return quadform.tails(q, lam, c2).log_cdf
+
+
+def log_sf_bound(q, lam, c2):
+    return quadform.tails(q, lam, c2).log_sf_bound
+
+
+def log_cdf_bound(q, lam, c2):
+    return quadform.tails(q, lam, c2).log_cdf_bound
 
 
 def _posterior_form(problem, u0, n_level, seed):
@@ -88,7 +101,7 @@ class TestAgainstNoncentralChiSquare:
 def bounded_chernoff(q, lam):
     """Chernoff exponent of a central form by a bounded scalar search over
     ``s`` in ``[0, (1 - 1e-9) / (2 max lam)]``, the route the assumption
-    check took before ``log_chernoff``."""
+    check took before the saddlepoint solve of ``quadform.tails``."""
     def objective(s):
         return -s * q - 0.5 * float(np.sum(np.log1p(-2.0 * s * lam)))
 
@@ -107,17 +120,17 @@ class TestLogChernoff:
         lam = 0.37
         x = ratio * k
         exact = -0.5 * (x - k - k * math.log(x / k))
-        got = quadform.log_chernoff(lam * x, np.full(k, lam), np.zeros((1, k)))[0]
+        got = log_sf_bound(lam * x, np.full(k, lam), np.zeros((1, k)))[0]
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_zero_up_to_the_mean(self):
         lam, c2 = np.array([0.5, 2.0]), np.array([[1.0, 0.0]])
         for q in (-1.0, 0.0, 1.0, 3.5):
-            assert quadform.log_chernoff(q, lam, c2)[0] == 0.0
-        assert quadform.log_chernoff(3.5 * (1 + 1e-9), lam, c2)[0] < 0.0
-        assert quadform.log_chernoff(math.inf, lam, c2)[0] == -math.inf
+            assert log_sf_bound(q, lam, c2)[0] == 0.0
+        assert log_sf_bound(3.5 * (1 + 1e-9), lam, c2)[0] < 0.0
+        assert log_sf_bound(math.inf, lam, c2)[0] == -math.inf
         with pytest.raises(ParameterError):
-            quadform.log_chernoff(math.nan, lam, c2)
+            log_sf_bound(math.nan, lam, c2)
 
     @pytest.mark.parametrize("k", [1, 4, 32])
     @pytest.mark.parametrize("noncentrality", [0.0, 1.0, 10.0])
@@ -127,7 +140,7 @@ class TestLogChernoff:
         c2 = np.full(k, sigma2 * noncentrality / k)
         for p in (0.5, 0.1, 1e-4, 1e-8, 1e-30):
             x = ncx2.isf(p, k, noncentrality)
-            bound = quadform.log_chernoff(sigma2 * x, lam, [c2])[0]
+            bound = log_sf_bound(sigma2 * x, lam, [c2])[0]
             assert bound >= ncx2.logsf(x, k, noncentrality) - 1e-12 * abs(bound)
 
     def test_matches_bounded_search_on_default_check_plan(self):
@@ -180,7 +193,7 @@ class TestProperties:
 class TestNoSilentNumerics:
     def test_non_finite_cumulants_raise(self):
         with pytest.raises(NumericalError, match="not finite"):
-            quadform.log_cdf(1.0, [1.0], [[1e308]])
+            log_cdf(1.0, [1.0], [[1e308]])
         with pytest.raises(NumericalError):
             quadform.quantiles(0.1, [1.0, 1.0], [[1e308, 1e308]])
 
@@ -192,7 +205,7 @@ class TestNoSilentNumerics:
         with pytest.raises(ParameterError):
             quadform.quantiles(1.0, [1.0], [[1.0]])
         with pytest.raises(ParameterError):
-            quadform.log_cdf(1.0, [1.0, np.nan], [[0.0, 0.0]])
+            log_cdf(1.0, [1.0, np.nan], [[0.0, 0.0]])
         with pytest.raises(ParameterError):
             quadform._cgf(np.array([0.5]), np.array([1.0]), np.zeros((1, 1)))
 
@@ -282,7 +295,7 @@ class TestBatchedQuantile:
             assert quadform.quantiles(p, lam, [row])[0] == pytest.approx(got[r], rel=1e-12)
 
     def test_scalar_routines_agree_with_batch(self):
-        """The Lugannani-Rice tail from ``log_cdf`` inverts a batched
+        """The Lugannani-Rice tail from ``tails`` inverts a batched
         quantile row by row."""
         lam = np.array([1.0, 0.5, 0.0, 0.1])
         c2 = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 2.0, 1.0], [4.0, 4.0, 0.0, 0.0]])
@@ -415,10 +428,10 @@ class TestLowerTail:
         c2 = np.asarray(c2)
         q = frac * float(lam.sum() + c2.sum())
         product = quadform.log_cdf_product(q, lam, c2[None])[0]
-        chernoff = quadform.log_cdf_chernoff(q, lam, c2[None])[0]
+        chernoff = log_cdf_bound(q, lam, c2[None])[0]
         assert product <= chernoff <= 0.0
         if q <= c2[lam == 0].sum():
-            assert product == chernoff == quadform.log_cdf(q, lam, c2[None])[0] == -math.inf
+            assert product == chernoff == log_cdf(q, lam, c2[None])[0] == -math.inf
             return
         pos = np.flatnonzero(lam > 0)
         if pos.size == 1:  # Imhof's integrand decays too slowly for one term
@@ -444,10 +457,10 @@ class TestLowerTail:
         for p in (0.5, 0.1, 1e-4, 1e-8, 1e-30):
             x = ncx2.ppf(p, k, noncentrality)
             exact = ncx2.logcdf(x, k, noncentrality)
-            got = quadform.log_cdf(sigma2 * x, lam, c2)[0]
+            got = log_cdf(sigma2 * x, lam, c2)[0]
             assert abs(math.expm1(got - exact)) < 0.2 / k
             assert quadform.log_cdf_product(sigma2 * x, lam, c2)[0] <= exact + 1e-9
-            assert exact <= quadform.log_cdf_chernoff(sigma2 * x, lam, c2)[0] + 1e-9
+            assert exact <= log_cdf_bound(sigma2 * x, lam, c2)[0] + 1e-9
 
     @pytest.mark.parametrize("lam,c2", [(0.3, 0.0), (0.3, 2.0), (1e-4, 1.0), (4.0, 0.01)])
     def test_product_bound_is_exact_for_one_term(self, lam, c2):
@@ -469,20 +482,19 @@ class TestLowerTail:
         lam = 0.37
         x = ratio * k
         exact = -0.5 * (x - k - k * math.log(x / k))
-        got = quadform.log_cdf_chernoff(lam * x, np.full(k, lam), np.zeros((1, k)))[0]
+        got = log_cdf_bound(lam * x, np.full(k, lam), np.zeros((1, k)))[0]
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_zero_from_the_mean_up_and_minus_infinity_at_the_infimum(self):
         """A zero-variance term pins Q >= 4: nothing below it has mass."""
         lam, c2 = np.array([0.5, 0.0]), np.array([[1.0, 4.0]])
         for q in (5.5, 6.0, 50.0):
-            assert quadform.log_cdf_chernoff(q, lam, c2)[0] == 0.0
+            assert log_cdf_bound(q, lam, c2)[0] == 0.0
         for q in (0.0, 3.0, 4.0):
-            for fn in (quadform.log_cdf, quadform.log_cdf_chernoff, quadform.log_cdf_product):
+            for fn in (log_cdf, log_cdf_bound, quadform.log_cdf_product):
                 assert fn(q, lam, c2)[0] == -math.inf
-        values = [fn(4.0 + 1e-9, lam, c2)[0] for fn in (quadform.log_cdf_product,
-                                                        quadform.log_cdf,
-                                                        quadform.log_cdf_chernoff)]
+        values = [fn(4.0 + 1e-9, lam, c2)[0] for fn in (quadform.log_cdf_product, log_cdf,
+                                                        log_cdf_bound)]
         assert all(np.isfinite(values)) and values == sorted(values)
 
     def test_rows_agree_with_single_rows(self):
@@ -492,8 +504,8 @@ class TestLowerTail:
         lam = np.array([1.0, 0.5, 0.0, 0.1])
         c2 = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.0, 2.0, 1.0], [4.0, 4.0, 0.0, 0.0]])
         q = np.array([0.2, 3.0, 5.0])
-        for fn, levels in ((quadform.log_cdf, q), (quadform.log_cdf_chernoff, q),
-                           (quadform.log_cdf_product, q), (quadform.log_chernoff, 4.0 * q + 4.0)):
+        for fn, levels in ((log_cdf, q), (log_cdf_bound, q),
+                           (quadform.log_cdf_product, q), (log_sf_bound, 4.0 * q + 4.0)):
             batch = fn(levels, lam, c2)
             assert batch.shape == (3,)
             for r in range(3):
@@ -505,19 +517,45 @@ class TestLowerTail:
         lam = 1.0 / np.arange(1, 7) ** 5
         c2 = np.zeros((1, 6))
         q = 1e-24
-        values = [fn(q, lam, c2)[0] for fn in (quadform.log_cdf_product, quadform.log_cdf,
-                                               quadform.log_cdf_chernoff)]
+        values = [fn(q, lam, c2)[0] for fn in (quadform.log_cdf_product, log_cdf,
+                                               log_cdf_bound)]
         assert all(np.isfinite(values)) and values == sorted(values)
         # centered: P(Q <= q) = P(chi-square ball) ~ prod sqrt(q / lam_i) * const
         assert values[1] == pytest.approx(0.5 * float(np.sum(np.log(q / lam))), rel=0.05)
 
     def test_inputs_validated(self):
         with pytest.raises(ParameterError):
-            quadform.log_cdf([1.0, 2.0], [1.0, 0.5], [[0.0, 1.0]])
+            log_cdf([1.0, 2.0], [1.0, 0.5], [[0.0, 1.0]])
         with pytest.raises(ParameterError):
             quadform.log_cdf_product(math.nan, [1.0, 0.5], [[0.0, 1.0]])
         with pytest.raises(ParameterError):
-            quadform.log_cdf_chernoff(1.0, [1.0, 0.5], [0.0, 1.0])
+            log_cdf_bound(1.0, [1.0, 0.5], [0.0, 1.0])
+
+
+class TestOneSolvePerRow:
+    """``tails`` reads the Lugannani-Rice value and the Chernoff exponent off
+    one saddlepoint solve, so each batch of forms costs one ``_solve``: per
+    n in ``posterior`` (four radii, four table rows), in ``concentration``
+    (nine offsets, nine rows) and per radius in ``smallball`` (the ball and
+    the centered ball, one row)."""
+
+    @pytest.mark.parametrize("pipeline, batch, table_rows", [
+        ("posterior", 4, 4), ("concentration", 9, 9), ("smallball", 2, 1)])
+    def test_one_solve_per_batch(self, monkeypatch, pipeline, batch, table_rows):
+        config = cl.parse_config(json.dumps({"problem": {"n_dim": 64,
+                                                         "coupling": {"kind": "banded"}}}))
+        calls, solve = [], quadform._solve
+
+        def counting(fn, lam, rows, *args, **kwargs):
+            calls.append(rows)
+            return solve(fn, lam, rows, *args, **kwargs)
+
+        monkeypatch.setattr(quadform, "_solve", counting)
+        record = cl.run_experiment(config, pipelines=[pipeline])
+        assert record.failures == {}
+        (table,) = record.tables
+        assert len(table.rows) >= table_rows
+        assert calls == [batch] * (len(table.rows) // table_rows)
 
 
 def _spectrum(cov, d, what):
