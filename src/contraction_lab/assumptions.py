@@ -149,25 +149,32 @@ def _check_kr(problem: InverseProblem, k: int, r: int | None) -> None:
         raise ParameterError(f"r = {r} must lie in [1, n_dim = {problem.n_dim}] or be None")
 
 
-def compute_g_kr(problem: InverseProblem, k: int, r: int | None) -> float:
+def compute_g_kr(problem: InverseProblem, k: int | list[int],
+                 r: int | None) -> float | list[float]:
     """Largest squared whitened norm of the projected inverse adjoint over
     unit vectors in the span of the first k prior-basis directions; ``r =
-    None`` applies no e-cutoff: exactly, the top eigenvalue of ``_plug_in_gram``.
+    None`` applies no e-cutoff: exactly, the top eigenvalue of the Gram
+    ``cols^T cols`` of the leading k ``_plug_in_columns``. A sequence of k
+    gives one float per entry from one set of columns, built at the largest
+    k; an int k gives a float.
     """
-    return float(np.linalg.eigvalsh(_plug_in_gram(problem, k, r))[-1])
+    ks = [k] if np.ndim(k) == 0 else list(k)
+    _check_kr(problem, min(ks), r)  # and the largest, in _plug_in_columns
+    cols = _plug_in_columns(problem, max(ks), r)
+    g = [float(np.linalg.eigvalsh(cols[:, :j].T @ cols[:, :j])[-1]) for j in ks]
+    return g if np.ndim(k) else g[0]
 
 
-def _plug_in_gram(problem: InverseProblem, k: int, r: int | None) -> np.ndarray:
-    """The k x k Gram ``cols^T zeta cols`` of the plug-in columns ``cols =
-    diag(1/rho) P_r T[:, :k]``, which pair data to the first k prior-basis
-    coefficients (``r = None``: no e-cutoff)."""
+def _plug_in_columns(problem: InverseProblem, k: int, r: int | None) -> np.ndarray:
+    """The plug-in columns ``zeta^(1/2) diag(1/rho) P_r T[:, :k]``, which pair
+    data to the first k prior-basis coefficients (``r = None``: no
+    e-cutoff); their Gram ``cols^T cols`` is k x k."""
     _check_kr(problem, k, r)
     cols = problem.coupling.t_matrix[:, :k].copy()
     if r is not None:
         cols[r:, :] = 0.0
     cols /= problem.operator.rho[:, None]
-    cols = problem.noise_color(cols)
-    return cols.T @ cols
+    return problem.noise_color(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +428,8 @@ def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
         values = tuple(float(v) for v in np.sqrt(square))
         verdict = _growth_verdict(values)
         grid = np.unique(np.geomspace(1, max(1, problem.n_dim // 2), 12).astype(int))
-        g_rho = [(int(n), compute_g_kr(problem, int(n), problem.n_dim) * float(rho[n - 1] ** 2))
-                 for n in grid]
+        g_rho = [(int(n), g * float(rho[n - 1] ** 2))
+                 for n, g in zip(grid, compute_g_kr(problem, grid.tolist(), problem.n_dim))]
         vals = np.array([gr for _, gr in g_rho])
         half = max(1, len(vals) // 2)
         g_bounded = bool(vals[half:].max() <= 1.5 * vals[:half].max()) if len(vals) > 1 else True
@@ -452,15 +459,16 @@ def concentration_check(problem: InverseProblem, k: int, r: int | None, n_level:
     coefficients against the envelope ``exp(-x^2 / (2 sigma0^2))``; ``x_grid
     = None`` takes the offsets 0, 0.5, ..., 4 times sigma0. Nothing is drawn.
 
-    Whatever the truth, X - EX is Gaussian with covariance ``Sigma =
-    _plug_in_gram / n``, so ``||X - EX||^2`` is a quadratic form in Sigma's k
-    eigenvalues and ``sigma0^2 = max lam = g(k, r) / n``. The center ``m =
-    sqrt(tr Sigma) >= E||X - EX||`` keeps the envelope a theorem (Borell-TIS);
-    by Laurent and Massart (2000) the form's Chernoff exponent at ``(m +
-    x)^2`` proves it, and ``ok`` compares the two.
+    Whatever the truth, X - EX is Gaussian with covariance ``Sigma = cols^T
+    cols / n`` (``_plug_in_columns``), so ``||X - EX||^2`` is a quadratic
+    form in Sigma's k eigenvalues and ``sigma0^2 = max lam = g(k, r) / n``.
+    The center ``m = sqrt(tr Sigma) >= E||X - EX||`` keeps the envelope a
+    theorem (Borell-TIS); by Laurent and Massart (2000) the form's Chernoff
+    exponent at ``(m + x)^2`` proves it, and ``ok`` compares the two.
     """
     check_noise_level(n_level)
-    spectrum = np.linalg.eigvalsh(_plug_in_gram(problem, k, r))
+    cols = _plug_in_columns(problem, k, r)
+    spectrum = np.linalg.eigvalsh(cols.T @ cols)
     lam = np.maximum(spectrum / n_level, 0.0)  # a Gram is PSD: below 0 is rounding
     sigma0_sq = float(lam[-1])
     if x_grid is None:

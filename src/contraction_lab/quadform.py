@@ -333,7 +333,7 @@ def _lugannani_rice(s: np.ndarray, lam: np.ndarray, c2: np.ndarray, rows: np.nda
 
 
 def _solve(fn, lam: np.ndarray, rows: int, what: str, start: np.ndarray | None = None,
-           stop_at_top: bool = False) -> np.ndarray:
+           stop_at_ends: bool = False) -> np.ndarray:
     """Roots in ``s`` of ``rows`` decreasing functions of the saddlepoint.
 
     ``fn(s, idx)`` returns the values and ``s``-derivatives of the functions
@@ -342,8 +342,8 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str, start: np.ndarray | None =
     ``start`` (``_warm_bracket``) is bracketed around it; every other row is
     bracketed from scratch: the upper end moves toward 1 and the lower end
     doubles away from 0 until they bracket a sign change; with
-    ``stop_at_top``, a row still short at the last upper end tried,
-    ``_T_TOP``, returns that end instead of raising. Then each row takes
+    ``stop_at_ends``, a row still short at the last end tried, ``_T_TOP``
+    or ``_T_BOTTOM``, returns that end instead of raising. Then each row takes
     Newton steps, bisecting whenever a step would leave its bracket or fails
     to halve the step before it.
     """
@@ -362,7 +362,7 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str, start: np.ndarray | None =
         idx, t = idx[up], 0.5 * (1.0 + t[up])
         hi[idx] = t
     else:
-        if idx.size and not stop_at_top:
+        if idx.size and not stop_at_ends:
             raise NumericalError(f"saddlepoint bracket failed for the {what}, row {idx[0]} "
                                  "(upper end)")
         hi[idx] = lo[idx]  # a bracket of width 0 at _T_TOP, where Newton stops at once
@@ -375,9 +375,10 @@ def _solve(fn, lam: np.ndarray, rows: int, what: str, start: np.ndarray | None =
         hi[idx[down]] = t[down]
         lo[idx[~down]] = t[~down]
         idx, t = idx[down], 2.0 * t[down]
-    if idx.size:
+    if idx.size and not stop_at_ends:
         raise NumericalError(f"saddlepoint bracket failed for the {what}, row {idx[0]} "
                              "(lower end)")
+    lo[idx] = hi[idx]  # a bracket of width 0 at _T_BOTTOM, where Newton stops at once
 
     x = np.where(np.isnan(x), 0.5 * (lo + hi), x)
     last = hi - lo
@@ -451,14 +452,18 @@ def _warm_bracket(fn, t0: np.ndarray, scale: float, lo: np.ndarray, hi: np.ndarr
 
 def _saddlepoint(q, lam: np.ndarray, c2: np.ndarray, what: str) -> np.ndarray:
     """The ``s`` solving ``K'(s) = q``, one per row of ``c2``; ``q`` is one
-    level for every row or one per row. A root past the last upper end tried
-    is returned as that end, ``s = _T_TOP / (2 max lam)``."""
+    level for every row or one per row. A root past the last end tried is
+    returned as that end; a level at or below Q's floor has none and raises."""
     levels = np.broadcast_to(np.asarray(q, dtype=float), c2.shape[:1])
+    below = np.flatnonzero(levels <= _floor(lam, c2))
+    if below.size:
+        raise NumericalError(f"saddlepoint bracket failed for the {what}, row {below[0]} "
+                             "(lower end): the level is at or below Q's floor")
 
     def fn(s, idx):
         _, k1, k2 = _cgf(s, lam, c2, idx)
         return levels[idx] - k1, -k2
-    return _solve(fn, lam, c2.shape[0], what, stop_at_top=True)
+    return _solve(fn, lam, c2.shape[0], what, stop_at_ends=True)
 
 
 def quantiles(p: float, lam, c2) -> np.ndarray:
@@ -533,7 +538,8 @@ def tails(q, lam, c2) -> Tails:
     resolves stops at the last upper end tried: the exponent there is still
     a bound (``-inf`` at ``q = inf``), and ``log_cdf`` is ``-0.0``, the
     rounding of a tail below ``exp(-2**47)``. One below the last lower end
-    tried raises ``NumericalError``.
+    tried stops there: ``log_cdf`` is the exponent there, at most about
+    -207, so ``P(Q > q)`` reads 1.0; Lugannani-Rice is not evaluated.
     """
     lam, c2 = _terms(lam, c2)
     q = _levels(q, c2.shape[0])
@@ -547,8 +553,10 @@ def tails(q, lam, c2) -> Tails:
         k0, _, k2, _ = cum
         exponent[live] = np.minimum(0.0, k0 - s * level)
         u = s * np.sqrt(k2)
-        lower = (s < 0) & (np.abs(u) >= _NEAR_MEAN)
-        upper = np.flatnonzero(~lower)
+        end = s == _T_BOTTOM / (2.0 * float(lam.max()))  # stopped at the last lower end
+        log_cdf[live[end]] = exponent[live[end]]
+        lower = (s < 0) & (np.abs(u) >= _NEAR_MEAN) & ~end
+        upper = np.flatnonzero(~lower & ~end)
         log_cdf[live[upper]] = np.log1p(
             -_lugannani_rice(s[upper], lam, c2, upper, cum[:, upper])[1])
         if lower.any():

@@ -69,11 +69,6 @@ def _map_cells(fn, items, workers: int) -> list:
     return [fn(item) for item in items]
 
 
-def _cell_rows(fn, items, workers: int) -> list:
-    """Rows of every cell's block, in cell order."""
-    return [row for block in _map_cells(fn, items, workers) for row in block]
-
-
 def _table(config: ExperimentConfig, name: str, columns, rows, operation: str,
            label: str = "", **provenance) -> Table:
     """Table whose provenance names the operation, master seed and any extras."""
@@ -109,7 +104,8 @@ def _pipe_simulate(config: ExperimentConfig, problem: InverseProblem, workers: i
         data = simulate_data(problem, u0, n, derive_seed(seed, "simulate", i))
         return [(_n(n), k + 1, float(data.y[k])) for k in range(problem.n_dim)]
 
-    rows = _cell_rows(cell, list(enumerate(run["n_grid"])), workers)
+    blocks = _map_cells(cell, list(enumerate(run["n_grid"])), workers)
+    rows = [row for block in blocks for row in block]
     return [_table(config, "simulate", ("n_level", "coord", "y"), rows, "simulate_data")]
 
 
@@ -183,17 +179,13 @@ def _pipe_gn(config: ExperimentConfig, problem: InverseProblem, workers: int) ->
     run = config.run
     n = problem.n_dim
     k_values = list(range(1, min(run["k_max"], n) + 1))
-    r_values = run.get("r_values") or [max(1, n // 4), max(1, n // 2), n, "inf"]
-
-    def cell(k):
-        out = []
-        for r in r_values:
-            g = assumptions.compute_g_kr(problem, k, None if r == "inf" else int(r))
-            out.append((k, "inf" if r == "inf" else int(r), float(g)))
-        return out
-
-    return [_table(config, "g_table", ("k", "r", "g"), _cell_rows(cell, k_values, workers),
-                   "compute_g_kr")]
+    r_values = ["inf" if r == "inf" else int(r)
+                for r in run.get("r_values") or [max(1, n // 4), max(1, n // 2), n, "inf"]]
+    # one cell per cutoff, each g(k, r) over every k; rows run k-major
+    columns = _map_cells(lambda r: assumptions.compute_g_kr(
+        problem, k_values, None if r == "inf" else r), r_values, workers)
+    rows = [(k, r, g) for k, gs in zip(k_values, zip(*columns)) for r, g in zip(r_values, gs)]
+    return [_table(config, "g_table", ("k", "r", "g"), rows, "compute_g_kr")]
 
 
 def _pipe_smallball(config: ExperimentConfig, problem: InverseProblem, workers: int) -> list[Table]:

@@ -13,7 +13,8 @@ from scipy.stats import norm
 
 import contraction_lab as cl
 from contraction_lab import quadform
-from contraction_lab.assumptions import _plug_in_gram, _residual_operator
+from contraction_lab.assumptions import _plug_in_columns as package_columns
+from contraction_lab.assumptions import _residual_operator
 from contraction_lab.config import build_problem, build_truth
 from contraction_lab.errors import ParameterError
 
@@ -152,6 +153,25 @@ class TestG:
         prob = banded_problem(8, seed=3)
         for k in (1, 3, 8):
             assert cl.compute_g_kr(prob, k, None) == cl.compute_g_kr(prob, k, 8)
+
+    @pytest.mark.parametrize("doc", [
+        {"n_dim": 64, "coupling": {"kind": "banded"}},
+        {"n_dim": 32, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+         "noise": {"kind": "colored", "r": 0.5}}], ids=["banded", "colored"])
+    @pytest.mark.parametrize("cutoff", [None, 0.5])
+    def test_grid_of_k_matches_scalar_calls_bitwise(self, doc, cutoff):
+        """A sequence of k gives each scalar call's g to the bit, in the
+        order asked, from one set of plug-in columns built at the largest k;
+        every k in it is validated."""
+        prob = build_problem(cl.parse_config(json.dumps({"problem": doc})))
+        r = None if cutoff is None else int(cutoff * prob.n_dim)
+        ks = [3, *range(1, prob.n_dim + 1), 7]
+        assert cl.compute_g_kr(prob, ks, r) == [cl.compute_g_kr(prob, k, r) for k in ks]
+        assert cl.compute_g_kr(prob, [5], r) == [cl.compute_g_kr(prob, 5, r)]
+        with pytest.raises(ParameterError):
+            cl.compute_g_kr(prob, [2, 0, 4], r)
+        with pytest.raises(ParameterError):
+            cl.compute_g_kr(prob, [2, prob.n_dim + 1], r)
 
     def test_bounds_validated(self):
         prob = identity_problem(4)
@@ -358,6 +378,13 @@ class TestProjectionTail:
         assert math.isfinite(log_tail)
         assert log_tail <= reference * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("threshold", [1e-60, 1e-95])
+    def test_tiny_threshold_is_the_trivial_bound(self, threshold):
+        """Below the mean the upper-tail bound is 0.0, also where the
+        saddlepoint of the level lies below the last lower end the bracket
+        search tries (threshold 1e-95)."""
+        assert cl.projection_log_tail_bound(identity_problem(8), 7, None, threshold) == 0.0
+
 
 class TestMinmax:
     def test_equal_operators_unit_ratios(self):
@@ -509,6 +536,13 @@ DEFAULT_PROBLEMS = {
     "colored": {"n_dim": 128, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
                 "noise": {"kind": "colored", "r": 0.5}},
 }
+
+
+def _plug_in_gram(prob, k, r):
+    """The Gram ``cols^T cols`` of the package's plug-in columns, formed as
+    ``compute_g_kr`` and ``concentration_check`` form it."""
+    cols = package_columns(prob, k, r)
+    return cols.T @ cols
 
 
 def _plug_in_columns(prob, k, r):

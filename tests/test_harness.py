@@ -608,20 +608,43 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert len(tables[0].rows) == 4 * len(grid)
         assert drawn == [prob.n_dim] * len(grid)
 
-    def test_concentration_pipeline_computes_g_once(self, monkeypatch):
-        """One plug-in Gram per run sets g, the default x grid, the envelope
-        and the spectrum of the deviation."""
+    @staticmethod
+    def _count_column_builds(monkeypatch) -> list:
+        """The ``(k, r)`` of every plug-in column build from here on."""
         calls = []
-        original = assumptions_module._plug_in_gram
+        original = assumptions_module._plug_in_columns
 
         def counting(*args, **kwargs):
             calls.append(args[1:])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(assumptions_module, "_plug_in_gram", counting)
+        monkeypatch.setattr(assumptions_module, "_plug_in_columns", counting)
+        return calls
+
+    def test_concentration_pipeline_computes_g_once(self, monkeypatch):
+        """One set of plug-in columns per run sets g, the default x grid, the
+        envelope and the spectrum of the deviation."""
+        calls = self._count_column_builds(monkeypatch)
         record = cl.run_experiment(cl.parse_config(SMALL_CONFIG), pipelines=["concentration"])
         assert not record.failures, record.failures
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gn_and_hs_build_columns_once_per_cutoff(self, monkeypatch, workers):
+        """``gn`` builds one set of plug-in columns per cutoff, at the largest
+        k, for its whole k grid (4 builds at the default r values, not one
+        per (k, r) cell), and ``hs`` one set for its ``g_rho_sq`` grid."""
+        calls = self._count_column_builds(monkeypatch)
+        config = cl.parse_config(SMALL_CONFIG)
+        record = cl.run_experiment(config, pipelines=["gn"], workers=workers)
+        assert not record.failures, record.failures
+        assert sorted(calls, key=str) == [(6, 12), (6, 3), (6, 6), (6, None)]
+        assert len(record.table("g_table").rows) == 6 * 4
+        calls.clear()
+        record = cl.run_experiment(config, pipelines=["hs"], workers=workers)
+        assert not record.failures, record.failures
+        assert calls == [(6, 12)]
+        assert len(record.table("hs_diagnostic").provenance["details"]["g_rho_sq"]) == 6
 
 
 class TestEmit:
@@ -884,6 +907,25 @@ run:
         for pipeline in runner_module.PIPELINE_FUNCS:
             expected.update(expected_tables(pipeline, 12, config.run["n_grid"]))
         assert {t.name: (t.columns, len(t.rows)) for t in record.tables} == expected
+
+    @pytest.mark.parametrize("pipeline, key", [("posterior", "xi_grid"), ("smallball", "eps_grid")])
+    def test_radius_past_the_last_lower_end(self, pipeline, key):
+        """At radius 1e-100 on a banded N = 64 config the saddlepoint lies
+        below the last lower end the bracket search tries (``t = -2**599``).
+        The row stops there: the posterior tail reads 1.0 and the small-ball
+        mass equals its Chernoff upper bound, instead of failing the
+        pipeline."""
+        config = cl.parse_config(json.dumps({
+            "problem": {"n_dim": 64, "coupling": {"kind": "banded"}},
+            "run": {"n_grid": [100, 1000, 10000, 100000], key: [1e-100, 0.1]}}))
+        record = cl.run_experiment(config, pipelines=[pipeline])
+        assert not record.failures, record.failures
+        table = record.tables[0]
+        if pipeline == "posterior":
+            assert [row[2] for row in table.rows[::2]] == [1.0] * 4
+        else:
+            upper = table.provenance["bounds"][0][1]
+            assert table.rows[0][1] == upper <= -207.0
 
 
 def _banded_default(coupling="banded"):
