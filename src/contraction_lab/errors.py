@@ -16,13 +16,8 @@ class ConstructionError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed beyond recovery (singular factorization, ...)."""
-
-    def __init__(self, message: str, condition_number: float | None = None):
-        if condition_number is not None:
-            message = f"{message} (condition number ~ {condition_number:.3e})"
-        super().__init__(message)
-        self.condition_number = condition_number
+    """A numerical routine failed (a matrix that is not positive definite,
+    ...); the message names where."""
 
 
 class ConfigError(Exception):

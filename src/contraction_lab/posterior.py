@@ -4,8 +4,9 @@ The conjugate posterior factorizes over independent blocks of coordinates:
 the precision, its Cholesky factor and the sampling factor are
 ``quadform.BlockDiagonal`` operators on the whitened Gram's blocks, and the
 mean solve, triangular inverse, covariance eigensolve and sampling product go
-part by part. The precision is factored in place, and the covariance comes
-from the factor.
+part by part. The precision is factored once, in place, with no jitter: a
+precision that is not positive definite raises ``NumericalError`` naming its
+rows. The covariance comes from the factor.
 
 The exceedance ``P(||u - u0|| > xi | y)`` that pipelines report is a tail of
 the quadratic form over ``covariance_spectrum`` (``quadform.tails``). The
@@ -28,71 +29,38 @@ from .errors import NumericalError, ParameterError
 from .rng import substream
 from .spectral import InverseProblem, DataSample, as_vector, check_noise_level
 
-JITTER_DOUBLINGS = 3
-
-
 def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
-    """Lower Cholesky factor of the symmetric ``quadform.BlockDiagonal``
-    ``mat``, as a ``BlockDiagonal``, escalating a scaled-identity jitter on
-    failure.
+    """Lower Cholesky factor of the symmetric positive definite
+    ``quadform.BlockDiagonal`` ``mat``, as a ``BlockDiagonal``. Despite its
+    name it adds no jitter (ROADMAP item 1 renames it).
 
-    LAPACK dpotrf factors each part in place when it is a writeable
-    Fortran-ordered float array, and a copy otherwise, and its strict upper
-    triangle is zeroed; a run of one-row blocks takes ``sqrt``, dpotrf's
-    operation on one row. The jitter, 1e-12 * ||mat||_F doubled at most
-    ``JITTER_DOUBLINGS`` times, shifts every block. A failed attempt has
-    overwritten part of a lower triangle, so before a retry each part is
-    restored from its untouched upper triangle and saved diagonal: every
-    attempt factors ``mat + jitter I`` itself.
+    LAPACK dpotrf factors each part once, in place when it is a writeable
+    Fortran-ordered float array and in a copy otherwise, and zeroes its
+    strict upper triangle; a run of one-row blocks takes ``sqrt``, dpotrf's
+    operation on one row. The first part that is not positive definite
+    raises ``NumericalError`` naming its rows (the parts before it are
+    already overwritten): no repair hands back the factor of another matrix.
     """
-    out = mat.map(lambda lo, hi, p: np.require(p, dtype=float, requirements=["F", "W"]))
-    diags = [_diagonal(p).copy() for p in out.parts]
-    jitter = 0.0
-    for attempt in range(JITTER_DOUBLINGS + 2):  # unjittered, then each jitter
-        if jitter:
-            for p, d in zip(out.parts, diags):
-                _diagonal(p)[...] = d + jitter
-        if _factor_parts(out.parts):
-            return out
-        for p, d in zip(out.parts, diags):
-            if p.ndim == 2:
-                _set_upper(p.T)
-            _diagonal(p)[...] = d
-        jitter = 1e-12 * math.sqrt(out.square_sum()) if attempt == 0 else 2.0 * jitter
-    raise NumericalError("Cholesky failed after jitter escalation",
-                         condition_number=float(np.linalg.cond(out.dense())))
+    def factor(lo: int, hi: int, part: np.ndarray) -> np.ndarray:
+        part = np.require(part, dtype=float, requirements=["F", "W"])
+        if part.ndim == 1:
+            bad = lo + np.flatnonzero(~(part > 0))
+            if bad.size:
+                raise NumericalError(f"Cholesky factor: rows {bad[0]}:{bad[0] + 1} are not "
+                                     "positive definite")
+            return np.sqrt(part, out=part)
+        chol, info = dpotrf(part, lower=1, clean=1, overwrite_a=1)
+        if info:
+            raise NumericalError(f"Cholesky factor: rows {lo}:{hi} are not positive definite "
+                                 f"(LAPACK dpotrf info = {info}: its leading minor of order "
+                                 f"{info} is not)")
+        return chol
+    return mat.map(factor)
 
 
 def _diagonal(part: np.ndarray) -> np.ndarray:
     """Writeable view of a part's diagonal: a run is its own diagonal."""
     return np.einsum("ii->i", part) if part.ndim == 2 else part
-
-
-def _factor_parts(parts) -> bool:
-    """Factor the Fortran-ordered parts in place and zero their strict upper
-    triangles; False, upper triangles untouched, if one is not definite."""
-    for p in parts:
-        if p.ndim == 1:
-            if not np.all(p > 0):
-                return False
-            np.sqrt(p, out=p)
-        elif dpotrf(p, lower=1, clean=0, overwrite_a=1)[1]:
-            return False
-    for p in parts:
-        if p.ndim == 2:
-            _set_upper(p, zero=True)
-    return True
-
-
-def _set_upper(a: np.ndarray, zero: bool = False) -> np.ndarray:
-    """Overwrite the strict upper triangle of the square ``a`` in place with
-    the transpose of its strict lower one, or with zeros when ``zero``, one
-    column at a time: each step copies between views, so nothing the size of
-    ``a`` is allocated. On ``a.T`` it restores the lower triangle from the
-    upper one."""
-    for j in range(1, a.shape[0]):
-        a[:j, j] = 0.0 if zero else a[j, :j]
-    return a
 
 
 # Rows of a sampling factor's block read at a time by the triangular-pattern check.
@@ -166,7 +134,8 @@ class PosteriorGaussian:
 
 def posterior_precision(problem: InverseProblem, n_level: float) -> quadform.BlockDiagonal:
     """Prior precision plus ``n`` times the whitened Gram, on the Gram's
-    blocks, in fresh parts that ``cholesky_with_jitter`` factors in place."""
+    blocks, in fresh Fortran-ordered parts that ``cholesky_with_jitter``
+    factors once, in place."""
     check_noise_level(n_level)
     inv_var = 1.0 / problem.prior.variances
 

@@ -105,7 +105,8 @@ class BlockDiagonal:
     itself) or a run's diagonal as a vector, on which each operation takes
     its closed form. ``dense()``, not ``__array__``, makes the N x N array.
     The package's operators are ``read_only``, but for the fresh precision
-    that ``posterior.cholesky_with_jitter`` factors in place."""
+    that ``posterior.cholesky_with_jitter`` factors once, in place, into the
+    read-only Cholesky factor."""
 
     def __init__(self, edges, part):
         """``part(lo, hi, run)`` makes each segment's part, in order."""
@@ -157,11 +158,6 @@ class BlockDiagonal:
             rows = np.arange(lo, hi) if run else slice(lo, hi)
             out[rows, rows] = p
         return out
-
-    def square_sum(self) -> float:
-        """Sum of squared entries, one dot product per part: for one block,
-        the square that ``np.linalg.norm`` takes the root of, bit for bit."""
-        return sum(float(f @ f) for f in (p.ravel(order="K") for p in self.parts))
 
     def transpose_apply(self, x: np.ndarray) -> np.ndarray:
         """``A^T x`` for a vector or block ``x``, one product per part."""

@@ -35,9 +35,9 @@ def scalar_problem(rho=1.0, lam=1.0, zeta=1.0):
 
 
 def one_block_cholesky(mat):
-    """``cholesky_with_jitter`` of an array taken as one block: the array
-    itself is the operator's one part, so the factor is written into it when
-    it is a writeable Fortran-ordered float array."""
+    """``cholesky_with_jitter`` (which adds no jitter) of an array taken as
+    one block: the array itself is the operator's one part, so the factor is
+    written into it when it is a writeable Fortran-ordered float array."""
     return cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat)).dense()
 
 
@@ -276,18 +276,49 @@ def test_public_guards_refuse_nan_infinite_and_nonpositive_inputs(name, call):
         call(*_guarded_inputs())
 
 
-class TestJitteredCholesky:
-    def test_recovers_nearly_singular(self):
+class TestCholesky:
+    """``cholesky_with_jitter`` factors or raises: a matrix that is not
+    positive definite in floating point is reported, never shifted."""
+
+    def test_nearly_singular_raises_naming_its_minor(self):
+        """Definite in exact arithmetic (determinant 2e-34), not in doubles."""
         mat = np.diag([1.0, 1e-18])
         mat[0, 1] = mat[1, 0] = 1e-9 - 1e-25
-        factor = one_block_cholesky(mat)
-        assert np.all(np.diag(factor) > 0)
+        with pytest.raises(NumericalError, match=r"rows 0:2 .* minor of order 2"):
+            one_block_cholesky(mat)
 
     def test_fails_on_indefinite(self):
-        from contraction_lab.errors import NumericalError
-
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"rows 0:2 .* minor of order 2"):
             one_block_cholesky(np.diag([1.0, -1.0]))
+
+
+# One config per model family the config can build; a severe spectrum and a
+# prior of smoothness 5 make the most ill-conditioned precisions.
+MODEL_FAMILIES = {
+    "banded": {"coupling": {"kind": "banded"}},
+    "identity": {"coupling": {"kind": "identity"}},
+    "dense-hilbert": {"prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+                      "noise": {"kind": "colored", "r": 0.5}},
+    "severe": {"coupling": {"kind": "banded"},
+               "spectrum": {"family": "severe", "alpha1": 1.0, "alpha2": 1.0, "c0": 0.5,
+                            "beta": -1.0}},
+    "prior-delta-5": {"coupling": {"kind": "banded"}, "prior": {"delta": 5.0}},
+}
+
+
+@pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
+def test_every_model_family_factors_without_repair(family):
+    """Every precision the package can build factors as it is, at n up to
+    1e30: there is no jitter to fall back on, so a future model whose
+    precision is not positive definite in floating point fails here."""
+    config = cl.parse_config(json.dumps({"problem": {"n_dim": 48, **MODEL_FAMILIES[family]}}))
+    prob = build_problem(config)
+    for n_level in (1e2, 1e10, 1e20, 1e30):
+        precision = cl.posterior_precision(prob, n_level).dense().copy()
+        chol = cl.factor_posterior(prob, n_level)._precision_chol.dense()
+        assert np.all(np.diag(chol) > 0)
+        np.testing.assert_allclose(chol @ chol.T, precision, rtol=0,
+                                   atol=1e-14 * np.abs(precision).max())
 
 
 class TestPosteriorFactor:
@@ -591,29 +622,27 @@ class TestBlockRoute:
         mat[3:, 3:] = [[100.0, 20.0], [20.0, 50.0]]
         return mat, np.array([0, 2, 3, 5])
 
-    def test_jitter_is_the_whole_matrix_jitter(self):
+    def test_nearly_singular_block_raises_naming_its_rows(self):
+        """The block a whole-matrix factor would also fail on, named by its
+        rows and LAPACK's failing minor; nothing is shifted."""
         mat, edges = self._with_nearly_singular_block()
         assert np.array_equal(zero_pattern_blocks(mat), edges)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(mat[:2, :2])
-        block = cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges)).dense()
-        dense = one_block_cholesky(mat)
-        assert block.flags.f_contiguous and np.array_equal(block, np.tril(block))
-        assert np.allclose(block, dense, rtol=0, atol=1e-15 * np.abs(dense).max())
-        jitter = 1e-12 * np.linalg.norm(mat)
-        shift = np.diag(block @ block.T - mat)
-        assert np.allclose(shift, jitter, rtol=1e-3, atol=0)
+            np.linalg.cholesky(mat)
+        with pytest.raises(NumericalError, match=r"rows 0:2 .* minor of order 2"):
+            cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges))
 
-    def test_indefinite_block_raises_with_whole_condition_number(self):
+    def test_indefinite_block_or_run_raises_naming_its_rows(self):
+        """The first part that is not positive definite is named: a one-row
+        block of a run by its row, a block by its rows and failing minor."""
         mat, edges = self._with_nearly_singular_block()
+        mat[1, 1] = 1.0
         mat[2, 2] = -3.0
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError, match=r"rows 2:3 are not positive definite$"):
             cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges))
-        assert err.value.condition_number == float(np.linalg.cond(mat))
         mat[2, 2], mat[4, 4] = 3.0, -50.0
-        with pytest.raises(NumericalError) as err:
+        with pytest.raises(NumericalError, match=r"rows 3:5 .* minor of order 2"):
             cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges))
-        assert err.value.condition_number == float(np.linalg.cond(mat))
 
 
 def _default_banded():
@@ -886,34 +915,33 @@ class TestInPlaceCholesky:
             assert np.array_equal(one_block_cholesky(precision.copy(order="F")),
                                   np.linalg.cholesky(precision))
 
-    def test_jittered_retry_after_failed_in_place_attempt(self):
-        """A matrix whose smallest eigenvalue is -1.5e-12 ||mat||_F fails
-        unjittered and at the first jitter. The in-place factor at the next
-        jitter equals the factor of a fresh array holding the shifted matrix,
-        which factors at the first attempt, and the factor of a C-ordered
-        copy, so each failed attempt was undone exactly."""
-        b = np.random.default_rng(5).standard_normal((40, 40))
-        mat = b @ b.T
-        mat = 0.5 * (mat + mat.T)
-        mat -= (np.linalg.eigvalsh(mat)[0] + 1.5e-12 * np.linalg.norm(mat)) * np.eye(40)
-        mat = np.asfortranarray(mat)
-        fresh = np.ascontiguousarray(mat)
-        jitter = 1e-12 * np.linalg.norm(mat)
-        for shift in (0.0, jitter):
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(mat + shift * np.eye(40))
-        ref = one_block_cholesky(mat + 2.0 * jitter * np.eye(40))
-        np.testing.assert_allclose(ref, np.linalg.cholesky(mat + 2.0 * jitter * np.eye(40)),
-                                   rtol=0, atol=1e-15 * np.abs(ref).max())
-        out = one_block_cholesky(mat)
-        assert out is mat and np.array_equal(out, ref)
-        assert np.array_equal(one_block_cholesky(fresh), ref)
+    def test_one_dpotrf_call_per_block(self, monkeypatch):
+        """Each block of the default banded precision is factored by exactly
+        one dpotrf call, and a failing block by one call that raises."""
+        config, prob, _ = _default_banded()
+        calls = []
+        dpotrf = posterior.dpotrf
 
-    def test_jittered_block_retry_in_place(self):
-        """The block twin: a block-diagonal matrix with a nearly singular
-        block, held in writeable Fortran-ordered parts, is factored in those
-        parts and gives the factor of C-ordered views copied first."""
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return dpotrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(posterior, "dpotrf", counting)
+        for n in config.run["n_grid"]:
+            calls.clear()
+            cl.factor_posterior(prob, n)
+            assert calls == [hi - lo for lo, hi, run in prob.whitened_gram.segments if not run]
+        calls.clear()
+        with pytest.raises(NumericalError):
+            one_block_cholesky(np.diag([1.0, -1.0, 2.0]) + 0.1)
+        assert calls == [3]
+
+    def test_block_factor_in_place(self):
+        """A block-diagonal matrix held in writeable Fortran-ordered parts is
+        factored in those parts, and gives the factor of C-ordered views,
+        which are copied first."""
         mat, edges = TestBlockRoute._with_nearly_singular_block()
+        mat[1, 1] = 1.0
         ref = cl.cholesky_with_jitter(quadform.BlockDiagonal.from_dense(mat, edges))
         views = quadform.BlockDiagonal.from_dense(mat, edges)
         parts = [np.array(p, order="F") for p in views.parts]
@@ -922,49 +950,7 @@ class TestInPlaceCholesky:
             quadform.BlockDiagonal(edges, lambda lo, hi, run: next(fresh)))
         assert len(out.parts) == 3 and all(a is b for a, b in zip(out.parts, parts))
         assert all(np.array_equal(a, b) for a, b in zip(out.parts, ref.parts))
-
-
-class TestSetUpper:
-    """``_set_upper`` mirrors or zeroes the strict upper triangle one column
-    at a time, bit for bit as the ``np.triu_indices`` reference does."""
-
-    @staticmethod
-    def _reference(a, zero):
-        out = a.copy()
-        upper = np.triu_indices(a.shape[0], 1)
-        out[upper] = 0.0 if zero else a.T[upper]
-        return out
-
-    @pytest.mark.parametrize("zero", [False, True])
-    def test_matches_triu_indices_reference(self, zero):
-        """Sizes 1 to 130 (one, two and three panels), on a C-ordered block,
-        a Fortran-ordered block and the transposed view of a block inside a
-        larger Fortran-ordered array that a jittered retry restores from."""
-        rng = np.random.default_rng(7)
-        for size in range(1, 131):
-            a = rng.standard_normal((size, size))
-            host = np.asfortranarray(rng.standard_normal((size + 3, size + 3)))
-            views = [a.copy(order="C"), a.copy(order="F"), host[2:size + 2, 1:size + 1].T]
-            for view in views:
-                ref = self._reference(view, zero)
-                assert posterior._set_upper(view, zero=zero) is view
-                assert np.array_equal(view, ref), (size, zero)
-            assert np.array_equal(host[2:size + 2, 1:size + 1].T, views[-1])
-
-    @pytest.mark.parametrize("zero", [False, True])
-    def test_allocates_no_temporary(self, zero):
-        """On a 1024 x 1024 Fortran-ordered array and on its transpose, a
-        call allocates less than 1 KiB: one column at a time, it copies
-        between views."""
-        a = np.asfortranarray(np.random.default_rng(3).standard_normal((1024, 1024)))
-        for view in (a, a.T):
-            tracemalloc.start()
-            try:
-                posterior._set_upper(view, zero=zero)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1024
+        np.testing.assert_allclose(out.dense() @ out.dense().T, mat, rtol=1e-15, atol=0)
 
 
 def _per_block_mean(factor, y):

@@ -733,7 +733,6 @@ class TestBlockDiagonal:
         ref = np.diag(np.diag(mat))
         ref[2:4, 2:4] = mat[2:4, 2:4]
         assert np.array_equal(dense, ref)
-        assert op.square_sum() == float(np.sum(dense**2))
         whole = quadform.BlockDiagonal.from_dense(mat)
         assert whole.parts[0] is mat and whole.dense() is mat and whole.n_dim == 6
         assert not hasattr(quadform.BlockDiagonal, "__array__")
