@@ -198,15 +198,18 @@ class SmallBallForm:
 def _image_cov(lo: int, hi: int, m: np.ndarray, root: np.ndarray) -> np.ndarray:
     """Part ``lo:hi`` of ``M Lambda M^T`` from M's part ``m`` (``root`` the
     prior standard deviations): ``(a a^T)^T``, exactly symmetric and so
-    Fortran-ordered, for ``a = m Lambda_B^(1/2)``, or ``a * a`` on a run."""
-    a = m * root[lo:hi]
+    Fortran-ordered, for ``a = m Lambda_B^(1/2)``, or ``a * a`` on a run. A
+    writeable ``m``, a temporary of ``forward_blocks``, is scaled into ``a``
+    in place; a read-only one (the held ``whitened_forward``) is copied."""
+    a = np.multiply(m, root[lo:hi], out=m if m.flags.writeable else None)
     return (a @ a.T).T if a.ndim == 2 else a * a
 
 
 def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
     """One spectrum of the prior forward covariance, for every radius, from
     ``problem.forward_blocks`` alone: each block of ``M Lambda M^T`` is formed
-    only when it is decomposed. ``residual_norms[j]`` adds ``own[j]``, the
+    only when it is decomposed, and a temporary block of M is freed once
+    scaled into it, before the eigensolve. ``residual_norms[j]`` adds ``own[j]``, the
     squared image of u0's coordinates j to the end of j's block, summed from
     the right, to each later block's whole image ``own[lo]``, from the last."""
     u0 = as_vector(u0, problem.n_dim, "u0")
@@ -219,11 +222,13 @@ def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
             np.cumsum(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
         suffix *= suffix
         own[lo:hi] = suffix if run else np.add.reduce(suffix, axis=0)
-    del suffix  # freed before any block of M Lambda M^T is formed
     later = np.append(np.cumsum(own[m.edges[-2:0:-1]])[::-1], 0.0)
     residual_norms = np.append(np.sqrt(own + np.repeat(later, np.diff(m.edges))), 0.0)
-    lam, c = quadform.block_spectrum(m, image, "prior forward covariance",
-                                     lambda lo, hi, part: _image_cov(lo, hi, part, root))
+    segments, parts = m.segments, list(m.parts)
+    del m, part, suffix  # from here on ``parts`` alone holds M's blocks
+    lam, c = quadform.block_spectrum(
+        segments, (_image_cov(lo, hi, parts.pop(0), root) for lo, hi, _ in segments), image,
+        "prior forward covariance")
     for array in (lam, c, residual_norms):
         array.flags.writeable = False  # shared by every radius, on any thread
     return SmallBallForm(lam=lam, c=c, residual_norms=residual_norms)
@@ -335,8 +340,7 @@ def minmax_compare(op_a: quadform.BlockDiagonal, op_b: quadform.BlockDiagonal,
         raise ParameterError("j_max must lie in [1, N]")
     zeros = np.zeros(op_a.n_dim)
     try:
-        alphas, betas = (quadform.block_spectrum(op, zeros, "operator",
-                                                 lambda lo, hi, part: part)[0][::-1]
+        alphas, betas = (quadform.block_spectrum(op.segments, op.parts, zeros, "operator")[0][::-1]
                          for op in (op_a, op_b))
     except NumericalError as exc:
         raise ParameterError(f"operators must be positive definite: {exc}") from exc

@@ -219,9 +219,11 @@ class PosteriorFactor:
         eigenvalues that dominate posterior radii.
         """
         d = self._block(d, "d")
-        return quadform.block_spectrum(self._precision_chol, d,
-                                       f"posterior covariance at n_level = {float(self.n_level)!r}",
-                                       self._covariance)
+        chol = self._precision_chol
+        return quadform.block_spectrum(
+            chol.segments, (self._covariance(lo, hi, l)
+                            for (lo, hi, _), l in zip(chol.segments, chol.parts)),
+            d, f"posterior covariance at n_level = {float(self.n_level)!r}")
 
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:

@@ -183,32 +183,34 @@ class BlockDiagonal:
         return b
 
 
-def block_spectrum(op: BlockDiagonal, d: np.ndarray, what: str,
-                   block) -> tuple[np.ndarray, np.ndarray]:
+def block_spectrum(segments, parts, d: np.ndarray,
+                   what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) of the symmetric positive semi-definite ``cov
-    = V diag(lam) V^T`` whose parts are ``block(lo, hi, part)`` of those of
-    ``op``, and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
-    without forming V. Each part is made only when it is decomposed. A block
-    (its lower triangle read) goes to ``_tridiagonal_spectrum``, which frees
-    it before the eigensolve; it is reduced in place when it is a writeable
-    Fortran-ordered array and copied otherwise. A run's entries are its
-    eigenvalues, each of which must be positive, and ``d``'s rows its
-    projections. Errors name the rows of their segment; the eigenvalues are
-    merged by a stable sort, and the projections follow.
+    = V diag(lam) V^T`` on the ``segments`` of a ``BlockDiagonal``, whose
+    parts ``parts`` yields in order, and the projections ``V^T d`` of an
+    (N,) or (N, R) block ``d``, without forming V. No part is held past its
+    decomposition, so a generator makes each only when it is decomposed. A
+    block (its lower triangle read) goes to ``_tridiagonal_spectrum``, which
+    frees it before the eigensolve when nothing else holds it; it is reduced
+    in place when it is a writeable Fortran-ordered array and copied
+    otherwise. A run's entries are its eigenvalues, each of which must be
+    positive, and ``d``'s rows its projections. Errors name the rows of
+    their segment; the eigenvalues are merged by a stable sort, and the
+    projections follow.
     """
-    n = op.n_dim
+    n = segments[-1][1]
     lam = np.empty(n)
     proj = np.array(d.reshape(n, -1))
-    for (lo, hi, run), part in zip(op.segments, op.parts):
+    parts = iter(parts)
+    for lo, hi, run in segments:
         if run:
-            lam[lo:hi] = block(lo, hi, part)
+            lam[lo:hi] = next(parts)
             bad = lo + np.flatnonzero(~(lam[lo:hi] > 0))
             if bad.size:  # the first one-row block that is not positive
                 _clip_rounding(lam[bad[0]:bad[0] + 1], f"{what}, rows {bad[0]}:{bad[0] + 1}")
         else:
             lam[lo:hi], proj[lo:hi] = _tridiagonal_spectrum(
-                np.require(block(lo, hi, part), float, ["F", "W"]), proj[lo:hi],
-                f"{what}, rows {lo}:{hi}")
+                np.require(next(parts), float, ["F", "W"]), proj[lo:hi], f"{what}, rows {lo}:{hi}")
     order = np.argsort(lam, kind="stable")
     return lam[order], proj[order].reshape(d.shape)
 

@@ -950,3 +950,26 @@ class TestSmallBallForm:
         finally:
             tracemalloc.stop()
         assert peak <= budget * prob.n_dim**2 * 8
+
+    def test_fresh_dense_problem_scales_m_in_place(self):
+        """On a fresh dense problem M is a temporary of ``forward_blocks``,
+        scaled into ``A = M Lambda^(1/2)`` in place: the peak is M and ``A
+        A^T`` (or M and its whitening temporary), not M, ``A`` and ``A A^T``
+        (3.14 arrays), and the form is bit for bit the one from a held,
+        read-only M, which is copied and left as it was."""
+        problem = {"n_dim": 256, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+                   "noise": {"kind": "colored", "r": 0.5}}
+        prob, u0 = _config_problem(problem)
+        tracemalloc.start()
+        try:
+            fresh = cl.small_ball_form(prob, u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "whitened_forward" not in vars(prob)
+        assert peak <= 2.2 * prob.n_dim**2 * 8
+        m = prob.whitened_forward.copy()
+        held = cl.small_ball_form(prob, u0)
+        assert np.array_equal(prob.whitened_forward, m)
+        for name in ("lam", "c", "residual_norms"):
+            assert np.array_equal(getattr(fresh, name), getattr(held, name))

@@ -562,8 +562,8 @@ def _spectrum(cov, d, what):
     """``quadform.block_spectrum`` on the partition read off ``cov``'s zero
     pattern, each block a Fortran-ordered copy."""
     op = quadform.BlockDiagonal.from_dense(cov, zero_pattern_blocks(cov))
-    return quadform.block_spectrum(op, d, what,
-                                   lambda lo, hi, p: np.array(p, order="F") if p.ndim == 2 else p)
+    return quadform.block_spectrum(
+        op.segments, (np.array(p, order="F") if p.ndim == 2 else p for p in op.parts), d, what)
 
 
 class TestSpectrum:
