@@ -16,8 +16,7 @@ class ConstructionError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed (a matrix that is not positive definite,
-    ...); the message names where."""
+    """A numerical routine failed; the message says where."""
 
 
 class ConfigError(Exception):

@@ -29,18 +29,15 @@ from .errors import NumericalError, ParameterError
 from .rng import substream
 from .spectral import InverseProblem, DataSample, as_vector, check_noise_level
 
+
 def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
     """Lower Cholesky factor of the symmetric positive definite
-    ``quadform.BlockDiagonal`` ``mat``, as a ``BlockDiagonal``. Despite its
-    name it adds no jitter (ROADMAP item 1 renames it).
-
-    LAPACK dpotrf factors each part once, in place when it is a writeable
-    Fortran-ordered float array and in a copy otherwise, and zeroes its
-    strict upper triangle; a run of one-row blocks takes ``sqrt``, dpotrf's
-    operation on one row. The first part that is not positive definite
-    raises ``NumericalError`` naming its rows (the parts before it are
-    already overwritten): no repair hands back the factor of another matrix.
-    """
+    ``BlockDiagonal`` ``mat``. Despite the name (which the benchmark harness
+    binds) no jitter is added: LAPACK dpotrf factors each part once, in place
+    when it is a writeable Fortran-ordered float array and in a copy
+    otherwise, and zeroes its strict upper triangle; a run of one-row blocks
+    takes ``sqrt``. The first part that is not positive definite raises
+    ``NumericalError`` naming its rows."""
     def factor(lo: int, hi: int, part: np.ndarray) -> np.ndarray:
         part = np.require(part, dtype=float, requirements=["F", "W"])
         if part.ndim == 1:
@@ -52,15 +49,9 @@ def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
         chol, info = dpotrf(part, lower=1, clean=1, overwrite_a=1)
         if info:
             raise NumericalError(f"Cholesky factor: rows {lo}:{hi} are not positive definite "
-                                 f"(LAPACK dpotrf info = {info}: its leading minor of order "
-                                 f"{info} is not)")
+                                 f"(LAPACK dpotrf: leading minor of order {info})")
         return chol
     return mat.map(factor)
-
-
-def _diagonal(part: np.ndarray) -> np.ndarray:
-    """Writeable view of a part's diagonal: a run is its own diagonal."""
-    return np.einsum("ii->i", part) if part.ndim == 2 else part
 
 
 # Rows of a sampling factor's block read at a time by the triangular-pattern check.
@@ -141,7 +132,7 @@ def posterior_precision(problem: InverseProblem, n_level: float) -> quadform.Blo
 
     def part(lo: int, hi: int, gram: np.ndarray) -> np.ndarray:
         out = np.multiply(gram, n_level)
-        _diagonal(out)[...] += inv_var[lo:hi]
+        out[np.diag_indices(hi - lo, out.ndim)] += inv_var[lo:hi]  # a run is its diagonal
         return out
     return problem.whitened_gram.map(part)
 
