@@ -629,23 +629,30 @@ def _bracketed(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _split_radii(rho, target, m, steps: int = _SPLIT_INNER_STEPS):
     """Newton steps on each log radius ``rho`` toward ``kappa(rho) = target``
     (``kappa`` decreases in ``rho``), bisecting inside the bracket found so
-    far whenever a step would leave it. Returns the log radii and ``d rho /
-    d target = 1 / slope``, taken as 0 where rounding left the slope of a
-    far-out term nonnegative."""
+    far whenever a step would leave it; a row stops once its own steps are
+    small, so no row depends on the rows beside it. Returns the log radii
+    and ``d rho / d target = 1 / slope``, taken as 0 where rounding left the
+    slope of a far-out term nonnegative."""
     rho = np.clip(rho, -_SPLIT_LOG_R, _SPLIT_LOG_R)
     lo, hi = np.full(rho.shape, -np.inf), np.full(rho.shape, np.inf)
+    drho = np.zeros_like(rho)
+    rows = np.arange(rho.shape[0])
     for _ in range(steps):
-        _, kappa, slope = _interval(np.exp(rho), m)
-        f = kappa - target
-        lo = np.where(f > 0, rho, lo)
-        hi = np.where(f < 0, rho, hi)
+        x, x_lo, x_hi = rho[rows], lo[rows], hi[rows]
+        _, kappa, slope = _interval(np.exp(x), m[rows])
+        f = kappa - target[rows]
+        x_lo = np.where(f > 0, x, x_lo)
+        x_hi = np.where(f < 0, x, x_hi)
         step = np.sign(f)  # a slope that rounding made nonnegative: plain unit steps
         np.divide(-f, slope, out=step, where=slope < 0)
         step = np.clip(step, -_SPLIT_MAX_STEP, _SPLIT_MAX_STEP)
-        rho = np.clip(_bracketed(rho + step, lo, hi), -_SPLIT_LOG_R, _SPLIT_LOG_R)
-        if np.all(np.abs(step) <= _SPLIT_TOL * np.maximum(1.0, np.abs(rho))):
+        x = np.clip(_bracketed(x + step, x_lo, x_hi), -_SPLIT_LOG_R, _SPLIT_LOG_R)
+        rho[rows], lo[rows], hi[rows] = x, x_lo, x_hi
+        drho[rows] = np.divide(1.0, slope, out=np.zeros_like(slope), where=slope < 0)
+        rows = rows[~np.all(np.abs(step) <= _SPLIT_TOL * np.maximum(1.0, np.abs(x)), axis=1)]
+        if rows.size == 0:
             break
-    return rho, np.divide(1.0, slope, out=np.zeros_like(slope), where=slope < 0)
+    return rho, drho
 
 
 def log_cdf_product(q, lam, c2) -> np.ndarray:
@@ -686,22 +693,26 @@ def log_cdf_product(q, lam, c2) -> np.ndarray:
     rho, drho = _split_radii(rho, target, m, _SPLIT_START_STEPS)
 
     nu_lo, nu_hi = np.full(nu.shape, -np.inf), np.full(nu.shape, np.inf)
-    for _ in range(_SPLIT_OUTER_STEPS):
-        share = lam * np.exp(2.0 * rho)
+    rows = np.arange(nu.size)
+    for _ in range(_SPLIT_OUTER_STEPS):  # each row until its own split spends q
+        share = lam * np.exp(2.0 * rho[rows])
         spent = share.sum(axis=1)
-        g = np.log(spent / budget)
-        if np.all(np.abs(g) <= _SPLIT_TOL):
+        g = np.log(spent / budget[rows])
+        go = ~(np.abs(g) <= _SPLIT_TOL)
+        rows, share, spent, g = rows[go], share[go], spent[go], g[go]
+        if rows.size == 0:
             break
-        nu_lo = np.where(g > 0, nu, nu_lo)
-        nu_hi = np.where(g < 0, nu, nu_hi)
-        dg = 2.0 * (share * drho).sum(axis=1) / spent  # d g / d nu
+        x, x_lo, x_hi = nu[rows], nu_lo[rows], nu_hi[rows]
+        x_lo = np.where(g > 0, x, x_lo)
+        x_hi = np.where(g < 0, x, x_hi)
+        dg = 2.0 * (share * drho[rows]).sum(axis=1) / spent  # d g / d nu
         step = np.sign(g)  # unit steps where no radius responds
         np.divide(-g, dg, out=step, where=dg < 0)
-        new = _bracketed(nu + step, nu_lo, nu_hi)
-        rho = rho + np.clip((new - nu)[:, None] * drho, -_SPLIT_MAX_STEP, _SPLIT_MAX_STEP)
-        nu = new
-        target = nu[:, None] + log_lam
-        rho, drho = _split_radii(rho, target, m)
+        new = _bracketed(x + step, x_lo, x_hi)
+        start = rho[rows] + np.clip((new - x)[:, None] * drho[rows],
+                                    -_SPLIT_MAX_STEP, _SPLIT_MAX_STEP)
+        nu[rows], nu_lo[rows], nu_hi[rows] = new, x_lo, x_hi
+        rho[rows], drho[rows] = _split_radii(start, new[:, None] + log_lam, m[rows])
 
     r = np.exp(rho)
     spent = (lam * r * r).sum(axis=1)
