@@ -209,9 +209,10 @@ def small_ball_form(problem: InverseProblem, u0: np.ndarray) -> SmallBallForm:
     """One spectrum of the prior forward covariance, for every radius, from
     ``problem.forward_blocks`` alone: each block of ``M Lambda M^T`` is formed
     only when it is decomposed, and a temporary block of M is freed once
-    scaled into it, before the eigensolve. ``residual_norms[j]`` adds ``own[j]``, the
-    squared image of u0's coordinates j to the end of j's block, summed from
-    the right, to each later block's whole image ``own[lo]``, from the last."""
+    scaled into it, before the eigensolve. ``residual_norms[j]`` adds
+    ``own[j]``, the squared image of u0's coordinates j to the end of j's
+    block, summed from the right, to each later block's whole image
+    ``own[lo]``, from the last."""
     u0 = as_vector(u0, problem.n_dim, "u0")
     m, root = problem.forward_blocks(), np.sqrt(problem.prior.variances)
     image, own = np.empty(problem.n_dim), np.empty(problem.n_dim)

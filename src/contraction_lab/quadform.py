@@ -183,8 +183,7 @@ class BlockDiagonal:
         return b
 
 
-def block_spectrum(segments, parts, d: np.ndarray,
-                   what: str) -> tuple[np.ndarray, np.ndarray]:
+def block_spectrum(segments, parts, d: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) of the symmetric positive semi-definite ``cov
     = V diag(lam) V^T`` on the ``segments`` of a ``BlockDiagonal``, whose
     parts ``parts`` yields in order, and the projections ``V^T d`` of an
