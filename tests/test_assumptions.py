@@ -952,11 +952,13 @@ class TestSmallBallForm:
         assert peak <= budget * prob.n_dim**2 * 8
 
     def test_fresh_dense_problem_scales_m_in_place(self):
-        """On a fresh dense problem M is a temporary of ``forward_blocks``,
-        scaled into ``A = M Lambda^(1/2)`` in place: the peak is M and ``A
-        A^T`` (or M and its whitening temporary), not M, ``A`` and ``A A^T``
-        (3.14 arrays), and the form is bit for bit the one from a held,
-        read-only M, which is copied and left as it was."""
+        """On a fresh dense problem M is a temporary of ``forward_blocks``:
+        it is scaled into ``A = M Lambda^(1/2)`` in place and freed once
+        ``A A^T`` is formed, so at most two N x N arrays live at once (M and
+        ``A A^T``, or dstevd's eigenvectors and workspace). Forming ``A``
+        beside M, or holding M through the eigensolve, made 3.15. The form
+        is bit for bit the one from a held, read-only M, which is copied and
+        left as it was."""
         problem = {"n_dim": 256, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
                    "noise": {"kind": "colored", "r": 0.5}}
         prob, u0 = _config_problem(problem)
