@@ -170,7 +170,7 @@ def _plug_in_columns(problem: InverseProblem, k: int, r: int | None) -> np.ndarr
     data to the first k prior-basis coefficients (``r = None``: no
     e-cutoff); their Gram ``cols^T cols`` is k x k."""
     _check_kr(problem, k, r)
-    cols = problem.coupling.t_matrix[:, :k].copy()
+    cols = problem.coupling.t.apply(np.eye(problem.n_dim, k))
     if r is not None:
         cols[r:, :] = 0.0
     cols /= problem.operator.rho[:, None]
@@ -276,13 +276,13 @@ def _projection_miss(problem: InverseProblem, k: int, r: int | None,
     proj = x.copy()
     if r is not None and r < problem.n_dim:
         proj[r:] = 0.0
-    tk = problem.coupling.t_matrix[:, :k]
+    tk = problem.coupling.t.apply(np.eye(problem.n_dim, k))
     return tk @ (tk.T @ proj) - x
 
 
 def _residual_operator(problem: InverseProblem, k: int, r: int | None) -> np.ndarray:
     """Matrix mapping standard normals to ``P^phi_k P^e_r u - u`` under the prior."""
-    scaled = problem.coupling.t_matrix * np.sqrt(problem.prior.variances)[None, :]
+    scaled = problem.coupling.t.dense() * np.sqrt(problem.prior.variances)[None, :]
     return _projection_miss(problem, k, r, scaled)
 
 
@@ -421,7 +421,7 @@ def hs_diagnostic(problem: InverseProblem, target: str) -> HsReport:
         return HsReport(target, trunc, values, _growth_verdict(values))
     if target == "gn_bound":
         rho = problem.operator.rho
-        t = quadform.BlockDiagonal.from_dense(problem.coupling.t_matrix, problem.coupling.blocks)
+        t = problem.coupling.t
         square = np.zeros(len(trunc))  # each truncation's, summed over the blocks it cuts
         for (lo, hi, run), part in zip(t.segments, t.parts):
             r = rho[lo:hi]  # s = I - C2 / rho_i / rho_j on C2 = T rho^2 T^T's block
@@ -532,7 +532,7 @@ def verify_assumptions(problem: InverseProblem, plan: RatePlan,
     kn_bound = cst.r * n * eps**2
     kn = CheckResult(ok=bool(plan.k_n < kn_bound), measured=float(plan.k_n), bound=kn_bound)
 
-    truth_miss = _projection_miss(problem, plan.k_n, plan.r_n, problem.coupling.t_matrix @ u0)
+    truth_miss = _projection_miss(problem, plan.k_n, plan.r_n, problem.coupling.t.apply(u0))
     truth_ratio = float(np.linalg.norm(truth_miss) / xi)
 
     return AssumptionReport(small_ball=small_ball, tail=tail, g=g, kn=kn,

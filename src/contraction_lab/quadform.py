@@ -12,7 +12,7 @@ covariance and an offset without forming eigenvectors, one part of a
 ``BlockDiagonal`` operator at a time (a problem's ``gram_blocks``):
 independent blocks of coordinates add independent terms to Q. An operator
 takes its edges from its caller; no routine here reads a partition off a zero
-pattern (``spectral`` does, once per coupling).
+pattern (``spectral`` does, once per coupling that arrives as a dense matrix).
 
 ``tails`` is the one tail evaluator. One saddlepoint ``s`` of ``K'(s) = q``
 per row, on the domain ``(-inf, 1/(2 max lam))``, gives the Lugannani-Rice
@@ -100,10 +100,11 @@ class BlockDiagonal:
     (increasing from 0 to N), held by its blocks, never as one N x N array.
     ``segments`` lists ``(lo, hi, run)``: each block of more than one row,
     and each maximal run of one-row blocks (``run`` True). ``parts`` holds
-    each block (Fortran-ordered where the package builds it, transposed in
-    the posterior's sampling factor; a one-block operator's is its matrix
-    itself) or a run's diagonal as a vector, on which each operation takes
-    its closed form. ``dense()``, not ``__array__``, makes the N x N array.
+    each block (Fortran-ordered where the package forms it from a product,
+    transposed in the posterior's sampling factor, as drawn in the coupling
+    T; a one-block operator's is its matrix itself) or a run's diagonal as a
+    vector, on which each operation takes its closed form. ``dense()``, not
+    ``__array__``, makes the N x N array.
     The package's operators are ``read_only``, but for the fresh precision
     that ``posterior.cholesky_with_jitter`` factors once, in place, into the
     read-only Cholesky factor."""
@@ -159,14 +160,15 @@ class BlockDiagonal:
             out[rows, rows] = p
         return out
 
-    def transpose_apply(self, x: np.ndarray) -> np.ndarray:
-        """``A^T x`` for a vector or block ``x``, one product per part."""
+    def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``A x``, or ``A^T x`` when ``transpose``, for a vector or block
+        ``x``, one product per part."""
         out = np.empty_like(x)
         for (lo, hi, run), p in zip(self.segments, self.parts):
             if run:
                 out[lo:hi] = (p if x.ndim == 1 else p[:, None]) * x[lo:hi]
             else:
-                out[lo:hi] = p.T @ x[lo:hi]
+                out[lo:hi] = (p.T if transpose else p) @ x[lo:hi]
         return out
 
     def cho_solve(self, b: np.ndarray, solve) -> np.ndarray:

@@ -4,12 +4,13 @@ Everything lives in a fixed N-dimensional coordinate space. The operator acts
 diagonally in the e-basis through its singular values; a second orthonormal
 basis (the columns of an orthogonal coupling matrix) carries the prior. Data
 follow ``y = G u + noise / sqrt(n)`` with Gaussian noise that is either
-diagonal in the e-basis or given by a dense SPD covariance. Where the
-coupling is block-diagonal and the noise diagonal, so is the whitened forward
-map M, and M's blocks and the whitened Gram are ``quadform.BlockDiagonal``
-operators formed from T's blocks, which ``_coupling_blocks`` reads off T's
-zero pattern once per coupling. T stays a dense array; M's dense view is
-formed only when ``whitened_forward`` is read.
+diagonal in the e-basis or given by a dense SPD covariance. The coupling T
+is held once, as a ``quadform.BlockDiagonal``: the identity is one run of
+ones and a banded coupling its seeded blocks, with no N x N array, while a
+coupling that arrives as a dense matrix is split on its zero pattern by
+``_coupling_blocks``. Where the noise is diagonal, the whitened forward map M
+and the whitened Gram are ``quadform.BlockDiagonal`` operators formed from
+T's parts; M's dense view is formed only when ``whitened_forward`` is read.
 
 Indexing convention: coordinate k runs from 1 to N in formulas; arrays are
 0-based internally.
@@ -18,7 +19,7 @@ Indexing convention: coordinate k runs from 1 to N in formulas; arrays are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -72,26 +73,6 @@ def _coupling_blocks(t: np.ndarray) -> np.ndarray:
     np.fill_diagonal(nz, True)
     reach = n - 1 - np.minimum(nz[:, ::-1].argmax(axis=1), nz[::-1].argmax(axis=0))
     return np.flatnonzero(np.insert(np.maximum.accumulate(reach) == np.arange(n), 0, True))
-
-
-def _orthonormal(q, n_dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only copy of ``q`` and its block edges (``_coupling_blocks``),
-    checked to be orthonormal within ``ORTHOGONALITY_TOL``. ``Q'Q`` is exactly
-    zero between different blocks, so ``||Q'Q - I||_F`` is summed over the
-    blocks."""
-    q = _frozen(q)
-    if q.shape != (n_dim, n_dim):
-        raise ParameterError(f"{name} must be square of size n_dim")
-    edges = _coupling_blocks(q)
-    err_sq = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        gram = q[lo:hi, lo:hi].T @ q[lo:hi, lo:hi]
-        gram.flat[::hi - lo + 1] -= 1.0
-        err_sq += np.linalg.norm(gram) ** 2
-    err = math.sqrt(err_sq)
-    if not err < ORTHOGONALITY_TOL:  # a NaN entry makes err NaN, which fails too
-        raise ParameterError(f"{name} is not orthonormal: ||Q'Q - I||_F = {err:.3e}")
-    return q, edges
 
 
 def _scale_rows(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -225,32 +206,30 @@ CouplingKind = IdentityCoupling | BandedCoupling | ReflectionCoupling | ExpSkewC
 
 @dataclass(frozen=True, eq=False)
 class OrthogonalCoupling:
-    """Orthogonal matrix whose column j holds the j-th prior-basis vector.
-
-    ``kind`` keeps read-only copies of its arrays; an explicit kind shares
-    ``t_matrix`` itself. ``blocks`` (read-only) holds the edges of the finest
-    diagonal blocks outside which ``t_matrix`` is exactly zero: the seeded
-    blocks of a banded coupling, N one-row blocks for the identity, one block
-    for a dense matrix.
+    """Orthogonal matrix T whose column j holds the j-th prior-basis vector,
+    held once, as ``t``, on the finest diagonal blocks outside which T is
+    exactly zero: a banded coupling's seeded blocks, one run of ones for the
+    identity, a dense T's zero-pattern blocks. ``t``'s parts are made
+    read-only and checked to be orthonormal part by part. ``kind`` holds
+    read-only copies of its arrays; an explicit kind holds the dense T that
+    ``t``'s parts view (its one part itself when T is one block).
     """
 
     n_dim: int
-    t_matrix: np.ndarray
+    t: quadform.BlockDiagonal
     kind: CouplingKind
-    blocks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        t, blocks = _orthonormal(self.t_matrix, self.n_dim, "t_matrix")
-        object.__setattr__(self, "t_matrix", t)
-        object.__setattr__(self, "blocks", _read_only(blocks))
-        kind = self.kind
-        if isinstance(kind, ExplicitCoupling):
-            kind = ExplicitCoupling(t)
-        elif isinstance(kind, ReflectionCoupling):
-            kind = ReflectionCoupling(_frozen(kind.v))
-        elif isinstance(kind, ExpSkewCoupling):
-            kind = ExpSkewCoupling(_frozen(kind.a_matrix))
-        object.__setattr__(self, "kind", kind)
+        if not isinstance(self.t, quadform.BlockDiagonal) or self.t.n_dim != self.n_dim:
+            raise ParameterError("t must be a BlockDiagonal operator of size n_dim")
+        err_sq = 0.0  # T'T is zero between blocks: ||T'T - I||_F sums over the parts
+        for (lo, hi, run), p in zip(self.t.segments, self.t.read_only().parts):
+            gram = p * p if run else p.T @ p
+            gram.flat[::1 if run else hi - lo + 1] -= 1.0
+            err_sq += np.linalg.norm(gram) ** 2
+        err = math.sqrt(err_sq)
+        if not err < ORTHOGONALITY_TOL:  # a NaN entry makes err NaN, which fails too
+            raise ParameterError(f"coupling is not orthonormal: ||T'T - I||_F = {err:.3e}")
 
 
 def band_window(j: int, lo_ratio: float, hi_ratio: float, n_dim: int) -> tuple[int, int]:
@@ -283,43 +262,57 @@ def _banded_blocks(n_dim: int, lo_ratio: float, hi_ratio: float,
     return blocks
 
 
-def _haar_orthogonal(size: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_orthogonal(size: int, rng: np.random.Generator, run: bool = False) -> np.ndarray:
+    """A Haar-random orthogonal block of ``size`` rows, or with ``run`` the
+    diagonal of ``size`` one-row blocks drawn in turn: each is the sign of
+    one normal, as the size-one block is."""
+    if run:
+        return np.sign(rng.standard_normal(size))
     z = rng.standard_normal((size, size))
     q, r = np.linalg.qr(z)
     return q * np.sign(np.diag(r))
 
 
+def _dense_coupling(t: np.ndarray, kind: CouplingKind) -> OrthogonalCoupling:
+    """The coupling whose T arrives as the square array ``t``, which no
+    caller holds: made read-only and split into views of its blocks, which
+    ``_coupling_blocks`` reads off its zero pattern."""
+    t = _read_only(t)
+    return OrthogonalCoupling(t.shape[0], quadform.BlockDiagonal.from_dense(
+        t, _coupling_blocks(t)), kind)
+
+
 def make_coupling(kind: CouplingKind, n_dim: int, seed: int = 0) -> OrthogonalCoupling:
     """Construct an orthogonal coupling of the requested kind.
 
-    Banded couplings are built from seeded orthogonal blocks placed inside
-    the band pattern, so entries outside every column's window are exactly
-    zero while the whole matrix stays orthogonal to rounding error.
+    The identity is one run of ones. Banded couplings are built from seeded
+    orthogonal blocks placed inside the band pattern, so entries outside
+    every column's window are exactly zero while the whole matrix stays
+    orthogonal to rounding error.
     """
     if n_dim < 1:
         raise ParameterError("n_dim must be >= 1")
     if isinstance(kind, IdentityCoupling):
-        return OrthogonalCoupling(n_dim, np.eye(n_dim), kind)
+        return OrthogonalCoupling(n_dim, quadform.BlockDiagonal(
+            np.arange(n_dim + 1), lambda lo, hi, run: np.ones(hi - lo)), kind)
     if isinstance(kind, BandedCoupling):
         if not (0 < kind.lo_ratio < kind.hi_ratio):
             raise ParameterError("banded coupling requires 0 < lo_ratio < hi_ratio")
         if kind.hi_ratio <= 1.0 and n_dim > 1:
             raise ConstructionError("band pattern infeasible: hi_ratio <= 1 leaves no room above the diagonal")
         rng = substream(seed, "banded-coupling")
-        t = np.zeros((n_dim, n_dim))
-        for a, b in _banded_blocks(n_dim, kind.lo_ratio, kind.hi_ratio, rng):
-            t[a - 1:b, a - 1:b] = _haar_orthogonal(b - a + 1, rng)
-        return OrthogonalCoupling(n_dim, t, kind)
+        edges = [0] + [b for _, b in _banded_blocks(n_dim, kind.lo_ratio, kind.hi_ratio, rng)]
+        return OrthogonalCoupling(n_dim, quadform.BlockDiagonal(
+            edges, lambda lo, hi, run: _haar_orthogonal(hi - lo, rng, run)), kind)
     if isinstance(kind, ReflectionCoupling):
         v = as_vector(kind.v, n_dim, "v")
         norm = np.linalg.norm(v)
         if norm == 0:
             raise ParameterError("reflection vector must be nonzero")
-        v = v / norm
-        t = np.eye(n_dim) - 2.0 * np.outer(v, v)
-        return OrthogonalCoupling(n_dim, t, ReflectionCoupling(v))
+        v = _read_only(v / norm)
+        return _dense_coupling(np.eye(n_dim) - 2.0 * np.outer(v, v), ReflectionCoupling(v))
     if isinstance(kind, ExpSkewCoupling):
-        a = np.asarray(kind.a_matrix, dtype=float)
+        a = _frozen(kind.a_matrix)
         if a.shape != (n_dim, n_dim):
             raise ParameterError("skew generator must be square of size n_dim")
         skew_err = np.abs(a + a.T).max()
@@ -327,9 +320,12 @@ def make_coupling(kind: CouplingKind, n_dim: int, seed: int = 0) -> OrthogonalCo
             raise ParameterError(f"generator is not skew-symmetric: max|A + A'| = {skew_err:.3e}")
         from scipy.linalg import expm
 
-        return OrthogonalCoupling(n_dim, expm(a), kind)
+        return _dense_coupling(expm(a), ExpSkewCoupling(a))
     if isinstance(kind, ExplicitCoupling):
-        return OrthogonalCoupling(n_dim, np.asarray(kind.t_matrix, dtype=float), kind)
+        t = _frozen(kind.t_matrix)
+        if t.shape != (n_dim, n_dim):
+            raise ParameterError("an explicit coupling must be a square matrix of size n_dim")
+        return _dense_coupling(t, ExplicitCoupling(t))
     raise ParameterError(f"unknown coupling kind: {kind!r}")
 
 
@@ -471,7 +467,7 @@ def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
     vals, vecs = np.linalg.eigh(_shifted(spectrum, t, k2, "K2"))
     if vals.min() <= 0:
         raise ParameterError(_NOT_POSITIVE.format(a="t", k="K2"))
-    coupling = OrthogonalCoupling(spectrum.n_dim, vecs, ExplicitCoupling(vecs))
+    coupling = _dense_coupling(vecs, ExplicitCoupling(vecs))
     prior = GaussianSequenceMeasure(spectrum.n_dim, vals**-l, "phi")
     return coupling, prior
 
@@ -559,10 +555,10 @@ class InverseProblem:
         if isinstance(self.noise, DenseNoise):
             m = vars(self).get("whitened_forward")
             if m is None:
-                m = self.noise_whiten(self.operator.rho[:, None] * self.coupling.t_matrix)
+                m = self.noise_whiten(self.operator.rho[:, None] * self.coupling.t.dense())
             return quadform.BlockDiagonal.from_dense(m)
         rho, scale = self.operator.rho, self.noise.variances**-0.5
-        return quadform.BlockDiagonal.from_dense(self.coupling.t_matrix, self.gram_blocks).map(
+        return self.coupling.t.map(
             lambda lo, hi, t: _scale_rows(_scale_rows(t, rho[lo:hi]), scale[lo:hi]))
 
     def whitened_adjoint(self, x: np.ndarray) -> np.ndarray:
@@ -570,8 +566,7 @@ class InverseProblem:
         of a block, from the arrays the problem holds: the whitening root is
         symmetric, so M is never formed; ``T^T`` goes block by block."""
         v = _scale_rows(self.noise_whiten(x), self.operator.rho)
-        t = quadform.BlockDiagonal.from_dense(self.coupling.t_matrix, self.coupling.blocks)
-        return t.transpose_apply(v)
+        return self.coupling.t.apply(v, transpose=True)
 
     @cached_property
     def whitened_gram(self) -> quadform.BlockDiagonal:
@@ -589,7 +584,7 @@ class InverseProblem:
         Lambda M^T`` are ``quadform.BlockDiagonal`` operators on them."""
         if isinstance(self.noise, DenseNoise):
             return _read_only(np.array([0, self.n_dim]))
-        return self.coupling.blocks
+        return self.coupling.t.edges
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,7 +609,7 @@ class DataSample:
 def forward_apply(problem: InverseProblem, u: np.ndarray) -> np.ndarray:
     """e-coordinates of G u for ``u`` given in phi-coordinates."""
     u = as_vector(u, problem.n_dim, "u")
-    return problem.operator.rho * (problem.coupling.t_matrix @ u)
+    return problem.operator.rho * problem.coupling.t.apply(u)
 
 
 def simulate_data(problem: InverseProblem, u0: np.ndarray, n_level: float, seed: int) -> DataSample:

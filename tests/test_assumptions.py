@@ -47,7 +47,7 @@ def brute_force_g(problem, k, r, tries=10_000, iters=400, seed=0):
     Always approaches the maximum from below.
     """
     rng = np.random.default_rng(seed)
-    t_cols = problem.coupling.t_matrix[:, :k]
+    t_cols = problem.coupling.t.dense()[:, :k]
 
     def image(coeffs):
         x = t_cols @ coeffs
@@ -491,7 +491,7 @@ class TestHsDiagnostic:
         """The gn_bound norms from ``I - T rho^2 T^T / rho_i / rho_j`` formed
         as one N x N matrix, as the diagnostic did before it went block by
         block."""
-        rho, t = prob.operator.rho, prob.coupling.t_matrix
+        rho, t = prob.operator.rho, prob.coupling.t.dense()
         c2 = (t * rho[None, :] ** 2) @ t.T
         s = np.eye(prob.n_dim) - c2 / rho[:, None] / rho[None, :]
         return [float(np.linalg.norm(s[:m, :m])) for m in trunc]
@@ -547,7 +547,7 @@ def _plug_in_gram(prob, k, r):
 
 def _plug_in_columns(prob, k, r):
     """``diag(1/rho) P_r T[:, :k]``, written out apart from the package."""
-    cols = prob.coupling.t_matrix[:, :k].copy()
+    cols = prob.coupling.t.dense()[:, :k].copy()
     cols[r:, :] = 0.0
     return cols / prob.operator.rho[:, None]
 
@@ -567,7 +567,7 @@ class TestPlugIn:
         n_dim, k, r, n_level, m = 12, 4, 9, 25.0, 10_000
         prob = banded_problem(n_dim, seed=7)
         u0 = cl.power_law_truth(1.0, n_dim)
-        t = prob.coupling.t_matrix
+        t = prob.coupling.t.dense()
         u0_e = t @ u0
         proj = u0_e.copy()
         proj[r:] = 0.0

@@ -504,30 +504,26 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
 
     def test_one_partition_per_problem_read_off_the_coupling(self, monkeypatch):
         """A problem's partition is its coupling's blocks under diagonal
-        noise and one block under dense noise, and during a banded run of
-        all ten pipelines ``_coupling_blocks`` scans one matrix once, the
-        coupling T: no Gram, covariance or transpose is scanned."""
+        noise and one block under dense noise, and a banded run of all ten
+        pipelines scans no matrix: the builder knows T's blocks, so
+        ``_coupling_blocks`` is never called, on T or on any Gram,
+        covariance or transpose."""
         problems, scanned = [], []
-        build, scan = runner_module.build_problem, spectral._coupling_blocks
+        build = runner_module.build_problem
 
         def capturing_build(config):
             problems.append(build(config))
             return problems[-1]
 
-        def capturing_scan(mat):
-            scanned.append(mat)
-            return scan(mat)
-
         monkeypatch.setattr(runner_module, "build_problem", capturing_build)
-        monkeypatch.setattr(spectral, "_coupling_blocks", capturing_scan)
+        monkeypatch.setattr(spectral, "_coupling_blocks", scanned.append)
         config = cl.parse_config(SMALL_CONFIG.replace("coupling: {kind: identity}",
                                                       "coupling: {kind: banded}"))
         record = cl.run_experiment(config, pipelines=list(runner_module.PIPELINE_FUNCS))
         assert not record.failures, record.failures
-        assert len(problems) == 1 and len(scanned) == 1
+        assert len(problems) == 1 and scanned == []
         prob = problems[0]
-        assert scanned[0] is prob.coupling.t_matrix
-        assert prob.gram_blocks is prob.coupling.blocks and prob.gram_blocks.size > 2
+        assert prob.gram_blocks is prob.coupling.t.edges and prob.gram_blocks.size > 2
         dense = build_problem(cl.parse_config(SMALL_CONFIG.replace(
             "coupling: {kind: identity}", "coupling: {kind: banded}\n  noise: {kind: colored, r: 0.5}")))
         assert np.array_equal(dense.gram_blocks, [0, 12])
@@ -1032,3 +1028,46 @@ class TestBandedMemoryBudget:
         fit = cl.fit_contraction_rate(prob, u0, run["n_grid"], run["delta_level"],
                                       run["y_replicates"], seed=3)
         assert calls == [] and np.all(fit.xi_hat > 0)
+
+
+class TestIdentityMemoryBudget:
+    """An identity coupling is one run of ones, so an identity-coupled
+    problem takes O(N) memory: ``tracemalloc`` in units of one N x N float
+    array at N = 4096. When T was a dense array the build held 1.00 and
+    peaked at 2.25 (T and the copy it froze)."""
+
+    N = 4096
+    UNIT = N * N * 8
+
+    def _config(self):
+        return cl.parse_config(json.dumps({"problem": {"n_dim": self.N,
+                                                       "coupling": {"kind": "identity"}}}))
+
+    def test_build_holds_no_square_array(self):
+        config = self._config()
+        tracemalloc.start()
+        try:
+            prob = build_problem(config)
+            held, peak = (m / self.UNIT for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert held < 0.01 and peak < 0.01
+        assert prob.coupling.t.segments == ((0, self.N, True),)
+
+    # Measured peaks: simulate 0.026, posterior 0.013, rate-fit 0.160. The
+    # rate fit's is the quantile solve's (R, N) batches in ``quadform._cgf``
+    # at the default R = 50, 0.0122 N x N each: about 13 alive at once.
+    PIPELINE_BUDGETS = {"simulate": 0.04, "posterior": 0.03, "rate-fit": 0.18}
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINE_BUDGETS))
+    def test_pipeline_peak(self, pipeline):
+        config = self._config()
+        prob = build_problem(config)
+        tracemalloc.start()
+        try:
+            tables = runner_module.PIPELINE_FUNCS[pipeline](config, prob, 1)
+            peak = tracemalloc.get_traced_memory()[1] / self.UNIT
+        finally:
+            tracemalloc.stop()
+        assert tables and all(table.rows for table in tables)
+        assert peak <= self.PIPELINE_BUDGETS[pipeline]

@@ -81,7 +81,7 @@ class TestConjugatePosterior:
         y = np.array([0.7, -0.4])
         data = cl.DataSample(y, 1e10, np.zeros(2), 0)
         post = cl.conjugate_posterior(prob, data)
-        exact = prob.coupling.t_matrix.T @ (y / prob.operator.rho)
+        exact = prob.coupling.t.dense().T @ (y / prob.operator.rho)
         assert np.linalg.norm(post.mean - exact) < 1e-4
 
     def test_zero_data_zero_mean(self):

@@ -690,7 +690,7 @@ class TestDiagonalBlocks:
         own = _banded_blocks(n, kind.lo_ratio, kind.hi_ratio, substream(3, "banded-coupling"))
         edges = np.array([a - 1 for a, _ in own] + [n])
         assert len(own) > 1
-        assert np.array_equal(prob.coupling.blocks, edges)
+        assert np.array_equal(prob.coupling.t.edges, edges)
         assert np.array_equal(zero_pattern_blocks(prob.whitened_gram.dense()), edges)
         assert np.array_equal(zero_pattern_blocks(cl.posterior_precision(prob, 1e4).dense()),
                               edges)
@@ -783,3 +783,48 @@ class TestBlockDiagonal:
                    cl.factor_posterior(prob, 1e3)._precision_chol,
                    cl.coupled_pushforward_cov(prob), cl.diagonal_pushforward_cov(prob)):
             assert op.segments == ((0, 48, True),) and op.parts[0].shape == (48,)
+
+
+def _orthogonal_operators():
+    """The coupling operators the package builds: a banded T at N = 512, the
+    identity (one run), a coordinate reflection (a run with a -1), a dense
+    reflection and a dense Hilbert-scale basis (one block each)."""
+    spec = cl.make_spectrum(cl.MildFamily(1.0), 64)
+    hilbert = cl.hilbert_scale_prior(spec, 1.0, 2.0, cl.random_spd(64, seed=2, scale=0.2))[0]
+    return {"banded": cl.make_coupling(cl.BandedCoupling(), 512, seed=5).t,
+            "identity": cl.make_coupling(cl.IdentityCoupling(), 64).t,
+            "reflection-diagonal": cl.make_coupling(cl.ReflectionCoupling(np.eye(64)[2]), 64).t,
+            "reflection": cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64).t,
+            "hilbert": hilbert.t}
+
+
+class TestBlockProduct:
+    """``BlockDiagonal.apply`` is the one block product, ``A x`` or ``A^T x``:
+    bit for bit the dense product on runs and on one-block operators, within
+    the rounding of a dot product on blocks, and exactly ``A[:, :k]`` when
+    it reads the leading columns off ``np.eye(N, k)``."""
+
+    @pytest.mark.parametrize("name", ["banded", "identity", "reflection-diagonal",
+                                      "reflection", "hilbert"])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_matches_the_dense_product(self, name, transpose):
+        t = _orthogonal_operators()[name]
+        n = t.n_dim
+        dense = t.dense().T if transpose else t.dense()
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 7))):
+            got, ref = t.apply(x, transpose=transpose), dense @ x
+            assert got.shape == ref.shape
+            if len(t.parts) == 1:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                bound = 8 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+                assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("name", ["banded", "identity", "reflection-diagonal",
+                                      "reflection", "hilbert"])
+    def test_leading_columns_are_exact(self, name):
+        t = _orthogonal_operators()[name]
+        n = t.n_dim
+        for k in (1, 2, n // 3, n - 1, n):
+            assert np.array_equal(t.apply(np.eye(n, k)), t.dense()[:, :k])

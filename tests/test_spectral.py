@@ -77,16 +77,16 @@ class TestSpectrumFamilies:
 class TestCouplings:
     def test_identity(self):
         coupling = cl.make_coupling(cl.IdentityCoupling(), 4)
-        assert np.array_equal(coupling.t_matrix, np.eye(4))
+        assert np.array_equal(coupling.t.dense(), np.eye(4))
 
     def test_reflection_on_basis_vector(self):
         """Householder reflection across e1 flips exactly that axis."""
         coupling = cl.make_coupling(cl.ReflectionCoupling(np.array([1.0, 0.0, 0.0])), 3)
-        np.testing.assert_array_equal(coupling.t_matrix, np.diag([-1.0, 1.0, 1.0]))
+        np.testing.assert_array_equal(coupling.t.dense(), np.diag([-1.0, 1.0, 1.0]))
 
     def test_banded_support_and_orthogonality(self):
         coupling = cl.make_coupling(cl.BandedCoupling(1 / 3, 2.0), 8, seed=7)
-        t = coupling.t_matrix
+        t = coupling.t.dense()
         assert np.linalg.norm(t.T @ t - np.eye(8)) < 1e-10
         for j in range(1, 9):
             lo, hi = cl.band_window(j, 1 / 3, 2.0, 8)
@@ -97,7 +97,7 @@ class TestCouplings:
     @pytest.mark.parametrize("n_dim,seed", [(16, 0), (33, 1), (128, 2), (257, 3)])
     def test_banded_pattern_any_size_and_seed(self, n_dim, seed):
         coupling = cl.make_coupling(cl.BandedCoupling(), n_dim, seed=seed)
-        t = coupling.t_matrix
+        t = coupling.t.dense()
         assert np.linalg.norm(t.T @ t - np.eye(n_dim)) < 1e-10
         for j in range(1, n_dim + 1):
             lo, hi = cl.band_window(j, 1 / 3, 2.0, n_dim)
@@ -109,7 +109,7 @@ class TestCouplings:
         a = rng.standard_normal((6, 6))
         a = a - a.T
         coupling = cl.make_coupling(cl.ExpSkewCoupling(a), 6)
-        assert np.linalg.norm(coupling.t_matrix.T @ coupling.t_matrix - np.eye(6)) < 1e-10
+        assert np.linalg.norm(coupling.t.dense().T @ coupling.t.dense() - np.eye(6)) < 1e-10
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -141,44 +141,65 @@ def _hilbert_coupling(n_dim):
 
 
 class TestCouplingBlocks:
-    """A coupling finds its diagonal blocks once, from the exact zero pattern
-    of T in both triangles, and checks orthonormality block by block."""
+    """A coupling holds T on its finest diagonal blocks: the banded builder's
+    seeded blocks, one run for the identity, and for a T that arrives dense
+    the blocks of its exact zero pattern in both triangles, found once. It
+    checks orthonormality block by block."""
 
     @pytest.mark.parametrize("n_dim,seed", [(16, 0), (128, 2), (512, 7)])
     def test_banded_blocks_are_the_seeded_partition(self, n_dim, seed):
         coupling = cl.make_coupling(cl.BandedCoupling(), n_dim, seed=seed)
         made = spectral._banded_blocks(n_dim, 1 / 3, 2.0, substream(seed, "banded-coupling"))
-        assert np.array_equal(coupling.blocks, [0] + [b for _, b in made])
+        assert np.array_equal(coupling.t.edges, [0] + [b for _, b in made])
         with pytest.raises(ValueError, match="read-only"):
-            coupling.blocks[0] = 1
+            coupling.t.edges[0] = 1
 
     def test_identity_and_dense_kinds(self):
-        assert np.array_equal(cl.make_coupling(cl.IdentityCoupling(), 5).blocks, np.arange(6))
+        assert np.array_equal(cl.make_coupling(cl.IdentityCoupling(), 5).t.edges, np.arange(6))
         reflect = cl.make_coupling(cl.ReflectionCoupling(np.array([1.0, 0.0, 0.0])), 3)
-        assert np.array_equal(reflect.blocks, [0, 1, 2, 3])
+        assert np.array_equal(reflect.t.edges, [0, 1, 2, 3])
         skew = np.triu(np.ones((6, 6)), 1)
         for coupling in (cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 9.0)), 8),
                          cl.make_coupling(cl.ExpSkewCoupling(skew - skew.T), 6),
                          _hilbert_coupling(32)):
-            assert np.array_equal(coupling.blocks, [0, coupling.n_dim])
+            assert np.array_equal(coupling.t.edges, [0, coupling.n_dim])
 
     def test_both_triangles_count(self):
         """An entry above the diagonal joins blocks as one below it does,
         even one small enough to pass the orthonormality tolerance."""
         t = np.eye(4)
         t[[0, 0, 1, 1], [0, 1, 0, 1]] = [0.6, 0.8, -0.8, 0.6]  # rotation, rows 0:2
-        assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(t), 4).blocks, [0, 2, 3, 4])
+        assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(t), 4).t.edges, [0, 2, 3, 4])
         p = np.eye(4)[[0, 3, 2, 1]]  # swaps coordinates 1 and 3
-        assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(p), 4).blocks, [0, 1, 4])
+        assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(p), 4).t.edges, [0, 1, 4])
         for row, col, edges in ((1, 3, [0, 1, 4]), (0, 2, [0, 3, 4])):
             t = np.eye(4)
             t[row, col] = 1e-12  # above the diagonal; its transpose has it below
             for mat in (t, t.T):
-                assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(mat), 4).blocks, edges)
+                assert np.array_equal(cl.make_coupling(cl.ExplicitCoupling(mat), 4).t.edges, edges)
+
+    @pytest.mark.parametrize("kind", ["banded", "identity"])
+    @pytest.mark.parametrize("n_dim", [1, 2, 3, 512])
+    def test_banded_and_identity_builds_scan_nothing(self, monkeypatch, kind, n_dim):
+        """The banded and identity builders know their blocks, so neither
+        calls ``_coupling_blocks``; an explicit T of the same size does."""
+        def refuse(mat):
+            raise AssertionError("zero-pattern scan")
+
+        monkeypatch.setattr(spectral, "_coupling_blocks", refuse)
+        coupling = cl.make_coupling({"banded": cl.BandedCoupling(),
+                                     "identity": cl.IdentityCoupling()}[kind], n_dim, seed=7)
+        assert coupling.t.n_dim == n_dim
+        if kind == "identity":
+            assert coupling.t.segments == ((0, n_dim, True),)
+            assert np.array_equal(coupling.t.parts[0], np.ones(n_dim))
+        with pytest.raises(AssertionError, match="zero-pattern scan"):
+            cl.make_coupling(cl.ExplicitCoupling(np.eye(n_dim)), n_dim)
 
     def test_dense_coupling_skips_the_scan(self):
-        """A nonzero corner makes T one block with no zero-pattern scan: the
-        whole-matrix comparison that starts the scan is never made."""
+        """A nonzero corner makes a dense T one block with no zero-pattern
+        scan: the whole-matrix comparison that starts the scan is never
+        made, and the coupling's one part is the matrix it was built from."""
         class Unscannable(np.ndarray):
             def __ne__(self, other):
                 raise AssertionError("zero-pattern scan of a dense coupling")
@@ -186,8 +207,9 @@ class TestCouplingBlocks:
         hilbert = _hilbert_coupling(64)
         refl = cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64)
         for coupling in (hilbert, refl):
-            assert np.array_equal(coupling.blocks, [0, 64])
-            t = coupling.t_matrix.view(Unscannable)
+            assert np.array_equal(coupling.t.edges, [0, 64])
+            assert len(coupling.t.parts) == 1 and coupling.t.dense() is coupling.t.parts[0]
+            t = coupling.t.parts[0].view(Unscannable)
             assert np.array_equal(spectral._coupling_blocks(t), [0, 64])
         with pytest.raises(AssertionError, match="zero-pattern scan"):
             spectral._coupling_blocks(np.eye(64).view(Unscannable))
@@ -221,10 +243,10 @@ class TestCouplingBlocks:
         Hilbert-scale basis."""
         v = np.zeros(16)
         v[[2, 5]] = [0.6, 0.8]
-        t = {"banded": lambda: cl.make_coupling(cl.BandedCoupling(), 512, seed=7).t_matrix,
+        t = {"banded": lambda: cl.make_coupling(cl.BandedCoupling(), 512, seed=7).t.dense(),
              "identity": lambda: np.eye(64),
-             "reflection": lambda: cl.make_coupling(cl.ReflectionCoupling(v), 16).t_matrix,
-             "hilbert": lambda: _hilbert_coupling(64).t_matrix}[kind]()
+             "reflection": lambda: cl.make_coupling(cl.ReflectionCoupling(v), 16).t.dense(),
+             "hilbert": lambda: _hilbert_coupling(64).t.dense()}[kind]()
         ref = zero_pattern_blocks(t)
         for order in "CF":
             assert np.array_equal(spectral._coupling_blocks(np.array(t, order=order)), ref)
@@ -234,8 +256,8 @@ class TestCouplingBlocks:
     @pytest.mark.parametrize("block", [0, 3, 7])
     def test_bad_block_rejected_with_the_whole_matrix_error(self, block):
         coupling = cl.make_coupling(cl.BandedCoupling(), 128, seed=2)
-        lo, hi = coupling.blocks[block], coupling.blocks[block + 1]
-        t = coupling.t_matrix.copy()
+        lo, hi = coupling.t.edges[block], coupling.t.edges[block + 1]
+        t = coupling.t.dense().copy()
         t[lo:hi, lo:hi] *= 1.0 + 1e-6
         err = np.linalg.norm(t.T @ t - np.eye(128))
         with pytest.raises(ParameterError, match=f"{err:.3e}"):
@@ -247,7 +269,7 @@ class TestCouplingBlocks:
                          cl.make_coupling(cl.IdentityCoupling(), 64),
                          cl.make_coupling(cl.ReflectionCoupling(rng.standard_normal(64)), 64),
                          _hilbert_coupling(64)):
-            t = coupling.t_matrix
+            t = coupling.t.dense()
             assert np.linalg.norm(t.T @ t - np.eye(coupling.n_dim)) < spectral.ORTHOGONALITY_TOL
 
 
@@ -259,9 +281,9 @@ def _adjoint_problem(coupling):
 
 
 class TestBlockAdjoint:
-    """``whitened_adjoint`` applies ``T^T`` one coupling block at a time, a
-    run of one-row blocks as one elementwise product, and a one-block
-    coupling as one product."""
+    """``whitened_adjoint`` applies ``T^T`` one part of ``coupling.t`` at a
+    time, a run of one-row blocks as one elementwise product, and a
+    one-block coupling as one product."""
 
     @pytest.mark.parametrize("make", [
         lambda: cl.make_coupling(cl.BandedCoupling(), 512, seed=5),
@@ -272,7 +294,7 @@ class TestBlockAdjoint:
     ], ids=["banded", "identity", "reflection-diagonal", "reflection", "hilbert"])
     def test_matches_the_whole_product(self, make):
         prob = _adjoint_problem(make())
-        n, t = prob.n_dim, prob.coupling.t_matrix
+        n, t = prob.n_dim, prob.coupling.t.dense()
         rng = np.random.default_rng(n)
         for x in (rng.standard_normal(n), rng.standard_normal((n, 7))):
             v = prob.noise_whiten(x)
@@ -285,25 +307,24 @@ class TestBlockAdjoint:
     def test_one_block_coupling_makes_one_product(self):
         for coupling in (_hilbert_coupling(64),
                          cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 65.0)), 64)):
-            t = quadform.BlockDiagonal.from_dense(coupling.t_matrix, coupling.blocks)
-            assert len(t.parts) == 1 and t.parts[0] is coupling.t_matrix
+            t = coupling.t
+            assert len(t.parts) == 1 and t.dense() is t.parts[0]
             prob = _adjoint_problem(coupling)
             x = np.random.default_rng(0).standard_normal((64, 5))
             v = (prob.operator.rho * prob.noise_whiten(x).T).T
-            assert np.array_equal(prob.whitened_adjoint(x), coupling.t_matrix.T @ v)
+            assert np.array_equal(prob.whitened_adjoint(x), t.parts[0].T @ v)
 
     def test_one_row_runs_are_elementwise(self):
         """The identity and a coordinate reflection are one run of one-row
         blocks: the adjoint is the diagonal times the whitened data, exactly."""
         for coupling in (cl.make_coupling(cl.IdentityCoupling(), 64),
                          cl.make_coupling(cl.ReflectionCoupling(np.eye(64)[2]), 64)):
-            t = quadform.BlockDiagonal.from_dense(coupling.t_matrix, coupling.blocks)
-            assert t.segments == ((0, 64, True),)
+            assert coupling.t.segments == ((0, 64, True),)
             prob = _adjoint_problem(coupling)
             x = np.random.default_rng(1).standard_normal((64, 3))
             v = (prob.operator.rho * prob.noise_whiten(x).T).T
             assert np.array_equal(prob.whitened_adjoint(x),
-                                  np.diagonal(coupling.t_matrix)[:, None] * v)
+                                  np.diagonal(coupling.t.dense())[:, None] * v)
 
 
 class TestBlockGram:
@@ -321,10 +342,10 @@ class TestBlockGram:
         assert np.abs(gram - ref).max() <= 1e-15 * np.abs(ref).max()
         assert np.array_equal(gram, gram.T)
         inside = np.zeros((n, n), dtype=bool)
-        for lo, hi in zip(prob.coupling.blocks[:-1], prob.coupling.blocks[1:]):
+        for lo, hi in zip(prob.coupling.t.edges[:-1], prob.coupling.t.edges[1:]):
             inside[lo:hi, lo:hi] = True
-        assert prob.coupling.blocks.size > 2 and not np.any(gram[~inside])
-        assert np.array_equal(prob.gram_blocks, prob.coupling.blocks)
+        assert prob.coupling.t.edges.size > 2 and not np.any(gram[~inside])
+        assert np.array_equal(prob.gram_blocks, prob.coupling.t.edges)
 
     @pytest.mark.parametrize("noise", ["colored", "dense"])
     def test_dense_noise_gram_is_bit_equal(self, noise):
@@ -378,7 +399,7 @@ class TestMeasures:
         spec = cl.make_spectrum(cl.MildFamily(1.0), 6)
         k2 = cl.random_spd(6, seed=9, scale=0.3)
         coupling, prior = cl.hilbert_scale_prior(spec, t=1.0, l=1.5, k2=k2)
-        rebuilt = (coupling.t_matrix * prior.variances[None, :]) @ coupling.t_matrix.T
+        rebuilt = (coupling.t.dense() * prior.variances[None, :]) @ coupling.t.dense().T
         target = fractional_matrix_power(np.diag(spec.rho**-1.0) + k2, -1.5).real
         np.testing.assert_allclose(rebuilt, target, atol=1e-10)
         assert np.all(np.diff(prior.variances) <= 1e-15)
@@ -563,11 +584,27 @@ class TestImmutability:
 
     def test_stored_arrays_are_read_only(self):
         prob = self._colored_problem()
-        for arr in (prob.operator.rho, prob.coupling.t_matrix, prob.prior.variances,
+        for arr in (prob.operator.rho, prob.prior.variances,
                     prob.noise.root_factor, prob.noise.dense):
             with pytest.raises(ValueError):
                 arr[0] = -1.0
         assert np.all(prob.operator.rho > 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: cl.make_coupling(cl.BandedCoupling(), 64, seed=3),
+        lambda: cl.make_coupling(cl.IdentityCoupling(), 6),
+        lambda: cl.make_coupling(cl.ReflectionCoupling(np.eye(6)[2]), 6),
+        lambda: cl.make_coupling(cl.ReflectionCoupling(np.arange(1.0, 7.0)), 6),
+        lambda: cl.make_coupling(cl.ExplicitCoupling(np.eye(6)[[0, 3, 2, 1, 4, 5]]), 6),
+        lambda: _hilbert_coupling(6),
+    ], ids=["banded", "identity", "reflection-diagonal", "reflection", "explicit", "hilbert"])
+    def test_coupling_parts_and_edges_are_read_only(self, make):
+        """Every part of ``coupling.t``, a block or a run's vector, and its
+        edges refuse writes."""
+        t = make().t
+        for arr in (t.edges, *t.parts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -1
 
     def test_cached_matrices_are_read_only(self):
         prob = self._colored_problem()
@@ -613,7 +650,7 @@ class TestImmutability:
             monkeypatch.setattr(np.linalg, name, refuse)
         zeta = prob.noise.dense
         m = prob.whitened_forward
-        g_t = prob.operator.rho[:, None] * prob.coupling.t_matrix
+        g_t = prob.operator.rho[:, None] * prob.coupling.t.dense()
         np.testing.assert_allclose(m.T @ zeta @ m, g_t.T @ g_t, rtol=1e-10, atol=1e-12)
         z = np.ones(prob.n_dim)
         np.testing.assert_allclose(prob.noise_whiten(prob.noise_color(z)), z, rtol=1e-12)
@@ -631,7 +668,7 @@ class TestImmutability:
             assert arr.flags.writeable
             arr[0] = -1.0
         assert spec.rho[0] == 1.0
-        assert coupling.t_matrix[0, 0] == 1.0
+        assert coupling.t.dense()[0, 0] == 1.0 and not np.shares_memory(coupling.kind.t_matrix, t)
         assert prior.variances[0] == 1.0
         assert abs(noise.dense[0, 0] - 2.0) <= 1e-15  # derived through the root
 
@@ -639,7 +676,8 @@ class TestImmutability:
         """A coupling's kind keeps read-only copies of its arrays: writing to
         the caller's arrays leaves the diagnostics built on the kind
         unchanged, and writing through the kind raises. An explicit kind,
-        the Hilbert-scale prior's included, shares the coupling's matrix."""
+        the Hilbert-scale prior's included, shares the coupling's one part,
+        or holds the matrix that the coupling's parts view."""
         n = 6
         spec = cl.make_spectrum(cl.MildFamily(1.0), n)
 
@@ -662,12 +700,15 @@ class TestImmutability:
         assert (cl.hs_diagnostic(skew, "exp_pair").values,
                 cl.hs_diagnostic(refl, "reflection_pair").values) == before
 
-        t = np.eye(n)
+        t = np.array(refl.coupling.t.dense())  # a dense orthogonal matrix, one block
         explicit = cl.make_coupling(cl.ExplicitCoupling(t), n)
         hilbert, _ = cl.hilbert_scale_prior(spec, 1.0, 2.0, cl.random_spd(n, seed=5, scale=0.1))
         for coupling in (explicit, hilbert):
-            assert coupling.kind.t_matrix is coupling.t_matrix
+            assert len(coupling.t.parts) == 1 and coupling.kind.t_matrix is coupling.t.parts[0]
         assert t.flags.writeable
+        runs = cl.make_coupling(cl.ExplicitCoupling(np.eye(n)), n)
+        assert runs.t.segments == ((0, n, True),)
+        assert np.shares_memory(runs.t.parts[0], runs.kind.t_matrix)
 
     def test_data_sample_holds_read_only_copies(self):
         """A data sample neither follows later writes to the caller's arrays
