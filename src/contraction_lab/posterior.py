@@ -6,11 +6,15 @@ the precision, its Cholesky factor and the sampling factor are
 mean solve, triangular inverse, covariance eigensolve and sampling product go
 part by part. The precision is factored once, in place, with no jitter: a
 precision that is not positive definite raises ``NumericalError`` naming its
-rows. The covariance comes from the factor.
+rows. The covariance comes from the factor: ``_covariance_spectrum`` inverts
+each part of L in place (LAPACK dpotri) just before its block is reduced.
+``posterior_spectrum``, the pipelines' one call per n, owns the fresh factor
+from dpotrf to dstevd and hands its parts over, so no part is copied;
+``PosteriorFactor`` keeps its read-only factor and reduces copies of it.
 
 The exceedance ``P(||u - u0|| > xi | y)`` that pipelines report is a tail of
-the quadratic form over ``covariance_spectrum`` (``quadform.tails``). The
-sampler ``posterior_exceedance_grid`` is its Monte Carlo cross-check.
+the quadratic form over that spectrum (``quadform.tails``). The sampler
+``posterior_exceedance_grid`` is its Monte Carlo cross-check.
 """
 
 from __future__ import annotations
@@ -30,14 +34,22 @@ from .rng import substream
 from .spectral import InverseProblem, DataSample, as_vector, check_noise_level
 
 
+# From this many rows a factor's strict upper triangle is zeroed column by
+# column, down the array's memory; scipy's dpotrf ``clean=1`` zeroes it row by
+# row, across it, which is faster on small blocks and slower on large ones
+# (one BLAS thread: 131 against 158 us at 160 rows, 18 against 14-16 ms at
+# 1024; the same bits).
+_ZERO_BY_COLUMNS = 256
+
+
 def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
     """Lower Cholesky factor of the symmetric positive definite
     ``BlockDiagonal`` ``mat``. Despite the name (which the benchmark harness
     binds) no jitter is added: LAPACK dpotrf factors each part once, in place
     when it is a writeable Fortran-ordered float array and in a copy
-    otherwise, and zeroes its strict upper triangle; a run of one-row blocks
-    takes ``sqrt``. The first part that is not positive definite raises
-    ``NumericalError`` naming its rows."""
+    otherwise, and its strict upper triangle is zeroed; a run of one-row
+    blocks takes ``sqrt``. The first part that is not positive definite
+    raises ``NumericalError`` naming its rows."""
     def factor(lo: int, hi: int, part: np.ndarray) -> np.ndarray:
         part = np.require(part, dtype=float, requirements=["F", "W"])
         if part.ndim == 1:
@@ -46,10 +58,14 @@ def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
                 raise NumericalError(f"Cholesky factor: rows {bad[0]}:{bad[0] + 1} are not "
                                      "positive definite")
             return np.sqrt(part, out=part)
-        chol, info = dpotrf(part, lower=1, clean=1, overwrite_a=1)
+        by_columns = hi - lo >= _ZERO_BY_COLUMNS
+        chol, info = dpotrf(part, lower=1, clean=int(not by_columns), overwrite_a=1)
         if info:
             raise NumericalError(f"Cholesky factor: rows {lo}:{hi} are not positive definite "
                                  f"(LAPACK dpotrf: leading minor of order {info})")
+        if by_columns:
+            for j in range(1, hi - lo):
+                chol[:j, j] = 0.0
         return chol
     return mat.map(factor)
 
@@ -137,17 +153,73 @@ def posterior_precision(problem: InverseProblem, n_level: float) -> quadform.Blo
     return problem.whitened_gram.map(part)
 
 
+def _as_block(x, n_dim: int, name: str) -> np.ndarray:
+    """``x`` as a float length-N vector or (N, R) block."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2 or x.shape[:1] != (n_dim,):
+        raise ParameterError(f"{name} must be a length-{n_dim} vector or an "
+                             f"({n_dim}, R) block, got shape {x.shape}")
+    return x
+
+
+def _mean(problem: InverseProblem, n_level: float, chol: quadform.BlockDiagonal,
+          y: np.ndarray) -> np.ndarray:
+    """The posterior mean given the vector or block ``y``, from the
+    precision's Cholesky factor ``chol``: one ``BlockDiagonal.cho_solve`` of
+    ``n M^T W y`` (W the whitening root), which ``problem.whitened_adjoint``
+    forms without M."""
+    rhs = n_level * problem.whitened_adjoint(problem.noise_whiten(y))
+    return chol.cho_solve(rhs, cho_solve)
+
+
+def _covariance(lo: int, hi: int, l: np.ndarray, what: str) -> np.ndarray:
+    """The covariance ``L^{-T} L^{-1}`` on one part ``l`` of L, written over
+    ``l`` (a writeable Fortran-ordered array): dpotri on a block, which holds
+    it in the lower triangle that ``quadform.block_spectrum`` reads;
+    ``(1 / l) * (1 / l)`` on a run."""
+    if l.ndim == 1:
+        np.divide(1.0, l, out=l)
+        return np.multiply(l, l, out=l)
+    cov, info = dpotri(l, lower=1, overwrite_c=1)
+    if info:
+        raise NumericalError(f"LAPACK dpotri failed with info = {info} on the {what}, "
+                             f"rows {lo}:{hi}")
+    return cov
+
+
+def _covariance_spectrum(segments, parts, d: np.ndarray,
+                         n_level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)
+    V^T`` and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
+    without forming V: the one inversion and reduction of the factor's parts.
+    ``parts`` yields each part of L on ``segments`` in order, writeable,
+    Fortran-ordered and held by nothing else. Each is inverted in place only
+    when its block is decomposed and reduced in place by
+    ``quadform.block_spectrum``, which lets it go before dstevd allocates its
+    eigenvectors and workspace.
+
+    The covariance, not the precision, is decomposed: the precision's
+    condition number reaches 6.7e27 on a mildly ill-posed problem with prior
+    smoothness 5, which would destroy the large covariance eigenvalues that
+    dominate posterior radii.
+    """
+    what = f"posterior covariance at n_level = {float(n_level)!r}"
+    return quadform.block_spectrum(
+        segments, (_covariance(lo, hi, next(parts), what) for lo, hi, _ in segments), d, what)
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorFactor:
     """The data-independent part of the conjugate posterior at one noise
     level: factor once per n, then condition on any number of data draws.
 
     The precision's Cholesky factor L, a read-only ``quadform.BlockDiagonal``
-    on the problem's blocks, is the only factorization. ``covariance_spectrum``
-    takes each block of the covariance ``L^{-T} L^{-1}`` from L by LAPACK
-    dpotri; the triangular inverse, whose transpose is the sampling factor,
-    is formed only on the first ``condition``. A run of one-row blocks takes
-    these calls' closed forms in their own operation order: ``1 / l``, then
+    on the problem's blocks, is the only factorization. The covariance comes
+    from the factor: ``covariance_spectrum`` runs ``posterior_spectrum``'s
+    eigensolve on a copy of each part of L, made when its block is reduced;
+    the triangular inverse, whose transpose is the sampling factor, is formed
+    only on the first ``condition``. A run of one-row blocks takes these
+    calls' closed forms in their own operation order: ``1 / l``, then
     ``(1 / l) * (1 / l)``."""
 
     problem: InverseProblem
@@ -156,24 +228,14 @@ class PosteriorFactor:
 
     def mean(self, y: np.ndarray) -> np.ndarray:
         """Posterior mean given data ``y`` (e-coordinates): a vector, or an
-        (N, R) block of R data draws with one mean per column, from one
-        ``BlockDiagonal.cho_solve`` of ``n M^T W y`` (W the whitening root),
-        which ``problem.whitened_adjoint`` forms without M."""
-        y = self._block(y, "y")
-        rhs = self.n_level * self.problem.whitened_adjoint(self.problem.noise_whiten(y))
-        return self._precision_chol.cho_solve(rhs, cho_solve)
+        (N, R) block of R data draws with one mean per column."""
+        return _mean(self.problem, self.n_level, self._precision_chol,
+                     _as_block(y, self.problem.n_dim, "y"))
 
     def condition(self, y: np.ndarray) -> PosteriorGaussian:
         """Posterior given data ``y`` (e-coordinates)."""
         return PosteriorGaussian(mean=self.mean(y), cov_factor=self._cov_factor,
                                  n_level=self.n_level)
-
-    def _block(self, x, name: str) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 2 or x.shape[:1] != (self.problem.n_dim,):
-            raise ParameterError(f"{name} must be a length-{self.problem.n_dim} vector or an "
-                                 f"({self.problem.n_dim}, R) block, got shape {x.shape}")
-        return x
 
     @cached_property
     def _cov_factor(self) -> quadform.BlockDiagonal:
@@ -184,37 +246,16 @@ class PosteriorFactor:
         return self._precision_chol.map(
             lambda lo, hi, l: dtrtri(l, lower=1)[0].T if l.ndim == 2 else 1.0 / l).read_only()
 
-    def _covariance(self, lo: int, hi: int, l: np.ndarray) -> np.ndarray:
-        """The covariance ``L^{-T} L^{-1}`` on one part ``l`` of L: dpotri on
-        a copy of a block, which holds it in the lower triangle that
-        ``quadform.block_spectrum`` reads; ``(1 / l) * (1 / l)`` on a run."""
-        if l.ndim == 1:
-            inv = 1.0 / l
-            return inv * inv
-        cov, info = dpotri(np.array(l, order="F"), lower=1, overwrite_c=1)
-        if info:
-            raise NumericalError(f"LAPACK dpotri failed with info = {info} on the posterior "
-                                 f"covariance at n_level = {float(self.n_level)!r}, rows {lo}:{hi}")
-        return cov
-
     def covariance_spectrum(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) of the posterior covariance ``C = V diag(lam)
-        V^T`` and the projections ``V^T d`` of an (N,) or (N, R) block ``d``,
-        without forming the eigenvectors V (``quadform.block_spectrum``, one
-        part of L at a time). Each block of C is formed from L only when it
-        is decomposed, and reduced in place.
-
-        The covariance, not the precision, is decomposed: the precision's
-        condition number reaches 6.7e27 on a mildly ill-posed problem with
-        prior smoothness 5, which would destroy the large covariance
-        eigenvalues that dominate posterior radii.
-        """
-        d = self._block(d, "d")
+        """Eigenvalues (ascending) of the posterior covariance and the
+        projections ``V^T d`` of an (N,) or (N, R) block ``d``
+        (``_covariance_spectrum``), bit for bit as ``posterior_spectrum``
+        gives them; L stays intact for ``condition``."""
+        d = _as_block(d, self.problem.n_dim, "d")
         chol = self._precision_chol
-        return quadform.block_spectrum(
-            chol.segments, (self._covariance(lo, hi, l)
-                            for (lo, hi, _), l in zip(chol.segments, chol.parts)),
-            d, f"posterior covariance at n_level = {float(self.n_level)!r}")
+        return _covariance_spectrum(chol.segments,
+                                    (np.array(l, order="F") for l in chol.parts),
+                                    d, self.n_level)
 
 
 def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor:
@@ -224,6 +265,29 @@ def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor
     read without a copy."""
     p_chol = cholesky_with_jitter(posterior_precision(problem, n_level)).read_only()
     return PosteriorFactor(problem, n_level, p_chol)
+
+
+def posterior_spectrum(problem: InverseProblem, n_level: float, y: np.ndarray,
+                       u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) of the posterior covariance at ``n_level`` and
+    the projections ``V^T (mean - u0)`` of the posterior mean given data
+    ``y``, a vector or an (N, R) block with one mean and one column of
+    projections per column: the pipelines' one call per n.
+
+    It owns the fresh Cholesky factor L from dpotrf to dstevd. The mean is
+    solved with L as ``PosteriorFactor.mean`` solves it; then each part of L
+    is handed to ``_covariance_spectrum``, which inverts it in place, so L,
+    the covariance and dstevd's arrays are never held together and no part
+    is copied. The result equals ``factor_posterior``'s route bit for bit.
+    """
+    y = _as_block(y, problem.n_dim, "y")
+    u0 = as_vector(u0, problem.n_dim, "u0")
+    chol = cholesky_with_jitter(posterior_precision(problem, n_level))
+    d = _mean(problem, n_level, chol, y)
+    d -= u0 if d.ndim == 1 else u0[:, None]
+    segments, parts = chol.segments, list(chol.parts)
+    del chol
+    return _covariance_spectrum(segments, (parts.pop(0) for _ in segments), d, n_level)
 
 
 def conjugate_posterior(problem: InverseProblem, data: DataSample) -> PosteriorGaussian:

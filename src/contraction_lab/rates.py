@@ -21,7 +21,7 @@ from . import quadform
 from .errors import ParameterError
 from .rng import derive_seed, substream
 from .spectral import InverseProblem, SevereFamily, as_vector, check_noise_level, forward_apply
-from .posterior import PosteriorFactor, factor_posterior
+from .posterior import posterior_spectrum
 from .assumptions import RateConstants, RatePlan
 
 
@@ -134,26 +134,23 @@ def _replicate_distances(problem: InverseProblem, g_u0: np.ndarray, n_level: flo
     replicate from its own stream ``rng``; ``g_u0 = G u0``.
 
     The fit calls it once per replicate and then hands the draws of all
-    replicates of one n to ``_posterior_radii``; perfbench times this binding
-    as one rate-fit replicate.
+    replicates of one n to ``posterior_spectrum``; perfbench times this
+    binding as one rate-fit replicate.
     """
     z = rng.standard_normal(problem.n_dim)
     return g_u0 + problem.noise_color(z) / math.sqrt(n_level)
 
 
-def _posterior_radii(factor: PosteriorFactor, u0: np.ndarray, delta_level: float,
-                     ys: np.ndarray) -> np.ndarray:
+def _posterior_radii(lam: np.ndarray, c: np.ndarray, delta_level: float) -> np.ndarray:
     """Exact (1 - delta) posterior radii around u0, one per column of the
-    (N, R) data block ``ys``.
+    projections ``c = V^T (mean - u0)`` that ``posterior_spectrum`` returns
+    with the covariance eigenvalues ``lam`` for an (N, R) data block.
 
     In the eigenbasis V of the posterior covariance the squared distance of a
-    posterior draw from u0 is ``sum_i (c_i + sqrt(lam_i) Z_i)**2`` with
-    ``c = V^T (mean - u0)``; its upper delta-quantile comes from the
-    saddlepoint kernel rather than from posterior samples. ``lam`` and the R
-    projections come from one tridiagonal reduction per diagonal block of
-    the covariance, and V is never formed.
+    posterior draw from u0 is ``sum_i (c_i + sqrt(lam_i) Z_i)**2``; its upper
+    delta-quantile comes from the saddlepoint kernel rather than from
+    posterior samples.
     """
-    lam, c = factor.covariance_spectrum(factor.mean(ys) - u0[:, None])
     c = c.T.copy()  # row r: V^T (mean_r - u0)
     return np.sqrt(quadform.quantiles(delta_level, lam, c * c))
 
@@ -168,9 +165,10 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
     outside the ball: the ceil((1 - delta) R)-th smallest of the replicates'
     exact (1 - delta) posterior radii. Only the data are sampled; each
     replicate's radius is a saddlepoint quantile over the eigenvalues of the
-    posterior covariance. Per n the replicates share one mean solve, one
+    posterior covariance. Per n the replicates share one
+    ``posterior_spectrum`` call (one factorization and mean solve, then one
     tridiagonal reduction per diagonal block of the covariance that yields
-    the eigenvalues and their projections without eigenvectors, and one
+    the eigenvalues and their projections without eigenvectors) and one
     batched quantile solve.
     """
     n_grid = np.array(n_grid, dtype=float)
@@ -193,8 +191,7 @@ def fit_contraction_rate(problem: InverseProblem, u0: np.ndarray, n_grid,
         ys = np.column_stack([_replicate_distances(problem, g_u0, n,
                                                    substream(seed, "rate-fit", i, rep))
                               for rep in range(y_replicates)])
-        # No name holds the factor, so it is freed before the next n's.
-        radii = _posterior_radii(factor_posterior(problem, n), u0, delta_level, ys)
+        radii = _posterior_radii(*posterior_spectrum(problem, n, ys, u0), delta_level)
         radii.sort()
         xi_hat.append(float(radii[rank - 1]))
         exceed_frac.append(np.count_nonzero(radii <= radii[rank - 1]) / y_replicates)

@@ -119,8 +119,7 @@ def _pipe_posterior(config: ExperimentConfig, problem: InverseProblem, workers: 
         # covariance's eigenvalues lam and offsets c = V^T (mean - u0)
         i, n = item
         data = simulate_data(problem, u0, n, derive_seed(seed, "posterior", i, "data"))
-        factor = posterior.factor_posterior(problem, n)
-        lam, c = factor.covariance_spectrum(factor.mean(data.y) - u0)
+        lam, c = posterior.posterior_spectrum(problem, n, data.y, u0)
         scale = math.sqrt(lam.sum())  # sqrt(trace C)
         xis = run.get("xi_grid") or [scale * m for m in (0.5, 1.0, 2.0, 4.0)]
         q = np.square(xis)

@@ -26,10 +26,10 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm, dtrmv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dsyevd
 
 from . import quadform
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, NumericalError, ParameterError
 from .rng import substream
 
 ORTHOGONALITY_TOL = 1e-10
@@ -459,12 +459,18 @@ def colored_noise(spectrum: OperatorSpectrum, r: float, k1: np.ndarray) -> Dense
 def hilbert_scale_prior(spectrum: OperatorSpectrum, t: float, l: float,
                         k2: np.ndarray) -> tuple[OrthogonalCoupling, GaussianSequenceMeasure]:
     """Prior covariance ``(G^(-t) + K2)^(-l)``: its eigenbasis becomes the
-    coupling and its eigenvalues the prior variances (non-increasing)."""
+    coupling and its eigenvalues the prior variances (non-increasing).
+    LAPACK dsyevd decomposes the fresh Fortran-ordered ``G^(-t) + K2`` in
+    place (lower triangle), so the eigenvectors occupy that array and no
+    copy of it is made; a nonzero ``info`` raises ``NumericalError``."""
     if t <= 0:
         raise ParameterError("hilbert-scale prior requires t > 0")
     if not (0 < l <= 2):
         raise ParameterError("hilbert-scale prior requires l in (0, 2]")
-    vals, vecs = np.linalg.eigh(_shifted(spectrum, t, k2, "K2"))
+    vals, vecs, info = dsyevd(_shifted(spectrum, t, k2, "K2"), lower=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"LAPACK dsyevd failed with info = {info} on the hilbert-scale "
+                             "prior's G^(-t) + K2")
     if vals.min() <= 0:
         raise ParameterError(_NOT_POSITIVE.format(a="t", k="K2"))
     coupling = _dense_coupling(vecs, ExplicitCoupling(vecs))

@@ -231,23 +231,25 @@ class TestBuildProblem:
         assert err.value.field == field
 
     def test_dense_operators_decomposed_once(self, monkeypatch):
-        """A Hilbert-scale prior with colored noise runs one eigh, of G^-t + K2
-        (it defines the coupling); colored noise factors its whitening root
-        G^-r + K1 by Cholesky and runs no eigensolve at all."""
+        """A Hilbert-scale prior with colored noise runs one eigensolve, LAPACK
+        dsyevd of G^-t + K2 (it defines the coupling), and no numpy eigh;
+        colored noise factors its whitening root G^-r + K1 by Cholesky and
+        runs no eigensolve at all."""
         calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
-            original = getattr(np.linalg, name)
+        for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
+                            (spectral, "dsyevd")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         config = cl.parse_config(json.dumps({"problem": {
             "n_dim": 16, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
             "noise": {"kind": "colored", "r": 0.5}}}))
         prob = build_problem(config)
         prob.whitened_gram
-        assert calls.count("eigh") == 1
+        assert calls.count("dsyevd") == 1 and "eigh" not in calls
         assert calls.count("eigvalsh") == 2  # the spectral norms of K1 and K2
         assert "svd" not in calls
         k1 = cl.random_spd(16, seed=1, scale=0.5)

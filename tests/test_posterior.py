@@ -412,31 +412,37 @@ class TestPosteriorFactor:
     @pytest.mark.parametrize("kind", ["banded", "dense"])
     def test_covariance_upper_triangle_is_never_read(self, monkeypatch, kind):
         """NaN in the strict upper triangle of every covariance block leaves
-        the spectrum and the rate-fit radii bit for bit the same, on the
-        default banded config and on a dense Hilbert-scale problem at
-        N = 256."""
+        the spectrum and the rate-fit radii of ``posterior_spectrum`` (and
+        the spectrum of ``PosteriorFactor.covariance_spectrum``) bit for bit
+        the same, on the default banded config and on a dense Hilbert-scale
+        problem at N = 256."""
         config, prob, u0 = _default_banded() if kind == "banded" else _dense_hilbert(256)
         g_u0 = forward_apply(prob, u0)
-        original = posterior.PosteriorFactor._covariance
+        original = posterior._covariance
 
-        def poisoned(self, lo, hi, part):
-            cov = original(self, lo, hi, part)
+        def poisoned(lo, hi, part, what):
+            cov = original(lo, hi, part, what)
             if cov.ndim == 2:  # a run of one-row blocks has no upper triangle
                 cov[np.triu_indices(hi - lo, 1)] = np.nan
             return cov
+
+        def routes(n, ys):
+            factor = cl.factor_posterior(prob, n)
+            spectrum = cl.posterior_spectrum(prob, n, ys, u0)
+            return (factor.covariance_spectrum(factor.mean(ys) - u0[:, None]), spectrum,
+                    rates._posterior_radii(*spectrum, 0.1))
 
         for i, n in enumerate(config.run["n_grid"][::2]):
             ys = np.column_stack([rates._replicate_distances(prob, g_u0, n,
                                                              substream(3, "rate-fit", i, rep))
                                   for rep in range(4)])
-            factor = cl.factor_posterior(prob, n)
-            d = factor.mean(ys) - u0[:, None]
-            before = factor.covariance_spectrum(d), rates._posterior_radii(factor, u0, 0.1, ys)
+            before = routes(n, ys)
             with monkeypatch.context() as patch:
-                patch.setattr(posterior.PosteriorFactor, "_covariance", poisoned)
-                after = factor.covariance_spectrum(d), rates._posterior_radii(factor, u0, 0.1, ys)
-            assert all(np.array_equal(x, y) for x, y in zip(before[0], after[0]))
-            assert np.array_equal(before[1], after[1])
+                patch.setattr(posterior, "_covariance", poisoned)
+                after = routes(n, ys)
+            for x, y in zip(before[:2], after[:2]):
+                assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+            assert np.array_equal(before[2], after[2])
 
     def test_cached_factors_are_read_only(self):
         """A posterior shares its covariance factor with the factor it was
@@ -568,13 +574,13 @@ def _assert_routes_agree(factor, u0, ys):
     and exact rate-fit radii within 1e-12 relative."""
     d = factor.mean(ys) - u0[:, None]
     lam, c = factor.covariance_spectrum(d)
-    radii = rates._posterior_radii(factor, u0, 0.1, ys)
+    radii = rates._posterior_radii(lam, c, 0.1)
     precision = cl.posterior_precision(factor.problem, factor.n_level).dense()
     twin = posterior.PosteriorFactor(factor.problem, factor.n_level,
                                      quadform.BlockDiagonal.from_dense(
                                          np.asfortranarray(one_block_cholesky(precision))))
     ref_lam, ref_c = twin.covariance_spectrum(d)
-    ref_radii = rates._posterior_radii(twin, u0, 0.1, ys)
+    ref_radii = rates._posterior_radii(ref_lam, ref_c, 0.1)
     assert twin._precision_chol.edges.size == 2
     assert np.all(np.abs(lam - ref_lam) <= 1e-13 * ref_lam.max())
     norms, ref_norms = np.linalg.norm(c, axis=0), np.linalg.norm(ref_c, axis=0)
@@ -1018,8 +1024,8 @@ class TestOneRowRuns:
 
 class TestMemoryBudget:
     """On a dense problem every N x N array of the posterior path exists
-    once, measured by ``tracemalloc`` at N = 256 after the problem is
-    built."""
+    once, and the factor is gone before the eigensolve allocates, measured
+    by ``tracemalloc`` at N = 256 after the problem is built."""
 
     N = 256
 
@@ -1032,11 +1038,13 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
 
-    def test_rate_fit_n_allocates_three_arrays(self):
-        """Factor, mean and ``covariance_spectrum`` of one rate-fit n: the
-        factor, the covariance block and dstevd's eigenvectors and workspace
-        (the covariance is freed before dstevd runs), where forming ``L^{-1}``
-        and ``L^{-T} L^{-1}`` made five."""
+    def test_rate_fit_n_allocates_two_arrays(self):
+        """``posterior_spectrum`` of one rate-fit n, then its radii: the
+        factor is inverted in place into the covariance block, which is
+        reduced in place and freed before dstevd allocates its eigenvectors
+        and workspace, so at most those two arrays are alive at once. Holding
+        the factor through the eigensolve and inverting a copy of it peaked
+        at 3.24 arrays."""
         config, prob, u0 = _dense_hilbert(self.N)
         prob.whitened_gram
         g_u0 = forward_apply(prob, u0)
@@ -1044,22 +1052,83 @@ class TestMemoryBudget:
                                                          substream(3, "rate-fit", 0, rep))
                               for rep in range(10)])
         peak, radii = self._peak(
-            lambda: rates._posterior_radii(cl.factor_posterior(prob, 1e4), u0, 0.1, ys))
+            lambda: rates._posterior_radii(*cl.posterior_spectrum(prob, 1e4, ys, u0), 0.1))
         assert radii.shape == (10,)
-        assert peak <= 3.5 * self.N**2 * 8
+        assert peak <= 2.5 * self.N**2 * 8
         assert "whitened_forward" not in vars(prob)
 
-    def test_posterior_pipeline_allocates_three_arrays(self):
-        """The posterior pipeline at all five n: per n the factor, the
-        covariance block and dstevd's eigenvectors and workspace, as for a
-        rate-fit n. Nothing is drawn but the data, so neither ``L^{-1}`` nor
-        an (N, mc) batch of draws is formed."""
+    def test_posterior_pipeline_allocates_two_arrays(self):
+        """The posterior pipeline at all five n: per n dstevd's eigenvectors
+        and workspace at most, as for a rate-fit n (the factor and its
+        in-place covariance are gone by then); holding the factor through the
+        eigensolve and inverting a copy of it peaked at 3.16 arrays. Nothing
+        is drawn but the data, so neither ``L^{-1}`` nor an (N, mc) batch of
+        draws is formed."""
         config, prob, u0 = _dense_hilbert(self.N)
         prob.whitened_gram
         peak, tables = self._peak(lambda: runner_module._pipe_posterior(config, prob, 1))
         assert len(tables[0].rows) == 4 * len(config.run["n_grid"])
-        assert peak <= 3.5 * self.N**2 * 8
+        assert peak <= 2.5 * self.N**2 * 8
         assert "whitened_forward" not in vars(prob)
+
+
+class TestPosteriorSpectrum:
+    """``posterior_spectrum``, the pipelines' route, consumes its fresh
+    factor and gives the ``PosteriorFactor`` route's numbers bit for bit."""
+
+    @pytest.mark.parametrize("n_level", [1e2, 1e6])
+    @pytest.mark.parametrize("kind", ["banded", "dense"])
+    def test_matches_the_factor_route_bit_for_bit(self, monkeypatch, kind, n_level):
+        """Mean, eigenvalues and projections on the banded N = 512 default
+        and a dense Hilbert-scale problem at N = 64, for a block of data
+        draws and for one draw."""
+        config, prob, u0 = _default_banded() if kind == "banded" else _dense_hilbert(64)
+        g_u0 = forward_apply(prob, u0)
+        ys = np.column_stack([rates._replicate_distances(prob, g_u0, n_level,
+                                                         substream(3, "rate-fit", 0, rep))
+                              for rep in range(5)])
+        means, mean = [], posterior._mean
+        monkeypatch.setattr(posterior, "_mean", lambda *a: means.append(mean(*a).copy())
+                            or means[-1].copy())
+        for y in (ys, ys[:, 0]):
+            means.clear()
+            lam, c = cl.posterior_spectrum(prob, n_level, y, u0)
+            factor = cl.factor_posterior(prob, n_level)
+            ref_mean = factor.mean(y)
+            ref_lam, ref_c = factor.covariance_spectrum(
+                ref_mean - (u0 if y.ndim == 1 else u0[:, None]))
+            assert len(means) == 2 and np.array_equal(means[0], ref_mean)
+            assert np.array_equal(lam, ref_lam) and np.array_equal(c, ref_c)
+            assert c.shape == y.shape
+
+    def test_factor_parts_are_inverted_in_place(self, monkeypatch):
+        """Every block dpotri inverts is a part of the factor dpotrf wrote,
+        not a copy; ``PosteriorFactor.covariance_spectrum`` inverts copies
+        and leaves its read-only factor intact."""
+        prob = _block_problem([3, 1, 1, 4, 2], seed=5)
+        factored, inverted = [], []
+        dpotrf, dpotri = posterior.dpotrf, posterior.dpotri
+        monkeypatch.setattr(posterior, "dpotrf",
+                            lambda a, **k: factored.append(a) or dpotrf(a, **k))
+        monkeypatch.setattr(posterior, "dpotri",
+                            lambda c, **k: inverted.append(c) or dpotri(c, **k))
+        cl.posterior_spectrum(prob, 1e3, np.ones(11), np.zeros(11))
+        assert len(factored) == 3 and all(a is b for a, b in zip(factored, inverted))
+        factor = cl.factor_posterior(prob, 1e3)
+        before = factor._precision_chol.dense().copy()
+        inverted.clear()
+        factor.covariance_spectrum(np.ones(11))
+        assert len(inverted) == 3
+        assert not any(np.shares_memory(c, p) for c in inverted
+                       for p in factor._precision_chol.parts)
+        assert np.array_equal(factor._precision_chol.dense(), before)
+
+    def test_refuses_bad_shapes(self):
+        prob = random_problem(1, n_dim=4)
+        with pytest.raises(ParameterError, match="vector or an"):
+            cl.posterior_spectrum(prob, 10.0, np.ones(3), np.zeros(4))
+        with pytest.raises(ParameterError, match="u0"):
+            cl.posterior_spectrum(prob, 10.0, np.ones(4), np.zeros(3))
 
 
 class TestNonFinitePosterior:

@@ -146,7 +146,8 @@ class TestFitContractionRate:
             for rep in range(3):
                 y = rates._replicate_distances(prob, forward_apply(prob, u0), n,
                                                substream(5, "rate-fit", i, rep))
-                radius = rates._posterior_radii(factor, u0, 1 - p, y[:, None])[0]
+                radius = rates._posterior_radii(
+                    *cl.posterior_spectrum(prob, n, y[:, None], u0), 1 - p)[0]
                 rng = substream(5, "rate-fit", i, rep)
                 assert np.array_equal(y, forward_apply(prob, u0)
                                       + prob.noise_color(rng.standard_normal(n_dim))
@@ -258,7 +259,7 @@ class TestFitContractionRate:
         ys = np.column_stack([rates._replicate_distances(prob, g_u0, n_level,
                                                          substream(3, "rate-fit", 0, rep))
                               for rep in range(4)])
-        radii = rates._posterior_radii(factor, u0, 0.1, ys)
+        radii = rates._posterior_radii(*cl.posterior_spectrum(prob, n_level, ys, u0), 0.1)
         inv = factor._cov_factor.dense().T
         lam, vecs = scipy.linalg.eigh(inv.T @ inv)
         c = (factor.mean(ys) - u0[:, None]).T @ vecs

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import contraction_lab as cl
 from contraction_lab import quadform, spectral
-from contraction_lab.errors import ConstructionError, ParameterError
+from contraction_lab.errors import ConstructionError, NumericalError, ParameterError
 from contraction_lab.rng import substream
 
 from block_reference import zero_pattern_blocks
@@ -403,6 +403,33 @@ class TestMeasures:
         target = fractional_matrix_power(np.diag(spec.rho**-1.0) + k2, -1.5).real
         np.testing.assert_allclose(rebuilt, target, atol=1e-10)
         assert np.all(np.diff(prior.variances) <= 1e-15)
+
+    def test_hilbert_scale_eigenvectors_occupy_the_shifted_array(self, monkeypatch):
+        """The prior's eigensolve runs in place: the coupling's one part is
+        the Fortran-ordered array ``_shifted`` formed, now holding the
+        eigenvectors, and its eigenvalues are those of ``eigh``."""
+        formed = []
+        shifted = spectral._shifted
+        monkeypatch.setattr(spectral, "_shifted",
+                            lambda *args: formed.append(shifted(*args)) or formed[-1])
+        spec = cl.make_spectrum(cl.MildFamily(1.0), 40)
+        k2 = cl.random_spd(40, seed=9, scale=0.3)
+        coupling, prior = cl.hilbert_scale_prior(spec, t=1.0, l=2.0, k2=k2)
+        (part,) = coupling.t.parts
+        assert len(formed) == 1 and part is formed[0] and part.flags.f_contiguous
+        assert not part.flags.writeable
+        vals = np.linalg.eigvalsh(np.diag(spec.rho**-1.0) + k2)
+        np.testing.assert_allclose(prior.variances, vals**-2.0, rtol=1e-12)
+
+    def test_hilbert_scale_eigensolve_failure_names_the_prior(self, monkeypatch):
+        """A nonzero ``info`` from LAPACK dsyevd raises ``NumericalError``
+        naming the routine and the prior, not a prior built from garbage."""
+        original = spectral.dsyevd
+        monkeypatch.setattr(spectral, "dsyevd", lambda *a, **k: original(*a, **k)[:2] + (5,))
+        spec = cl.make_spectrum(cl.MildFamily(1.0), 8)
+        with pytest.raises(NumericalError, match=r"dsyevd failed with info = 5 on the "
+                                                 r"hilbert-scale prior"):
+            cl.hilbert_scale_prior(spec, 1.0, 2.0, cl.random_spd(8, seed=1, scale=0.3))
 
     def test_dense_noise_must_be_spd(self):
         with pytest.raises(ParameterError):
