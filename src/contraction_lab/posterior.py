@@ -6,11 +6,11 @@ the precision, its Cholesky factor and the sampling factor are
 mean solve, triangular inverse, covariance eigensolve and sampling product go
 part by part. The precision is factored once, in place, with no jitter: a
 precision that is not positive definite raises ``NumericalError`` naming its
-rows. The covariance comes from the factor: ``_covariance_spectrum`` inverts
-each part of L in place (LAPACK dpotri) just before its block is reduced.
-``posterior_spectrum``, the pipelines' one call per n, owns the fresh factor
-from dpotrf to dstevd and hands its parts over, so no part is copied;
-``PosteriorFactor`` keeps its read-only factor and reduces copies of it.
+rows. A factor part's lower triangle is L, and nothing in the package reads
+above it; the one exception is ``factor_posterior``'s read-only factor,
+which is clean. ``posterior_spectrum``, the pipelines' one call per n,
+inverts each part of its fresh factor in place (LAPACK dpotri) just before
+its block is reduced; ``PosteriorFactor`` reduces copies of its factor.
 
 The exceedance ``P(||u - u0|| > xi | y)`` that pipelines report is a tail of
 the quadratic form over that spectrum (``quadform.tails``). The sampler
@@ -34,22 +34,15 @@ from .rng import substream
 from .spectral import InverseProblem, DataSample, as_vector, check_noise_level
 
 
-# From this many rows a factor's strict upper triangle is zeroed column by
-# column, down the array's memory; scipy's dpotrf ``clean=1`` zeroes it row by
-# row, across it, which is faster on small blocks and slower on large ones
-# (one BLAS thread: 131 against 158 us at 160 rows, 18 against 14-16 ms at
-# 1024; the same bits).
-_ZERO_BY_COLUMNS = 256
-
-
 def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
     """Lower Cholesky factor of the symmetric positive definite
     ``BlockDiagonal`` ``mat``. Despite the name (which the benchmark harness
     binds) no jitter is added: LAPACK dpotrf factors each part once, in place
     when it is a writeable Fortran-ordered float array and in a copy
-    otherwise, and its strict upper triangle is zeroed; a run of one-row
-    blocks takes ``sqrt``. The first part that is not positive definite
-    raises ``NumericalError`` naming its rows."""
+    otherwise. L is each part's lower triangle; nothing in the package reads
+    the precision's entries that dpotrf leaves above it (``factor_posterior``
+    zeroes them). A run of one-row blocks takes ``sqrt``. The first part that
+    is not positive definite raises ``NumericalError`` naming its rows."""
     def factor(lo: int, hi: int, part: np.ndarray) -> np.ndarray:
         part = np.require(part, dtype=float, requirements=["F", "W"])
         if part.ndim == 1:
@@ -58,14 +51,10 @@ def cholesky_with_jitter(mat: quadform.BlockDiagonal) -> quadform.BlockDiagonal:
                 raise NumericalError(f"Cholesky factor: rows {bad[0]}:{bad[0] + 1} are not "
                                      "positive definite")
             return np.sqrt(part, out=part)
-        by_columns = hi - lo >= _ZERO_BY_COLUMNS
-        chol, info = dpotrf(part, lower=1, clean=int(not by_columns), overwrite_a=1)
+        chol, info = dpotrf(part, lower=1, clean=0, overwrite_a=1)
         if info:
             raise NumericalError(f"Cholesky factor: rows {lo}:{hi} are not positive definite "
                                  f"(LAPACK dpotrf: leading minor of order {info})")
-        if by_columns:
-            for j in range(1, hi - lo):
-                chol[:j, j] = 0.0
         return chol
     return mat.map(factor)
 
@@ -262,9 +251,12 @@ def factor_posterior(problem: InverseProblem, n_level: float) -> PosteriorFactor
     """Factor the conjugate posterior at noise level ``n_level`` once; the
     result conditions on any number of data draws. The precision's parts are
     built Fortran-ordered and factored in place, the layout LAPACK's solves
-    read without a copy."""
-    p_chol = cholesky_with_jitter(posterior_precision(problem, n_level)).read_only()
-    return PosteriorFactor(problem, n_level, p_chol)
+    read without a copy, then zeroed above L in place: the factor's triangular
+    inverse, the sampling factor, is read whole."""
+    chol = cholesky_with_jitter(posterior_precision(problem, n_level))
+    for l in (l for l in chol.parts if l.ndim == 2):
+        np.copyto(l, 0.0, where=np.tri(l.shape[0], k=-1, dtype=bool).T)
+    return PosteriorFactor(problem, n_level, chol.read_only())
 
 
 def posterior_spectrum(problem: InverseProblem, n_level: float, y: np.ndarray,

@@ -106,8 +106,10 @@ class BlockDiagonal:
     vector, on which each operation takes its closed form. ``dense()``, not
     ``__array__``, makes the N x N array.
     The package's operators are ``read_only``, but for the fresh precision
-    that ``posterior.cholesky_with_jitter`` factors once, in place, into the
-    read-only Cholesky factor."""
+    that ``posterior.cholesky_with_jitter`` factors in place. A factor part's
+    lower triangle is L and nothing reads above it (``cho_solve`` and
+    ``block_spectrum`` read lower triangles); ``posterior.factor_posterior``'s
+    read-only factor alone is clean."""
 
     def __init__(self, edges, part):
         """``part(lo, hi, run)`` makes each segment's part, in order."""

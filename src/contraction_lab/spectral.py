@@ -359,9 +359,9 @@ class DenseNoise:
     e-coordinates, held as the lower Cholesky factor L of its whitening root
     ``W = zeta^(-1/2) = L L'``.
 
-    ``root_factor`` is stored as a read-only Fortran-ordered copy, so BLAS
-    and ``cho_solve`` read it in place; only its lower triangle is used.
-    ``dense_noise`` and ``colored_noise`` build it.
+    ``root_factor`` is read-only and Fortran-ordered, read in place by BLAS and
+    ``cho_solve`` (its lower triangle only): a copy of a caller's array, and
+    the fresh read-only factor itself that ``dense_noise`` and ``colored_noise`` make.
     """
 
     n_dim: int
@@ -369,7 +369,10 @@ class DenseNoise:
     basis: ClassVar[str] = "e"
 
     def __post_init__(self):
-        f = _read_only(np.array(self.root_factor, dtype=float, order="F"))
+        f = self.root_factor
+        if not (isinstance(f, np.ndarray) and f.dtype == float and f.flags.f_contiguous
+                and f.flags.owndata and not f.flags.writeable):
+            f = _read_only(np.array(f, dtype=float, order="F"))
         if f.shape != (self.n_dim, self.n_dim):
             raise ParameterError("root_factor must be square of size n_dim")
         if not np.all(np.isfinite(f)) or np.any(np.diagonal(f) <= 0):
@@ -407,7 +410,8 @@ def _is_symmetric(a: np.ndarray) -> bool:
     """Square, and equal to its transpose to 1e-12 of its largest entry."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return bool(np.abs(a - a.T).max() <= 1e-12 * max(1.0, np.abs(a).max()))
+    diff = np.subtract(a, a.T)
+    return bool(np.abs(diff, out=diff).max() <= 1e-12 * max(1.0, a.max(), -a.min()))
 
 
 def _noise_from_root(root: np.ndarray, failure: str) -> DenseNoise:
@@ -417,7 +421,7 @@ def _noise_from_root(root: np.ndarray, failure: str) -> DenseNoise:
     factor, info = dpotrf(root, lower=1, overwrite_a=1)
     if info != 0:
         raise ParameterError(failure)
-    return DenseNoise(root.shape[0], factor)
+    return DenseNoise(root.shape[0], _read_only(factor))
 
 
 def dense_noise(covariance: np.ndarray) -> DenseNoise:

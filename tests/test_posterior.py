@@ -888,8 +888,15 @@ def _dense_hilbert(n_dim):
 
 class TestInPlaceCholesky:
     """``cholesky_with_jitter`` factors a writeable Fortran-ordered argument
-    in place with LAPACK dpotrf, bit for bit as ``np.linalg.cholesky`` does,
-    and copies any other argument first."""
+    in place with LAPACK dpotrf, its lower triangle bit for bit as
+    ``np.linalg.cholesky`` gives it and its strict upper triangle left as
+    the input's entries, and copies any other argument first."""
+
+    @staticmethod
+    def _assert_factor(out, ref, mat):
+        """``out`` holds ``ref`` in its lower triangle and ``mat`` above it."""
+        assert np.array_equal(np.tril(out), ref)
+        assert np.array_equal(np.triu(out, 1), np.triu(mat, 1))
 
     def test_overwrites_only_writeable_fortran_input(self):
         precision = cl.posterior_precision(random_problem(1, n_dim=30), 1e3).dense()
@@ -901,14 +908,18 @@ class TestInPlaceCholesky:
             before = arr.copy()
             out = one_block_cholesky(arr)
             assert np.array_equal(arr, before) and not np.shares_memory(out, arr)
-            assert out.flags.f_contiguous and np.array_equal(out, ref)
+            assert out.flags.f_contiguous
+            self._assert_factor(out, ref, before)
+        before = precision.copy()
         out = one_block_cholesky(precision)
-        assert out is precision and np.array_equal(precision, ref)
+        assert out is precision
+        self._assert_factor(precision, ref, before)
 
     @pytest.mark.parametrize("kind", ["banded", "dense"])
     def test_matches_numpy_bit_for_bit(self, kind):
         """At every n of the default banded config (block by block, and as
-        one block) and of a dense Hilbert-scale problem at N = 256."""
+        one block) and of a dense Hilbert-scale problem at N = 256;
+        ``factor_posterior``'s factor is clean."""
         config, prob, _ = _default_banded() if kind == "banded" else _dense_hilbert(256)
         edges = prob.gram_blocks
         assert (edges.size > 2) == (kind == "banded")
@@ -918,8 +929,8 @@ class TestInPlaceCholesky:
             for lo, hi in zip(edges[:-1], edges[1:]):
                 ref[lo:hi, lo:hi] = np.linalg.cholesky(precision[lo:hi, lo:hi])
             assert np.array_equal(cl.factor_posterior(prob, n)._precision_chol.dense(), ref)
-            assert np.array_equal(one_block_cholesky(precision.copy(order="F")),
-                                  np.linalg.cholesky(precision))
+            self._assert_factor(one_block_cholesky(precision.copy(order="F")),
+                                np.linalg.cholesky(precision), precision)
 
     def test_one_dpotrf_call_per_block(self, monkeypatch):
         """Each block of the default banded precision is factored by exactly
@@ -955,8 +966,9 @@ class TestInPlaceCholesky:
         out = cl.cholesky_with_jitter(
             quadform.BlockDiagonal(edges, lambda lo, hi, run: next(fresh)))
         assert len(out.parts) == 3 and all(a is b for a, b in zip(out.parts, parts))
-        assert all(np.array_equal(a, b) for a, b in zip(out.parts, ref.parts))
-        np.testing.assert_allclose(out.dense() @ out.dense().T, mat, rtol=1e-15, atol=0)
+        lower = np.tril(ref.dense())
+        self._assert_factor(out.dense(), lower, mat)
+        np.testing.assert_allclose(lower @ lower.T, mat, rtol=1e-15, atol=0)
 
 
 def _per_block_mean(factor, y):
@@ -1100,6 +1112,43 @@ class TestPosteriorSpectrum:
             assert len(means) == 2 and np.array_equal(means[0], ref_mean)
             assert np.array_equal(lam, ref_lam) and np.array_equal(c, ref_c)
             assert c.shape == y.shape
+
+    @pytest.mark.parametrize("n_level", [1e2, 1e6])
+    @pytest.mark.parametrize("kind", ["banded", "dense"])
+    def test_factor_upper_triangle_is_never_read(self, monkeypatch, kind, n_level):
+        """NaN in the strict upper triangle of every block dpotrf factors
+        leaves the eigenvalues, projections and rate-fit radii of
+        ``posterior_spectrum`` bit for bit the same, on the banded N = 512
+        default and a dense Hilbert-scale problem at N = 64, for a block of
+        ten data draws and for one: the mean solve, dpotri and the block
+        eigensolve read the factor's lower triangle only."""
+        config, prob, u0 = _default_banded() if kind == "banded" else _dense_hilbert(64)
+        g_u0 = forward_apply(prob, u0)
+        ys = np.column_stack([rates._replicate_distances(prob, g_u0, n_level,
+                                                         substream(3, "rate-fit", 0, rep))
+                              for rep in range(10)])
+        poisoned, dpotrf = [], posterior.dpotrf
+
+        def poisoning(a, **kwargs):
+            chol, info = dpotrf(a, **kwargs)
+            chol[np.triu_indices(chol.shape[0], 1)] = np.nan
+            poisoned.append(chol.shape[0])
+            return chol, info
+
+        def spectrum_and_radii(y):
+            lam, c = cl.posterior_spectrum(prob, n_level, y, u0)
+            return lam, c, rates._posterior_radii(lam, c.reshape(lam.size, -1), 0.1)
+
+        for y in (ys, ys[:, 0]):
+            before = spectrum_and_radii(y)
+            poisoned.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(posterior, "dpotrf", poisoning)
+                after = spectrum_and_radii(y)
+            assert poisoned == [hi - lo for lo, hi, run in prob.whitened_gram.segments
+                                if not run]
+            assert all(np.array_equal(x, z) for x, z in zip(before, after))
+            assert after[2].shape == (1 if y.ndim == 1 else 10,) and np.all(np.isfinite(after[2]))
 
     def test_factor_parts_are_inverted_in_place(self, monkeypatch):
         """Every block dpotri inverts is a part of the factor dpotrf wrote,

@@ -1,6 +1,7 @@
 """Spectra, couplings, measures, forward model and simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,44 @@ class TestMeasures:
         factor = noise.root_factor
         assert np.array_equal(factor, np.tril(factor)) and np.all(np.diag(factor) > 0)
         np.testing.assert_allclose(factor @ factor.T, base, rtol=1e-14, atol=1e-14)
+
+    def test_colored_noise_holds_one_array(self):
+        """The symmetry check of K1 holds one N x N temporary, ``|K1 - K1^T|``,
+        freed before the whitening root is formed: ``colored_noise`` on a
+        K1 allocated before tracing peaks at one array and the small rest
+        (tracemalloc, N = 256; 2.13 arrays when the check held two)."""
+        n = 256
+        spec = cl.make_spectrum(cl.MildFamily(1.0), n)
+        k1 = cl.random_spd(n, seed=3, scale=0.2)
+        tracemalloc.start()
+        try:
+            noise = cl.colored_noise(spec, 0.5, k1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert noise.n_dim == n
+        assert peak <= 1.2 * n * n * 8
+
+    @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "rounding", "tiny", "nan",
+                                      "inf", "inf-pair", "non-square", "vector", "one"])
+    def test_symmetry_verdict(self, case):
+        """``_is_symmetric`` gives the verdict of ``|a - a^T| <= 1e-12
+        max(1, max |a|)`` on every input, NaN and infinities included."""
+        a = cl.random_spd(5, seed=1)
+        if case != "symmetric":
+            a = {"asymmetric": lambda: a + np.triu(a, 1),
+                 "rounding": lambda: a + np.triu(np.full((5, 5), 1e-13), 1),
+                 "tiny": lambda: np.array([[1e-20, 2e-20], [-1e-20, 0.0]]),
+                 "nan": lambda: np.where(np.eye(5, dtype=bool), np.nan, a),
+                 "inf": lambda: np.diag([np.inf, 1.0]),
+                 "inf-pair": lambda: np.array([[0.0, np.inf], [1.0, 0.0]]),
+                 "non-square": lambda: np.ones((2, 3)),
+                 "vector": lambda: np.ones(4),
+                 "one": lambda: np.array([[-3.0]])}[case]()
+        with np.errstate(invalid="ignore"):
+            want = a.ndim == 2 and a.shape[0] == a.shape[1] and bool(
+                np.abs(a - a.T).max() <= 1e-12 * max(1.0, np.abs(a).max()))
+            assert spectral._is_symmetric(a) is want
 
     def test_indefinite_colored_root_names_k1(self):
         """K1 = -2 I leaves G^(-1/2) + K1 with diagonal entries of both signs,
