@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default: from config)")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for independent cells (default: 1)")
+                        help="accepted; selects no parallel path (default: 1)")
     sub = parser.add_subparsers(dest="pipeline", required=True)
     for name in PIPELINES:
         sub.add_parser(name, parents=[common], help=_DESCRIPTIONS[name])

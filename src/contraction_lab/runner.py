@@ -1,9 +1,10 @@
 """Pipeline orchestration, result records and serialization.
 
 Each pipeline turns one validated config into one or more columnar tables.
-Cell seeds are derived from the master seed by (pipeline id, cell index), so
-per-cell work may run on any number of workers without changing a single
-byte of output; tables are assembled in cell order.
+Cells run in order, in the caller's thread, each seeded from the master seed
+by (pipeline id, cell index). ``workers`` is accepted and selects no parallel
+path: scipy's LAPACK wrappers hold the GIL, so a thread pool never paid, and
+output bytes never depended on the worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import datetime
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,9 +63,7 @@ class ResultRecord:
 
 
 def _map_cells(fn, items, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+    """``fn`` over ``items`` in order; perfbench's wrapper passes ``workers``."""
     return [fn(item) for item in items]
 
 
@@ -285,7 +283,8 @@ def run_experiment(config: ExperimentConfig, pipelines: list[str] | None = None,
                    workers: int = 1) -> ResultRecord:
     """Execute the requested pipelines; the package's errors and
     ``LinAlgError`` become per-pipeline failure entries and never abort the
-    remaining work. Any other exception is a defect and propagates."""
+    remaining work. Any other exception is a defect and propagates.
+    ``workers`` is accepted and selects no parallel path."""
     requested = pipelines if pipelines is not None else config.run["pipelines"]
     for name in requested:
         if name not in PIPELINE_FUNCS:

@@ -2,6 +2,7 @@
 
 import json
 import runpy
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -453,6 +454,29 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert cl.run_experiment(config, workers=1).tables == \
             cl.run_experiment(config, workers=8).tables
 
+    @pytest.mark.parametrize("problem", [
+        {"n_dim": 64, "coupling": {"kind": "banded"}},
+        {"n_dim": 12, "prior": {"family": "hilbert_scale", "t": 1.0, "l": 2.0},
+         "noise": {"kind": "colored", "r": 0.5}},
+    ], ids=["banded", "colored-hilbert"])
+    def test_cells_run_in_the_callers_thread(self, monkeypatch, problem):
+        """``--workers`` selects no parallel path: with every thread start
+        refused, the cell pipelines still run at eight workers and write the
+        tables of one."""
+        def refuse(thread):
+            raise AssertionError(f"a pipeline started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        config = cl.parse_config(json.dumps({
+            "problem": problem,
+            "run": {"n_grid": [100, 1000, 10000, 100000], "mc": 300, "y_replicates": 3}}))
+        pipelines = ["simulate", "posterior", "gn", "smallball"]
+        serial = cl.run_experiment(config, pipelines=pipelines, workers=1)
+        assert not serial.failures, serial.failures
+        assert [t.name for t in serial.tables] == [
+            "simulate", "posterior_exceedance", "g_table", "small_ball"]
+        assert cl.run_experiment(config, pipelines=pipelines, workers=8).tables == serial.tables
+
     @pytest.mark.parametrize("mc", [50, 1500])
     def test_provenance_records_the_draws_used(self, mc):
         """No pipeline reads ``run.mc``: posterior and concentration draw
@@ -627,19 +651,18 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
         assert not record.failures, record.failures
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_gn_and_hs_build_columns_once_per_cutoff(self, monkeypatch, workers):
+    def test_gn_and_hs_build_columns_once_per_cutoff(self, monkeypatch):
         """``gn`` builds one set of plug-in columns per cutoff, at the largest
         k, for its whole k grid (4 builds at the default r values, not one
         per (k, r) cell), and ``hs`` one set for its ``g_rho_sq`` grid."""
         calls = self._count_column_builds(monkeypatch)
         config = cl.parse_config(SMALL_CONFIG)
-        record = cl.run_experiment(config, pipelines=["gn"], workers=workers)
+        record = cl.run_experiment(config, pipelines=["gn"])
         assert not record.failures, record.failures
         assert sorted(calls, key=str) == [(6, 12), (6, 3), (6, 6), (6, None)]
         assert len(record.table("g_table").rows) == 6 * 4
         calls.clear()
-        record = cl.run_experiment(config, pipelines=["hs"], workers=workers)
+        record = cl.run_experiment(config, pipelines=["hs"])
         assert not record.failures, record.failures
         assert calls == [(6, 12)]
         assert len(record.table("hs_diagnostic").provenance["details"]["g_rho_sq"]) == 6

@@ -1,8 +1,9 @@
 """Module layering: no module of the package reaches into a sibling's
 private names, whether by ``from .sibling import _name`` or by
 ``sibling._name`` attribute access; every public name has a caller; only
-listed functions draw random numbers; and the package's import graph leaves
-out the slow-to-import parts of scipy."""
+listed functions draw random numbers; no module imports a thread or process
+pool; and the package's import graph leaves out the slow-to-import parts of
+scipy."""
 
 import ast
 import json
@@ -83,6 +84,47 @@ def test_guard_allows_public_and_own_names():
               "def _own():\n    return posterior.factor_posterior\n"
               "_own()\nposterior.__name__\n")
     assert private_accesses(source) == []
+
+
+# Cells run in order in the caller's thread: scipy's LAPACK wrappers hold
+# the GIL, so a pool over the per-n loops never paid. A ``sys.modules``
+# check cannot hold this line, because numpy and scipy import
+# ``concurrent.futures`` themselves.
+CONCURRENCY_MODULES = ("concurrent", "threading", "multiprocessing")
+
+
+def concurrency_imports(source: str) -> list[str]:
+    """Every import of a ``CONCURRENCY_MODULES`` module or submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: import {name}" for name in names
+                  if name.split(".")[0] in CONCURRENCY_MODULES]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_concurrency_imports(path):
+    assert concurrency_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "from concurrent.futures import ThreadPoolExecutor\n",
+    "import threading\n",
+    "def run():\n    import multiprocessing.pool as mp\n",
+    "import os, concurrent.futures\n",
+])
+def test_guard_catches_concurrency_imports(source):
+    assert len(concurrency_imports(source)) == 1
+
+
+def test_guard_allows_other_imports():
+    assert concurrency_imports("import os\nfrom . import threading\nimport queue\n") == []
 
 
 README = SRC.parents[1] / "README.md"
