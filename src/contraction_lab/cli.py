@@ -1,7 +1,7 @@
 """Thin command-line interface: one subcommand per pipeline.
 
-Exit codes: 0 success, 1 configuration error (including a value a model
-constructor rejects, or a ``--workers`` count below 1), 2 a failed pipeline,
+Exit codes: 0 success, 1 usage or configuration error (an unknown or
+malformed flag, or a value a model constructor rejects), 2 a failed pipeline,
 3 I/O error.
 """
 
@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import FORMATS, PIPELINES, parse_config
-from .errors import ConfigError, ConfigInvariantError, ConstructionError, ParameterError
+from .errors import ConfigError, ConstructionError, ParameterError
 from .runner import emit_results, run_experiment
 
 _DESCRIPTIONS = {
@@ -29,17 +29,19 @@ _DESCRIPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # not argparse's 2, which means a failed pipeline here
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="contraction-lab",
-                                     description="posterior-contraction laboratory")
+    parser = _Parser(prog="contraction-lab", description="posterior-contraction laboratory")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to a YAML experiment config")
     common.add_argument("--seed", type=int, default=None, help="override the master seed")
     common.add_argument("--out", default=None, help="output directory (default: from config)")
     common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default: from config)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="accepted; selects no parallel path (default: 1)")
     sub = parser.add_subparsers(dest="pipeline", required=True)
     for name in PIPELINES:
         sub.add_parser(name, parents=[common], help=_DESCRIPTIONS[name])
@@ -54,14 +56,12 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
     try:
-        if args.workers < 1:
-            raise ConfigInvariantError("--workers", f"must be at least 1, got {args.workers}")
         config = parse_config(text)
         if args.seed is not None:
             config = config.with_master_seed(args.seed)
         # run_experiment records a pipeline's errors as failures; the ones
         # caught here come from the problem build, before any pipeline runs
-        record = run_experiment(config, pipelines=[args.pipeline], workers=args.workers)
+        record = run_experiment(config, pipelines=[args.pipeline])
     except (ConfigError, ParameterError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

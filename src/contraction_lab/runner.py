@@ -2,9 +2,8 @@
 
 Each pipeline turns one validated config into one or more columnar tables.
 Cells run in order, in the caller's thread, each seeded from the master seed
-by (pipeline id, cell index). ``workers`` is accepted and selects no parallel
-path: scipy's LAPACK wrappers hold the GIL, so a thread pool never paid, and
-output bytes never depended on the worker count.
+by (pipeline id, cell index). The ``workers`` count is the benchmark
+harness's argument and selects nothing: output bytes never depended on it.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class ResultRecord:
 
 
 def _map_cells(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` in order; perfbench's wrapper passes ``workers``."""
+    """``fn`` over ``items`` in order; ``workers`` is perfbench's argument and selects nothing."""
     return [fn(item) for item in items]
 
 
@@ -284,7 +283,7 @@ def run_experiment(config: ExperimentConfig, pipelines: list[str] | None = None,
     """Execute the requested pipelines; the package's errors and
     ``LinAlgError`` become per-pipeline failure entries and never abort the
     remaining work. Any other exception is a defect and propagates.
-    ``workers`` is accepted and selects no parallel path."""
+    ``workers`` is the benchmark harness's argument and selects nothing."""
     requested = pipelines if pipelines is not None else config.run["pipelines"]
     for name in requested:
         if name not in PIPELINE_FUNCS:

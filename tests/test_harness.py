@@ -460,7 +460,7 @@ run: {pipelines: [check], n_grid: [100, 1000], mc: 50, y_replicates: 2}
          "noise": {"kind": "colored", "r": 0.5}},
     ], ids=["banded", "colored-hilbert"])
     def test_cells_run_in_the_callers_thread(self, monkeypatch, problem):
-        """``--workers`` selects no parallel path: with every thread start
+        """``workers`` selects no parallel path: with every thread start
         refused, the cell pipelines still run at eight workers and write the
         tables of one."""
         def refuse(thread):
@@ -853,13 +853,38 @@ class TestCli:
         path = self._write(tmp_path, "problem: {n_dim: 1, noise: {kind: colored, r: 0.5}}")
         assert cli_main(["gn", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
-    @pytest.mark.parametrize("workers", ["-3", "0"])
-    def test_workers_below_one_exit_code(self, tmp_path, capsys, workers):
+    def _usage_error(self, capsys, argv) -> str:
+        """Run ``argv``, which argparse must refuse, and return its stderr."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--config", "CONFIG", "--bogus"], "--bogus"),
+        (["--config", "CONFIG", "--seed", "abc"], "--seed"),
+        (["--seed", "1"], "--config"),
+        (["--config", "CONFIG", "--format", "xml"], "--format"),
+    ], ids=["unknown-flag", "seed-abc", "missing-config", "format-xml"])
+    def test_usage_error_exit_code(self, tmp_path, capsys, flags, named):
+        """A flag argparse refuses exits 1, the config-error code, on one
+        stderr line naming the flag: not argparse's 2, which the CLI reserves
+        for a failed pipeline."""
         path = self._write(tmp_path)
-        assert cli_main(["gn", "--config", str(path), "--workers", workers,
-                         "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "'--workers'" in err
+        argv = ["gn", "--out", str(tmp_path / "out")] + [
+            str(path) if flag == "CONFIG" else flag for flag in flags]
+        assert named in self._usage_error(capsys, argv)
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_flag_is_a_usage_error(self, tmp_path, capsys):
+        """``--workers`` is gone: it selected no code path and moved no byte."""
+        path = self._write(tmp_path)
+        err = self._usage_error(capsys, ["gn", "--config", str(path), "--workers", "2",
+                                         "--out", str(tmp_path / "out")])
+        assert "--workers" in err
         assert not (tmp_path / "out").exists()
 
     def test_unexpected_error_type_is_a_traceback(self, tmp_path, monkeypatch):

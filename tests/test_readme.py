@@ -3,7 +3,11 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import contraction_lab as cl
+from contraction_lab.cli import main as cli_main
+from contraction_lab.config import PIPELINES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +26,15 @@ def test_yaml_example_lists_the_defaults():
     assert len(blocks) == 1
     assert cl.parse_config(blocks[0]).digest == \
         cl.parse_config("problem: {coupling: {kind: banded}}").digest
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_cli_section_lists_every_flag(capsys, pipeline):
+    """README's common flags are exactly the options each subcommand's
+    ``--help`` lists, and ``--help`` exits 0."""
+    listed = re.search(r"Common flags:(.*?)Exit codes:", README.read_text(), re.S).group(1)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([pipeline, "--help"])
+    assert exc.value.code == 0
+    defined = re.findall(r"^ +(--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert sorted(re.findall(r"`(--[a-z-]+)", listed)) == sorted(defined)
